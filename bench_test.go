@@ -8,7 +8,7 @@ package danas
 //
 // Benchmarks run at a reduced scale (identical steady states, smaller
 // files) so the full suite completes in minutes; run cmd/danas-bench
-// -scale 1 for the full-size artifacts recorded in EXPERIMENTS.md.
+// -scale 1 for the full-size artifacts.
 
 import (
 	"fmt"

@@ -70,7 +70,7 @@ const (
 )
 
 // DefaultParams returns the parameter table calibrated against the paper's
-// Table 2 and Table 3 (see DESIGN.md §5).
+// Table 2 and Table 3 (each constant is documented in internal/host/params.go).
 func DefaultParams() *Params { return host.Default() }
 
 // Protocol selects a client system from the paper.

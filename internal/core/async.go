@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"danas/internal/nas"
 	"danas/internal/obs"
 	"danas/internal/sim"
@@ -35,7 +33,7 @@ func (c *Client) Async(depth int) nas.AsyncClient {
 // the current instant.
 func (a *asyncCached) Submit(p *sim.Proc, op nas.Op) uint64 {
 	tag, at := a.Begin(p)
-	p.Sched().Go(fmt.Sprintf("odafs-async-%d", tag), func(wp *sim.Proc) {
+	p.Sched().Go("odafs-async", func(wp *sim.Proc) {
 		// The fresh process starts at the admission instant, so there is
 		// no pickup delay to bucket as queue time — the span just rides
 		// along for the operation's execution.

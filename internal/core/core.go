@@ -624,7 +624,7 @@ func (c *Client) Read(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64) (i
 	sp := obs.Active(p)
 	for i, bo := range misses {
 		i, bo := i, bo
-		s.Go(fmt.Sprintf("fetch-%d", bo), func(fp *sim.Proc) {
+		s.Go("fetch", func(fp *sim.Proc) {
 			obs.Activate(fp, sp)
 			results[i] = fetch{off: bo, err: c.fetchBlock(fp, h, bo)}
 			remaining--

@@ -1,7 +1,7 @@
 // Package exper is the benchmark harness: one experiment per table and
 // figure of the paper's evaluation (§5), each regenerating the same
-// rows/series the paper reports, plus ablations of the design choices
-// DESIGN.md calls out. The cmd/danas-bench binary and the root-level
+// rows/series the paper reports, plus ablations of the paper's design
+// choices (ablations.go). The cmd/danas-bench binary and the root-level
 // testing.B benchmarks both drive this package.
 package exper
 
@@ -26,7 +26,7 @@ import (
 
 // Scale shrinks experiment file sizes and operation counts uniformly so
 // tests run fast; 1.0 is the benchmark default (which is itself reduced
-// from paper scale — the steady states are identical, see DESIGN.md §2).
+// from paper scale; the steady states are identical).
 type Scale float64
 
 func (s Scale) bytes(n int64) int64 {

@@ -7,7 +7,8 @@ import "danas/internal/sim"
 // testbed — 1 GHz Pentium III, ServerWorks LE, FreeBSD 4.6, LANai9.2 on
 // 64-bit/66 MHz PCI, 2 Gb/s Myrinet — and were tuned so the simulated
 // gm_allsize/pingpong/netperf equivalents land on the paper's Table 2 and
-// the Table 3 microbenchmark, as recorded in EXPERIMENTS.md. Everything
+// the Table 3 microbenchmark, as the table2 and table3 experiments
+// (internal/exper) report. Everything
 // else in the evaluation is prediction from these constants.
 type Params struct {
 	// ---- Network fabric ----
@@ -149,7 +150,8 @@ type Params struct {
 	DiskBW   float64
 }
 
-// Default returns the calibrated parameter set described in DESIGN.md §5.
+// Default returns the calibrated parameter set; each field's comment in
+// Params gives its meaning and source.
 func Default() *Params {
 	return &Params{
 		LinkBandwidth: 250e6,

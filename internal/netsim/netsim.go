@@ -52,6 +52,7 @@ type Fabric struct {
 	leaves    []*leaf
 	spineDown []bool
 	dropped   uint64
+	hops      []*hop // finished hops, reused by the next frames
 }
 
 // NewFabric creates an empty single-switch fabric with the given
@@ -122,7 +123,6 @@ func (p *Port) Send(f *Frame) {
 	if f.From == nil {
 		f.From = p
 	}
-	s := p.fab.s
 	dst := f.To
 	if dst.sink == nil {
 		panic(fmt.Sprintf("netsim: port %s has no sink (frame from %s; fabric not armed?)",
@@ -130,28 +130,123 @@ func (p *Port) Send(f *Frame) {
 	}
 	p.framesOut++
 	p.bytesOut += int64(f.Bytes)
+	fab := p.fab
+	h := fab.newHop()
+	h.src, h.fr, h.stage = p, f, hopUplinked
 	if p.leaf != dst.leaf {
-		p.fab.sendCrossLeaf(p, f)
-		return
+		h.spine = fab.SpineFor(p.leaf, dst.leaf)
 	}
-	lf := p.fab.leaves[p.leaf]
-	// Uplink serialization, then propagation to the switch.
-	p.up.Serve(p.txTime(f.Bytes), func() {
-		s.After(p.cfg.PropDelay+p.fab.topo.LeafLatency, func() {
-			if lf.down {
-				p.fab.dropped++
-				return
-			}
-			// Downlink serialization at the destination, then propagation.
-			dst.down.Serve(dst.txTime(f.Bytes), func() {
-				s.After(dst.cfg.PropDelay, func() {
-					dst.framesIn++
-					dst.bytesIn += int64(f.Bytes)
-					dst.sink.DeliverFrame(f)
-				})
-			})
-		})
-	})
+	p.up.Serve(p.txTime(f.Bytes), h.step)
+}
+
+// hop carries one frame across the fabric as a chain of plain events.
+// Each stage serializes the frame on a station or crosses a switch, then
+// posts the next stage through the one callback bound when the hop was
+// first built. A frame whose route stays on one leaf skips the trunk
+// stages. A finished hop goes back to the fabric for the next frame.
+type hop struct {
+	fab   *Fabric
+	src   *Port
+	fr    *Frame
+	spine int // the ECMP spine of a cross-leaf route
+	stage hopStage
+	step  func() // h.advance
+}
+
+// hopStage names what has just happened to a frame in flight.
+type hopStage uint8
+
+const (
+	hopUplinked    hopStage = iota // serialized on the source uplink
+	hopAtLeaf                      // at the source leaf switch
+	hopTrunkedUp                   // serialized on the leaf's up-trunk
+	hopAtSpine                     // at the spine switch
+	hopTrunkedDown                 // serialized on the destination leaf's down-trunk
+	hopAtDstLeaf                   // at the destination leaf switch
+	hopDownlinked                  // serialized on the destination downlink
+	hopArrived                     // propagated to the destination host
+)
+
+func (f *Fabric) newHop() *hop {
+	if n := len(f.hops); n > 0 {
+		h := f.hops[n-1]
+		f.hops = f.hops[:n-1]
+		return h
+	}
+	h := &hop{fab: f}
+	h.step = h.advance
+	return h
+}
+
+// release returns h to its fabric once its frame is delivered or dropped.
+func (h *hop) release() {
+	h.src, h.fr = nil, nil
+	h.fab.hops = append(h.fab.hops, h)
+}
+
+// drop black-holes the frame at a down switch.
+func (h *hop) drop() {
+	h.fab.dropped++
+	h.release()
+}
+
+// advance runs the stage after h.stage: the host -> leaf [-> spine ->
+// leaf] -> host route of Port.Send, one store-and-forward step per event.
+func (h *hop) advance() {
+	f, fr := h.fab, h.fr
+	s, dst := f.s, fr.To
+	switch h.stage {
+	case hopUplinked:
+		h.stage = hopAtLeaf
+		s.After(h.src.cfg.PropDelay+f.topo.LeafLatency, h.step)
+	case hopAtLeaf:
+		lf := f.leaves[h.src.leaf]
+		if lf.down {
+			h.drop()
+			return
+		}
+		if h.src.leaf == dst.leaf {
+			h.downlink()
+			return
+		}
+		h.stage = hopTrunkedUp
+		f.trunkServe(lf, lf.up[h.spine], fr, h.step)
+	case hopTrunkedUp:
+		h.stage = hopAtSpine
+		s.After(f.topo.TrunkProp+f.topo.SpineLatency, h.step)
+	case hopAtSpine:
+		if f.spineDown[h.spine] {
+			h.drop()
+			return
+		}
+		dl := f.leaves[dst.leaf]
+		h.stage = hopTrunkedDown
+		f.trunkServe(dl, dl.dn[h.spine], fr, h.step)
+	case hopTrunkedDown:
+		h.stage = hopAtDstLeaf
+		s.After(f.topo.TrunkProp+f.topo.LeafLatency, h.step)
+	case hopAtDstLeaf:
+		if f.leaves[dst.leaf].down {
+			h.drop()
+			return
+		}
+		h.downlink()
+	case hopDownlinked:
+		h.stage = hopArrived
+		s.After(dst.cfg.PropDelay, h.step)
+	case hopArrived:
+		h.release()
+		dst.framesIn++
+		dst.bytesIn += int64(fr.Bytes)
+		dst.sink.DeliverFrame(fr)
+	}
+}
+
+// downlink serializes the frame on the destination port's downlink.
+func (h *hop) downlink() {
+	dst := h.fr.To
+	h.stage = hopDownlinked
+	dst.down.Serve(dst.txTime(h.fr.Bytes), h.step)
 }
 
 // OneWayLatency returns the zero-load latency of a frame of the given size

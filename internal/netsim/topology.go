@@ -283,49 +283,6 @@ func (f *Fabric) trunkServe(lf *leaf, t *trunk, fr *Frame, done func()) {
 	t.st.Serve(sim.TransferTime(int64(fr.Bytes+f.topo.TrunkOverhead), rate), done)
 }
 
-// sendCrossLeaf routes a frame host -> leaf -> spine -> leaf -> host:
-// uplink serialization, store-and-forward at the source leaf, the
-// ECMP-chosen spine's up-trunk, the spine hop, the destination leaf's
-// down-trunk, and finally the destination downlink. A down switch on
-// the path black-holes the frame at that hop.
-func (f *Fabric) sendCrossLeaf(p *Port, fr *Frame) {
-	s := f.s
-	dst := fr.To
-	src, dl := f.leaves[p.leaf], f.leaves[dst.leaf]
-	sp := f.SpineFor(p.leaf, dst.leaf)
-	p.up.Serve(p.txTime(fr.Bytes), func() {
-		s.After(p.cfg.PropDelay+f.topo.LeafLatency, func() {
-			if src.down {
-				f.dropped++
-				return
-			}
-			f.trunkServe(src, src.up[sp], fr, func() {
-				s.After(f.topo.TrunkProp+f.topo.SpineLatency, func() {
-					if f.spineDown[sp] {
-						f.dropped++
-						return
-					}
-					f.trunkServe(dl, dl.dn[sp], fr, func() {
-						s.After(f.topo.TrunkProp+f.topo.LeafLatency, func() {
-							if dl.down {
-								f.dropped++
-								return
-							}
-							dst.down.Serve(dst.txTime(fr.Bytes), func() {
-								s.After(dst.cfg.PropDelay, func() {
-									dst.framesIn++
-									dst.bytesIn += int64(fr.Bytes)
-									dst.sink.DeliverFrame(fr)
-								})
-							})
-						})
-					})
-				})
-			})
-		})
-	})
-}
-
 // PathLatency returns the zero-load latency of one frame from src to
 // dst: the closed-form sum of every serialization, propagation, and
 // store-and-forward term on the route (the multi-hop generalization of

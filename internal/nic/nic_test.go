@@ -289,6 +289,45 @@ func TestPutToUnexportedFaults(t *testing.T) {
 	}
 }
 
+// TestTLBEvictsLeastRecentlyUsed pins the TLB's replacement order: a hit
+// refreshes a page, a miss beyond capacity evicts the least recently
+// touched page, and a shot-down page frees its slot.
+func TestTLBEvictsLeastRecentlyUsed(t *testing.T) {
+	tl := newTLB(3)
+	steps := []struct {
+		pg  uint64
+		hit bool
+	}{
+		{1, false}, {2, false}, {3, false}, // MRU..LRU: 3 2 1
+		{1, true},            // 1 3 2
+		{4, false},           // 4 1 3, evicts 2
+		{2, false},           // 2 4 1, evicts 3
+		{3, false},           // 3 2 4, evicts 1
+		{4, true}, {2, true}, // 2 4 3
+	}
+	for i, st := range steps {
+		if got := tl.touch(st.pg); got != st.hit {
+			t.Fatalf("step %d: touch(%d) hit=%v, want %v", i, st.pg, got, st.hit)
+		}
+	}
+	tl.evict(4) // 2 3
+	tl.evict(9) // not loaded: no-op
+	if tl.len() != 2 {
+		t.Fatalf("TLB holds %d entries after shoot-down, want 2", tl.len())
+	}
+	for i, st := range []struct {
+		pg  uint64
+		hit bool
+	}{{5, false}, {3, true}, {6, false}, {2, false}} { // 5 2 3; 3 5 2; 6 3 5, evicts 2; 2 6 3
+		if got := tl.touch(st.pg); got != st.hit {
+			t.Fatalf("refill %d: touch(%d) hit=%v, want %v", i, st.pg, got, st.hit)
+		}
+	}
+	if tl.len() != 3 {
+		t.Fatalf("TLB holds %d entries, capacity 3", tl.len())
+	}
+}
+
 func TestTLBMissChargesHostAndRefills(t *testing.T) {
 	r := newRig(t)
 	r.p.NICTLBSize = 2

@@ -237,7 +237,7 @@ func (n *NIC) serveGet(op *Op) {
 			quirk = n.p.GMGetQuirkStall
 		}
 		// Descriptor fetch and firmware scheduling latency: delays the
-		// response but does not occupy the firmware station (§ DESIGN.md).
+		// response but does not occupy the firmware station.
 		n.s.After(n.p.NICGetLatency, func() {
 			n.streamData(op.initiator, op.Len, op, quirk)
 		})

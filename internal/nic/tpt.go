@@ -1,7 +1,6 @@
 package nic
 
 import (
-	"container/list"
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
@@ -169,37 +168,76 @@ func (t *TPT) lookup(va uint64, length int64, cap []byte) (*Segment, Status) {
 // tlb is the NIC's on-board translation cache. Pages with translations
 // loaded here are treated as pinned and locked by the host OS (§4.1), so a
 // hit guarantees residency; a miss costs a host interrupt plus a PIO reload.
+//
+// The LRU list is threaded through a slice by index rather than built
+// from list elements, so neither the list nor the page index holds
+// pointers for the collector to trace: warming a TLB sized to a large
+// working set is set-up's largest cost.
 type tlb struct {
 	size int
-	ll   *list.List               // front = most recently used; values are page numbers
-	m    map[uint64]*list.Element // page -> list element
+	at   map[uint64]int32 // page -> its entry in ent
+	ent  []tlbEntry       // ent[0] is the list head: next is the MRU entry, prev the LRU
+	free []int32          // unused entries of ent
+}
+
+type tlbEntry struct {
+	pg         uint64
+	prev, next int32
 }
 
 func newTLB(size int) *tlb {
-	return &tlb{size: size, ll: list.New(), m: make(map[uint64]*list.Element)}
+	return &tlb{size: size, at: make(map[uint64]int32), ent: make([]tlbEntry, 1)}
 }
 
 // touch returns true on hit; on miss it loads the page, evicting LRU
 // entries beyond capacity.
 func (t *tlb) touch(pg uint64) bool {
-	if e, ok := t.m[pg]; ok {
-		t.ll.MoveToFront(e)
+	if i, ok := t.at[pg]; ok {
+		t.unlink(i)
+		t.pushFront(i)
 		return true
 	}
-	t.m[pg] = t.ll.PushFront(pg)
-	for t.ll.Len() > t.size {
-		back := t.ll.Back()
-		t.ll.Remove(back)
-		delete(t.m, back.Value.(uint64))
+	var i int32
+	if n := len(t.free); n > 0 {
+		i = t.free[n-1]
+		t.free = t.free[:n-1]
+		t.ent[i].pg = pg
+	} else {
+		i = int32(len(t.ent))
+		t.ent = append(t.ent, tlbEntry{pg: pg})
+	}
+	t.pushFront(i)
+	t.at[pg] = i
+	for len(t.at) > t.size {
+		t.remove(t.ent[0].prev)
 	}
 	return false
 }
 
 func (t *tlb) evict(pg uint64) {
-	if e, ok := t.m[pg]; ok {
-		t.ll.Remove(e)
-		delete(t.m, pg)
+	if i, ok := t.at[pg]; ok {
+		t.remove(i)
 	}
 }
 
-func (t *tlb) len() int { return t.ll.Len() }
+func (t *tlb) len() int { return len(t.at) }
+
+func (t *tlb) pushFront(i int32) {
+	first := t.ent[0].next
+	t.ent[i].prev, t.ent[i].next = 0, first
+	t.ent[first].prev = i
+	t.ent[0].next = i
+}
+
+func (t *tlb) unlink(i int32) {
+	e := t.ent[i]
+	t.ent[e.prev].next = e.next
+	t.ent[e.next].prev = e.prev
+}
+
+// remove drops entry i from the list and the index.
+func (t *tlb) remove(i int32) {
+	t.unlink(i)
+	delete(t.at, t.ent[i].pg)
+	t.free = append(t.free, i)
+}

@@ -1,0 +1,246 @@
+package sim
+
+import (
+	"fmt"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+)
+
+// key is an event's place in the total order the loop executes events in.
+type key struct {
+	at  Time
+	seq uint64
+}
+
+// runTraced runs s to quiescence one event at a time, as Run does, and
+// returns the key of every event it executed.
+func runTraced(s *Scheduler) []key {
+	s.inLoop = true
+	defer func() { s.inLoop = false }()
+	var tr []key
+	for len(s.events) > 0 {
+		e := s.events.pop()
+		if e.cancel != nil && *e.cancel {
+			continue
+		}
+		tr = append(tr, key{e.at, e.seq})
+		s.fire(&e)
+	}
+	return tr
+}
+
+// TestCloseUnwindsEveryCoroutine checks that Close leaves no goroutine
+// behind. This and the other goroutine checks allow for goroutines
+// outside the test exiting meanwhile.
+func TestCloseUnwindsEveryCoroutine(t *testing.T) {
+	base := runtime.NumGoroutine()
+	s := New()
+	q := NewQueue[int](s, "never")
+	unwound := 0
+	for i := 0; i < 3; i++ {
+		s.Go("parked", func(p *Proc) {
+			defer func() { unwound++ }()
+			q.Get(p)
+			t.Error("parked proc resumed")
+		})
+	}
+	// Two short-lived Procs: the second reuses the first's coroutine, so
+	// one coroutine is left pooled.
+	for i := 0; i < 2; i++ {
+		s.Go("finished", func(p *Proc) {})
+	}
+	s.Run()
+	s.Go("never-started", func(p *Proc) { t.Error("proc started after Close") })
+	if got, want := runtime.NumGoroutine(), base+4; got < want {
+		t.Fatalf("goroutines before Close = %d, want %d (3 parked + 1 pooled)", got, want)
+	}
+	s.Close()
+	if got := runtime.NumGoroutine(); got > base {
+		t.Fatalf("goroutines right after Close = %d, want baseline %d", got, base)
+	}
+	if unwound != 3 {
+		t.Fatalf("%d parked procs unwound by Close, want 3", unwound)
+	}
+}
+
+func TestCloseFromInsideSimulation(t *testing.T) {
+	base := runtime.NumGoroutine()
+	s := New()
+	q := NewQueue[int](s, "never")
+	s.Go("parked", func(p *Proc) { q.Get(p) })
+	unwound := false
+	s.Go("closer", func(p *Proc) {
+		defer func() { unwound = true }()
+		s.Close()
+		p.Sleep(1)
+		t.Error("closer resumed after Close")
+	})
+	s.After(1, func() { t.Error("event ran after Close") })
+	s.Run()
+	if !unwound {
+		t.Fatal("the Proc that called Close was not unwound when Run returned")
+	}
+	if got := runtime.NumGoroutine(); got > base {
+		t.Fatalf("goroutines after Run = %d, want baseline %d", got, base)
+	}
+}
+
+func TestStaleWakeOfReusedCoroutine(t *testing.T) {
+	s := New()
+	defer s.Close()
+	var first *coro
+	a := s.Go("a", func(p *Proc) { first = p.co })
+	s.Run()
+	resumed := false
+	b := s.Go("b", func(p *Proc) {
+		p.block() // nothing wakes b
+		resumed = true
+	})
+	s.Run()
+	if b.co != first {
+		t.Fatal("b did not reuse a's pooled coroutine")
+	}
+	s.After(1, func() { s.wake(a) })
+	s.postWake(s.now+2, a)
+	s.Run()
+	if resumed {
+		t.Fatal("a stale wake of finished proc a resumed b on the reused coroutine")
+	}
+}
+
+func TestProcPanicReachesRunCaller(t *testing.T) {
+	base := runtime.NumGoroutine()
+	s := New()
+	s.Go("idle", func(p *Proc) { p.Sleep(Second) })
+	s.Go("boom", func(p *Proc) {
+		p.Sleep(5)
+		panic("kaboom")
+	})
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		s.Run()
+		return nil
+	}()
+	if want := "sim: proc boom#2 panicked: kaboom"; got != want {
+		t.Fatalf("Run panicked with %v, want %q", got, want)
+	}
+	s.Close()
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("goroutines after Close = %d, want baseline %d", n, base)
+	}
+}
+
+func TestAfterCancelSuppressesEvent(t *testing.T) {
+	s := New()
+	defer s.Close()
+	ran := false
+	s.After(10, func() {})
+	cancel := s.AfterCancel(50, func() { ran = true })
+	cancel()
+	s.Run()
+	if ran {
+		t.Fatal("cancelled event ran")
+	}
+	if s.Now() != 10 {
+		t.Fatalf("clock = %d, want 10: a cancelled event must not advance it", s.Now())
+	}
+	if s.Events() != 1 {
+		t.Fatalf("Events() = %d, want 1: a cancelled event must not count", s.Events())
+	}
+}
+
+func TestAfterCancelAfterFireIsNoop(t *testing.T) {
+	s := New()
+	defer s.Close()
+	runs := 0
+	cancel := s.AfterCancel(5, func() { runs++ })
+	s.Run()
+	cancel()
+	cancel()
+	s.After(5, func() {})
+	s.Run()
+	if runs != 1 || s.Events() != 2 || s.Now() != 10 {
+		t.Fatalf("runs=%d events=%d now=%d, want 1, 2, 10", runs, s.Events(), s.Now())
+	}
+}
+
+func TestAfterCancelSameInstantFIFO(t *testing.T) {
+	s := New()
+	defer s.Close()
+	var order []int
+	var cancels []func()
+	for i := 0; i < 8; i++ {
+		i := i
+		fn := func() { order = append(order, i) }
+		if i%2 == 0 {
+			s.After(5, fn)
+		} else {
+			cancels = append(cancels, s.AfterCancel(5, fn))
+		}
+	}
+	cancels[1]() // event 3
+	s.Run()
+	if want := []int{0, 1, 2, 4, 5, 6, 7}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("same-instant order %v, want %v", order, want)
+	}
+}
+
+// wakeOrderScenario sets up Station.Wait and Signal waits that complete
+// at the same instants as plain callbacks posted before and after them,
+// and returns the log the run appends to.
+func wakeOrderScenario(s *Scheduler) *[]string {
+	var log []string
+	note := func(what string) { log = append(log, fmt.Sprintf("%s@%d", what, s.Now())) }
+	st := NewStation(s, "st")
+	sig := NewSignal(s)
+	s.At(10, func() { note("x") })
+	s.Go("a", func(p *Proc) {
+		st.Wait(p, 10)
+		note("a-served")
+		sig.Fire()
+		st.Wait(p, 0)
+		note("a-done")
+	})
+	s.Go("b", func(p *Proc) {
+		sig.Wait(p)
+		note("b-fired")
+	})
+	s.Go("c", func(p *Proc) {
+		st.Wait(p, 5)
+		note("c-served")
+		sig.Wait(p)
+		note("c-done")
+	})
+	s.At(10, func() {
+		note("y")
+		s.After(0, func() { note("z") })
+	})
+	s.At(15, func() { note("w") })
+	return &log
+}
+
+// TestStationAndSignalWakeOrder pins the (at, seq) sequence of Station.Wait
+// and Signal wakes. A Station.Wait completion re-posts a same-instant wake
+// (here seq 7 posts 10, 8 posts 13 and 12 posts 14), so a waiter resumes
+// after callbacks already due at that instant, as it did when the wait
+// went through a Signal.
+func TestStationAndSignalWakeOrder(t *testing.T) {
+	s := New()
+	defer s.Close()
+	log := wakeOrderScenario(s)
+	got := runTraced(s)
+	want := []key{
+		{0, 2}, {0, 3}, {0, 4},
+		{10, 1}, {10, 5}, {10, 7}, {10, 9}, {10, 10}, {10, 11},
+		{15, 6}, {15, 8}, {15, 12}, {15, 13}, {15, 14},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("event trace\n got %v\nwant %v", got, want)
+	}
+	wantLog := "x@10 y@10 z@10 a-served@10 b-fired@10 w@15 c-served@15 c-done@15 a-done@15"
+	if g := strings.Join(*log, " "); g != wantLog {
+		t.Fatalf("log\n got %s\nwant %s", g, wantLog)
+	}
+}

@@ -32,7 +32,7 @@ func (q *Queue[T]) Put(v T) {
 	if len(q.waiters) > 0 {
 		p := q.waiters[0]
 		q.waiters = q.waiters[1:]
-		q.s.After(0, func() { q.s.wake(p) })
+		q.s.postWake(q.s.now, p)
 	}
 }
 
@@ -51,7 +51,7 @@ func (q *Queue[T]) Get(p *Proc) T {
 	if len(q.items) > 0 && len(q.waiters) > 0 {
 		next := q.waiters[0]
 		q.waiters = q.waiters[1:]
-		q.s.After(0, func() { q.s.wake(next) })
+		q.s.postWake(q.s.now, next)
 	}
 	return v
 }
@@ -89,8 +89,7 @@ func (g *Signal) Fire() {
 	}
 	g.fired = true
 	for _, p := range g.waiters {
-		wp := p
-		g.s.After(0, func() { g.s.wake(wp) })
+		g.s.postWake(g.s.now, p)
 	}
 	g.waiters = nil
 }

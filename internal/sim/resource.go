@@ -15,7 +15,7 @@ type Resource struct {
 	name     string
 	capacity int64
 	inUse    int64
-	waiters  []*resWaiter
+	waiters  []resWaiter
 
 	// Utilization accounting.
 	epoch      Time    // start of the current measurement interval
@@ -69,7 +69,7 @@ func (r *Resource) Acquire(p *Proc, n int64) {
 		r.grants++
 		return
 	}
-	r.waiters = append(r.waiters, &resWaiter{p: p, n: n})
+	r.waiters = append(r.waiters, resWaiter{p: p, n: n})
 	p.block()
 }
 
@@ -92,8 +92,7 @@ func (r *Resource) Release(n int64) {
 		r.waiters = r.waiters[1:]
 		r.inUse += w.n
 		r.grants++
-		wp := w.p
-		r.s.After(0, func() { r.s.wake(wp) })
+		r.s.postWake(r.s.now, w.p)
 	}
 }
 

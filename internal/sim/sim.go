@@ -1,8 +1,8 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // A Scheduler owns a virtual clock and an event queue. Logical processes
-// (Proc) are Go goroutines driven as coroutines: exactly one process runs at
-// any instant, and control returns to the scheduler whenever a process
+// (Proc) are coroutines driven from the event loop: exactly one process
+// runs at any instant, and control returns to the loop whenever a process
 // blocks (Sleep, Resource.Acquire, Queue.Get, ...). Events with equal
 // timestamps fire in the order they were posted, so a run is a pure function
 // of its inputs and seeds.
@@ -12,8 +12,9 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"iter"
+	"runtime"
 )
 
 // Time is an absolute simulated time in nanoseconds since simulation start.
@@ -74,57 +75,93 @@ func TransferTime(n int64, bytesPerSec float64) Duration {
 	return Duration(float64(n) * 1e9 / bytesPerSec)
 }
 
-// event is a single scheduled callback. A cancelled event stays in the
-// heap (removal would disturb sibling ordering) but is skipped by the
-// loop without advancing the clock.
+// event is one scheduled action, held by value in the heap: a callback
+// (fn), or a typed wake of p. A relay wake does not resume p but re-posts
+// a plain wake of p at the same instant. A cancelled event stays in the
+// heap (removal would disturb sibling ordering) but is skipped by the loop
+// without advancing the clock.
 type event struct {
-	at        Time
-	seq       uint64
-	fn        func()
-	cancelled bool
+	at     Time
+	seq    uint64
+	fn     func()
+	p      *Proc
+	cancel *bool // set only on AfterCancel events
+	relay  bool
 }
 
-type eventHeap []*event
+func (e *event) before(o *event) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// eventHeap is a binary min-heap of events ordered by (at, seq). Keys are
+// unique, so the pop order is the same whatever the heap's shape.
+type eventHeap []event
+
+func (h *eventHeap) push(e event) {
+	q := append(*h, e)
+	i := len(q) - 1
+	for i > 0 {
+		up := (i - 1) / 2
+		if !e.before(&q[up]) {
+			break
+		}
+		q[i] = q[up]
+		i = up
 	}
-	return h[i].seq < h[j].seq
+	q[i] = e
+	*h = q
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{} // drop the references the vacated slot holds
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && q[r].before(&q[c]) {
+				c = r
+			}
+			if !q[c].before(&last) {
+				break
+			}
+			q[i] = q[c]
+			i = c
+		}
+		q[i] = last
+	}
+	*h = q
+	return top
 }
+
+// gcTurnEvents is how many events the loop executes between yields of
+// its thread: with one P, a loop that never parks starves the GC's
+// background mark worker and the heap overshoots its goal.
+const gcTurnEvents = 1 << 12
 
 // Scheduler owns the virtual clock, the event queue and all processes.
 // The zero value is not usable; call New.
 type Scheduler struct {
-	now      Time
-	events   eventHeap
-	seq      uint64
-	yield    chan struct{} // a running Proc signals here when it blocks or exits
-	shutdown chan struct{} // closed by Close to reap blocked Procs
-	closed   bool
-	inLoop   bool
-	procSeq  int
-	nEvents  uint64 // total events executed, for diagnostics
+	now     Time
+	events  eventHeap
+	seq     uint64
+	closed  bool
+	inLoop  bool
+	procSeq int
+	nEvents uint64  // total events executed, for diagnostics
+	coros   []*coro // every coroutine started, for Close
+	free    []*coro // coroutines whose Proc finished, for the next Go
 }
 
 // New returns an empty scheduler with the clock at zero.
-func New() *Scheduler {
-	return &Scheduler{
-		yield:    make(chan struct{}),
-		shutdown: make(chan struct{}),
-	}
-}
+func New() *Scheduler { return &Scheduler{} }
 
 // Now returns the current simulated time.
 func (s *Scheduler) Now() Time { return s.now }
@@ -132,14 +169,22 @@ func (s *Scheduler) Now() Time { return s.now }
 // Events returns the number of events executed so far.
 func (s *Scheduler) Events() uint64 { return s.nEvents }
 
-// post schedules fn at absolute time at. Panics if at is in the past.
-func (s *Scheduler) post(at Time, fn func()) {
-	if at < s.now {
-		panic(fmt.Sprintf("sim: event posted in the past (at=%d now=%d)", at, s.now))
+// push queues e at e.at under the next sequence number. Panics if e.at
+// is in the past.
+func (s *Scheduler) push(e event) {
+	if e.at < s.now {
+		panic(fmt.Sprintf("sim: event posted in the past (at=%d now=%d)", e.at, s.now))
 	}
 	s.seq++
-	heap.Push(&s.events, &event{at: at, seq: s.seq, fn: fn})
+	e.seq = s.seq
+	s.events.push(e)
 }
+
+// post schedules fn at absolute time at. Panics if at is in the past.
+func (s *Scheduler) post(at Time, fn func()) { s.push(event{at: at, fn: fn}) }
+
+// postWake schedules a wake of p at absolute time at.
+func (s *Scheduler) postWake(at Time, p *Proc) { s.push(event{at: at, p: p}) }
 
 // After schedules fn to run d from now. Negative d is clamped to zero.
 func (s *Scheduler) After(d Duration, fn func()) {
@@ -161,10 +206,9 @@ func (s *Scheduler) AfterCancel(d Duration, fn func()) (cancel func()) {
 	if d < 0 {
 		d = 0
 	}
-	s.seq++
-	e := &event{at: s.now.Add(d), seq: s.seq, fn: fn}
-	heap.Push(&s.events, e)
-	return func() { e.cancelled = true }
+	cancelled := new(bool)
+	s.push(event{at: s.now.Add(d), fn: fn, cancel: cancelled})
+	return func() { *cancelled = true }
 }
 
 // Run executes events until the queue is empty. Processes blocked on
@@ -191,125 +235,162 @@ func (s *Scheduler) runUntil(limit Time) {
 		panic("sim: re-entrant Run (called from inside the simulation)")
 	}
 	s.inLoop = true
-	defer func() { s.inLoop = false }()
-	for s.events.Len() > 0 {
-		e := s.events[0]
-		if limit >= 0 && e.at > limit {
+	defer s.leaveLoop()
+	for len(s.events) > 0 && !s.closed {
+		if limit >= 0 && s.events[0].at > limit {
 			return
 		}
-		heap.Pop(&s.events)
-		if e.cancelled {
+		e := s.events.pop()
+		if e.cancel != nil && *e.cancel {
 			continue
 		}
-		s.now = e.at
-		s.nEvents++
-		e.fn()
+		s.fire(&e)
 	}
 }
 
-// Close terminates every blocked process so their goroutines exit. The
-// scheduler must not be used afterwards. It is safe to call Close more
-// than once.
+// fire executes one due event: the clock moves to its instant, it counts
+// in Events, and its callback runs or its Proc is woken.
+func (s *Scheduler) fire(e *event) {
+	s.now = e.at
+	s.nEvents++
+	if s.nEvents%gcTurnEvents == 0 {
+		runtime.Gosched()
+	}
+	switch {
+	case e.fn != nil:
+		e.fn()
+	case e.relay:
+		s.postWake(s.now, e.p)
+	default:
+		s.wake(e.p)
+	}
+}
+
+// leaveLoop ends a Run. A Close issued from inside the loop could not
+// stop the coroutines while one of them was running; it takes effect here.
+func (s *Scheduler) leaveLoop() {
+	s.inLoop = false
+	if s.closed {
+		s.reap()
+	}
+}
+
+// Close terminates every blocked process, unwinding its coroutine before
+// Close returns, and releases the pooled ones. The scheduler must not be
+// used afterwards. It is safe to call Close more than once, and from
+// inside the simulation, where it takes effect when the current event
+// finishes.
 func (s *Scheduler) Close() {
 	if s.closed {
 		return
 	}
 	s.closed = true
-	close(s.shutdown)
+	if !s.inLoop {
+		s.reap()
+	}
 }
 
-// killed is the panic value used to unwind a Proc goroutine at Close time.
+func (s *Scheduler) reap() {
+	for _, c := range s.coros {
+		c.stop()
+	}
+	s.coros, s.free = nil, nil
+}
+
+// killed is the panic value used to unwind a Proc's coroutine at Close time.
 type killed struct{}
 
-// Proc is a logical process: a goroutine that runs only when the scheduler
+// coro is a coroutine that runs Proc bodies, one after another: when a
+// body returns, the coroutine parks on its scheduler's free list until
+// the next Proc starts.
+type coro struct {
+	resume func() (struct{}, bool) // runs the coroutine until it parks
+	stop   func()                  // unwinds it; park then reports false
+	park   func(struct{}) bool     // hands control back to the loop
+	p      *Proc                   // the Proc it runs, nil while pooled
+}
+
+func (s *Scheduler) newCoro() *coro {
+	c := &coro{}
+	c.resume, c.stop = iter.Pull(func(park func(struct{}) bool) {
+		c.park = park
+		for c.run() && park(struct{}{}) {
+		}
+	})
+	s.coros = append(s.coros, c)
+	return c
+}
+
+// run executes the body of the Proc bound to c and reports whether c
+// may run another: false once Close has stopped it. A panic other than
+// the Close-time unwind reaches the caller of Run, naming the Proc.
+func (c *coro) run() (more bool) {
+	p := c.p
+	defer func() {
+		p.dead, p.co, p.fn, c.p = true, nil, nil, nil
+		if r := recover(); r != nil {
+			if _, ok := r.(killed); !ok {
+				panic(fmt.Sprintf("sim: proc %s panicked: %v", p.Name(), r))
+			}
+		}
+	}()
+	p.fn(p)
+	p.s.free = append(p.s.free, c)
+	return true
+}
+
+// Proc is a logical process: a coroutine that runs only when the scheduler
 // resumes it and always hands control back before simulated time advances.
 type Proc struct {
-	s      *Scheduler
-	name   string
-	resume chan struct{}
-	dead   bool
-	note   any
+	s    *Scheduler
+	name string
+	id   int
+	fn   func(p *Proc) // the body, until it returns
+	co   *coro         // the coroutine running the body, nil until it starts
+	dead bool
+	note any
 }
 
 // Go spawns a new process whose body starts executing at the current
 // simulated time (after already-queued events at this time).
 func (s *Scheduler) Go(name string, fn func(p *Proc)) *Proc {
 	s.procSeq++
-	p := &Proc{
-		s:      s,
-		name:   fmt.Sprintf("%s#%d", name, s.procSeq),
-		resume: make(chan struct{}),
-	}
-	s.After(0, func() {
-		go p.run(fn)
-		s.wake(p)
-	})
+	p := &Proc{s: s, name: name, id: s.procSeq, fn: fn}
+	s.postWake(s.now, p)
 	return p
 }
 
-func (p *Proc) run(fn func(p *Proc)) {
-	defer func() {
-		p.dead = true
-		if r := recover(); r != nil {
-			if _, ok := r.(killed); ok {
-				return // reaped by Scheduler.Close
-			}
-			panic(fmt.Sprintf("sim: proc %s panicked: %v", p.name, r))
-		}
-		// Normal exit: hand control back to the event loop.
-		select {
-		case p.s.yield <- struct{}{}:
-		case <-p.s.shutdown:
-		}
-	}()
-	p.waitResume()
-	fn(p)
-}
-
-// wake resumes p and blocks until p yields again. It must only be called
-// from inside the event loop (i.e. from an event callback).
+// wake resumes p and returns when p blocks again or finishes. It must only
+// be called from inside the event loop (i.e. from an event callback). The
+// first wake of a Proc starts its body on a pooled or fresh coroutine; a
+// wake of a finished Proc does nothing.
 func (s *Scheduler) wake(p *Proc) {
 	if p.dead {
 		return
 	}
-	select {
-	case p.resume <- struct{}{}:
-	case <-s.shutdown:
-		return
+	c := p.co
+	if c == nil {
+		if n := len(s.free); n > 0 {
+			c = s.free[n-1]
+			s.free = s.free[:n-1]
+		} else {
+			c = s.newCoro()
+		}
+		c.p, p.co = p, c
 	}
-	select {
-	case <-s.yield:
-	case <-s.shutdown:
-	}
+	c.resume()
 }
 
-// yieldToLoop hands control from the running process back to the event loop.
-func (p *Proc) yieldToLoop() {
-	select {
-	case p.s.yield <- struct{}{}:
-	case <-p.s.shutdown:
-		//lint:ignore panicfree killed{} is the coroutine-unwind token Go() recovers by type; a string would be caught by nothing
-		panic(killed{})
-	}
-}
-
-func (p *Proc) waitResume() {
-	select {
-	case <-p.resume:
-	case <-p.s.shutdown:
-		//lint:ignore panicfree killed{} is the coroutine-unwind token Go() recovers by type; a string would be caught by nothing
-		panic(killed{})
-	}
-}
-
-// block parks p until some event calls Scheduler.wake(p).
+// block parks p until some event wakes it.
 func (p *Proc) block() {
-	p.yieldToLoop()
-	p.waitResume()
+	if !p.co.park(struct{}{}) {
+		//lint:ignore panicfree killed{} is the coroutine-unwind token coro.run recovers by type; a string would be caught by nothing
+		panic(killed{})
+	}
 }
 
-// Name returns the process name (unique within its scheduler).
-func (p *Proc) Name() string { return p.name }
+// Name returns the process name with its scheduler-unique id, name#id.
+func (p *Proc) Name() string { return fmt.Sprintf("%s#%d", p.name, p.id) }
 
 // SetAnnotation attaches an opaque per-process value; Annotation reads
 // it back (nil when unset). The kernel never inspects the value — layers
@@ -332,8 +413,7 @@ func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		d = 0
 	}
-	s := p.s
-	s.After(d, func() { s.wake(p) })
+	p.s.postWake(p.s.now.Add(d), p)
 	p.block()
 }
 

@@ -69,11 +69,13 @@ func (st *Station) ServeAt(ready Time, d Duration, done func()) Time {
 }
 
 // Wait makes process p execute a job of duration d on the station and
-// blocks until it completes — the process-style entry point.
+// blocks until it completes — the process-style entry point. The job's
+// completion at fin re-posts a same-instant wake of p, the post a Signal
+// fired at fin would make.
 func (st *Station) Wait(p *Proc, d Duration) {
-	sig := NewSignal(st.s)
-	st.Serve(d, sig.Fire)
-	sig.Wait(p)
+	fin := st.Serve(d, nil)
+	st.s.push(event{at: fin, p: p, relay: true})
+	p.block()
 }
 
 // BusyUntil returns the time the current backlog drains.

@@ -29,7 +29,7 @@ func FanOut(p *sim.Proc, n int, name string, fn func(wp *sim.Proc, i int) error)
 	sp := obs.Active(p)
 	for i := 0; i < n; i++ {
 		i := i
-		s.Go(fmt.Sprintf("%s-%d", name, i), func(wp *sim.Proc) {
+		s.Go(name, func(wp *sim.Proc) {
 			obs.Activate(wp, sp)
 			errs[i] = fn(wp, i)
 			remaining--
