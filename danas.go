@@ -8,7 +8,9 @@
 // The public API builds a simulated cluster, mounts clients that speak the
 // real protocol state machines, runs application processes against them in
 // virtual time, and exposes the measurements the paper reports (throughput,
-// response time, CPU utilization, ORDMA outcome counters).
+// response time, CPU utilization, ORDMA outcome counters). A Cluster
+// wraps the experiment harness's cluster (internal/exper), so façade
+// mounts are built by the same code as every experiment's clients.
 //
 //	cl := danas.NewCluster()
 //	defer cl.Close()
@@ -27,15 +29,11 @@ import (
 	"fmt"
 
 	"danas/internal/core"
-	"danas/internal/dafs"
+	"danas/internal/exper"
 	"danas/internal/fsim"
 	"danas/internal/host"
 	"danas/internal/nas"
-	"danas/internal/netsim"
-	"danas/internal/nfs"
-	"danas/internal/nic"
 	"danas/internal/sim"
-	"danas/internal/udpip"
 )
 
 // Re-exported simulation types: application code runs as processes in
@@ -110,106 +108,70 @@ func (pr Protocol) String() string {
 	}
 }
 
-// Cluster is a simulated testbed: one server machine plus one client
+// Cluster is a simulated testbed: one server machine (one unreplicated
+// exper.Cluster shard running NFS and DAFS side by side) plus one client
 // machine per mount, joined by a 2 Gb/s switched fabric.
 type Cluster struct {
-	s      *sim.Scheduler
-	p      *Params
-	fab    *netsim.Fabric
-	line   netsim.LineConfig
-	sh     *host.Host
-	sn     *nic.NIC
-	sstack *udpip.Stack
-	fs     *fsim.FS
-	disk   *fsim.Disk
-	sc     *fsim.ServerCache
-	dsrv   *dafs.Server
-	nsrv   *nfs.Server
-
-	mounts  []*Mount
-	nfsPort int
+	cl *exper.Cluster
 }
 
 // ClusterOption configures NewCluster.
-type ClusterOption func(*clusterConfig)
-
-type clusterConfig struct {
-	params      *Params
-	cacheBlock  int64
-	cacheBlocks int
-	optimistic  bool
-	nfsWorkers  int
-}
+type ClusterOption func(*exper.ClusterConfig)
 
 // WithParams overrides the cost-model parameters.
 func WithParams(p *Params) ClusterOption {
-	return func(c *clusterConfig) { c.params = p }
+	return func(c *exper.ClusterConfig) { c.Params = p }
 }
 
 // WithServerCache sets the server file cache geometry.
 func WithServerCache(blockSize int64, blocks int) ClusterOption {
-	return func(c *clusterConfig) { c.cacheBlock = blockSize; c.cacheBlocks = blocks }
+	return func(c *exper.ClusterConfig) { c.ServerCacheBlockSize = blockSize; c.ServerCacheBlocks = blocks }
 }
 
 // WithPlainServer disables the ODAFS export manager (no piggybacked
 // references; ODAFS mounts degrade to DAFS behaviour).
 func WithPlainServer() ClusterOption {
-	return func(c *clusterConfig) { c.optimistic = false }
+	return func(c *exper.ClusterConfig) { c.Optimistic = false }
 }
 
 // WithNFSWorkers sets the nfsd worker pool size.
 func WithNFSWorkers(n int) ClusterOption {
-	return func(c *clusterConfig) { c.nfsWorkers = n }
+	return func(c *exper.ClusterConfig) { c.NFSWorkers = n }
 }
 
 // NewCluster builds a testbed with a server and no mounts.
 func NewCluster(opts ...ClusterOption) *Cluster {
-	cfg := clusterConfig{
-		params:      host.Default(),
-		cacheBlock:  16 * 1024,
-		cacheBlocks: 1 << 16,
-		optimistic:  true,
-		nfsWorkers:  8,
+	cfg := exper.ClusterConfig{
+		Params:               host.Default(),
+		Shards:               1,
+		ServerCacheBlockSize: 16 * 1024,
+		ServerCacheBlocks:    1 << 16,
+		Optimistic:           true,
+		NFS:                  true,
+		NFSWorkers:           8,
 	}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	s := sim.New()
-	p := cfg.params
-	c := &Cluster{
-		s:    s,
-		p:    p,
-		fab:  netsim.NewFabric(s, p.SwitchLatency),
-		line: netsim.LineConfig{Bandwidth: p.LinkBandwidth, Overhead: p.FrameOverhead, PropDelay: p.LinkPropDelay},
-	}
-	c.sh = host.New(s, "server", p)
-	c.sn = nic.New(c.sh, c.fab.AddPort("server", c.line))
-	c.sstack = udpip.NewStack(c.sn)
-	c.fs = fsim.NewFS()
-	c.disk = fsim.NewDisk(s, "disk", p.DiskSeek, p.DiskBW)
-	c.sc = fsim.NewServerCache(c.fs, c.disk, cfg.cacheBlock, cfg.cacheBlocks)
-	c.dsrv = dafs.NewServer(s, c.sn, c.fs, c.sc, cfg.optimistic)
-	c.nsrv = nfs.NewServer(s, c.sstack, c.fs, c.sc, cfg.nfsWorkers)
-	c.nfsPort = 900
-	return c
+	return &Cluster{cl: exper.NewCluster(cfg)}
 }
 
 // Close tears the simulation down; the cluster must not be used after.
-func (c *Cluster) Close() { c.s.Close() }
+func (c *Cluster) Close() { c.cl.Close() }
 
 // Params returns the live parameter table (mutable before mounts are
 // created).
-func (c *Cluster) Params() *Params { return c.p }
+func (c *Cluster) Params() *Params { return c.cl.P }
 
 // Go spawns an application process at the current simulated time.
-func (c *Cluster) Go(name string, fn func(p *Proc)) { c.s.Go(name, fn) }
+func (c *Cluster) Go(name string, fn func(p *Proc)) { c.cl.Go(name, fn) }
 
 // Barrier is a one-shot rendezvous for coordinating application processes
 // (e.g. starting a measured phase on all clients simultaneously).
 type Barrier struct{ sig *sim.Signal }
 
 // NewBarrier creates an unreleased barrier on the cluster's clock.
-func NewBarrier(c *Cluster) *Barrier { return &Barrier{sig: sim.NewSignal(c.s)} }
+func NewBarrier(c *Cluster) *Barrier { return &Barrier{sig: sim.NewSignal(c.cl.S)} }
 
 // Release lets all current and future waiters proceed.
 func (b *Barrier) Release() { b.sig.Fire() }
@@ -218,15 +180,15 @@ func (b *Barrier) Release() { b.sig.Fire() }
 func (b *Barrier) Wait(p *Proc) { b.sig.Wait(p) }
 
 // Run advances the simulation until no work remains.
-func (c *Cluster) Run() { c.s.Run() }
+func (c *Cluster) Run() { c.cl.Run() }
 
 // Now returns the simulated clock.
-func (c *Cluster) Now() Time { return c.s.Now() }
+func (c *Cluster) Now() Time { return c.cl.S.Now() }
 
 // CreateFile creates a file with deterministic synthetic content on the
 // server.
 func (c *Cluster) CreateFile(name string, size int64) error {
-	_, err := c.fs.Create(name, size)
+	_, err := c.cl.FS.Create(name, size)
 	return err
 }
 
@@ -234,69 +196,61 @@ func (c *Cluster) CreateFile(name string, size int64) error {
 // optimistic server, the NIC TLB) with it — the paper's standard
 // experiment precondition.
 func (c *Cluster) CreateWarmFile(name string, size int64) error {
-	f, err := c.fs.Create(name, size)
+	f, err := c.cl.FS.Create(name, size)
 	if err != nil {
 		return err
 	}
-	c.sc.Warm(f)
-	c.sn.TPT.WarmTLB()
+	c.cl.ServerCache.Warm(f)
+	c.cl.ServerNIC.TPT.WarmTLB()
 	return nil
 }
 
 // ContentSource returns the server file system's content back-channel,
 // needed by applications (like the embedded database) that consume real
 // bytes.
-func (c *Cluster) ContentSource() ContentSource { return c.fs }
+func (c *Cluster) ContentSource() ContentSource { return c.cl.FS }
 
 // ServerCPUUtilization reports server CPU utilization since the last
 // MarkServerEpoch.
-func (c *Cluster) ServerCPUUtilization() float64 { return c.sh.CPU.Utilization() }
+func (c *Cluster) ServerCPUUtilization() float64 { return c.cl.ServerHost.CPU.Utilization() }
 
 // ServerLinkTxUtilization reports the server uplink utilization since the
 // last MarkServerEpoch.
-func (c *Cluster) ServerLinkTxUtilization() float64 { return c.sn.Port().TxUtilization() }
+func (c *Cluster) ServerLinkTxUtilization() float64 { return c.cl.ServerNIC.Port().TxUtilization() }
 
 // MarkServerEpoch restarts server-side utilization accounting.
 func (c *Cluster) MarkServerEpoch() {
-	c.sh.CPU.MarkEpoch()
-	c.sn.Port().MarkEpoch()
+	c.cl.ServerHost.CPU.MarkEpoch()
+	c.cl.ServerNIC.Port().MarkEpoch()
 }
 
 // ServerNICExceptions returns the count of ORDMA exceptions the server NIC
 // has signalled.
-func (c *Cluster) ServerNICExceptions() uint64 { return c.sn.StatsSnapshot().Exceptions }
+func (c *Cluster) ServerNICExceptions() uint64 { return c.cl.ServerNIC.StatsSnapshot().Exceptions }
 
 // MountOption configures a Mount.
-type MountOption func(*mountConfig)
-
-type mountConfig struct {
-	cacheBlock   int64
-	cacheBlocks  int
-	cacheHeaders int
-	inline       bool
-	mqDirectory  bool
-}
+type MountOption func(*core.Config)
 
 // WithClientCache sets the DAFS/ODAFS client file cache geometry: block
 // size, data blocks, and headers (the ORDMA reference directory reach).
 func WithClientCache(blockSize int64, dataBlocks, headers int) MountOption {
-	return func(m *mountConfig) {
-		m.cacheBlock = blockSize
-		m.cacheBlocks = dataBlocks
-		m.cacheHeaders = headers
+	return func(m *core.Config) {
+		m.BlockSize = blockSize
+		m.DataBlocks = dataBlocks
+		m.Headers = headers
 	}
 }
 
 // WithInlineTransfers makes the DAFS/ODAFS RPC path carry payloads in-line
 // instead of by server-initiated RDMA.
 func WithInlineTransfers() MountOption {
-	return func(m *mountConfig) { m.inline = true }
+	return func(m *core.Config) { m.InlineRPC = true }
 }
 
 // WithMQDirectory selects multi-queue replacement for the ODAFS reference
 // directory (default LRU).
 func WithMQDirectory() MountOption {
-	return func(m *mountConfig) { m.mqDirectory = true }
+	return func(m *core.Config) { m.MQDirectory = true }
 }
 
 // Mount is a client machine with one protocol mount.
@@ -304,7 +258,6 @@ type Mount struct {
 	Protocol Protocol
 	client   nas.Client
 	h        *host.Host
-	n        *nic.NIC
 	cached   *core.Client // non-nil for DAFS/ODAFS mounts
 	fs       *fsim.FS
 }
@@ -313,36 +266,16 @@ type Mount struct {
 // mounts interpose the user-level file cache (open delegations + block
 // cache); ODAFS additionally maintains the ORDMA reference directory.
 func (c *Cluster) Mount(proto Protocol, opts ...MountOption) *Mount {
-	mc := mountConfig{cacheBlock: 4096, cacheBlocks: 1024, cacheHeaders: 1 << 16}
-	for _, o := range opts {
-		o(&mc)
-	}
-	name := fmt.Sprintf("client%d", len(c.mounts)+1)
-	h := host.New(c.s, name, c.p)
-	n := nic.New(h, c.fab.AddPort(name, c.line))
-	m := &Mount{Protocol: proto, h: h, n: n, fs: c.fs}
-	switch proto {
-	case NFS, NFSPrePosting, NFSHybrid:
-		stack := udpip.NewStack(n)
-		c.nfsPort++
-		kind := map[Protocol]nfs.Kind{NFS: nfs.Standard, NFSPrePosting: nfs.PrePosting, NFSHybrid: nfs.Hybrid}[proto]
-		m.client = nfs.NewClient(c.s, stack, c.nfsPort, c.sstack, kind)
-	case DAFS, ODAFS:
-		cc := core.NewClient(c.s, n, c.dsrv, nic.Poll, core.Config{
-			BlockSize:   mc.cacheBlock,
-			DataBlocks:  mc.cacheBlocks,
-			Headers:     mc.cacheHeaders,
-			UseORDMA:    proto == ODAFS,
-			InlineRPC:   mc.inline,
-			MQDirectory: mc.mqDirectory,
-		})
-		m.client = cc
-		m.cached = cc
-	default:
+	if proto < NFS || proto > ODAFS {
 		panic("danas: unknown protocol")
 	}
-	c.mounts = append(c.mounts, m)
-	return m
+	cfg := core.Config{BlockSize: 4096, DataBlocks: 1024, Headers: 1 << 16}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	node := c.cl.AddClientNode()
+	em := c.cl.Mount(proto.String(), len(c.cl.Nodes)-1, cfg)
+	return &Mount{Protocol: proto, client: em.Client, h: node.Host, cached: em.Cached, fs: c.cl.FS}
 }
 
 // Open resolves a file by name.

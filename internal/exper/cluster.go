@@ -83,6 +83,8 @@ type ClusterConfig struct {
 	// (stripe.Layout.Rack); 0 with Replicas > 0 defaults to Replicas+1
 	// so no two copies of a shard share a rack.
 	Racks int
+	// Ack is the write acknowledgement policy of replicated mounts.
+	Ack stripe.AckPolicy
 	// Fabric selects the interconnect topology. The zero value keeps the
 	// single central switch every pre-fabric experiment runs on.
 	Fabric FabricConfig
@@ -206,6 +208,7 @@ type Cluster struct {
 	nextNFSPort int
 	replicas    int
 	racks       int
+	ack         stripe.AckPolicy
 	serverLeafs int // leaves occupied by servers; clients fill the rest
 }
 
@@ -237,7 +240,7 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		cfg.Racks = cfg.Replicas + 1
 	}
 	c := &Cluster{S: s, P: p, Fab: fab, stripeUnit: cfg.StripeUnit, nextNFSPort: 900,
-		replicas: cfg.Replicas, racks: cfg.Racks}
+		replicas: cfg.Replicas, racks: cfg.Racks, ack: cfg.Ack}
 	// Racks map onto leaves: rack r attaches to leaf r mod Leaves, so
 	// the degenerate star (and racks 0) puts every server on leaf 0 and
 	// rack-aware replica placement crosses the spine by construction.
@@ -388,19 +391,10 @@ func (c *Cluster) StripedCachedClient(i int, cfg core.Config) *core.Client {
 	return core.NewStripedClient(c.S, c.Nodes[i].NIC, srvs, nic.Poll, cfg, c.Layout())
 }
 
-// StripedNFSClient mounts an NFS client of the given kind on node i
+// StripedNFSClients mounts an NFS client of the given kind on node i
 // routing per-block requests to every shard (the plain client when the
-// cluster has one shard).
-func (c *Cluster) StripedNFSClient(i int, kind nfs.Kind) nas.Client {
-	_, striped := c.StripedNFSClients(i, kind)
-	return striped
-}
-
-// StripedNFSClients is StripedNFSClient exposing the concrete per-shard
-// sub-clients alongside the striped facade, for callers that configure
-// retransmission or read retry counters (the failure experiment). Both
-// entry points share one mount loop so per-shard ordering and port
-// allocation cannot drift between experiments.
+// cluster has one shard), returning the concrete per-shard sub-clients
+// alongside the striped facade for retry configuration and counters.
 func (c *Cluster) StripedNFSClients(i int, kind nfs.Kind) ([]*nfs.Client, nas.Client) {
 	ncs := make([]*nfs.Client, len(c.Shards))
 	subs := make([]nas.Client, len(c.Shards))
@@ -434,32 +428,6 @@ func (c *Cluster) StripedDAFSClient(i int, mode nic.NotifyMode, tm dafs.Transfer
 func (c *Cluster) NFSClientForCopy(i, shard, copy int, kind nfs.Kind) *nfs.Client {
 	c.nextNFSPort++
 	return nfs.NewClient(c.S, c.Nodes[i].Stack, c.nextNFSPort, c.ReplicaSets[shard][copy].Stack, kind)
-}
-
-// ReplicatedNFSClients mounts an NFS client of the given kind on node i
-// over the replicated fleet: each shard becomes a stripe.Group of one
-// session per copy (shard-major, copy-minor mount order, so port
-// allocation is deterministic), and the groups stripe under one facade.
-// The concrete sessions are returned alongside for retry configuration
-// and counter collection, the groups for failover/reissue counters.
-func (c *Cluster) ReplicatedNFSClients(i int, kind nfs.Kind, policy stripe.AckPolicy) ([]*nfs.Client, []*stripe.Group, nas.Client) {
-	var ncs []*nfs.Client
-	groups := make([]*stripe.Group, len(c.Shards))
-	subs := make([]nas.Client, len(c.Shards))
-	for s := range c.Shards {
-		copies := make([]nas.Client, len(c.ReplicaSets[s]))
-		for cp := range c.ReplicaSets[s] {
-			nc := c.NFSClientForCopy(i, s, cp, kind)
-			ncs = append(ncs, nc)
-			copies[cp] = nc
-		}
-		groups[s] = stripe.NewGroup(policy, copies)
-		subs[s] = groups[s]
-	}
-	if len(c.Shards) == 1 {
-		return ncs, groups, groups[0]
-	}
-	return ncs, groups, stripe.NewClient(c.Layout(), subs)
 }
 
 // ReplicatedDAFSClient mounts a raw DAFS client on node i over the
@@ -497,6 +465,126 @@ func (c *Cluster) ReplicatedCachedClient(i int, cfg core.Config, policy stripe.A
 		}
 	}
 	return core.NewReplicatedClient(c.S, c.Nodes[i].NIC, srvs, nic.Poll, cfg, c.Layout(), policy)
+}
+
+// Counters is a mount's client-side fault accounting.
+type Counters struct {
+	// Retried counts the faults the client absorbed transparently:
+	// client-layer retransmissions plus ORDMA faults.
+	Retried uint64
+	// Timeouts counts calls that exhausted their retry budget and
+	// failed (zero without a retry budget: callers block instead).
+	Timeouts uint64
+	// Failovers counts serving-copy switches; Reissued counts the
+	// uncommitted ranges failover re-wrote onto surviving copies. Both
+	// are zero on unreplicated mounts.
+	Failovers, Reissued uint64
+}
+
+// Mount is one client machine's protocol mount: the protocol client
+// itself plus the concrete clients its retry settings and counters
+// reach.
+type Mount struct {
+	nas.Client
+	// Cached is the DAFS/ODAFS block-caching client (nil for the NFS
+	// variants).
+	Cached *core.Client
+
+	nfs       []*nfs.Client
+	groups    []*stripe.Group
+	multiLeaf bool
+}
+
+// Mount mounts a protocol by legend name (see ScalingSystems) on node
+// i: over every copy, under the cluster's ack policy, when the cluster
+// is replicated, and striped across the shards otherwise. cfg sizes the
+// DAFS/ODAFS client cache; UseORDMA follows the name, and the NFS
+// variants ignore cfg.
+func (c *Cluster) Mount(system string, i int, cfg core.Config) *Mount {
+	m := &Mount{multiLeaf: c.Fab.Leaves() > 1}
+	switch {
+	case system == "DAFS" || system == "ODAFS":
+		cfg.UseORDMA = system == "ODAFS"
+		if c.replicas > 0 {
+			m.Cached = c.ReplicatedCachedClient(i, cfg, c.ack)
+		} else {
+			m.Cached = c.StripedCachedClient(i, cfg)
+		}
+		m.Client = m.Cached
+	case c.replicas > 0:
+		// Each shard becomes a stripe.Group of one session per copy,
+		// mounted shard-major, copy-minor so port allocation is
+		// deterministic, and the groups stripe under one facade.
+		kind := nfsKindOf(system)
+		subs := make([]nas.Client, len(c.Shards))
+		for s := range c.Shards {
+			copies := make([]nas.Client, len(c.ReplicaSets[s]))
+			for cp := range copies {
+				nc := c.NFSClientForCopy(i, s, cp, kind)
+				m.nfs = append(m.nfs, nc)
+				copies[cp] = nc
+			}
+			g := stripe.NewGroup(c.ack, copies)
+			m.groups = append(m.groups, g)
+			subs[s] = g
+		}
+		m.Client = subs[0]
+		if len(subs) > 1 {
+			m.Client = stripe.NewClient(c.Layout(), subs)
+		}
+	default:
+		m.nfs, m.Client = c.StripedNFSClients(i, nfsKindOf(system))
+	}
+	return m
+}
+
+// Async wraps the mount in an asynchronous client of the given queue
+// depth: the cached clients natively, the RPC stacks through the
+// generic adapter.
+func (m *Mount) Async(depth int) nas.AsyncClient {
+	if m.Cached != nil {
+		return m.Cached.Async(depth)
+	}
+	return nas.NewAsync(m.Client, depth)
+}
+
+// SetRetry arms client-side recovery: RPC stacks and DAFS sessions
+// retransmit with exponential backoff from rto and give up after
+// budget attempts. On a multi-leaf fabric rto also bounds the cached
+// client's RDMA descriptors, since a down switch can black-hole their
+// frames — something the star cannot do.
+func (m *Mount) SetRetry(rto sim.Duration, budget int) {
+	if cc := m.Cached; cc != nil {
+		cc.SetRetry(rto, budget)
+		if m.multiLeaf {
+			cc.SetRDMATimeout(rto)
+		}
+	}
+	for _, nc := range m.nfs {
+		nc.SetRetry(rto, budget)
+	}
+}
+
+// Counters reads the mount's fault accounting.
+func (m *Mount) Counters() Counters {
+	if cc := m.Cached; cc != nil {
+		return Counters{
+			Retried:   cc.Retries() + cc.Stats().ORDMAFaults,
+			Timeouts:  cc.TimedOuts(),
+			Failovers: cc.Failovers(),
+			Reissued:  cc.Reissued(),
+		}
+	}
+	var n Counters
+	for _, nc := range m.nfs {
+		n.Retried += nc.Retransmits()
+		n.Timeouts += nc.TimedOut()
+	}
+	for _, g := range m.groups {
+		n.Failovers += g.Failovers
+		n.Reissued += g.Reissued
+	}
+	return n
 }
 
 // CreateWarmFile creates a synthetic file and warms the server cache with

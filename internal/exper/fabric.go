@@ -4,12 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"danas/internal/core"
 	"danas/internal/metrics"
-	"danas/internal/nas"
-	"danas/internal/sim"
 	"danas/internal/trace"
-	"danas/internal/workload"
 )
 
 // The fabric sweep is the switch-limited fleet experiment: the same
@@ -49,7 +45,7 @@ const (
 
 // FabricOversubs is the oversubscription axis: 0 is the single-switch
 // star baseline (the degenerate topology every other experiment runs
-// on), N > 0 is a 4-leaf/2-spine fabric with N:1 leaf trunks.
+// on), N > 0 is a 4-leaf/3-spine fabric with N:1 leaf trunks.
 var FabricOversubs = []int{0, 1, 2, 4}
 
 // FabricClientCounts is the fleet-size axis.
@@ -144,96 +140,32 @@ func FabricSweepOver(scale Scale, clientCounts []int) []FabricRow {
 		})
 }
 
-// fabricMount mounts one client machine's async client by system name,
-// sized exactly like the single-client replay cells.
-func fabricMount(cl *Cluster, system string, i, fileBlocks, dataBlocks int) nas.AsyncClient {
-	switch system {
-	case "DAFS", "ODAFS":
-		cc := cl.StripedCachedClient(i, core.Config{
-			BlockSize:  scalingBlock,
-			DataBlocks: dataBlocks,
-			Headers:    fileBlocks + 64,
-			UseORDMA:   system == "ODAFS",
-		})
-		return cc.Async(fabricDepth)
-	default:
-		return nas.NewAsync(cl.StripedNFSClient(i, nfsKindOf(system)), fabricDepth)
-	}
-}
-
 // fabricCell runs one cell: clients machines replay one shared trace
-// (the records are read-only, so the fleet shares a single buffer
-// instead of carrying a copy per client) against the sharded fleet.
-// Client i's replay clock starts i/clients of one interarrival late, so
-// the identical per-client arrival processes interleave instead of
-// issuing in lockstep bursts.
+// against the sharded fleet, their replay clocks staggered across one
+// interarrival (see NewReplaySession), and the results pool into the
+// fleet row beside the storage leaf's trunk accounting.
 func fabricCell(system string, oversub, clients int, gen trace.GenConfig) FabricRow {
-	tr := trace.Generate(gen)
-	cl, fileBlocks, dataBlocks := replayClusterWith(tr, fabricShards, func(cfg *ClusterConfig, _ int) {
-		cfg.Clients = clients
-		if oversub > 0 {
-			cfg.Fabric = FabricConfig{Leaves: fabricLeaves, Spines: fabricSpines, Oversub: oversub}
-		}
-	})
-	defer cl.Close()
-	name := fmt.Sprintf("fabric %s/%s/%dc", system, OversubLabel(oversub), clients)
-	acs := make([]nas.AsyncClient, clients)
-	for i := range acs {
-		acs[i] = fabricMount(cl, system, i, fileBlocks, dataBlocks)
+	cfg := ReplayConfig{System: system, Shards: fabricShards, Clients: clients, Depth: fabricDepth}
+	if oversub > 0 {
+		cfg.Fabric = FabricConfig{Leaves: fabricLeaves, Spines: fabricSpines, Oversub: oversub}
 	}
-	stagger := sim.Duration(float64(sim.Second)/gen.Rate) / sim.Duration(clients)
-	results := make([]*workload.ReplayResult, clients)
-	// Utilization epochs mark when the last client's replay clock
-	// starts: the fleet's mass file-open phase (hundreds of clients x
-	// shards of open RPCs) would otherwise sit inside the measured
-	// window and dilute every utilization figure. The scheduler runs
-	// one process at a time, so the plain counter is race-free.
-	started := 0
-	onStart := func(sim.Time) {
-		started++
-		if started == clients {
-			cl.MarkServerEpochs()
-		}
+	sess := NewReplaySession(gen, cfg)
+	defer sess.Close()
+	res, err := sess.Replay("fabric", nil)
+	if err != nil {
+		panic(fmt.Sprintf("fabric %s/%s/%dc: %v", system, OversubLabel(oversub), clients, err))
 	}
-	for i := range acs {
-		i := i
-		cl.Go(fmt.Sprintf("fabric-client%d", i), func(p *sim.Proc) {
-			if d := stagger * sim.Duration(i); d > 0 {
-				p.Sleep(d)
-			}
-			res, err := workload.ReplayWith(p, acs[i], tr, onStart)
-			if err != nil {
-				panic(fmt.Sprintf("%s client %d: %v", name, i, err))
-			}
-			results[i] = res
-		})
+	cl := sess.Cluster
+	row := FabricRow{
+		System:    system,
+		Oversub:   oversub,
+		Clients:   clients,
+		MBps:      res.MBps(),
+		P50Micros: res.Lat.Quantile(0.50).Micros(),
+		P95Micros: res.Lat.Quantile(0.95).Micros(),
+		P99Micros: res.Lat.Quantile(0.99).Micros(),
+		Stalls:    res.Stalls,
 	}
-	cl.Run()
-
-	row := FabricRow{System: system, Oversub: oversub, Clients: clients}
-	var lat metrics.Hist
-	var bytes int64
-	var first, last sim.Time
-	for i, res := range results {
-		if res == nil {
-			panic(name + ": replay never completed")
-		}
-		lat.Merge(&res.Lat)
-		bytes += res.Bytes
-		row.Stalls += res.Stalls
-		if i == 0 || res.Start < first {
-			first = res.Start
-		}
-		if end := res.Start.Add(res.Elapsed); end > last {
-			last = end
-		}
-	}
-	if el := last.Sub(first); el > 0 {
-		row.MBps = float64(bytes) / 1e6 / el.Seconds()
-	}
-	row.P50Micros = lat.Quantile(0.50).Micros()
-	row.P95Micros = lat.Quantile(0.95).Micros()
-	row.P99Micros = lat.Quantile(0.99).Micros()
 	for _, sh := range cl.Shards {
 		if u := sh.Host.CPU.Utilization() * 100; u > row.MaxShardCPUPct {
 			row.MaxShardCPUPct = u

@@ -5,7 +5,6 @@ import (
 
 	"danas/internal/fail"
 	"danas/internal/sim"
-	"danas/internal/trace"
 )
 
 // TestFabricSweepDeterministic pins the fabric artifact: the rendered
@@ -50,9 +49,7 @@ func TestFabricStarMatchesSingleSwitch(t *testing.T) {
 // operation must be accounted, and the fabric must have actually
 // dropped frames.
 func TestSwitchOutageMidReplayRecovers(t *testing.T) {
-	gen := ScaleGen(Scale(0.02), BaseTraceGen())
-	tr := trace.Generate(gen)
-	sess := NewReplaySession(tr, ReplayConfig{
+	sess := NewReplaySession(ScaleGen(Scale(0.02), BaseTraceGen()), ReplayConfig{
 		System:      "ODAFS",
 		Shards:      2,
 		RetryRTO:    2 * sim.Millisecond,
@@ -60,6 +57,7 @@ func TestSwitchOutageMidReplayRecovers(t *testing.T) {
 		Fabric:      FabricConfig{Leaves: 2, Spines: 2, Oversub: 2},
 	})
 	defer sess.Close()
+	tr := sess.Trace()
 	// Servers rack onto leaf 0, the client onto leaf 1; the (0,1) pair
 	// ECMP-hashes onto spine 1, so this outage black-holes everything.
 	span := tr.Duration()

@@ -7,7 +7,6 @@ import (
 	"danas/internal/fail"
 	"danas/internal/metrics"
 	"danas/internal/nas"
-	"danas/internal/nfs"
 	"danas/internal/obs"
 	"danas/internal/sim"
 	"danas/internal/stripe"
@@ -17,14 +16,17 @@ import (
 )
 
 // ReplayConfig describes one replay-driven cell: the fleet a trace is
-// replayed against and the client that drives it. The trace, failure,
-// and write-mix experiments — and every scenario the scenario engine
-// runs — are all instances of this one shape.
+// replayed against and the clients that drive it. The trace, failure,
+// write-mix and fabric experiments — and every scenario the scenario
+// engine runs — are all instances of this one shape.
 type ReplayConfig struct {
 	// System is the protocol legend name (see ScalingSystems).
 	System string
 	// Shards is the fleet size; the traced files stripe across it.
 	Shards int
+	// Clients is the number of client machines replaying the trace
+	// side by side (0 = 1).
+	Clients int
 	// Depth is the async client's bounded queue depth (0 = the trace
 	// experiment's default).
 	Depth int
@@ -73,52 +75,52 @@ func AutoWBConfig(fileBlocks, shards int) wb.Config {
 	return wb.Config{HighWater: hw, LowWater: lw, MaxBatch: 16}
 }
 
-// ReplaySession is one assembled replay cell: the cluster, the async
-// client driving it, and the client-side retry accounting. Callers run
-// the replay via Replay and must Close the session.
+// ReplaySession is one assembled replay cell: the cluster and one
+// mounted async client per client machine, every client replaying the
+// same trace. Callers run the replay via Replay and must Close the
+// session.
 type ReplaySession struct {
 	Cluster *Cluster
-	AC      nas.AsyncClient
-	// FileBlocks and DataBlocks are the traced footprint in cache
-	// blocks and the client cache sizing derived from it.
-	FileBlocks, DataBlocks int
 
-	tr        trace.Trace
-	retried   func() uint64
-	failovers func() uint64
-	reissued  func() uint64
-	timeouts  func() uint64
-	ob        *Observation
+	mounts  []*Mount
+	acs     []nas.AsyncClient
+	tr      trace.Trace
+	stagger sim.Duration
+	ob      *Observation
 }
 
-// NewReplaySession builds the cluster every replay cell drives — one
-// client machine, the traced files striped block-range across the
-// shards and warm in every shard's cache — and mounts the configured
-// protocol's async client over it.
-func NewReplaySession(tr trace.Trace, cfg ReplayConfig) *ReplaySession {
+// NewReplaySession generates the trace and builds the cluster every
+// replay cell drives: cfg.Clients client machines, the traced files
+// striped block-range across the shards and warm in every shard's
+// cache, and the configured protocol's async client mounted on each
+// machine. The clients share the one trace (its records are read-only);
+// client i's replay clock starts i/Clients of one mean interarrival
+// late, so identical arrival processes interleave instead of issuing
+// in lockstep bursts.
+func NewReplaySession(gen trace.GenConfig, cfg ReplayConfig) *ReplaySession {
 	if cfg.Depth <= 0 {
 		cfg.Depth = traceDepth
 	}
-	var mutate func(*ClusterConfig, int)
-	if cfg.WriteBehind || cfg.Replicas > 0 || cfg.Fabric.multi() {
-		mutate = func(ccfg *ClusterConfig, fileBlocks int) {
-			ccfg.Replicas = cfg.Replicas
-			ccfg.Fabric = cfg.Fabric
-			if !cfg.WriteBehind {
-				return
-			}
-			ccfg.WriteBehind = true
-			if cfg.WBAutoMarks {
-				ccfg.WBConfig = AutoWBConfig(fileBlocks, cfg.Shards)
-				if cfg.WBConfig.MaxBatch > 0 {
-					ccfg.WBConfig.MaxBatch = cfg.WBConfig.MaxBatch
-				}
-			} else {
-				ccfg.WBConfig = cfg.WBConfig
-			}
+	clients := max(cfg.Clients, 1)
+	tr := trace.Generate(gen)
+	cl, fileBlocks, dataBlocks := replayClusterWith(tr, cfg.Shards, func(ccfg *ClusterConfig, fileBlocks int) {
+		ccfg.Clients = clients
+		ccfg.Replicas = cfg.Replicas
+		ccfg.Ack = cfg.Ack
+		ccfg.Fabric = cfg.Fabric
+		if !cfg.WriteBehind {
+			return
 		}
-	}
-	cl, fileBlocks, dataBlocks := replayClusterWith(tr, cfg.Shards, mutate)
+		ccfg.WriteBehind = true
+		if cfg.WBAutoMarks {
+			ccfg.WBConfig = AutoWBConfig(fileBlocks, cfg.Shards)
+			if cfg.WBConfig.MaxBatch > 0 {
+				ccfg.WBConfig.MaxBatch = cfg.WBConfig.MaxBatch
+			}
+		} else {
+			ccfg.WBConfig = cfg.WBConfig
+		}
+	})
 	if cfg.Fabric.multi() && cfg.RetryRTO > 0 {
 		// Bound the servers' write-path RDMA pulls before any session
 		// connects: a pull black-holed by a down switch must fail the
@@ -129,99 +131,40 @@ func NewReplaySession(tr trace.Trace, cfg ReplayConfig) *ReplaySession {
 			}
 		}
 	}
-	s := &ReplaySession{
-		Cluster:    cl,
-		FileBlocks: fileBlocks,
-		DataBlocks: dataBlocks,
-		tr:         tr,
+	s := &ReplaySession{Cluster: cl, tr: tr}
+	if clients > 1 {
+		s.stagger = sim.Duration(float64(sim.Second)/gen.Rate) / sim.Duration(clients)
 	}
-	none := func() uint64 { return 0 }
-	s.failovers, s.reissued, s.timeouts = none, none, none
-	switch cfg.System {
-	case "DAFS", "ODAFS":
-		ccfg := core.Config{
+	for i := 0; i < clients; i++ {
+		m := cl.Mount(cfg.System, i, core.Config{
 			BlockSize:  scalingBlock,
 			DataBlocks: dataBlocks,
 			Headers:    fileBlocks + 64,
-			UseORDMA:   cfg.System == "ODAFS",
-		}
-		var cc *core.Client
-		if cfg.Replicas > 0 {
-			cc = cl.ReplicatedCachedClient(0, ccfg, cfg.Ack)
-			s.failovers = cc.Failovers
-			s.reissued = cc.Reissued
-		} else {
-			cc = cl.StripedCachedClient(0, ccfg)
-		}
+		})
 		if cfg.RetryBudget > 0 {
-			cc.SetRetry(cfg.RetryRTO, cfg.RetryBudget)
-			if cfg.Fabric.multi() {
-				cc.SetRDMATimeout(cfg.RetryRTO)
-			}
+			m.SetRetry(cfg.RetryRTO, cfg.RetryBudget)
 		}
-		s.retried = func() uint64 { return cc.Retries() + cc.Stats().ORDMAFaults }
-		s.timeouts = cc.TimedOuts
-		s.AC = cc.Async(cfg.Depth)
-	default:
-		var ncs []*nfs.Client
-		var base nas.Client
-		if cfg.Replicas > 0 {
-			var groups []*stripe.Group
-			ncs, groups, base = cl.ReplicatedNFSClients(0, nfsKindOf(cfg.System), cfg.Ack)
-			s.failovers = func() uint64 {
-				var n uint64
-				for _, g := range groups {
-					n += g.Failovers
-				}
-				return n
-			}
-			s.reissued = func() uint64 {
-				var n uint64
-				for _, g := range groups {
-					n += g.Reissued
-				}
-				return n
-			}
-		} else {
-			ncs, base = cl.StripedNFSClients(0, nfsKindOf(cfg.System))
-		}
-		if cfg.RetryBudget > 0 {
-			for _, nc := range ncs {
-				nc.SetRetry(cfg.RetryRTO, cfg.RetryBudget)
-			}
-		}
-		s.retried = func() uint64 {
-			var n uint64
-			for _, nc := range ncs {
-				n += nc.Retransmits()
-			}
-			return n
-		}
-		s.timeouts = func() uint64 {
-			var n uint64
-			for _, nc := range ncs {
-				n += nc.TimedOut()
-			}
-			return n
-		}
-		s.AC = nas.NewAsync(base, cfg.Depth)
+		s.mounts = append(s.mounts, m)
+		s.acs = append(s.acs, m.Async(cfg.Depth))
 	}
 	return s
 }
 
-// Retried counts the faults the clients absorbed transparently:
-// client-layer retransmissions plus ORDMA faults.
-func (s *ReplaySession) Retried() uint64 { return s.retried() }
+// Trace returns the trace every client replays.
+func (s *ReplaySession) Trace() trace.Trace { return s.tr }
 
-// Timeouts counts calls that exhausted their retry budget and failed
-// (zero without a retry budget: callers block instead of failing).
-func (s *ReplaySession) Timeouts() uint64 { return s.timeouts() }
-
-// Failovers counts serving-copy switches across the fleet; Reissued
-// counts the uncommitted ranges failover re-wrote onto surviving
-// copies. Both are zero on unreplicated sessions.
-func (s *ReplaySession) Failovers() uint64 { return s.failovers() }
-func (s *ReplaySession) Reissued() uint64  { return s.reissued() }
+// Counters sums the fault accounting of every mount.
+func (s *ReplaySession) Counters() Counters {
+	var n Counters
+	for _, m := range s.mounts {
+		c := m.Counters()
+		n.Retried += c.Retried
+		n.Timeouts += c.Timeouts
+		n.Failovers += c.Failovers
+		n.Reissued += c.Reissued
+	}
+	return n
+}
 
 // Close tears down the session's simulation.
 func (s *ReplaySession) Close() { s.Cluster.Close() }
@@ -249,11 +192,7 @@ func (s *ReplaySession) Observe(interval sim.Duration) (*Observation, error) {
 	if s.ob != nil {
 		return nil, fmt.Errorf("exper: session already observed: %w", obs.ErrClosed)
 	}
-	n := len(s.tr)
-	if n < 1 {
-		n = 1
-	}
-	rc, err := obs.NewRecorder(n)
+	rc, err := obs.NewRecorder(max(len(s.acs)*len(s.tr), 1))
 	if err != nil {
 		return nil, fmt.Errorf("exper: sizing recorder: %w", err)
 	}
@@ -318,13 +257,19 @@ func (s *ReplaySession) gauges() []obs.Gauge {
 	}
 	gs = append(gs,
 		obs.Gauge{Class: obs.GaugeRetries, Name: "client",
-			Fn: func(sim.Time) float64 { return float64(s.retried()) }},
+			Fn: func(sim.Time) float64 { return float64(s.Counters().Retried) }},
 		obs.Gauge{Class: obs.GaugeFailovers, Name: "client",
-			Fn: func(sim.Time) float64 { return float64(s.failovers()) }},
+			Fn: func(sim.Time) float64 { return float64(s.Counters().Failovers) }},
 		obs.Gauge{Class: obs.GaugeTimeouts, Name: "client",
-			Fn: func(sim.Time) float64 { return float64(s.timeouts()) }},
+			Fn: func(sim.Time) float64 { return float64(s.Counters().Timeouts) }},
 		obs.Gauge{Class: obs.GaugeAsyncDepth, Name: "client",
-			Fn: func(sim.Time) float64 { return float64(s.AC.Outstanding()) }})
+			Fn: func(sim.Time) float64 {
+				n := 0
+				for _, ac := range s.acs {
+					n += ac.Outstanding()
+				}
+				return float64(n)
+			}})
 	return gs
 }
 
@@ -350,47 +295,73 @@ func cpuUtilFn(st *sim.Station) func(now sim.Time) float64 {
 	}
 }
 
-// Replay runs the open-loop replay of the session's trace with the
-// fault schedule armed at the replay clock's origin (a nil or empty
-// schedule replays fault-free), driving the simulation to completion.
-// The schedule must have been validated; an arm failure panics. The
-// returned error is the replay's first per-operation error — counted,
-// not fatal, for callers measuring failure (fault cells) and fatal for
-// callers expecting a clean run (healthy cells).
+// Replay runs the open-loop replay of the session's trace on every
+// client, with the fault schedule armed at client 0's replay clock
+// origin (a nil or empty schedule replays fault-free), driving the
+// simulation to completion and pooling the clients' results
+// (workload.Pool). The schedule must have been validated; an arm
+// failure panics. The returned error is the first per-operation error
+// in client order — counted, not fatal, for callers measuring failure
+// (fault cells) and fatal for callers expecting a clean run (healthy
+// cells).
 func (s *ReplaySession) Replay(name string, sched fail.Schedule) (*workload.ReplayResult, error) {
-	var res *workload.ReplayResult
-	var rerr error
-	s.Cluster.Go(name, func(p *sim.Proc) {
-		s.Cluster.MarkServerEpochs()
-		var onStart func(sim.Time)
-		if len(sched) > 0 {
-			onStart = func(sim.Time) {
+	n := len(s.acs)
+	results := make([]*workload.ReplayResult, n)
+	errs := make([]error, n)
+	var rc *obs.Recorder
+	if s.ob != nil {
+		rc = s.ob.Rec
+	}
+	// Utilization epochs: a lone client marks them before its file
+	// opens; a fleet marks them when the last client's replay clock
+	// starts, so its mass open phase (clients x shards of open RPCs)
+	// stays out of the measured window. Both rules are pinned by the
+	// experiments' artifacts. The scheduler runs one process at a time,
+	// so the plain counters are race-free.
+	started, finished := 0, 0
+	for i, ac := range s.acs {
+		onStart := func(sim.Time) {
+			if i == 0 && len(sched) > 0 {
 				if err := sched.ArmTopo(s.Cluster.S, s.Cluster.FailTopo(), s.Cluster); err != nil {
 					panic(fmt.Sprintf("exper: %s: arming unvalidated schedule: %v", name, err))
 				}
 			}
+			if started++; n > 1 && started == n {
+				s.Cluster.MarkServerEpochs()
+			}
 		}
-		var rc *obs.Recorder
-		if s.ob != nil {
-			rc = s.ob.Rec
-		}
-		res, rerr = workload.ReplayObserved(p, s.AC, s.tr, onStart, rc)
-		if s.ob != nil {
-			// The sampler's pending tick would keep the event queue
-			// non-empty forever; stopping it here also pins the final
-			// sample to the replay's last completion.
-			s.ob.Sampler.Stop(p.Now())
-		}
-	})
-	s.Cluster.Run()
-	if res == nil {
-		panic(fmt.Sprintf("exper: %s: replay never completed", name))
+		s.Cluster.Go(name, func(p *sim.Proc) {
+			if n == 1 {
+				s.Cluster.MarkServerEpochs()
+			}
+			if d := s.stagger * sim.Duration(i); d > 0 {
+				p.Sleep(d)
+			}
+			results[i], errs[i] = workload.ReplayObserved(p, ac, s.tr, onStart, rc)
+			if finished++; finished == n && s.ob != nil {
+				// The sampler's pending tick would keep the event queue
+				// non-empty forever; stopping it here also pins the
+				// final sample to the replay's last completion.
+				s.ob.Sampler.Stop(p.Now())
+			}
+		})
 	}
-	return res, rerr
+	s.Cluster.Run()
+	var rerr error
+	for i, res := range results {
+		if res == nil {
+			panic(fmt.Sprintf("exper: %s: replay never completed", name))
+		}
+		if rerr == nil {
+			rerr = errs[i]
+		}
+	}
+	return workload.Pool(results), rerr
 }
 
-// Outcomes converts a replay result over tr into the per-operation
-// outcome records the metrics evaluation layer consumes.
+// Outcomes converts a single client's replay result over tr into the
+// per-operation outcome records the metrics evaluation layer consumes
+// (a pooled fleet result carries no per-operation records).
 func Outcomes(tr trace.Trace, res *workload.ReplayResult) []metrics.OpOutcome {
 	ops := make([]metrics.OpOutcome, len(tr))
 	for i, rec := range tr {

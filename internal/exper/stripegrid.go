@@ -191,17 +191,11 @@ func scalingCell(system string, clients, shards int, fileSize int64, stagger boo
 	}
 	nodes := make([]nas.Client, clients)
 	for i := range nodes {
-		switch system {
-		case "DAFS", "ODAFS":
-			nodes[i] = cl.StripedCachedClient(i, core.Config{
-				BlockSize:  scalingBlock,
-				DataBlocks: dataBlocks,
-				Headers:    headers,
-				UseORDMA:   system == "ODAFS",
-			})
-		default:
-			nodes[i] = cl.StripedNFSClient(i, nfsKindOf(system))
-		}
+		nodes[i] = cl.Mount(system, i, core.Config{
+			BlockSize:  scalingBlock,
+			DataBlocks: dataBlocks,
+			Headers:    headers,
+		}).Client
 	}
 
 	// Stagger measured-pass start offsets so client k begins k/n of the

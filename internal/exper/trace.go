@@ -98,23 +98,14 @@ func TraceReplayOver(scale Scale, shardCounts []int) []TraceRow {
 	return g.Flat()
 }
 
-// replayCluster builds the cluster every replay cell (trace and
-// failure) drives: one client machine, the traced files striped
-// block-range across the shards and warm in every shard's cache, the
-// nfsd pool matched to the queue depth. It also returns the block
-// accounting the cached clients size themselves from — shared so the
-// failure experiment's baseline stays comparable to the trace
-// experiment's cells by construction.
-func replayCluster(tr trace.Trace, shards int) (cl *Cluster, fileBlocks, dataBlocks int) {
-	return replayClusterWith(tr, shards, nil)
-}
-
-// replayClusterWith is replayCluster with a configuration hook applied
-// before the cluster is built (the write-mix experiment arms the
-// write-behind subsystem there). The hook receives the traced
-// footprint in cache blocks — the same figure the cluster is sized
-// from, so derived knobs like water marks cannot desynchronize from
-// the cluster actually built.
+// replayClusterWith builds the cluster every replay cell drives: one
+// client machine unless the hook asks for more, the traced files striped block-range across the
+// shards and warm in every shard's cache, the nfsd pool matched to the
+// queue depth. It also returns the block accounting the cached clients
+// size themselves from. The configuration hook runs before the cluster
+// is built and receives the traced footprint in cache blocks — the
+// same figure the cluster is sized from, so derived knobs like water
+// marks cannot desynchronize from the cluster actually built.
 func replayClusterWith(tr trace.Trace, shards int, mutate func(cfg *ClusterConfig, fileBlocks int)) (cl *Cluster, fileBlocks, dataBlocks int) {
 	extents := tr.Extents()
 	var footprint int64
@@ -147,8 +138,7 @@ func replayClusterWith(tr trace.Trace, shards int, mutate func(cfg *ClusterConfi
 // sharded fleet, every traced file striped block-range across the
 // shards and warm in every shard's cache.
 func traceCell(system string, shards int, gen trace.GenConfig) TraceRow {
-	tr := trace.Generate(gen)
-	sess := NewReplaySession(tr, ReplayConfig{System: system, Shards: shards})
+	sess := NewReplaySession(gen, ReplayConfig{System: system, Shards: shards})
 	defer sess.Close()
 	res, rerr := sess.Replay("trace-replay", nil)
 	if rerr != nil {

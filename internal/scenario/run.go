@@ -9,7 +9,6 @@ import (
 	"danas/internal/metrics"
 	"danas/internal/obs"
 	"danas/internal/sim"
-	"danas/internal/trace"
 )
 
 // Measured is everything one scenario run measures, reduced through
@@ -132,9 +131,9 @@ func RunObserved(spec *Spec, scale exper.Scale, opts RunOpts) (*Report, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	tr := trace.Generate(exper.ScaleGen(scale, spec.Workload))
-	sess := exper.NewReplaySession(tr, spec.replayConfig())
+	sess := exper.NewReplaySession(exper.ScaleGen(scale, spec.Workload), spec.replayConfig())
 	defer sess.Close()
+	tr := sess.Trace()
 	sched := spec.schedule(tr.Duration(), sess.Cluster.P.LinkBandwidth, sess.Cluster.Fab.TrunkRate)
 	if err := sched.ValidateTopo(sess.Cluster.FailTopo()); err != nil {
 		// Unreachable for a spec that passed Validate (one time mode
@@ -169,13 +168,14 @@ func RunObserved(spec *Spec, scale exper.Scale, opts RunOpts) (*Report, error) {
 	res, _ := sess.Replay("scenario-"+spec.Name, sched)
 
 	eval := metrics.NewEval(res.Start, res.Elapsed, exper.Outcomes(tr, res))
+	ctr := sess.Counters()
 	m := Measured{
 		OpsOK:          eval.OK(),
 		OpsFailed:      eval.Failed(),
-		Retried:        sess.Retried(),
-		Timeouts:       sess.Timeouts(),
-		Failovers:      sess.Failovers(),
-		Reissued:       sess.Reissued(),
+		Retried:        ctr.Retried,
+		Timeouts:       ctr.Timeouts,
+		Failovers:      ctr.Failovers,
+		Reissued:       ctr.Reissued,
 		Stalls:         res.Stalls,
 		MaxOutstanding: res.MaxOutstanding,
 		MBps:           res.MBps(),

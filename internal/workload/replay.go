@@ -54,6 +54,34 @@ func (r *ReplayResult) MBps() float64 {
 	return float64(r.Bytes) / 1e6 / r.Elapsed.Seconds()
 }
 
+// Pool merges the results of clients replaying side by side into one
+// fleet result: counts, bytes and stalls sum, latency histograms merge,
+// MaxOutstanding is the deepest any one queue got, and the span runs
+// from the earliest replay start to the last completion. The
+// per-operation records index one client's trace, so a pooled result
+// leaves them nil. A single result is returned as is.
+func Pool(rs []*ReplayResult) *ReplayResult {
+	if len(rs) == 1 {
+		return rs[0]
+	}
+	p := &ReplayResult{}
+	var last sim.Time
+	for i, r := range rs {
+		p.Ops += r.Ops
+		p.Bytes += r.Bytes
+		p.Errors += r.Errors
+		p.Stalls += r.Stalls
+		p.MaxOutstanding = max(p.MaxOutstanding, r.MaxOutstanding)
+		p.Lat.Merge(&r.Lat)
+		if i == 0 || r.Start < p.Start {
+			p.Start = r.Start
+		}
+		last = max(last, r.Start.Add(r.Elapsed))
+	}
+	p.Elapsed = last.Sub(p.Start)
+	return p
+}
+
 // Replay drives an open-loop replay of tr over ac: every record is
 // submitted at its recorded arrival time regardless of completions —
 // a slow protocol accumulates queued operations instead of distorting

@@ -3,6 +3,7 @@ package workload
 import (
 	"testing"
 
+	"danas/internal/metrics"
 	"danas/internal/nas"
 	"danas/internal/sim"
 	"danas/internal/trace"
@@ -205,4 +206,51 @@ func TestReplayEmptyTrace(t *testing.T) {
 		}
 	})
 	s.Run()
+}
+
+// TestPoolMergesStaggeredClients pins the fleet merge: a lone result
+// comes back untouched, and staggered results pool to the earliest
+// start, a span reaching the last completion, merged latency quantiles
+// and summed counts.
+func TestPoolMergesStaggeredClients(t *testing.T) {
+	one := &ReplayResult{Ops: 1, Bytes: 4096}
+	if got := Pool([]*ReplayResult{one}); got != one {
+		t.Fatal("Pool of one result did not return it as is")
+	}
+
+	late := &ReplayResult{Ops: 2, Bytes: 100, Errors: 1, Stalls: 1, MaxOutstanding: 3,
+		Start: sim.Time(2 * sim.Millisecond), Elapsed: 6 * sim.Millisecond}
+	early := &ReplayResult{Ops: 2, Bytes: 50, Stalls: 2, MaxOutstanding: 5,
+		Start: sim.Time(sim.Millisecond), Elapsed: 4 * sim.Millisecond}
+	var want metrics.Hist
+	for _, d := range []sim.Duration{100 * sim.Microsecond, 200 * sim.Microsecond} {
+		late.Lat.Observe(d)
+		want.Observe(d)
+	}
+	for _, d := range []sim.Duration{sim.Millisecond, 3 * sim.Millisecond} {
+		early.Lat.Observe(d)
+		want.Observe(d)
+	}
+	p := Pool([]*ReplayResult{late, early})
+	if p.Start != early.Start {
+		t.Errorf("Start = %v, want the earliest start %v", p.Start, early.Start)
+	}
+	if want := 7 * sim.Millisecond; p.Elapsed != want { // 8 ms last end - 1 ms first start
+		t.Errorf("Elapsed = %v, want %v", p.Elapsed, want)
+	}
+	if p.Ops != 4 || p.Bytes != 150 || p.Errors != 1 || p.Stalls != 3 || p.MaxOutstanding != 5 {
+		t.Errorf("pooled counts ops=%d bytes=%d errors=%d stalls=%d depth=%d, want 4/150/1/3/5",
+			p.Ops, p.Bytes, p.Errors, p.Stalls, p.MaxOutstanding)
+	}
+	if p.Lat.Count() != 4 {
+		t.Errorf("pooled histogram holds %d samples, want 4", p.Lat.Count())
+	}
+	for _, q := range []float64{0.25, 0.5, 0.99} {
+		if got, w := p.Lat.Quantile(q), want.Quantile(q); got != w {
+			t.Errorf("p%g = %v, want %v", q*100, got, w)
+		}
+	}
+	if p.MBps() != float64(150)/1e6/p.Elapsed.Seconds() {
+		t.Errorf("MBps = %g does not span the pooled window", p.MBps())
+	}
 }
