@@ -419,7 +419,7 @@ func runObservedScenario(sp *scenario.Spec, scale exper.Scale, ob obsOuts) {
 
 func runFailure(scale exper.Scale) {
 	fmt.Println("== Failure injection: shard crash/restart and link degradation over the sharded fleet ==")
-	fmt.Print(exper.FormatFailure(scenario.Failure(scale)))
+	fmt.Print(scenario.FormatFailure(scenario.Failure(scale)))
 	fmt.Println()
 }
 
@@ -431,7 +431,7 @@ func runTrace(scale exper.Scale) {
 
 func runReplication(scale exper.Scale) {
 	fmt.Println("== Replication: ack policies x replica counts under a shard-0 primary crash ==")
-	fmt.Print(exper.FormatReplication(scenario.Replication(scale)))
+	fmt.Print(scenario.FormatReplication(scenario.Replication(scale)))
 	fmt.Println()
 }
 
@@ -443,7 +443,7 @@ func runFabric(scale exper.Scale) {
 
 func runWriteMix(scale exper.Scale) {
 	fmt.Println("== Write mix: read/write sweep over write-behind shards (unstable writes + periodic commits) ==")
-	fmt.Print(exper.FormatWriteMix(scenario.WriteMix(scale)))
+	fmt.Print(scenario.FormatWriteMix(scenario.WriteMix(scale)))
 	fmt.Println()
 }
 

@@ -155,28 +155,22 @@ func fabricCell(system string, oversub, clients int, gen trace.GenConfig) Fabric
 	if err != nil {
 		panic(fmt.Sprintf("fabric %s/%s/%dc: %v", system, OversubLabel(oversub), clients, err))
 	}
-	cl := sess.Cluster
-	row := FabricRow{
-		System:    system,
-		Oversub:   oversub,
-		Clients:   clients,
-		MBps:      res.MBps(),
-		P50Micros: res.Lat.Quantile(0.50).Micros(),
-		P95Micros: res.Lat.Quantile(0.95).Micros(),
-		P99Micros: res.Lat.Quantile(0.99).Micros(),
-		Stalls:    res.Stalls,
+	m := sess.Measure(res, nil)
+	return FabricRow{
+		System:           system,
+		Oversub:          oversub,
+		Clients:          clients,
+		MBps:             m.MBps,
+		P50Micros:        m.P50Micros,
+		P95Micros:        m.P95Micros,
+		P99Micros:        m.P99Micros,
+		Stalls:           m.Stalls,
+		MaxShardCPUPct:   maxOf(m.ShardCPUPct),
+		TrunkUpPct:       m.TrunkUpPct,
+		TrunkDownPct:     m.TrunkDownPct,
+		TrunkQueueMicros: m.TrunkQueueMicros,
+		Drops:            m.SwitchDrops,
 	}
-	for _, sh := range cl.Shards {
-		if u := sh.Host.CPU.Utilization() * 100; u > row.MaxShardCPUPct {
-			row.MaxShardCPUPct = u
-		}
-	}
-	ts := cl.Fab.TrunkStats(0)
-	row.TrunkUpPct = ts.UpUtil * 100
-	row.TrunkDownPct = ts.DownUtil * 100
-	row.TrunkQueueMicros = ts.MaxBacklog.Micros()
-	row.Drops = cl.Fab.Dropped()
-	return row
 }
 
 // FabricTables renders the sweep as one throughput table per protocol

@@ -26,9 +26,9 @@ func Fig6(scale Scale) *metrics.Table {
 }
 
 // Fig6All runs the Figure 6 sweep once and returns both the transaction
-// throughput table and its server-CPU companion — each cell computes
-// both quantities, so callers needing both (danas-bench) should use this
-// instead of Fig6 + Fig6ServerCPU, which would sweep twice.
+// throughput table and its server-CPU companion — the companion series
+// the paper quotes in prose (DAFS 30/25/20% falling; ODAFS ~0 once the
+// directory is populated). Each cell computes both quantities.
 func Fig6All(scale Scale) (txns, cpu *metrics.Table) {
 	txns = metrics.NewTable("Figure 6: PostMark read-only transaction throughput",
 		"hit ratio %", "txns/s", "DAFS", "ODAFS")
@@ -69,14 +69,6 @@ func fig6Cells(files, txns int) []fig6Cell {
 			c.tps, c.util = fig6Point(files, txns, c.ratio, c.name == "ODAFS")
 			return c
 		})
-}
-
-// Fig6ServerCPU returns the server CPU utilization companion series the
-// paper quotes in prose (DAFS 30/25/20% falling; ODAFS ~0 once the
-// directory is populated).
-func Fig6ServerCPU(scale Scale) *metrics.Table {
-	_, t := Fig6All(scale)
-	return t
 }
 
 // fig6Point runs one PostMark cell and returns (txns/s, server CPU util).

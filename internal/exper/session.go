@@ -359,18 +359,129 @@ func (s *ReplaySession) Replay(name string, sched fail.Schedule) (*workload.Repl
 	return workload.Pool(results), rerr
 }
 
-// Outcomes converts a single client's replay result over tr into the
-// per-operation outcome records the metrics evaluation layer consumes
-// (a pooled fleet result carries no per-operation records).
-func Outcomes(tr trace.Trace, res *workload.ReplayResult) []metrics.OpOutcome {
-	ops := make([]metrics.OpOutcome, len(tr))
-	for i, rec := range tr {
-		ops[i] = metrics.OpOutcome{
-			Arrival: rec.At,
-			Done:    res.OpDone[i],
-			Bytes:   res.OpBytes[i],
-			Failed:  res.OpErr[i] != nil,
+// Measured is everything one replay measures, reduced in one place
+// (ReplaySession.Measure). Scenario assertions and reports, and the
+// trace and fabric experiment rows, all read from here.
+type Measured struct {
+	// OpsOK and OpsFailed split the replayed ops by outcome; Retried
+	// counts faults the clients absorbed transparently (client-layer
+	// retransmissions plus ORDMA faults); Timeouts counts session calls
+	// that exhausted their retry budget — the failure cause behind the
+	// failed ops, as opposed to the absorbed disturbances.
+	OpsOK, OpsFailed int64
+	Retried          uint64
+	Timeouts         uint64
+	// Failovers counts serving-copy switches across the fleet; Reissued
+	// counts the uncommitted ranges failover re-wrote onto surviving
+	// copies. Both are zero on unreplicated fleets.
+	Failovers, Reissued uint64
+	// Stalls and MaxOutstanding describe the open-loop driver's queue.
+	Stalls         int64
+	MaxOutstanding int
+	// MBps is completed-byte throughput over the replay; the
+	// percentiles are response times from recorded arrival.
+	MBps      float64
+	P50Micros float64
+	P95Micros float64
+	P99Micros float64
+	// HasFault marks Fault as meaningful: the before/during/after view
+	// of the window from the first to the last injected event.
+	HasFault bool
+	Fault    metrics.FaultMetrics
+	// WB aggregates the write-behind subsystem across shards (zero
+	// value when the fleet runs without it).
+	WB WBMeasured
+	// Per-shard utilization over the replay, indexed by shard.
+	ShardCPUPct  []float64
+	ShardLinkPct []float64
+	ShardDiskPct []float64
+	// HasFabric marks the trunk figures as meaningful: the storage
+	// leaf's hottest trunk utilization per direction, the deepest trunk
+	// backlog any frame queued behind, and the frames black-holed by
+	// down switches. All zero on the star, which has no trunks.
+	HasFabric        bool
+	TrunkUpPct       float64
+	TrunkDownPct     float64
+	TrunkQueueMicros float64
+	SwitchDrops      uint64
+}
+
+// WBMeasured aggregates the shards' write-behind counters.
+type WBMeasured struct {
+	// StallMillis is handler time blocked at the dirty high-water mark,
+	// summed across shards; Throttled counts the writes that blocked.
+	StallMillis float64
+	Throttled   uint64
+	// FlushedMB is destaged data; BlocksPerFlush the mean coalescing
+	// per destage I/O; Commits the OpCommit executions across shards.
+	FlushedMB      float64
+	BlocksPerFlush float64
+	Commits        uint64
+}
+
+// Measure reduces a finished replay (res, as Replay returned it) to its
+// Measured figures: outcome counts, client counters, queue behaviour,
+// throughput and latency, per-shard utilization, write-behind totals on
+// write-behind fleets, and trunk figures on multi-leaf fabrics. sched is
+// the schedule the replay ran with; a non-empty one also fills the fault
+// window, which needs the per-operation records only a single-client
+// session's result carries, so a schedule needs a single-client session.
+func (s *ReplaySession) Measure(res *workload.ReplayResult, sched fail.Schedule) Measured {
+	ctr := s.Counters()
+	m := Measured{
+		// Every record completes exactly once, so these equal the
+		// per-op evaluator's OK/Failed split.
+		OpsOK:          res.Ops - res.Errors,
+		OpsFailed:      res.Errors,
+		Retried:        ctr.Retried,
+		Timeouts:       ctr.Timeouts,
+		Failovers:      ctr.Failovers,
+		Reissued:       ctr.Reissued,
+		Stalls:         res.Stalls,
+		MaxOutstanding: res.MaxOutstanding,
+		MBps:           res.MBps(),
+		P50Micros:      res.Lat.Quantile(0.50).Micros(),
+		P95Micros:      res.Lat.Quantile(0.95).Micros(),
+		P99Micros:      res.Lat.Quantile(0.99).Micros(),
+	}
+	if len(sched) > 0 {
+		ops := make([]metrics.OpOutcome, len(s.tr))
+		for i, rec := range s.tr {
+			ops[i] = metrics.OpOutcome{
+				Arrival: rec.At,
+				Done:    res.OpDone[i],
+				Bytes:   res.OpBytes[i],
+				Failed:  res.OpErr[i] != nil,
+			}
+		}
+		m.HasFault = true
+		m.Fault = metrics.NewEval(res.Start, res.Elapsed, ops).Fault(sched[0].At, sched[len(sched)-1].At)
+	}
+	var flushes, blocks uint64
+	for _, sh := range s.Cluster.Shards {
+		m.ShardCPUPct = append(m.ShardCPUPct, sh.Host.CPU.Utilization()*100)
+		m.ShardLinkPct = append(m.ShardLinkPct, sh.NIC.Port().TxUtilization()*100)
+		m.ShardDiskPct = append(m.ShardDiskPct, sh.Disk.Utilization()*100)
+		if sh.WB != nil {
+			st := sh.WB.Stats()
+			m.WB.StallMillis += float64(st.StallTime) / 1e6
+			m.WB.Throttled += st.Throttled
+			m.WB.FlushedMB += float64(st.BytesFlushed) / 1e6
+			m.WB.Commits += st.Commits
+			flushes += st.Flushes
+			blocks += st.BlocksFlushed
 		}
 	}
-	return ops
+	if flushes > 0 {
+		m.WB.BlocksPerFlush = float64(blocks) / float64(flushes)
+	}
+	if fab := s.Cluster.Fab; fab.Leaves() > 1 {
+		ts := fab.TrunkStats(0)
+		m.HasFabric = true
+		m.TrunkUpPct = ts.UpUtil * 100
+		m.TrunkDownPct = ts.DownUtil * 100
+		m.TrunkQueueMicros = ts.MaxBacklog.Micros()
+		m.SwitchDrops = fab.Dropped()
+	}
+	return m
 }

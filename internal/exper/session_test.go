@@ -10,8 +10,8 @@ import (
 // TestReplaySessionDrivesAFleet runs three ODAFS clients over two shards
 // through a crash-restart of shard 0 with a retry budget armed. The
 // fleet must run to completion, pool every client's operations, report
-// counters that sum every mount's, and record one span per operation
-// per client.
+// counters that sum every mount's, record one span per operation per
+// client, and measure every pooled operation.
 func TestReplaySessionDrivesAFleet(t *testing.T) {
 	const clients = 3
 	sess := NewReplaySession(ScaleGen(Scale(0.02), BaseTraceGen()), ReplayConfig{
@@ -55,5 +55,14 @@ func TestReplaySessionDrivesAFleet(t *testing.T) {
 	}
 	if n := ob.Rec.Len(); n != clients*len(tr) {
 		t.Errorf("recorded %d spans, want %d", n, clients*len(tr))
+	}
+	// A fault-free Measure of the pooled result needs no per-op records
+	// (a pooled result has none) and still accounts for every op.
+	m := sess.Measure(res, nil)
+	if got := m.OpsOK + m.OpsFailed; got != int64(clients*len(tr)) {
+		t.Errorf("measured ok+failed = %d, want %d", got, clients*len(tr))
+	}
+	if m.HasFault {
+		t.Error("Measure without a schedule reported a fault window")
 	}
 }

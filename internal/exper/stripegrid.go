@@ -39,9 +39,6 @@ type GridRow struct {
 // fleet's server-CPU bottleneck sits.
 func (r GridRow) MaxShardCPUPct() float64 { return maxOf(r.ShardCPUPct) }
 
-// MaxShardLinkPct returns the hottest shard link's tx utilization.
-func (r GridRow) MaxShardLinkPct() float64 { return maxOf(r.ShardLinkPct) }
-
 func maxOf(vs []float64) float64 {
 	var m float64
 	for _, v := range vs {
@@ -133,7 +130,7 @@ func FormatScalingGrid(rows []GridRow) string {
 				}
 				fmt.Fprintf(&b, "S=%d C=%-2d %-16s agg=%8.1f MB/s  resp=%8.1f us  cpu%%=%s link%%=%s\n",
 					s, c, r.System, r.AggMBps, r.RespMicros,
-					pctList(r.ShardCPUPct), pctList(r.ShardLinkPct))
+					metrics.PctList(r.ShardCPUPct), metrics.PctList(r.ShardLinkPct))
 			}
 		}
 	}
@@ -147,14 +144,6 @@ func appendUniq(xs []int, v int) []int {
 		}
 	}
 	return append(xs, v)
-}
-
-func pctList(vs []float64) string {
-	parts := make([]string, len(vs))
-	for i, v := range vs {
-		parts[i] = fmt.Sprintf("%.1f", v)
-	}
-	return "[" + strings.Join(parts, " ") + "]"
 }
 
 // scalingCell runs one (system, clients, shards) cell — the shared

@@ -55,17 +55,6 @@ func Table3(scale Scale) []Table3Row {
 	return rows
 }
 
-// Table3AsTable renders rows.
-func Table3AsTable(rows []Table3Row) *metrics.Table {
-	t := metrics.NewTable("Table 3: I/O response time, 4KB reads",
-		"row", "us", "in mem (us)", "in cache (us)")
-	for i, r := range rows {
-		t.Set(float64(i+1), "in mem (us)", r.InMemMicros)
-		t.Set(float64(i+1), "in cache (us)", r.InCacheMicros)
-	}
-	return t
-}
-
 // rawLatency measures synchronous 4 KB reads into an application buffer
 // using a bare DAFS client (no file cache interposed).
 func rawLatency(n int, mechanism string) float64 {

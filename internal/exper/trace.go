@@ -144,21 +144,19 @@ func traceCell(system string, shards int, gen trace.GenConfig) TraceRow {
 	if rerr != nil {
 		panic(fmt.Sprintf("trace %s/%ds: %v", system, shards, rerr))
 	}
-	row := TraceRow{
+	m := sess.Measure(res, nil)
+	return TraceRow{
 		System:         system,
 		Shards:         shards,
-		MBps:           res.MBps(),
-		P50Micros:      res.Lat.Quantile(0.50).Micros(),
-		P95Micros:      res.Lat.Quantile(0.95).Micros(),
-		P99Micros:      res.Lat.Quantile(0.99).Micros(),
-		Stalls:         res.Stalls,
-		MaxOutstanding: res.MaxOutstanding,
+		MBps:           m.MBps,
+		P50Micros:      m.P50Micros,
+		P95Micros:      m.P95Micros,
+		P99Micros:      m.P99Micros,
+		Stalls:         m.Stalls,
+		MaxOutstanding: m.MaxOutstanding,
+		ShardCPUPct:    m.ShardCPUPct,
+		ShardLinkPct:   m.ShardLinkPct,
 	}
-	for _, sh := range sess.Cluster.Shards {
-		row.ShardCPUPct = append(row.ShardCPUPct, sh.Host.CPU.Utilization()*100)
-		row.ShardLinkPct = append(row.ShardLinkPct, sh.NIC.Port().TxUtilization()*100)
-	}
-	return row
 }
 
 // TraceTables renders the replay as throughput and tail-latency tables
@@ -189,7 +187,7 @@ func FormatTraceReplay(rows []TraceRow) string {
 	for _, r := range rows {
 		fmt.Fprintf(&b, "S=%d %-16s agg=%7.1f MB/s  p50=%8.1f p95=%8.1f p99=%8.1f  depth<=%-3d stalls=%-5d cpu%%=%s link%%=%s\n",
 			r.Shards, r.System, r.MBps, r.P50Micros, r.P95Micros, r.P99Micros,
-			r.MaxOutstanding, r.Stalls, pctList(r.ShardCPUPct), pctList(r.ShardLinkPct))
+			r.MaxOutstanding, r.Stalls, metrics.PctList(r.ShardCPUPct), metrics.PctList(r.ShardLinkPct))
 	}
 	return b.String()
 }

@@ -162,10 +162,14 @@ func TestCommitFansOutPerShard(t *testing.T) {
 // verifier makes a post-restart commit detect the loss and re-issue the
 // lost ranges — the replay completes with every operation recovered.
 func TestMidReplayCrashLosesUnstableWritesAndRecovers(t *testing.T) {
-	gen := WriteMixGen(tiny, 0.2) // write-heavy, commits every 32nd write
-	gen.CommitEvery = 8           // commit often enough to bracket the crash
+	gen := TraceGen(tiny)
+	gen.ReadFrac = 0.2  // write-heavy
+	gen.CommitEvery = 8 // commit often enough to bracket the crash
 	tr := trace.Generate(gen)
-	t1, t2 := failureWindows(tr)
+	// The failure experiment's window: a quarter into the arrival span,
+	// lasting 30% of it.
+	d := tr.Duration()
+	t1, t2 := d/4, d/4+3*d/10
 	cl, _, _ := replayClusterWith(tr, 1, func(cfg *ClusterConfig, _ int) {
 		// High marks: the crash must find unstable data still dirty.
 		cfg.WriteBehind = true

@@ -240,3 +240,13 @@ func (t *Table) String() string {
 	}
 	return b.String()
 }
+
+// PctList renders per-shard percentages compactly ("[12.5 3.0]"), the
+// form every per-cell detail line uses.
+func PctList(vs []float64) string {
+	parts := make([]string, len(vs))
+	for i, v := range vs {
+		parts[i] = fmt.Sprintf("%.1f", v)
+	}
+	return "[" + strings.Join(parts, " ") + "]"
+}

@@ -12,21 +12,22 @@ import (
 var failureTestShards = []int{1, 2}
 
 func TestFailureRowsComplete(t *testing.T) {
-	rows := FailureOver(tiny, failureTestShards)
-	if want := len(exper.FailureScheds) * len(failureTestShards) * len(exper.ScalingSystems); len(rows) != want {
-		t.Fatalf("rows = %d, want %d", len(rows), want)
+	reps := FailureOver(tiny, failureTestShards)
+	if want := len(exper.FailureScheds) * len(failureTestShards) * len(exper.ScalingSystems); len(reps) != want {
+		t.Fatalf("rows = %d, want %d", len(reps), want)
 	}
 	ops := int64(len(trace.Generate(exper.TraceGen(tiny))))
-	for _, r := range rows {
-		if r.OpsOK+r.OpsFailed != ops {
-			t.Errorf("%s/%s/S=%d: ok+failed = %d, want every replayed op accounted (%d)",
-				r.Sched, r.System, r.Shards, r.OpsOK+r.OpsFailed, ops)
+	for _, r := range reps {
+		m := r.M
+		if m.OpsOK+m.OpsFailed != ops {
+			t.Errorf("%s: ok+failed = %d, want every replayed op accounted (%d)",
+				r.Spec.Name, m.OpsOK+m.OpsFailed, ops)
 		}
-		if r.BaseMBps <= 0 {
-			t.Errorf("%s/%s/S=%d: no baseline throughput", r.Sched, r.System, r.Shards)
+		if m.Fault.BaseMBps <= 0 {
+			t.Errorf("%s: no baseline throughput", r.Spec.Name)
 		}
-		if r.Sched == "degrade" && r.OpsFailed != 0 {
-			t.Errorf("degrade/%s/S=%d: %d ops failed under pure congestion", r.System, r.Shards, r.OpsFailed)
+		if failureSched(r.Spec) == "degrade" && m.OpsFailed != 0 {
+			t.Errorf("%s: %d ops failed under pure congestion", r.Spec.Name, m.OpsFailed)
 		}
 	}
 }
@@ -38,7 +39,7 @@ func TestFailureDeterminism(t *testing.T) {
 	old := exper.Parallelism()
 	defer exper.SetParallelism(old)
 
-	render := func() string { return exper.FormatFailure(FailureOver(tiny, failureTestShards)) }
+	render := func() string { return FormatFailure(FailureOver(tiny, failureTestShards)) }
 	exper.SetParallelism(1)
 	first := render()
 	if second := render(); second != first {
@@ -55,13 +56,13 @@ func TestFailureDeterminism(t *testing.T) {
 // the pure read stream (destage-limited, not link-limited), with
 // backpressure stall time and destage disk traffic to show for it.
 func TestWriteMixKnee(t *testing.T) {
-	rows := WriteMixOver(tiny, []int{1}, []float64{1.0, 0.0})
-	byFrac := make(map[float64]map[string]exper.WriteMixRow)
-	for _, r := range rows {
-		if byFrac[r.ReadFrac] == nil {
-			byFrac[r.ReadFrac] = make(map[string]exper.WriteMixRow)
+	byFrac := make(map[float64]map[string]exper.Measured)
+	for _, r := range WriteMixOver(tiny, []int{1}, []float64{1.0, 0.0}) {
+		frac := r.Spec.Workload.ReadFrac
+		if byFrac[frac] == nil {
+			byFrac[frac] = make(map[string]exper.Measured)
 		}
-		byFrac[r.ReadFrac][r.System] = r
+		byFrac[frac][r.Spec.legend()] = r.M
 	}
 	for _, sys := range exper.ScalingSystems {
 		reads, writes := byFrac[1.0][sys], byFrac[0.0][sys]
@@ -69,20 +70,20 @@ func TestWriteMixKnee(t *testing.T) {
 			t.Errorf("%s: pure writes %.1f MB/s >= pure reads %.1f MB/s — write path never capped",
 				sys, writes.MBps, reads.MBps)
 		}
-		if writes.FlushedMB == 0 {
+		if writes.WB.FlushedMB == 0 {
 			t.Errorf("%s: pure write cell destaged nothing", sys)
 		}
-		if writes.StallMillis == 0 {
+		if writes.WB.StallMillis == 0 {
 			t.Errorf("%s: pure write cell recorded no dirty-high-water stall time", sys)
 		}
-		if len(writes.DiskPct) != 1 || writes.DiskPct[0] <= reads.DiskPct[0] {
+		if len(writes.ShardDiskPct) != 1 || writes.ShardDiskPct[0] <= reads.ShardDiskPct[0] {
 			t.Errorf("%s: destage disk utilization %.1f%% not above read cell's %.1f%%",
-				sys, writes.DiskPct[0], reads.DiskPct[0])
+				sys, writes.ShardDiskPct[0], reads.ShardDiskPct[0])
 		}
-		if reads.Commits != 0 {
-			t.Errorf("%s: pure read cell executed %d commits", sys, reads.Commits)
+		if reads.WB.Commits != 0 {
+			t.Errorf("%s: pure read cell executed %d commits", sys, reads.WB.Commits)
 		}
-		if writes.Commits == 0 {
+		if writes.WB.Commits == 0 {
 			t.Errorf("%s: pure write cell executed no commits", sys)
 		}
 	}
@@ -97,7 +98,7 @@ func TestWriteMixDeterminism(t *testing.T) {
 	old := exper.Parallelism()
 	defer exper.SetParallelism(old)
 	render := func() string {
-		return exper.FormatWriteMix(WriteMixOver(tiny, []int{1, 2}, []float64{1.0, 0.3}))
+		return FormatWriteMix(WriteMixOver(tiny, []int{1, 2}, []float64{1.0, 0.3}))
 	}
 	exper.SetParallelism(1)
 	first := render()

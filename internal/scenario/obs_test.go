@@ -215,6 +215,18 @@ func TestRunExportsDeterministic(t *testing.T) {
 	}
 }
 
+// writeMixBreakdown runs one write-mix cell at probe scale with per-op
+// tracing armed and returns the span population's phase decomposition —
+// the table showing which phase the cell's p99 went to.
+func writeMixBreakdown(t *testing.T, system string, shards int, readFrac float64) obs.Breakdown {
+	t.Helper()
+	rep, err := RunObserved(WriteMixSpec(system, shards, readFrac), probe, RunOpts{Observe: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep.Breakdown
+}
+
 // TestWriteMixBreakdownRegimes is the write-mix phase-attribution
 // regression: in the destage-limited regime (write-heavy, water marks
 // throttling) the p99 tail is dominated by the stall phase, while the
@@ -222,7 +234,7 @@ func TestRunExportsDeterministic(t *testing.T) {
 // counterpart of the paper's cost attribution argument.
 func TestWriteMixBreakdownRegimes(t *testing.T) {
 	const shards = 4
-	destage := WriteMixBreakdown("NFS", shards, 0.1, probe)
+	destage := writeMixBreakdown(t, "NFS", shards, 0.1)
 	if got := destage.DominantTail(); got != "stall" {
 		t.Errorf("destage-limited dominant tail = %q, want stall\n%s", got, destage.Format())
 	}
@@ -231,7 +243,7 @@ func TestWriteMixBreakdownRegimes(t *testing.T) {
 		t.Errorf("destage-limited stall tail %.0fus < half of p99 %.0fus", stall, destage.P99Micros)
 	}
 
-	read := WriteMixBreakdown("DAFS", shards, 1.0, probe)
+	read := writeMixBreakdown(t, "DAFS", shards, 1.0)
 	if got := read.DominantTail(); got != "wire" && got != "server" {
 		t.Errorf("read-limited dominant tail = %q, want wire or server\n%s", got, read.Format())
 	}

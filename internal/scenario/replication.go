@@ -1,6 +1,6 @@
 // The replication experiment: the failure experiment's shard-0 crash
-// replayed across the ack-policy × replica-count grid, each cell a
-// canned scenario like the failure and write-mix cells. The crash
+// replayed across the ack-policy × replica-count grid, a sweep of
+// canned scenario specs like the failure and write-mix sweeps. The crash
 // always hits the shard's primary (copy 0), so replicated cells
 // exercise client failover while unreplicated baseline rows show what
 // the same outage costs on retries alone.
@@ -8,8 +8,10 @@ package scenario
 
 import (
 	"fmt"
+	"strings"
 
 	"danas/internal/exper"
+	"danas/internal/metrics"
 )
 
 // ReplicationSpec is one replication cell as a scenario: the trace
@@ -49,51 +51,76 @@ func ReplicationSpec(system string, replicas int, ack string) *Spec {
 // baseline plus every replica count times every ack policy, for every
 // protocol, each cell a canned scenario replaying the same trace while
 // shard 0's primary crashes and restarts.
-func Replication(scale exper.Scale) []exper.ReplicationRow {
+func Replication(scale exper.Scale) []*Report {
 	return ReplicationOver(scale, exper.ReplicationCounts)
 }
 
 // ReplicationOver runs the experiment over an explicit replica-count
-// axis (tests use reduced axes; Replication uses the full one).
-func ReplicationOver(scale exper.Scale, counts []int) []exper.ReplicationRow {
-	type cell struct {
-		replicas int
-		ack      string
+// axis (tests use reduced axes; Replication uses the full one). Reports
+// come in grid order: the baseline cells, then each replica count times
+// each ack policy, each over exper.ScalingSystems.
+func ReplicationOver(scale exper.Scale, counts []int) []*Report {
+	var specs []*Spec
+	for _, system := range exper.ScalingSystems {
+		specs = append(specs, ReplicationSpec(system, 0, ""))
 	}
-	cells := []cell{{0, ""}}
 	for _, r := range counts {
-		for _, a := range exper.ReplicationAcks {
-			cells = append(cells, cell{r, a})
+		for _, ack := range exper.ReplicationAcks {
+			for _, system := range exper.ScalingSystems {
+				specs = append(specs, ReplicationSpec(system, r, ack))
+			}
 		}
 	}
-	g := exper.RunGrid(len(cells), len(exper.ScalingSystems),
-		func(i, j int) string {
-			c := cells[i]
-			if c.replicas == 0 {
-				return "replication/baseline/" + exper.ScalingSystems[j]
-			}
-			return fmt.Sprintf("replication/%dr/%s/%s", c.replicas, c.ack, exper.ScalingSystems[j])
-		},
-		func(i, j int) exper.ReplicationRow {
-			return replicationCell(exper.ScalingSystems[j], cells[i].replicas, cells[i].ack, scale)
-		})
-	return g.Flat()
+	return mustRunAll(specs, scale)
 }
 
-// replicationCell runs one cell's canned spec and reshapes the measured
-// outcome as the experiment row.
-func replicationCell(system string, replicas int, ack string, scale exper.Scale) exper.ReplicationRow {
-	m := mustRun(ReplicationSpec(system, replicas, ack), scale).M
-	ackTok := "-"
-	if replicas > 0 {
-		ackTok = ack
+// replicationAck is the ack column of a replication cell: "-" for the
+// unreplicated baseline.
+func replicationAck(s *Spec) string {
+	if s.Fleet.Replicas == 0 {
+		return "-"
 	}
-	return exper.ReplicationRow{
-		Replicas: replicas, Ack: ackTok, System: system,
-		BaseMBps: m.Fault.BaseMBps, FaultMBps: m.Fault.FaultMBps, AfterMBps: m.Fault.AfterMBps,
-		RecoveryMillis: m.Fault.RecoveryMillis, P99FaultMicros: m.Fault.P99FaultMicros,
-		OpsOK: m.OpsOK, OpsFailed: m.OpsFailed, OpsRetried: m.Retried,
-		Failovers: m.Failovers, Reissued: m.Reissued,
-		Stalls: m.Stalls,
+	return s.Fleet.Ack
+}
+
+// ReplicationTables renders the sync-policy headline metrics as tables
+// (x = replicas per shard, one column per system): how the recovery
+// window and the failed-op count move as copies are added.
+func ReplicationTables(reps []*Report) (recov, failed *metrics.Table) {
+	recov = metrics.NewTable("Replication: recovery time after shard-0 primary crash, ack=sync (ms; -1 = not within replay)",
+		"replicas", "ms", exper.ScalingSystems...)
+	failed = metrics.NewTable("Replication: failed operations after shard-0 primary crash, ack=sync",
+		"replicas", "ops", exper.ScalingSystems...)
+	for _, r := range reps {
+		if r.Spec.Fleet.Replicas != 0 && r.Spec.Fleet.Ack != "sync" {
+			continue
+		}
+		x := float64(r.Spec.Fleet.Replicas)
+		recov.Set(x, r.Spec.legend(), r.M.Fault.RecoveryMillis)
+		failed.Set(x, r.Spec.legend(), float64(r.M.OpsFailed))
 	}
+	return recov, failed
+}
+
+// FormatReplication renders the replication experiment
+// deterministically: the sync-policy summary tables followed by one
+// detail line per cell carrying the full throughput timeline, outcome
+// counts, and the failover accounting.
+func FormatReplication(reps []*Report) string {
+	var b strings.Builder
+	recov, failed := ReplicationTables(reps)
+	b.WriteString(recov.String())
+	b.WriteString("\n")
+	b.WriteString(failed.String())
+	b.WriteString("\n")
+	b.WriteString("per-cell detail (shard-0 primary crashed over the middle of the trace; R = replicas per shard;\n")
+	b.WriteString("failovers = serving-copy switches; reissued = uncommitted ranges rewritten onto survivors):\n")
+	for _, r := range reps {
+		m := r.M
+		fmt.Fprintf(&b, "R=%d ack=%-7s %-16s base=%7.1f during=%7.1f after=%7.1f MB/s  recov=%8.1fms p99f=%9.1fus  ok=%-5d failed=%-4d retried=%-6d failovers=%-3d reissued=%-4d stalls=%d\n",
+			r.Spec.Fleet.Replicas, replicationAck(r.Spec), r.Spec.legend(), m.Fault.BaseMBps, m.Fault.FaultMBps, m.Fault.AfterMBps,
+			m.Fault.RecoveryMillis, m.Fault.P99FaultMicros, m.OpsOK, m.OpsFailed, m.Retried,
+			m.Failovers, m.Reissued, m.Stalls)
+	}
+	return b.String()
 }

@@ -17,32 +17,32 @@ var replicationTestCounts = []int{1}
 // primary crash fails no operations, while the baseline rows pay for
 // the same outage in failed ops or a visible recovery window.
 func TestReplicationRowsComplete(t *testing.T) {
-	rows := ReplicationOver(tiny, replicationTestCounts)
+	reps := ReplicationOver(tiny, replicationTestCounts)
 	cells := 1 + len(replicationTestCounts)*len(exper.ReplicationAcks)
-	if want := cells * len(exper.ScalingSystems); len(rows) != want {
-		t.Fatalf("rows = %d, want %d", len(rows), want)
+	if want := cells * len(exper.ScalingSystems); len(reps) != want {
+		t.Fatalf("rows = %d, want %d", len(reps), want)
 	}
-	for _, r := range rows {
-		if r.BaseMBps <= 0 {
-			t.Errorf("R=%d ack=%s %s: no baseline throughput", r.Replicas, r.Ack, r.System)
+	for _, r := range reps {
+		m := r.M
+		if m.Fault.BaseMBps <= 0 {
+			t.Errorf("%s: no baseline throughput", r.Spec.Name)
 		}
-		if r.Replicas == 0 {
-			if r.Ack != "-" {
-				t.Errorf("baseline row carries ack=%q, want -", r.Ack)
+		if r.Spec.Fleet.Replicas == 0 {
+			if ack := replicationAck(r.Spec); ack != "-" {
+				t.Errorf("baseline row carries ack=%q, want -", ack)
 			}
-			if r.Failovers != 0 || r.Reissued != 0 {
-				t.Errorf("%s baseline: failovers=%d reissued=%d on an unreplicated fleet",
-					r.System, r.Failovers, r.Reissued)
+			if m.Failovers != 0 || m.Reissued != 0 {
+				t.Errorf("%s: failovers=%d reissued=%d on an unreplicated fleet",
+					r.Spec.Name, m.Failovers, m.Reissued)
 			}
 			continue
 		}
-		if r.OpsFailed != 0 {
-			t.Errorf("R=%d ack=%s %s: %d ops failed — replication must absorb the primary crash",
-				r.Replicas, r.Ack, r.System, r.OpsFailed)
+		if m.OpsFailed != 0 {
+			t.Errorf("%s: %d ops failed — replication must absorb the primary crash",
+				r.Spec.Name, m.OpsFailed)
 		}
-		if r.Failovers == 0 {
-			t.Errorf("R=%d ack=%s %s: the primary crash triggered no failover",
-				r.Replicas, r.Ack, r.System)
+		if m.Failovers == 0 {
+			t.Errorf("%s: the primary crash triggered no failover", r.Spec.Name)
 		}
 	}
 }
@@ -50,8 +50,7 @@ func TestReplicationRowsComplete(t *testing.T) {
 // TestReplicationFormat pins the artifact's surface: the recovery and
 // failed-op tables plus one detail line per cell.
 func TestReplicationFormat(t *testing.T) {
-	rows := ReplicationOver(tiny, replicationTestCounts)
-	out := exper.FormatReplication(rows)
+	out := FormatReplication(ReplicationOver(tiny, replicationTestCounts))
 	for _, want := range []string{"recovery time", "failed operations", "ack=sync", "ack=async", "ack=-"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("formatted replication artifact missing %q:\n%s", want, out)

@@ -11,66 +11,6 @@ import (
 	"danas/internal/sim"
 )
 
-// Measured is everything one scenario run measures, reduced through
-// the metrics evaluation layer. Every assertion reads from here, and
-// the experiment drivers rebuild their rows from here.
-type Measured struct {
-	// OpsOK and OpsFailed split the replayed ops by outcome; Retried
-	// counts faults the clients absorbed transparently (client-layer
-	// retransmissions plus ORDMA faults); Timeouts counts session calls
-	// that exhausted their retry budget — the failure cause behind the
-	// failed ops, as opposed to the absorbed disturbances.
-	OpsOK, OpsFailed int64
-	Retried          uint64
-	Timeouts         uint64
-	// Failovers counts serving-copy switches across the fleet; Reissued
-	// counts the uncommitted ranges failover re-wrote onto surviving
-	// copies. Both are zero on unreplicated fleets.
-	Failovers, Reissued uint64
-	// Stalls and MaxOutstanding describe the open-loop driver's queue.
-	Stalls         int64
-	MaxOutstanding int
-	// MBps is completed-byte throughput over the replay; the
-	// percentiles are response times from recorded arrival.
-	MBps      float64
-	P50Micros float64
-	P95Micros float64
-	P99Micros float64
-	// HasFault marks Fault as meaningful: the before/during/after view
-	// of the window from the first to the last injected event.
-	HasFault bool
-	Fault    metrics.FaultMetrics
-	// WB aggregates the write-behind subsystem across shards (zero
-	// value when the spec leaves it off).
-	WB WBMeasured
-	// Per-shard utilization over the replay, indexed by shard.
-	ShardCPUPct  []float64
-	ShardLinkPct []float64
-	ShardDiskPct []float64
-	// HasFabric marks the trunk figures as meaningful: the storage
-	// leaf's hottest trunk utilization per direction, the deepest trunk
-	// backlog any frame queued behind, and the frames black-holed by
-	// down switches. All zero on the star, which has no trunks.
-	HasFabric        bool
-	TrunkUpPct       float64
-	TrunkDownPct     float64
-	TrunkQueueMicros float64
-	SwitchDrops      uint64
-}
-
-// WBMeasured aggregates the shards' write-behind counters.
-type WBMeasured struct {
-	// StallMillis is handler time blocked at the dirty high-water mark,
-	// summed across shards; Throttled counts the writes that blocked.
-	StallMillis float64
-	Throttled   uint64
-	// FlushedMB is destaged data; BlocksPerFlush the mean coalescing
-	// per destage I/O; Commits the OpCommit executions across shards.
-	FlushedMB      float64
-	BlocksPerFlush float64
-	Commits        uint64
-}
-
 // AssertResult is one assertion's verdict: the measured value it was
 // checked against and whether it held.
 type AssertResult struct {
@@ -83,7 +23,7 @@ type AssertResult struct {
 type Report struct {
 	Spec    *Spec
 	Scale   exper.Scale
-	M       Measured
+	M       exper.Measured
 	Results []AssertResult
 	// Pass is true when every assertion held (vacuously true with no
 	// assertions).
@@ -133,8 +73,7 @@ func RunObserved(spec *Spec, scale exper.Scale, opts RunOpts) (*Report, error) {
 	}
 	sess := exper.NewReplaySession(exper.ScaleGen(scale, spec.Workload), spec.replayConfig())
 	defer sess.Close()
-	tr := sess.Trace()
-	sched := spec.schedule(tr.Duration(), sess.Cluster.P.LinkBandwidth, sess.Cluster.Fab.TrunkRate)
+	sched := spec.schedule(sess.Trace().Duration(), sess.Cluster.P.LinkBandwidth, sess.Cluster.Fab.TrunkRate)
 	if err := sched.ValidateTopo(sess.Cluster.FailTopo()); err != nil {
 		// Unreachable for a spec that passed Validate (one time mode
 		// keeps event order span-invariant), but the contract is that
@@ -166,53 +105,7 @@ func RunObserved(spec *Spec, scale exper.Scale, opts RunOpts) (*Report, error) {
 		}
 	}
 	res, _ := sess.Replay("scenario-"+spec.Name, sched)
-
-	eval := metrics.NewEval(res.Start, res.Elapsed, exper.Outcomes(tr, res))
-	ctr := sess.Counters()
-	m := Measured{
-		OpsOK:          eval.OK(),
-		OpsFailed:      eval.Failed(),
-		Retried:        ctr.Retried,
-		Timeouts:       ctr.Timeouts,
-		Failovers:      ctr.Failovers,
-		Reissued:       ctr.Reissued,
-		Stalls:         res.Stalls,
-		MaxOutstanding: res.MaxOutstanding,
-		MBps:           res.MBps(),
-		P50Micros:      res.Lat.Quantile(0.50).Micros(),
-		P95Micros:      res.Lat.Quantile(0.95).Micros(),
-		P99Micros:      res.Lat.Quantile(0.99).Micros(),
-	}
-	if len(sched) > 0 {
-		m.HasFault = true
-		m.Fault = eval.Fault(sched[0].At, sched[len(sched)-1].At)
-	}
-	var flushes, blocks uint64
-	for _, sh := range sess.Cluster.Shards {
-		m.ShardCPUPct = append(m.ShardCPUPct, sh.Host.CPU.Utilization()*100)
-		m.ShardLinkPct = append(m.ShardLinkPct, sh.NIC.Port().TxUtilization()*100)
-		m.ShardDiskPct = append(m.ShardDiskPct, sh.Disk.Utilization()*100)
-		if spec.WB.Enabled {
-			st := sh.WB.Stats()
-			m.WB.StallMillis += float64(st.StallTime) / 1e6
-			m.WB.Throttled += st.Throttled
-			m.WB.FlushedMB += float64(st.BytesFlushed) / 1e6
-			m.WB.Commits += st.Commits
-			flushes += st.Flushes
-			blocks += st.BlocksFlushed
-		}
-	}
-	if flushes > 0 {
-		m.WB.BlocksPerFlush = float64(blocks) / float64(flushes)
-	}
-	if spec.Fabric.enabled() {
-		m.HasFabric = true
-		ts := sess.Cluster.Fab.TrunkStats(0)
-		m.TrunkUpPct = ts.UpUtil * 100
-		m.TrunkDownPct = ts.DownUtil * 100
-		m.TrunkQueueMicros = ts.MaxBacklog.Micros()
-		m.SwitchDrops = sess.Cluster.Fab.Dropped()
-	}
+	m := sess.Measure(res, sched)
 
 	rep := &Report{Spec: spec, Scale: scale, M: m, Pass: true}
 	if ob != nil {
@@ -252,7 +145,7 @@ func RunObserved(spec *Spec, scale exper.Scale, opts RunOpts) (*Report, error) {
 // evalAssert checks one assertion against the measurements; ob is the
 // armed observability session for the kinds that read spans or gauges
 // (non-nil whenever the spec contains such a kind — Run arms it).
-func evalAssert(a Assert, m Measured, ob *exper.Observation) AssertResult {
+func evalAssert(a Assert, m exper.Measured, ob *exper.Observation) AssertResult {
 	r := AssertResult{Assert: a}
 	switch a.Kind {
 	case AssertMinMBps:
@@ -331,7 +224,7 @@ func (r *Report) Format() string {
 			m.WB.StallMillis, m.WB.Throttled, m.WB.FlushedMB, m.WB.BlocksPerFlush, m.WB.Commits)
 	}
 	fmt.Fprintf(&b, "  util cpu%%=%s link%%=%s disk%%=%s\n",
-		pctList(m.ShardCPUPct), pctList(m.ShardLinkPct), pctList(m.ShardDiskPct))
+		metrics.PctList(m.ShardCPUPct), metrics.PctList(m.ShardLinkPct), metrics.PctList(m.ShardDiskPct))
 	if m.HasFabric {
 		spines, oversub := s.Fabric.Spines, s.Fabric.Oversub
 		if spines < 1 {
@@ -365,15 +258,6 @@ func ackToken(ack string) string {
 		return "sync"
 	}
 	return ack
-}
-
-// pctList renders per-shard percentages compactly.
-func pctList(vs []float64) string {
-	parts := make([]string, len(vs))
-	for i, v := range vs {
-		parts[i] = fmt.Sprintf("%.1f", v)
-	}
-	return "[" + strings.Join(parts, " ") + "]"
 }
 
 // FormatAll renders a batch of reports followed by a one-line summary,

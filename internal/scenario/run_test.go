@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"danas/internal/exper"
+	"danas/internal/metrics"
 )
 
 // tiny keeps the scenario runs fast; full scale is exercised by
@@ -89,5 +90,34 @@ func TestFaultWindowMeasured(t *testing.T) {
 	}
 	if rep.M.HasFault {
 		t.Error("fault-free scenario measured a fault window")
+	}
+}
+
+// TestMeasureCountsMatchPerOpEval pins the equivalence Measure's outcome
+// counts rest on: on a cell that fails operations, the replay totals
+// (Ops − Errors, Errors) equal the per-op evaluator's OK/Failed split
+// over the same replay's per-operation records.
+func TestMeasureCountsMatchPerOpEval(t *testing.T) {
+	spec := FailureSpec("crash", "NFS", 1)
+	sess := exper.NewReplaySession(exper.ScaleGen(tiny, spec.Workload), spec.replayConfig())
+	defer sess.Close()
+	tr := sess.Trace()
+	sched := spec.schedule(tr.Duration(), sess.Cluster.P.LinkBandwidth, sess.Cluster.Fab.TrunkRate)
+	res, _ := sess.Replay("measure-eval", sched)
+	m := sess.Measure(res, sched)
+
+	ops := make([]metrics.OpOutcome, len(tr))
+	for i, rec := range tr {
+		ops[i] = metrics.OpOutcome{Arrival: rec.At, Done: res.OpDone[i], Bytes: res.OpBytes[i], Failed: res.OpErr[i] != nil}
+	}
+	eval := metrics.NewEval(res.Start, res.Elapsed, ops)
+	if m.OpsOK != eval.OK() || m.OpsFailed != eval.Failed() {
+		t.Errorf("Measure ok/failed = %d/%d, per-op eval = %d/%d", m.OpsOK, m.OpsFailed, eval.OK(), eval.Failed())
+	}
+	if m.OpsFailed == 0 {
+		t.Error("the crash cell failed no ops; the equivalence is untested")
+	}
+	if !m.HasFault {
+		t.Error("a scheduled replay measured no fault window")
 	}
 }

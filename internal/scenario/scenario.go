@@ -4,10 +4,11 @@
 // — under one spec format. A Spec parses from a small line-oriented
 // text format (codec.go), validates statically with typed errors,
 // compiles onto the exper replay machinery (run.go), and yields a
-// deterministic pass/fail Report. The failure and write-mix
-// experiments are canned specs run through this same path
-// (experiments.go), and a seeded generator fuzzes the space of fleet
-// shapes and correlated fault schedules (stress.go).
+// deterministic pass/fail Report. The failure, write-mix and
+// replication experiments are sweeps of canned specs run through this
+// same path by RunAll (experiments.go, replication.go), and a seeded
+// generator fuzzes the space of fleet shapes and correlated fault
+// schedules (stress.go).
 package scenario
 
 import (
@@ -138,13 +139,17 @@ func SystemTokens() []string {
 	return toks
 }
 
-// SystemName resolves a spec token to the exper legend name.
-func SystemName(token string) (string, bool) {
-	n, ok := systemNames[token]
-	return n, ok
+// legend resolves the validated spec's system token to the exper
+// legend name, the spelling sessions mount by and tables print.
+func (s *Spec) legend() string {
+	legend, ok := systemNames[s.Fleet.System]
+	if !ok {
+		panic("scenario: unvalidated system token " + s.Fleet.System)
+	}
+	return legend
 }
 
-// systemToken is the inverse of SystemName (legend name -> token).
+// systemToken is the inverse of systemNames (legend name -> token).
 func systemToken(legend string) string {
 	for t, n := range systemNames {
 		if n == legend {
@@ -693,18 +698,11 @@ func (s *Spec) schedule(d sim.Duration, linkBW float64, trunkRate func(leaf int)
 	return fail.Merge(parts...)
 }
 
-// HasFaults reports whether the spec injects anything.
-func (s *Spec) HasFaults() bool { return len(s.Faults) > 0 }
-
 // replayConfig compiles the spec's fleet, retry, and write-behind
 // sections onto the exper session configuration.
 func (s *Spec) replayConfig() exper.ReplayConfig {
-	legend, ok := systemNames[s.Fleet.System]
-	if !ok {
-		panic("scenario: unvalidated system token " + s.Fleet.System)
-	}
 	cfg := exper.ReplayConfig{
-		System:      legend,
+		System:      s.legend(),
 		Shards:      s.Fleet.Shards,
 		Depth:       s.Fleet.Depth,
 		RetryRTO:    s.Retry.RTO,
