@@ -148,6 +148,11 @@ type NIC struct {
 	// put's data stream (see rdma.go).
 	sendGate sim.Time
 
+	// flights and tasks hold this NIC's finished fragments and steps for
+	// reuse (see flight and task).
+	flights []*flight
+	tasks   []*task
+
 	stats Stats
 }
 
@@ -304,28 +309,58 @@ func (n *NIC) sendNow(m *Message) {
 			bytes = total - sent
 		}
 		sent += bytes
-		last := i == nfrags-1
-		fl := &flight{msg: m, bytes: int(bytes), last: last}
-		n.stats.FragsSent++
-		// Firmware prepares the fragment, then the DMA engine pulls it
-		// from host memory, then it serializes on the wire. ServeAt
-		// preserves pipelining across the three stations.
-		fwDone := n.fw.Serve(n.p.NICFragProcess, nil)
-		n.dma.ServeAt(fwDone, sim.TransferTime(bytes, n.p.NICDMABandwidth), func() {
-			n.port.Send(&netsim.Frame{To: m.To.port, Bytes: fl.bytes, Payload: fl})
-		})
+		fl := n.newFlight(m.To, int(bytes), i == nfrags-1)
+		fl.msg = m
+		n.transmit(fl, 0)
 	}
 }
 
-// flight is the wire context of one fragment.
+// flight is one fragment on its way from its origin NIC to its
+// destination: the frame it rides on the wire, the message or RDMA
+// context it belongs to, and its two pipeline callbacks, bound once when
+// the flight is first built. When the destination's firmware has handled
+// it, the flight goes back to its origin's free list. A frame dropped by
+// a down switch takes its flight with it.
 type flight struct {
-	msg   *Message
-	bytes int
-	last  bool
-	// rdma marks fragments that belong to a get/put data stream rather
-	// than a message (see rdma.go).
-	rdma *rdmaFlight
+	origin *NIC
+	to     *NIC
+	frame  netsim.Frame
+	last   bool     // last fragment of its message or data stream
+	msg    *Message // nil on RDMA traffic
+	// rdma is the context of get/put traffic (see rdma.go); its op is
+	// nil on message fragments.
+	rdma rdmaFlight
+
+	sent   func() // fl.send: the origin's DMA engine has pulled it
+	placed func() // fl.arrive: the destination's firmware has handled it
 }
+
+// newFlight returns a pooled or fresh flight of bytes toward to.
+func (n *NIC) newFlight(to *NIC, bytes int, last bool) *flight {
+	var fl *flight
+	if k := len(n.flights); k > 0 {
+		fl = n.flights[k-1]
+		n.flights = n.flights[:k-1]
+	} else {
+		fl = &flight{origin: n}
+		fl.sent, fl.placed = fl.send, fl.arrive
+	}
+	fl.to, fl.last = to, last
+	fl.frame = netsim.Frame{To: to.port, Bytes: bytes, Payload: fl}
+	return fl
+}
+
+// transmit runs fl through the origin's send pipeline: the firmware
+// prepares the fragment (plus extraFw), the DMA engine pulls it from host
+// memory, then it serializes on the wire. ServeAt preserves pipelining
+// across the three stations.
+func (n *NIC) transmit(fl *flight, extraFw sim.Duration) {
+	n.stats.FragsSent++
+	fwDone := n.fw.Serve(n.p.NICFragProcess+extraFw, nil)
+	n.dma.ServeAt(fwDone, sim.TransferTime(int64(fl.frame.Bytes), n.p.NICDMABandwidth), fl.sent)
+}
+
+func (fl *flight) send() { fl.origin.port.Send(&fl.frame) }
 
 // DeliverFrame implements netsim.Sink: a fragment has arrived from the wire.
 func (n *NIC) DeliverFrame(f *netsim.Frame) {
@@ -335,16 +370,22 @@ func (n *NIC) DeliverFrame(f *netsim.Frame) {
 	}
 	n.stats.FragsRecv++
 	// DMA the fragment into host memory, then firmware bookkeeping.
-	dmaDone := n.dma.Serve(sim.TransferTime(int64(fl.bytes), n.p.NICDMABandwidth), nil)
-	n.fw.ServeAt(dmaDone, n.p.NICFragProcess, func() {
-		if fl.rdma != nil {
-			n.rdmaFragArrived(fl)
-			return
-		}
-		if fl.last {
-			n.msgArrived(fl.msg)
-		}
-	})
+	dmaDone := n.dma.Serve(sim.TransferTime(int64(f.Bytes), n.p.NICDMABandwidth), nil)
+	n.fw.ServeAt(dmaDone, n.p.NICFragProcess, fl.placed)
+}
+
+// arrive hands the placed fragment to its destination and recycles fl.
+func (fl *flight) arrive() {
+	n, m, r, last := fl.to, fl.msg, fl.rdma, fl.last
+	o := fl.origin
+	*fl = flight{origin: o, sent: fl.sent, placed: fl.placed}
+	o.flights = append(o.flights, fl)
+	switch {
+	case r.op != nil:
+		n.rdmaFragArrived(r, last)
+	case last:
+		n.msgArrived(m)
+	}
 }
 
 // msgArrived runs when the last fragment of a message has been placed.
@@ -382,9 +423,8 @@ func (n *NIC) msgArrived(m *Message) {
 		// GM/VI events take a full interrupt each; coalescing exists only
 		// on the Ethernet-emulation path (§5, testbed description).
 		n.stats.Interrupts++
-		n.h.Interrupt(0, func() {
-			m.queuedAt = n.s.Now()
-			ep.queue.Put(m)
-		})
+		t := n.newTask(taskQueue, nil)
+		t.msg, t.ep = m, ep
+		n.h.Interrupt(0, t.run)
 	}
 }

@@ -1,6 +1,7 @@
 package nic
 
 import (
+	"reflect"
 	"testing"
 
 	"danas/internal/host"
@@ -424,5 +425,85 @@ func TestExportCounts(t *testing.T) {
 	r.nb.TPT.Invalidate(seg) // idempotent
 	if r.nb.TPT.Entries() != 0 {
 		t.Fatalf("entries = %d after invalidate", r.nb.TPT.Entries())
+	}
+}
+
+// resident lists the TLB's pages from most to least recently used.
+func (t *tlb) resident() []uint64 {
+	var pgs []uint64
+	for i := t.ent[0].next; i != 0; i = t.ent[i].next {
+		pgs = append(pgs, t.ent[i].pg)
+	}
+	return pgs
+}
+
+// TestWarmTLBDeterministicWhenOverfull warms a TLB smaller than the
+// export set after each export, as a cluster warming one file after
+// another does, and checks that every run leaves the same pages resident:
+// the most recently exported ones, in export order.
+func TestWarmTLBDeterministicWhenOverfull(t *testing.T) {
+	warm := func() []uint64 {
+		r := newRig(t)
+		r.nb.tlb = newTLB(6)
+		for i := 0; i < 5; i++ {
+			r.nb.TPT.Export(4 * host.PageSize)
+			r.nb.TPT.WarmTLB()
+		}
+		r.nb.TPT.WarmTLB() // nothing new: a no-op
+		return r.nb.tlb.resident()
+	}
+	want := warm()
+	last := pageOf(1<<20) + 5*4 - 1
+	for i, pg := range want {
+		if pg != last-uint64(i) {
+			t.Fatalf("resident pages %v, want the 6 highest (%d down), MRU first", want, last)
+		}
+	}
+	for run := 0; run < 20; run++ {
+		if got := warm(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: resident pages %v, want %v", run, got, want)
+		}
+	}
+}
+
+// TestSteadyStreamAllocatesNothing sends message fragments and serves
+// RDMA gets over a star until the NIC pools and every station's and
+// queue's ring have grown, then checks a further round allocates nothing:
+// each fragment reuses a flight of its origin NIC, and every station
+// completion and wake lands in storage the kernel already holds. The
+// messages and the get are the caller's and are reused.
+func TestSteadyStreamAllocatesNothing(t *testing.T) {
+	r := newRig(t)
+	delivered := 0
+	r.nb.BindHandler(1, func(*Message) { delivered++ })
+	msgs := make([]*Message, 4)
+	for i := range msgs {
+		msgs[i] = &Message{To: r.nb, Port: 1, HeaderBytes: 64, PayloadBytes: 16 << 10}
+	}
+	seg := r.nb.TPT.Export(32 << 10)
+	r.nb.TPT.WarmTLB()
+	got := 0
+	op := &Op{Kind: Get, Target: r.nb, VA: seg.VA, Len: 32 << 10, Notify: Poll,
+		Done: func(st Status) {
+			if st == StatusOK {
+				got++
+			}
+		}}
+	round := func() {
+		for _, m := range msgs {
+			r.na.SendAsync(m)
+		}
+		op.completed = false
+		r.na.RDMAAsync(op)
+		r.s.Run()
+	}
+	for i := 0; i < 4; i++ {
+		round()
+	}
+	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+		t.Fatalf("a round of %d messages and a get allocated %.1f times, want 0", len(msgs), allocs)
+	}
+	if want := 25 * len(msgs); delivered != want || got != 25 {
+		t.Fatalf("delivered %d messages and %d gets, want %d and 25", delivered, got, want)
 	}
 }

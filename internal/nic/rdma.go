@@ -3,7 +3,6 @@ package nic
 import (
 	"fmt"
 
-	"danas/internal/netsim"
 	"danas/internal/sim"
 )
 
@@ -92,10 +91,8 @@ const exceptionBytes = 32
 // rdmaFlight tags frames belonging to RDMA traffic.
 type rdmaFlight struct {
 	op        *Op    // the operation this frame belongs to
-	target    *NIC   // frame destination
 	ctrl      bool   // request/control frame (carries the Op by reference)
 	exception Status // nonzero on exception frames
-	last      bool   // last data fragment
 	ack       bool   // put acknowledgement back to the initiator
 }
 
@@ -113,34 +110,23 @@ func (n *NIC) RDMAAsync(op *Op) {
 	}
 	op.initiator = n
 	if op.Timeout > 0 {
-		n.s.After(op.Timeout, func() {
-			if !op.completed {
-				n.stats.RDMATimeouts++
-			}
-			n.completeOp(op, StatusTimeout)
-		})
+		n.s.After(op.Timeout, n.newTask(taskTimeout, op).run)
 	}
 	switch op.Kind {
 	case Get:
 		// Send a small control frame; data streams back from the target.
-		n.sendRDMAFrames(op.Target, ctrlBytes+len(op.Cap), 0, &rdmaFlight{
-			op: op, target: op.Target, ctrl: true,
-		})
+		n.sendRDMAFrames(op.Target, ctrlBytes+len(op.Cap), 0, rdmaFlight{op: op, ctrl: true})
 	case Put:
 		// Control frame immediately; the data stream after the put
 		// startup latency. The send gate releases any traffic the host
 		// posts in between (e.g. the RPC reply) together with — never
 		// ahead of — the data, preserving connection ordering.
-		n.sendRDMAFrames(op.Target, ctrlBytes+len(op.Cap), 0, &rdmaFlight{
-			op: op, target: op.Target, ctrl: true,
-		})
+		n.sendRDMAFrames(op.Target, ctrlBytes+len(op.Cap), 0, rdmaFlight{op: op, ctrl: true})
 		release := n.s.Now().Add(n.p.NICPutLatency)
 		if release > n.sendGate {
 			n.sendGate = release
 		}
-		n.s.At(release, func() {
-			n.streamData(op.Target, op.Len, op, 0)
-		})
+		n.s.At(release, n.newTask(taskPutStream, op).run)
 	default:
 		panic("nic: unknown RDMA kind")
 	}
@@ -148,12 +134,10 @@ func (n *NIC) RDMAAsync(op *Op) {
 
 // sendRDMAFrames pushes one small control/exception frame through the
 // firmware+DMA+wire pipeline.
-func (n *NIC) sendRDMAFrames(to *NIC, bytes int, extraFw sim.Duration, fl *rdmaFlight) {
-	n.stats.FragsSent++
-	fwDone := n.fw.Serve(n.p.NICFragProcess+extraFw, nil)
-	n.dma.ServeAt(fwDone, sim.TransferTime(int64(bytes), n.p.NICDMABandwidth), func() {
-		n.port.Send(&netsim.Frame{To: to.port, Bytes: bytes, Payload: &flight{rdma: fl, bytes: bytes}})
-	})
+func (n *NIC) sendRDMAFrames(to *NIC, bytes int, extraFw sim.Duration, r rdmaFlight) {
+	fl := n.newFlight(to, bytes, false)
+	fl.rdma = r
+	n.transmit(fl, extraFw)
 }
 
 // streamData fragments and transmits an RDMA data stream. quirkStall adds
@@ -168,21 +152,15 @@ func (n *NIC) streamData(to *NIC, length int64, op *Op, quirkStall sim.Duration)
 			bytes = length - sent
 		}
 		sent += bytes
-		last := sent >= length
-		fl := &rdmaFlight{op: op, target: to, last: last}
-		n.stats.FragsSent++
-		fwDone := n.fw.Serve(n.p.NICFragProcess+quirkStall, nil)
-		b := bytes
-		n.dma.ServeAt(fwDone, sim.TransferTime(b, n.p.NICDMABandwidth), func() {
-			n.port.Send(&netsim.Frame{To: to.port, Bytes: int(b), Payload: &flight{rdma: fl, bytes: int(b)}})
-		})
+		fl := n.newFlight(to, int(bytes), sent >= length)
+		fl.rdma.op = op
+		n.transmit(fl, quirkStall)
 	}
 }
 
 // rdmaFragArrived handles RDMA frames after the standard receive pipeline
-// (DMA + firmware) has run.
-func (n *NIC) rdmaFragArrived(fl *flight) {
-	r := fl.rdma
+// (DMA + firmware) has run; last marks the last fragment of a data stream.
+func (n *NIC) rdmaFragArrived(r rdmaFlight, last bool) {
 	switch {
 	case r.ctrl && r.op.Kind == Get:
 		n.serveGet(r.op)
@@ -192,7 +170,7 @@ func (n *NIC) rdmaFragArrived(fl *flight) {
 		n.completeOp(r.op, r.exception)
 	case r.ack:
 		n.completeOp(r.op, StatusOK)
-	case r.last:
+	case last:
 		// Last data fragment.
 		if r.op.Kind == Get {
 			// Data arrived back at the get initiator.
@@ -202,7 +180,7 @@ func (n *NIC) rdmaFragArrived(fl *flight) {
 			// with a small ack so completion reflects remote placement.
 			n.stats.PutsServed++
 			init := r.op.initiator
-			n.sendRDMAFrames(init, exceptionBytes, 0, &rdmaFlight{op: r.op, target: init, ack: true})
+			n.sendRDMAFrames(init, exceptionBytes, 0, rdmaFlight{op: r.op, ack: true})
 		}
 	}
 }
@@ -221,27 +199,33 @@ func (n *NIC) serveGet(op *Op) {
 	if st == StatusOK {
 		extra += n.tlbCharge(op)
 	}
-	n.fw.Serve(n.p.NICGetProcess+extra, func() {
-		if st != StatusOK {
-			n.stats.Exceptions++
-			if st == StatusBadCapability {
-				n.stats.CapRejects++
-			}
-			n.sendRDMAFrames(op.initiator, exceptionBytes, 0,
-				&rdmaFlight{op: op, target: op.initiator, exception: st})
-			return
+	t := n.newTask(taskGetValidated, op)
+	t.st = st
+	n.fw.Serve(n.p.NICGetProcess+extra, t.run)
+}
+
+// getValidated runs when the firmware has validated a get: it raises the
+// exception, or starts the data stream after the descriptor fetch.
+func (n *NIC) getValidated(t *task) {
+	op, st := t.op, t.st
+	if st != StatusOK {
+		t.release()
+		n.stats.Exceptions++
+		if st == StatusBadCapability {
+			n.stats.CapRejects++
 		}
-		n.stats.GetsServed++
-		quirk := sim.Duration(0)
-		if q := n.p.GMGetQuirkSize; q > 0 && op.Len >= q {
-			quirk = n.p.GMGetQuirkStall
-		}
-		// Descriptor fetch and firmware scheduling latency: delays the
-		// response but does not occupy the firmware station.
-		n.s.After(n.p.NICGetLatency, func() {
-			n.streamData(op.initiator, op.Len, op, quirk)
-		})
-	})
+		n.sendRDMAFrames(op.initiator, exceptionBytes, 0, rdmaFlight{op: op, exception: st})
+		return
+	}
+	n.stats.GetsServed++
+	t.quirk = 0
+	if q := n.p.GMGetQuirkSize; q > 0 && op.Len >= q {
+		t.quirk = n.p.GMGetQuirkStall
+	}
+	// Descriptor fetch and firmware scheduling latency: delays the
+	// response but does not occupy the firmware station.
+	t.kind = taskGetStream
+	n.s.After(n.p.NICGetLatency, t.run)
 }
 
 // servePutCtrl validates an incoming put. Data frames follow on the wire;
@@ -256,17 +240,9 @@ func (n *NIC) servePutCtrl(op *Op) {
 	if st == StatusOK {
 		extra += n.tlbCharge(op)
 	}
-	n.fw.Serve(n.p.NICPutProcess+extra, func() {
-		if st != StatusOK {
-			op.rejected = true
-			n.stats.Exceptions++
-			n.sendRDMAFrames(op.initiator, exceptionBytes, 0,
-				&rdmaFlight{op: op, target: op.initiator, exception: st})
-			return
-		}
-		// Accept: data fragments will be DMA'd straight into host memory
-		// as they arrive; no host CPU involvement at the target.
-	})
+	t := n.newTask(taskPutValidated, op)
+	t.st = st
+	n.fw.Serve(n.p.NICPutProcess+extra, t.run)
 }
 
 // tlbCharge walks the op's pages through the NIC TLB, charging miss costs:
@@ -295,16 +271,107 @@ func (n *NIC) completeOp(op *Op, st Status) {
 		return
 	}
 	op.completed = true
-	done := op.Done
-	if done == nil {
+	if op.Done == nil {
 		return
 	}
+	t := n.newTask(taskNotify, op)
+	t.st, t.done = st, op.Done
 	switch op.Notify {
 	case Poll:
-		n.s.After(0, func() { done(st) })
+		n.s.After(0, t.run)
 	case Intr:
 		n.stats.Interrupts++
-		n.h.Interrupt(0, func() { done(st) })
+		n.h.Interrupt(0, t.run)
+	}
+}
+
+// task is one deferred step of an operation at this NIC, run by a plain
+// event: the firmware finishing a get's or put's validation, a data
+// stream starting, an initiator's timeout, or a completion reaching the
+// host. Tasks are pooled per NIC with their callback bound once, so the
+// steps of an operation allocate nothing.
+type task struct {
+	n     *NIC
+	kind  taskKind
+	op    *Op
+	msg   *Message
+	ep    *Endpoint
+	st    Status
+	quirk sim.Duration
+	done  func(Status)
+	run   func() // t.fire
+}
+
+// taskKind names the step a task runs.
+type taskKind uint8
+
+const (
+	taskGetValidated taskKind = iota // target firmware has checked a get
+	taskGetStream                    // a served get's data starts streaming back
+	taskPutValidated                 // target firmware has checked a put
+	taskPutStream                    // a put's data starts streaming out
+	taskTimeout                      // an initiator's completion timer expired
+	taskNotify                       // an op's completion reaches the host
+	taskQueue                        // an interrupt has delivered a message to its endpoint
+)
+
+func (n *NIC) newTask(kind taskKind, op *Op) *task {
+	var t *task
+	if k := len(n.tasks); k > 0 {
+		t = n.tasks[k-1]
+		n.tasks = n.tasks[:k-1]
+	} else {
+		t = &task{n: n}
+		t.run = t.fire
+	}
+	t.kind, t.op = kind, op
+	return t
+}
+
+// release returns t to its NIC's pool.
+func (t *task) release() {
+	n := t.n
+	*t = task{n: n, run: t.run}
+	n.tasks = append(n.tasks, t)
+}
+
+func (t *task) fire() {
+	n, op := t.n, t.op
+	switch t.kind {
+	case taskGetValidated:
+		n.getValidated(t)
+	case taskGetStream:
+		quirk := t.quirk
+		t.release()
+		n.streamData(op.initiator, op.Len, op, quirk)
+	case taskPutValidated:
+		st := t.st
+		t.release()
+		if st != StatusOK {
+			op.rejected = true
+			n.stats.Exceptions++
+			n.sendRDMAFrames(op.initiator, exceptionBytes, 0, rdmaFlight{op: op, exception: st})
+		}
+		// Accept: data fragments will be DMA'd straight into host memory
+		// as they arrive; no host CPU involvement at the target.
+	case taskPutStream:
+		t.release()
+		n.streamData(op.Target, op.Len, op, 0)
+	case taskTimeout:
+		t.release()
+		if !op.completed {
+			n.stats.RDMATimeouts++
+		}
+		n.completeOp(op, StatusTimeout)
+	case taskNotify:
+		done, st := t.done, t.st
+		t.release()
+		done(st)
+	case taskQueue:
+		m, ep := t.msg, t.ep
+		t.release()
+		m.queuedAt = n.s.Now()
+		ep.queue.Put(m)
 	}
 }
 

@@ -90,7 +90,7 @@ type Server struct {
 	handler Handler
 
 	drc      map[drcKey]*drcEntry
-	drcOrder []drcKey
+	drcOrder sim.Ring[drcKey]
 
 	// down marks the server host crashed: queued and arriving requests
 	// are discarded unexecuted (failure injection; see SetDown).
@@ -113,7 +113,7 @@ func (srv *Server) SetDown(down bool) { srv.down = down }
 // (exactly the classic NFS-over-UDP recovery behaviour).
 func (srv *Server) ResetDRC() {
 	srv.drc = make(map[drcKey]*drcEntry)
-	srv.drcOrder = nil
+	srv.drcOrder = sim.Ring[drcKey]{}
 }
 
 // NewServer binds an RPC server to (stack, port) and starts nWorkers
@@ -192,11 +192,9 @@ func (srv *Server) serve(p *sim.Proc, d *udpip.Datagram) {
 // the oldest entries beyond the limit.
 func (srv *Server) installDRC(key drcKey, e *drcEntry) {
 	srv.drc[key] = e
-	srv.drcOrder = append(srv.drcOrder, key)
-	for len(srv.drcOrder) > drcLimit {
-		old := srv.drcOrder[0]
-		srv.drcOrder = srv.drcOrder[1:]
-		delete(srv.drc, old)
+	srv.drcOrder.Push(key)
+	for srv.drcOrder.Len() > drcLimit {
+		delete(srv.drc, srv.drcOrder.Pop())
 	}
 }
 

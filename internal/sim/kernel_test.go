@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"hash/fnv"
 	"reflect"
 	"runtime"
 	"strings"
@@ -242,5 +243,146 @@ func TestStationAndSignalWakeOrder(t *testing.T) {
 	wantLog := "x@10 y@10 z@10 a-served@10 b-fired@10 w@15 c-served@15 c-done@15 a-done@15"
 	if g := strings.Join(*log, " "); g != wantLog {
 		t.Fatalf("log\n got %s\nwant %s", g, wantLog)
+	}
+}
+
+// randomProgram posts a seeded mix of kernel calls whose instants and
+// service times sit on a coarse grid, so that station completions,
+// timers, wakes and Proc starts keep colliding at the same instant while
+// the stations stay backlogged. It returns the log of what ran, when.
+func randomProgram(s *Scheduler, seed uint64) *[]string {
+	r := NewRand(seed)
+	var log []string
+	note := func(what string, id int) { log = append(log, fmt.Sprintf("%s%d@%d", what, id, s.Now())) }
+	grid := func(n int) Duration { return Duration(5 * r.Intn(n)) }
+	sts := []*Station{NewStation(s, "st0"), NewStation(s, "st1"), NewStation(s, "st2")}
+	q := NewQueue[int](s, "q")
+	sigs := []*Signal{NewSignal(s), NewSignal(s), NewSignal(s), NewSignal(s)}
+	var cancels []func()
+	budget, ids := 1500, 0
+	var act func()
+	act = func() {
+		if budget == 0 {
+			return
+		}
+		budget--
+		ids++
+		id := ids
+		st := sts[r.Intn(len(sts))]
+		done := func() {
+			note("done", id)
+			if r.Intn(3) > 0 {
+				act()
+			}
+		}
+		switch r.Intn(10) {
+		case 0:
+			st.Serve(grid(4), done)
+		case 1:
+			st.Serve(grid(3), nil)
+			st.Serve(grid(3), done)
+		case 2:
+			st.ServeAt(s.Now().Add(grid(6)), grid(3), done)
+		case 3:
+			s.After(grid(8), done)
+		case 4:
+			s.At(s.Now().Add(grid(8)), done)
+		case 5:
+			cancels = append(cancels, s.AfterCancel(grid(8), done))
+			if r.Intn(2) == 0 {
+				cancels[r.Intn(len(cancels))]()
+			}
+		case 6, 7:
+			sig := sigs[r.Intn(len(sigs))]
+			s.Go("p", func(p *Proc) {
+				note("start", id)
+				st.Wait(p, grid(4))
+				note("served", id)
+				switch r.Intn(4) {
+				case 0:
+					note("got", q.Get(p))
+				case 1:
+					sig.Wait(p)
+					note("fired", id)
+				case 2:
+					p.Sleep(grid(3))
+				case 3:
+					st.Wait(p, grid(2))
+				}
+				act()
+				act()
+			})
+		case 8:
+			q.Put(id)
+			act()
+		case 9:
+			i := r.Intn(len(sigs))
+			sigs[i].Fire()
+			sigs[i] = NewSignal(s)
+			act()
+		}
+	}
+	for i := 0; i < 40; i++ {
+		s.At(Time(grid(10)), act)
+	}
+	return &log
+}
+
+// TestRandomProgramOrderPinned pins the (at, seq) trace of a random
+// program on backlogged stations: the order every event fires in, and
+// the sequence number it fired under, must not change when the kernel's
+// internals do.
+func TestRandomProgramOrderPinned(t *testing.T) {
+	h := fnv.New64a()
+	events, lines := 0, 0
+	for seed := uint64(1); seed <= 3; seed++ {
+		s := New()
+		log := randomProgram(s, seed)
+		tr := runTraced(s)
+		s.Close()
+		for _, k := range tr {
+			fmt.Fprintf(h, "%d/%d ", k.at, k.seq)
+		}
+		for _, l := range *log {
+			fmt.Fprintf(h, "%s ", l)
+		}
+		events += len(tr)
+		lines += len(*log)
+	}
+	got := fmt.Sprintf("events=%d log=%d digest=%016x", events, lines, h.Sum64())
+	if want := "events=5476 log=4312 digest=9e4abc5691aa7ab3"; got != want {
+		t.Fatalf("trace %s, want %s", got, want)
+	}
+}
+
+// TestBackloggedStationHoldsOneHeapEntry queues many callback jobs and
+// waits on one station: only the earliest completion sits in the heap,
+// and each one that fires hands the heap the next.
+func TestBackloggedStationHoldsOneHeapEntry(t *testing.T) {
+	s := New()
+	defer s.Close()
+	st := NewStation(s, "st")
+	const n = 64
+	var order []int
+	for i := 0; i < n; i++ {
+		i := i
+		st.Serve(Duration(i%3), func() {
+			order = append(order, i)
+			if len(s.events) > 1 {
+				t.Errorf("job %d: heap holds %d events, want at most 1", i, len(s.events))
+			}
+		})
+	}
+	if len(s.events) != 1 {
+		t.Fatalf("heap holds %d events with %d jobs queued, want 1", len(s.events), n)
+	}
+	s.Run()
+	if len(order) != n {
+		t.Fatalf("%d of %d jobs completed", len(order), n)
+	}
+	for i, j := range order {
+		if i != j {
+			t.Fatalf("completion order %v, want submission order", order)
+		}
 	}
 }

@@ -7,8 +7,8 @@ package sim
 type Queue[T any] struct {
 	s       *Scheduler
 	name    string
-	items   []T
-	waiters []*Proc
+	items   Ring[T]
+	waiters Ring[*Proc]
 	puts    uint64
 }
 
@@ -18,7 +18,7 @@ func NewQueue[T any](s *Scheduler, name string) *Queue[T] {
 }
 
 // Len returns the number of queued values.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.items.Len() }
 
 // Puts returns the total number of values ever enqueued.
 func (q *Queue[T]) Puts() uint64 { return q.puts }
@@ -27,53 +27,45 @@ func (q *Queue[T]) Puts() uint64 { return q.puts }
 // current instant. Put may be called from a process or from a plain event
 // callback.
 func (q *Queue[T]) Put(v T) {
-	q.items = append(q.items, v)
+	q.items.Push(v)
 	q.puts++
-	if len(q.waiters) > 0 {
-		p := q.waiters[0]
-		q.waiters = q.waiters[1:]
-		q.s.postWake(q.s.now, p)
+	if q.waiters.Len() > 0 {
+		q.s.postWake(q.s.now, q.waiters.Pop())
 	}
 }
 
 // Get dequeues the next value, blocking p until one is available.
 func (q *Queue[T]) Get(p *Proc) T {
-	for len(q.items) == 0 {
-		q.waiters = append(q.waiters, p)
+	for q.items.Len() == 0 {
+		q.waiters.Push(p)
 		p.block()
 	}
-	v := q.items[0]
-	var zero T
-	q.items[0] = zero
-	q.items = q.items[1:]
+	v := q.items.Pop()
 	// If more items remain and more receivers are parked, pass the baton so
 	// a burst of Puts wakes every eligible receiver.
-	if len(q.items) > 0 && len(q.waiters) > 0 {
-		next := q.waiters[0]
-		q.waiters = q.waiters[1:]
-		q.s.postWake(q.s.now, next)
+	if q.items.Len() > 0 && q.waiters.Len() > 0 {
+		q.s.postWake(q.s.now, q.waiters.Pop())
 	}
 	return v
 }
 
 // TryGet dequeues without blocking. ok is false if the queue is empty.
 func (q *Queue[T]) TryGet() (v T, ok bool) {
-	if len(q.items) == 0 {
+	if q.items.Len() == 0 {
 		return v, false
 	}
-	v = q.items[0]
-	var zero T
-	q.items[0] = zero
-	q.items = q.items[1:]
-	return v, true
+	return q.items.Pop(), true
 }
 
 // Signal is a one-shot completion: one or more processes wait, one event
-// fires, all waiters resume. Used for I/O completions and futures.
+// fires, all waiters resume. Used for I/O completions and futures. The
+// first waiter is held inline, so a signal with one waiter allocates
+// nothing to wait on.
 type Signal struct {
-	s       *Scheduler
-	fired   bool
-	waiters []*Proc
+	s     *Scheduler
+	fired bool
+	first *Proc
+	more  []*Proc // waiters after the first, in arrival order
 }
 
 // NewSignal creates an unfired signal.
@@ -88,10 +80,13 @@ func (g *Signal) Fire() {
 		return
 	}
 	g.fired = true
-	for _, p := range g.waiters {
+	if g.first != nil {
+		g.s.postWake(g.s.now, g.first)
+	}
+	for _, p := range g.more {
 		g.s.postWake(g.s.now, p)
 	}
-	g.waiters = nil
+	g.first, g.more = nil, nil
 }
 
 // Wait blocks p until the signal fires (returns immediately if it already
@@ -100,7 +95,11 @@ func (g *Signal) Wait(p *Proc) {
 	if g.fired {
 		return
 	}
-	g.waiters = append(g.waiters, p)
+	if g.first == nil {
+		g.first = p
+	} else {
+		g.more = append(g.more, p)
+	}
 	p.block()
 }
 

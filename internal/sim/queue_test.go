@@ -196,3 +196,37 @@ func TestRandRanges(t *testing.T) {
 		seen[v] = true
 	}
 }
+
+func TestRingWrapsAndGrows(t *testing.T) {
+	var r Ring[int]
+	next, want := 0, 0
+	for round := 0; round < 50; round++ {
+		// Alternate bursts of pushes with partial drains, so the head
+		// wraps around the buffer between growths.
+		for i := 0; i < round%7+1; i++ {
+			r.Push(next)
+			next++
+		}
+		for i := 0; i < round%5 && r.Len() > 0; i++ {
+			if got := r.Front(); got != want {
+				t.Fatalf("Front = %d, want %d", got, want)
+			}
+			if got := r.Pop(); got != want {
+				t.Fatalf("Pop = %d, want %d", got, want)
+			}
+			want++
+		}
+		if r.Len() != next-want {
+			t.Fatalf("Len = %d, want %d", r.Len(), next-want)
+		}
+	}
+	for r.Len() > 0 {
+		if got := r.Pop(); got != want {
+			t.Fatalf("Pop = %d, want %d", got, want)
+		}
+		want++
+	}
+	if want != next {
+		t.Fatalf("popped %d values, pushed %d", want, next)
+	}
+}

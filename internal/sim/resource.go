@@ -15,7 +15,7 @@ type Resource struct {
 	name     string
 	capacity int64
 	inUse    int64
-	waiters  []resWaiter
+	waiters  Ring[resWaiter]
 
 	// Utilization accounting.
 	epoch      Time    // start of the current measurement interval
@@ -47,7 +47,7 @@ func (r *Resource) Capacity() int64 { return r.capacity }
 func (r *Resource) InUse() int64 { return r.inUse }
 
 // QueueLen returns the number of blocked acquirers.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
+func (r *Resource) QueueLen() int { return r.waiters.Len() }
 
 func (r *Resource) account() {
 	now := r.s.now
@@ -63,13 +63,13 @@ func (r *Resource) Acquire(p *Proc, n int64) {
 	if n > r.capacity {
 		panic(fmt.Sprintf("sim: acquire %d exceeds capacity %d of %s", n, r.capacity, r.name))
 	}
-	if len(r.waiters) == 0 && r.inUse+n <= r.capacity {
+	if r.waiters.Len() == 0 && r.inUse+n <= r.capacity {
 		r.account()
 		r.inUse += n
 		r.grants++
 		return
 	}
-	r.waiters = append(r.waiters, resWaiter{p: p, n: n})
+	r.waiters.Push(resWaiter{p: p, n: n})
 	p.block()
 }
 
@@ -84,12 +84,12 @@ func (r *Resource) Release(n int64) {
 	}
 	r.account()
 	r.inUse -= n
-	for len(r.waiters) > 0 {
-		w := r.waiters[0]
+	for r.waiters.Len() > 0 {
+		w := r.waiters.Front()
 		if r.inUse+w.n > r.capacity {
 			break
 		}
-		r.waiters = r.waiters[1:]
+		r.waiters.Pop()
 		r.inUse += w.n
 		r.grants++
 		r.s.postWake(r.s.now, w.p)

@@ -76,17 +76,15 @@ func TransferTime(n int64, bytesPerSec float64) Duration {
 }
 
 // event is one scheduled action, held by value in the heap: a callback
-// (fn), or a typed wake of p. A relay wake does not resume p but re-posts
-// a plain wake of p at the same instant. A cancelled event stays in the
-// heap (removal would disturb sibling ordering) but is skipped by the loop
-// without advancing the clock.
+// (fn), or a typed wake of p. A cancelled event stays in the heap (removal
+// would disturb sibling ordering) but is skipped by the loop without
+// advancing the clock.
 type event struct {
 	at     Time
 	seq    uint64
 	fn     func()
 	p      *Proc
 	cancel *bool // set only on AfterCancel events
-	relay  bool
 }
 
 func (e *event) before(o *event) bool {
@@ -256,14 +254,11 @@ func (s *Scheduler) fire(e *event) {
 	if s.nEvents%gcTurnEvents == 0 {
 		runtime.Gosched()
 	}
-	switch {
-	case e.fn != nil:
+	if e.fn != nil {
 		e.fn()
-	case e.relay:
-		s.postWake(s.now, e.p)
-	default:
-		s.wake(e.p)
+		return
 	}
+	s.wake(e.p)
 }
 
 // leaveLoop ends a Run. A Close issued from inside the loop could not

@@ -8,6 +8,13 @@ package sim
 // Serve(d, done) enqueues a job of length d behind any outstanding work and
 // calls done when it completes. The queue is work-conserving and
 // non-preemptive.
+//
+// A job's completion takes its (at, seq) place in the event order when it
+// is submitted, but only the earliest pending completion sits in the
+// scheduler's heap: finish times never decrease in submission order, so
+// when one completion fires the next can enter the heap under the key it
+// reserved without changing the order events run in. A backlogged station
+// thus holds one heap entry, however deep its queue.
 type Station struct {
 	s         *Scheduler
 	name      string
@@ -15,11 +22,51 @@ type Station struct {
 	epoch     Time
 	busyInt   float64 // total service time scheduled since epoch
 	jobs      uint64
+	pending   Ring[completion] // the head's event is in the heap
+	fire      func()           // st.complete, bound once
+}
+
+// completion is a pending job's keyed completion: a callback, or the
+// wake of a process blocked in Wait.
+type completion struct {
+	at  Time
+	seq uint64
+	fn  func()
+	p   *Proc
 }
 
 // NewStation creates an idle station.
 func NewStation(s *Scheduler, name string) *Station {
-	return &Station{s: s, name: name, epoch: s.now}
+	st := &Station{s: s, name: name, epoch: s.now}
+	st.fire = st.complete
+	return st
+}
+
+// post reserves the next sequence number for a completion at c.at and
+// queues it; an idle ring puts it straight into the heap.
+func (st *Station) post(c completion) {
+	st.s.seq++
+	c.seq = st.s.seq
+	if st.pending.Len() == 0 {
+		st.s.events.push(event{at: c.at, seq: c.seq, fn: st.fire})
+	}
+	st.pending.Push(c)
+}
+
+// complete fires the head completion after handing the heap the next one,
+// under its reserved key. A Wait completion re-posts a same-instant wake,
+// the post a Signal fired at that instant would make.
+func (st *Station) complete() {
+	c := st.pending.Pop()
+	if st.pending.Len() > 0 {
+		next := st.pending.Front()
+		st.s.events.push(event{at: next.at, seq: next.seq, fn: st.fire})
+	}
+	if c.fn != nil {
+		c.fn()
+		return
+	}
+	st.s.postWake(st.s.now, c.p)
 }
 
 // Name returns the station name.
@@ -40,7 +87,7 @@ func (st *Station) Serve(d Duration, done func()) Time {
 	st.busyInt += float64(d)
 	st.jobs++
 	if done != nil {
-		st.s.At(fin, done)
+		st.post(completion{at: fin, fn: done})
 	}
 	return fin
 }
@@ -63,18 +110,15 @@ func (st *Station) ServeAt(ready Time, d Duration, done func()) Time {
 	st.busyInt += float64(d)
 	st.jobs++
 	if done != nil {
-		st.s.At(fin, done)
+		st.post(completion{at: fin, fn: done})
 	}
 	return fin
 }
 
 // Wait makes process p execute a job of duration d on the station and
-// blocks until it completes — the process-style entry point. The job's
-// completion at fin re-posts a same-instant wake of p, the post a Signal
-// fired at fin would make.
+// blocks until it completes — the process-style entry point.
 func (st *Station) Wait(p *Proc, d Duration) {
-	fin := st.Serve(d, nil)
-	st.s.push(event{at: fin, p: p, relay: true})
+	st.post(completion{at: st.Serve(d, nil), p: p})
 	p.block()
 }
 

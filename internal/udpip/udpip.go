@@ -89,7 +89,7 @@ type Stack struct {
 	// reassembly buffers datagram fragments by (source, ID); reasmOrder
 	// is the arrival-ordered FIFO the expiry sweep walks.
 	reasmMap   map[reasmKey]*reasmState
-	reasmOrder []reasmEntry
+	reasmOrder sim.Ring[reasmEntry]
 	nextID     uint64
 
 	// ReasmTimeout is how long partial-fragment state may linger before
@@ -136,7 +136,7 @@ func (st *Stack) SetDown(down bool) {
 	st.down = down
 	if down {
 		st.reasmMap = make(map[reasmKey]*reasmState)
-		st.reasmOrder = nil
+		st.reasmOrder = sim.Ring[reasmEntry]{}
 	}
 }
 
@@ -154,8 +154,8 @@ func (st *Stack) gcReasm(now sim.Time) {
 	if st.ReasmTimeout <= 0 {
 		return
 	}
-	for len(st.reasmOrder) > 0 {
-		head := st.reasmOrder[0]
+	for st.reasmOrder.Len() > 0 {
+		head := st.reasmOrder.Front()
 		if e, live := st.reasmMap[head.key]; live && e.born == head.born {
 			if now.Sub(e.born) < st.ReasmTimeout {
 				return // FIFO is arrival-ordered: the rest are younger
@@ -163,7 +163,7 @@ func (st *Stack) gcReasm(now sim.Time) {
 			delete(st.reasmMap, head.key)
 			st.ReasmExpired++
 		}
-		st.reasmOrder = st.reasmOrder[1:]
+		st.reasmOrder.Pop()
 	}
 }
 
@@ -220,7 +220,7 @@ func (st *Stack) packetArrived(m *nic.Message) {
 			if !ok {
 				e = &reasmState{born: st.h.S.Now()}
 				st.reasmMap[key] = e
-				st.reasmOrder = append(st.reasmOrder, reasmEntry{key: key, born: e.born})
+				st.reasmOrder.Push(reasmEntry{key: key, born: e.born})
 			}
 			e.got++
 			if e.got < frag.total {

@@ -98,7 +98,7 @@ type Flusher struct {
 	// dirty is the not-yet-destaging ledger; order is its FIFO arrival
 	// order (entries whose key has left dirty are skipped lazily).
 	dirty map[fsim.BlockKey]int64
-	order []fsim.BlockKey
+	order sim.Ring[fsim.BlockKey]
 	// flushing maps blocks with a destage I/O in flight to the signal
 	// that fires when it lands.
 	flushing map[fsim.BlockKey]*sim.Signal
@@ -217,7 +217,7 @@ func (f *Flusher) markRange(fl *fsim.File, off, n int64) {
 			continue // lost to a racing crash: nothing to destage
 		}
 		if _, queued := f.dirty[b.Key]; !queued {
-			f.order = append(f.order, b.Key)
+			f.order.Push(b.Key)
 		}
 		f.dirty[b.Key] = b.Len // refresh: an extending write grew the EOF block
 	}
@@ -248,7 +248,7 @@ func (f *Flusher) Commit(p *sim.Proc, fl *fsim.File, off, n int64) uint64 {
 func (f *Flusher) Crash() {
 	f.stats.LostBlocks += uint64(len(f.dirty))
 	f.dirty = make(map[fsim.BlockKey]int64)
-	f.order = nil
+	f.order = sim.Ring[fsim.BlockKey]{}
 	f.verifier++
 	if f.release != nil && !f.release.Fired() {
 		f.release.Fire()
@@ -284,8 +284,7 @@ func (f *Flusher) run(p *sim.Proc) {
 func (f *Flusher) pickBatch() []fsim.BlockKey {
 	var seed fsim.BlockKey
 	for {
-		seed = f.order[0]
-		f.order = f.order[1:]
+		seed = f.order.Pop()
 		if _, ok := f.dirty[seed]; ok {
 			break
 		}
