@@ -238,7 +238,7 @@ func runFig5(scale exper.Scale) {
 
 func runFig6(scale exper.Scale) {
 	fmt.Println("== Figure 6 ==")
-	txns, cpu := exper.Fig6All(scale)
+	txns, cpu := exper.Fig6(scale)
 	fmt.Print(txns)
 	fmt.Println()
 	fmt.Print(cpu)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"os"
 	"sort"
 	"strings"
 	"testing"
@@ -93,6 +94,33 @@ func TestValidNames(t *testing.T) {
 	for n := range known {
 		if !seen[n] {
 			t.Errorf("registered experiment %q missing from validNames", n)
+		}
+	}
+}
+
+// TestREADMEListsEveryExperiment pins the README's experiment list to the
+// registry: the backquoted span after "Experiments:" names every
+// runnable experiment and nothing else.
+func TestREADMEListsEveryExperiment(t *testing.T) {
+	src, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, ok := strings.Cut(string(src), "\nExperiments: `")
+	if !ok {
+		t.Fatal("README has no \"Experiments: `...`\" list")
+	}
+	list, _, _ := strings.Cut(rest, "`")
+	listed := make(map[string]bool)
+	for _, n := range strings.Fields(list) {
+		if _, ok := known[n]; !ok {
+			t.Errorf("README lists %q, which is not a registered experiment", n)
+		}
+		listed[n] = true
+	}
+	for n := range known {
+		if !listed[n] {
+			t.Errorf("README's experiment list is missing %q", n)
 		}
 	}
 }

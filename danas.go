@@ -112,7 +112,8 @@ func (pr Protocol) String() string {
 // exper.Cluster shard running NFS and DAFS side by side) plus one client
 // machine per mount, joined by a 2 Gb/s switched fabric.
 type Cluster struct {
-	cl *exper.Cluster
+	cl  *exper.Cluster
+	srv *exper.ServerShard // cl.Shards[0], the one server
 }
 
 // ClusterOption configures NewCluster.
@@ -153,7 +154,8 @@ func NewCluster(opts ...ClusterOption) *Cluster {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	return &Cluster{cl: exper.NewCluster(cfg)}
+	cl := exper.NewCluster(cfg)
+	return &Cluster{cl: cl, srv: cl.Shards[0]}
 }
 
 // Close tears the simulation down; the cluster must not be used after.
@@ -188,7 +190,7 @@ func (c *Cluster) Now() Time { return c.cl.S.Now() }
 // CreateFile creates a file with deterministic synthetic content on the
 // server.
 func (c *Cluster) CreateFile(name string, size int64) error {
-	_, err := c.cl.FS.Create(name, size)
+	_, err := c.srv.FS.Create(name, size)
 	return err
 }
 
@@ -196,37 +198,37 @@ func (c *Cluster) CreateFile(name string, size int64) error {
 // optimistic server, the NIC TLB) with it — the paper's standard
 // experiment precondition.
 func (c *Cluster) CreateWarmFile(name string, size int64) error {
-	f, err := c.cl.FS.Create(name, size)
+	f, err := c.srv.FS.Create(name, size)
 	if err != nil {
 		return err
 	}
-	c.cl.ServerCache.Warm(f)
-	c.cl.ServerNIC.TPT.WarmTLB()
+	c.srv.Cache.Warm(f)
+	c.srv.NIC.TPT.WarmTLB()
 	return nil
 }
 
 // ContentSource returns the server file system's content back-channel,
 // needed by applications (like the embedded database) that consume real
 // bytes.
-func (c *Cluster) ContentSource() ContentSource { return c.cl.FS }
+func (c *Cluster) ContentSource() ContentSource { return c.srv.FS }
 
 // ServerCPUUtilization reports server CPU utilization since the last
 // MarkServerEpoch.
-func (c *Cluster) ServerCPUUtilization() float64 { return c.cl.ServerHost.CPU.Utilization() }
+func (c *Cluster) ServerCPUUtilization() float64 { return c.srv.Host.CPU.Utilization() }
 
 // ServerLinkTxUtilization reports the server uplink utilization since the
 // last MarkServerEpoch.
-func (c *Cluster) ServerLinkTxUtilization() float64 { return c.cl.ServerNIC.Port().TxUtilization() }
+func (c *Cluster) ServerLinkTxUtilization() float64 { return c.srv.NIC.Port().TxUtilization() }
 
 // MarkServerEpoch restarts server-side utilization accounting.
 func (c *Cluster) MarkServerEpoch() {
-	c.cl.ServerHost.CPU.MarkEpoch()
-	c.cl.ServerNIC.Port().MarkEpoch()
+	c.srv.Host.CPU.MarkEpoch()
+	c.srv.NIC.Port().MarkEpoch()
 }
 
 // ServerNICExceptions returns the count of ORDMA exceptions the server NIC
 // has signalled.
-func (c *Cluster) ServerNICExceptions() uint64 { return c.cl.ServerNIC.StatsSnapshot().Exceptions }
+func (c *Cluster) ServerNICExceptions() uint64 { return c.srv.NIC.StatsSnapshot().Exceptions }
 
 // MountOption configures a Mount.
 type MountOption func(*core.Config)
@@ -275,7 +277,7 @@ func (c *Cluster) Mount(proto Protocol, opts ...MountOption) *Mount {
 	}
 	node := c.cl.AddClientNode()
 	em := c.cl.Mount(proto.String(), len(c.cl.Nodes)-1, cfg)
-	return &Mount{Protocol: proto, client: em.Client, h: node.Host, cached: em.Cached, fs: c.cl.FS}
+	return &Mount{Protocol: proto, client: em.Client, h: node.Host, cached: em.Cached, fs: c.srv.FS}
 }
 
 // Open resolves a file by name.

@@ -3,7 +3,6 @@ package exper
 import (
 	"fmt"
 
-	"danas/internal/cache"
 	"danas/internal/core"
 	"danas/internal/dafs"
 	"danas/internal/metrics"
@@ -46,34 +45,21 @@ func ablationTLBPoint(n int, missUS float64) (meanUS, missRate float64) {
 	cl := NewCluster(cfg)
 	defer cl.Close()
 	fileSize := int64(n) * 4096
-	f, err := cl.FS.Create("a1", fileSize)
+	srv := cl.Shards[0]
+	f, err := srv.FS.Create("a1", fileSize)
 	if err != nil {
 		panic(fmt.Sprintf("a1: create: %v", err))
 	}
-	cl.ServerCache.Warm(f) // exports installed; TLB deliberately cold
+	srv.Cache.Warm(f) // exports installed; TLB deliberately cold
 
 	client := cl.DAFSClient(0, nic.Poll, dafs.Inline)
 	var hist metrics.Hist
 	cl.Go("bench", func(p *sim.Proc) {
 		h, _ := client.Open(p, "a1")
-		refs := make([]*cache.RemoteRef, 0, n)
-		for off := int64(0); off < fileSize; off += 4096 {
-			_, ref, err := client.ReadInline(p, h, off, 4096)
-			if err != nil || ref == nil {
-				panic("a1: ref collection failed")
-			}
-			refs = append(refs, ref)
-		}
-		for _, ref := range refs {
-			start := p.Now()
-			if res := client.QP().RDMA(p, nic.Get, ref.VA, 4096, ref.Cap); !res.OK() {
-				panic("a1: fault")
-			}
-			hist.Observe(p.Now().Sub(start))
-		}
+		ordmaGets(p, client, collectRefs(p, client, h, n), &hist)
 	})
 	cl.Run()
-	st := cl.ServerNIC.StatsSnapshot()
+	st := srv.NIC.StatsSnapshot()
 	total := st.TLBHits + st.TLBMisses
 	return hist.Mean().Micros(), float64(st.TLBMisses) / float64(total)
 }
@@ -100,29 +86,16 @@ func ablationCapPoint(n int, capsOn bool) float64 {
 	cfg.ServerCacheBlocks = 4 * n
 	cl := NewCluster(cfg)
 	defer cl.Close()
-	cl.ServerNIC.TPT.UseCapabilities = capsOn
-	fileSize := int64(n) * 4096
-	cl.CreateWarmFile("a2", fileSize)
+	srv := cl.Shards[0]
+	srv.NIC.TPT.UseCapabilities = capsOn
+	cl.CreateWarmFile("a2", int64(n)*4096)
 	client := cl.DAFSClient(0, nic.Poll, dafs.Inline)
 	var hist metrics.Hist
 	cl.Go("bench", func(p *sim.Proc) {
 		h, _ := client.Open(p, "a2")
-		refs := make([]*cache.RemoteRef, 0, n)
-		for off := int64(0); off < fileSize; off += 4096 {
-			_, ref, err := client.ReadInline(p, h, off, 4096)
-			if err != nil || ref == nil {
-				panic("a2: ref collection failed")
-			}
-			refs = append(refs, ref)
-		}
-		cl.ServerNIC.TPT.WarmTLB()
-		for _, ref := range refs {
-			start := p.Now()
-			if res := client.QP().RDMA(p, nic.Get, ref.VA, 4096, ref.Cap); !res.OK() {
-				panic("a2: fault")
-			}
-			hist.Observe(p.Now().Sub(start))
-		}
+		refs := collectRefs(p, client, h, n)
+		srv.NIC.TPT.WarmTLB()
+		ordmaGets(p, client, refs, &hist)
 	})
 	cl.Run()
 	return hist.Mean().Micros()
@@ -170,18 +143,8 @@ func ablationDirPoint(files, txns int, mq bool) (tps, ordmaRate float64) {
 	pmCfg.Transactions = txns
 	cl.Go("pm", func(p *sim.Proc) {
 		b := postmark.NewSkewed(client, cl.Nodes[0].Host, pmCfg, 0.8)
-		if err := b.Setup(p); err != nil {
-			panic(fmt.Sprintf("dir ablation: postmark setup: %v", err))
-		}
-		if _, err := b.Run(p); err != nil { // warm
-			panic(fmt.Sprintf("dir ablation: postmark warm: %v", err))
-		}
-		cl.ServerNIC.TPT.WarmTLB()
-		st0 := client.Stats()
-		res, err := b.Run(p)
-		if err != nil {
-			panic(fmt.Sprintf("dir ablation: postmark run: %v", err))
-		}
+		var st0 core.Stats
+		res := postmarkMeasured(p, "dir ablation", b, cl.Shards[0], func() { st0 = client.Stats() })
 		st1 := client.Stats()
 		tps = res.TxnsPerSec()
 		remote := (st1.ORDMAReads - st0.ORDMAReads) + (st1.RPCReads - st0.RPCReads)
@@ -286,18 +249,7 @@ func ablationWriteRatioPoint(files, txns, readPct int, ordma bool) float64 {
 	var tps float64
 	cl.Go("pm", func(p *sim.Proc) {
 		b := postmark.New(client, cl.Nodes[0].Host, pmCfg)
-		if err := b.Setup(p); err != nil {
-			panic(fmt.Sprintf("write-ratio ablation: postmark setup: %v", err))
-		}
-		if _, err := b.Run(p); err != nil {
-			panic(fmt.Sprintf("write-ratio ablation: postmark warm: %v", err))
-		}
-		cl.ServerNIC.TPT.WarmTLB()
-		res, err := b.Run(p)
-		if err != nil {
-			panic(fmt.Sprintf("write-ratio ablation: postmark run: %v", err))
-		}
-		tps = res.TxnsPerSec()
+		tps = postmarkMeasured(p, "write-ratio ablation", b, cl.Shards[0], func() {}).TxnsPerSec()
 	})
 	cl.Run()
 	return tps
@@ -336,11 +288,12 @@ func ablationSuccessPoint(n int, validFrac float64, ordma bool) float64 {
 	cl := NewCluster(cfg)
 	defer cl.Close()
 	fileSize := int64(n) * 4096
-	f, err := cl.FS.Create("a5", fileSize)
+	srv := cl.Shards[0]
+	f, err := srv.FS.Create("a5", fileSize)
 	if err != nil {
 		panic(fmt.Sprintf("a5: create: %v", err))
 	}
-	cl.ServerCache.Warm(f)
+	srv.Cache.Warm(f)
 	client := cl.CachedClient(0, core.Config{
 		BlockSize:  4096,
 		DataBlocks: 32,
@@ -354,8 +307,8 @@ func ablationSuccessPoint(n int, validFrac float64, ordma bool) float64 {
 			panic(fmt.Sprintf("a5: populate directory: %v", err))
 		}
 		// Invalidate a fraction of the exports server-side.
-		cl.ServerCache.EvictFraction(f, 1-validFrac, sim.NewRand(7))
-		cl.ServerNIC.TPT.WarmTLB()
+		srv.Cache.EvictFraction(f, 1-validFrac, sim.NewRand(7))
+		srv.NIC.TPT.WarmTLB()
 		start := p.Now()
 		var bytes int64
 		for off := int64(0); off < fileSize; off += 4096 {

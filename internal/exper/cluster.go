@@ -1,8 +1,8 @@
 // Package exper is the benchmark harness: one experiment per table and
 // figure of the paper's evaluation (§5), each regenerating the same
 // rows/series the paper reports, plus ablations of the paper's design
-// choices (ablations.go). The cmd/danas-bench binary and the root-level
-// testing.B benchmarks both drive this package.
+// choices (ablations.go). The cmd/danas-bench binary and the bench
+// module's host-cost workloads both drive this package.
 package exper
 
 import (
@@ -174,16 +174,15 @@ type ServerShard struct {
 }
 
 // Cluster is the assembled testbed: one or more server shards plus client
-// machines on a shared switched fabric. The shard-0 components are also
-// exposed under the legacy single-server field names every pre-stripe
-// experiment uses.
+// machines on a shared switched fabric. Single-server experiments reach
+// the one server as Shards[0].
 type Cluster struct {
 	S   *sim.Scheduler
 	P   *host.Params
 	Fab *netsim.Fabric
 
-	// Shards holds every primary server machine; Shards[0] is the legacy
-	// server.
+	// Shards holds every primary server machine; Shards[0] is the
+	// single-server experiments' server.
 	Shards []*ServerShard
 
 	// ReplicaSets holds every copy of every shard:
@@ -191,16 +190,11 @@ type Cluster struct {
 	// shard's replica machines (empty beyond copy 0 when unreplicated).
 	ReplicaSets [][]*ServerShard
 
-	// Legacy single-server aliases (shard 0).
-	ServerHost  *host.Host
-	ServerNIC   *nic.NIC
-	ServerStack *udpip.Stack
-	FS          *fsim.FS
-	Disk        *fsim.Disk
-	ServerCache *fsim.ServerCache
-
-	DAFSServer *dafs.Server
-	NFSServer  *nfs.Server
+	// ServerHost and ServerNIC alias Shards[0].Host and Shards[0].NIC.
+	// No code in this module reads them; they remain only for the bench
+	// module's PostMark workload, which predates Shards.
+	ServerHost *host.Host
+	ServerNIC  *nic.NIC
 
 	Nodes []*ClientNode
 
@@ -298,10 +292,7 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		}
 		c.ReplicaSets = append(c.ReplicaSets, set)
 	}
-	sh0 := c.Shards[0]
-	c.ServerHost, c.ServerNIC, c.ServerStack = sh0.Host, sh0.NIC, sh0.Stack
-	c.FS, c.Disk, c.ServerCache = sh0.FS, sh0.Disk, sh0.Cache
-	c.DAFSServer, c.NFSServer = sh0.DAFS, sh0.NFS
+	c.ServerHost, c.ServerNIC = c.Shards[0].Host, c.Shards[0].NIC
 	for i := 0; i < cfg.Clients; i++ {
 		c.AddClientNode()
 	}
@@ -355,29 +346,16 @@ func (c *Cluster) clientLeaf() int {
 // Close tears down the simulation.
 func (c *Cluster) Close() { c.S.Close() }
 
-// NFSClient mounts an NFS client of the given kind on node i against
-// shard 0.
-func (c *Cluster) NFSClient(i int, kind nfs.Kind) *nfs.Client {
-	return c.NFSClientForShard(i, 0, kind)
-}
-
-// NFSClientForShard mounts an NFS client on node i against the given
-// shard's server.
-func (c *Cluster) NFSClientForShard(i, shard int, kind nfs.Kind) *nfs.Client {
-	c.nextNFSPort++
-	return nfs.NewClient(c.S, c.Nodes[i].Stack, c.nextNFSPort, c.Shards[shard].Stack, kind)
-}
-
 // DAFSClient mounts a raw (uncached) DAFS client on node i against
 // shard 0.
 func (c *Cluster) DAFSClient(i int, mode nic.NotifyMode, tm dafs.TransferMode) *dafs.Client {
-	return dafs.NewClient(c.S, c.Nodes[i].NIC, c.DAFSServer, mode, tm)
+	return dafs.NewClient(c.S, c.Nodes[i].NIC, c.Shards[0].DAFS, mode, tm)
 }
 
 // CachedClient mounts a cached DAFS/ODAFS client on node i against
 // shard 0.
 func (c *Cluster) CachedClient(i int, cfg core.Config) *core.Client {
-	return core.NewClient(c.S, c.Nodes[i].NIC, c.DAFSServer, nic.Poll, cfg)
+	return core.NewClient(c.S, c.Nodes[i].NIC, c.Shards[0].DAFS, nic.Poll, cfg)
 }
 
 // StripedCachedClient mounts a cached DAFS/ODAFS client on node i whose
@@ -399,7 +377,7 @@ func (c *Cluster) StripedNFSClients(i int, kind nfs.Kind) ([]*nfs.Client, nas.Cl
 	ncs := make([]*nfs.Client, len(c.Shards))
 	subs := make([]nas.Client, len(c.Shards))
 	for s := range c.Shards {
-		ncs[s] = c.NFSClientForShard(i, s, kind)
+		ncs[s] = c.NFSClientForCopy(i, s, 0, kind)
 		subs[s] = ncs[s]
 	}
 	if len(c.Shards) == 1 {
@@ -422,9 +400,9 @@ func (c *Cluster) StripedDAFSClient(i int, mode nic.NotifyMode, tm dafs.Transfer
 	return stripe.NewClient(c.Layout(), subs)
 }
 
-// NFSClientForCopy mounts an NFS client on node i against one copy of a
-// shard's replica set (copy 0 = the primary, identical to
-// NFSClientForShard).
+// NFSClientForCopy mounts an NFS client of the given kind on node i
+// against one copy of a shard's replica set (copy 0 = the primary) — the
+// one NFS client constructor.
 func (c *Cluster) NFSClientForCopy(i, shard, copy int, kind nfs.Kind) *nfs.Client {
 	c.nextNFSPort++
 	return nfs.NewClient(c.S, c.Nodes[i].Stack, c.nextNFSPort, c.ReplicaSets[shard][copy].Stack, kind)
@@ -745,13 +723,14 @@ func (c *Cluster) Run() {
 // Go spawns a root process.
 func (c *Cluster) Go(name string, fn func(p *sim.Proc)) { c.S.Go(name, fn) }
 
-// clientFor builds the requested nas.Client by system name on node i.
-// Recognized names match the paper's figure legends.
+// clientFor builds the Figure 3–5 client by legend name on node i: the
+// NFS variants through Mount, and DAFS as the paper's raw DAFS client,
+// with no client cache in front of it.
 func (c *Cluster) clientFor(system string, i int) nas.Client {
 	if system == "DAFS" {
 		return c.DAFSClient(i, nic.Poll, dafs.Direct)
 	}
-	return c.NFSClient(i, nfsKindOf(system))
+	return c.Mount(system, i, core.Config{}).Client
 }
 
 // nfsKindOf maps an NFS-variant legend name to its client kind.
@@ -768,5 +747,5 @@ func nfsKindOf(system string) nfs.Kind {
 	}
 }
 
-// Systems lists the Figure 3/4/5 legend order.
-var Systems = []string{"NFS", "NFS pre-posting", "NFS hybrid", "DAFS"}
+// Systems lists the Figure 3/4/5 legend order: every protocol but ODAFS.
+var Systems = ScalingSystems[:4:4]

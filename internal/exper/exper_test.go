@@ -99,7 +99,7 @@ func TestFig3Claims(t *testing.T) {
 }
 
 func TestFig6Claims(t *testing.T) {
-	tbl := Fig6(Scale(0.08))
+	tbl, _ := Fig6(Scale(0.08))
 	for _, ratio := range Fig6HitRatios {
 		o, _ := tbl.Get(float64(ratio), "ODAFS")
 		d, _ := tbl.Get(float64(ratio), "DAFS")

@@ -81,8 +81,8 @@ func TestStripedClientRetriesOnlyDeadShardSpans(t *testing.T) {
 	defer cl.Close()
 	const unit = 16 * 1024 // = default ServerCacheBlockSize = stripe unit
 	cl.CreateWarmFile("f", 4*unit)
-	nc0 := cl.NFSClientForShard(0, 0, nfs.Standard)
-	nc1 := cl.NFSClientForShard(0, 1, nfs.Standard)
+	nc0 := cl.NFSClientForCopy(0, 0, 0, nfs.Standard)
+	nc1 := cl.NFSClientForCopy(0, 1, 0, nfs.Standard)
 	nc0.SetRetry(sim.Millisecond, 10)
 	nc1.SetRetry(sim.Millisecond, 10)
 	sc := stripe.NewClient(cl.Layout(), []nas.Client{nc0, nc1})
@@ -121,7 +121,7 @@ func TestCrashWithoutRestartFailsTyped(t *testing.T) {
 	cl := NewCluster(cfg)
 	defer cl.Close()
 	cl.CreateWarmFile("f", 64*1024)
-	nc := cl.NFSClient(0, nfs.Standard)
+	nc := cl.NFSClientForCopy(0, 0, 0, nfs.Standard)
 	nc.SetRetry(sim.Millisecond, 2)
 	var err error
 	done := false

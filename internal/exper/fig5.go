@@ -58,16 +58,16 @@ func fig5Point(system string, records int, copyPerRecord int64) float64 {
 	cl := NewCluster(cfg)
 	defer cl.Close()
 	client := cl.clientFor(system, 0)
-	node := cl.Nodes[0]
+	node, srv := cl.Nodes[0], cl.Shards[0]
 
 	var mbps float64
 	cl.Go("dbapp", func(p *sim.Proc) {
 		// Build phase (not measured): outer key table + inner records.
-		outer, err := bdb.Create(p, client, cl.FS, node.Host, "outer.db", 1<<20)
+		outer, err := bdb.Create(p, client, srv.FS, node.Host, "outer.db", 1<<20)
 		if err != nil {
 			panic(fmt.Sprintf("fig5 build outer: %v", err))
 		}
-		inner, err := bdb.Create(p, client, cl.FS, node.Host, "inner.db", 32<<20)
+		inner, err := bdb.Create(p, client, srv.FS, node.Host, "inner.db", 32<<20)
 		if err != nil {
 			panic(fmt.Sprintf("fig5 build inner: %v", err))
 		}
@@ -92,13 +92,13 @@ func fig5Point(system string, records int, copyPerRecord int64) float64 {
 		// Server cache is warm from the writes; re-warm explicitly and
 		// open fresh handles with a cold db cache sized well below the
 		// record set so records stream from the server.
-		f, _ := cl.FS.Lookup("inner.db")
-		cl.ServerCache.Warm(f)
-		outer2, err := bdb.Open(p, client, cl.FS, node.Host, "outer.db", 1<<20)
+		f, _ := srv.FS.Lookup("inner.db")
+		srv.Cache.Warm(f)
+		outer2, err := bdb.Open(p, client, srv.FS, node.Host, "outer.db", 1<<20)
 		if err != nil {
 			panic(fmt.Sprintf("fig5: open outer: %v", err))
 		}
-		inner2, err := bdb.Open(p, client, cl.FS, node.Host, "inner.db", 4<<20)
+		inner2, err := bdb.Open(p, client, srv.FS, node.Host, "inner.db", 4<<20)
 		if err != nil {
 			panic(fmt.Sprintf("fig5: open inner: %v", err))
 		}

@@ -20,16 +20,12 @@ var Fig6HitRatios = []int{25, 50, 75}
 // Paper shape: ODAFS yields ~34% higher transaction throughput than DAFS
 // at every hit ratio, and its server CPU use falls to zero once the
 // directory maps the server cache.
-func Fig6(scale Scale) *metrics.Table {
-	t, _ := Fig6All(scale)
-	return t
-}
-
-// Fig6All runs the Figure 6 sweep once and returns both the transaction
-// throughput table and its server-CPU companion — the companion series
-// the paper quotes in prose (DAFS 30/25/20% falling; ODAFS ~0 once the
-// directory is populated). Each cell computes both quantities.
-func Fig6All(scale Scale) (txns, cpu *metrics.Table) {
+//
+// Fig6 returns the transaction throughput table and its server-CPU
+// companion — the series the paper quotes in prose (DAFS 30/25/20%
+// falling; ODAFS ~0 once the directory is populated). Each cell computes
+// both quantities.
+func Fig6(scale Scale) (txns, cpu *metrics.Table) {
 	txns = metrics.NewTable("Figure 6: PostMark read-only transaction throughput",
 		"hit ratio %", "txns/s", "DAFS", "ODAFS")
 	cpu = metrics.NewTable("Figure 6 companion: server CPU utilization",
@@ -94,27 +90,35 @@ func fig6Point(files, txns, hitPercent int, ordma bool) (float64, float64) {
 	pmCfg.Files = files
 	pmCfg.Transactions = txns
 
+	srv := cl.Shards[0]
 	var tps, util float64
 	cl.Go("postmark", func(p *sim.Proc) {
 		b := postmark.New(client, cl.Nodes[0].Host, pmCfg)
-		if err := b.Setup(p); err != nil {
-			panic(fmt.Sprintf("fig6: postmark setup: %v", err))
-		}
-		// Warm pass: fills the client cache to its steady state and — for
-		// ODAFS — collects references for every file accessed at least
-		// once (§5.2: "after the client has accessed each file").
-		if _, err := b.Run(p); err != nil {
-			panic(fmt.Sprintf("fig6: postmark warm: %v", err))
-		}
-		cl.ServerNIC.TPT.WarmTLB()
-		cl.ServerHost.CPU.MarkEpoch()
-		res, err := b.Run(p)
-		if err != nil {
-			panic(fmt.Sprintf("fig6: postmark run: %v", err))
-		}
-		tps = res.TxnsPerSec()
-		util = cl.ServerHost.CPU.Utilization()
+		tps = postmarkMeasured(p, "fig6", b, srv, srv.Host.CPU.MarkEpoch).TxnsPerSec()
+		util = srv.Host.CPU.Utilization()
 	})
 	cl.Run()
 	return tps, util
+}
+
+// postmarkMeasured runs the measured PostMark protocol of Figure 6 and
+// ablations A3 and A6: set up the file set, run one warm pass — which
+// fills the client cache to its steady state and, for ODAFS, collects
+// references for every file accessed at least once (§5.2: "after the
+// client has accessed each file") — warm srv's NIC TLB, call mark, and
+// return the measured pass. tag prefixes its panics.
+func postmarkMeasured(p *sim.Proc, tag string, b *postmark.Bench, srv *ServerShard, mark func()) postmark.Result {
+	if err := b.Setup(p); err != nil {
+		panic(fmt.Sprintf("%s: postmark setup: %v", tag, err))
+	}
+	if _, err := b.Run(p); err != nil {
+		panic(fmt.Sprintf("%s: postmark warm: %v", tag, err))
+	}
+	srv.NIC.TPT.WarmTLB()
+	mark()
+	res, err := b.Run(p)
+	if err != nil {
+		panic(fmt.Sprintf("%s: postmark run: %v", tag, err))
+	}
+	return res
 }

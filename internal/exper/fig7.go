@@ -71,8 +71,9 @@ func fig7Point(fileSize, block int64, ordma, serverPoll bool) float64 {
 	}
 	cl := NewCluster(cfg)
 	defer cl.Close()
+	srv := cl.Shards[0]
 	if serverPoll {
-		cl.DAFSServer.Mode = nic.Poll
+		srv.DAFS.Mode = nic.Poll
 	}
 	cl.CreateWarmFile("big", fileSize)
 
@@ -107,8 +108,8 @@ func fig7Point(fileSize, block int64, ordma, serverPoll bool) float64 {
 			return err
 		},
 		AtBarrier: func() {
-			cl.ServerNIC.TPT.WarmTLB()
-			cl.ServerNIC.Port().MarkEpoch()
+			srv.NIC.TPT.WarmTLB()
+			srv.NIC.Port().MarkEpoch()
 		},
 		// Pass 2: both clients stream together; aggregate is measured.
 		Measured: func(p *sim.Proc, i int) (workload.StreamResult, error) {

@@ -248,7 +248,7 @@ func TestLazyFailoverSessionRetryArmed(t *testing.T) {
 // path.
 func TestCommitStormSharedTracker(t *testing.T) {
 	cl := replCluster(t, 0)
-	nc := cl.NFSClient(0, nfs.Standard)
+	nc := cl.NFSClientForCopy(0, 0, 0, nfs.Standard)
 	nc.SetRetry(FailRTO, FailRetries)
 	ac := nas.NewAsync(nc, 8)
 	var res *workload.ReplayResult

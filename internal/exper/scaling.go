@@ -23,22 +23,6 @@ const scalingBlock = 16 * 1024
 // §5.2); the RDDP systems saturate the link at 64 KB in Figure 3.
 const scalingAppBlock = 64 * 1024
 
-// ScalingRow is one (system, client count) cell of the scale-out sweep.
-type ScalingRow struct {
-	System  string
-	Clients int
-	// AggMBps is aggregate server throughput over the measured pass
-	// (barrier to last client completion).
-	AggMBps float64
-	// RespMicros is the mean per-read response time across all clients.
-	RespMicros float64
-	// ServerCPUPct is server CPU utilization over the measured pass.
-	ServerCPUPct float64
-	// ServerLinkPct is the server uplink (server-to-client direction)
-	// utilization over the measured pass.
-	ServerLinkPct float64
-}
-
 // Scaling runs the "Figure 8"-style multi-client scale-out experiment the
 // paper stops short of (§5.2 ends at two clients): every protocol serves
 // a growing client workgroup, all clients streaming a file warm in the
@@ -46,20 +30,27 @@ type ScalingRow struct {
 // clients. Reported per cell: aggregate throughput, mean per-op response
 // time, and server CPU and link utilization — the axes along which one
 // server saturates as the workgroup grows.
-func Scaling(scale Scale) []ScalingRow {
+//
+// Each cell is the one-shard grid cell, run in lockstep (no stagger —
+// the original Figure 8 methodology): n clients each stream the shared
+// warm file once to warm caches (and, for ODAFS, the reference
+// directory), rendezvous, then stream it again together while the one
+// server is measured.
+func Scaling(scale Scale) []GridRow {
 	fileSize := scale.bytes(8 << 20)
 	g := RunGrid(len(ScalingClientCounts), len(ScalingSystems),
 		func(ci, si int) string {
 			return fmt.Sprintf("scaling/%dclients/%s", ScalingClientCounts[ci], ScalingSystems[si])
 		},
-		func(ci, si int) ScalingRow {
-			return scalingPoint(ScalingSystems[si], ScalingClientCounts[ci], fileSize)
+		func(ci, si int) GridRow {
+			return scalingCell(ScalingSystems[si], ScalingClientCounts[ci], 1, fileSize, false)
 		})
 	return g.Flat()
 }
 
 // ScalingTables renders the sweep as one table per measured quantity.
-func ScalingTables(rows []ScalingRow) (thr, resp, cpu, link *metrics.Table) {
+// Utilization columns read the one shard, Shards[0].
+func ScalingTables(rows []GridRow) (thr, resp, cpu, link *metrics.Table) {
 	thr = metrics.NewTable("Figure 8: aggregate server throughput vs client count",
 		"clients", "MB/s", ScalingSystems...)
 	resp = metrics.NewTable("Figure 8 companion: mean per-read response time",
@@ -72,25 +63,8 @@ func ScalingTables(rows []ScalingRow) (thr, resp, cpu, link *metrics.Table) {
 		x := float64(r.Clients)
 		thr.Set(x, r.System, r.AggMBps)
 		resp.Set(x, r.System, r.RespMicros)
-		cpu.Set(x, r.System, r.ServerCPUPct)
-		link.Set(x, r.System, r.ServerLinkPct)
+		cpu.Set(x, r.System, r.ShardCPUPct[0])
+		link.Set(x, r.System, r.ShardLinkPct[0])
 	}
 	return thr, resp, cpu, link
-}
-
-// scalingPoint runs one cell: n clients each stream the shared warm file
-// once to warm caches (and, for ODAFS, the reference directory),
-// rendezvous, then stream it again together (in lockstep, no stagger —
-// the original Figure 8 methodology) while the one server is measured.
-// It is the single-server projection of the grid's scalingCell.
-func scalingPoint(system string, clients int, fileSize int64) ScalingRow {
-	row := scalingCell(system, clients, 1, fileSize, false)
-	return ScalingRow{
-		System:        row.System,
-		Clients:       row.Clients,
-		AggMBps:       row.AggMBps,
-		RespMicros:    row.RespMicros,
-		ServerCPUPct:  row.ShardCPUPct[0],
-		ServerLinkPct: row.ShardLinkPct[0],
-	}
 }

@@ -10,17 +10,17 @@ import "testing"
 func TestScalingODAFSAtLeastDAFS(t *testing.T) {
 	fileSize := Scale(0.08).bytes(8 << 20)
 	for _, n := range ScalingClientCounts {
-		d := scalingPoint("DAFS", n, fileSize)
-		o := scalingPoint("ODAFS", n, fileSize)
+		d := scalingCell("DAFS", n, 1, fileSize, false)
+		o := scalingCell("ODAFS", n, 1, fileSize, false)
 		if o.AggMBps < d.AggMBps*0.999 {
 			t.Errorf("%d clients: ODAFS %.1f MB/s < DAFS %.1f MB/s", n, o.AggMBps, d.AggMBps)
 		}
 		// ODAFS's defining property: the measured pass is all
 		// client-initiated RDMA, so the server CPU stays out of the
 		// data path entirely while DAFS keeps burning cycles per block.
-		if o.ServerCPUPct >= d.ServerCPUPct {
+		if o.ShardCPUPct[0] >= d.ShardCPUPct[0] {
 			t.Errorf("%d clients: ODAFS server CPU %.1f%% not below DAFS %.1f%%",
-				n, o.ServerCPUPct, d.ServerCPUPct)
+				n, o.ShardCPUPct[0], d.ShardCPUPct[0])
 		}
 	}
 }
@@ -37,7 +37,7 @@ func TestScalingSweepShape(t *testing.T) {
 		for _, sys := range ScalingSystems {
 			r := rows[i]
 			i++
-			if r.System != sys || r.Clients != n {
+			if r.System != sys || r.Clients != n || r.Shards != 1 {
 				t.Fatalf("row %d = %s/%d, want %s/%d (deterministic ordering broken)",
 					i-1, r.System, r.Clients, sys, n)
 			}
@@ -47,11 +47,15 @@ func TestScalingSweepShape(t *testing.T) {
 			if r.RespMicros <= 0 {
 				t.Errorf("%s/%d: response time %.2f, want > 0", sys, n, r.RespMicros)
 			}
-			if r.ServerCPUPct < 0 || r.ServerCPUPct > 110 {
-				t.Errorf("%s/%d: server CPU %.2f%% out of range", sys, n, r.ServerCPUPct)
+			if len(r.ShardCPUPct) != 1 || len(r.ShardLinkPct) != 1 {
+				t.Fatalf("%s/%d: per-shard series lengths %d/%d, want 1",
+					sys, n, len(r.ShardCPUPct), len(r.ShardLinkPct))
 			}
-			if r.ServerLinkPct < 0 || r.ServerLinkPct > 110 {
-				t.Errorf("%s/%d: server link %.2f%% out of range", sys, n, r.ServerLinkPct)
+			if v := r.ShardCPUPct[0]; v < 0 || v > 110 {
+				t.Errorf("%s/%d: server CPU %.2f%% out of range", sys, n, v)
+			}
+			if v := r.ShardLinkPct[0]; v < 0 || v > 110 {
+				t.Errorf("%s/%d: server link %.2f%% out of range", sys, n, v)
 			}
 		}
 	}

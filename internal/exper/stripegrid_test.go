@@ -2,8 +2,13 @@ package exper
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
+
+// tinyGrid is ScalingGrid(tiny), run once and shared by the tests that
+// read the full grid; none of them modifies the rows.
+var tinyGrid = sync.OnceValue(func() []GridRow { return ScalingGrid(tiny) })
 
 // TestScalingGridODAFSAtLeastDAFS is the acceptance headline of the
 // sharded grid: at every (clients, shards) cell ODAFS aggregate
@@ -11,7 +16,7 @@ import (
 // the bottleneck, tying once both are link-bound), and ODAFS keeps every
 // shard's CPU out of the data path.
 func TestScalingGridODAFSAtLeastDAFS(t *testing.T) {
-	rows := ScalingGrid(tiny)
+	rows := tinyGrid()
 	cell := map[[2]int]map[string]GridRow{}
 	for _, r := range rows {
 		k := [2]int{r.Clients, r.Shards}
@@ -40,7 +45,7 @@ func TestScalingGridODAFSAtLeastDAFS(t *testing.T) {
 // deterministic row order, sane measurements, and that every cell
 // reports per-shard utilization for exactly its shard count.
 func TestScalingGridShape(t *testing.T) {
-	rows := ScalingGrid(tiny)
+	rows := tinyGrid()
 	want := len(GridClientCounts) * len(GridShardCounts) * len(ScalingSystems)
 	if len(rows) != want {
 		t.Fatalf("got %d rows, want %d", len(rows), want)

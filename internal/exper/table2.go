@@ -62,174 +62,155 @@ func Table2AsTable(rows []Table2Row) *metrics.Table {
 	return t
 }
 
-// gmRTT measures a one-byte ping-pong over raw GM messaging with polling,
-// the gm_allsize-equivalent.
-func gmRTT() float64 {
-	cl := NewCluster(ClusterConfig{Clients: 1, ServerCacheBlockSize: 4096, ServerCacheBlocks: 16})
+// baselineCluster is the Table 2 testbed: one client and one server
+// with a token file cache, since no measurement touches a file.
+func baselineCluster() *Cluster {
+	return NewCluster(ClusterConfig{Clients: 1, ServerCacheBlockSize: 4096, ServerCacheBlocks: 16})
+}
+
+// pingRounds is the number of round trips each RTT averages over.
+const pingRounds = 64
+
+// pingPong runs pingRounds round trips — ping on the client, echo on the
+// server — and returns the mean round-trip time in microseconds. It
+// closes cl.
+func pingPong(cl *Cluster, echo, ping func(p *sim.Proc)) float64 {
 	defer cl.Close()
-	a := cl.Nodes[0].NIC
-	b := cl.ServerNIC
-	epA := a.NewEndpoint(77, nic.Poll)
-	epB := b.NewEndpoint(77, nic.Poll)
-	const rounds = 64
 	var rtt sim.Duration
 	cl.Go("echo", func(p *sim.Proc) {
-		for i := 0; i < rounds; i++ {
-			epB.Recv(p)
-			b.Send(p, &nic.Message{To: a, Port: 77, HeaderBytes: 1})
+		for i := 0; i < pingRounds; i++ {
+			echo(p)
 		}
 	})
 	cl.Go("ping", func(p *sim.Proc) {
 		start := p.Now()
-		for i := 0; i < rounds; i++ {
-			a.Send(p, &nic.Message{To: b, Port: 77, HeaderBytes: 1})
-			epA.Recv(p)
+		for i := 0; i < pingRounds; i++ {
+			ping(p)
 		}
-		rtt = p.Now().Sub(start) / rounds
+		rtt = p.Now().Sub(start) / pingRounds
 	})
 	cl.Run()
 	return rtt.Micros()
+}
+
+// streamBW streams count messages from source to sink, which returns the
+// payload bytes each receive delivered, and returns the bandwidth in MB/s
+// up to the last receive. It closes cl.
+func streamBW(cl *Cluster, count int, sink func(p *sim.Proc) int64, source func(p *sim.Proc)) float64 {
+	defer cl.Close()
+	var got int64
+	var done sim.Time
+	cl.Go("sink", func(p *sim.Proc) {
+		for i := 0; i < count; i++ {
+			got += sink(p)
+			done = p.Now()
+		}
+	})
+	cl.Go("source", func(p *sim.Proc) {
+		for i := 0; i < count; i++ {
+			source(p)
+		}
+	})
+	cl.Run()
+	return float64(got) / 1e6 / sim.Duration(done).Seconds()
+}
+
+// bigMsgBytes is the large-message size of the GM and VI bandwidth runs.
+const bigMsgBytes = 512 * 1024
+
+// bigMsgCount is how many large messages the GM and VI bandwidth runs
+// stream at the given scale.
+func bigMsgCount(scale Scale) int {
+	return max(int(scale.bytes(64<<20)/bigMsgBytes), 4)
+}
+
+// gmRTT measures a one-byte ping-pong over raw GM messaging with polling,
+// the gm_allsize-equivalent.
+func gmRTT() float64 {
+	cl := baselineCluster()
+	a, b := cl.Nodes[0].NIC, cl.Shards[0].NIC
+	epA := a.NewEndpoint(77, nic.Poll)
+	epB := b.NewEndpoint(77, nic.Poll)
+	return pingPong(cl, func(p *sim.Proc) {
+		epB.Recv(p)
+		b.Send(p, &nic.Message{To: a, Port: 77, HeaderBytes: 1})
+	}, func(p *sim.Proc) {
+		a.Send(p, &nic.Message{To: b, Port: 77, HeaderBytes: 1})
+		epA.Recv(p)
+	})
 }
 
 // gmBW measures streaming GM bandwidth with large messages.
 func gmBW(scale Scale) float64 {
-	cl := NewCluster(ClusterConfig{Clients: 1, ServerCacheBlockSize: 4096, ServerCacheBlocks: 16})
-	defer cl.Close()
-	a := cl.Nodes[0].NIC
-	b := cl.ServerNIC
+	cl := baselineCluster()
+	a, b := cl.Nodes[0].NIC, cl.Shards[0].NIC
 	ep := b.NewEndpoint(78, nic.Poll)
-	const msgBytes = 512 * 1024
-	count := int(scale.bytes(64<<20) / msgBytes)
-	if count < 4 {
-		count = 4
-	}
-	var got int64
-	var done sim.Time
-	cl.Go("sink", func(p *sim.Proc) {
-		for i := 0; i < count; i++ {
-			m := ep.Recv(p)
-			got += m.PayloadBytes
-			done = p.Now()
-		}
+	return streamBW(cl, bigMsgCount(scale), func(p *sim.Proc) int64 {
+		return ep.Recv(p).PayloadBytes
+	}, func(p *sim.Proc) {
+		a.Send(p, &nic.Message{To: b, Port: 78, HeaderBytes: 16, PayloadBytes: bigMsgBytes})
 	})
-	cl.Go("source", func(p *sim.Proc) {
-		for i := 0; i < count; i++ {
-			a.Send(p, &nic.Message{To: b, Port: 78, HeaderBytes: 16, PayloadBytes: msgBytes})
-		}
-	})
-	cl.Run()
-	return float64(got) / 1e6 / sim.Duration(done).Seconds()
+}
+
+// viConnect builds the baseline testbed and connects one VI between its
+// client and server in the given completion mode.
+func viConnect(mode nic.NotifyMode) (*Cluster, *vi.QP, *vi.QP) {
+	cl := baselineCluster()
+	a, b := cl.Nodes[0].NIC, cl.Shards[0].NIC
+	qa, qb := vi.Connect(a, b, a.AllocPort(), b.AllocPort(), mode, mode)
+	return cl, qa, qb
 }
 
 // viRTT measures the VI ping-pong in the given completion mode.
 func viRTT(mode nic.NotifyMode) float64 {
-	cl := NewCluster(ClusterConfig{Clients: 1, ServerCacheBlockSize: 4096, ServerCacheBlocks: 16})
-	defer cl.Close()
-	qa, qb := vi.Connect(cl.Nodes[0].NIC, cl.ServerNIC,
-		cl.Nodes[0].NIC.AllocPort(), cl.ServerNIC.AllocPort(), mode, mode)
-	const rounds = 64
-	var rtt sim.Duration
-	cl.Go("echo", func(p *sim.Proc) {
-		for i := 0; i < rounds; i++ {
-			qb.Recv(p)
-			qb.Send(p, &vi.Msg{HeaderBytes: 1})
-		}
+	cl, qa, qb := viConnect(mode)
+	return pingPong(cl, func(p *sim.Proc) {
+		qb.Recv(p)
+		qb.Send(p, &vi.Msg{HeaderBytes: 1})
+	}, func(p *sim.Proc) {
+		qa.Send(p, &vi.Msg{HeaderBytes: 1})
+		qa.Recv(p)
 	})
-	cl.Go("ping", func(p *sim.Proc) {
-		start := p.Now()
-		for i := 0; i < rounds; i++ {
-			qa.Send(p, &vi.Msg{HeaderBytes: 1})
-			qa.Recv(p)
-		}
-		rtt = p.Now().Sub(start) / rounds
-	})
-	cl.Run()
-	return rtt.Micros()
 }
 
 // viBW measures VI streaming bandwidth (polling).
 func viBW(scale Scale) float64 {
-	cl := NewCluster(ClusterConfig{Clients: 1, ServerCacheBlockSize: 4096, ServerCacheBlocks: 16})
-	defer cl.Close()
-	qa, qb := vi.Connect(cl.Nodes[0].NIC, cl.ServerNIC,
-		cl.Nodes[0].NIC.AllocPort(), cl.ServerNIC.AllocPort(), nic.Poll, nic.Poll)
-	const msgBytes = 512 * 1024
-	count := int(scale.bytes(64<<20) / msgBytes)
-	if count < 4 {
-		count = 4
-	}
-	var got int64
-	var done sim.Time
-	cl.Go("sink", func(p *sim.Proc) {
-		for i := 0; i < count; i++ {
-			m := qb.Recv(p)
-			got += m.PayloadBytes
-			done = p.Now()
-		}
+	cl, qa, qb := viConnect(nic.Poll)
+	return streamBW(cl, bigMsgCount(scale), func(p *sim.Proc) int64 {
+		return qb.Recv(p).PayloadBytes
+	}, func(p *sim.Proc) {
+		qa.Send(p, &vi.Msg{HeaderBytes: 16, PayloadBytes: bigMsgBytes})
 	})
-	cl.Go("source", func(p *sim.Proc) {
-		for i := 0; i < count; i++ {
-			qa.Send(p, &vi.Msg{HeaderBytes: 16, PayloadBytes: msgBytes})
-		}
-	})
-	cl.Run()
-	return float64(got) / 1e6 / sim.Duration(done).Seconds()
 }
 
 // udpRTT measures the one-byte UDP/Ethernet ping-pong (netperf-style).
 func udpRTT() float64 {
-	cl := NewCluster(ClusterConfig{Clients: 1, ServerCacheBlockSize: 4096, ServerCacheBlocks: 16})
-	defer cl.Close()
+	cl := baselineCluster()
+	srv := cl.Shards[0].Stack
 	a := cl.Nodes[0].Stack.Socket(5001)
-	b := cl.ServerStack.Socket(5001)
-	const rounds = 64
-	var rtt sim.Duration
-	cl.Go("echo", func(p *sim.Proc) {
-		for i := 0; i < rounds; i++ {
-			d := b.Recv(p)
-			b.SendTo(p, d.From, d.FromPort, 1, nil, 1, 0)
-		}
+	b := srv.Socket(5001)
+	return pingPong(cl, func(p *sim.Proc) {
+		d := b.Recv(p)
+		b.SendTo(p, d.From, d.FromPort, 1, nil, 1, 0)
+	}, func(p *sim.Proc) {
+		a.SendTo(p, srv, 5001, 1, nil, 1, 0)
+		a.Recv(p)
 	})
-	cl.Go("ping", func(p *sim.Proc) {
-		start := p.Now()
-		for i := 0; i < rounds; i++ {
-			a.SendTo(p, cl.ServerStack, 5001, 1, nil, 1, 0)
-			a.Recv(p)
-		}
-		rtt = p.Now().Sub(start) / rounds
-	})
-	cl.Run()
-	return rtt.Micros()
 }
 
 // udpBW measures UDP streaming receive throughput with MTU-sized
 // datagrams, copies on both sides — the netperf UDP_STREAM equivalent.
 func udpBW(scale Scale) float64 {
-	cl := NewCluster(ClusterConfig{Clients: 1, ServerCacheBlockSize: 4096, ServerCacheBlocks: 16})
-	defer cl.Close()
+	cl := baselineCluster()
+	srv := cl.Shards[0]
 	a := cl.Nodes[0].Stack.Socket(5002)
-	b := cl.ServerStack.Socket(5002)
+	b := srv.Stack.Socket(5002)
 	msg := int64(cl.P.EtherMTU - 46)
-	count := int(scale.bytes(32<<20) / msg)
-	if count < 16 {
-		count = 16
-	}
-	var got int64
-	var done sim.Time
-	cl.Go("sink", func(p *sim.Proc) {
-		h := cl.ServerHost
-		for i := 0; i < count; i++ {
-			d := b.Recv(p)
-			h.Copy(p, d.Bytes) // socket buffer -> application buffer
-			got += d.Bytes
-			done = p.Now()
-		}
+	return streamBW(cl, max(int(scale.bytes(32<<20)/msg), 16), func(p *sim.Proc) int64 {
+		d := b.Recv(p)
+		srv.Host.Copy(p, d.Bytes) // socket buffer -> application buffer
+		return d.Bytes
+	}, func(p *sim.Proc) {
+		a.SendTo(p, srv.Stack, 5002, msg, nil, msg, 0)
 	})
-	cl.Go("source", func(p *sim.Proc) {
-		for i := 0; i < count; i++ {
-			a.SendTo(p, cl.ServerStack, 5002, msg, nil, msg, 0)
-		}
-	})
-	cl.Run()
-	return float64(got) / 1e6 / sim.Duration(done).Seconds()
 }

@@ -7,6 +7,7 @@ import (
 	"danas/internal/core"
 	"danas/internal/dafs"
 	"danas/internal/metrics"
+	"danas/internal/nas"
 	"danas/internal/nic"
 	"danas/internal/sim"
 )
@@ -81,23 +82,9 @@ func rawLatency(n int, mechanism string) float64 {
 		if mechanism == "ordma" {
 			// First pass over RPC collects the remote memory references;
 			// the measured pass issues client-initiated gets only.
-			refs := make([]*cache.RemoteRef, 0, n)
-			for off := int64(0); off < fileSize; off += 4096 {
-				_, ref, err := client.ReadInline(p, h, off, 4096)
-				if err != nil || ref == nil {
-					panic("table3: reference collection failed")
-				}
-				refs = append(refs, ref)
-			}
-			cl.ServerNIC.TPT.WarmTLB()
-			for _, ref := range refs {
-				start := p.Now()
-				res := client.QP().RDMA(p, nic.Get, ref.VA, 4096, ref.Cap)
-				if !res.OK() {
-					panic("table3: unexpected ORDMA fault")
-				}
-				hist.Observe(p.Now().Sub(start))
-			}
+			refs := collectRefs(p, client, h, n)
+			cl.Shards[0].NIC.TPT.WarmTLB()
+			ordmaGets(p, client, refs, &hist)
 			return
 		}
 		// First pass warms protocol state; second pass is measured.
@@ -147,7 +134,7 @@ func cachedLatency(n int, mechanism string) float64 {
 		}
 		for pass := 0; pass < 2; pass++ {
 			if pass == 1 {
-				cl.ServerNIC.TPT.WarmTLB()
+				cl.Shards[0].NIC.TPT.WarmTLB()
 			}
 			for off := int64(0); off < fileSize; off += 4096 {
 				start := p.Now()
@@ -162,4 +149,30 @@ func cachedLatency(n int, mechanism string) float64 {
 	})
 	cl.Run()
 	return hist.Mean().Micros()
+}
+
+// collectRefs reads the file's first n 4 KB blocks in-line over RPC and
+// returns the server memory reference piggybacked on each reply.
+func collectRefs(p *sim.Proc, client *dafs.Client, h *nas.Handle, n int) []*cache.RemoteRef {
+	refs := make([]*cache.RemoteRef, 0, n)
+	for off := int64(0); off < int64(n)*4096; off += 4096 {
+		_, ref, err := client.ReadInline(p, h, off, 4096)
+		if err != nil || ref == nil {
+			panic("exper: ORDMA reference collection failed")
+		}
+		refs = append(refs, ref)
+	}
+	return refs
+}
+
+// ordmaGets issues one client-initiated 4 KB get per reference, observing
+// each get's latency into hist.
+func ordmaGets(p *sim.Proc, client *dafs.Client, refs []*cache.RemoteRef, hist *metrics.Hist) {
+	for _, ref := range refs {
+		start := p.Now()
+		if res := client.QP().RDMA(p, nic.Get, ref.VA, 4096, ref.Cap); !res.OK() {
+			panic("exper: unexpected ORDMA fault")
+		}
+		hist.Observe(p.Now().Sub(start))
+	}
 }

@@ -36,7 +36,7 @@ func TestCrashLosesUncommittedWritesAndClientRewrites(t *testing.T) {
 	// High water marks keep the writes unstable (no throttle, no
 	// destage) until the crash hits.
 	cl := wbCluster(t, wb.Config{HighWater: 1024, LowWater: 512, MaxBatch: 8})
-	nc := cl.NFSClient(0, nfs.Standard)
+	nc := cl.NFSClientForCopy(0, 0, 0, nfs.Standard)
 	cl.Go("app", func(p *sim.Proc) {
 		h, err := nc.Open(p, "data")
 		if err != nil {

@@ -23,6 +23,7 @@ package scenario
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -142,7 +143,7 @@ func parseInt(dir, key, val string) (int, error) {
 
 func parseFloat(dir, key, val string) (float64, error) {
 	v, err := strconv.ParseFloat(val, 64)
-	if err != nil {
+	if err != nil || math.IsNaN(v) {
 		return 0, fmt.Errorf("%s: %w %s %q (need a number)", dir, ErrBadValue, key, val)
 	}
 	return v, nil
@@ -355,9 +356,9 @@ func parseWorkload(spec *Spec, toks []string) error {
 		case "commitevery":
 			w.CommitEvery, err = parseInt("workload", k, v)
 		case "seed":
-			var n int
-			n, err = parseInt("workload", k, v)
-			w.Seed = uint64(n)
+			if w.Seed, err = strconv.ParseUint(v, 10, 64); err != nil {
+				err = fmt.Errorf("workload: %w seed %q (need a non-negative integer)", ErrBadValue, v)
+			}
 		default:
 			return fmt.Errorf("workload: %w key %q (valid: commitevery files filesize filezipf iosize offzipf ops rate readfrac seed)", ErrUnknown, k)
 		}
@@ -453,9 +454,9 @@ func parseAssert(spec *Spec, toks []string) error {
 	}
 	switch {
 	case sh.valued && len(toks) == 2:
-		v, err := strconv.ParseFloat(toks[1], 64)
+		v, err := parseFloat("assert "+a.Kind, "threshold", toks[1])
 		if err != nil {
-			return fmt.Errorf("assert %s: %w threshold %q", a.Kind, ErrBadValue, toks[1])
+			return err
 		}
 		a.Value = v
 	case sh.valued:

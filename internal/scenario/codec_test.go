@@ -14,7 +14,7 @@ import (
 const exampleDir = "../../examples/scenarios"
 
 // examples reads the checked-in scenario files, keyed by basename.
-func examples(t *testing.T) map[string]string {
+func examples(t testing.TB) map[string]string {
 	t.Helper()
 	paths, err := filepath.Glob(filepath.Join(exampleDir, "*.scenario"))
 	if err != nil {
@@ -144,4 +144,40 @@ func TestParseErrors(t *testing.T) {
 			t.Errorf("%s: error is %T, want *ParseError", c.name, err)
 		}
 	}
+}
+
+// FuzzParse checks the codec's round-trip contract on arbitrary input,
+// seeded from the checked-in corpus: whatever parses and validates must
+// encode to text that parses back to the same spec and validates again,
+// and Encode must be a fixed point.
+func FuzzParse(f *testing.F) {
+	for _, src := range examples(f) {
+		f.Add(src)
+	}
+	// Inputs that once broke the contract: a negative seed, which
+	// encoded as a uint64 no integer parse accepted, and NaN, which
+	// passes every range check but never equals itself.
+	for _, extra := range []string{"workload seed=-1", "workload readfrac=NaN", "assert min-mbps NaN"} {
+		f.Add("scenario s\nfleet shards=1 system=odafs\n" + extra + "\n")
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		spec, err := Parse(src)
+		if err != nil || spec.Validate() != nil {
+			return
+		}
+		enc := Encode(spec)
+		back, err := Parse(enc)
+		if err != nil {
+			t.Fatalf("reparse of encoded form: %v\n%s", err, enc)
+		}
+		if err := back.Validate(); err != nil {
+			t.Fatalf("encoded form no longer validates: %v\n%s", err, enc)
+		}
+		if !reflect.DeepEqual(spec, back) {
+			t.Fatalf("Parse(Encode(s)) != s\nencoded:\n%s", enc)
+		}
+		if again := Encode(back); again != enc {
+			t.Fatalf("Encode is not a fixed point:\n%s\nthen:\n%s", enc, again)
+		}
+	})
 }

@@ -271,3 +271,32 @@ func TestExtentsCoverAndOrder(t *testing.T) {
 		t.Fatalf("Extents() = %+v, want %+v", exts, want)
 	}
 }
+
+// FuzzDecode checks the codec's round-trip contract on arbitrary input:
+// every trace Decode accepts, Encode must write, and decoding that text
+// must give the same trace back.
+func FuzzDecode(f *testing.F) {
+	var buf bytes.Buffer
+	if err := Generate(genCfg())[:32].Encode(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.String())
+	f.Add("0 C f 0 0\n") // a whole-file commit record
+	f.Fuzz(func(t *testing.T, src string) {
+		tr, err := Decode(strings.NewReader(src))
+		if err != nil {
+			return
+		}
+		var enc bytes.Buffer
+		if err := tr.Encode(&enc); err != nil {
+			t.Fatalf("Encode rejected a decoded trace: %v", err)
+		}
+		back, err := Decode(bytes.NewReader(enc.Bytes()))
+		if err != nil {
+			t.Fatalf("decode of encoded form: %v\n%s", err, enc.String())
+		}
+		if !reflect.DeepEqual(tr, back) {
+			t.Fatalf("Decode(Encode(t)) != t\nencoded:\n%s", enc.String())
+		}
+	})
+}
