@@ -44,7 +44,9 @@ func New(s *sim.Scheduler, name string, p *Params) *Host {
 	return h
 }
 
-// Compute blocks p while the CPU performs d of work. When p carries an
+// Compute has the CPU perform d of work for p and returns when it is
+// done. Like Station.Wait, p blocks only if another event is due by
+// then; otherwise the clock moves on in place. When p carries an
 // active span, the full wall time (queueing behind other jobs included)
 // attributes to the host's CPU phase — honest attribution: a saturated
 // server CPU shows up as server time, not as unexplained residue.
@@ -70,7 +72,7 @@ func (h *Host) CopyCost(n int64) sim.Duration {
 	return sim.TransferTime(n, h.P.MemCopyBW)
 }
 
-// Copy blocks p while the CPU copies n bytes.
+// Copy has the CPU copy n bytes for p, as Compute.
 func (h *Host) Copy(p *sim.Proc, n int64) {
 	h.Compute(p, h.CopyCost(n))
 }

@@ -15,20 +15,13 @@ type key struct {
 	seq uint64
 }
 
-// runTraced runs s to quiescence one event at a time, as Run does, and
-// returns the key of every event it executed.
+// runTraced runs s to quiescence with Run and returns the key of every
+// event executed, whether the loop fired it or a Proc ran it ahead.
 func runTraced(s *Scheduler) []key {
-	s.inLoop = true
-	defer func() { s.inLoop = false }()
 	var tr []key
-	for len(s.events) > 0 {
-		e := s.events.pop()
-		if e.cancel != nil && *e.cancel {
-			continue
-		}
-		tr = append(tr, key{e.at, e.seq})
-		s.fire(&e)
-	}
+	s.trace = func(at Time, seq uint64) { tr = append(tr, key{at, seq}) }
+	defer func() { s.trace = nil }()
+	s.Run()
 	return tr
 }
 
@@ -384,5 +377,123 @@ func TestBackloggedStationHoldsOneHeapEntry(t *testing.T) {
 		if i != j {
 			t.Fatalf("completion order %v, want submission order", order)
 		}
+	}
+}
+
+// onLoopStack reports whether its caller runs below the event loop's own
+// frame, as an event the loop fires does, rather than on a Proc's
+// coroutine, as an event run ahead does.
+func onLoopStack() bool {
+	pc := make([]uintptr, 64)
+	frames := runtime.CallersFrames(pc[:runtime.Callers(2, pc)])
+	for {
+		f, more := frames.Next()
+		if strings.HasSuffix(f.Function, ".(*Scheduler).runUntil") {
+			return true
+		}
+		if !more {
+			return false
+		}
+	}
+}
+
+// TestLoneProcRunsAhead checks the run-ahead rule on a lone Proc: with
+// nothing else queued, a Wait executes its completion and wake in place
+// on the Proc's coroutine, so Events advances by 2, the clock by the
+// wait, and the heap stays empty. A Sleep still blocks: its one wake is
+// fired by the loop.
+func TestLoneProcRunsAhead(t *testing.T) {
+	s := New()
+	defer s.Close()
+	st := NewStation(s, "st")
+	var onLoop []bool
+	s.trace = func(Time, uint64) { onLoop = append(onLoop, onLoopStack()) }
+	s.Go("lone", func(p *Proc) {
+		check := func(what string, ev0, n uint64, now Time) {
+			if got := s.Events() - ev0; got != n || s.Now() != now || len(s.events) != 0 {
+				t.Errorf("%s: %d events, clock %d, heap %d; want %d events, clock %d, heap 0",
+					what, got, s.Now(), len(s.events), n, now)
+			}
+		}
+		ev := s.Events()
+		st.Wait(p, 10)
+		check("Wait", ev, 2, 10)
+		ev = s.Events()
+		p.Sleep(5)
+		check("Sleep", ev, 1, 15)
+	})
+	s.Run()
+	// The loop fires the Proc's start and the Sleep's wake; the Wait's
+	// two events run ahead.
+	if want := []bool{true, false, false, true}; !reflect.DeepEqual(onLoop, want) {
+		t.Fatalf("events fired by the loop %v, want %v", onLoop, want)
+	}
+}
+
+// TestEventDueAtFinishFiresFirst checks that a Proc whose Wait ends at
+// the instant another event is due blocks: the event, posted first, runs
+// before the Proc resumes.
+func TestEventDueAtFinishFiresFirst(t *testing.T) {
+	s := New()
+	defer s.Close()
+	st := NewStation(s, "st")
+	var log []string
+	note := func(what string) { log = append(log, fmt.Sprintf("%s@%d", what, s.Now())) }
+	s.Go("w", func(p *Proc) {
+		s.At(10, func() { note("x") })
+		st.Wait(p, 10)
+		note("waited")
+	})
+	s.Run()
+	if got, want := strings.Join(log, " "), "x@10 waited@10"; got != want {
+		t.Fatalf("log %q, want %q", got, want)
+	}
+}
+
+// TestRunUntilBoundsRunAhead checks that a Proc does not run ahead past
+// the loop's limit: RunUntil returns with the Proc still blocked and the
+// clock at the limit, and a later run resumes it at its finish time.
+func TestRunUntilBoundsRunAhead(t *testing.T) {
+	s := New()
+	defer s.Close()
+	st := NewStation(s, "st")
+	var resumed []Time
+	s.Go("w", func(p *Proc) {
+		for range 2 {
+			st.Wait(p, 10)
+			resumed = append(resumed, p.Now())
+		}
+	})
+	for _, step := range []struct {
+		limit   Time
+		resumed []Time
+	}{{5, nil}, {10, []Time{10}}, {19, []Time{10}}} {
+		s.RunUntil(step.limit)
+		if !reflect.DeepEqual(resumed, step.resumed) || s.Now() != step.limit {
+			t.Fatalf("after RunUntil(%d): resumed at %v, clock %d; want %v, clock %d",
+				step.limit, resumed, s.Now(), step.resumed, step.limit)
+		}
+	}
+	s.Run()
+	if want := []Time{10, 20}; !reflect.DeepEqual(resumed, want) || s.Now() != 20 || s.Events() != 5 {
+		t.Fatalf("after Run: resumed at %v, clock %d, %d events; want %v, clock 20, 5 events",
+			resumed, s.Now(), s.Events(), want)
+	}
+}
+
+// TestCloseInsideProcStopsRunAhead checks that a Proc that closes its
+// scheduler blocks on its next Wait, with nothing else queued, and is
+// unwound there rather than running on.
+func TestCloseInsideProcStopsRunAhead(t *testing.T) {
+	s := New()
+	st := NewStation(s, "st")
+	s.Go("closer", func(p *Proc) {
+		s.Close()
+		st.Wait(p, 1)
+		t.Error("proc ran on after Close")
+	})
+	s.Run()
+	if s.Now() != 0 || s.Events() != 1 {
+		t.Fatalf("clock %d, %d events after Close; want 0, 1", s.Now(), s.Events())
 	}
 }

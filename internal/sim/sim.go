@@ -4,8 +4,10 @@
 // (Proc) are coroutines driven from the event loop: exactly one process
 // runs at any instant, and control returns to the loop whenever a process
 // blocks (Sleep, Resource.Acquire, Queue.Get, ...). Events with equal
-// timestamps fire in the order they were posted, so a run is a pure function
-// of its inputs and seeds.
+// timestamps fire in the order they were posted, so a run is a pure
+// function of its inputs and seeds. A Station.Wait blocks only if some
+// other event is due first; otherwise it fires its own events in place,
+// in the same (at, seq) order, and the process runs on.
 //
 // The kernel knows nothing about networks or storage; those live in the
 // packages layered above (netsim, host, nic, ...).
@@ -14,6 +16,7 @@ package sim
 import (
 	"fmt"
 	"iter"
+	"math"
 	"runtime"
 )
 
@@ -152,10 +155,12 @@ type Scheduler struct {
 	seq     uint64
 	closed  bool
 	inLoop  bool
+	limit   Time // the running loop runs only events due by limit
 	procSeq int
-	nEvents uint64  // total events executed, for diagnostics
-	coros   []*coro // every coroutine started, for Close
-	free    []*coro // coroutines whose Proc finished, for the next Go
+	nEvents uint64                    // total events executed, for diagnostics
+	coros   []*coro                   // every coroutine started, for Close
+	free    []*coro                   // coroutines whose Proc finished, for the next Go
+	trace   func(at Time, seq uint64) // sees every event executed; tests only
 }
 
 // New returns an empty scheduler with the clock at zero.
@@ -213,11 +218,12 @@ func (s *Scheduler) AfterCancel(d Duration, fn func()) (cancel func()) {
 // resources or queues that will never be signalled are left blocked; call
 // Close to reap them.
 func (s *Scheduler) Run() {
-	s.runUntil(-1)
+	s.runUntil(math.MaxInt64)
 }
 
 // RunUntil executes events with timestamps <= t and then sets the clock
-// to t. Remaining events stay queued.
+// to t if it is behind. Remaining events stay queued; a t before Now
+// runs nothing.
 func (s *Scheduler) RunUntil(t Time) {
 	s.runUntil(t)
 	if s.now < t {
@@ -225,6 +231,8 @@ func (s *Scheduler) RunUntil(t Time) {
 	}
 }
 
+// runUntil executes events in order until the queue is empty or the next
+// one is due after limit.
 func (s *Scheduler) runUntil(limit Time) {
 	if s.closed {
 		panic("sim: Run after Close")
@@ -232,10 +240,10 @@ func (s *Scheduler) runUntil(limit Time) {
 	if s.inLoop {
 		panic("sim: re-entrant Run (called from inside the simulation)")
 	}
-	s.inLoop = true
+	s.inLoop, s.limit = true, limit
 	defer s.leaveLoop()
 	for len(s.events) > 0 && !s.closed {
-		if limit >= 0 && s.events[0].at > limit {
+		if s.events[0].at > limit {
 			return
 		}
 		e := s.events.pop()
@@ -250,15 +258,45 @@ func (s *Scheduler) runUntil(limit Time) {
 // in Events, and its callback runs or its Proc is woken.
 func (s *Scheduler) fire(e *event) {
 	s.now = e.at
-	s.nEvents++
-	if s.nEvents%gcTurnEvents == 0 {
-		runtime.Gosched()
-	}
+	s.count(e.at, e.seq)
 	if e.fn != nil {
 		e.fn()
 		return
 	}
 	s.wake(e.p)
+}
+
+// count records one executed event, keyed (at, seq), in Events.
+func (s *Scheduler) count(at Time, seq uint64) {
+	s.nEvents++
+	if s.trace != nil {
+		s.trace(at, seq)
+	}
+	if s.nEvents%gcTurnEvents == 0 {
+		runtime.Gosched()
+	}
+}
+
+// runAhead is the run-ahead rule: a Proc waiting on a station blocks
+// only if some other event is due first. A running Proc about to post
+// its job's completion at fin, which posts its wake at fin, and block
+// until the wake fires calls it first. If nothing queued is due by fin,
+// fin is within the running loop's limit and the scheduler is open,
+// those two events would be the next to fire, one after the other, with
+// nothing in between. runAhead then executes them in place: it takes
+// their sequence numbers, moves the clock to fin and counts them, and
+// reports true, and the Proc runs on. Otherwise it reports false, and
+// the caller posts and blocks.
+func (s *Scheduler) runAhead(fin Time) bool {
+	if s.closed || fin > s.limit || (len(s.events) > 0 && s.events[0].at <= fin) {
+		return false
+	}
+	s.now = fin
+	for range 2 {
+		s.seq++
+		s.count(fin, s.seq)
+	}
+	return true
 }
 
 // leaveLoop ends a Run. A Close issued from inside the loop could not

@@ -101,18 +101,28 @@ func TestProcInterleaving(t *testing.T) {
 	}
 }
 
+// TestRunUntil checks that RunUntil runs only events due at or before
+// its bound and then moves the clock up to it. A bound before the clock,
+// negative included, runs nothing and leaves the clock where it is.
 func TestRunUntil(t *testing.T) {
 	s := New()
 	defer s.Close()
 	fired := 0
 	s.After(10*Microsecond, func() { fired++ })
 	s.After(30*Microsecond, func() { fired++ })
-	s.RunUntil(Time(20 * Microsecond))
-	if fired != 1 {
-		t.Fatalf("fired = %d after RunUntil(20us), want 1", fired)
-	}
-	if s.Now() != Time(20*Microsecond) {
-		t.Fatalf("clock = %v, want 20us", s.Now())
+	for _, step := range []struct {
+		until Time
+		fired int
+		now   Time
+	}{
+		{-1, 0, 0},
+		{Time(20 * Microsecond), 1, Time(20 * Microsecond)},
+		{Time(5 * Microsecond), 1, Time(20 * Microsecond)},
+	} {
+		s.RunUntil(step.until)
+		if fired != step.fired || s.Now() != step.now {
+			t.Fatalf("RunUntil(%v): fired %d, clock %v; want %d, %v", step.until, fired, s.Now(), step.fired, step.now)
+		}
 	}
 	s.Run()
 	if fired != 2 {

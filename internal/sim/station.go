@@ -116,9 +116,17 @@ func (st *Station) ServeAt(ready Time, d Duration, done func()) Time {
 }
 
 // Wait makes process p execute a job of duration d on the station and
-// blocks until it completes — the process-style entry point.
+// returns when it completes — the process-style entry point. p blocks
+// only if another event is due by then; otherwise the job's completion
+// and p's wake fire in place (see Scheduler.runAhead), in the same event
+// order. A backlogged station's head completion sits in the heap, due by
+// then, so p always blocks behind a pending completion.
 func (st *Station) Wait(p *Proc, d Duration) {
-	st.post(completion{at: st.Serve(d, nil), p: p})
+	fin := st.Serve(d, nil)
+	if st.s.runAhead(fin) {
+		return
+	}
+	st.post(completion{at: fin, p: p})
 	p.block()
 }
 
