@@ -24,8 +24,9 @@ const (
 )
 
 // Client is a user-level DAFS client: a session QP, an event loop that
-// completes outstanding requests, and a registration cache so application
-// buffers are registered once (§3.1, §5.1).
+// completes outstanding requests from its receive callbacks, and a
+// registration cache so application buffers are registered once (§3.1,
+// §5.1).
 type Client struct {
 	h        *host.Host
 	n        *nic.NIC
@@ -80,8 +81,9 @@ func (res *completion) error() error {
 }
 
 // NewClient connects a client on clientNIC to srv. mode picks the client's
-// completion discipline (the paper's user-level client polls).
-func NewClient(s *sim.Scheduler, clientNIC *nic.NIC, srv *Server, mode nic.NotifyMode, transfer TransferMode) *Client {
+// completion discipline (the paper's user-level client polls). The
+// scheduler is the client host's.
+func NewClient(_ *sim.Scheduler, clientNIC *nic.NIC, srv *Server, mode nic.NotifyMode, transfer TransferMode) *Client {
 	c := &Client{
 		h:        clientNIC.Host(),
 		n:        clientNIC,
@@ -90,7 +92,7 @@ func NewClient(s *sim.Scheduler, clientNIC *nic.NIC, srv *Server, mode nic.Notif
 		regs:     nic.NewRegCache(clientNIC),
 		pending:  make(map[uint64]*sim.Future[*completion]),
 	}
-	s.Go("dafs-evloop-"+clientNIC.Host().Name, c.eventLoop)
+	c.qp.Listen(c.complete)
 	return c
 }
 
@@ -111,20 +113,19 @@ func (c *Client) Host() *host.Host { return c.h }
 // Regs returns the registration cache.
 func (c *Client) Regs() *nic.RegCache { return c.regs }
 
-// eventLoop completes outstanding requests — the paper's user-level DAFS
-// client event loop (extended with ORDMA completions in §4.2.1, which ride
-// the same VI completion path via QP.RDMA).
-func (c *Client) eventLoop(p *sim.Proc) {
-	for {
-		m := c.qp.Recv(p)
-		req := m.Header.(*msg)
-		fut, ok := c.pending[req.Hdr.XID]
-		if !ok {
-			continue
-		}
-		delete(c.pending, req.Hdr.XID)
-		fut.Resolve(&completion{hdr: req.Hdr, payloadBytes: m.PayloadBytes, payload: m.Payload})
+// complete resolves the outstanding request a received reply answers —
+// a step of the paper's user-level DAFS client event loop, which runs
+// from the session QP's receive callbacks (extended with ORDMA
+// completions in §4.2.1, which ride the same VI completion path via
+// QP.RDMA).
+func (c *Client) complete(m nic.Message) {
+	req := m.Header.(*msg)
+	fut, ok := c.pending[req.Hdr.XID]
+	if !ok {
+		return
 	}
+	delete(c.pending, req.Hdr.XID)
+	fut.Resolve(&completion{hdr: req.Hdr, payloadBytes: m.PayloadBytes, payload: m.Payload})
 }
 
 // SetRetry configures session retransmission: nonzero timeout makes a

@@ -272,13 +272,17 @@ func (srv *Server) read(p *sim.Proc, qp *vi.QP, req *msg) {
 		srv.reply(p, qp, &wire.Header{Op: h.Op, XID: h.XID, Status: wire.StatusStale})
 		return
 	}
-	offs := append([]int64{h.Offset}, req.Batch...)
 	n := h.Length
 	var firstRefVA uint64
 	var firstRefLen int64
 	var firstRefCap []byte
 	total := int64(0)
-	for _, off := range offs {
+	// The request's ranges: h.Offset, then each of req.Batch.
+	for i := -1; i < len(req.Batch); i++ {
+		off := h.Offset
+		if i >= 0 {
+			off = req.Batch[i]
+		}
 		got := n
 		if off >= f.Size() {
 			got = 0

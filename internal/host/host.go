@@ -67,6 +67,14 @@ func (h *Host) ComputeAsync(d sim.Duration, done func()) {
 	h.CPU.Serve(d, done)
 }
 
+// ComputeThen charges d of CPU work for a caller with no process, the
+// callback twin of Compute (see sim.Station.Then): it reports true if the
+// work ran ahead and the caller carries on at its finish, and otherwise
+// calls k there. Nothing is attributed to a span.
+func (h *Host) ComputeThen(d sim.Duration, k func()) bool {
+	return h.CPU.Then(d, k)
+}
+
 // CopyCost returns the CPU time of a plain memcpy of n bytes.
 func (h *Host) CopyCost(n int64) sim.Duration {
 	return sim.TransferTime(n, h.P.MemCopyBW)

@@ -35,6 +35,14 @@ func (m NotifyMode) String() string {
 }
 
 // Message is one GM-level message (or one Ethernet-emulation packet).
+//
+// The NIC owns the record a message travels in. Send and SendAsync copy
+// the caller's Message into a record from the sending NIC's free list,
+// so the caller may reuse or discard its own at once. On delivery the
+// record is handed to a bound handler, valid only for the duration of
+// that call, or copied by value into the endpoint's receive queue; then
+// it goes back to the sender's free list. Recv, TryRecv and Listen hand
+// out copies the receiver keeps.
 type Message struct {
 	From, To *NIC
 	Port     int // destination endpoint number
@@ -72,41 +80,82 @@ type Endpoint struct {
 	nic   *NIC
 	port  int
 	Mode  NotifyMode
-	queue *sim.Queue[*Message]
+	queue *sim.Queue[Message]
 }
 
 // Recv blocks until a message arrives and charges the notification cost
-// (poll consume, or interrupt + wakeup already charged at delivery).
-func (e *Endpoint) Recv(p *sim.Proc) *Message {
+// in the receiving thread's context: the poll consume, or in Intr mode
+// the scheduler wakeup (the interrupt entry was charged at delivery).
+func (e *Endpoint) Recv(p *sim.Proc) Message {
 	m := e.queue.Get(p)
 	// Receive-queue wait — messages piling up behind a busy worker — is
 	// the carried op's queue phase (zero when the worker was parked).
 	m.Span.Add(obs.PhaseQueue, p.Now().Sub(m.queuedAt))
-	switch e.Mode {
-	case Poll:
-		e.nic.h.Compute(p, e.nic.p.PollGet)
-	case Intr:
-		// Interrupt entry was charged at delivery; pay the wakeup here,
-		// in the woken thread's context.
-		e.nic.h.Compute(p, e.nic.p.SchedWakeup)
-	}
+	e.nic.h.Compute(p, e.notifyCost())
 	return m
 }
 
-// TryRecv polls for a message without blocking, charging the poll cost
-// only on success.
-func (e *Endpoint) TryRecv(p *sim.Proc) (*Message, bool) {
+// TryRecv polls for a message without blocking, charging the
+// notification cost only on success.
+func (e *Endpoint) TryRecv(p *sim.Proc) (Message, bool) {
 	m, ok := e.queue.TryGet()
 	if !ok {
-		return nil, false
+		return m, false
 	}
 	m.Span.Add(obs.PhaseQueue, p.Now().Sub(m.queuedAt))
-	if e.Mode == Poll {
-		e.nic.h.Compute(p, e.nic.p.PollGet)
-	} else {
-		e.nic.h.Compute(p, e.nic.p.SchedWakeup)
-	}
+	e.nic.h.Compute(p, e.notifyCost())
 	return m, true
+}
+
+// notifyCost is the host CPU a receiver pays to consume one completion.
+func (e *Endpoint) notifyCost() sim.Duration {
+	if e.Mode == Poll {
+		return e.nic.p.PollGet
+	}
+	return e.nic.p.SchedWakeup
+}
+
+// Listen calls fn, from event callbacks, on every message the endpoint
+// receives: a receiver with no process, such as a user-level event loop.
+// Event for event it runs the loop a process calling Recv forever would
+// run, starting where that process would first wake, so fn runs at the
+// instant, and after the same events, as the code after Recv would.
+// fn must not block.
+func (e *Endpoint) Listen(fn func(Message)) {
+	l := &listener{e: e, fn: fn}
+	l.step = l.run
+	e.nic.s.After(0, l.step)
+}
+
+// listener is the state of one Listen loop.
+type listener struct {
+	e    *Endpoint
+	fn   func(Message)
+	m    Message // received, its notification cost being charged
+	got  bool
+	step func() // l.run, bound once
+}
+
+// run steps the Recv loop until it has to wait: for a message, or for
+// the CPU to finish charging one's notification cost.
+func (l *listener) run() {
+	e := l.e
+	for {
+		if !l.got {
+			m, ok := e.queue.GetOr(l.step)
+			if !ok {
+				return
+			}
+			m.Span.Add(obs.PhaseQueue, e.nic.s.Now().Sub(m.queuedAt))
+			l.m, l.got = m, true
+			if !e.nic.h.ComputeThen(e.notifyCost(), l.step) {
+				return
+			}
+		}
+		m := l.m
+		l.m, l.got = Message{}, false
+		l.fn(m)
+	}
 }
 
 // Pending returns queued, undelivered messages.
@@ -148,10 +197,11 @@ type NIC struct {
 	// put's data stream (see rdma.go).
 	sendGate sim.Time
 
-	// flights and tasks hold this NIC's finished fragments and steps for
-	// reuse (see flight and task).
+	// flights, tasks and msgs hold this NIC's finished fragments, steps
+	// and message records for reuse (see flight, task and Message).
 	flights []*flight
 	tasks   []*task
+	msgs    []*Message
 
 	stats Stats
 }
@@ -231,7 +281,7 @@ func (n *NIC) NewEndpoint(port int, mode NotifyMode) *Endpoint {
 		nic:   n,
 		port:  port,
 		Mode:  mode,
-		queue: sim.NewQueue[*Message](n.s, fmt.Sprintf("%s/ep%d", n.name, port)),
+		queue: sim.NewQueue[Message](n.s, fmt.Sprintf("%s/ep%d", n.name, port)),
 	}
 	n.endpoints[port] = e
 	return e
@@ -240,7 +290,9 @@ func (n *NIC) NewEndpoint(port int, mode NotifyMode) *Endpoint {
 // BindHandler delivers messages on the given port by calling fn in event
 // context with no host cost charged; the layer above decides the
 // notification accounting (the Ethernet-emulation path uses this to apply
-// interrupt coalescing and per-packet protocol costs).
+// interrupt coalescing and per-packet protocol costs). fn gets the NIC's
+// own record of the message, valid only until fn returns: the record is
+// then recycled, so fn copies what it keeps.
 func (n *NIC) BindHandler(port int, fn func(*Message)) {
 	if _, dup := n.endpoints[port]; dup {
 		panic(fmt.Sprintf("nic: port %d already has an endpoint on %s", port, n.name))
@@ -273,20 +325,42 @@ func (n *NIC) Send(p *sim.Proc, m *Message) {
 	n.SendAsync(m)
 }
 
-// SendAsync transmits m from event context; the caller is responsible for
-// any host-side CPU accounting.
+// SendAsync transmits a copy of m from event context; the caller is
+// responsible for any host-side CPU accounting.
 func (n *NIC) SendAsync(m *Message) {
 	if m.To == nil {
 		panic("nic: message without destination")
 	}
+	r := n.newMsg(m)
 	// Respect the ordering gate: messages queued behind an in-flight put
 	// startup are released with it, never ahead of its data.
 	if n.sendGate > n.s.Now() {
-		at := n.sendGate
-		n.s.At(at, func() { n.sendNow(m) })
+		t := n.newTask(taskSend, nil)
+		t.msg = r
+		n.s.At(n.sendGate, t.run)
 		return
 	}
-	n.sendNow(m)
+	n.sendNow(r)
+}
+
+// newMsg returns a pooled or fresh message record holding a copy of m.
+func (n *NIC) newMsg(m *Message) *Message {
+	var r *Message
+	if k := len(n.msgs); k > 0 {
+		r = n.msgs[k-1]
+		n.msgs = n.msgs[:k-1]
+	} else {
+		r = new(Message)
+	}
+	*r = *m
+	return r
+}
+
+// release returns the delivered record m to its sender's free list.
+func (m *Message) release() {
+	o := m.From
+	*m = Message{}
+	o.msgs = append(o.msgs, m)
 }
 
 func (n *NIC) sendNow(m *Message) {
@@ -409,6 +483,7 @@ func (n *NIC) msgArrived(m *Message) {
 	}
 	if fn, ok := n.handlers[m.Port]; ok {
 		fn(m)
+		m.release()
 		return
 	}
 	ep, ok := n.endpoints[m.Port]
@@ -418,7 +493,8 @@ func (n *NIC) msgArrived(m *Message) {
 	switch ep.Mode {
 	case Poll:
 		m.queuedAt = n.s.Now()
-		ep.queue.Put(m)
+		ep.queue.Put(*m)
+		m.release()
 	case Intr:
 		// GM/VI events take a full interrupt each; coalescing exists only
 		// on the Ethernet-emulation path (§5, testbed description).

@@ -35,7 +35,7 @@ func TestMessageDelivery(t *testing.T) {
 	r := newRig(t)
 	ep := r.nb.NewEndpoint(1, Poll)
 	var got *Message
-	r.s.Go("recv", func(p *sim.Proc) { got = ep.Recv(p) })
+	r.s.Go("recv", func(p *sim.Proc) { m := ep.Recv(p); got = &m })
 	r.s.Go("send", func(p *sim.Proc) {
 		r.na.Send(p, &Message{To: r.nb, Port: 1, HeaderBytes: 64, PayloadBytes: 4096, Header: "h"})
 	})
@@ -117,7 +117,7 @@ func TestPrePostDirectPlacement(t *testing.T) {
 	r := newRig(t)
 	ep := r.nb.NewEndpoint(1, Intr)
 	var got *Message
-	r.s.Go("recv", func(p *sim.Proc) { got = ep.Recv(p) })
+	r.s.Go("recv", func(p *sim.Proc) { m := ep.Recv(p); got = &m })
 	r.s.Go("send", func(p *sim.Proc) {
 		r.nb.PrePost(77, 8192)
 		r.na.Send(p, &Message{To: r.nb, Port: 1, HeaderBytes: 128, PayloadBytes: 8192, Tag: 77})
@@ -138,7 +138,7 @@ func TestPrePostTagMismatchFallsBack(t *testing.T) {
 	r := newRig(t)
 	ep := r.nb.NewEndpoint(1, Intr)
 	var got *Message
-	r.s.Go("recv", func(p *sim.Proc) { got = ep.Recv(p) })
+	r.s.Go("recv", func(p *sim.Proc) { m := ep.Recv(p); got = &m })
 	r.s.Go("send", func(p *sim.Proc) {
 		r.nb.PrePost(77, 8192)
 		r.na.Send(p, &Message{To: r.nb, Port: 1, HeaderBytes: 128, PayloadBytes: 8192, Tag: 99})
@@ -505,5 +505,33 @@ func TestSteadyStreamAllocatesNothing(t *testing.T) {
 	}
 	if want := 25 * len(msgs); delivered != want || got != 25 {
 		t.Fatalf("delivered %d messages and %d gets, want %d and 25", delivered, got, want)
+	}
+}
+
+// TestRecvMessageOutlivesItsRecord checks that a message Recv returned
+// is the receiver's own copy: later sends reuse the record it arrived
+// in, and the copy keeps its fields.
+func TestRecvMessageOutlivesItsRecord(t *testing.T) {
+	r := newRig(t)
+	ep := r.nb.NewEndpoint(1, Poll)
+	var first, second Message
+	r.s.Go("recv", func(p *sim.Proc) {
+		first = ep.Recv(p)
+		if len(r.na.msgs) != 1 {
+			t.Errorf("sender holds %d free records after delivery, want 1", len(r.na.msgs))
+		}
+		r.na.SendAsync(&Message{To: r.nb, Port: 1, HeaderBytes: 16, Header: "second"})
+		if len(r.na.msgs) != 0 {
+			t.Error("the second send did not reuse the first message's record")
+		}
+		second = ep.Recv(p)
+	})
+	r.na.SendAsync(&Message{To: r.nb, Port: 1, HeaderBytes: 64, PayloadBytes: 4096, Header: "first", Payload: 7})
+	r.s.Run()
+	if first.Header != "first" || first.Payload != 7 || first.PayloadBytes != 4096 || first.From != r.na {
+		t.Fatalf("first message after its record was reused: %+v", first)
+	}
+	if second.Header != "second" || second.PayloadBytes != 0 {
+		t.Fatalf("second message: %+v", second)
 	}
 }

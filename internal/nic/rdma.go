@@ -287,8 +287,9 @@ func (n *NIC) completeOp(op *Op, st Status) {
 
 // task is one deferred step of an operation at this NIC, run by a plain
 // event: the firmware finishing a get's or put's validation, a data
-// stream starting, an initiator's timeout, or a completion reaching the
-// host. Tasks are pooled per NIC with their callback bound once, so the
+// stream starting, an initiator's timeout, a completion reaching the
+// host, or a message reaching its endpoint or leaving the send gate.
+// Tasks are pooled per NIC with their callback bound once, so the
 // steps of an operation allocate nothing.
 type task struct {
 	n     *NIC
@@ -313,6 +314,7 @@ const (
 	taskTimeout                      // an initiator's completion timer expired
 	taskNotify                       // an op's completion reaches the host
 	taskQueue                        // an interrupt has delivered a message to its endpoint
+	taskSend                         // a message held behind the send gate is released
 )
 
 func (n *NIC) newTask(kind taskKind, op *Op) *task {
@@ -371,7 +373,12 @@ func (t *task) fire() {
 		m, ep := t.msg, t.ep
 		t.release()
 		m.queuedAt = n.s.Now()
-		ep.queue.Put(m)
+		ep.queue.Put(*m)
+		m.release()
+	case taskSend:
+		m := t.msg
+		t.release()
+		n.sendNow(m)
 	}
 }
 

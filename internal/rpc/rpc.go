@@ -226,7 +226,8 @@ type CallOpts struct {
 }
 
 // Client issues RPCs to a fixed server endpoint. Any number of calls may
-// be outstanding; a demux process matches replies by XID.
+// be outstanding; the socket's receive path matches replies by XID, as a
+// kernel's does, from event callbacks rather than a process of its own.
 type Client struct {
 	stack      *udpip.Stack
 	sock       *udpip.Socket
@@ -252,8 +253,8 @@ type Client struct {
 }
 
 // NewClient creates a client on stack calling (server, serverPort), bound
-// to the given local port.
-func NewClient(s *sim.Scheduler, stack *udpip.Stack, localPort int, server *udpip.Stack, serverPort int) *Client {
+// to the given local port. The scheduler is the stack's.
+func NewClient(_ *sim.Scheduler, stack *udpip.Stack, localPort int, server *udpip.Stack, serverPort int) *Client {
 	c := &Client{
 		stack:      stack,
 		sock:       stack.Socket(localPort),
@@ -261,26 +262,24 @@ func NewClient(s *sim.Scheduler, stack *udpip.Stack, localPort int, server *udpi
 		serverPort: serverPort,
 		pending:    make(map[uint64]*sim.Future[*Response]),
 	}
-	s.Go("rpc-demux-"+stack.Host().Name, c.demux)
+	c.sock.Listen(c.demux)
 	return c
 }
 
-func (c *Client) demux(p *sim.Proc) {
-	for {
-		d := c.sock.Recv(p)
-		msg := d.Body.(*callMsg)
-		fut, ok := c.pending[msg.Hdr.XID]
-		if !ok {
-			continue // stale or duplicate reply
-		}
-		delete(c.pending, msg.Hdr.XID)
-		fut.Resolve(&Response{
-			Hdr:          msg.Hdr,
-			PayloadBytes: msg.PayloadBytes,
-			Payload:      msg.Payload,
-			Direct:       d.Direct,
-		})
+// demux resolves the pending call a received reply answers.
+func (c *Client) demux(d *udpip.Datagram) {
+	msg := d.Body.(*callMsg)
+	fut, ok := c.pending[msg.Hdr.XID]
+	if !ok {
+		return // stale or duplicate reply
 	}
+	delete(c.pending, msg.Hdr.XID)
+	fut.Resolve(&Response{
+		Hdr:          msg.Hdr,
+		PayloadBytes: msg.PayloadBytes,
+		Payload:      msg.Payload,
+		Direct:       d.Direct,
+	})
 }
 
 // Call sends req and blocks until the matching reply arrives. The header's

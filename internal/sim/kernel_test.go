@@ -497,3 +497,103 @@ func TestCloseInsideProcStopsRunAhead(t *testing.T) {
 		t.Fatalf("clock %d, %d events after Close; want 0, 1", s.Now(), s.Events())
 	}
 }
+
+// waitLoop is a process that runs one job of each duration in ds on st
+// with Wait, noting the instant it resumes after each.
+func waitLoop(s *Scheduler, st *Station, ds []Duration, note func(string)) {
+	s.Go("w", func(p *Proc) {
+		for _, d := range ds {
+			st.Wait(p, d)
+			note("resumed")
+		}
+	})
+}
+
+// thenChain runs waitLoop's loop from callbacks with Then, started where
+// waitLoop's process starts. It counts the jobs that ran ahead.
+func thenChain(s *Scheduler, st *Station, ds []Duration, note func(string)) *int {
+	ahead, i, pending := 0, 0, false
+	var step func()
+	step = func() {
+		for {
+			if pending {
+				pending = false
+				note("resumed")
+			}
+			if i == len(ds) {
+				return
+			}
+			pending, i = true, i+1
+			if !st.Then(ds[i-1], step) {
+				return
+			}
+			ahead++
+		}
+	}
+	s.After(0, step)
+	return &ahead
+}
+
+// TestThenTracesLikeWait runs twin schedulers, one with a process in a
+// Wait loop and one with a Then callback chain, and checks both execute
+// the same (at, seq) trace and log: with nothing else due (the jobs run
+// ahead), with an event due exactly at a job's finish, and with a
+// RunUntil bound before a job's finish.
+func TestThenTracesLikeWait(t *testing.T) {
+	ds := []Duration{10, 5, 0, 7}
+	for _, tc := range []struct {
+		name   string
+		before func(s *Scheduler, note func(string)) // posts before the loop starts
+		limits []Time                                // RunUntil bounds, then Run
+		events int                                   // events besides the loop's
+		ahead  int                                   // jobs the chain runs ahead
+	}{
+		{"nothing else due", nil, nil, 0, 4},
+		{"event due at finish", func(s *Scheduler, note func(string)) {
+			s.At(10, func() { note("x") })
+			s.At(15, func() { note("y") })
+		}, nil, 2, 2},
+		{"RunUntil before finish", nil, []Time{4, 12, 15}, 0, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(chain bool) ([]key, string, int) {
+				s := New()
+				defer s.Close()
+				st := NewStation(s, "st")
+				var log []string
+				note := func(what string) { log = append(log, fmt.Sprintf("%s@%d", what, s.Now())) }
+				if tc.before != nil {
+					tc.before(s, note)
+				}
+				ahead := new(int)
+				if chain {
+					ahead = thenChain(s, st, ds, note)
+				} else {
+					waitLoop(s, st, ds, note)
+				}
+				var tr []key
+				s.trace = func(at Time, seq uint64) { tr = append(tr, key{at, seq}) }
+				for _, l := range tc.limits {
+					s.RunUntil(l)
+					note("limit")
+				}
+				s.Run()
+				return tr, strings.Join(log, " "), *ahead
+			}
+			wantTr, wantLog, _ := run(false)
+			gotTr, gotLog, ahead := run(true)
+			if !reflect.DeepEqual(gotTr, wantTr) {
+				t.Fatalf("Then trace\n got %v\nwant %v (Wait)", gotTr, wantTr)
+			}
+			if gotLog != wantLog {
+				t.Fatalf("Then log\n got %s\nwant %s (Wait)", gotLog, wantLog)
+			}
+			if want := tc.events + 1 + 2*len(ds); len(gotTr) != want {
+				t.Fatalf("%d events, want %d: the start and two per job", len(gotTr), want)
+			}
+			if ahead != tc.ahead {
+				t.Fatalf("%d jobs ran ahead, want %d", ahead, tc.ahead)
+			}
+		})
+	}
+}

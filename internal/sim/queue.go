@@ -3,12 +3,13 @@ package sim
 // Queue is an unbounded FIFO of values with blocking receive, the
 // simulation analogue of a Go channel: message rings, request queues,
 // completion queues. Senders never block; receivers block until a value
-// arrives. Multiple receivers are served in the order they blocked.
+// arrives. Multiple receivers, processes in Get and callbacks in GetOr
+// alike, are served in the order they started waiting.
 type Queue[T any] struct {
 	s       *Scheduler
 	name    string
 	items   Ring[T]
-	waiters Ring[*Proc]
+	waiters Ring[waiter]
 	puts    uint64
 }
 
@@ -23,28 +24,46 @@ func (q *Queue[T]) Len() int { return q.items.Len() }
 // Puts returns the total number of values ever enqueued.
 func (q *Queue[T]) Puts() uint64 { return q.puts }
 
-// Put enqueues v and, if a receiver is blocked, schedules it to run at the
-// current instant. Put may be called from a process or from a plain event
-// callback.
+// Put enqueues v and, if a receiver is waiting, schedules it to run at
+// the current instant. Put may be called from a process or from a plain
+// event callback.
 func (q *Queue[T]) Put(v T) {
 	q.items.Push(v)
 	q.puts++
 	if q.waiters.Len() > 0 {
-		q.s.postWake(q.s.now, q.waiters.Pop())
+		q.s.resume(q.waiters.Pop())
 	}
 }
 
 // Get dequeues the next value, blocking p until one is available.
 func (q *Queue[T]) Get(p *Proc) T {
 	for q.items.Len() == 0 {
-		q.waiters.Push(p)
+		q.waiters.Push(waiter{p: p})
 		p.block()
 	}
+	return q.take()
+}
+
+// GetOr is the callback twin of Get, for a caller with no process: it
+// dequeues the next value if one is queued. Otherwise it queues fn as a
+// receiver, in line with blocked processes, and reports false; fn runs
+// at the instant a Put hands it a value and calls GetOr again, as a
+// woken process retries Get.
+func (q *Queue[T]) GetOr(fn func()) (v T, ok bool) {
+	if q.items.Len() == 0 {
+		q.waiters.Push(waiter{fn: fn})
+		return v, false
+	}
+	return q.take(), true
+}
+
+// take dequeues the head value. If more values remain and more receivers
+// wait, it passes the baton, so a burst of Puts wakes every eligible
+// receiver.
+func (q *Queue[T]) take() T {
 	v := q.items.Pop()
-	// If more items remain and more receivers are parked, pass the baton so
-	// a burst of Puts wakes every eligible receiver.
 	if q.items.Len() > 0 && q.waiters.Len() > 0 {
-		q.s.postWake(q.s.now, q.waiters.Pop())
+		q.s.resume(q.waiters.Pop())
 	}
 	return v
 }

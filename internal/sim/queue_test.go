@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -228,5 +231,80 @@ func TestRingWrapsAndGrows(t *testing.T) {
 	}
 	if want != next {
 		t.Fatalf("popped %d values, pushed %d", want, next)
+	}
+}
+
+// queueScenario starts one receiver per entry of chain, in order, each
+// taking one value from q and yielding, forever: a process in a Get
+// loop, or where chain is true a callback chain in a GetOr loop. A burst
+// of four Puts at 1 serves one value to each. At 2, a burst of three
+// Puts wakes the first three, and a GetOr that finds a value takes one
+// and passes the baton to the fourth receiver, which finds the queue
+// empty again. Two more Puts follow at 3. It returns the log.
+func queueScenario(s *Scheduler, chain []bool) *[]string {
+	q := NewQueue[int](s, "q")
+	var log []string
+	got := func(w, v int) { log = append(log, fmt.Sprintf("w%d=%d@%d", w, v, s.Now())) }
+	for w, cb := range chain {
+		if !cb {
+			s.Go("get", func(p *Proc) {
+				for {
+					got(w, q.Get(p))
+					p.Yield()
+				}
+			})
+			continue
+		}
+		var step func()
+		step = func() {
+			if v, ok := q.GetOr(step); ok {
+				got(w, v)
+				s.After(0, step)
+			}
+		}
+		s.After(0, step)
+	}
+	s.At(1, func() {
+		for v := 1; v <= 4; v++ {
+			q.Put(v)
+		}
+	})
+	s.At(2, func() {
+		for v := 5; v <= 7; v++ {
+			q.Put(v)
+		}
+		if v, ok := q.GetOr(func() { log = append(log, "stealer woken") }); ok {
+			log = append(log, fmt.Sprintf("stolen=%d@%d", v, s.Now()))
+		}
+	})
+	s.At(3, func() {
+		q.Put(8)
+		q.Put(9)
+	})
+	return &log
+}
+
+// TestQueueMixedWaitersServedInArrivalOrder checks that Get processes
+// and GetOr callbacks waiting on one queue are served in the order they
+// started waiting, and that take's baton pass reaches a callback: a
+// queue whose second and fourth receivers are callbacks executes the
+// same (at, seq) trace and log as one whose receivers are all processes.
+func TestQueueMixedWaitersServedInArrivalOrder(t *testing.T) {
+	run := func(chain []bool) ([]key, string) {
+		s := New()
+		defer s.Close()
+		log := queueScenario(s, chain)
+		return runTraced(s), strings.Join(*log, " ")
+	}
+	wantTr, wantLog := run([]bool{false, false, false, false})
+	if want := "w0=1@1 w1=2@1 w2=3@1 w3=4@1 stolen=5@2 w0=6@2 w1=7@2 w2=8@3 w3=9@3"; wantLog != want {
+		t.Fatalf("all-process log\n got %s\nwant %s", wantLog, want)
+	}
+	gotTr, gotLog := run([]bool{false, true, false, true})
+	if gotLog != wantLog {
+		t.Fatalf("mixed log\n got %s\nwant %s (all processes)", gotLog, wantLog)
+	}
+	if !reflect.DeepEqual(gotTr, wantTr) {
+		t.Fatalf("mixed trace\n got %v\nwant %v (all processes)", gotTr, wantTr)
 	}
 }

@@ -9,6 +9,11 @@
 // other event is due first; otherwise it fires its own events in place,
 // in the same (at, seq) order, and the process runs on.
 //
+// Work that never blocks need not be a process: Station.Then and
+// Queue.GetOr are the callback twins of Station.Wait and Queue.Get. A
+// chain of callbacks calling them posts the same events at the same
+// (at, seq) points as a process calling Wait and Get would.
+//
 // The kernel knows nothing about networks or storage; those live in the
 // packages layered above (netsim, host, nic, ...).
 package sim
@@ -189,6 +194,16 @@ func (s *Scheduler) post(at Time, fn func()) { s.push(event{at: at, fn: fn}) }
 // postWake schedules a wake of p at absolute time at.
 func (s *Scheduler) postWake(at Time, p *Proc) { s.push(event{at: at, p: p}) }
 
+// waiter is a party waiting for a kernel object to hand it control: a
+// blocked process, or the callback of a caller with none.
+type waiter struct {
+	p  *Proc
+	fn func()
+}
+
+// resume schedules w at the current instant: p's wake, or fn's call.
+func (s *Scheduler) resume(w waiter) { s.push(event{at: s.now, fn: w.fn, p: w.p}) }
+
 // After schedules fn to run d from now. Negative d is clamped to zero.
 func (s *Scheduler) After(d Duration, fn func()) {
 	if d < 0 {
@@ -280,13 +295,14 @@ func (s *Scheduler) count(at Time, seq uint64) {
 // runAhead is the run-ahead rule: a Proc waiting on a station blocks
 // only if some other event is due first. A running Proc about to post
 // its job's completion at fin, which posts its wake at fin, and block
-// until the wake fires calls it first. If nothing queued is due by fin,
-// fin is within the running loop's limit and the scheduler is open,
-// those two events would be the next to fire, one after the other, with
-// nothing in between. runAhead then executes them in place: it takes
-// their sequence numbers, moves the clock to fin and counts them, and
-// reports true, and the Proc runs on. Otherwise it reports false, and
-// the caller posts and blocks.
+// until the wake fires calls it first; so does a callback about to post
+// a completion that relays its continuation (Station.Then). If nothing
+// queued is due by fin, fin is within the running loop's limit and the
+// scheduler is open, those two events would be the next to fire, one
+// after the other, with nothing in between. runAhead then executes them
+// in place: it takes their sequence numbers, moves the clock to fin and
+// counts them, and reports true, and the caller runs on. Otherwise it
+// reports false, and the caller posts and blocks or returns.
 func (s *Scheduler) runAhead(fin Time) bool {
 	if s.closed || fin > s.limit || (len(s.events) > 0 && s.events[0].at <= fin) {
 		return false

@@ -26,14 +26,20 @@ type Station struct {
 	fire      func()           // st.complete, bound once
 }
 
-// completion is a pending job's keyed completion: a callback, or the
-// wake of a process blocked in Wait.
+// completion is a pending job's keyed completion: a callback run in
+// place (p nil), the wake of a process blocked in Wait, or, where p is
+// relay, a Then continuation fn called through a same-instant event. It
+// is kept to four words: with a fifth, a chain of station callbacks ran
+// about a third slower (Go 1.24, 2-vCPU x86-64 VM).
 type completion struct {
 	at  Time
 	seq uint64
 	fn  func()
 	p   *Proc
 }
+
+// relay marks a Then completion; it is never run.
+var relay = new(Proc)
 
 // NewStation creates an idle station.
 func NewStation(s *Scheduler, name string) *Station {
@@ -54,19 +60,22 @@ func (st *Station) post(c completion) {
 }
 
 // complete fires the head completion after handing the heap the next one,
-// under its reserved key. A Wait completion re-posts a same-instant wake,
-// the post a Signal fired at that instant would make.
+// under its reserved key. A waiter's completion posts a same-instant
+// wake or call, the post a Signal fired at that instant would make.
 func (st *Station) complete() {
 	c := st.pending.Pop()
 	if st.pending.Len() > 0 {
 		next := st.pending.Front()
 		st.s.events.push(event{at: next.at, seq: next.seq, fn: st.fire})
 	}
-	if c.fn != nil {
+	switch c.p {
+	case nil:
 		c.fn()
-		return
+	case relay:
+		st.s.post(st.s.now, c.fn)
+	default:
+		st.s.postWake(st.s.now, c.p)
 	}
-	st.s.postWake(st.s.now, c.p)
 }
 
 // Name returns the station name.
@@ -128,6 +137,22 @@ func (st *Station) Wait(p *Proc, d Duration) {
 	}
 	st.post(completion{at: fin, p: p})
 	p.block()
+}
+
+// Then is the callback twin of Wait, for a caller with no process: it
+// executes a job of duration d on the station and reports true if the
+// job's two events ran ahead in place (nothing else was due by its
+// finish), with the clock now at the finish; the caller then carries on
+// itself, as a Proc returning from Wait would. Otherwise it reports
+// false: the job's completion relays k through a same-instant event, the
+// two events Wait posts, and k runs where the Proc would have resumed.
+func (st *Station) Then(d Duration, k func()) bool {
+	fin := st.Serve(d, nil)
+	if st.s.runAhead(fin) {
+		return true
+	}
+	st.post(completion{at: fin, fn: k, p: relay})
+	return false
 }
 
 // BusyUntil returns the time the current backlog drains.

@@ -42,13 +42,17 @@ type Datagram struct {
 	queuedAt sim.Time
 }
 
-// fragment is the wire context of one IP fragment of a datagram.
+// fragment is the wire context of one IP fragment of a datagram. It
+// comes from its sending stack's free list and goes back to it once the
+// receiving stack has processed it (or dropped it), with its interrupt
+// callback bound once when first built.
 type fragment struct {
-	d       *Datagram
+	at      *Stack    // the receiving stack, set on arrival
+	d       *Datagram // its From is the sending stack
 	dstPort int
 	id      uint64
-	index   int
 	total   int
+	input   func() // f.arrived, bound once
 }
 
 // reasmKey identifies a datagram under reassembly. IDs are assigned per
@@ -88,7 +92,7 @@ type Stack struct {
 	socks map[int]*Socket
 	// reassembly buffers datagram fragments by (source, ID); reasmOrder
 	// is the arrival-ordered FIFO the expiry sweep walks.
-	reasmMap   map[reasmKey]*reasmState
+	reasmMap   map[reasmKey]reasmState
 	reasmOrder sim.Ring[reasmEntry]
 	nextID     uint64
 
@@ -108,6 +112,8 @@ type Stack struct {
 	lossRate float64
 	lossRNG  *sim.Rand
 
+	frags []*fragment // finished fragments sent from here, for reuse
+
 	PacketsIn, PacketsOut, PacketsDropped uint64
 	// ReasmExpired counts partial datagrams reclaimed by the timeout.
 	ReasmExpired uint64
@@ -119,7 +125,7 @@ func NewStack(n *nic.NIC) *Stack {
 		h:            n.Host(),
 		n:            n,
 		socks:        make(map[int]*Socket),
-		reasmMap:     make(map[reasmKey]*reasmState),
+		reasmMap:     make(map[reasmKey]reasmState),
 		ReasmTimeout: DefaultReasmTimeout,
 	}
 	n.BindHandler(etherPort, st.packetArrived)
@@ -135,7 +141,7 @@ func NewStack(n *nic.NIC) *Stack {
 func (st *Stack) SetDown(down bool) {
 	st.down = down
 	if down {
-		st.reasmMap = make(map[reasmKey]*reasmState)
+		st.reasmMap = make(map[reasmKey]reasmState)
 		st.reasmOrder = sim.Ring[reasmEntry]{}
 	}
 }
@@ -188,9 +194,6 @@ func (st *Stack) Socket(port int) *Socket {
 	return sk
 }
 
-// packetArrived runs in event context for each IP fragment delivered by
-// the NIC: coalesced interrupt, per-packet input processing, reassembly,
-// then socket delivery.
 // SetLoss enables random inbound packet drops at the given rate,
 // deterministically from seed.
 func (st *Stack) SetLoss(rate float64, seed uint64) {
@@ -198,44 +201,78 @@ func (st *Stack) SetLoss(rate float64, seed uint64) {
 	st.lossRNG = sim.NewRand(seed)
 }
 
+// packetArrived runs in event context for each IP fragment delivered by
+// the NIC: coalesced interrupt, per-packet input processing, reassembly,
+// then socket delivery.
 func (st *Stack) packetArrived(m *nic.Message) {
 	frag := m.Header.(*fragment)
 	if st.down {
 		st.PacketsDropped++
+		frag.release()
 		return // dead host: the wire sees a black hole
 	}
 	if st.lossRate > 0 && st.lossRNG.Float64() < st.lossRate {
 		st.PacketsDropped++
+		frag.release()
 		return
 	}
 	st.PacketsIn++
 	if m.Direct {
 		frag.d.Direct = true
 	}
-	st.h.CoalescedInterrupt(st.h.P.UDPRecvPacket, func() {
-		st.gcReasm(st.h.S.Now())
-		if frag.total > 1 {
-			key := reasmKey{from: frag.d.From, id: frag.id}
-			e, ok := st.reasmMap[key]
-			if !ok {
-				e = &reasmState{born: st.h.S.Now()}
-				st.reasmMap[key] = e
-				st.reasmOrder.Push(reasmEntry{key: key, born: e.born})
-			}
-			e.got++
-			if e.got < frag.total {
-				return
-			}
-			delete(st.reasmMap, key)
-		}
-		sk, ok := st.socks[frag.dstPort]
+	frag.at = st
+	st.h.CoalescedInterrupt(st.h.P.UDPRecvPacket, frag.input)
+}
+
+// arrived is a fragment's input processing at its receiving stack, once
+// the interrupt has been taken: reassembly, then socket delivery.
+func (f *fragment) arrived() {
+	st, d, id, total, dstPort := f.at, f.d, f.id, f.total, f.dstPort
+	f.release()
+	now := st.h.S.Now()
+	st.gcReasm(now)
+	if total > 1 {
+		key := reasmKey{from: d.From, id: id}
+		e, ok := st.reasmMap[key]
 		if !ok {
-			return // no listener: datagram dropped, as UDP does
+			e = reasmState{born: now}
+			st.reasmOrder.Push(reasmEntry{key: key, born: e.born})
 		}
-		frag.d.span.Add(obs.PhaseWire, st.h.S.Now().Sub(frag.d.sentAt))
-		frag.d.queuedAt = st.h.S.Now()
-		sk.queue.Put(frag.d)
-	})
+		e.got++
+		if e.got < total {
+			st.reasmMap[key] = e
+			return
+		}
+		delete(st.reasmMap, key)
+	}
+	sk, ok := st.socks[dstPort]
+	if !ok {
+		return // no listener: datagram dropped, as UDP does
+	}
+	d.span.Add(obs.PhaseWire, now.Sub(d.sentAt))
+	d.queuedAt = now
+	sk.queue.Put(d)
+}
+
+// newFragment returns a pooled or fresh fragment sent from st.
+func (st *Stack) newFragment(d *Datagram, dstPort int, id uint64, total int) *fragment {
+	var f *fragment
+	if k := len(st.frags); k > 0 {
+		f = st.frags[k-1]
+		st.frags = st.frags[:k-1]
+	} else {
+		f = &fragment{}
+		f.input = f.arrived
+	}
+	f.d, f.dstPort, f.id, f.total = d, dstPort, id, total
+	return f
+}
+
+// release returns f to its sending stack's free list.
+func (f *fragment) release() {
+	o := f.d.From
+	*f = fragment{input: f.input}
+	o.frags = append(o.frags, f)
 }
 
 // Socket is a bound UDP endpoint.
@@ -282,17 +319,23 @@ func (sk *Socket) SendTo(p *sim.Proc, dst *Stack, dstPort int, bytes int64, body
 			// its output processing (already attributed as CPU time).
 			d.sentAt = p.Now()
 		}
-		sk.stack.PacketsOut++
-		sk.stack.n.SendAsync(&nic.Message{
-			To:           dst.n,
-			Port:         etherPort,
-			HeaderBytes:  ipHeaderBytes,
-			PayloadBytes: fb,
-			Header:       &fragment{d: d, dstPort: dstPort, id: id, index: i, total: total},
-			Tag:          tag,
-			FragSize:     h.P.EtherMTU,
-		})
+		sk.sendFragment(dst, dstPort, d, id, total, fb, tag)
 	}
+}
+
+// sendFragment hands one IP fragment of d, fb payload bytes, to the NIC.
+func (sk *Socket) sendFragment(dst *Stack, dstPort int, d *Datagram, id uint64, total int, fb int64, tag uint64) {
+	st := sk.stack
+	st.PacketsOut++
+	st.n.SendAsync(&nic.Message{
+		To:           dst.n,
+		Port:         etherPort,
+		HeaderBytes:  ipHeaderBytes,
+		PayloadBytes: fb,
+		Header:       st.newFragment(d, dstPort, id, total),
+		Tag:          tag,
+		FragSize:     st.h.P.EtherMTU,
+	})
 }
 
 // SendToAsync transmits from event context (kernel timers, retransmission
@@ -316,16 +359,7 @@ func (sk *Socket) SendToAsync(dst *Stack, dstPort int, bytes int64, body any, ta
 		}
 		sent += fb
 		h.ComputeAsync(h.P.UDPSendPacket+h.P.PIOWrite, nil)
-		sk.stack.PacketsOut++
-		sk.stack.n.SendAsync(&nic.Message{
-			To:           dst.n,
-			Port:         etherPort,
-			HeaderBytes:  ipHeaderBytes,
-			PayloadBytes: fb,
-			Header:       &fragment{d: d, dstPort: dstPort, id: id, index: i, total: total},
-			Tag:          tag,
-			FragSize:     h.P.EtherMTU,
-		})
+		sk.sendFragment(dst, dstPort, d, id, total, fb, tag)
 	}
 }
 
@@ -342,6 +376,64 @@ func (sk *Socket) Recv(p *sim.Proc) *Datagram {
 	d.span.Add(obs.PhaseQueue, p.Now().Sub(d.queuedAt))
 	h.Compute(p, h.P.SchedWakeup)
 	return d
+}
+
+// Listen calls fn, from event callbacks, on every datagram the socket
+// receives: a receiver with no process, such as the kernel's RPC reply
+// demux. Event for event it runs the loop a process calling Recv forever
+// would run, charges included, starting where that process would first
+// wake, so fn runs at the instant, and after the same events, as the code
+// after Recv would. fn must not block.
+func (sk *Socket) Listen(fn func(*Datagram)) {
+	l := &listener{sk: sk, fn: fn}
+	l.step = l.run
+	sk.stack.h.S.After(0, l.step)
+}
+
+// listener is the state of one Listen loop: the Recv step it is at.
+type listener struct {
+	sk    *Socket
+	fn    func(*Datagram)
+	d     *Datagram // received, the wakeup being charged
+	state listenState
+	step  func() // l.run, bound once
+}
+
+type listenState uint8
+
+const (
+	listenSyscall listenState = iota // enter Recv: charge the syscall
+	listenGet                        // take a datagram, or wait for one
+	listenDeliver                    // wakeup charged: hand d to fn
+)
+
+// run steps the Recv loop until it has to wait: for the CPU, or for a
+// datagram.
+func (l *listener) run() {
+	h := l.sk.stack.h
+	for {
+		switch l.state {
+		case listenSyscall:
+			l.state = listenGet
+			if !h.ComputeThen(h.P.SyscallCost, l.step) {
+				return
+			}
+		case listenGet:
+			d, ok := l.sk.queue.GetOr(l.step)
+			if !ok {
+				return
+			}
+			d.span.Add(obs.PhaseQueue, h.S.Now().Sub(d.queuedAt))
+			l.d, l.state = d, listenDeliver
+			if !h.ComputeThen(h.P.SchedWakeup, l.step) {
+				return
+			}
+		case listenDeliver:
+			d := l.d
+			l.d, l.state = nil, listenSyscall
+			l.fn(d)
+		}
+	}
 }
 
 // Pending returns queued datagrams.

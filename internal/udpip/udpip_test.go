@@ -132,3 +132,47 @@ func TestRoundTripLatencyOrder(t *testing.T) {
 		t.Fatalf("UDP RTT %v wildly off the ~80us ballpark", rtt)
 	}
 }
+
+// TestDatagramStreamAllocatesOnlyDatagrams sends three-fragment datagrams
+// to a Listen loop until the pools, rings and reassembly map have grown.
+// A further round then allocates one Datagram per datagram and nothing
+// else: each fragment, and each NIC message record carrying one, goes
+// back to its sender's free list when the receiver has processed it,
+// or dropped it at a crashed or lossy host.
+func TestDatagramStreamAllocatesOnlyDatagrams(t *testing.T) {
+	r := newRig(t)
+	a := r.sa.Socket(1000)
+	b := r.sb.Socket(2000)
+	got := 0
+	b.Listen(func(*Datagram) { got++ })
+	bytes := int64(2*(r.p.EtherMTU-ipHeaderBytes) + 100)
+	const perRound = 4
+	round := func() {
+		for range perRound {
+			a.SendToAsync(r.sb, 2000, bytes, "d", 0)
+		}
+		r.s.Run()
+	}
+	for _, tc := range []struct {
+		name      string
+		set       func()
+		delivered int
+	}{
+		{"delivered", func() {}, perRound},
+		{"receiver down", func() { r.sb.SetDown(true) }, 0},
+		{"receiver loses every packet", func() { r.sb.SetDown(false); r.sb.SetLoss(1, 7) }, 0},
+	} {
+		tc.set()
+		for range 4 {
+			round()
+		}
+		got = 0
+		if allocs := testing.AllocsPerRun(20, round); allocs != perRound {
+			t.Fatalf("%s: a round of %d datagrams allocated %.1f times, want %d (the Datagrams)",
+				tc.name, perRound, allocs, perRound)
+		}
+		if want := 21 * tc.delivered; got != want {
+			t.Fatalf("%s: delivered %d datagrams, want %d", tc.name, got, want)
+		}
+	}
+}

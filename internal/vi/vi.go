@@ -112,13 +112,20 @@ func (q *QP) SendAsync(m *Msg) {
 }
 
 // Recv blocks until a message arrives from the peer.
-func (q *QP) Recv(p *sim.Proc) *nic.Message {
+func (q *QP) Recv(p *sim.Proc) nic.Message {
 	return q.ep.Recv(p)
 }
 
 // TryRecv polls the receive queue without blocking.
-func (q *QP) TryRecv(p *sim.Proc) (*nic.Message, bool) {
+func (q *QP) TryRecv(p *sim.Proc) (nic.Message, bool) {
 	return q.ep.TryRecv(p)
+}
+
+// Listen calls fn, from event callbacks, on every message from the peer,
+// event for event as a process calling Recv forever would (see
+// nic.Endpoint.Listen).
+func (q *QP) Listen(fn func(nic.Message)) {
+	q.ep.Listen(fn)
 }
 
 // RDMAResult is a completed RDMA descriptor: Status carries ORDMA

@@ -144,3 +144,34 @@ func TestSetMode(t *testing.T) {
 		t.Fatal("SetMode failed")
 	}
 }
+
+// TestMessageStreamAllocatesNothing streams VI messages both ways over a
+// connection, one side polling and the other taking interrupts, each
+// received by a Listen loop, until the pools and rings have grown. A
+// further round then allocates nothing: every message rides a record
+// from its sender NIC's free list that goes back there on delivery.
+func TestMessageStreamAllocatesNothing(t *testing.T) {
+	r := newRig(t)
+	qa, qb := Connect(r.na, r.nb, 1, 1, nic.Intr, nic.Poll)
+	got := 0
+	qa.Listen(func(nic.Message) { got++ })
+	qb.Listen(func(nic.Message) { got++ })
+	m := &Msg{HeaderBytes: 64, PayloadBytes: 8 << 10, Header: "h"}
+	const perRound = 4
+	round := func() {
+		for range perRound {
+			qa.SendAsync(m)
+			qb.SendAsync(m)
+		}
+		r.s.Run()
+	}
+	for range 4 {
+		round()
+	}
+	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+		t.Fatalf("a round of %d messages allocated %.1f times, want 0", 2*perRound, allocs)
+	}
+	if want := 25 * 2 * perRound; got != want {
+		t.Fatalf("delivered %d messages, want %d", got, want)
+	}
+}
