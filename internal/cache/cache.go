@@ -21,10 +21,11 @@ type RemoteRef struct {
 	VA  uint64
 	Len int64
 	Cap []byte
-	// Epoch stamps which server incarnation exported the reference: a
-	// replicated client bumps its per-shard epoch on failover, because a
-	// VA valid in the dead copy's export space may alias a different
-	// block in the surviving copy's. Unreplicated clients leave it zero.
+	// Epoch stamps which server incarnation exported the reference: the
+	// cached client stamps its shard's failover count, so a failover
+	// voids the reference, because a VA valid in the dead copy's export
+	// space may alias a different block in the surviving copy's.
+	// Unreplicated shards never fail over and leave it zero.
 	Epoch uint64
 }
 

@@ -31,7 +31,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"danas/internal/cache"
@@ -84,10 +83,15 @@ type Stats struct {
 // Client is the cached (O)DAFS client: one block cache fronting one DAFS
 // session per shard — per serving copy when the shards are replicated.
 type Client struct {
-	// inners holds each shard's serving session: with replication it is
-	// re-pointed on failover, so every read/stat path that indexes it
-	// follows the serving copy without knowing about replication.
-	inners []*dafs.Client
+	// shards holds each shard's replica set (width 1 when unreplicated):
+	// the copy sessions, live view, ack policy and failover. Every
+	// read/stat path uses the set's serving session, so it follows
+	// failover without knowing about replication; and directory
+	// references are stamped with the set's failover count, so a
+	// failover voids every reference into the dead copy's export space
+	// (its VAs may alias different blocks on the survivor) and ORDMA
+	// re-establishes cold over RPC.
+	shards []*stripe.Set[*dafs.Client]
 	layout stripe.Layout
 	h      *host.Host
 	c      *cache.Cache
@@ -105,34 +109,18 @@ type Client struct {
 
 	stats Stats
 
-	// Replication state, nil/zero on unreplicated clients (every path
-	// below then behaves exactly as before). sessions[shard][copy] is
-	// the per-copy DAFS session, mounted lazily — replicas connect cold
-	// at the first replicated write or at failover — with retry armed at
-	// construction from the stored config (a session that cannot time
-	// out can never trigger failover).
+	// Replica copies are mounted lazily — they connect cold at the first
+	// replicated write or at failover — with retry armed at mount from
+	// the stored config (a session that cannot time out can never
+	// trigger failover).
 	s         *sim.Scheduler
 	clientNIC *nic.NIC
 	mode      nic.NotifyMode
 	transfer  dafs.TransferMode
-	servers   [][]*dafs.Server
-	sessions  [][]*dafs.Client
-	serving   []int
-	deadCopy  [][]bool
-	policy    stripe.AckPolicy
-	// refEpoch[shard] stamps directory references with the serving
-	// copy's incarnation: failover bumps it, voiding every reference
-	// into the dead copy's export space (its VAs may alias different
-	// blocks on the survivor), so ORDMA re-establishes cold over RPC.
-	refEpoch []uint64
 
 	retryTimeout sim.Duration
 	retryBudget  int
 	rdmaTimeout  sim.Duration
-
-	failovers   uint64
-	reissued    uint64
-	replicaErrs uint64
 }
 
 // inflightFetch is one in-progress block fetch on the coalescing table.
@@ -157,14 +145,31 @@ func NewClient(s *sim.Scheduler, clientNIC *nic.NIC, srv *dafs.Server, mode nic.
 // from shard i's reply is only ever exercised against shard i because the
 // layout is static.
 func NewStripedClient(s *sim.Scheduler, clientNIC *nic.NIC, srvs []*dafs.Server, mode nic.NotifyMode, cfg Config, layout stripe.Layout) *Client {
+	servers := make([][]*dafs.Server, len(srvs))
+	for i := range srvs {
+		servers[i] = srvs[i : i+1 : i+1]
+	}
+	return NewReplicatedClient(s, clientNIC, servers, mode, cfg, layout, stripe.AckSync)
+}
+
+// NewReplicatedClient mounts a cached client over a replicated fleet:
+// servers[shard][copy] with copy 0 the primary, matching
+// layout.Width(). Only the primaries are mounted eagerly — the client
+// behaves exactly like NewStripedClient over them until a replicated
+// write or a failover touches a replica. Writes reach every live copy
+// of the owning shard under the ack policy; when retry against a
+// serving copy exhausts, the shard fails over to the next live copy,
+// re-issuing uncommitted ranges there and voiding the dead copy's
+// ORDMA references by epoch.
+func NewReplicatedClient(s *sim.Scheduler, clientNIC *nic.NIC, servers [][]*dafs.Server, mode nic.NotifyMode, cfg Config, layout stripe.Layout, policy stripe.AckPolicy) *Client {
 	if cfg.BlockSize <= 0 || cfg.DataBlocks <= 0 {
 		panic("core: config needs positive block size and data capacity")
 	}
 	if err := layout.Validate(); err != nil {
 		panic(err.Error())
 	}
-	if len(srvs) != layout.Shards {
-		panic(fmt.Sprintf("core: %d servers for %d shards", len(srvs), layout.Shards))
+	if len(servers) != layout.Shards {
+		panic(fmt.Sprintf("core: %d servers for %d shards", len(servers), layout.Shards))
 	}
 	if layout.Shards > 1 && layout.Unit%cfg.BlockSize != 0 {
 		panic(fmt.Sprintf("core: stripe unit %d not a multiple of cache block size %d", layout.Unit, cfg.BlockSize))
@@ -180,12 +185,8 @@ func NewStripedClient(s *sim.Scheduler, clientNIC *nic.NIC, srvs []*dafs.Server,
 	if cfg.InlineRPC {
 		transfer = dafs.Inline
 	}
-	inners := make([]*dafs.Client, len(srvs))
-	for i, srv := range srvs {
-		inners[i] = dafs.NewClient(s, clientNIC, srv, mode, transfer)
-	}
-	return &Client{
-		inners:      inners,
+	c := &Client{
+		shards:      make([]*stripe.Set[*dafs.Client], len(servers)),
 		layout:      layout,
 		h:           clientNIC.Host(),
 		c:           cache.New(cfg.BlockSize, cfg.DataBlocks, cfg.Headers, opts...),
@@ -197,62 +198,27 @@ func NewStripedClient(s *sim.Scheduler, clientNIC *nic.NIC, srvs []*dafs.Server,
 		mode:        mode,
 		transfer:    transfer,
 	}
-}
-
-// NewReplicatedClient mounts a cached client over a replicated fleet:
-// servers[shard][copy] with copy 0 the primary, matching
-// layout.Width(). Only the primaries are mounted eagerly — the client
-// behaves exactly like NewStripedClient over them until a replicated
-// write or a failover touches a replica. Writes reach every live copy
-// of the owning shard under the ack policy; when retry against a
-// serving copy exhausts, the shard fails over to the next live copy,
-// re-issuing uncommitted ranges there and voiding the dead copy's
-// ORDMA references by epoch.
-func NewReplicatedClient(s *sim.Scheduler, clientNIC *nic.NIC, servers [][]*dafs.Server, mode nic.NotifyMode, cfg Config, layout stripe.Layout, policy stripe.AckPolicy) *Client {
-	if layout.Replicas < 1 {
-		panic("core: replicated client needs layout.Replicas >= 1")
-	}
-	primaries := make([]*dafs.Server, len(servers))
 	for i, copies := range servers {
 		if len(copies) != layout.Width() {
 			panic(fmt.Sprintf("core: shard %d has %d copies for width %d", i, len(copies), layout.Width()))
 		}
-		primaries[i] = copies[0]
+		c.shards[i] = stripe.NewSet(policy, len(copies), []*dafs.Client{c.mount(copies[0])},
+			func(cp int) *dafs.Client { return c.mount(copies[cp]) })
 	}
-	c := NewStripedClient(s, clientNIC, primaries, mode, cfg, layout)
-	c.servers = servers
-	c.sessions = make([][]*dafs.Client, layout.Shards)
-	c.deadCopy = make([][]bool, layout.Shards)
-	for i := range c.sessions {
-		c.sessions[i] = make([]*dafs.Client, layout.Width())
-		c.sessions[i][0] = c.inners[i]
-		c.deadCopy[i] = make([]bool, layout.Width())
-	}
-	c.serving = make([]int, layout.Shards)
-	c.refEpoch = make([]uint64, layout.Shards)
-	c.policy = policy
 	return c
 }
 
-// replicated reports whether the client fronts replica sets.
-func (c *Client) replicated() bool { return c.sessions != nil }
-
-// session returns the shard's copy session, mounting it cold on first
-// use. Retry is armed at construction from the stored config: a session
-// mounted after SetRetry ran (failover creates these) must still time
-// out on a dead copy rather than hang.
-func (c *Client) session(shard, copy int) *dafs.Client {
-	if in := c.sessions[shard][copy]; in != nil {
-		return in
-	}
-	in := dafs.NewClient(c.s, c.clientNIC, c.servers[shard][copy], c.mode, c.transfer)
+// mount opens a session to srv, armed with the stored retry and RDMA
+// timeout config: a session mounted after SetRetry ran (failover mounts
+// these) must still time out on a dead copy rather than hang.
+func (c *Client) mount(srv *dafs.Server) *dafs.Client {
+	in := dafs.NewClient(c.s, c.clientNIC, srv, c.mode, c.transfer)
 	if c.retryTimeout > 0 {
 		in.SetRetry(c.retryTimeout, c.retryBudget)
 	}
 	if c.rdmaTimeout > 0 {
 		in.SetRDMATimeout(c.rdmaTimeout)
 	}
-	c.sessions[shard][copy] = in
 	return in
 }
 
@@ -277,21 +243,11 @@ func (c *Client) SetRDMATimeout(d sim.Duration) {
 	c.eachSession(func(in *dafs.Client) { in.SetRDMATimeout(d) })
 }
 
-// eachSession visits every mounted DAFS session — all copies when
-// replicated, dead ones included (their counters still count).
+// eachSession visits every mounted DAFS session, shard by shard and copy
+// by copy, dead ones included (their counters still count).
 func (c *Client) eachSession(fn func(*dafs.Client)) {
-	if !c.replicated() {
-		for _, in := range c.inners {
-			fn(in)
-		}
-		return
-	}
-	for _, copies := range c.sessions {
-		for _, in := range copies {
-			if in != nil {
-				fn(in)
-			}
-		}
+	for _, set := range c.shards {
+		set.Mounted(fn)
 	}
 }
 
@@ -299,7 +255,7 @@ func (c *Client) eachSession(fn func(*dafs.Client)) {
 // — the transparently absorbed part of a fault.
 func (c *Client) Retries() uint64 {
 	var n uint64
-	c.eachSession(func(in *dafs.Client) { n += in.Retries })
+	c.eachSession(func(in *dafs.Client) { n += in.Retransmits })
 	return n
 }
 
@@ -311,151 +267,24 @@ func (c *Client) TimedOuts() uint64 {
 	return n
 }
 
-// Failovers counts serving-copy switches across the shards; Reissued
-// counts the uncommitted ranges failover re-wrote onto surviving
-// copies. Both are zero on unreplicated clients.
-func (c *Client) Failovers() uint64 { return c.failovers }
-func (c *Client) Reissued() uint64  { return c.reissued }
-
-// liveCopies lists the copies a shard's write must reach, serving copy
-// first.
-func (c *Client) liveCopies(shard int) []int {
-	out := []int{c.serving[shard]}
-	for i := range c.sessions[shard] {
-		if i != c.serving[shard] && !c.deadCopy[shard][i] {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// ackNeed clamps the policy's requirement to the copies still alive.
-func (c *Client) ackNeed(liveCopies int) int {
-	n := c.policy.Need(c.layout.Width())
-	if n > liveCopies {
-		n = liveCopies
+// Failovers counts serving-copy switches across the shards (zero on
+// unreplicated clients).
+func (c *Client) Failovers() uint64 {
+	var n uint64
+	for _, set := range c.shards {
+		n += set.Failovers
 	}
 	return n
 }
 
-// noteReplicaErr absorbs a replica-copy failure; a timed-out copy is
-// marked dead so later writes stop waiting on it.
-func (c *Client) noteReplicaErr(shard, copy int, err error) {
-	c.replicaErrs++
-	if errors.Is(err, nas.ErrTimeout) {
-		c.deadCopy[shard][copy] = true
+// Reissued counts the uncommitted ranges failover re-wrote onto
+// surviving copies across the shards.
+func (c *Client) Reissued() uint64 {
+	var n uint64
+	for _, set := range c.shards {
+		n += set.Reissued
 	}
-}
-
-// failover reacts to a shard's serving copy timing out: mark it dead,
-// advance to the next live copy (mounting its session cold), re-issue
-// the dead session's uncommitted ranges there — skipping ranges the
-// survivor already acknowledged, so a sync-policy failover re-issues
-// nothing — and bump the shard's reference epoch so ORDMA never
-// exercises the dead copy's export space against the survivor. A
-// concurrent operation that already failed over just retries on the new
-// serving copy.
-//
-// When every copy of the shard has been marked dead the marks are
-// cleared and the next copy probed anyway: dead marks are routing
-// hints, not tombstones — a crashed machine restarts, and the
-// unreplicated client recovers exactly by retrying the only machine it
-// has. The current operation still fails (typed timeout, never a hang,
-// reported by returning false); later operations probe the refreshed
-// view and find the restarted copy.
-func (c *Client) failover(p *sim.Proc, shard, failed int) bool {
-	if c.serving[shard] != failed {
-		return true
-	}
-	c.deadCopy[shard][failed] = true
-	width := c.layout.Width()
-	next, exhausted := -1, false
-	for i := 1; i < width; i++ {
-		cp := (failed + i) % width
-		if !c.deadCopy[shard][cp] {
-			next = cp
-			break
-		}
-	}
-	if next < 0 {
-		for i := range c.deadCopy[shard] {
-			c.deadCopy[shard][i] = false
-		}
-		next = (failed + 1) % width
-		exhausted = true
-	}
-	old := c.sessions[shard][failed]
-	nw := c.session(shard, next)
-	c.serving[shard] = next
-	c.inners[shard] = nw
-	c.refEpoch[shard]++
-	c.failovers++
-	obs.Active(p).CountFailover()
-	for _, pr := range old.TakeUncommitted() {
-		if nw.HasUncommitted(pr.FH, pr.WriteRange) {
-			continue
-		}
-		if _, err := nw.WriteStable(p, &nas.Handle{FH: pr.FH}, pr.Off, pr.N, nas.CommitBufID); err != nil {
-			nw.Requeue(pr.FH, pr.WriteRange)
-			continue
-		}
-		c.reissued++
-	}
-	return !exhausted
-}
-
-// withFailover runs a serving-session operation, failing the shard over
-// and retrying when the session's retry exhausts. Unreplicated clients
-// run the operation exactly once, as before.
-func (c *Client) withFailover(p *sim.Proc, shard int, fn func(wp *sim.Proc, in *dafs.Client) error) error {
-	for {
-		serving := 0
-		if c.replicated() {
-			serving = c.serving[shard]
-		}
-		err := fn(p, c.inners[shard])
-		if err == nil || !c.replicated() || !errors.Is(err, nas.ErrTimeout) {
-			return err
-		}
-		if !c.failover(p, shard, serving) {
-			return err
-		}
-	}
-}
-
-// shardWrite issues one write-class operation to a shard: unreplicated,
-// it runs on the shard session exactly as before; replicated, it
-// reaches every live copy with the ack policy deciding how many
-// acknowledgements complete it (stripe.Replicate), failing over when
-// the serving copy times out and retrying when a mid-write copy death
-// made the clamped ack requirement reachable again (the re-run is
-// idempotent: copies that already applied the write apply the same
-// bytes).
-func (c *Client) shardWrite(p *sim.Proc, shard int, name string, op func(wp *sim.Proc, in *dafs.Client) (int64, error)) (int64, error) {
-	if !c.replicated() {
-		return op(p, c.inners[shard])
-	}
-	for {
-		copies := c.liveCopies(shard)
-		got, err := stripe.Replicate(p, copies, c.ackNeed(len(copies)), name,
-			func(wp *sim.Proc, cp int) (int64, error) {
-				return op(wp, c.session(shard, cp))
-			},
-			func(cp int, err error) { c.noteReplicaErr(shard, cp, err) })
-		switch {
-		case err == nil:
-			return got, nil
-		case errors.Is(err, nas.ErrTimeout):
-			if c.failover(p, shard, copies[0]) {
-				continue
-			}
-			return got, err
-		case errors.Is(err, stripe.ErrNoQuorum) && len(c.liveCopies(shard)) < len(copies):
-			continue
-		default:
-			return got, err
-		}
-	}
+	return n
 }
 
 // Name implements nas.Client.
@@ -473,7 +302,7 @@ func (c *Client) Stats() Stats { return c.stats }
 func (c *Client) CacheStats() cache.Stats { return c.c.Stats() }
 
 // Inner returns the underlying DAFS session client for shard 0.
-func (c *Client) Inner() *dafs.Client { return c.inners[0] }
+func (c *Client) Inner() *dafs.Client { return c.shards[0].Current() }
 
 // Layout returns the striping scheme (stripe.Single() when unstriped).
 func (c *Client) Layout() stripe.Layout { return c.layout }
@@ -497,9 +326,9 @@ func (c *Client) Open(p *sim.Proc, name string) (*nas.Handle, error) {
 		c.h.Compute(p, c.h.P.CacheLookup)
 		return hs[0], nil
 	}
-	hs := make([]*nas.Handle, len(c.inners))
-	err := stripe.FanOut(p, len(c.inners), "odafs-open", func(wp *sim.Proc, i int) error {
-		h, err := c.inners[i].Open(wp, name)
+	hs := make([]*nas.Handle, len(c.shards))
+	err := stripe.FanOut(p, len(c.shards), "odafs-open", func(wp *sim.Proc, i int) error {
+		h, err := c.shards[i].Current().Open(wp, name)
 		hs[i] = h
 		return err
 	})
@@ -523,7 +352,7 @@ func (c *Client) Getattr(p *sim.Proc, h *nas.Handle) (int64, error) {
 		c.h.Compute(p, c.h.P.CacheLookup)
 		return h.Size, nil
 	}
-	return c.inners[0].Getattr(p, h)
+	return c.shards[0].Current().Getattr(p, h)
 }
 
 // Create implements nas.Client: the name is created on every shard
@@ -531,24 +360,15 @@ func (c *Client) Getattr(p *sim.Proc, h *nas.Handle) (int64, error) {
 // namespace replicates with the data, so failover finds the file;
 // replica-copy failures are absorbed like write failures).
 func (c *Client) Create(p *sim.Proc, name string) (*nas.Handle, error) {
-	hs := make([]*nas.Handle, len(c.inners))
-	err := stripe.FanOut(p, len(c.inners), "odafs-create", func(wp *sim.Proc, i int) error {
-		if !c.replicated() {
-			h, err := c.inners[i].Create(wp, name)
-			hs[i] = h
-			return err
-		}
-		copies := c.liveCopies(i)
-		return stripe.FanOut(wp, len(copies), "odafs-rcreate", func(cp *sim.Proc, j int) error {
-			h, err := c.session(i, copies[j]).Create(cp, name)
-			if j == 0 {
+	hs := make([]*nas.Handle, len(c.shards))
+	err := stripe.FanOut(p, len(c.shards), "odafs-create", func(wp *sim.Proc, i int) error {
+		serving := c.shards[i].Serving()
+		return c.shards[i].Fan(wp, "odafs-rcreate", func(cp *sim.Proc, copy int, in *dafs.Client) error {
+			h, err := in.Create(cp, name)
+			if copy == serving {
 				hs[i] = h
-				return err
 			}
-			if err != nil {
-				c.noteReplicaErr(i, copies[j], err)
-			}
-			return nil
+			return err
 		})
 	})
 	if err != nil {
@@ -562,18 +382,9 @@ func (c *Client) Create(p *sim.Proc, name string) (*nas.Handle, error) {
 // every live copy of every shard when replicated.
 func (c *Client) Remove(p *sim.Proc, name string) error {
 	delete(c.delegations, name)
-	return stripe.FanOut(p, len(c.inners), "odafs-remove", func(wp *sim.Proc, i int) error {
-		if !c.replicated() {
-			return c.inners[i].Remove(wp, name)
-		}
-		copies := c.liveCopies(i)
-		return stripe.FanOut(wp, len(copies), "odafs-rremove", func(cp *sim.Proc, j int) error {
-			err := c.session(i, copies[j]).Remove(cp, name)
-			if err != nil && j > 0 {
-				c.noteReplicaErr(i, copies[j], err)
-				return nil
-			}
-			return err
+	return stripe.FanOut(p, len(c.shards), "odafs-remove", func(wp *sim.Proc, i int) error {
+		return c.shards[i].Fan(wp, "odafs-rremove", func(cp *sim.Proc, _ int, in *dafs.Client) error {
+			return in.Remove(cp, name)
 		})
 	})
 }
@@ -668,7 +479,7 @@ func (c *Client) fetchBlockUncoalesced(p *sim.Proc, h *nas.Handle, blockOff int6
 	if c.cfg.UseORDMA {
 		if ref := c.c.RefOf(h.FH, blockOff); ref != nil {
 			shard := c.layout.ShardOf(blockOff)
-			if c.refEpoch != nil && ref.Epoch != c.refEpoch[shard] {
+			if ref.Epoch != c.shards[shard].Failovers {
 				// The reference was exported by a copy this shard has
 				// since failed away from: its VA may alias a different
 				// block in the survivor's export space, so it must never
@@ -677,7 +488,7 @@ func (c *Client) fetchBlockUncoalesced(p *sim.Proc, h *nas.Handle, blockOff int6
 				return c.rpcFetch(p, h, blockOff, blockLen)
 			}
 			c.stats.ORDMAReads++
-			res := c.inners[shard].QP().RDMA(p, nic.Get, ref.VA, min(blockLen, ref.Len), ref.Cap)
+			res := c.shards[shard].Current().QP().RDMA(p, nic.Get, ref.VA, min(blockLen, ref.Len), ref.Cap)
 			if res.OK() {
 				c.stats.ORDMASuccesses++
 				c.chargeInsert(p, h.FH, blockOff)
@@ -695,14 +506,14 @@ func (c *Client) fetchBlockUncoalesced(p *sim.Proc, h *nas.Handle, blockOff int6
 
 // rpcFetch populates a block over the owning shard's DAFS RPC path,
 // installing any piggybacked reference — stamped with the shard's
-// serving epoch when replicated — in the directory. A retry-exhausted
-// serving copy triggers failover and the fetch retries on the survivor.
+// failover count — in the directory. A retry-exhausted serving copy
+// triggers failover and the fetch retries on the survivor.
 func (c *Client) rpcFetch(p *sim.Proc, h *nas.Handle, blockOff, blockLen int64) error {
 	c.stats.RPCReads++
 	shard := c.layout.ShardOf(blockOff)
 	sh := c.shardHandle(h, shard)
 	var ref *cache.RemoteRef
-	err := c.withFailover(p, shard, func(wp *sim.Proc, inner *dafs.Client) error {
+	err := c.shards[shard].Do(p, func(wp *sim.Proc, _ int, inner *dafs.Client) error {
 		var err error
 		if c.cfg.InlineRPC {
 			_, ref, err = inner.ReadInline(wp, sh, blockOff, blockLen)
@@ -718,8 +529,8 @@ func (c *Client) rpcFetch(p *sim.Proc, h *nas.Handle, blockOff, blockLen int64) 
 	if err != nil {
 		return err
 	}
-	if ref != nil && c.refEpoch != nil {
-		ref.Epoch = c.refEpoch[shard]
+	if ref != nil {
+		ref.Epoch = c.shards[shard].Failovers
 	}
 	c.chargeInsert(p, h.FH, blockOff)
 	c.c.Insert(h.FH, blockOff, blockLen, ref, nil)
@@ -743,7 +554,7 @@ func (c *Client) chargeInsert(p *sim.Proc, fh uint64, off int64) {
 // ack policy.
 func (c *Client) Write(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64) (int64, error) {
 	got, err := c.writeSpans(p, h, off, n, func(wp *sim.Proc, shard int, sh *nas.Handle, so, sn int64) (int64, error) {
-		return c.shardWrite(wp, shard, "odafs-repl", func(ip *sim.Proc, in *dafs.Client) (int64, error) {
+		return c.shards[shard].Write(wp, "odafs-repl", func(ip *sim.Proc, _ int, in *dafs.Client) (int64, error) {
 			return in.Write(ip, sh, so, sn, bufID)
 		})
 	})
@@ -775,7 +586,7 @@ func (c *Client) extendReplicas(p *sim.Proc, h *nas.Handle, off, n int64) error 
 	targets := c.layout.ExtendTargets(off, n)
 	err := stripe.FanOut(p, len(targets), "odafs-extend", func(wp *sim.Proc, i int) error {
 		shard := targets[i]
-		_, err := c.shardWrite(wp, shard, "odafs-rextend", func(ip *sim.Proc, in *dafs.Client) (int64, error) {
+		_, err := c.shards[shard].Write(wp, "odafs-rextend", func(ip *sim.Proc, _ int, in *dafs.Client) (int64, error) {
 			return in.WriteData(ip, c.shardHandle(h, shard), end, nil)
 		})
 		return err
@@ -810,7 +621,7 @@ func (c *Client) writeSpans(p *sim.Proc, h *nas.Handle, off, n int64,
 // receives its spans' bytes, concurrently like Write.
 func (c *Client) WriteData(p *sim.Proc, h *nas.Handle, off int64, data []byte) (int64, error) {
 	got, err := c.writeSpans(p, h, off, int64(len(data)), func(wp *sim.Proc, shard int, sh *nas.Handle, so, sn int64) (int64, error) {
-		return c.shardWrite(wp, shard, "odafs-rwdata", func(ip *sim.Proc, in *dafs.Client) (int64, error) {
+		return c.shards[shard].Write(wp, "odafs-rwdata", func(ip *sim.Proc, _ int, in *dafs.Client) (int64, error) {
 			return in.WriteData(ip, sh, so, data[so-off:so-off+sn])
 		})
 	})
@@ -834,13 +645,13 @@ func (c *Client) WriteData(p *sim.Proc, h *nas.Handle, off int64, data []byte) (
 // writes, so a crash of one shard never forces rewrites on the others.
 func (c *Client) Commit(p *sim.Proc, h *nas.Handle, off, n int64) error {
 	commitShard := func(wp *sim.Proc, shard int, sh *nas.Handle, so, sn int64) error {
-		_, err := c.shardWrite(wp, shard, "odafs-rcommit", func(ip *sim.Proc, in *dafs.Client) (int64, error) {
+		_, err := c.shards[shard].Write(wp, "odafs-rcommit", func(ip *sim.Proc, _ int, in *dafs.Client) (int64, error) {
 			return 0, in.Commit(ip, sh, so, sn)
 		})
 		return err
 	}
 	if n <= 0 {
-		return stripe.FanOut(p, len(c.inners), "odafs-commit", func(wp *sim.Proc, i int) error {
+		return stripe.FanOut(p, len(c.shards), "odafs-commit", func(wp *sim.Proc, i int) error {
 			return commitShard(wp, i, c.shardHandle(h, i), 0, 0)
 		})
 	}

@@ -5,7 +5,6 @@ import (
 	"danas/internal/host"
 	"danas/internal/nas"
 	"danas/internal/nic"
-	"danas/internal/obs"
 	"danas/internal/sim"
 	"danas/internal/vi"
 	"danas/internal/wire"
@@ -34,26 +33,15 @@ type Client struct {
 	transfer TransferMode
 	regs     *nic.RegCache
 
-	nextXID uint64
-	pending map[uint64]*sim.Future[*completion]
-
-	// RetransmitTimeout, when nonzero, re-sends an unanswered session
-	// request after each timeout with exponential backoff (sim.Retry's
-	// shared policy), up to MaxRetries times, then fails the call with
-	// nas.ErrTimeout. There is no session duplicate-request cache:
-	// reads, writes, opens and getattrs are idempotent in the model, so
-	// re-execution is harmless; a retransmitted Create/Remove whose
-	// first execution succeeded can surface ErrExist/ErrNoEnt — the
-	// classic at-least-once artifact NFS shows whenever its DRC is cold,
-	// accepted here since the replayed workloads only retry data ops.
-	RetransmitTimeout sim.Duration
-	MaxRetries        int
-
-	Calls uint64
-	// Retries counts session retransmissions; TimedOut counts calls
-	// that exhausted their budget and failed.
-	Retries  uint64
-	TimedOut uint64
+	// The embedded call table carries the session's retransmission
+	// settings and call counters. There is no session duplicate-request
+	// cache: reads, writes, opens and getattrs are idempotent in the
+	// model, so re-execution is harmless; a retransmitted Create/Remove
+	// whose first execution succeeded can surface ErrExist/ErrNoEnt —
+	// the classic at-least-once artifact NFS shows whenever its DRC is
+	// cold, accepted here since the replayed workloads only retry data
+	// ops.
+	nas.CallTable[completion, *vi.Msg]
 
 	// commits tracks uncommitted unstable writes against the server's
 	// write verifier; Commit re-issues ranges a server crash lost.
@@ -67,17 +55,6 @@ type completion struct {
 	hdr          *wire.Header
 	payloadBytes int64
 	payload      any
-	// err is non-nil when the call failed locally (retry exhaustion);
-	// hdr is nil then.
-	err error
-}
-
-// error folds local failure and remote status into one result.
-func (res *completion) error() error {
-	if res.err != nil {
-		return res.err
-	}
-	return statusErr(res.hdr.Status)
 }
 
 // NewClient connects a client on clientNIC to srv. mode picks the client's
@@ -90,8 +67,8 @@ func NewClient(_ *sim.Scheduler, clientNIC *nic.NIC, srv *Server, mode nic.Notif
 		qp:       srv.Connect(clientNIC, mode),
 		transfer: transfer,
 		regs:     nic.NewRegCache(clientNIC),
-		pending:  make(map[uint64]*sim.Future[*completion]),
 	}
+	c.Init(c.resend)
 	c.qp.Listen(c.complete)
 	return c
 }
@@ -120,12 +97,16 @@ func (c *Client) Regs() *nic.RegCache { return c.regs }
 // QP.RDMA).
 func (c *Client) complete(m nic.Message) {
 	req := m.Header.(*msg)
-	fut, ok := c.pending[req.Hdr.XID]
-	if !ok {
-		return
+	if fut := c.Answer(req.Hdr.XID); fut != nil {
+		fut.Resolve(&completion{hdr: req.Hdr, payloadBytes: m.PayloadBytes, payload: m.Payload})
 	}
-	delete(c.pending, req.Hdr.XID)
-	fut.Resolve(&completion{hdr: req.Hdr, payloadBytes: m.PayloadBytes, payload: m.Payload})
+}
+
+// resend retransmits a session request from the library's retry timer,
+// charging the send cost asynchronously.
+func (c *Client) resend(vm *vi.Msg) {
+	c.h.ComputeAsync(c.h.P.DAFSClientOp, nil)
+	c.qp.SendAsync(vm)
 }
 
 // SetRetry configures session retransmission: nonzero timeout makes a
@@ -143,16 +124,13 @@ func (c *Client) SetRetry(timeout sim.Duration, maxRetries int) {
 // single-switch star cannot black-hole frames, so it never needs this.
 func (c *Client) SetRDMATimeout(d sim.Duration) { c.qp.SetRDMATimeout(d) }
 
-// call issues one session request and waits for its completion.
-func (c *Client) call(p *sim.Proc, hdr *wire.Header, m *msg, payloadBytes int64) *completion {
+// call issues one session request and waits for its completion,
+// folding local failure (retry exhaustion) and remote status into one
+// typed error.
+func (c *Client) call(p *sim.Proc, hdr *wire.Header, m *msg, payloadBytes int64) (*completion, error) {
 	c.h.Compute(p, c.h.P.DAFSClientOp)
-	c.nextXID++
-	hdr.XID = c.nextXID
-	hdr.Span = obs.Active(p)
-	c.Calls++
+	fut := c.Begin(p, hdr)
 	m.Hdr = hdr
-	fut := sim.NewFuture[*completion](p.Sched())
-	c.pending[hdr.XID] = fut
 	vm := &vi.Msg{
 		HeaderBytes:  hdr.WireSize() + 16*len(m.Batch),
 		PayloadBytes: payloadBytes,
@@ -160,54 +138,17 @@ func (c *Client) call(p *sim.Proc, hdr *wire.Header, m *msg, payloadBytes int64)
 		Span:         hdr.Span,
 	}
 	c.qp.Send(p, vm)
-	if c.RetransmitTimeout > 0 {
-		// Retransmission runs in event context (a library timer),
-		// charging send costs asynchronously; on budget exhaustion the
-		// pending future resolves with nas.ErrTimeout. Each fired timer
-		// means the interval since the last transmission was spent on a
-		// lost exchange: that dead time is the span's retry phase.
-		xid := hdr.XID
-		sp := hdr.Span
-		lastSend := c.h.S.Now()
-		sim.Retry(c.h.S, c.RetransmitTimeout, c.MaxRetries, fut.Fired,
-			func() {
-				c.Retries++
-				now := c.h.S.Now()
-				sp.CountRetry()
-				sp.Add(obs.PhaseRetry, now.Sub(lastSend))
-				lastSend = now
-				c.h.ComputeAsync(c.h.P.DAFSClientOp, nil)
-				c.qp.SendAsync(vm)
-			},
-			func() {
-				delete(c.pending, xid)
-				c.TimedOut++
-				sp.Add(obs.PhaseRetry, c.h.S.Now().Sub(lastSend))
-				fut.Resolve(&completion{err: nas.ErrTimeout})
-			})
+	res, err := c.Wait(p, hdr, fut, vm)
+	if err != nil {
+		return nil, err
 	}
-	return fut.Value(p)
-}
-
-func statusErr(st uint32) error {
-	switch st {
-	case wire.StatusOK:
-		return nil
-	case wire.StatusNoEnt:
-		return nas.ErrNoEnt
-	case wire.StatusExist:
-		return nas.ErrExist
-	case wire.StatusStale:
-		return nas.ErrStale
-	default:
-		return nas.ErrIO
-	}
+	return res, nas.StatusErr(res.hdr.Status)
 }
 
 // Open implements nas.Client.
 func (c *Client) Open(p *sim.Proc, name string) (*nas.Handle, error) {
-	res := c.call(p, &wire.Header{Op: wire.OpOpen, Name: name}, &msg{}, 0)
-	if err := res.error(); err != nil {
+	res, err := c.call(p, &wire.Header{Op: wire.OpOpen, Name: name}, &msg{}, 0)
+	if err != nil {
 		return nil, err
 	}
 	return &nas.Handle{FH: res.hdr.FH, Size: res.hdr.Length, Name: name}, nil
@@ -215,8 +156,8 @@ func (c *Client) Open(p *sim.Proc, name string) (*nas.Handle, error) {
 
 // Getattr implements nas.Client.
 func (c *Client) Getattr(p *sim.Proc, h *nas.Handle) (int64, error) {
-	res := c.call(p, &wire.Header{Op: wire.OpGetattr, FH: h.FH}, &msg{}, 0)
-	if err := res.error(); err != nil {
+	res, err := c.call(p, &wire.Header{Op: wire.OpGetattr, FH: h.FH}, &msg{}, 0)
+	if err != nil {
 		return 0, err
 	}
 	return res.hdr.Length, nil
@@ -224,8 +165,8 @@ func (c *Client) Getattr(p *sim.Proc, h *nas.Handle) (int64, error) {
 
 // Create implements nas.Client.
 func (c *Client) Create(p *sim.Proc, name string) (*nas.Handle, error) {
-	res := c.call(p, &wire.Header{Op: wire.OpCreate, Name: name}, &msg{}, 0)
-	if err := res.error(); err != nil {
+	res, err := c.call(p, &wire.Header{Op: wire.OpCreate, Name: name}, &msg{}, 0)
+	if err != nil {
 		return nil, err
 	}
 	return &nas.Handle{FH: res.hdr.FH, Name: name}, nil
@@ -233,14 +174,14 @@ func (c *Client) Create(p *sim.Proc, name string) (*nas.Handle, error) {
 
 // Remove implements nas.Client.
 func (c *Client) Remove(p *sim.Proc, name string) error {
-	res := c.call(p, &wire.Header{Op: wire.OpRemove, Name: name}, &msg{}, 0)
-	return res.error()
+	_, err := c.call(p, &wire.Header{Op: wire.OpRemove, Name: name}, &msg{}, 0)
+	return err
 }
 
 // Close implements nas.Client.
 func (c *Client) Close(p *sim.Proc, h *nas.Handle) error {
-	res := c.call(p, &wire.Header{Op: wire.OpClose, FH: h.FH}, &msg{}, 0)
-	return res.error()
+	_, err := c.call(p, &wire.Header{Op: wire.OpClose, FH: h.FH}, &msg{}, 0)
+	return err
 }
 
 // ReadDirect reads n bytes at off into the registered buffer bufID via
@@ -251,8 +192,8 @@ func (c *Client) ReadDirect(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint
 	if err != nil {
 		return 0, nil, err
 	}
-	res := c.call(p, &wire.Header{Op: wire.OpRead, FH: h.FH, Offset: off, Length: n, BufVA: e.Seg.VA}, &msg{}, 0)
-	if err := res.error(); err != nil {
+	res, err := c.call(p, &wire.Header{Op: wire.OpRead, FH: h.FH, Offset: off, Length: n, BufVA: e.Seg.VA}, &msg{}, 0)
+	if err != nil {
 		return 0, nil, err
 	}
 	return res.hdr.Length, RemoteRefOf(res.hdr), nil
@@ -262,8 +203,8 @@ func (c *Client) ReadDirect(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint
 // The caller charges the copy to the data's final destination (user buffer
 // or client cache block), which is what distinguishes the Table 3 columns.
 func (c *Client) ReadInline(p *sim.Proc, h *nas.Handle, off, n int64) (int64, *cache.RemoteRef, error) {
-	res := c.call(p, &wire.Header{Op: wire.OpRead, FH: h.FH, Offset: off, Length: n}, &msg{}, 0)
-	if err := res.error(); err != nil {
+	res, err := c.call(p, &wire.Header{Op: wire.OpRead, FH: h.FH, Offset: off, Length: n}, &msg{}, 0)
+	if err != nil {
 		return 0, nil, err
 	}
 	return res.hdr.Length, RemoteRefOf(res.hdr), nil
@@ -281,10 +222,10 @@ func (c *Client) BatchReadDirect(p *sim.Proc, h *nas.Handle, offs []int64, n int
 	if err != nil {
 		return 0, err
 	}
-	res := c.call(p, &wire.Header{
+	res, err := c.call(p, &wire.Header{
 		Op: wire.OpRead, FH: h.FH, Offset: offs[0], Length: n, BufVA: e.Seg.VA,
 	}, &msg{Batch: offs[1:]}, 0)
-	if err := res.error(); err != nil {
+	if err != nil {
 		return 0, err
 	}
 	return res.hdr.Length, nil
@@ -322,17 +263,18 @@ func (c *Client) WriteStable(p *sim.Proc, h *nas.Handle, off, n int64, bufID uin
 
 func (c *Client) write(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64, flags uint8) (int64, error) {
 	var res *completion
+	var err error
 	if c.transfer == Inline {
 		c.h.Compute(p, c.h.CopyCost(n)) // user buffer -> comm buffer
-		res = c.call(p, &wire.Header{Op: wire.OpWrite, FH: h.FH, Offset: off, Length: n, Flags: flags}, &msg{}, n)
+		res, err = c.call(p, &wire.Header{Op: wire.OpWrite, FH: h.FH, Offset: off, Length: n, Flags: flags}, &msg{}, n)
 	} else {
-		e, err := c.regs.Get(p, bufID, n)
-		if err != nil {
+		var e *nic.RegEntry
+		if e, err = c.regs.Get(p, bufID, n); err != nil {
 			return 0, err
 		}
-		res = c.call(p, &wire.Header{Op: wire.OpWrite, FH: h.FH, Offset: off, Length: n, BufVA: e.Seg.VA, Flags: flags}, &msg{}, 0)
+		res, err = c.call(p, &wire.Header{Op: wire.OpWrite, FH: h.FH, Offset: off, Length: n, BufVA: e.Seg.VA, Flags: flags}, &msg{}, 0)
 	}
-	if err := res.error(); err != nil {
+	if err != nil {
 		return 0, err
 	}
 	if flags&wire.FlagStable == 0 {
@@ -345,9 +287,9 @@ func (c *Client) write(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64, f
 func (c *Client) WriteData(p *sim.Proc, h *nas.Handle, off int64, data []byte) (int64, error) {
 	n := int64(len(data))
 	c.h.Compute(p, c.h.CopyCost(n))
-	res := c.call(p, &wire.Header{Op: wire.OpWrite, FH: h.FH, Offset: off, Length: n},
+	res, err := c.call(p, &wire.Header{Op: wire.OpWrite, FH: h.FH, Offset: off, Length: n},
 		&msg{Data: data}, n)
-	if err := res.error(); err != nil {
+	if err != nil {
 		return 0, err
 	}
 	c.commits.NoteUnstable(h.FH, off, res.hdr.Length, res.hdr.Verifier)
@@ -361,8 +303,8 @@ func (c *Client) WriteData(p *sim.Proc, h *nas.Handle, off int64, data []byte) (
 // Commit returns.
 func (c *Client) Commit(p *sim.Proc, h *nas.Handle, off, n int64) error {
 	upTo := c.commits.Snapshot() // writes replied after this are not covered
-	res := c.call(p, &wire.Header{Op: wire.OpCommit, FH: h.FH, Offset: off, Length: n}, &msg{}, 0)
-	if err := res.error(); err != nil {
+	res, err := c.call(p, &wire.Header{Op: wire.OpCommit, FH: h.FH, Offset: off, Length: n}, &msg{}, 0)
+	if err != nil {
 		return err
 	}
 	return c.commits.ResolveCommit(h.FH, off, n, res.hdr.Verifier, upTo, func(r nas.WriteRange) error {

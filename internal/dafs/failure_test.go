@@ -71,11 +71,11 @@ func TestSessionTimeoutAgainstDownServer(t *testing.T) {
 	if c.TimedOut != 2 {
 		t.Fatalf("TimedOut = %d, want 2", c.TimedOut)
 	}
-	if c.Retries != 6 {
-		t.Fatalf("Retries = %d, want 3 per call", c.Retries)
+	if c.Retransmits != 6 {
+		t.Fatalf("Retransmits = %d, want 3 per call", c.Retransmits)
 	}
-	if len(c.pending) != 0 {
-		t.Fatalf("timed-out calls leaked: %d pending", len(c.pending))
+	if c.Outstanding() != 0 {
+		t.Fatalf("timed-out calls leaked: %d pending", c.Outstanding())
 	}
 	if r.srv.Discarded == 0 {
 		t.Fatal("down server never discarded a request")
@@ -107,7 +107,7 @@ func TestSessionRetryRecoversAcrossRestart(t *testing.T) {
 	if readErr != nil || got != 16*1024 {
 		t.Fatalf("read across restart: n=%d err=%v", got, readErr)
 	}
-	if c.Retries == 0 {
+	if c.Retransmits == 0 {
 		t.Fatal("recovery happened without any retransmission")
 	}
 	if c.TimedOut != 0 {

@@ -374,30 +374,23 @@ func (c *Cluster) StripedCachedClient(i int, cfg core.Config) *core.Client {
 // cluster has one shard), returning the concrete per-shard sub-clients
 // alongside the striped facade for retry configuration and counters.
 func (c *Cluster) StripedNFSClients(i int, kind nfs.Kind) ([]*nfs.Client, nas.Client) {
-	ncs := make([]*nfs.Client, len(c.Shards))
-	subs := make([]nas.Client, len(c.Shards))
-	for s := range c.Shards {
-		ncs[s] = c.NFSClientForCopy(i, s, 0, kind)
-		subs[s] = ncs[s]
-	}
-	if len(c.Shards) == 1 {
-		return ncs, ncs[0]
-	}
-	return ncs, stripe.NewClient(c.Layout(), subs)
+	ncs := make([]*nfs.Client, 0, len(c.Shards))
+	_, base := c.mountShards(1, c.ack, func(s, cp int) stripe.Session {
+		nc := c.NFSClientForCopy(i, s, cp, kind)
+		ncs = append(ncs, nc)
+		return nc
+	})
+	return ncs, base
 }
 
 // StripedDAFSClient mounts a raw DAFS client on node i routing per-block
 // requests to every shard (the plain client when the cluster has one
 // shard).
 func (c *Cluster) StripedDAFSClient(i int, mode nic.NotifyMode, tm dafs.TransferMode) nas.Client {
-	if len(c.Shards) == 1 {
-		return c.DAFSClient(i, mode, tm)
-	}
-	subs := make([]nas.Client, len(c.Shards))
-	for s, sh := range c.Shards {
-		subs[s] = dafs.NewClient(c.S, c.Nodes[i].NIC, sh.DAFS, mode, tm)
-	}
-	return stripe.NewClient(c.Layout(), subs)
+	_, base := c.mountShards(1, c.ack, func(s, cp int) stripe.Session {
+		return dafs.NewClient(c.S, c.Nodes[i].NIC, c.ReplicaSets[s][cp].DAFS, mode, tm)
+	})
+	return base
 }
 
 // NFSClientForCopy mounts an NFS client of the given kind on node i
@@ -412,22 +405,38 @@ func (c *Cluster) NFSClientForCopy(i, shard, copy int, kind nfs.Kind) *nfs.Clien
 // replicated fleet, one stripe.Group of per-copy sessions per shard.
 func (c *Cluster) ReplicatedDAFSClient(i int, mode nic.NotifyMode, tm dafs.TransferMode, policy stripe.AckPolicy) ([]*dafs.Client, []*stripe.Group, nas.Client) {
 	var dcs []*dafs.Client
-	groups := make([]*stripe.Group, len(c.Shards))
+	groups, base := c.mountShards(c.replicas+1, policy, func(s, cp int) stripe.Session {
+		dc := dafs.NewClient(c.S, c.Nodes[i].NIC, c.ReplicaSets[s][cp].DAFS, mode, tm)
+		dcs = append(dcs, dc)
+		return dc
+	})
+	return dcs, groups, base
+}
+
+// mountShards mounts width copies of every shard through mountCopy —
+// shard-major, copy-minor, so port allocation is deterministic. With
+// more than one copy each shard becomes a stripe.Group under policy;
+// the shards stripe under one facade (the lone shard's client itself
+// when the cluster has one shard).
+func (c *Cluster) mountShards(width int, policy stripe.AckPolicy, mountCopy func(shard, copy int) stripe.Session) ([]*stripe.Group, nas.Client) {
+	var groups []*stripe.Group
 	subs := make([]nas.Client, len(c.Shards))
+	copies := make([]stripe.Session, width) // NewGroup keeps its own copy
 	for s := range c.Shards {
-		copies := make([]nas.Client, len(c.ReplicaSets[s]))
-		for cp := range c.ReplicaSets[s] {
-			dc := dafs.NewClient(c.S, c.Nodes[i].NIC, c.ReplicaSets[s][cp].DAFS, mode, tm)
-			dcs = append(dcs, dc)
-			copies[cp] = dc
+		for cp := range copies {
+			copies[cp] = mountCopy(s, cp)
 		}
-		groups[s] = stripe.NewGroup(policy, copies)
-		subs[s] = groups[s]
+		subs[s] = copies[0]
+		if width > 1 {
+			g := stripe.NewGroup(policy, copies)
+			groups = append(groups, g)
+			subs[s] = g
+		}
 	}
-	if len(c.Shards) == 1 {
-		return dcs, groups, groups[0]
+	if len(subs) == 1 {
+		return groups, subs[0]
 	}
-	return dcs, groups, stripe.NewClient(c.Layout(), subs)
+	return groups, stripe.NewClient(c.Layout(), subs)
 }
 
 // ReplicatedCachedClient mounts a cached DAFS/ODAFS client on node i
@@ -490,26 +499,12 @@ func (c *Cluster) Mount(system string, i int, cfg core.Config) *Mount {
 		}
 		m.Client = m.Cached
 	case c.replicas > 0:
-		// Each shard becomes a stripe.Group of one session per copy,
-		// mounted shard-major, copy-minor so port allocation is
-		// deterministic, and the groups stripe under one facade.
 		kind := nfsKindOf(system)
-		subs := make([]nas.Client, len(c.Shards))
-		for s := range c.Shards {
-			copies := make([]nas.Client, len(c.ReplicaSets[s]))
-			for cp := range copies {
-				nc := c.NFSClientForCopy(i, s, cp, kind)
-				m.nfs = append(m.nfs, nc)
-				copies[cp] = nc
-			}
-			g := stripe.NewGroup(c.ack, copies)
-			m.groups = append(m.groups, g)
-			subs[s] = g
-		}
-		m.Client = subs[0]
-		if len(subs) > 1 {
-			m.Client = stripe.NewClient(c.Layout(), subs)
-		}
+		m.groups, m.Client = c.mountShards(c.replicas+1, c.ack, func(s, cp int) stripe.Session {
+			nc := c.NFSClientForCopy(i, s, cp, kind)
+			m.nfs = append(m.nfs, nc)
+			return nc
+		})
 	default:
 		m.nfs, m.Client = c.StripedNFSClients(i, nfsKindOf(system))
 	}

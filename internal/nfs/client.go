@@ -1,7 +1,6 @@
 package nfs
 
 import (
-	"errors"
 	"fmt"
 
 	"danas/internal/host"
@@ -110,27 +109,9 @@ func (c *Client) TimedOut() uint64 { return c.rpc.TimedOut }
 func (c *Client) call(p *sim.Proc, hdr *wire.Header, opts rpc.CallOpts) (*rpc.Response, error) {
 	resp := c.rpc.Call(p, hdr, opts)
 	if resp.Err != nil {
-		if errors.Is(resp.Err, rpc.ErrTimeout) {
-			return resp, nas.ErrTimeout
-		}
 		return resp, resp.Err
 	}
-	return resp, statusErr(resp.Hdr.Status)
-}
-
-func statusErr(st uint32) error {
-	switch st {
-	case wire.StatusOK:
-		return nil
-	case wire.StatusNoEnt:
-		return nas.ErrNoEnt
-	case wire.StatusExist:
-		return nas.ErrExist
-	case wire.StatusStale:
-		return nas.ErrStale
-	default:
-		return nas.ErrIO
-	}
+	return resp, nas.StatusErr(resp.Hdr.Status)
 }
 
 // Open implements nas.Client.

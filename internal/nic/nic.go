@@ -41,8 +41,8 @@ func (m NotifyMode) String() string {
 // so the caller may reuse or discard its own at once. On delivery the
 // record is handed to a bound handler, valid only for the duration of
 // that call, or copied by value into the endpoint's receive queue; then
-// it goes back to the sender's free list. Recv, TryRecv and Listen hand
-// out copies the receiver keeps.
+// it goes back to the sender's free list. Recv and Listen hand out
+// copies the receiver keeps.
 type Message struct {
 	From, To *NIC
 	Port     int // destination endpoint number
@@ -93,18 +93,6 @@ func (e *Endpoint) Recv(p *sim.Proc) Message {
 	m.Span.Add(obs.PhaseQueue, p.Now().Sub(m.queuedAt))
 	e.nic.h.Compute(p, e.notifyCost())
 	return m
-}
-
-// TryRecv polls for a message without blocking, charging the
-// notification cost only on success.
-func (e *Endpoint) TryRecv(p *sim.Proc) (Message, bool) {
-	m, ok := e.queue.TryGet()
-	if !ok {
-		return m, false
-	}
-	m.Span.Add(obs.PhaseQueue, p.Now().Sub(m.queuedAt))
-	e.nic.h.Compute(p, e.notifyCost())
-	return m, true
 }
 
 // notifyCost is the host CPU a receiver pays to consume one completion.

@@ -3,6 +3,7 @@ package rpc
 import (
 	"testing"
 
+	"danas/internal/nas"
 	"danas/internal/sim"
 	"danas/internal/wire"
 )
@@ -99,8 +100,8 @@ func TestGiveUpAfterMaxRetriesResolvesTimeout(t *testing.T) {
 	if resp == nil {
 		t.Fatal("call never resolved: a dead server hung the caller")
 	}
-	if resp.Err != ErrTimeout {
-		t.Fatalf("resp.Err = %v, want ErrTimeout", resp.Err)
+	if resp.Err != nas.ErrTimeout {
+		t.Fatalf("resp.Err = %v, want nas.ErrTimeout", resp.Err)
 	}
 	if r.client.Retransmits != 3 {
 		t.Fatalf("retransmits = %d, want MaxRetries", r.client.Retransmits)
@@ -114,7 +115,7 @@ func TestGiveUpAfterMaxRetriesResolvesTimeout(t *testing.T) {
 }
 
 // TestCrashedServerTimesOutThenRecovers drives the full crash story at
-// the RPC layer: calls against a down server resolve with ErrTimeout
+// the RPC layer: calls against a down server resolve with nas.ErrTimeout
 // instead of hanging, and calls issued after a restart succeed again
 // even though the DRC was lost.
 func TestCrashedServerTimesOutThenRecovers(t *testing.T) {
@@ -137,8 +138,8 @@ func TestCrashedServerTimesOutThenRecovers(t *testing.T) {
 		after = r.client.Call(p, &wire.Header{Op: wire.OpRead, Length: 64}, CallOpts{})
 	})
 	r.s.Run()
-	if during == nil || during.Err != ErrTimeout {
-		t.Fatalf("call during crash: got %+v, want ErrTimeout", during)
+	if during == nil || during.Err != nas.ErrTimeout {
+		t.Fatalf("call during crash: got %+v, want nas.ErrTimeout", during)
 	}
 	if after == nil || after.Err != nil || after.Hdr.Status != wire.StatusOK {
 		t.Fatalf("call after restart failed: %+v", after)

@@ -8,22 +8,15 @@
 package rpc
 
 import (
-	"errors"
 	"fmt"
 
+	"danas/internal/nas"
 	"danas/internal/nic"
 	"danas/internal/obs"
 	"danas/internal/sim"
 	"danas/internal/udpip"
 	"danas/internal/wire"
 )
-
-// ErrTimeout is returned (via Response.Err) when a call exhausts its
-// retransmission budget without an answer — the server is crashed,
-// partitioned, or hopelessly overloaded. Soft-mount semantics: the
-// caller's future always resolves, so a dead shard cannot hang a client
-// process forever.
-var ErrTimeout = errors.New("rpc: call timed out")
 
 // callMsg is the datagram body for both requests and replies.
 type callMsg struct {
@@ -207,8 +200,9 @@ type Response struct {
 	// pre-posted buffer: the client must not copy it anywhere.
 	Direct bool
 	// Err is non-nil when the call failed locally without a reply
-	// (retry exhaustion: ErrTimeout); Hdr and the payload fields are
-	// unset and must not be touched.
+	// (retry exhaustion: nas.ErrTimeout — the server is crashed,
+	// partitioned or hopelessly overloaded); Hdr and the payload fields
+	// are unset and must not be touched.
 	Err error
 }
 
@@ -228,28 +222,22 @@ type CallOpts struct {
 // Client issues RPCs to a fixed server endpoint. Any number of calls may
 // be outstanding; the socket's receive path matches replies by XID, as a
 // kernel's does, from event callbacks rather than a process of its own.
+// The embedded call table carries the retransmission settings (classic
+// RPC-over-UDP reliability; the server's duplicate-request cache makes
+// retried calls at-most-once) and the call counters.
 type Client struct {
 	stack      *udpip.Stack
 	sock       *udpip.Socket
 	server     *udpip.Stack
 	serverPort int
 
-	nextXID uint64
-	pending map[uint64]*sim.Future[*Response]
+	nas.CallTable[Response, sent]
+}
 
-	// RetransmitTimeout, when nonzero, re-sends an unanswered request
-	// after each timeout with exponential backoff (sim.Retry's shared
-	// policy), up to MaxRetries times — classic RPC-over-UDP
-	// reliability. The server's duplicate-request cache makes retried
-	// calls at-most-once. When the budget is exhausted the call
-	// resolves with ErrTimeout.
-	RetransmitTimeout sim.Duration
-	MaxRetries        int
-
-	Calls       uint64
-	Retransmits uint64
-	// TimedOut counts calls that exhausted their retries and failed.
-	TimedOut uint64
+// sent is a transmitted request, kept for retransmission.
+type sent struct {
+	msg   *callMsg
+	bytes int64
 }
 
 // NewClient creates a client on stack calling (server, serverPort), bound
@@ -260,8 +248,8 @@ func NewClient(_ *sim.Scheduler, stack *udpip.Stack, localPort int, server *udpi
 		sock:       stack.Socket(localPort),
 		server:     server,
 		serverPort: serverPort,
-		pending:    make(map[uint64]*sim.Future[*Response]),
 	}
+	c.Init(c.resend)
 	c.sock.Listen(c.demux)
 	return c
 }
@@ -269,36 +257,33 @@ func NewClient(_ *sim.Scheduler, stack *udpip.Stack, localPort int, server *udpi
 // demux resolves the pending call a received reply answers.
 func (c *Client) demux(d *udpip.Datagram) {
 	msg := d.Body.(*callMsg)
-	fut, ok := c.pending[msg.Hdr.XID]
-	if !ok {
-		return // stale or duplicate reply
+	if fut := c.Answer(msg.Hdr.XID); fut != nil {
+		fut.Resolve(&Response{
+			Hdr:          msg.Hdr,
+			PayloadBytes: msg.PayloadBytes,
+			Payload:      msg.Payload,
+			Direct:       d.Direct,
+		})
 	}
-	delete(c.pending, msg.Hdr.XID)
-	fut.Resolve(&Response{
-		Hdr:          msg.Hdr,
-		PayloadBytes: msg.PayloadBytes,
-		Payload:      msg.Payload,
-		Direct:       d.Direct,
-	})
+}
+
+// resend retransmits a request from the kernel RPC timer, charging the
+// send-side cost asynchronously.
+func (c *Client) resend(r sent) {
+	h := c.stack.Host()
+	h.ComputeAsync(h.P.RPCClientSend, nil)
+	c.sock.SendToAsync(c.server, c.serverPort, r.bytes, r.msg, 0)
 }
 
 // Call sends req and blocks until the matching reply arrives. The header's
 // XID is assigned by the client.
 func (c *Client) Call(p *sim.Proc, req *wire.Header, opts CallOpts) *Response {
 	h := c.stack.Host()
-	c.nextXID++
-	xid := c.nextXID
-	req.XID = xid
-	req.Span = obs.Active(p)
-	c.Calls++
-
+	fut := c.Begin(p, req)
 	var tag uint64
 	if opts.Prepare != nil {
-		tag = opts.Prepare(xid)
+		tag = opts.Prepare(req.XID)
 	}
-	fut := sim.NewFuture[*Response](p.Sched())
-	c.pending[xid] = fut
-
 	h.Compute(p, h.P.RPCClientSend)
 	msg := &callMsg{
 		Hdr:          req,
@@ -308,37 +293,10 @@ func (c *Client) Call(p *sim.Proc, req *wire.Header, opts CallOpts) *Response {
 	}
 	bytes := int64(req.WireSize()) + opts.PayloadBytes
 	c.sock.SendTo(p, c.server, c.serverPort, bytes, msg, opts.CopyBytes, 0)
-	if c.RetransmitTimeout > 0 {
-		// Retransmission runs in event context (the kernel RPC timer),
-		// charging send-side costs asynchronously; on exhaustion the
-		// pending future resolves with ErrTimeout so the caller never
-		// hangs on a dead server. Each fired timer means the interval
-		// since the last transmission was spent waiting on a lost
-		// exchange: that dead time is the span's retry phase.
-		sp := req.Span
-		lastSend := h.S.Now()
-		sim.Retry(c.stack.Host().S, c.RetransmitTimeout, c.MaxRetries, fut.Fired,
-			func() {
-				c.Retransmits++
-				now := c.stack.Host().S.Now()
-				sp.CountRetry()
-				sp.Add(obs.PhaseRetry, now.Sub(lastSend))
-				lastSend = now
-				c.stack.Host().ComputeAsync(c.stack.Host().P.RPCClientSend, nil)
-				c.sock.SendToAsync(c.server, c.serverPort, bytes, msg, 0)
-			},
-			func() {
-				delete(c.pending, xid)
-				c.TimedOut++
-				sp.Add(obs.PhaseRetry, c.stack.Host().S.Now().Sub(lastSend))
-				fut.Resolve(&Response{Err: ErrTimeout})
-			})
-	}
-
-	resp := fut.Value(p)
+	resp, err := c.Wait(p, req, fut, sent{msg: msg, bytes: bytes})
 	h.Compute(p, h.P.RPCClientRecv)
+	if err != nil {
+		return &Response{Err: err}
+	}
 	return resp
 }
-
-// Outstanding returns the number of in-flight calls.
-func (c *Client) Outstanding() int { return len(c.pending) }

@@ -93,3 +93,34 @@ func TestReplicaFailoverBeatsCrashRecovery(t *testing.T) {
 		t.Errorf("replica-failover never recovered (window %.1fms)", rw)
 	}
 }
+
+// TestGroupFailoversReachSpans replays replica-failover over NFS, whose
+// per-shard replica sets are stripe.Groups, and requires every failover
+// the mounts count to be charged to the span of the operation that
+// triggered it — the same accounting the cached ODAFS client keeps.
+func TestGroupFailoversReachSpans(t *testing.T) {
+	repl, _ := Lookup("replica-failover")
+	spec := *repl
+	spec.Fleet.System = "nfs"
+	sess := exper.NewReplaySession(exper.ScaleGen(probe, spec.Workload), spec.replayConfig())
+	defer sess.Close()
+	sched := spec.schedule(sess.Trace().Duration(), sess.Cluster.P.LinkBandwidth, sess.Cluster.Fab.TrunkRate)
+	ob, err := sess.Observe(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Replay("span-failovers", sched); err != nil {
+		t.Fatal(err)
+	}
+	want := sess.Counters().Failovers
+	if want == 0 {
+		t.Fatal("the crash triggered no failover")
+	}
+	var got uint64
+	for _, sp := range ob.Rec.Spans() {
+		got += uint64(sp.Failovers)
+	}
+	if got != want {
+		t.Errorf("spans carry %d failovers, the mounts counted %d", got, want)
+	}
+}

@@ -68,14 +68,6 @@ func (q *Queue[T]) take() T {
 	return v
 }
 
-// TryGet dequeues without blocking. ok is false if the queue is empty.
-func (q *Queue[T]) TryGet() (v T, ok bool) {
-	if q.items.Len() == 0 {
-		return v, false
-	}
-	return q.items.Pop(), true
-}
-
 // Signal is a one-shot completion: one or more processes wait, one event
 // fires, all waiters resume. Used for I/O completions and futures. The
 // first waiter is held inline, so a signal with one waiter allocates

@@ -57,23 +57,6 @@ func TestQueueFIFOAcrossBurst(t *testing.T) {
 	}
 }
 
-func TestQueueTryGet(t *testing.T) {
-	s := New()
-	defer s.Close()
-	q := NewQueue[string](s, "q")
-	if _, ok := q.TryGet(); ok {
-		t.Fatal("TryGet on empty queue returned ok")
-	}
-	q.Put("x")
-	v, ok := q.TryGet()
-	if !ok || v != "x" {
-		t.Fatalf("TryGet = %q,%v", v, ok)
-	}
-	if q.Len() != 0 {
-		t.Fatalf("Len = %d after drain", q.Len())
-	}
-}
-
 func TestSignalReleasesAllWaiters(t *testing.T) {
 	s := New()
 	defer s.Close()

@@ -1,97 +1,42 @@
 package stripe
 
 import (
-	"errors"
-
 	"danas/internal/nas"
 	"danas/internal/sim"
 )
 
 // Group is one shard's replica set behind a single nas.Client face:
-// copy 0 is the shard's primary, the rest are its replicas (placed by
-// Layout.Rack). Reads and namespace lookups go to the serving copy;
-// writes reach every live copy with the ack policy deciding how many
-// acknowledgements complete them; commits run on every live copy so
-// each session resolves its own verifier. When the serving copy stops
-// answering (retry against it exhausts in nas.ErrTimeout), the Group
-// fails over to the next live copy and re-issues the dead session's
-// uncommitted ranges there — skipping ranges the surviving copy already
-// acknowledged, which is why a sync-policy failover re-issues nothing.
+// reads and namespace lookups go to the serving copy, writes reach
+// every live copy under the ack policy, commits run on every live copy
+// so each session resolves its own verifier, and a serving copy that
+// stops answering fails over (the embedded Set's rules).
 //
 // Used as the per-shard sub-clients of the striped Client, a Group
 // turns S shards × (R+1) copies into the flat S-wide fleet the striping
 // layer already understands: replication is invisible above it.
 type Group struct {
-	policy AckPolicy
-	subs   []nas.Client
-
-	serving int
-	dead    []bool
+	*Set[Session]
 
 	// handles maps an open name to its per-copy handles (same idiom as
 	// the striped Client: identical creation order means the copies
 	// usually agree on handles, but the bookkeeping never assumes it).
 	handles map[string][]*nas.Handle
-
-	// Failovers counts serving-copy switches; Reissued counts the
-	// uncommitted ranges re-written onto the new serving copy during
-	// them; ReplicaErrs counts replica-copy write failures absorbed by
-	// the ack policy.
-	Failovers   uint64
-	Reissued    uint64
-	ReplicaErrs uint64
 }
 
 var _ nas.Client = (*Group)(nil)
 
 // NewGroup builds the replica set from its copy sessions (copy 0 =
-// primary, already retry-armed by the caller — a session that cannot
-// time out can never trigger failover).
-func NewGroup(policy AckPolicy, subs []nas.Client) *Group {
-	if len(subs) == 0 {
-		panic("stripe: replica group needs at least one copy")
-	}
+// primary, all retry-armed by the caller — a session that cannot time
+// out can never trigger failover).
+func NewGroup(policy AckPolicy, copies []Session) *Group {
 	return &Group{
-		policy:  policy,
-		subs:    subs,
-		dead:    make([]bool, len(subs)),
+		Set:     NewSet(policy, len(copies), copies, nil),
 		handles: make(map[string][]*nas.Handle),
 	}
 }
 
-// Policy returns the group's ack policy.
-func (g *Group) Policy() AckPolicy { return g.policy }
-
-// Width returns the number of copies (live or dead).
-func (g *Group) Width() int { return len(g.subs) }
-
-// Serving returns the index of the copy currently serving reads.
-func (g *Group) Serving() int { return g.serving }
-
 // Name implements nas.Client.
-func (g *Group) Name() string { return g.subs[0].Name() }
-
-// live returns the copies a write must reach, serving copy first.
-func (g *Group) live() []int {
-	out := []int{g.serving}
-	for i := range g.subs {
-		if i != g.serving && !g.dead[i] {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// need clamps the policy's ack requirement to the copies still alive:
-// sync means "every copy that can still answer", not a wait for the
-// dead.
-func (g *Group) need(liveCopies int) int {
-	n := g.policy.Need(len(g.subs))
-	if n > liveCopies {
-		n = liveCopies
-	}
-	return n
-}
+func (g *Group) Name() string { return g.copies[0].Name() }
 
 // copyHandle resolves the per-copy handle for h, falling back to h
 // itself (correct when the copies assigned identical handles, which a
@@ -106,152 +51,37 @@ func (g *Group) copyHandle(h *nas.Handle, copy int) *nas.Handle {
 	return h
 }
 
-// noteReplicaErr absorbs a replica-copy failure: the ack policy decides
-// whether the write still completes, and a copy that timed out is
-// marked dead so later writes stop waiting on it.
-func (g *Group) noteReplicaErr(copy int, err error) {
-	g.ReplicaErrs++
-	if errors.Is(err, nas.ErrTimeout) {
-		g.dead[copy] = true
-	}
-}
-
-// do runs a serving-copy operation with failover: a timeout (retry
-// against the copy exhausted) advances to the next live copy and
-// retries there; any other error — or no copy left — surfaces.
-func (g *Group) do(p *sim.Proc, fn func(wp *sim.Proc, copy int) error) error {
-	for {
-		copy := g.serving
-		err := fn(p, copy)
-		if err == nil || !errors.Is(err, nas.ErrTimeout) || len(g.subs) == 1 {
-			return err
-		}
-		if !g.failover(p, copy) {
-			return err
-		}
-	}
-}
-
-// failover reacts to the serving copy timing out: if another operation
-// already moved on it just reports "retry there"; otherwise it marks
-// the copy dead, advances to the next live copy cyclically, and
-// re-issues the dead session's uncommitted ranges on the new serving
-// copy (cold: the new session holds no state from the old one). Ranges
-// the new copy already acknowledged are skipped — under the sync policy
-// that is all of them. A re-issue that itself fails is re-queued on the
-// new session so the obligation surfaces again at its next commit.
-//
-// When every copy has been marked dead the marks are cleared and the
-// next copy probed anyway: dead marks are routing hints, not tombstones
-// — a crashed machine restarts, and the unreplicated client recovers
-// exactly by retrying the only machine it has. The current operation
-// still fails (typed timeout, never a hang, reported by returning
-// false); later operations probe the refreshed view and find the
-// restarted copy.
-func (g *Group) failover(p *sim.Proc, failed int) bool {
-	if g.serving != failed {
-		return true // a concurrent op already failed over
-	}
-	g.dead[failed] = true
-	next, exhausted := -1, false
-	for i := 1; i < len(g.subs); i++ {
-		c := (failed + i) % len(g.subs)
-		if !g.dead[c] {
-			next = c
-			break
-		}
-	}
-	if next < 0 {
-		for i := range g.dead {
-			g.dead[i] = false
-		}
-		next = (failed + 1) % len(g.subs)
-		exhausted = true
-	}
-	g.serving = next
-	g.Failovers++
-	old, okOld := g.subs[failed].(nas.FailoverSession)
-	nw, okNew := g.subs[next].(nas.FailoverSession)
-	if !okOld || !okNew {
-		return !exhausted
-	}
-	for _, pr := range old.TakeUncommitted() {
-		if nw.HasUncommitted(pr.FH, pr.WriteRange) {
-			continue
-		}
-		if _, err := nw.WriteStable(p, &nas.Handle{FH: pr.FH}, pr.Off, pr.N, nas.CommitBufID); err != nil {
-			nw.Requeue(pr.FH, pr.WriteRange)
-			continue
-		}
-		g.Reissued++
-	}
-	return !exhausted
-}
-
-// replicate fans a write-class operation to every live copy through the
-// ack policy, retrying after a failover (the write is idempotent: a
-// copy that already applied it re-applies the same bytes) or after the
-// live set shrank under it (the clamped ack requirement is then
-// reachable again).
-func (g *Group) replicate(p *sim.Proc, name string,
-	op func(wp *sim.Proc, copy int) (int64, error)) (int64, error) {
-	for {
-		copies := g.live()
-		got, err := Replicate(p, copies, g.need(len(copies)), name, op, g.noteReplicaErr)
-		switch {
-		case err == nil:
-			return got, nil
-		case errors.Is(err, nas.ErrTimeout) && len(g.subs) > 1:
-			if g.failover(p, copies[0]) {
-				continue
-			}
-			return got, err
-		case errors.Is(err, ErrNoQuorum) && len(g.live()) < len(copies):
-			continue // a copy died mid-write; the smaller set can ack
-		default:
-			return got, err
-		}
-	}
-}
-
 // Open implements nas.Client: the name resolves on every live copy so
 // each session holds its own handle (failover targets included).
 func (g *Group) Open(p *sim.Proc, name string) (*nas.Handle, error) {
-	return g.nameOp(p, name, "grp-open", func(wp *sim.Proc, copy int) (*nas.Handle, error) {
-		return g.subs[copy].Open(wp, name)
+	return g.nameOp(p, name, "grp-open", func(wp *sim.Proc, in Session) (*nas.Handle, error) {
+		return in.Open(wp, name)
 	})
 }
 
 // Create implements nas.Client: the name is created on every live copy
 // (the namespace, like the data, is replicated).
 func (g *Group) Create(p *sim.Proc, name string) (*nas.Handle, error) {
-	return g.nameOp(p, name, "grp-create", func(wp *sim.Proc, copy int) (*nas.Handle, error) {
-		return g.subs[copy].Create(wp, name)
+	return g.nameOp(p, name, "grp-create", func(wp *sim.Proc, in Session) (*nas.Handle, error) {
+		return in.Create(wp, name)
 	})
 }
 
 // nameOp runs a handle-returning namespace operation on every live
 // copy, failing over if the serving copy times out; the serving copy's
-// handle is canonical. Replica-copy timeouts mark the copy dead rather
-// than failing the operation.
+// handle is canonical.
 func (g *Group) nameOp(p *sim.Proc, name, label string,
-	fn func(wp *sim.Proc, copy int) (*nas.Handle, error)) (*nas.Handle, error) {
+	fn func(wp *sim.Proc, in Session) (*nas.Handle, error)) (*nas.Handle, error) {
 	for {
-		copies := g.live()
-		hs := make([]*nas.Handle, len(g.subs))
-		errs := make([]error, len(g.subs))
-		err := FanOut(p, len(copies), label, func(wp *sim.Proc, i int) error {
-			copy := copies[i]
-			h, err := fn(wp, copy)
-			hs[copy], errs[copy] = h, err
-			if err != nil && i > 0 {
-				g.noteReplicaErr(copy, err)
-				return nil // replica failure is absorbed, not surfaced
-			}
+		serving := g.serving
+		hs := make([]*nas.Handle, len(g.copies))
+		err := g.Fan(p, label, func(wp *sim.Proc, copy int, in Session) error {
+			h, err := fn(wp, in)
+			hs[copy] = h
 			return err
 		})
 		if err != nil {
-			if errors.Is(err, nas.ErrTimeout) && len(g.subs) > 1 && g.failover(p, copies[0]) {
+			if g.failover(p, err, serving) {
 				continue
 			}
 			return nil, err
@@ -264,9 +94,9 @@ func (g *Group) nameOp(p *sim.Proc, name, label string,
 // Getattr implements nas.Client (serving copy, with failover).
 func (g *Group) Getattr(p *sim.Proc, h *nas.Handle) (int64, error) {
 	var size int64
-	err := g.do(p, func(wp *sim.Proc, copy int) error {
+	err := g.Do(p, func(wp *sim.Proc, copy int, in Session) error {
 		var err error
-		size, err = g.subs[copy].Getattr(wp, g.copyHandle(h, copy))
+		size, err = in.Getattr(wp, g.copyHandle(h, copy))
 		return err
 	})
 	return size, err
@@ -277,9 +107,9 @@ func (g *Group) Getattr(p *sim.Proc, h *nas.Handle) (int64, error) {
 // session's cache and transport state.
 func (g *Group) Read(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64) (int64, error) {
 	var got int64
-	err := g.do(p, func(wp *sim.Proc, copy int) error {
+	err := g.Do(p, func(wp *sim.Proc, copy int, in Session) error {
 		var err error
-		got, err = g.subs[copy].Read(wp, g.copyHandle(h, copy), off, n, bufID)
+		got, err = in.Read(wp, g.copyHandle(h, copy), off, n, bufID)
 		return err
 	})
 	return got, err
@@ -288,15 +118,15 @@ func (g *Group) Read(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64) (in
 // Write implements nas.Client: the write reaches every live copy, the
 // ack policy decides how many acknowledgements complete it.
 func (g *Group) Write(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64) (int64, error) {
-	return g.replicate(p, "grp-write", func(wp *sim.Proc, copy int) (int64, error) {
-		return g.subs[copy].Write(wp, g.copyHandle(h, copy), off, n, bufID)
+	return g.Set.Write(p, "grp-write", func(wp *sim.Proc, copy int, in Session) (int64, error) {
+		return in.Write(wp, g.copyHandle(h, copy), off, n, bufID)
 	})
 }
 
 // WriteData implements nas.Client, replicating like Write.
 func (g *Group) WriteData(p *sim.Proc, h *nas.Handle, off int64, data []byte) (int64, error) {
-	return g.replicate(p, "grp-wdata", func(wp *sim.Proc, copy int) (int64, error) {
-		return g.subs[copy].WriteData(wp, g.copyHandle(h, copy), off, data)
+	return g.Set.Write(p, "grp-wdata", func(wp *sim.Proc, copy int, in Session) (int64, error) {
+		return in.WriteData(wp, g.copyHandle(h, copy), off, data)
 	})
 }
 
@@ -304,8 +134,8 @@ func (g *Group) WriteData(p *sim.Proc, h *nas.Handle, off int64, data []byte) (i
 // resolves its own verifier and re-issues its own lost ranges — with
 // the same ack requirement as writes, the serving copy authoritative.
 func (g *Group) Commit(p *sim.Proc, h *nas.Handle, off, n int64) error {
-	_, err := g.replicate(p, "grp-commit", func(wp *sim.Proc, copy int) (int64, error) {
-		return 0, g.subs[copy].Commit(wp, g.copyHandle(h, copy), off, n)
+	_, err := g.Set.Write(p, "grp-commit", func(wp *sim.Proc, copy int, in Session) (int64, error) {
+		return 0, in.Commit(wp, g.copyHandle(h, copy), off, n)
 	})
 	return err
 }
@@ -314,28 +144,21 @@ func (g *Group) Commit(p *sim.Proc, h *nas.Handle, off, n int64) error {
 // copy; replica-copy failures are absorbed like write failures.
 func (g *Group) Remove(p *sim.Proc, name string) error {
 	delete(g.handles, name)
-	_, err := g.replicate(p, "grp-remove", func(wp *sim.Proc, copy int) (int64, error) {
-		return 0, g.subs[copy].Remove(wp, name)
+	_, err := g.Set.Write(p, "grp-remove", func(wp *sim.Proc, _ int, in Session) (int64, error) {
+		return 0, in.Remove(wp, name)
 	})
 	return err
 }
 
 // Close implements nas.Client: every live copy's handle is released.
 func (g *Group) Close(p *sim.Proc, h *nas.Handle) error {
-	copies := g.live()
 	hs := g.handles[h.Name]
 	delete(g.handles, h.Name)
-	return FanOut(p, len(copies), "grp-close", func(wp *sim.Proc, i int) error {
-		copy := copies[i]
+	return g.Fan(p, "grp-close", func(wp *sim.Proc, copy int, in Session) error {
 		ch := h
 		if hs != nil && copy < len(hs) && hs[copy] != nil {
 			ch = hs[copy]
 		}
-		err := g.subs[copy].Close(wp, ch)
-		if err != nil && i > 0 {
-			g.noteReplicaErr(copy, err)
-			return nil
-		}
-		return err
+		return in.Close(wp, ch)
 	})
 }

@@ -1,0 +1,246 @@
+package stripe
+
+import (
+	"errors"
+
+	"danas/internal/nas"
+	"danas/internal/obs"
+	"danas/internal/sim"
+)
+
+// Session is one copy's protocol session: a mounted client whose commit
+// tracker failover can drain and re-issue from. The NFS and DAFS
+// clients both are one.
+type Session interface {
+	nas.Client
+	nas.FailoverSession
+}
+
+// copySession constrains a Set's session type: comparable, so an
+// unmounted copy is the zero value.
+type copySession interface {
+	Session
+	comparable
+}
+
+// Set is one shard's replica set: copy 0 is the shard's primary, the
+// rest are its replicas (placed by Layout.Rack). It owns the failover
+// rules both replicated client stacks share — the per-shard Group of
+// the NFS and raw DAFS mounts, and the cached (O)DAFS client, where an
+// unreplicated shard is the width-1 set:
+//
+//   - reads and namespace lookups go to the serving copy (Do); writes
+//     reach every live copy, serving copy first, with the ack policy
+//     deciding how many acknowledgements complete them (Write);
+//   - a replica copy's failure is absorbed, and a copy that timed out is
+//     marked dead so later writes stop waiting on it;
+//   - when the serving copy stops answering (retry against it exhausts
+//     in nas.ErrTimeout) the set fails over to the next live copy,
+//     cyclically, and re-issues the dead session's uncommitted ranges
+//     there — skipping ranges the survivor already acknowledged, which
+//     is why a sync-policy failover re-issues nothing.
+//
+// A width-1 set never fails over: its only copy retrying itself is the
+// unreplicated client's whole recovery. S is the copies' session type;
+// sessions are mounted through mount on first use, so replicas connect
+// cold at the first replicated write or at failover.
+type Set[S copySession] struct {
+	policy  AckPolicy
+	copies  []S
+	mount   func(copy int) S
+	dead    []bool
+	serving int
+
+	// Failovers counts serving-copy switches, which also makes it the
+	// set's epoch: it changes exactly when Current does. Reissued counts
+	// the uncommitted ranges re-written onto the new serving copy during
+	// them; ReplicaErrs counts replica-copy failures absorbed by the ack
+	// policy.
+	Failovers   uint64
+	Reissued    uint64
+	ReplicaErrs uint64
+}
+
+// NewSet builds a replica set of width copies under policy. copies
+// holds the sessions mounted up front (at least the primary's); mount,
+// which may be nil when every copy is given, mounts the others on first
+// use. Sessions must be retry-armed: one that cannot time out can never
+// trigger failover.
+func NewSet[S copySession](policy AckPolicy, width int, copies []S, mount func(copy int) S) *Set[S] {
+	if width < 1 || len(copies) < 1 || len(copies) > width {
+		panic("stripe: replica set needs a mounted primary and at most width copies")
+	}
+	all := make([]S, width)
+	copy(all, copies)
+	return &Set[S]{policy: policy, copies: all, mount: mount, dead: make([]bool, width)}
+}
+
+// Serving returns the index of the copy currently serving reads.
+func (s *Set[S]) Serving() int { return s.serving }
+
+// Current returns the serving copy's session.
+func (s *Set[S]) Current() S { return s.copies[s.serving] }
+
+// session returns copy's session, mounting it on first use.
+func (s *Set[S]) session(copy int) S {
+	var none S
+	if s.copies[copy] == none {
+		s.copies[copy] = s.mount(copy)
+	}
+	return s.copies[copy]
+}
+
+// Mounted visits every mounted session in copy order, dead copies
+// included (their counters still count).
+func (s *Set[S]) Mounted(fn func(S)) {
+	var none S
+	for _, in := range s.copies {
+		if in != none {
+			fn(in)
+		}
+	}
+}
+
+// live returns the copies a write must reach, serving copy first.
+func (s *Set[S]) live() []int {
+	out := []int{s.serving}
+	for i := range s.copies {
+		if i != s.serving && !s.dead[i] {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// need clamps the policy's ack requirement to the copies still alive:
+// sync means "every copy that can still answer", not a wait for the
+// dead.
+func (s *Set[S]) need(liveCopies int) int {
+	return min(s.policy.Need(len(s.copies)), liveCopies)
+}
+
+// noteReplicaErr absorbs a replica-copy failure: the ack policy decides
+// whether the write still completes, and a copy that timed out is
+// marked dead so later writes stop waiting on it.
+func (s *Set[S]) noteReplicaErr(copy int, err error) {
+	s.ReplicaErrs++
+	if errors.Is(err, nas.ErrTimeout) {
+		s.dead[copy] = true
+	}
+}
+
+// failover reacts to err from an operation that ran on copy failed as
+// its serving copy, and reports whether the operation should run again.
+// Only a timeout of a set wider than one fails over. If another
+// operation already moved on, it just reports "retry there"; otherwise
+// it marks the copy dead, advances to the next live copy cyclically,
+// and re-issues the dead session's uncommitted ranges on the new
+// serving copy (cold: the new session holds no state from the old one).
+// Ranges the new copy already acknowledged are skipped. A re-issue that
+// itself fails is re-queued on the new session so the obligation
+// surfaces again at its next commit.
+//
+// When every copy has been marked dead the marks are cleared and the
+// next copy probed anyway: dead marks are routing hints, not tombstones
+// — a crashed machine restarts, and the unreplicated client recovers
+// exactly by retrying the only machine it has. The current operation
+// still fails (typed timeout, never a hang); later operations probe the
+// refreshed view and find the restarted copy.
+func (s *Set[S]) failover(p *sim.Proc, err error, failed int) bool {
+	if !errors.Is(err, nas.ErrTimeout) || len(s.copies) == 1 {
+		return false
+	}
+	if s.serving != failed {
+		return true // a concurrent op already failed over
+	}
+	s.dead[failed] = true
+	next, exhausted := -1, false
+	for i := 1; i < len(s.copies); i++ {
+		c := (failed + i) % len(s.copies)
+		if !s.dead[c] {
+			next = c
+			break
+		}
+	}
+	if next < 0 {
+		clear(s.dead)
+		next = (failed + 1) % len(s.copies)
+		exhausted = true
+	}
+	old, nw := s.copies[failed], s.session(next)
+	s.serving = next
+	s.Failovers++
+	obs.Active(p).CountFailover()
+	for _, pr := range old.TakeUncommitted() {
+		if nw.HasUncommitted(pr.FH, pr.WriteRange) {
+			continue
+		}
+		if _, err := nw.WriteStable(p, &nas.Handle{FH: pr.FH}, pr.Off, pr.N, nas.CommitBufID); err != nil {
+			nw.Requeue(pr.FH, pr.WriteRange)
+			continue
+		}
+		s.Reissued++
+	}
+	return !exhausted
+}
+
+// Do runs a serving-copy operation, failing over and running it again
+// on the survivor when the serving copy times out; any other error — or
+// no copy left — surfaces.
+func (s *Set[S]) Do(p *sim.Proc, fn func(wp *sim.Proc, copy int, in S) error) error {
+	for {
+		copy := s.serving
+		err := fn(p, copy, s.copies[copy])
+		if err == nil || !s.failover(p, err, copy) {
+			return err
+		}
+	}
+}
+
+// Write fans a write-class operation to every live copy through the ack
+// policy (Replicate), running it again after a failover (the write is
+// idempotent: a copy that already applied it re-applies the same
+// bytes) or after the live set shrank under it (the clamped ack
+// requirement is then reachable again). A width-1 set runs it once, in
+// line.
+func (s *Set[S]) Write(p *sim.Proc, name string, op func(wp *sim.Proc, copy int, in S) (int64, error)) (int64, error) {
+	if len(s.copies) == 1 {
+		return op(p, 0, s.copies[0])
+	}
+	for {
+		copies := s.live()
+		got, err := Replicate(p, copies, s.need(len(copies)), name,
+			func(wp *sim.Proc, copy int) (int64, error) { return op(wp, copy, s.session(copy)) },
+			s.noteReplicaErr)
+		switch {
+		case err == nil:
+			return got, nil
+		case s.failover(p, err, copies[0]):
+			continue
+		case errors.Is(err, ErrNoQuorum) && len(s.live()) < len(copies):
+			continue // a copy died mid-write; the smaller set can ack
+		default:
+			return got, err
+		}
+	}
+}
+
+// Fan runs fn on every live copy concurrently, serving copy first (no
+// ack policy: namespace operations and closes). A replica copy's
+// failure is absorbed like a write's; the serving copy's error is the
+// result. A width-1 set runs fn in line.
+func (s *Set[S]) Fan(p *sim.Proc, name string, fn func(wp *sim.Proc, copy int, in S) error) error {
+	if len(s.copies) == 1 {
+		return fn(p, 0, s.copies[0])
+	}
+	copies := s.live()
+	return FanOut(p, len(copies), name, func(wp *sim.Proc, i int) error {
+		copy := copies[i]
+		err := fn(wp, copy, s.session(copy))
+		if err != nil && i > 0 {
+			s.noteReplicaErr(copy, err)
+			return nil // replica failure is absorbed, not surfaced
+		}
+		return err
+	})
+}

@@ -116,11 +116,6 @@ func (q *QP) Recv(p *sim.Proc) nic.Message {
 	return q.ep.Recv(p)
 }
 
-// TryRecv polls the receive queue without blocking.
-func (q *QP) TryRecv(p *sim.Proc) (nic.Message, bool) {
-	return q.ep.TryRecv(p)
-}
-
 // Listen calls fn, from event callbacks, on every message from the peer,
 // event for event as a process calling Recv forever would (see
 // nic.Endpoint.Listen).
