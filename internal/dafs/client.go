@@ -95,11 +95,12 @@ func (c *Client) Regs() *nic.RegCache { return c.regs }
 // from the session QP's receive callbacks (extended with ORDMA
 // completions in §4.2.1, which ride the same VI completion path via
 // QP.RDMA).
-func (c *Client) complete(m nic.Message) {
+func (c *Client) complete(m nic.Message) bool {
 	req := m.Header.(*msg)
 	if fut := c.Answer(req.Hdr.XID); fut != nil {
 		fut.Resolve(&completion{hdr: req.Hdr, payloadBytes: m.PayloadBytes, payload: m.Payload})
 	}
+	return true
 }
 
 // resend retransmits a session request from the library's retry timer,

@@ -5,6 +5,7 @@ import (
 
 	"danas/internal/fsim"
 	"danas/internal/host"
+	"danas/internal/nas"
 	"danas/internal/netsim"
 	"danas/internal/nic"
 	"danas/internal/sim"
@@ -293,4 +294,42 @@ func TestErrors(t *testing.T) {
 		}
 	})
 	r.s.Run()
+}
+
+// TestWarmReadAllocations pins the allocations of one warm 16 KB read,
+// client and server together, per transfer mode: a reader process serves
+// one read per token it takes from a queue, so a round allocates only
+// what the request itself does. The server's session state is created
+// once; a regression that allocates per request on the server shows
+// here.
+func TestWarmReadAllocations(t *testing.T) {
+	// As many as when each session was a process: 8 and 8.
+	budget := map[TransferMode]float64{Direct: 8, Inline: 8}
+	r := newRig(t, false, 1<<16)
+	f, _ := r.fs.Create("data", 1<<20)
+	r.sc.Warm(f)
+	for _, tm := range []TransferMode{Direct, Inline} {
+		c := r.newClient(t, nic.Poll, tm)
+		var h *nas.Handle
+		r.s.Go("open", func(p *sim.Proc) { h, _ = c.Open(p, "data") })
+		r.s.Run()
+		tokens := sim.NewQueue[int](r.s, "tokens")
+		r.s.Go("reader", func(p *sim.Proc) {
+			for {
+				tokens.Get(p)
+				if n, err := c.Read(p, h, 0, 16384, 1); err != nil || n != 16384 {
+					t.Errorf("read: n=%d err=%v", n, err)
+				}
+			}
+		})
+		round := func() { tokens.Put(0); r.s.Run() }
+		for range 8 {
+			round()
+		}
+		got := testing.AllocsPerRun(50, round)
+		t.Logf("%s: %.1f allocations per warm read", c.Name(), got)
+		if got > budget[tm] {
+			t.Errorf("%s: a warm read allocates %.1f times, budget %.0f", c.Name(), got, budget[tm])
+		}
+	}
 }

@@ -11,8 +11,6 @@
 package dafs
 
 import (
-	"fmt"
-
 	"danas/internal/cache"
 	"danas/internal/fsim"
 	"danas/internal/host"
@@ -64,7 +62,6 @@ type Server struct {
 	BytesRead     int64
 	// Discarded counts session requests dropped while down.
 	Discarded uint64
-	sessions  int
 }
 
 // SetDown marks the server host crashed (true) or restarted (false).
@@ -120,15 +117,16 @@ func NewServer(s *sim.Scheduler, n *nic.NIC, fs *fsim.FS, sc *fsim.ServerCache, 
 	return srv
 }
 
-// Connect establishes a session from a client NIC: a QP pair plus a server
-// worker process serving it. It returns the client-side QP.
+// Connect establishes a session from a client NIC: a QP pair plus a
+// server session serving it (see session). It returns the client-side
+// QP.
 func (srv *Server) Connect(clientNIC *nic.NIC, clientMode nic.NotifyMode) *vi.QP {
-	srv.sessions++
 	cqp, sqp := vi.Connect(clientNIC, srv.N, clientNIC.AllocPort(), srv.N.AllocPort(), clientMode, srv.Mode)
 	sqp.SetRDMATimeout(srv.RDMATimeout)
-	srv.S.Go(fmt.Sprintf("dafsd-%d", srv.sessions), func(p *sim.Proc) {
-		srv.serve(p, sqp)
-	})
+	ss := &session{srv: srv, qp: sqp, job: host.Job{H: srv.H}}
+	ss.job.Step = ss.resume
+	ss.pulled = ss.pullDone
+	ss.l = sqp.Listen(ss.accept)
 	return cqp
 }
 
@@ -141,102 +139,342 @@ type msg struct {
 	Data []byte
 }
 
-func (srv *Server) serve(p *sim.Proc, qp *vi.QP) {
+// session is the server side of one DAFS session, a kernel worker run
+// by callbacks: a receive loop on the session QP (vi.QP.Listen) and the
+// request it is serving, created once at Connect. Event for event it
+// runs what a worker process calling Recv and serving each request
+// would run; it blocks only in write-behind (host.Job.Block).
+type session struct {
+	srv   *Server
+	qp    *vi.QP
+	l     *nic.Listener
+	job   host.Job
+	req   *msg
+	stage sstage
+
+	f          *fsim.File
+	i          int // the read range at hand: -1 is Hdr.Offset, then Batch[i]
+	got, total int64
+	walk       fsim.Walk
+	st         nic.Status // the write pull's completion status
+	out        vi.Msg     // the reply, its send cost being charged
+
+	pulled func(nic.Status) // ss.pullDone, bound once
+}
+
+// sstage is where a session is in its request: the step to run next.
+type sstage uint8
+
+const (
+	sDemux        sstage = iota // charge session demux and handler work
+	sDispatch                   // dispatch on the operation
+	sRange                      // read: start the next range's walk
+	sWalk                       // read: walking a range's cache blocks
+	sPush                       // read: push a range by RDMA write
+	sRangeDone                  // read: the range is done
+	sPullCharge                 // write: charge the QP's post cost
+	sPullPost                   // write: post the RDMA get
+	sPulled                     // write: the get has completed
+	sPullConsumed               // write: its completion is consumed
+	sWriteData                  // write: data in hand, update the file
+	sWriteCache                 // write: into cache and write-behind
+	sWriteStalled               // write: a write-behind stall has ended
+	sSend                       // the reply's send cost is charged
+)
+
+// accept takes a received message, as the session process's code after
+// Recv does, and reports whether the session is done with it.
+func (ss *session) accept(m nic.Message) bool {
+	if ss.srv.down {
+		ss.srv.Discarded++
+		return true // crashed host: the request dies unexecuted
+	}
+	ss.req = m.Header.(*msg)
+	// The request's span (if traced) is active for exactly its scope, so
+	// server CPU, cache, disk and write-behind work attribute to the
+	// originating operation while the idle wait for the next request
+	// attributes to nothing.
+	ss.job.Span = ss.req.Hdr.Span
+	ss.stage = sDemux
+	return ss.serve()
+}
+
+// resume continues the request where a wait ended, and the receive loop
+// if the request is done.
+func (ss *session) resume() {
+	if ss.serve() {
+		ss.l.Resume()
+	}
+}
+
+// serve runs the request until it waits or is done.
+func (ss *session) serve() bool {
+	srv, j := ss.srv, &ss.job
+	p := srv.H.P
+	h := ss.req.Hdr
+	j.Resume()
 	for {
-		m := qp.Recv(p)
-		if srv.down {
-			srv.Discarded++
-			continue // crashed host: the request dies unexecuted
+		switch ss.stage {
+		case sDemux:
+			ss.stage = sDispatch
+			if !j.Compute(p.RPCServerCost + p.DAFSServerOp) {
+				return false
+			}
+		case sDispatch:
+			switch h.Op {
+			case wire.OpRead:
+				f, err := srv.FS.ByID(fsim.FileID(h.FH))
+				if err != nil {
+					return ss.status(wire.StatusStale)
+				}
+				ss.f, ss.i, ss.total, ss.stage = f, -1, 0, sRange
+			case wire.OpWrite:
+				f, err := srv.FS.ByID(fsim.FileID(h.FH))
+				if err != nil {
+					return ss.status(wire.StatusStale)
+				}
+				if srv.down {
+					return ss.finish() // crash between receive and execution: the write dies with the host
+				}
+				ss.f, ss.stage = f, sWriteData
+				if h.BufVA != 0 && h.Length > 0 {
+					// Pull the data by RDMA read from the advertised
+					// buffer: this handler's post cost, then the QP's own.
+					ss.stage = sPullCharge
+					if !j.Compute(p.GMSendCost + p.PIOWrite) {
+						return false
+					}
+				}
+			case wire.OpCommit:
+				// A commit can block for many milliseconds of destage; run
+				// it on its own process so it never head-of-line-blocks the
+				// session's other requests (the client matches replies by
+				// XID, so out-of-order completion is fine). Write-path
+				// backpressure stays in-line by design: throttling the
+				// session is how the server sheds offered write load.
+				req, qp := ss.req, ss.qp
+				srv.S.Go("dafs-commit", func(cp *sim.Proc) {
+					obs.Activate(cp, req.Hdr.Span)
+					srv.commit(cp, qp, req)
+				})
+				return ss.finish()
+			default:
+				return ss.meta()
+			}
+		case sRange:
+			if ss.i == len(ss.req.Batch) {
+				return ss.readReply()
+			}
+			off := h.Offset
+			if ss.i >= 0 {
+				off = ss.req.Batch[ss.i]
+			}
+			got := h.Length
+			if off >= ss.f.Size() {
+				got = 0
+			} else if off+got > ss.f.Size() {
+				got = ss.f.Size() - off
+			}
+			ss.got = got
+			ss.walk.Start(srv.Cache, ss.f, off, got)
+			ss.stage = sWalk
+		case sWalk:
+			if !ss.walk.Step(j, srv.down) {
+				return false
+			}
+			ss.stage = sRangeDone
+			if ss.got > 0 && h.BufVA != 0 && !srv.down {
+				// Direct transfer: one RDMA write per range.
+				ss.stage = sPush
+				if !j.Compute(p.GMSendCost + p.PIOWrite) {
+					return false
+				}
+			}
+		case sPush:
+			srv.N.RDMAAsync(&nic.Op{
+				Kind:   nic.Put,
+				Target: ss.qp.Peer().NIC(),
+				VA:     h.BufVA + uint64(ss.total),
+				Len:    ss.got,
+				Notify: nic.Poll,
+			})
+			ss.stage = sRangeDone
+		case sRangeDone:
+			ss.total += ss.got
+			srv.Reads++
+			srv.BytesRead += ss.got
+			ss.i++
+			ss.stage = sRange
+		case sPullCharge:
+			ss.stage = sPullPost
+			if !j.Compute(p.GMSendCost + p.PIOWrite) {
+				return false
+			}
+		case sPullPost:
+			ss.qp.RDMAAsync(nic.Get, h.BufVA, h.Length, nil, ss.pulled)
+			// The descriptor's whole flight is wire time of the request.
+			j.Open(obs.PhaseWire)
+			ss.stage = sPulled
+			return false
+		case sPulled:
+			ss.stage = sPullConsumed
+			if !j.Compute(ss.qp.CompletionCost()) {
+				return false
+			}
+		case sPullConsumed:
+			if ss.st != nic.StatusOK {
+				return ss.status(wire.StatusIO)
+			}
+			ss.stage = sWriteData
+		case sWriteData:
+			if len(ss.req.Data) > 0 {
+				ss.f.WriteAt(ss.req.Data, h.Offset)
+			} else if h.Offset+h.Length > ss.f.Size() {
+				ss.f.Truncate(h.Offset + h.Length)
+			}
+			ss.f.SetMtime(int64(srv.S.Now()))
+			ss.stage = sWriteCache
+			if !j.Compute(p.CacheInsert) {
+				return false
+			}
+		case sWriteCache:
+			if srv.down {
+				// The host died while the data was in flight: it never
+				// enters the buffer cache.
+				return ss.written(0)
+			}
+			// Written data enters the server buffer cache (write-behind
+			// to disk).
+			srv.Cache.Install(ss.f, h.Offset, h.Length)
+			if srv.WB == nil {
+				return ss.written(0)
+			}
+			// Dirty tracking, stability and backpressure: a stable write
+			// blocks until destaged; an unstable one blocks only at the
+			// dirty high-water mark.
+			stable := h.Flags&wire.FlagStable != 0
+			if srv.WB.Write(ss.f, h.Offset, h.Length, stable) {
+				ss.stage = sWriteStalled
+				f := ss.f
+				j.Block("dafsd-wb", func(p *sim.Proc) { srv.WB.Stall(p, f, h.Offset, h.Length, stable) })
+				return false
+			}
+			return ss.written(srv.WB.Verifier())
+		case sWriteStalled:
+			return ss.written(srv.WB.Verifier())
+		case sSend:
+			ss.qp.SendAsync(&ss.out)
+			return ss.finish()
 		}
-		srv.serveOne(p, qp, m.Header.(*msg))
 	}
 }
 
-// serveOne dispatches one session request with its span (if traced)
-// active for exactly the request's scope, so server CPU, cache, disk and
-// write-behind work attribute to the originating operation while the
-// session worker's idle Recv wait attributes to nothing.
-func (srv *Server) serveOne(p *sim.Proc, qp *vi.QP, req *msg) {
-	obs.Activate(p, req.Hdr.Span)
-	defer obs.Activate(p, nil)
-	// Session demux + protocol handler work.
-	srv.H.Compute(p, srv.H.P.RPCServerCost+srv.H.P.DAFSServerOp)
-	switch req.Hdr.Op {
-	case wire.OpRead:
-		srv.read(p, qp, req)
-	case wire.OpWrite:
-		srv.write(p, qp, req)
-	case wire.OpCommit:
-		// A commit can block for many milliseconds of destage; run
-		// it on its own process so it never head-of-line-blocks the
-		// session's other requests (the client matches replies by
-		// XID, so out-of-order completion is fine). Write-path
-		// backpressure stays in-line by design: throttling the
-		// session is how the server sheds offered write load.
-		srv.S.Go("dafs-commit", func(cp *sim.Proc) {
-			obs.Activate(cp, req.Hdr.Span)
-			srv.commit(cp, qp, req)
-		})
+// meta serves the namespace and session operations, their handler work
+// charged.
+func (ss *session) meta() bool {
+	fs, h := ss.srv.FS, ss.req.Hdr
+	switch h.Op {
 	case wire.OpOpen, wire.OpLookup:
-		srv.openOp(p, qp, req)
+		f, err := fs.Lookup(h.Name)
+		if err != nil {
+			return ss.status(wire.StatusNoEnt)
+		}
+		return ss.reply(&wire.Header{Op: h.Op, XID: h.XID, Status: wire.StatusOK, FH: uint64(f.ID), Length: f.Size()})
 	case wire.OpGetattr:
-		srv.getattr(p, qp, req)
+		f, err := fs.ByID(fsim.FileID(h.FH))
+		if err != nil {
+			return ss.status(wire.StatusStale)
+		}
+		return ss.reply(&wire.Header{Op: h.Op, XID: h.XID, Status: wire.StatusOK, FH: h.FH, Length: f.Size()})
 	case wire.OpCreate:
-		srv.createOp(p, qp, req)
+		f, err := fs.Create(h.Name, 0)
+		if err != nil {
+			return ss.status(wire.StatusExist)
+		}
+		return ss.reply(&wire.Header{Op: h.Op, XID: h.XID, Status: wire.StatusOK, FH: uint64(f.ID)})
 	case wire.OpRemove:
-		srv.removeOp(p, qp, req)
+		if err := fs.Remove(h.Name); err != nil {
+			return ss.status(wire.StatusNoEnt)
+		}
+		return ss.status(wire.StatusOK)
 	case wire.OpClose, wire.OpMount:
-		srv.reply(p, qp, &wire.Header{Op: req.Hdr.Op, XID: req.Hdr.XID, Status: wire.StatusOK})
+		return ss.status(wire.StatusOK)
 	default:
-		srv.reply(p, qp, &wire.Header{Op: req.Hdr.Op, XID: req.Hdr.XID, Status: wire.StatusIO})
+		return ss.status(wire.StatusIO)
 	}
 }
 
-func (srv *Server) reply(p *sim.Proc, qp *vi.QP, h *wire.Header) {
+// readReply answers a read whose ranges are all done: the data already
+// in flight ahead of a direct reply, or riding an in-line one (gather
+// DMA, no copy).
+func (ss *session) readReply() bool {
+	srv, h := ss.srv, ss.req.Hdr
+	va, length, capBytes := srv.refFor(ss.f, h.Offset)
+	resp := &wire.Header{
+		Op: h.Op, XID: h.XID, Status: wire.StatusOK, Length: ss.total,
+		RefVA: va, RefLen: length, RefCap: capBytes,
+	}
+	if h.BufVA != 0 {
+		return ss.reply(resp)
+	}
 	if srv.down {
-		return // a crash between receive and reply drops the in-flight RPC
+		return ss.finish() // crash mid-read: the in-line reply is never transmitted
 	}
-	qp.Send(p, &vi.Msg{HeaderBytes: h.WireSize(), Header: &msg{Hdr: h}, Span: obs.Active(p)})
-}
-
-func (srv *Server) openOp(p *sim.Proc, qp *vi.QP, req *msg) {
-	f, err := srv.FS.Lookup(req.Hdr.Name)
-	if err != nil {
-		srv.reply(p, qp, &wire.Header{Op: req.Hdr.Op, XID: req.Hdr.XID, Status: wire.StatusNoEnt})
-		return
-	}
-	srv.reply(p, qp, &wire.Header{
-		Op: req.Hdr.Op, XID: req.Hdr.XID, Status: wire.StatusOK,
-		FH: uint64(f.ID), Length: f.Size(),
+	return ss.send(vi.Msg{
+		HeaderBytes:  resp.WireSize(),
+		PayloadBytes: ss.total,
+		Header:       &msg{Hdr: resp},
+		Payload:      fsim.BlockRef{File: ss.f.ID, Off: h.Offset, Len: ss.total},
+		Span:         ss.job.Span,
 	})
 }
 
-func (srv *Server) getattr(p *sim.Proc, qp *vi.QP, req *msg) {
-	f, err := srv.FS.ByID(fsim.FileID(req.Hdr.FH))
-	if err != nil {
-		srv.reply(p, qp, &wire.Header{Op: req.Hdr.Op, XID: req.Hdr.XID, Status: wire.StatusStale})
-		return
-	}
-	srv.reply(p, qp, &wire.Header{
-		Op: req.Hdr.Op, XID: req.Hdr.XID, Status: wire.StatusOK, FH: req.Hdr.FH, Length: f.Size(),
-	})
+// pullDone is the write pull's completion: the request resumes through
+// the one same-instant event a signal fired here would post for a
+// waiting process.
+func (ss *session) pullDone(st nic.Status) {
+	ss.st = st
+	ss.srv.S.After(0, ss.job.Step)
 }
 
-func (srv *Server) createOp(p *sim.Proc, qp *vi.QP, req *msg) {
-	f, err := srv.FS.Create(req.Hdr.Name, 0)
-	if err != nil {
-		srv.reply(p, qp, &wire.Header{Op: req.Hdr.Op, XID: req.Hdr.XID, Status: wire.StatusExist})
-		return
-	}
-	srv.reply(p, qp, &wire.Header{Op: req.Hdr.Op, XID: req.Hdr.XID, Status: wire.StatusOK, FH: uint64(f.ID)})
+// written replies to a write that is in the cache, carrying verifier.
+func (ss *session) written(verifier uint64) bool {
+	h := ss.req.Hdr
+	ss.srv.Writes++
+	return ss.reply(&wire.Header{Op: h.Op, XID: h.XID, Status: wire.StatusOK, Length: h.Length, Verifier: verifier})
 }
 
-func (srv *Server) removeOp(p *sim.Proc, qp *vi.QP, req *msg) {
-	if err := srv.FS.Remove(req.Hdr.Name); err != nil {
-		srv.reply(p, qp, &wire.Header{Op: req.Hdr.Op, XID: req.Hdr.XID, Status: wire.StatusNoEnt})
-		return
+// status replies with a bare status.
+func (ss *session) status(st uint32) bool {
+	h := ss.req.Hdr
+	return ss.reply(&wire.Header{Op: h.Op, XID: h.XID, Status: st})
+}
+
+// reply sends the response header h, unless the host has crashed: a
+// crash between receive and reply drops the in-flight request.
+func (ss *session) reply(h *wire.Header) bool {
+	if ss.srv.down {
+		return ss.finish()
 	}
-	srv.reply(p, qp, &wire.Header{Op: req.Hdr.Op, XID: req.Hdr.XID, Status: wire.StatusOK})
+	return ss.send(vi.Msg{HeaderBytes: h.WireSize(), Header: &msg{Hdr: h}, Span: ss.job.Span})
+}
+
+// send transmits m to the client, charging the host send cost (library
+// and doorbell) first, as vi.QP.Send does.
+func (ss *session) send(m vi.Msg) bool {
+	ss.out, ss.stage = m, sSend
+	if !ss.job.Compute(ss.srv.H.P.GMSendCost + ss.srv.H.P.PIOWrite) {
+		return false
+	}
+	ss.qp.SendAsync(&ss.out)
+	return ss.finish()
+}
+
+// finish ends the request: its span goes inactive and its state is
+// dropped.
+func (ss *session) finish() bool {
+	ss.job.Span, ss.req, ss.f, ss.out = nil, nil, nil, vi.Msg{}
+	return true
 }
 
 // refFor returns the piggyback reference for the cache block covering
@@ -263,132 +501,10 @@ func (srv *Server) refFor(f *fsim.File, off int64) (va uint64, length int64, cap
 	return seg.VA, seg.Len, seg.Cap
 }
 
-// read serves one read: touch cache blocks (disk on miss), then move the
-// data in-line or by RDMA write into the advertised client buffer.
-func (srv *Server) read(p *sim.Proc, qp *vi.QP, req *msg) {
-	h := req.Hdr
-	f, err := srv.FS.ByID(fsim.FileID(h.FH))
-	if err != nil {
-		srv.reply(p, qp, &wire.Header{Op: h.Op, XID: h.XID, Status: wire.StatusStale})
-		return
-	}
-	n := h.Length
-	var firstRefVA uint64
-	var firstRefLen int64
-	var firstRefCap []byte
-	total := int64(0)
-	// The request's ranges: h.Offset, then each of req.Batch.
-	for i := -1; i < len(req.Batch); i++ {
-		off := h.Offset
-		if i >= 0 {
-			off = req.Batch[i]
-		}
-		got := n
-		if off >= f.Size() {
-			got = 0
-		} else if off+got > f.Size() {
-			got = f.Size() - off
-		}
-		// A crash mid-handler stops the walk: a dead host does no
-		// kernel work and must not re-populate (and re-export) blocks
-		// the crash just flushed and invalidated.
-		for bo := off; bo < off+got && !srv.down; bo += srv.Cache.BlockSize() {
-			srv.H.Compute(p, srv.H.P.CacheLookup)
-			if _, hit := srv.Cache.Get(p, f, bo); !hit {
-				srv.H.Compute(p, srv.H.P.CacheInsert)
-			}
-		}
-		if got > 0 && h.BufVA != 0 && !srv.down {
-			// Direct transfer: one RDMA write per range.
-			srv.H.Compute(p, srv.H.P.GMSendCost+srv.H.P.PIOWrite)
-			srv.N.RDMAAsync(&nic.Op{
-				Kind:   nic.Put,
-				Target: qp.Peer().NIC(),
-				VA:     h.BufVA + uint64(total),
-				Len:    got,
-				Notify: nic.Poll,
-			})
-		}
-		total += got
-		srv.Reads++
-		srv.BytesRead += got
-	}
-	if firstRefVA == 0 {
-		firstRefVA, firstRefLen, firstRefCap = srv.refFor(f, h.Offset)
-	}
-	resp := &wire.Header{
-		Op: h.Op, XID: h.XID, Status: wire.StatusOK, Length: total,
-		RefVA: firstRefVA, RefLen: firstRefLen, RefCap: firstRefCap,
-	}
-	if h.BufVA != 0 {
-		srv.reply(p, qp, resp) // data already in flight ahead of the reply
-		return
-	}
-	if srv.down {
-		return // crash mid-read: the in-line reply is never transmitted
-	}
-	// In-line transfer: payload rides the reply (gather DMA, no copy).
-	qp.Send(p, &vi.Msg{
-		HeaderBytes:  resp.WireSize(),
-		PayloadBytes: total,
-		Header:       &msg{Hdr: resp},
-		Payload:      fsim.BlockRef{File: f.ID, Off: h.Offset, Len: total},
-		Span:         obs.Active(p),
-	})
-}
-
-// write serves one write: pull the data by RDMA read from the advertised
-// buffer, or accept it in-line; then update file state (§4.2.2 notes writes
-// always need this server-side work — which is why ORDMA targets reads).
-func (srv *Server) write(p *sim.Proc, qp *vi.QP, req *msg) {
-	h := req.Hdr
-	f, err := srv.FS.ByID(fsim.FileID(h.FH))
-	if err != nil {
-		srv.reply(p, qp, &wire.Header{Op: h.Op, XID: h.XID, Status: wire.StatusStale})
-		return
-	}
-	n := h.Length
-	if srv.down {
-		return // crash between receive and execution: the write dies with the host
-	}
-	if h.BufVA != 0 && n > 0 {
-		srv.H.Compute(p, srv.H.P.GMSendCost+srv.H.P.PIOWrite)
-		res := qp.RDMA(p, nic.Get, h.BufVA, n, nil)
-		if !res.OK() {
-			srv.reply(p, qp, &wire.Header{Op: h.Op, XID: h.XID, Status: wire.StatusIO})
-			return
-		}
-	}
-	if len(req.Data) > 0 {
-		f.WriteAt(req.Data, h.Offset)
-	} else if h.Offset+n > f.Size() {
-		f.Truncate(h.Offset + n)
-	}
-	f.SetMtime(int64(p.Now()))
-	srv.H.Compute(p, srv.H.P.CacheInsert)
-	var verifier uint64
-	if !srv.down {
-		// Written data enters the server buffer cache (write-behind to
-		// disk) — unless the host died while the data was in flight.
-		srv.Cache.Install(f, h.Offset, n)
-		if srv.WB != nil {
-			// Dirty tracking, stability and backpressure: a stable write
-			// blocks here until destaged; an unstable one blocks only
-			// at the dirty high-water mark.
-			srv.WB.Write(p, f, h.Offset, n, h.Flags&wire.FlagStable != 0)
-			verifier = srv.WB.Verifier()
-		}
-	}
-	srv.Writes++
-	srv.reply(p, qp, &wire.Header{
-		Op: h.Op, XID: h.XID, Status: wire.StatusOK, Length: n, Verifier: verifier,
-	})
-}
-
-// commit serves OpCommit: destage every dirty block of the range (the
-// whole file when Length <= 0) and report the write verifier. Without
-// write-behind, data was never volatile, so commit is a no-op carrying
-// verifier zero.
+// commit serves OpCommit on its own process: destage every dirty block
+// of the range (the whole file when Length <= 0) and report the write
+// verifier. Without write-behind, data was never volatile, so commit is
+// a no-op carrying verifier zero.
 func (srv *Server) commit(p *sim.Proc, qp *vi.QP, req *msg) {
 	h := req.Hdr
 	f, err := srv.FS.ByID(fsim.FileID(h.FH))
@@ -406,6 +522,15 @@ func (srv *Server) commit(p *sim.Proc, qp *vi.QP, req *msg) {
 	srv.reply(p, qp, &wire.Header{
 		Op: h.Op, XID: h.XID, Status: wire.StatusOK, Verifier: verifier,
 	})
+}
+
+// reply sends the commit's response header h from its process, unless
+// the host has crashed.
+func (srv *Server) reply(p *sim.Proc, qp *vi.QP, h *wire.Header) {
+	if srv.down {
+		return
+	}
+	qp.Send(p, &vi.Msg{HeaderBytes: h.WireSize(), Header: &msg{Hdr: h}, Span: obs.Active(p)})
 }
 
 // RemoteRefOf converts piggybacked reply fields into a directory entry.

@@ -1,6 +1,7 @@
 package fsim
 
 import (
+	"danas/internal/host"
 	"danas/internal/obs"
 	"danas/internal/sim"
 )
@@ -38,6 +39,13 @@ func (d *Disk) ReadAsync(n int64, done func()) {
 	d.Reads++
 	d.BytesRead += n
 	d.st.Serve(d.seek+sim.TransferTime(n, d.bw), done)
+}
+
+// ReadThen is the callback twin of Read (see host.Job).
+func (d *Disk) ReadThen(j *host.Job, n int64) bool {
+	d.Reads++
+	d.BytesRead += n
+	return j.Then(d.st, d.seek+sim.TransferTime(n, d.bw), obs.PhaseDisk)
 }
 
 // Write blocks p for one write I/O of n bytes. Wall time (device

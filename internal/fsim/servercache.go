@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"fmt"
 
+	"danas/internal/host"
 	"danas/internal/sim"
 )
 
@@ -104,6 +105,18 @@ func (c *ServerCache) Peek(f *File, off int64) (*CacheBlock, bool) {
 // miss. The caller charges host CPU costs (lookup/insert); Get charges
 // only device time.
 func (c *ServerCache) Get(p *sim.Proc, f *File, off int64) (*CacheBlock, bool) {
+	b, key, l := c.lookup(f, off)
+	if b != nil {
+		return b, true
+	}
+	c.disk.Read(p, l)
+	return c.insert(key, l), false
+}
+
+// lookup returns the resident block covering off, counting a hit and
+// refreshing its LRU place, or counts a miss and returns nil with the
+// key and length of the block to read.
+func (c *ServerCache) lookup(f *File, off int64) (*CacheBlock, BlockKey, int64) {
 	key, l := c.align(f, off)
 	if l <= 0 {
 		panic(fmt.Sprintf("fsim: Get beyond EOF: off=%d size=%d", off, f.Size()))
@@ -111,11 +124,76 @@ func (c *ServerCache) Get(p *sim.Proc, f *File, off int64) (*CacheBlock, bool) {
 	if b, ok := c.blocks[key]; ok {
 		c.Hits++
 		c.lru.MoveToFront(b.elem)
-		return b, true
+		return b, key, l
 	}
 	c.Misses++
-	c.disk.Read(p, l)
-	return c.insert(key, l), false
+	return nil, key, l
+}
+
+// Walk touches every cache block of a byte range for a request served
+// by callbacks (see host.Job), the loop a server's read handler runs:
+// per block a CacheLookup charge, then on a miss the block's disk read
+// and a CacheInsert charge. A server keeps one per request context and
+// reuses it.
+type Walk struct {
+	c       *ServerCache
+	f       *File
+	bo, end int64
+	key     BlockKey // the missed block, its read in flight
+	l       int64
+	stage   walkStage
+}
+
+type walkStage uint8
+
+const (
+	walkLookup   walkStage = iota // charge the next block's lookup
+	walkGet                       // lookup charged: get the block
+	walkFill                      // miss read done: insert the block
+	walkInserted                  // insert charged: on to the next block
+)
+
+// Start begins a walk of [off, off+n) of f.
+func (w *Walk) Start(c *ServerCache, f *File, off, n int64) {
+	*w = Walk{c: c, f: f, bo: off, end: off + n}
+}
+
+// Step advances the walk for j and reports true once every block is
+// touched, or at once when down: a crashed host does no kernel work and
+// must not re-populate the cache its crash flushed. Otherwise j waits on
+// a charge, and j.Step must call Step again.
+func (w *Walk) Step(j *host.Job, down bool) bool {
+	p := j.H.P
+	for {
+		switch w.stage {
+		case walkLookup:
+			if w.bo >= w.end || down {
+				return true
+			}
+			w.stage = walkGet
+			if !j.Compute(p.CacheLookup) {
+				return false
+			}
+		case walkGet:
+			b, key, l := w.c.lookup(w.f, w.bo)
+			if b != nil {
+				w.bo, w.stage = w.bo+w.c.blockSize, walkLookup
+				continue
+			}
+			w.key, w.l, w.stage = key, l, walkFill
+			if !w.c.disk.ReadThen(j, l) {
+				return false
+			}
+		case walkFill:
+			w.c.insert(w.key, w.l)
+			w.stage = walkInserted
+			if !j.Compute(p.CacheInsert) {
+				return false
+			}
+		case walkInserted:
+			w.bo, w.stage = w.bo+w.c.blockSize, walkLookup
+		}
+	}
 }
 
 // Warm makes every block of f resident without disk traffic or CPU cost —

@@ -124,3 +124,76 @@ func (h *Host) Wakeup(done func()) {
 
 // String implements fmt.Stringer.
 func (h *Host) String() string { return fmt.Sprintf("host(%s)", h.Name) }
+
+// Job is a request served by callbacks instead of a process: the span
+// its charges attribute to, and Step, the callback a charge that cannot
+// run ahead calls at its finish, where a process would have resumed.
+// Its methods are the callback twins of Compute and of the other
+// charges a process makes: each reports true if the charge ran ahead,
+// the clock now at its finish, and the caller carries on itself, as a
+// process returning from Compute would. Otherwise the caller returns,
+// and Step runs at the finish; its first act must be Resume, which
+// attributes the charge's wall time to the span as Compute does.
+type Job struct {
+	H    *Host
+	Span *obs.Span
+	Step func()
+
+	t0   sim.Time  // when the open wait began
+	ph   obs.Phase // the phase it attributes to
+	open bool
+
+	blocked func(p *sim.Proc) // what Block runs next
+	body    func(p *sim.Proc) // j.runBlocked, bound at the first Block
+}
+
+// Compute charges d of CPU work, the twin of Host.Compute.
+func (j *Job) Compute(d sim.Duration) bool { return j.Then(j.H.CPU, d, j.H.CPUPhase) }
+
+// Then executes a job of duration d on st, the twin of a process's
+// st.Wait bracketed into phase ph (a disk read, say).
+func (j *Job) Then(st *sim.Station, d sim.Duration, ph obs.Phase) bool {
+	j.Open(ph)
+	if !st.Then(d, j.Step) {
+		return false
+	}
+	j.Resume()
+	return true
+}
+
+// Open starts a wait that attributes to phase ph: one Then opens
+// itself, or one the caller arranges to end with a call of Step (an
+// RDMA completion, say).
+func (j *Job) Open(ph obs.Phase) { j.t0, j.ph, j.open = j.H.S.Now(), ph, true }
+
+// Resume ends the open wait, if any, adding its wall time to the span.
+func (j *Job) Resume() {
+	if j.open {
+		j.open = false
+		j.Span.Add(j.ph, j.H.S.Now().Sub(j.t0))
+	}
+}
+
+// Block continues the job on a process started in place (see
+// sim.Scheduler.Start), for a step that really blocks, such as a
+// write-behind drain: the process runs fn with the job's span active,
+// then calls Step. The caller returns right after Block, as after a
+// charge that did not run ahead.
+func (j *Job) Block(name string, fn func(p *sim.Proc)) {
+	if j.body == nil {
+		j.body = j.runBlocked
+	}
+	j.blocked = fn
+	j.H.S.Start(name, j.body)
+}
+
+// runBlocked is the body of a process Block starts. It takes what it
+// needs from j before it can first block, since the job may go on to
+// its next request while the process waits.
+func (j *Job) runBlocked(p *sim.Proc) {
+	fn, step := j.blocked, j.Step
+	j.blocked = nil
+	obs.Activate(p, j.Span)
+	fn(p)
+	step()
+}

@@ -261,3 +261,41 @@ func TestColdReadPaysDisk(t *testing.T) {
 		t.Fatalf("cold read took %v, below one disk seek", elapsed)
 	}
 }
+
+// TestWarmReadAllocations pins the allocations of one warm 16 KB read,
+// client and server together, per NFS variant: a reader process serves
+// one read per token it takes from a queue, so a round allocates only
+// what the request itself does. The server's worker state is created
+// once, with the request held by value; a regression that allocates per
+// request on the server shows here.
+func TestWarmReadAllocations(t *testing.T) {
+	// Before the rpcd workers ran as callbacks: 12, 15 and 12.
+	budget := map[Kind]float64{Standard: 10, PrePosting: 13, Hybrid: 10}
+	r := newRig(t)
+	f, _ := r.fs.Create("data", 1<<20)
+	r.cache.Warm(f)
+	for _, kind := range []Kind{Standard, PrePosting, Hybrid} {
+		c := r.clients[kind]
+		var h *nas.Handle
+		r.s.Go("open", func(p *sim.Proc) { h, _ = c.Open(p, "data") })
+		r.s.Run()
+		tokens := sim.NewQueue[int](r.s, "tokens")
+		r.s.Go("reader", func(p *sim.Proc) {
+			for {
+				tokens.Get(p)
+				if n, err := c.Read(p, h, 0, 16384, 1); err != nil || n != 16384 {
+					t.Errorf("%v read: n=%d err=%v", kind, n, err)
+				}
+			}
+		})
+		round := func() { tokens.Put(0); r.s.Run() }
+		for range 8 {
+			round()
+		}
+		got := testing.AllocsPerRun(50, round)
+		t.Logf("%v: %.1f allocations per warm read", kind, got)
+		if got > budget[kind] {
+			t.Errorf("%v: a warm read allocates %.1f times, budget %.0f", kind, got, budget[kind])
+		}
+	}
+}

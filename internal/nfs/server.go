@@ -47,10 +47,14 @@ type Server struct {
 }
 
 // NewServer starts an NFS server on the given stack with nWorkers nfsd
-// worker processes.
-func NewServer(s *sim.Scheduler, stack *udpip.Stack, fs *fsim.FS, cache *fsim.ServerCache, nWorkers int) *Server {
+// workers (see rpc.Worker).
+func NewServer(_ *sim.Scheduler, stack *udpip.Stack, fs *fsim.FS, cache *fsim.ServerCache, nWorkers int) *Server {
 	srv := &Server{H: stack.Host(), FS: fs, Cache: cache, n: stack.NIC()}
-	srv.RPC = rpc.NewServer(s, stack, Port, nWorkers, srv.handle)
+	srv.RPC = rpc.NewServiceServer(stack, Port, nWorkers, func(w *rpc.Worker) rpc.Service {
+		h := &handler{srv: srv, w: w}
+		h.pulled = h.pullDone
+		return h
+	})
 	return srv
 }
 
@@ -67,209 +71,275 @@ func (srv *Server) SetDown(down bool) {
 	}
 }
 
-func (srv *Server) handle(p *sim.Proc, req *rpc.Request) *rpc.Reply {
-	h := req.Hdr
-	switch h.Op {
-	case wire.OpLookup, wire.OpOpen:
-		return srv.lookup(p, h)
-	case wire.OpGetattr:
-		return srv.getattr(p, h)
-	case wire.OpRead:
-		return srv.read(p, req)
-	case wire.OpWrite:
-		return srv.write(p, req)
-	case wire.OpCommit:
-		return srv.commit(p, h)
-	case wire.OpCreate:
-		return srv.create(p, h)
-	case wire.OpRemove:
-		return srv.remove(p, h)
-	default:
-		return &rpc.Reply{Hdr: &wire.Header{Op: h.Op, XID: h.XID, Status: wire.StatusIO}}
-	}
+// handler is one nfsd worker's NFS request state, kept across the
+// request's waits and reused by the next request.
+type handler struct {
+	srv      *Server
+	w        *rpc.Worker
+	stage    stage
+	f        *fsim.File
+	n        int64
+	walk     fsim.Walk
+	st       nic.Status       // the write pull's completion status
+	verifier uint64           // a commit's verifier
+	pulled   func(nic.Status) // h.pullDone, bound once
 }
 
-func (srv *Server) lookup(p *sim.Proc, h *wire.Header) *rpc.Reply {
-	srv.H.Compute(p, srv.H.P.NFSServerOp)
-	f, err := srv.FS.Lookup(h.Name)
-	if err != nil {
-		return &rpc.Reply{Hdr: &wire.Header{Op: h.Op, XID: h.XID, Status: wire.StatusNoEnt}}
-	}
-	return &rpc.Reply{Hdr: &wire.Header{
-		Op: h.Op, XID: h.XID, Status: wire.StatusOK, FH: uint64(f.ID), Length: f.Size(),
-	}}
-}
+// stage is where a handler is in its request: the step to run when
+// Serve is next called.
+type stage uint8
 
-func (srv *Server) getattr(p *sim.Proc, h *wire.Header) *rpc.Reply {
-	srv.H.Compute(p, srv.H.P.NFSServerOp)
-	f, err := srv.FS.ByID(fsim.FileID(h.FH))
-	if err != nil {
-		return &rpc.Reply{Hdr: &wire.Header{Op: h.Op, XID: h.XID, Status: wire.StatusStale}}
-	}
-	return &rpc.Reply{Hdr: &wire.Header{
-		Op: h.Op, XID: h.XID, Status: wire.StatusOK, FH: h.FH, Length: f.Size(),
-	}}
-}
+const (
+	opStart        stage = iota // dispatch: charge the NFS operation
+	opMeta                      // lookup, getattr, create, remove
+	opRead                      // find the file, walk its cache blocks
+	opReadWalk                  // walking the cache blocks
+	opReadPush                  // hybrid: push the data by RDMA
+	opWrite                     // find the file, pull or copy the data
+	opWritePull                 // hybrid: post the RDMA get
+	opWritePulled               // the get has completed
+	opWriteData                 // data in hand: update the file
+	opWriteCache                // insert charged: into cache and write-behind
+	opWriteStalled              // a write-behind stall has ended
+	opCommit                    // destage the committed range
+	opCommitted                 // the destage has ended
+)
 
-func (srv *Server) create(p *sim.Proc, h *wire.Header) *rpc.Reply {
-	srv.H.Compute(p, srv.H.P.NFSServerOp)
-	f, err := srv.FS.Create(h.Name, 0)
-	if err != nil {
-		return &rpc.Reply{Hdr: &wire.Header{Op: h.Op, XID: h.XID, Status: wire.StatusExist}}
-	}
-	return &rpc.Reply{Hdr: &wire.Header{Op: h.Op, XID: h.XID, Status: wire.StatusOK, FH: uint64(f.ID)}}
-}
-
-func (srv *Server) remove(p *sim.Proc, h *wire.Header) *rpc.Reply {
-	srv.H.Compute(p, srv.H.P.NFSServerOp)
-	if err := srv.FS.Remove(h.Name); err != nil {
-		return &rpc.Reply{Hdr: &wire.Header{Op: h.Op, XID: h.XID, Status: wire.StatusNoEnt}}
-	}
-	return &rpc.Reply{Hdr: &wire.Header{Op: h.Op, XID: h.XID, Status: wire.StatusOK}}
-}
-
-// read serves OpRead. The transfer size matches the request (the paper's
-// modified UDP allows up to 512 KB). The server gathers data from cache
-// blocks; the send path is copy-free (NIC scatter/gather), so server
-// per-byte cost is zero and per-I/O cost dominates — the regime §2.3
-// describes.
-func (srv *Server) read(p *sim.Proc, req *rpc.Request) *rpc.Reply {
-	h := req.Hdr
-	srv.H.Compute(p, srv.H.P.NFSServerOp)
-	f, err := srv.FS.ByID(fsim.FileID(h.FH))
-	if err != nil {
-		return &rpc.Reply{Hdr: &wire.Header{Op: h.Op, XID: h.XID, Status: wire.StatusStale}}
-	}
-	n := h.Length
-	if h.Offset >= f.Size() {
-		n = 0
-	} else if h.Offset+n > f.Size() {
-		n = f.Size() - h.Offset
-	}
-	// Touch every cache block in the range (disk reads on misses). A
-	// crash mid-handler stops the walk: a dead host does no kernel work
-	// and must not re-populate the cache the crash just flushed.
-	for off := h.Offset; off < h.Offset+n && !srv.down; off += srv.Cache.BlockSize() {
-		srv.H.Compute(p, srv.H.P.CacheLookup)
-		if _, hit := srv.Cache.Get(p, f, off); !hit {
-			srv.H.Compute(p, srv.H.P.CacheInsert)
-		}
-	}
-	srv.Reads++
-	srv.BytesRead += n
-
-	if h.BufVA != 0 && n > 0 && !srv.down {
-		// RDDP-RDMA (hybrid): push the data into the client's advertised
-		// buffer with RDMA, then send a small reply. Both traverse the
-		// same NIC pipeline, so the reply arrives after the data.
-		srv.H.Compute(p, srv.H.P.GMSendCost+srv.H.P.PIOWrite)
-		srv.n.RDMAAsync(&nic.Op{
-			Kind:   nic.Put,
-			Target: req.ClientNIC(),
-			VA:     h.BufVA,
-			Len:    n,
-			Notify: nic.Poll,
-		})
-		return &rpc.Reply{Hdr: &wire.Header{
-			Op: h.Op, XID: h.XID, Status: wire.StatusOK, Length: n,
-		}}
-	}
-	// Standard / pre-posting: payload rides the RPC reply in-line.
-	return &rpc.Reply{
-		Hdr:          &wire.Header{Op: h.Op, XID: h.XID, Status: wire.StatusOK, Length: n},
-		PayloadBytes: n,
-		Payload:      fsim.BlockRef{File: f.ID, Off: h.Offset, Len: n},
-	}
-}
-
-// write serves OpWrite. Standard/pre-posting writes carry the payload
-// in-line (the server copies it into the buffer cache); hybrid writes
-// advertise the client buffer and the server pulls it with an RDMA read.
-func (srv *Server) write(p *sim.Proc, req *rpc.Request) *rpc.Reply {
-	h := req.Hdr
-	srv.H.Compute(p, srv.H.P.NFSServerOp)
-	f, err := srv.FS.ByID(fsim.FileID(h.FH))
-	if err != nil {
-		return &rpc.Reply{Hdr: &wire.Header{Op: h.Op, XID: h.XID, Status: wire.StatusStale}}
-	}
-	n := h.Length
-	srv.Writes++
-	if srv.down {
-		// Crash between receive and execution: the write dies with the
-		// host (the client's retransmission re-executes it after the
-		// restart; the DRC was lost with the crash).
-		return &rpc.Reply{Hdr: &wire.Header{Op: h.Op, XID: h.XID, Status: wire.StatusIO}}
-	}
-	if h.BufVA != 0 && n > 0 {
-		// Pull the data from the client's buffer; block this worker until
-		// the data has arrived so the reply orders after placement.
-		sig := sim.NewSignal(p.Sched())
-		var st nic.Status
-		srv.H.Compute(p, srv.H.P.GMSendCost+srv.H.P.PIOWrite)
-		srv.n.RDMAAsync(&nic.Op{
-			Kind:   nic.Get,
-			Target: req.ClientNIC(),
-			VA:     h.BufVA,
-			Len:    n,
-			Notify: nic.Intr,
-			Done:   func(s nic.Status) { st = s; sig.Fire() },
-		})
-		sig.Wait(p)
-		if st != nic.StatusOK {
-			return &rpc.Reply{Hdr: &wire.Header{Op: h.Op, XID: h.XID, Status: wire.StatusIO}}
-		}
-	} else if n > 0 {
-		// In-line payload: copy mbufs into the buffer cache.
-		srv.H.Compute(p, srv.H.CacheCopyCost(n))
-	}
-	if ref, ok := req.Payload.(writePayload); ok && len(ref.data) > 0 {
-		f.WriteAt(ref.data, h.Offset)
-	} else {
-		// Size-only write: extend the file without materializing bytes.
-		if h.Offset+n > f.Size() {
-			f.Truncate(h.Offset + n)
-		}
-	}
-	f.SetMtime(int64(p.Now()))
-	srv.H.Compute(p, srv.H.P.CacheInsert)
-	var verifier uint64
-	if !srv.down {
-		// Written data enters the server buffer cache (write-behind to
-		// disk) — unless the host died while the data was in flight.
-		srv.Cache.Install(f, h.Offset, n)
-		if srv.WB != nil {
+// Serve implements rpc.Service.
+func (h *handler) Serve(w *rpc.Worker) bool {
+	srv, hdr, j := h.srv, w.Req.Hdr, &w.Job
+	for {
+		switch h.stage {
+		case opStart:
+			switch hdr.Op {
+			case wire.OpLookup, wire.OpOpen, wire.OpGetattr, wire.OpCreate, wire.OpRemove:
+				h.stage = opMeta
+			case wire.OpRead:
+				h.stage = opRead
+			case wire.OpWrite:
+				h.stage = opWrite
+			case wire.OpCommit:
+				h.stage = opCommit
+			default:
+				return h.reply(wire.StatusIO)
+			}
+			if !j.Compute(srv.H.P.NFSServerOp) {
+				return false
+			}
+		case opMeta:
+			return h.meta(hdr)
+		case opRead:
+			f, err := srv.FS.ByID(fsim.FileID(hdr.FH))
+			if err != nil {
+				return h.reply(wire.StatusStale)
+			}
+			n := hdr.Length
+			if hdr.Offset >= f.Size() {
+				n = 0
+			} else if hdr.Offset+n > f.Size() {
+				n = f.Size() - hdr.Offset
+			}
+			h.f, h.n = f, n
+			// Touch every cache block in the range (disk reads on misses).
+			h.walk.Start(srv.Cache, f, hdr.Offset, n)
+			h.stage = opReadWalk
+		case opReadWalk:
+			if !h.walk.Step(j, srv.down) {
+				return false
+			}
+			srv.Reads++
+			srv.BytesRead += h.n
+			if hdr.BufVA == 0 || h.n == 0 || srv.down {
+				// Standard / pre-posting: payload rides the RPC reply in-line.
+				w.Reply = rpc.Reply{
+					Hdr:          &wire.Header{Op: hdr.Op, XID: hdr.XID, Status: wire.StatusOK, Length: h.n},
+					PayloadBytes: h.n,
+					Payload:      fsim.BlockRef{File: h.f.ID, Off: hdr.Offset, Len: h.n},
+				}
+				return h.done()
+			}
+			// RDDP-RDMA (hybrid): push the data into the client's
+			// advertised buffer with RDMA, then send a small reply. Both
+			// traverse the same NIC pipeline, so the reply arrives after
+			// the data.
+			h.stage = opReadPush
+			if !j.Compute(srv.H.P.GMSendCost + srv.H.P.PIOWrite) {
+				return false
+			}
+		case opReadPush:
+			srv.n.RDMAAsync(&nic.Op{
+				Kind:   nic.Put,
+				Target: w.Req.ClientNIC(),
+				VA:     hdr.BufVA,
+				Len:    h.n,
+				Notify: nic.Poll,
+			})
+			w.Reply = rpc.Reply{Hdr: &wire.Header{Op: hdr.Op, XID: hdr.XID, Status: wire.StatusOK, Length: h.n}}
+			return h.done()
+		case opWrite:
+			f, err := srv.FS.ByID(fsim.FileID(hdr.FH))
+			if err != nil {
+				return h.reply(wire.StatusStale)
+			}
+			h.f, h.n = f, hdr.Length
+			srv.Writes++
+			if srv.down {
+				// Crash between receive and execution: the write dies with
+				// the host (the client's retransmission re-executes it
+				// after the restart; the DRC was lost with the crash).
+				return h.reply(wire.StatusIO)
+			}
+			switch {
+			case hdr.BufVA != 0 && h.n > 0:
+				// Pull the data from the client's buffer; the request waits
+				// until it has arrived so the reply orders after placement.
+				h.stage = opWritePull
+				if !j.Compute(srv.H.P.GMSendCost + srv.H.P.PIOWrite) {
+					return false
+				}
+			case h.n > 0:
+				// In-line payload: copy mbufs into the buffer cache.
+				h.stage = opWriteData
+				if !j.Compute(srv.H.CacheCopyCost(h.n)) {
+					return false
+				}
+			default:
+				h.stage = opWriteData
+			}
+		case opWritePull:
+			h.stage = opWritePulled
+			srv.n.RDMAAsync(&nic.Op{
+				Kind:   nic.Get,
+				Target: w.Req.ClientNIC(),
+				VA:     hdr.BufVA,
+				Len:    h.n,
+				Notify: nic.Intr,
+				Done:   h.pulled,
+			})
+			return false
+		case opWritePulled:
+			if h.st != nic.StatusOK {
+				return h.reply(wire.StatusIO)
+			}
+			h.stage = opWriteData
+		case opWriteData:
+			if ref, ok := w.Req.Payload.(writePayload); ok && len(ref.data) > 0 {
+				h.f.WriteAt(ref.data, hdr.Offset)
+			} else if hdr.Offset+h.n > h.f.Size() {
+				// Size-only write: extend the file without materializing bytes.
+				h.f.Truncate(hdr.Offset + h.n)
+			}
+			h.f.SetMtime(int64(srv.H.S.Now()))
+			h.stage = opWriteCache
+			if !j.Compute(srv.H.P.CacheInsert) {
+				return false
+			}
+		case opWriteCache:
+			if srv.down {
+				// The host died while the data was in flight: it never
+				// enters the buffer cache.
+				return h.written(0)
+			}
+			srv.Cache.Install(h.f, hdr.Offset, h.n)
+			if srv.WB == nil {
+				return h.written(0)
+			}
 			// Dirty tracking, stability and backpressure: a stable write
-			// blocks here until destaged; an unstable one blocks only
-			// at the dirty high-water mark.
-			srv.WB.Write(p, f, h.Offset, n, h.Flags&wire.FlagStable != 0)
-			verifier = srv.WB.Verifier()
+			// blocks until destaged; an unstable one blocks only at the
+			// dirty high-water mark.
+			stable := hdr.Flags&wire.FlagStable != 0
+			if srv.WB.Write(h.f, hdr.Offset, h.n, stable) {
+				h.stage = opWriteStalled
+				f, off, n := h.f, hdr.Offset, h.n
+				j.Block("nfsd-wb", func(p *sim.Proc) { srv.WB.Stall(p, f, off, n, stable) })
+				return false
+			}
+			return h.written(srv.WB.Verifier())
+		case opWriteStalled:
+			return h.written(srv.WB.Verifier())
+		case opCommit:
+			// Destage every dirty block of the range (the whole file when
+			// Length <= 0). Without write-behind, data was never volatile,
+			// so commit is a no-op carrying verifier zero.
+			f, err := srv.FS.ByID(fsim.FileID(hdr.FH))
+			if err != nil {
+				return h.reply(wire.StatusStale)
+			}
+			h.verifier = 0
+			h.stage = opCommitted
+			if srv.WB != nil && !srv.down {
+				off, n := hdr.Offset, hdr.Length
+				j.Block("nfsd-commit", func(p *sim.Proc) { h.verifier = srv.WB.Commit(p, f, off, n) })
+				return false
+			}
+		case opCommitted:
+			if srv.down {
+				return h.reply(wire.StatusIO)
+			}
+			w.Reply = rpc.Reply{Hdr: &wire.Header{Op: hdr.Op, XID: hdr.XID, Status: wire.StatusOK, Verifier: h.verifier}}
+			return h.done()
 		}
 	}
-	return &rpc.Reply{Hdr: &wire.Header{
-		Op: h.Op, XID: h.XID, Status: wire.StatusOK, Length: n, Verifier: verifier,
-	}}
 }
 
-// commit serves OpCommit: destage every dirty block of the range (the
-// whole file when Length <= 0) and report the write verifier. Without
-// write-behind, data was never volatile, so commit is a no-op carrying
-// verifier zero.
-func (srv *Server) commit(p *sim.Proc, h *wire.Header) *rpc.Reply {
-	srv.H.Compute(p, srv.H.P.NFSServerOp)
-	f, err := srv.FS.ByID(fsim.FileID(h.FH))
-	if err != nil {
-		return &rpc.Reply{Hdr: &wire.Header{Op: h.Op, XID: h.XID, Status: wire.StatusStale}}
+// meta serves the namespace and attribute operations, their NFS
+// operation charged.
+func (h *handler) meta(hdr *wire.Header) bool {
+	fs := h.srv.FS
+	switch hdr.Op {
+	case wire.OpGetattr:
+		f, err := fs.ByID(fsim.FileID(hdr.FH))
+		if err != nil {
+			return h.reply(wire.StatusStale)
+		}
+		h.w.Reply = rpc.Reply{Hdr: &wire.Header{Op: hdr.Op, XID: hdr.XID, Status: wire.StatusOK, FH: hdr.FH, Length: f.Size()}}
+	case wire.OpCreate:
+		f, err := fs.Create(hdr.Name, 0)
+		if err != nil {
+			return h.reply(wire.StatusExist)
+		}
+		h.w.Reply = rpc.Reply{Hdr: &wire.Header{Op: hdr.Op, XID: hdr.XID, Status: wire.StatusOK, FH: uint64(f.ID)}}
+	case wire.OpRemove:
+		if err := fs.Remove(hdr.Name); err != nil {
+			return h.reply(wire.StatusNoEnt)
+		}
+		return h.reply(wire.StatusOK)
+	default: // OpLookup, OpOpen
+		f, err := fs.Lookup(hdr.Name)
+		if err != nil {
+			return h.reply(wire.StatusNoEnt)
+		}
+		h.w.Reply = rpc.Reply{Hdr: &wire.Header{Op: hdr.Op, XID: hdr.XID, Status: wire.StatusOK, FH: uint64(f.ID), Length: f.Size()}}
 	}
-	var verifier uint64
-	if srv.WB != nil && !srv.down {
-		verifier = srv.WB.Commit(p, f, h.Offset, h.Length)
-	}
-	if srv.down {
-		return &rpc.Reply{Hdr: &wire.Header{Op: h.Op, XID: h.XID, Status: wire.StatusIO}}
-	}
-	return &rpc.Reply{Hdr: &wire.Header{
-		Op: h.Op, XID: h.XID, Status: wire.StatusOK, Verifier: verifier,
-	}}
+	return h.done()
+}
+
+// pullDone is the write pull's completion: the request resumes through
+// the one same-instant event a signal fired here would post for a
+// waiting process.
+func (h *handler) pullDone(st nic.Status) {
+	h.st = st
+	h.srv.H.S.After(0, h.w.Job.Step)
+}
+
+// written replies to a write that is in the cache, carrying verifier.
+func (h *handler) written(verifier uint64) bool {
+	hdr := h.w.Req.Hdr
+	h.w.Reply = rpc.Reply{Hdr: &wire.Header{Op: hdr.Op, XID: hdr.XID, Status: wire.StatusOK, Length: h.n, Verifier: verifier}}
+	return h.done()
+}
+
+// reply answers the request with a bare status.
+func (h *handler) reply(st uint32) bool {
+	hdr := h.w.Req.Hdr
+	h.w.Reply = rpc.Reply{Hdr: &wire.Header{Op: hdr.Op, XID: hdr.XID, Status: st}}
+	return h.done()
+}
+
+// done ends the request, its reply set, and readies the next.
+func (h *handler) done() bool {
+	h.stage, h.f = opStart, nil
+	return true
 }
 
 // writePayload optionally carries real bytes for writes that must be

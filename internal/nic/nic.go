@@ -104,29 +104,37 @@ func (e *Endpoint) notifyCost() sim.Duration {
 }
 
 // Listen calls fn, from event callbacks, on every message the endpoint
-// receives: a receiver with no process, such as a user-level event loop.
-// Event for event it runs the loop a process calling Recv forever would
-// run, starting where that process would first wake, so fn runs at the
-// instant, and after the same events, as the code after Recv would.
-// fn must not block.
-func (e *Endpoint) Listen(fn func(Message)) {
-	l := &listener{e: e, fn: fn}
+// receives: a receiver with no process, such as a user-level event loop
+// or a server session. Event for event it runs the loop a process
+// calling Recv and then serving the message would run, starting where
+// that process would first wake, so fn runs at the instant, and after
+// the same events, as the code after Recv would. fn must not block; it
+// reports whether it is done with the message. If not, the loop waits,
+// as that process would while serving it, until the returned Listener's
+// Resume.
+func (e *Endpoint) Listen(fn func(Message) bool) *Listener {
+	l := &Listener{e: e, fn: fn}
 	l.step = l.run
 	e.nic.s.After(0, l.step)
+	return l
 }
 
-// listener is the state of one Listen loop.
-type listener struct {
+// Listener is the state of one Listen loop.
+type Listener struct {
 	e    *Endpoint
-	fn   func(Message)
+	fn   func(Message) bool
 	m    Message // received, its notification cost being charged
 	got  bool
 	step func() // l.run, bound once
 }
 
-// run steps the Recv loop until it has to wait: for a message, or for
-// the CPU to finish charging one's notification cost.
-func (l *listener) run() {
+// Resume continues a loop whose fn finished a message later: call it
+// where the serving process would have returned to Recv.
+func (l *Listener) Resume() { l.run() }
+
+// run steps the Recv loop until it has to wait: for a message, for the
+// CPU to finish charging one's notification cost, or for fn to finish.
+func (l *Listener) run() {
 	e := l.e
 	for {
 		if !l.got {
@@ -142,7 +150,9 @@ func (l *listener) run() {
 		}
 		m := l.m
 		l.m, l.got = Message{}, false
-		l.fn(m)
+		if !l.fn(m) {
+			return
+		}
 	}
 }
 

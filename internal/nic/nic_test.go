@@ -1,7 +1,9 @@
 package nic
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"danas/internal/host"
@@ -533,5 +535,84 @@ func TestRecvMessageOutlivesItsRecord(t *testing.T) {
 	}
 	if second.Header != "second" || second.PayloadBytes != 0 {
 		t.Fatalf("second message: %+v", second)
+	}
+}
+
+// TestListenServesLikeRecvLoop runs twin rigs whose endpoint is served,
+// per message, by CPU work: a process calling Recv, serving with Compute
+// and calling Recv again, or a Listen loop whose handler serves by
+// callbacks (host.Job) and finishes later (Resume). Bursts arrive while
+// the server is busy, in both completion modes. Both twins must log each
+// delivery and each charge's finish at the same instant and after the
+// same number of executed events.
+func TestListenServesLikeRecvLoop(t *testing.T) {
+	costs := []sim.Duration{25 * sim.Microsecond, 0, 9 * sim.Microsecond}
+	sends := []sim.Time{0, 0, 0, 4000, 30000, 300000, 300000}
+	for _, mode := range []NotifyMode{Poll, Intr} {
+		t.Run(mode.String(), func(t *testing.T) {
+			run := func(listen bool) string {
+				r := newRig(t)
+				ep := r.nb.NewEndpoint(1, mode)
+				var log []string
+				note := func(what string) {
+					log = append(log, fmt.Sprintf("%s@%d/%d", what, r.s.Now(), r.s.Events()))
+				}
+				if listen {
+					var l *Listener
+					i := 0 // charges made for the message at hand
+					j := &host.Job{H: r.hb}
+					serve := func() bool {
+						j.Resume()
+						for {
+							if i > 0 {
+								note(fmt.Sprintf("charged %d", i))
+							}
+							if i == len(costs) {
+								return true
+							}
+							i++
+							if !j.Compute(costs[i-1]) {
+								return false
+							}
+						}
+					}
+					j.Step = func() {
+						if serve() {
+							l.Resume()
+						}
+					}
+					l = ep.Listen(func(m Message) bool {
+						note(fmt.Sprintf("got %v", m.Header))
+						i = 0
+						return serve()
+					})
+				} else {
+					r.s.Go("recv", func(p *sim.Proc) {
+						for {
+							m := ep.Recv(p)
+							note(fmt.Sprintf("got %v", m.Header))
+							for i, c := range costs {
+								r.hb.Compute(p, c)
+								note(fmt.Sprintf("charged %d", i+1))
+							}
+						}
+					})
+				}
+				for i, at := range sends {
+					r.s.At(at, func() {
+						r.na.SendAsync(&Message{To: r.nb, Port: 1, HeaderBytes: 64, PayloadBytes: 1024, Header: i})
+					})
+				}
+				r.s.Run()
+				return strings.Join(log, " ")
+			}
+			want := run(false)
+			if got := run(true); got != want {
+				t.Fatalf("Listen log\n got %s\nwant %s (Recv process)", got, want)
+			}
+			if !strings.Contains(want, fmt.Sprintf("got %d@", len(sends)-1)) {
+				t.Fatalf("not every message was served: %s", want)
+			}
+		})
 	}
 }

@@ -8,11 +8,9 @@
 package rpc
 
 import (
-	"fmt"
-
+	"danas/internal/host"
 	"danas/internal/nas"
 	"danas/internal/nic"
-	"danas/internal/obs"
 	"danas/internal/sim"
 	"danas/internal/udpip"
 	"danas/internal/wire"
@@ -53,8 +51,44 @@ type Reply struct {
 	CopyBytes int64
 }
 
-// Handler processes one request in a server worker's process context.
+// Service serves one worker's requests by callbacks (see host.Job).
+// Serve is called with a new request in w.Req, and again each time a
+// wait it arranged through w.Job ends, until it reports true with the
+// response in w.Reply (a nil Hdr sends none). The service keeps its own
+// place in the request between calls.
+type Service interface {
+	Serve(w *Worker) bool
+}
+
+// Handler is a process-style request handler: it may block, and returns
+// the response, or nil to send none. A server built with NewServer runs
+// it for each request on a process started in place (host.Job.Block).
 type Handler func(p *sim.Proc, req *Request) *Reply
+
+// handlerService runs a Handler as one worker's Service.
+type handlerService struct {
+	h      Handler
+	w      *Worker
+	run    func(p *sim.Proc) // hs.handle, bound once
+	called bool              // the handler has run; its reply is in w.Reply
+}
+
+func (hs *handlerService) Serve(w *Worker) bool {
+	if hs.called {
+		hs.called = false
+		return true
+	}
+	hs.called = true
+	w.Job.Block("rpcd", hs.run)
+	return false
+}
+
+// handle runs the handler on the request at hand.
+func (hs *handlerService) handle(p *sim.Proc) {
+	if r := hs.h(p, &hs.w.Req); r != nil {
+		hs.w.Reply = *r
+	}
+}
 
 // drcKey identifies a request for the duplicate-request cache.
 type drcKey struct {
@@ -76,11 +110,10 @@ type drcEntry struct {
 // nfsd DRC.
 const drcLimit = 2048
 
-// Server serves RPCs with a fixed pool of worker processes, like nfsd.
+// Server serves RPCs with a fixed pool of workers, like nfsd.
 type Server struct {
-	sock    *udpip.Socket
-	stack   *udpip.Stack
-	handler Handler
+	sock  *udpip.Socket
+	stack *udpip.Stack
 
 	drc      map[drcKey]*drcEntry
 	drcOrder sim.Ring[drcKey]
@@ -96,9 +129,9 @@ type Server struct {
 }
 
 // SetDown marks the server crashed (true) or recovered (false). While
-// down, worker processes discard requests — including ones already
-// queued in the socket at crash time — without executing handlers or
-// touching the DRC, so in-flight calls die with the host.
+// down, workers discard requests — including ones already queued in
+// the socket at crash time — without executing handlers or touching the
+// DRC, so in-flight calls die with the host.
 func (srv *Server) SetDown(down bool) { srv.down = down }
 
 // ResetDRC clears the duplicate-request cache — a rebooted server has
@@ -109,76 +142,153 @@ func (srv *Server) ResetDRC() {
 	srv.drcOrder = sim.Ring[drcKey]{}
 }
 
-// NewServer binds an RPC server to (stack, port) and starts nWorkers
-// worker processes.
-func NewServer(s *sim.Scheduler, stack *udpip.Stack, port, nWorkers int, h Handler) *Server {
-	srv := &Server{sock: stack.Socket(port), stack: stack, handler: h, drc: make(map[drcKey]*drcEntry)}
-	if nWorkers <= 0 {
-		nWorkers = 1
-	}
-	for i := 0; i < nWorkers; i++ {
-		s.Go(fmt.Sprintf("rpcd-%s-%d", stack.Host().Name, i), srv.worker)
+// NewServer binds an RPC server to (stack, port) with nWorkers workers
+// serving requests through h.
+func NewServer(_ *sim.Scheduler, stack *udpip.Stack, port, nWorkers int, h Handler) *Server {
+	return NewServiceServer(stack, port, nWorkers, func(w *Worker) Service {
+		hs := &handlerService{h: h, w: w}
+		hs.run = hs.handle
+		return hs
+	})
+}
+
+// NewServiceServer binds an RPC server to (stack, port) with nWorkers
+// workers, each serving requests through its own service, from
+// newService.
+func NewServiceServer(stack *udpip.Stack, port, nWorkers int, newService func(w *Worker) Service) *Server {
+	srv := &Server{sock: stack.Socket(port), stack: stack, drc: make(map[drcKey]*drcEntry)}
+	for range max(nWorkers, 1) {
+		w := &Worker{srv: srv, Job: host.Job{H: stack.Host()}}
+		w.svc = newService(w)
+		w.Job.Step = w.resume
+		w.l = srv.sock.Listen(w.accept)
 	}
 	return srv
 }
 
-func (srv *Server) worker(p *sim.Proc) {
-	for {
-		d := srv.sock.Recv(p)
-		if srv.down {
-			srv.Discarded++
-			continue // crashed host: the request dies unexecuted
-		}
-		srv.serve(p, d)
-	}
+// Worker is one rpcd worker, an nfsd thread run by callbacks: a receive
+// loop on the server socket (udpip.Socket.Listen) and the request it is
+// serving. Event for event it runs what a worker process calling Recv
+// and serving each request would run; it blocks only where its service
+// does (host.Job.Block).
+type Worker struct {
+	// Job carries the request's span and its charges' continuation.
+	Job host.Job
+	// Req is the request being served; the service sets Reply.
+	Req   Request
+	Reply Reply
+
+	srv   *Server
+	svc   Service
+	l     *udpip.Listener
+	entry *drcEntry
+	send  udpip.Sender
+	stage workerStage
 }
 
-// serve executes one received request. The request's span (if traced) is
-// active for exactly the scope of this call, so server CPU, cache, disk
-// and write-behind work attribute to the originating operation — and the
-// worker's idle Recv wait between requests attributes to nothing.
-func (srv *Server) serve(p *sim.Proc, d *udpip.Datagram) {
-	h := srv.stack.Host()
-	msg := d.Body.(*callMsg)
-	obs.Activate(p, msg.Hdr.Span)
-	defer obs.Activate(p, nil)
-	// RPC receive demux + dispatch.
-	h.Compute(p, h.P.RPCServerCost)
-	key := drcKey{from: d.From, fromPort: d.FromPort, xid: msg.Hdr.XID}
-	if e, dup := srv.drc[key]; dup {
-		srv.Duplicates++
-		if e.done {
-			// Answer from the cache without re-executing.
-			srv.sock.SendTo(p, d.From, d.FromPort, e.bytes, e.reply, 0, e.tag)
-		}
-		// In progress: drop; the original execution will reply.
-		return
+type workerStage uint8
+
+const (
+	workerDemux  workerStage = iota // charge receive demux and dispatch
+	workerDRC                       // look the request up in the DRC
+	workerHandle                    // run the service
+	workerSend                      // transmit the reply
+)
+
+// accept takes a received datagram, as the worker process's code after
+// Recv does, and reports whether the worker is done with it.
+func (w *Worker) accept(d *udpip.Datagram) bool {
+	srv := w.srv
+	if srv.down {
+		srv.Discarded++
+		return true // crashed host: the request dies unexecuted
 	}
-	entry := &drcEntry{}
-	srv.installDRC(key, entry)
-	srv.Requests++
-	reply := srv.handler(p, &Request{
+	msg := d.Body.(*callMsg)
+	w.Req = Request{
 		Hdr:          msg.Hdr,
 		PayloadBytes: msg.PayloadBytes,
 		Payload:      msg.Payload,
 		from:         d.From,
 		fromPort:     d.FromPort,
 		replyTag:     msg.replyTag,
-	})
-	if reply == nil {
-		return
 	}
-	bytes := int64(reply.Hdr.WireSize()) + reply.PayloadBytes
-	out := &callMsg{
-		Hdr:          reply.Hdr,
-		PayloadBytes: reply.PayloadBytes,
-		Payload:      reply.Payload,
+	// The request's span (if traced) is active for exactly the request's
+	// scope, so server CPU, cache, disk and write-behind work attribute
+	// to the originating operation — and the idle wait for the next
+	// request attributes to nothing.
+	w.Job.Span = msg.Hdr.Span
+	w.stage = workerDemux
+	return w.step()
+}
+
+// resume continues the request where a wait ended, and the receive loop
+// if the request is done.
+func (w *Worker) resume() {
+	if w.step() {
+		w.l.Resume()
 	}
-	entry.done = true
-	entry.reply = out
-	entry.bytes = bytes
-	entry.tag = msg.replyTag
-	srv.sock.SendTo(p, d.From, d.FromPort, bytes, out, reply.CopyBytes, msg.replyTag)
+}
+
+// step serves the request until it waits or is done.
+func (w *Worker) step() bool {
+	srv := w.srv
+	w.Job.Resume()
+	for {
+		switch w.stage {
+		case workerDemux:
+			w.stage = workerDRC
+			if !w.Job.Compute(srv.stack.Host().P.RPCServerCost) {
+				return false
+			}
+		case workerDRC:
+			key := drcKey{from: w.Req.from, fromPort: w.Req.fromPort, xid: w.Req.Hdr.XID}
+			if e, dup := srv.drc[key]; dup {
+				srv.Duplicates++
+				if !e.done {
+					// In progress: drop; the original execution will reply.
+					return w.finish()
+				}
+				// Answer from the cache without re-executing.
+				w.stage = workerSend
+				if !srv.sock.SendThen(&w.Job, &w.send, w.Req.from, w.Req.fromPort, e.bytes, e.reply, 0, e.tag) {
+					return false
+				}
+				return w.finish()
+			}
+			w.entry = &drcEntry{}
+			srv.installDRC(key, w.entry)
+			srv.Requests++
+			w.stage = workerHandle
+		case workerHandle:
+			if !w.svc.Serve(w) {
+				return false
+			}
+			r := &w.Reply
+			if r.Hdr == nil {
+				return w.finish()
+			}
+			out := &callMsg{Hdr: r.Hdr, PayloadBytes: r.PayloadBytes, Payload: r.Payload}
+			e := w.entry
+			e.done, e.reply, e.bytes, e.tag = true, out, int64(r.Hdr.WireSize())+r.PayloadBytes, w.Req.replyTag
+			w.stage = workerSend
+			if !srv.sock.SendThen(&w.Job, &w.send, w.Req.from, w.Req.fromPort, e.bytes, out, r.CopyBytes, e.tag) {
+				return false
+			}
+			return w.finish()
+		case workerSend:
+			if !w.send.Step(&w.Job) {
+				return false
+			}
+			return w.finish()
+		}
+	}
+}
+
+// finish ends the request: its span goes inactive and its state is
+// dropped.
+func (w *Worker) finish() bool {
+	w.Job.Span, w.Req, w.Reply, w.entry = nil, Request{}, Reply{}, nil
+	return true
 }
 
 // installDRC records a request in the duplicate-request cache, evicting
@@ -255,7 +365,7 @@ func NewClient(_ *sim.Scheduler, stack *udpip.Stack, localPort int, server *udpi
 }
 
 // demux resolves the pending call a received reply answers.
-func (c *Client) demux(d *udpip.Datagram) {
+func (c *Client) demux(d *udpip.Datagram) bool {
 	msg := d.Body.(*callMsg)
 	if fut := c.Answer(msg.Hdr.XID); fut != nil {
 		fut.Resolve(&Response{
@@ -265,6 +375,7 @@ func (c *Client) demux(d *udpip.Datagram) {
 			Direct:       d.Direct,
 		})
 	}
+	return true
 }
 
 // resend retransmits a request from the kernel RPC timer, charging the

@@ -597,3 +597,93 @@ func TestThenTracesLikeWait(t *testing.T) {
 		})
 	}
 }
+
+// TestStartTracesLikeRunningProc runs twin schedulers. In one, a
+// process that is already running executes a body in place, inside a
+// station completion's callback; in the other, that callback starts the
+// body with Start. Both callbacks then do more work in the same event
+// (a note, a queue Put), and other events fire around the body. The
+// twins must execute the same (at, seq) trace and log whether the body
+// first blocks on a station, a queue or a signal. A start posted as an
+// event, or deferred to the end of the current event, would let the
+// callback's own work run ahead of the body.
+func TestStartTracesLikeRunningProc(t *testing.T) {
+	type blockOn func(s *Scheduler, p *Proc, st *Station, q *Queue[int], sig *Signal, note func(string))
+	station := func(_ *Scheduler, p *Proc, st *Station, _ *Queue[int], _ *Signal, note func(string)) {
+		st.Wait(p, 7)
+		note("station")
+	}
+	queue := func(_ *Scheduler, p *Proc, _ *Station, q *Queue[int], _ *Signal, note func(string)) {
+		note(fmt.Sprintf("queue %d", q.Get(p)))
+	}
+	signal := func(_ *Scheduler, p *Proc, _ *Station, _ *Queue[int], sig *Signal, note func(string)) {
+		sig.Wait(p)
+		note("signal")
+	}
+	for _, tc := range []struct {
+		name  string
+		steps []blockOn
+	}{
+		{"station first", []blockOn{station, queue, signal}},
+		{"queue first", []blockOn{queue, signal, station}},
+		{"signal first", []blockOn{signal, station, queue}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(start bool) ([]key, string) {
+				s := New()
+				defer s.Close()
+				st := NewStation(s, "st")
+				q := NewQueue[int](s, "q")
+				sig := NewSignal(s)
+				var log []string
+				note := func(what string) { log = append(log, fmt.Sprintf("%s@%d", what, s.Now())) }
+				body := func(p *Proc) {
+					note("body")
+					for _, step := range tc.steps {
+						step(s, p, st, q, sig, note)
+					}
+					note("end")
+				}
+				// The already-running process parks until the callback
+				// hands it control in place; its twin posts the one start
+				// event that process's spawn took.
+				var running *Proc
+				if start {
+					s.After(0, func() {})
+				} else {
+					running = s.Go("running", func(p *Proc) {
+						p.block()
+						body(p)
+					})
+				}
+				st.Serve(3, func() {
+					if start {
+						s.Start("started", body)
+					} else {
+						s.wake(running)
+					}
+					note("callback")
+					q.Put(1)
+				})
+				s.At(3, func() { note("tie") })
+				s.At(8, func() { sig.Fire() })
+				s.At(9, func() { q.Put(2) })
+				var tr []key
+				s.trace = func(at Time, seq uint64) { tr = append(tr, key{at, seq}) }
+				s.Run()
+				return tr, strings.Join(log, " ")
+			}
+			wantTr, wantLog := run(false)
+			gotTr, gotLog := run(true)
+			if !reflect.DeepEqual(gotTr, wantTr) {
+				t.Fatalf("Start trace\n got %v\nwant %v (running process)", gotTr, wantTr)
+			}
+			if gotLog != wantLog {
+				t.Fatalf("Start log\n got %s\nwant %s (running process)", gotLog, wantLog)
+			}
+			if !strings.HasPrefix(gotLog, "body@3 ") {
+				t.Fatalf("log %s: the body did not run first, in the callback's event", gotLog)
+			}
+		})
+	}
+}

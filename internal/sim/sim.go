@@ -12,7 +12,9 @@
 // Work that never blocks need not be a process: Station.Then and
 // Queue.GetOr are the callback twins of Station.Wait and Queue.Get. A
 // chain of callbacks calling them posts the same events at the same
-// (at, seq) points as a process calling Wait and Get would.
+// (at, seq) points as a process calling Wait and Get would. A chain
+// that reaches a point where it must really block continues on a
+// process that Start runs in place, posting no event.
 //
 // The kernel knows nothing about networks or storage; those live in the
 // packages layered above (netsim, host, nic, ...).
@@ -403,11 +405,36 @@ type Proc struct {
 // Go spawns a new process whose body starts executing at the current
 // simulated time (after already-queued events at this time).
 func (s *Scheduler) Go(name string, fn func(p *Proc)) *Proc {
-	s.procSeq++
-	p := &Proc{s: s, name: name, id: s.procSeq, fn: fn}
+	p := s.newProc(name, fn)
 	s.postWake(s.now, p)
 	return p
 }
+
+// Start spawns a process whose body runs at once, inside the current
+// event, until it first blocks or returns; then Start returns. Unlike Go
+// it posts no start event, so the events the body posts take the (at,
+// seq) places they would take if an already-running process executed
+// the same body: a callback that reaches a point where it must really
+// block continues on a process started here, and the event order does
+// not change. Call it only from inside the event loop.
+func (s *Scheduler) Start(name string, fn func(p *Proc)) *Proc {
+	p := s.newProc(name, fn)
+	s.wake(p)
+	return p
+}
+
+func (s *Scheduler) newProc(name string, fn func(p *Proc)) *Proc {
+	s.procSeq++
+	return &Proc{s: s, name: name, id: s.procSeq, fn: fn}
+}
+
+// Procs returns the number of processes ever spawned, by Go or Start.
+func (s *Scheduler) Procs() int { return s.procSeq }
+
+// Coroutines returns the number of coroutines created to run process
+// bodies, until Close releases them; a finished body's coroutine is
+// reused by the next.
+func (s *Scheduler) Coroutines() int { return len(s.coros) }
 
 // wake resumes p and returns when p blocks again or finishes. It must only
 // be called from inside the event loop (i.e. from an event callback). The

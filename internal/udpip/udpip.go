@@ -299,19 +299,8 @@ func (sk *Socket) SendTo(p *sim.Proc, dst *Stack, dstPort int, bytes int64, body
 	if copyBytes > 0 {
 		h.Copy(p, copyBytes)
 	}
-	d := &Datagram{From: sk.stack, FromPort: sk.port, Bytes: bytes, Body: body}
-	d.span = obs.Active(p)
-	maxFrag := int64(h.P.EtherMTU - ipHeaderBytes)
-	total := int(max(1, (bytes+maxFrag-1)/maxFrag))
-	sk.stack.nextID++
-	id := sk.stack.nextID
-	sent := int64(0)
+	d, id, total := sk.open(bytes, body, obs.Active(p))
 	for i := 0; i < total; i++ {
-		fb := maxFrag
-		if bytes-sent < fb {
-			fb = bytes - sent
-		}
-		sent += fb
 		// Per-packet output processing + doorbell.
 		h.Compute(p, h.P.UDPSendPacket+h.P.PIOWrite)
 		if i == 0 {
@@ -319,13 +308,102 @@ func (sk *Socket) SendTo(p *sim.Proc, dst *Stack, dstPort int, bytes int64, body
 			// its output processing (already attributed as CPU time).
 			d.sentAt = p.Now()
 		}
-		sk.sendFragment(dst, dstPort, d, id, total, fb, tag)
+		sk.sendFragment(dst, dstPort, d, id, i, total, tag)
 	}
 }
 
-// sendFragment hands one IP fragment of d, fb payload bytes, to the NIC.
-func (sk *Socket) sendFragment(dst *Stack, dstPort int, d *Datagram, id uint64, total int, fb int64, tag uint64) {
+// Sender is the state of one SendTo run by callbacks, for a caller
+// with no process: the datagram being sent and the charge it is at. A
+// caller keeps one and reuses it (see SendThen).
+type Sender struct {
+	sk        *Socket
+	dst       *Stack
+	dstPort   int
+	bytes     int64
+	body      any
+	copyBytes int64
+	tag       uint64
+	d         *Datagram
+	id        uint64
+	i, total  int
+	stage     sendStage
+}
+
+type sendStage uint8
+
+const (
+	sendSyscall sendStage = iota // charge the syscall
+	sendCopy                     // syscall charged: charge the copy
+	sendOpen                     // copy charged: build the datagram
+	sendOutput                   // charge the next fragment's output
+	sendPost                     // output charged: post the fragment
+)
+
+// SendThen is the callback twin of SendTo (see host.Job): it starts
+// sending through s and reports true once every fragment is posted;
+// otherwise j waits on a charge, and j.Step must call s.Step until it
+// reports true.
+func (sk *Socket) SendThen(j *host.Job, s *Sender, dst *Stack, dstPort int, bytes int64, body any, copyBytes int64, tag uint64) bool {
+	*s = Sender{sk: sk, dst: dst, dstPort: dstPort, bytes: bytes, body: body, copyBytes: copyBytes, tag: tag}
+	if sk.stack.down {
+		return true // crashed host: nothing leaves, nothing is charged
+	}
+	return s.Step(j)
+}
+
+// Step advances the send for j, as SendThen.
+func (s *Sender) Step(j *host.Job) bool {
+	h := s.sk.stack.h
+	for {
+		switch s.stage {
+		case sendSyscall:
+			s.stage = sendCopy
+			if !j.Compute(h.P.SyscallCost) {
+				return false
+			}
+		case sendCopy:
+			s.stage = sendOpen
+			if s.copyBytes > 0 && !j.Compute(h.CopyCost(s.copyBytes)) {
+				return false
+			}
+		case sendOpen:
+			s.d, s.id, s.total = s.sk.open(s.bytes, s.body, j.Span)
+			s.stage = sendOutput
+		case sendOutput:
+			if s.i == s.total {
+				*s = Sender{}
+				return true
+			}
+			s.stage = sendPost
+			if !j.Compute(h.P.UDPSendPacket + h.P.PIOWrite) {
+				return false
+			}
+		case sendPost:
+			if s.i == 0 {
+				s.d.sentAt = h.S.Now()
+			}
+			s.sk.sendFragment(s.dst, s.dstPort, s.d, s.id, s.i, s.total, s.tag)
+			s.i++
+			s.stage = sendOutput
+		}
+	}
+}
+
+// open builds the datagram a send transmits, carrying span, and numbers
+// it with the stack's next IP id: it returns the datagram, the id and
+// its fragment count.
+func (sk *Socket) open(bytes int64, body any, span *obs.Span) (*Datagram, uint64, int) {
+	d := &Datagram{From: sk.stack, FromPort: sk.port, Bytes: bytes, Body: body, span: span}
+	maxFrag := int64(sk.stack.h.P.EtherMTU - ipHeaderBytes)
+	sk.stack.nextID++
+	return d, sk.stack.nextID, int(max(1, (bytes+maxFrag-1)/maxFrag))
+}
+
+// sendFragment hands IP fragment i of total of d to the NIC.
+func (sk *Socket) sendFragment(dst *Stack, dstPort int, d *Datagram, id uint64, i, total int, tag uint64) {
 	st := sk.stack
+	maxFrag := int64(st.h.P.EtherMTU - ipHeaderBytes)
+	fb := min(maxFrag, d.Bytes-int64(i)*maxFrag)
 	st.PacketsOut++
 	st.n.SendAsync(&nic.Message{
 		To:           dst.n,
@@ -346,20 +424,10 @@ func (sk *Socket) SendToAsync(dst *Stack, dstPort int, bytes int64, body any, ta
 		return // crashed host: nothing leaves, nothing is charged
 	}
 	h := sk.stack.h
-	d := &Datagram{From: sk.stack, FromPort: sk.port, Bytes: bytes, Body: body}
-	maxFrag := int64(h.P.EtherMTU - ipHeaderBytes)
-	total := int(max(1, (bytes+maxFrag-1)/maxFrag))
-	sk.stack.nextID++
-	id := sk.stack.nextID
-	sent := int64(0)
+	d, id, total := sk.open(bytes, body, nil)
 	for i := 0; i < total; i++ {
-		fb := maxFrag
-		if bytes-sent < fb {
-			fb = bytes - sent
-		}
-		sent += fb
 		h.ComputeAsync(h.P.UDPSendPacket+h.P.PIOWrite, nil)
-		sk.sendFragment(dst, dstPort, d, id, total, fb, tag)
+		sk.sendFragment(dst, dstPort, d, id, i, total, tag)
 	}
 }
 
@@ -380,20 +448,25 @@ func (sk *Socket) Recv(p *sim.Proc) *Datagram {
 
 // Listen calls fn, from event callbacks, on every datagram the socket
 // receives: a receiver with no process, such as the kernel's RPC reply
-// demux. Event for event it runs the loop a process calling Recv forever
-// would run, charges included, starting where that process would first
-// wake, so fn runs at the instant, and after the same events, as the code
-// after Recv would. fn must not block.
-func (sk *Socket) Listen(fn func(*Datagram)) {
-	l := &listener{sk: sk, fn: fn}
+// demux or an rpcd worker. Event for event it runs the loop a process
+// calling Recv and then serving the datagram would run, charges
+// included, starting where that process would first wake, so fn runs at
+// the instant, and after the same events, as the code after Recv would.
+// fn must not block; it reports whether it is done with the datagram.
+// If not, the loop waits, as that process would while serving it, until
+// the returned Listener's Resume. Several loops on one socket take
+// datagrams in the order they started waiting, as processes would.
+func (sk *Socket) Listen(fn func(*Datagram) bool) *Listener {
+	l := &Listener{sk: sk, fn: fn}
 	l.step = l.run
 	sk.stack.h.S.After(0, l.step)
+	return l
 }
 
-// listener is the state of one Listen loop: the Recv step it is at.
-type listener struct {
+// Listener is the state of one Listen loop: the Recv step it is at.
+type Listener struct {
 	sk    *Socket
-	fn    func(*Datagram)
+	fn    func(*Datagram) bool
 	d     *Datagram // received, the wakeup being charged
 	state listenState
 	step  func() // l.run, bound once
@@ -407,9 +480,13 @@ const (
 	listenDeliver                    // wakeup charged: hand d to fn
 )
 
-// run steps the Recv loop until it has to wait: for the CPU, or for a
-// datagram.
-func (l *listener) run() {
+// Resume continues a loop whose fn finished a datagram later: call it
+// where the serving process would have returned to Recv.
+func (l *Listener) Resume() { l.run() }
+
+// run steps the Recv loop until it has to wait: for the CPU, for a
+// datagram, or for fn to finish.
+func (l *Listener) run() {
 	h := l.sk.stack.h
 	for {
 		switch l.state {
@@ -431,7 +508,9 @@ func (l *listener) run() {
 		case listenDeliver:
 			d := l.d
 			l.d, l.state = nil, listenSyscall
-			l.fn(d)
+			if !l.fn(d) {
+				return
+			}
 		}
 	}
 }

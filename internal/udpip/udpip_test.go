@@ -1,6 +1,8 @@
 package udpip
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"danas/internal/host"
@@ -144,7 +146,7 @@ func TestDatagramStreamAllocatesOnlyDatagrams(t *testing.T) {
 	a := r.sa.Socket(1000)
 	b := r.sb.Socket(2000)
 	got := 0
-	b.Listen(func(*Datagram) { got++ })
+	b.Listen(func(*Datagram) bool { got++; return true })
 	bytes := int64(2*(r.p.EtherMTU-ipHeaderBytes) + 100)
 	const perRound = 4
 	round := func() {
@@ -174,5 +176,118 @@ func TestDatagramStreamAllocatesOnlyDatagrams(t *testing.T) {
 		if want := 21 * tc.delivered; got != want {
 			t.Fatalf("%s: delivered %d datagrams, want %d", tc.name, got, want)
 		}
+	}
+}
+
+// serveLoop is a Listen handler that serves each datagram as a server
+// worker would, by callbacks that finish later: it charges each of costs
+// to the host CPU through a host.Job, noting each finish, and then
+// resumes its receive loop.
+type serveLoop struct {
+	id      int
+	costs   []sim.Duration
+	got     func(id int, d *Datagram)
+	note    func(string)
+	j       host.Job
+	l       *Listener
+	i       int
+	charged bool
+}
+
+func newServeLoop(h *host.Host, sk *Socket, id int, costs []sim.Duration, got func(int, *Datagram), note func(string)) {
+	sl := &serveLoop{id: id, costs: costs, got: got, note: note, j: host.Job{H: h}}
+	sl.j.Step = func() {
+		if sl.step() {
+			sl.l.Resume()
+		}
+	}
+	sl.l = sk.Listen(sl.accept)
+}
+
+func (sl *serveLoop) accept(d *Datagram) bool {
+	sl.got(sl.id, d)
+	sl.i = 0
+	return sl.step()
+}
+
+func (sl *serveLoop) step() bool {
+	sl.j.Resume()
+	for {
+		if sl.charged {
+			sl.charged = false
+			sl.note(fmt.Sprintf("loop%d charged %d", sl.id, sl.i))
+		}
+		if sl.i == len(sl.costs) {
+			return true
+		}
+		sl.i++
+		sl.charged = true
+		if !sl.j.Compute(sl.costs[sl.i-1]) {
+			return false
+		}
+	}
+}
+
+// TestListenServesLikeRecvLoop runs twin rigs whose receiving socket is
+// served by loops that, per datagram, charge CPU work: processes calling
+// Recv, serving with Compute, and calling Recv again, or Listen loops
+// whose handler serves by callbacks and finishes later (Resume). Bursts
+// arrive while every loop is busy. Both must log each delivery and each
+// charge's finish at the same instant and after the same number of
+// executed events, and one loop or several (the rpcd pool) must take
+// datagrams in arrival order.
+func TestListenServesLikeRecvLoop(t *testing.T) {
+	costs := []sim.Duration{30 * sim.Microsecond, 0, 12 * sim.Microsecond}
+	sends := []sim.Time{0, 0, 0, 5000, 40000, 400000, 400000, 400000, 400000}
+	for _, loops := range []int{1, 3} {
+		t.Run(fmt.Sprintf("%d loops", loops), func(t *testing.T) {
+			run := func(listen bool) (string, []any) {
+				r := newRig(t)
+				a := r.sa.Socket(1000)
+				b := r.sb.Socket(2000)
+				var log []string
+				var served []any
+				note := func(what string) {
+					log = append(log, fmt.Sprintf("%s@%d/%d", what, r.s.Now(), r.s.Events()))
+				}
+				got := func(id int, d *Datagram) {
+					served = append(served, d.Body)
+					note(fmt.Sprintf("loop%d got %v", id, d.Body))
+				}
+				for k := range loops {
+					if listen {
+						newServeLoop(r.hb, b, k, costs, got, note)
+						continue
+					}
+					r.s.Go("recv", func(p *sim.Proc) {
+						for {
+							got(k, b.Recv(p))
+							for i, c := range costs {
+								r.hb.Compute(p, c)
+								note(fmt.Sprintf("loop%d charged %d", k, i+1))
+							}
+						}
+					})
+				}
+				for i, at := range sends {
+					r.s.At(at, func() { a.SendToAsync(r.sb, 2000, 100, i, 0) })
+				}
+				r.s.Run()
+				return strings.Join(log, " "), served
+			}
+			want, _ := run(false)
+			got, served := run(true)
+			if got != want {
+				t.Fatalf("Listen log\n got %s\nwant %s (Recv processes)", got, want)
+			}
+			if len(served) != len(sends) {
+				t.Fatalf("served %v, want all %d datagrams", served, len(sends))
+			}
+			for i, body := range served {
+				if body != i {
+					t.Fatalf("served %v, not in arrival order", served)
+				}
+			}
+		})
 	}
 }

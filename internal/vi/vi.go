@@ -117,10 +117,10 @@ func (q *QP) Recv(p *sim.Proc) nic.Message {
 }
 
 // Listen calls fn, from event callbacks, on every message from the peer,
-// event for event as a process calling Recv forever would (see
-// nic.Endpoint.Listen).
-func (q *QP) Listen(fn func(nic.Message)) {
-	q.ep.Listen(fn)
+// event for event as a process calling Recv and serving each message
+// would (see nic.Endpoint.Listen).
+func (q *QP) Listen(fn func(nic.Message) bool) *nic.Listener {
+	return q.ep.Listen(fn)
 }
 
 // RDMAResult is a completed RDMA descriptor: Status carries ORDMA
@@ -137,16 +137,7 @@ func (r RDMAResult) OK() bool { return r.Status == nic.StatusOK }
 func (q *QP) RDMA(p *sim.Proc, kind nic.OpKind, va uint64, length int64, cap []byte) RDMAResult {
 	sig := sim.NewSignal(p.Sched())
 	var st nic.Status
-	q.n.RDMA(p, &nic.Op{
-		Kind:    kind,
-		Target:  q.peer.n,
-		VA:      va,
-		Len:     length,
-		Cap:     cap,
-		Notify:  q.ep.Mode,
-		Done:    func(s nic.Status) { st = s; sig.Fire() },
-		Timeout: q.timeout,
-	})
+	q.n.RDMA(p, q.op(kind, va, length, cap, func(s nic.Status) { st = s; sig.Fire() }))
 	// The descriptor's whole flight — request, remote DMA, data stream,
 	// ack — is wire time of the operation driving it. The bracket opens
 	// after RDMA returns, which has already charged (and attributed)
@@ -155,26 +146,37 @@ func (q *QP) RDMA(p *sim.Proc, kind nic.OpKind, va uint64, length int64, cap []b
 	sig.Wait(p)
 	obs.Active(p).Add(obs.PhaseWire, p.Now().Sub(t0))
 	// Charge the completion consumption cost in the waiter's context.
-	h := q.n.Host()
-	if q.ep.Mode == nic.Poll {
-		h.Compute(p, h.P.PollGet)
-	} else {
-		h.Compute(p, h.P.SchedWakeup)
-	}
+	q.n.Host().Compute(p, q.CompletionCost())
 	return RDMAResult{Status: st}
 }
 
-// RDMAAsync issues a get/put from event context and delivers the result to
-// done after notification costs.
-func (q *QP) RDMAAsync(kind nic.OpKind, va uint64, length int64, cap []byte, done func(RDMAResult)) {
-	q.n.RDMAAsync(&nic.Op{
+// CompletionCost is the host CPU a waiter pays to consume an RDMA
+// completion: the poll, or in Intr mode the scheduler wakeup.
+func (q *QP) CompletionCost() sim.Duration {
+	if q.ep.Mode == nic.Poll {
+		return q.n.Host().P.PollGet
+	}
+	return q.n.Host().P.SchedWakeup
+}
+
+// RDMAAsync issues a get/put from event context (no host cost charged
+// here) and delivers the completion status to done, after the NIC's
+// notification per the QP's mode.
+func (q *QP) RDMAAsync(kind nic.OpKind, va uint64, length int64, cap []byte, done func(nic.Status)) {
+	q.n.RDMAAsync(q.op(kind, va, length, cap, done))
+}
+
+// op builds a descriptor against the peer's memory under the QP's mode
+// and RDMA timeout.
+func (q *QP) op(kind nic.OpKind, va uint64, length int64, cap []byte, done func(nic.Status)) *nic.Op {
+	return &nic.Op{
 		Kind:    kind,
 		Target:  q.peer.n,
 		VA:      va,
 		Len:     length,
 		Cap:     cap,
 		Notify:  q.ep.Mode,
-		Done:    func(s nic.Status) { done(RDMAResult{Status: s}) },
+		Done:    done,
 		Timeout: q.timeout,
-	})
+	}
 }

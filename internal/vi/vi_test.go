@@ -125,11 +125,11 @@ func TestRDMAAsync(t *testing.T) {
 	r := newRig(t)
 	qa, _ := Connect(r.na, r.nb, 1, 1, nic.Poll, nic.Poll)
 	seg := r.nb.TPT.Export(8192)
-	var res RDMAResult
-	qa.RDMAAsync(nic.Put, seg.VA, 8192, seg.Cap, func(x RDMAResult) { res = x })
+	res := nic.StatusBadRequest
+	qa.RDMAAsync(nic.Put, seg.VA, 8192, seg.Cap, func(st nic.Status) { res = st })
 	r.s.Run()
-	if !res.OK() {
-		t.Fatalf("async put failed: %v", res.Status)
+	if res != nic.StatusOK {
+		t.Fatalf("async put failed: %v", res)
 	}
 }
 
@@ -154,8 +154,8 @@ func TestMessageStreamAllocatesNothing(t *testing.T) {
 	r := newRig(t)
 	qa, qb := Connect(r.na, r.nb, 1, 1, nic.Intr, nic.Poll)
 	got := 0
-	qa.Listen(func(nic.Message) { got++ })
-	qb.Listen(func(nic.Message) { got++ })
+	qa.Listen(func(nic.Message) bool { got++; return true })
+	qb.Listen(func(nic.Message) bool { got++; return true })
 	m := &Msg{HeaderBytes: 64, PayloadBytes: 8 << 10, Header: "h"}
 	const perRound = 4
 	round := func() {

@@ -161,16 +161,29 @@ func (f *Flusher) Stats() Stats { return f.stats }
 func (f *Flusher) Config() Config { return f.cfg }
 
 // Write records one server-side write of [off, off+n) to fl, whose
-// blocks the caller has just installed in the buffer cache. A stable
-// write destages the covered blocks before returning (write-through); an
-// unstable write marks them dirty for the background flusher and then
-// applies high-water backpressure, blocking the handler until the
-// backlog drains to the low-water mark.
-func (f *Flusher) Write(p *sim.Proc, fl *fsim.File, off, n int64, stable bool) {
+// blocks the caller has just installed in the buffer cache, and reports
+// whether the handler must now block in Stall. A stable write must
+// (write-through); an unstable write marks its blocks dirty for the
+// background flusher and must block only at the high-water mark.
+func (f *Flusher) Write(fl *fsim.File, off, n int64, stable bool) bool {
 	if n <= 0 {
-		return
+		return false
 	}
 	f.markRange(fl, off, n)
+	if stable {
+		return true
+	}
+	if f.kick != nil && !f.kick.Fired() {
+		f.kick.Fire()
+	}
+	return f.DirtyBlocks() >= f.cfg.HighWater
+}
+
+// Stall blocks p through the wait Write reported, at once after it: a
+// stable write destages the covered blocks; an unstable one applies
+// high-water backpressure until the backlog drains to the low-water
+// mark.
+func (f *Flusher) Stall(p *sim.Proc, fl *fsim.File, off, n int64, stable bool) {
 	if stable {
 		// Write-through: the freshly-marked blocks (plus any older dirty
 		// neighbours in the range) destage before the handler replies.
@@ -184,22 +197,17 @@ func (f *Flusher) Write(p *sim.Proc, fl *fsim.File, off, n int64, stable bool) {
 		sp.Rebucket(mark, p.Now().Sub(t0), obs.PhaseStall)
 		return
 	}
-	if f.kick != nil && !f.kick.Fired() {
-		f.kick.Fire()
-	}
-	if f.DirtyBlocks() >= f.cfg.HighWater {
-		f.stats.Throttled++
-		t0 := p.Now()
-		for f.DirtyBlocks() > f.cfg.LowWater {
-			if f.release == nil || f.release.Fired() {
-				f.release = sim.NewSignal(f.s)
-			}
-			f.release.Wait(p)
+	f.stats.Throttled++
+	t0 := p.Now()
+	for f.DirtyBlocks() > f.cfg.LowWater {
+		if f.release == nil || f.release.Fired() {
+			f.release = sim.NewSignal(f.s)
 		}
-		stalled := p.Now().Sub(t0)
-		f.stats.StallTime += stalled
-		obs.Active(p).Add(obs.PhaseStall, stalled)
+		f.release.Wait(p)
 	}
+	stalled := p.Now().Sub(t0)
+	f.stats.StallTime += stalled
+	obs.Active(p).Add(obs.PhaseStall, stalled)
 }
 
 // markRange enters the resident blocks covering [off, off+n) into the

@@ -39,7 +39,15 @@ func newRig(t *testing.T, cfg Config, capacity, fileBlocks int) *rig {
 func (r *rig) write(p *sim.Proc, i int) {
 	off := int64(i) * blockSize
 	r.cache.Install(r.f, off, blockSize)
-	r.fl.Write(p, r.f, off, blockSize, false)
+	r.put(p, off, blockSize, false)
+}
+
+// put writes [off, off+n) through the flusher as a server handler does:
+// Write, then Stall if Write says the handler must block.
+func (r *rig) put(p *sim.Proc, off, n int64, stable bool) {
+	if r.fl.Write(r.f, off, n, stable) {
+		r.fl.Stall(p, r.f, off, n, stable)
+	}
 }
 
 // TestDirtyBlocksPinnedUntilClean is the pinning contract, tested on
@@ -139,7 +147,7 @@ func TestFlusherCoalescesContiguousRuns(t *testing.T) {
 	r.s.Go("writer", func(p *sim.Proc) {
 		// 8 contiguous blocks in one write: 2 I/Os of MaxBatch=4 each.
 		r.cache.Install(r.f, 0, 8*blockSize)
-		r.fl.Write(p, r.f, 0, 8*blockSize, false)
+		r.put(p, 0, 8*blockSize, false)
 	})
 	r.s.Run()
 	st := r.fl.Stats()
@@ -189,7 +197,7 @@ func TestStableWriteIsWriteThrough(t *testing.T) {
 	r := newRig(t, Config{HighWater: 64, LowWater: 1, MaxBatch: 8}, 64, 32)
 	r.s.Go("writer", func(p *sim.Proc) {
 		r.cache.Install(r.f, 0, 2*blockSize)
-		r.fl.Write(p, r.f, 0, 2*blockSize, true)
+		r.put(p, 0, 2*blockSize, true)
 		if p.Now() == 0 {
 			t.Error("stable write returned without waiting for the disk")
 		}
