@@ -21,13 +21,18 @@
 // The same cache layer with ORDMA disabled is the plain cached-DAFS client
 // the paper compares against in Table 3, Figure 6 and Figure 7.
 //
-// The client also scales past one server: NewStripedClient mounts the
-// same cache over a fleet of DAFS servers striped by block range
-// (internal/stripe). There is still a single client-side block cache; the
-// reference directory partitions into per-shard directories by
-// construction, because a block's offset statically determines the shard
-// whose export space its reference points into, so every ORDMA get is
-// issued on the owning shard's session.
+// The client also scales past one server: NewReplicatedClient mounts the
+// same cache over a fleet of DAFS servers striped by block range, each
+// shard optionally a replica set. The striping itself is the shared
+// stripe.Striper the RPC clients use too (layout, per-shard handles, and
+// the namespace, span, extend and commit fan-outs); this package keeps
+// only what is its own: the block cache, fetch coalescing, ORDMA
+// reference routing with its failover epochs, and open delegations.
+// There is still a single client-side block cache; the reference
+// directory partitions into per-shard directories by construction,
+// because a block's offset statically determines the shard whose export
+// space its reference points into, so every ORDMA get is issued on the
+// owning shard's session.
 package core
 
 import (
@@ -38,7 +43,6 @@ import (
 	"danas/internal/host"
 	"danas/internal/nas"
 	"danas/internal/nic"
-	"danas/internal/obs"
 	"danas/internal/sim"
 	"danas/internal/stripe"
 )
@@ -83,6 +87,11 @@ type Stats struct {
 // Client is the cached (O)DAFS client: one block cache fronting one DAFS
 // session per shard — per serving copy when the shards are replicated.
 type Client struct {
+	// Striper routes the namespace, span, extend and commit fan-outs.
+	// Its handle table doubles as the open delegations: a name with
+	// recorded per-shard handles opens, closes and stats locally.
+	stripe.Striper
+
 	// shards holds each shard's replica set (width 1 when unreplicated):
 	// the copy sessions, live view, ack policy and failover. Every
 	// read/stat path uses the set's serving session, so it follows
@@ -92,14 +101,10 @@ type Client struct {
 	// (its VAs may alias different blocks on the survivor) and ORDMA
 	// re-establishes cold over RPC.
 	shards []*stripe.Set[*dafs.Client]
-	layout stripe.Layout
 	h      *host.Host
 	c      *cache.Cache
 	cfg    Config
 
-	// delegations maps an open name to its per-shard handles; index 0 is
-	// the canonical handle the application holds.
-	delegations map[string][]*nas.Handle
 	// inflight coalesces concurrent fetches of the same block: later
 	// readers wait for the first fetch instead of duplicating it, and
 	// inherit its outcome — including its error, so a failed fetch under
@@ -136,31 +141,20 @@ var _ nas.Client = (*Client)(nil)
 // non-optimistic server simply never piggybacks references, so UseORDMA
 // degenerates to DAFS (every miss is an RPC).
 func NewClient(s *sim.Scheduler, clientNIC *nic.NIC, srv *dafs.Server, mode nic.NotifyMode, cfg Config) *Client {
-	return NewStripedClient(s, clientNIC, []*dafs.Server{srv}, mode, cfg, stripe.Single())
+	return NewReplicatedClient(s, clientNIC, [][]*dafs.Server{{srv}}, mode, cfg, stripe.Single(), stripe.AckSync)
 }
 
-// NewStripedClient mounts a cached client over one DAFS server per layout
-// shard. Block fetches route to the shard owning the block's offset; the
-// client cache is shared across shards, and a remote reference installed
-// from shard i's reply is only ever exercised against shard i because the
-// layout is static.
-func NewStripedClient(s *sim.Scheduler, clientNIC *nic.NIC, srvs []*dafs.Server, mode nic.NotifyMode, cfg Config, layout stripe.Layout) *Client {
-	servers := make([][]*dafs.Server, len(srvs))
-	for i := range srvs {
-		servers[i] = srvs[i : i+1 : i+1]
-	}
-	return NewReplicatedClient(s, clientNIC, servers, mode, cfg, layout, stripe.AckSync)
-}
-
-// NewReplicatedClient mounts a cached client over a replicated fleet:
-// servers[shard][copy] with copy 0 the primary, matching
-// layout.Width(). Only the primaries are mounted eagerly — the client
-// behaves exactly like NewStripedClient over them until a replicated
-// write or a failover touches a replica. Writes reach every live copy
-// of the owning shard under the ack policy; when retry against a
-// serving copy exhausts, the shard fails over to the next live copy,
-// re-issuing uncommitted ranges there and voiding the dead copy's
-// ORDMA references by epoch.
+// NewReplicatedClient mounts a cached client over a fleet of DAFS
+// servers: servers[shard][copy], one shard per layout shard and
+// layout.Width() copies each, copy 0 the primary. Block fetches route to
+// the shard owning the block's offset; the client cache is shared across
+// shards, and a remote reference installed from shard i's reply is only
+// ever exercised against shard i because the layout is static. Only the
+// primaries are mounted eagerly, so with one copy per shard this is the
+// plain striped client. Writes reach every live copy of the owning shard
+// under the ack policy; when retry against a serving copy exhausts, the
+// shard fails over to the next live copy, re-issuing uncommitted ranges
+// there and voiding the dead copy's ORDMA references by epoch.
 func NewReplicatedClient(s *sim.Scheduler, clientNIC *nic.NIC, servers [][]*dafs.Server, mode nic.NotifyMode, cfg Config, layout stripe.Layout, policy stripe.AckPolicy) *Client {
 	if cfg.BlockSize <= 0 || cfg.DataBlocks <= 0 {
 		panic("core: config needs positive block size and data capacity")
@@ -186,24 +180,26 @@ func NewReplicatedClient(s *sim.Scheduler, clientNIC *nic.NIC, servers [][]*dafs
 		transfer = dafs.Inline
 	}
 	c := &Client{
-		shards:      make([]*stripe.Set[*dafs.Client], len(servers)),
-		layout:      layout,
-		h:           clientNIC.Host(),
-		c:           cache.New(cfg.BlockSize, cfg.DataBlocks, cfg.Headers, opts...),
-		cfg:         cfg,
-		delegations: make(map[string][]*nas.Handle),
-		inflight:    make(map[cache.Key]*inflightFetch),
-		s:           s,
-		clientNIC:   clientNIC,
-		mode:        mode,
-		transfer:    transfer,
+		shards:    make([]*stripe.Set[*dafs.Client], len(servers)),
+		h:         clientNIC.Host(),
+		c:         cache.New(cfg.BlockSize, cfg.DataBlocks, cfg.Headers, opts...),
+		cfg:       cfg,
+		inflight:  make(map[cache.Key]*inflightFetch),
+		s:         s,
+		clientNIC: clientNIC,
+		mode:      mode,
+		transfer:  transfer,
 	}
+	c.Striper = stripe.NewStriper(layout, c.extendShard)
 	for i, copies := range servers {
 		if len(copies) != layout.Width() {
 			panic(fmt.Sprintf("core: shard %d has %d copies for width %d", i, len(copies), layout.Width()))
 		}
-		c.shards[i] = stripe.NewSet(policy, len(copies), []*dafs.Client{c.mount(copies[0])},
-			func(cp int) *dafs.Client { return c.mount(copies[cp]) })
+		var mount func(cp int) *dafs.Client // a lone copy never mounts another
+		if len(copies) > 1 {
+			mount = func(cp int) *dafs.Client { return c.mount(copies[cp]) }
+		}
+		c.shards[i] = stripe.NewSet(policy, len(copies), []*dafs.Client{c.mount(copies[0])}, mount)
 	}
 	return c
 }
@@ -304,39 +300,25 @@ func (c *Client) CacheStats() cache.Stats { return c.c.Stats() }
 // Inner returns the underlying DAFS session client for shard 0.
 func (c *Client) Inner() *dafs.Client { return c.shards[0].Current() }
 
-// Layout returns the striping scheme (stripe.Single() when unstriped).
-func (c *Client) Layout() stripe.Layout { return c.layout }
-
-// shardHandle resolves the per-shard handle for h, falling back to h
-// itself (always correct on shard 0, whose handle is canonical).
-func (c *Client) shardHandle(h *nas.Handle, shard int) *nas.Handle {
-	if hs, ok := c.delegations[h.Name]; ok && shard < len(hs) {
-		return hs[shard]
-	}
-	return h
-}
-
 // Open implements nas.Client. After the first open of a file — which
-// resolves it on every shard — the servers grant an open delegation, so
-// subsequent opens and closes are satisfied locally (§5.2, "Effect of
-// client caching").
+// resolves it on every shard's serving copy — the servers grant an open
+// delegation, so subsequent opens and closes are satisfied locally
+// (§5.2, "Effect of client caching").
 func (c *Client) Open(p *sim.Proc, name string) (*nas.Handle, error) {
-	if hs, ok := c.delegations[name]; ok {
+	if hs, ok := c.Handles(name); ok {
 		c.stats.LocalOpens++
 		c.h.Compute(p, c.h.P.CacheLookup)
 		return hs[0], nil
 	}
-	hs := make([]*nas.Handle, len(c.shards))
-	err := stripe.FanOut(p, len(c.shards), "odafs-open", func(wp *sim.Proc, i int) error {
-		h, err := c.shards[i].Current().Open(wp, name)
-		hs[i] = h
-		return err
+	return c.Resolve(p, name, func(wp *sim.Proc, shard int) (*nas.Handle, error) {
+		var h *nas.Handle
+		err := c.shards[shard].Do(wp, func(ip *sim.Proc, _ int, in *dafs.Client) error {
+			var err error
+			h, err = in.Open(ip, name)
+			return err
+		})
+		return h, err
 	})
-	if err != nil {
-		return nil, err
-	}
-	c.delegations[name] = hs
-	return hs[0], nil
 }
 
 // Close implements nas.Client: local under a delegation.
@@ -348,7 +330,7 @@ func (c *Client) Close(p *sim.Proc, h *nas.Handle) error {
 // Getattr implements nas.Client: attributes are served under the
 // delegation when held.
 func (c *Client) Getattr(p *sim.Proc, h *nas.Handle) (int64, error) {
-	if _, ok := c.delegations[h.Name]; ok {
+	if _, ok := c.Handles(h.Name); ok {
 		c.h.Compute(p, c.h.P.CacheLookup)
 		return h.Size, nil
 	}
@@ -356,36 +338,25 @@ func (c *Client) Getattr(p *sim.Proc, h *nas.Handle) (int64, error) {
 }
 
 // Create implements nas.Client: the name is created on every shard
-// concurrently — on every live copy of every shard when replicated (the
-// namespace replicates with the data, so failover finds the file;
-// replica-copy failures are absorbed like write failures).
+// concurrently, and on every live copy of a replicated shard (the
+// namespace replicates with the data, so failover finds the file),
+// failing over like a read when a serving copy times out.
 func (c *Client) Create(p *sim.Proc, name string) (*nas.Handle, error) {
-	hs := make([]*nas.Handle, len(c.shards))
-	err := stripe.FanOut(p, len(c.shards), "odafs-create", func(wp *sim.Proc, i int) error {
-		serving := c.shards[i].Serving()
-		return c.shards[i].Fan(wp, "odafs-rcreate", func(cp *sim.Proc, copy int, in *dafs.Client) error {
-			h, err := in.Create(cp, name)
-			if copy == serving {
-				hs[i] = h
-			}
-			return err
-		})
+	return c.Resolve(p, name, func(wp *sim.Proc, shard int) (*nas.Handle, error) {
+		set := c.shards[shard]
+		hs, err := set.NameOp(wp, name, (*dafs.Client).Create)
+		if err != nil {
+			return nil, err
+		}
+		return hs[set.Serving()], nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	c.delegations[name] = hs
-	return hs[0], nil
 }
 
-// Remove implements nas.Client: the name is removed from every shard —
-// every live copy of every shard when replicated.
+// Remove implements nas.Client: the name is removed from every shard,
+// reaching every live copy of a replicated shard under the ack policy.
 func (c *Client) Remove(p *sim.Proc, name string) error {
-	delete(c.delegations, name)
-	return stripe.FanOut(p, len(c.shards), "odafs-remove", func(wp *sim.Proc, i int) error {
-		return c.shards[i].Fan(wp, "odafs-rremove", func(cp *sim.Proc, _ int, in *dafs.Client) error {
-			return in.Remove(cp, name)
-		})
+	return c.Unlink(p, name, func(wp *sim.Proc, shard int) error {
+		return c.shards[shard].Remove(wp, name)
 	})
 }
 
@@ -404,10 +375,6 @@ func (c *Client) Read(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64) (i
 	if off >= end {
 		return 0, nil
 	}
-	type fetch struct {
-		off int64
-		err error
-	}
 	var misses []int64
 	for bo := c.c.Align(off); bo < end; bo += c.cfg.BlockSize {
 		c.h.Compute(p, c.h.P.CacheLookup)
@@ -417,38 +384,20 @@ func (c *Client) Read(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64) (i
 		}
 		misses = append(misses, bo)
 	}
-	if len(misses) == 0 {
-		return end - off, nil
-	}
-	if len(misses) == 1 {
-		if err := c.fetchBlock(p, h, misses[0]); err != nil {
-			return 0, err
-		}
-		return end - off, nil
-	}
-	// Internal read-ahead: fetch all missing blocks concurrently, each
-	// fetch process carrying the requesting operation's span.
-	s := p.Sched()
-	doneSig := sim.NewSignal(s)
-	results := make([]fetch, len(misses))
-	remaining := len(misses)
-	sp := obs.Active(p)
-	for i, bo := range misses {
-		i, bo := i, bo
-		s.Go("fetch", func(fp *sim.Proc) {
-			obs.Activate(fp, sp)
-			results[i] = fetch{off: bo, err: c.fetchBlock(fp, h, bo)}
-			remaining--
-			if remaining == 0 {
-				doneSig.Fire()
-			}
+	var err error
+	switch len(misses) {
+	case 0:
+	case 1: // fetched in line, with no fan-out closure to allocate
+		err = c.fetchBlock(p, h, misses[0])
+	default:
+		// Internal read-ahead: fetch all missing blocks concurrently, each
+		// fetch process carrying the requesting operation's span.
+		err = stripe.FanOut(p, len(misses), "fetch", func(fp *sim.Proc, i int) error {
+			return c.fetchBlock(fp, h, misses[i])
 		})
 	}
-	doneSig.Wait(p)
-	for _, r := range results {
-		if r.err != nil {
-			return 0, r.err
-		}
+	if err != nil {
+		return 0, err
 	}
 	return end - off, nil
 }
@@ -478,7 +427,7 @@ func (c *Client) fetchBlockUncoalesced(p *sim.Proc, h *nas.Handle, blockOff int6
 	}
 	if c.cfg.UseORDMA {
 		if ref := c.c.RefOf(h.FH, blockOff); ref != nil {
-			shard := c.layout.ShardOf(blockOff)
+			shard := c.Layout().ShardOf(blockOff)
 			if ref.Epoch != c.shards[shard].Failovers {
 				// The reference was exported by a copy this shard has
 				// since failed away from: its VA may alias a different
@@ -510,8 +459,8 @@ func (c *Client) fetchBlockUncoalesced(p *sim.Proc, h *nas.Handle, blockOff int6
 // triggers failover and the fetch retries on the survivor.
 func (c *Client) rpcFetch(p *sim.Proc, h *nas.Handle, blockOff, blockLen int64) error {
 	c.stats.RPCReads++
-	shard := c.layout.ShardOf(blockOff)
-	sh := c.shardHandle(h, shard)
+	shard := c.Layout().ShardOf(blockOff)
+	sh := c.ShardHandle(h, shard)
 	var ref *cache.RemoteRef
 	err := c.shards[shard].Do(p, func(wp *sim.Proc, _ int, inner *dafs.Client) error {
 		var err error
@@ -551,114 +500,60 @@ func (c *Client) chargeInsert(p *sim.Proc, fh uint64, off int64) {
 // Write implements nas.Client: write-through per owning shard (spans run
 // concurrently, like the fetch path), updating the cached copy. With
 // replication each span reaches every live copy of its shard under the
-// ack policy.
+// ack policy. A failed write reports the bytes its other spans wrote.
 func (c *Client) Write(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64) (int64, error) {
-	got, err := c.writeSpans(p, h, off, n, func(wp *sim.Proc, shard int, sh *nas.Handle, so, sn int64) (int64, error) {
+	got, err := c.EachSpan(p, h, off, n, func(wp *sim.Proc, shard int, sh *nas.Handle, so, sn int64) (int64, error) {
 		return c.shards[shard].Write(wp, "odafs-repl", func(ip *sim.Proc, _ int, in *dafs.Client) (int64, error) {
 			return in.Write(ip, sh, so, sn, bufID)
 		})
 	})
-	if err != nil {
-		return got, err
-	}
-	for bo := c.c.Align(off); bo < off+n; bo += c.cfg.BlockSize {
-		c.h.Compute(p, c.h.P.CacheInsert)
-		bl := c.cfg.BlockSize
-		c.c.Insert(h.FH, bo, bl, nil, nil)
-	}
-	if err := c.extendReplicas(p, h, off, n); err != nil {
-		return got, err
-	}
-	return got, nil
-}
-
-// extendReplicas keeps the replicated size metadata coherent after a
-// write ending at off+n: the spans only grew their owning shards, so an
-// extending write sends every lagging shard (stripe.Layout.ExtendTargets)
-// a zero-length write at the new end (the servers extend on Offset
-// beyond EOF). Without this, per-shard sizes diverge and shard-0-sourced
-// opens would understate the file.
-func (c *Client) extendReplicas(p *sim.Proc, h *nas.Handle, off, n int64) error {
-	end := off + n
-	if end <= h.Size {
-		return nil
-	}
-	targets := c.layout.ExtendTargets(off, n)
-	err := stripe.FanOut(p, len(targets), "odafs-extend", func(wp *sim.Proc, i int) error {
-		shard := targets[i]
-		_, err := c.shards[shard].Write(wp, "odafs-rextend", func(ip *sim.Proc, _ int, in *dafs.Client) (int64, error) {
-			return in.WriteData(ip, c.shardHandle(h, shard), end, nil)
-		})
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	h.Size = end
-	return nil
-}
-
-// writeSpans runs op over the per-shard spans of [off, off+n)
-// concurrently and sums the bytes written.
-func (c *Client) writeSpans(p *sim.Proc, h *nas.Handle, off, n int64,
-	op func(wp *sim.Proc, shard int, sh *nas.Handle, so, sn int64) (int64, error)) (int64, error) {
-	spans := c.layout.Spans(off, n)
-	got := make([]int64, len(spans))
-	err := stripe.FanOut(p, len(spans), "odafs-wspan", func(wp *sim.Proc, i int) error {
-		sp := spans[i]
-		g, err := op(wp, sp.Shard, c.shardHandle(h, sp.Shard), sp.Off, sp.Len)
-		got[i] = g
-		return err
-	})
-	var total int64
-	for _, g := range got {
-		total += g
-	}
-	return total, err
+	return c.written(p, h, off, n, got, err)
 }
 
 // WriteData implements nas.Client for content-bearing writes: each shard
 // receives its spans' bytes, concurrently like Write.
 func (c *Client) WriteData(p *sim.Proc, h *nas.Handle, off int64, data []byte) (int64, error) {
-	got, err := c.writeSpans(p, h, off, int64(len(data)), func(wp *sim.Proc, shard int, sh *nas.Handle, so, sn int64) (int64, error) {
+	got, err := c.EachSpan(p, h, off, int64(len(data)), func(wp *sim.Proc, shard int, sh *nas.Handle, so, sn int64) (int64, error) {
 		return c.shards[shard].Write(wp, "odafs-rwdata", func(ip *sim.Proc, _ int, in *dafs.Client) (int64, error) {
 			return in.WriteData(ip, sh, so, data[so-off:so-off+sn])
 		})
 	})
+	return c.written(p, h, off, int64(len(data)), got, err)
+}
+
+// written finishes a write-through of [off, off+n) whose spans moved got
+// bytes: once every span succeeded, the written blocks enter the cache,
+// then the shards the write left short of a new end of file extend.
+func (c *Client) written(p *sim.Proc, h *nas.Handle, off, n, got int64, err error) (int64, error) {
 	if err != nil {
 		return got, err
 	}
-	for bo := c.c.Align(off); bo < off+int64(len(data)); bo += c.cfg.BlockSize {
+	for bo := c.c.Align(off); bo < off+n; bo += c.cfg.BlockSize {
 		c.h.Compute(p, c.h.P.CacheInsert)
 		c.c.Insert(h.FH, bo, c.cfg.BlockSize, nil, nil)
 	}
-	if err := c.extendReplicas(p, h, off, int64(len(data))); err != nil {
-		return got, err
-	}
-	return got, nil
+	return got, c.Extend(p, h, off, n)
 }
 
-// Commit implements nas.Client, fanning the commit out per shard along
-// the stripe layout: a whole-file commit (n <= 0) reaches every shard,
-// a range commit only the shards owning its spans. Each shard's DAFS
-// session runs the verifier comparison and re-issues its own lost
-// writes, so a crash of one shard never forces rewrites on the others.
+// extendShard is the Extend step: a zero-length write at end on every
+// live copy of the shard.
+func (c *Client) extendShard(wp *sim.Proc, shard int, sh *nas.Handle, end, _ int64) (int64, error) {
+	return c.shards[shard].Write(wp, "odafs-rextend", func(ip *sim.Proc, _ int, in *dafs.Client) (int64, error) {
+		return in.WriteData(ip, sh, end, nil)
+	})
+}
+
+// Commit implements nas.Client through the Striper's commit fan-out: a
+// whole-file commit (n <= 0) reaches every shard, a range commit only
+// the shards owning its spans, and on each every live copy commits.
+// Each shard's DAFS session runs the verifier comparison and re-issues
+// its own lost writes, so a crash of one shard never forces rewrites on
+// the others; failures aggregate into a *stripe.CommitError.
 func (c *Client) Commit(p *sim.Proc, h *nas.Handle, off, n int64) error {
-	commitShard := func(wp *sim.Proc, shard int, sh *nas.Handle, so, sn int64) error {
-		_, err := c.shards[shard].Write(wp, "odafs-rcommit", func(ip *sim.Proc, _ int, in *dafs.Client) (int64, error) {
+	return c.CommitSpans(p, h, off, n, func(wp *sim.Proc, shard int, sh *nas.Handle, so, sn int64) (int64, error) {
+		return c.shards[shard].Write(wp, "odafs-rcommit", func(ip *sim.Proc, _ int, in *dafs.Client) (int64, error) {
 			return 0, in.Commit(ip, sh, so, sn)
 		})
-		return err
-	}
-	if n <= 0 {
-		return stripe.FanOut(p, len(c.shards), "odafs-commit", func(wp *sim.Proc, i int) error {
-			return commitShard(wp, i, c.shardHandle(h, i), 0, 0)
-		})
-	}
-	spans := c.layout.Spans(off, n)
-	return stripe.FanOut(p, len(spans), "odafs-commit", func(wp *sim.Proc, i int) error {
-		sp := spans[i]
-		return commitShard(wp, sp.Shard, c.shardHandle(h, sp.Shard), sp.Off, sp.Len)
 	})
 }
 

@@ -360,13 +360,11 @@ func (c *Cluster) CachedClient(i int, cfg core.Config) *core.Client {
 
 // StripedCachedClient mounts a cached DAFS/ODAFS client on node i whose
 // single block cache fronts every shard's DAFS server (per-shard ORDMA
-// reference directories fall out of the static layout).
+// reference directories fall out of the static layout): the
+// ReplicatedCachedClient under the cluster's ack policy, whose replica
+// sets are single copies on an unreplicated cluster.
 func (c *Cluster) StripedCachedClient(i int, cfg core.Config) *core.Client {
-	srvs := make([]*dafs.Server, len(c.Shards))
-	for s, sh := range c.Shards {
-		srvs[s] = sh.DAFS
-	}
-	return core.NewStripedClient(c.S, c.Nodes[i].NIC, srvs, nic.Poll, cfg, c.Layout())
+	return c.ReplicatedCachedClient(i, cfg, c.ack)
 }
 
 // StripedNFSClients mounts an NFS client of the given kind on node i
@@ -445,11 +443,12 @@ func (c *Cluster) mountShards(width int, policy stripe.AckPolicy, mountCopy func
 // reference directory front every copy.
 func (c *Cluster) ReplicatedCachedClient(i int, cfg core.Config, policy stripe.AckPolicy) *core.Client {
 	srvs := make([][]*dafs.Server, len(c.Shards))
-	for s := range c.Shards {
-		srvs[s] = make([]*dafs.Server, len(c.ReplicaSets[s]))
-		for cp, sh := range c.ReplicaSets[s] {
-			srvs[s][cp] = sh.DAFS
+	all := make([]*dafs.Server, 0, len(c.Shards)*(c.replicas+1))
+	for s, set := range c.ReplicaSets {
+		for _, sh := range set {
+			all = append(all, sh.DAFS)
 		}
+		srvs[s] = all[len(all)-len(set) : len(all) : len(all)]
 	}
 	return core.NewReplicatedClient(c.S, c.Nodes[i].NIC, srvs, nic.Poll, cfg, c.Layout(), policy)
 }
@@ -492,11 +491,7 @@ func (c *Cluster) Mount(system string, i int, cfg core.Config) *Mount {
 	switch {
 	case system == "DAFS" || system == "ODAFS":
 		cfg.UseORDMA = system == "ODAFS"
-		if c.replicas > 0 {
-			m.Cached = c.ReplicatedCachedClient(i, cfg, c.ack)
-		} else {
-			m.Cached = c.StripedCachedClient(i, cfg)
-		}
+		m.Cached = c.StripedCachedClient(i, cfg)
 		m.Client = m.Cached
 	case c.replicas > 0:
 		kind := nfsKindOf(system)

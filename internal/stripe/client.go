@@ -11,8 +11,8 @@ import (
 // FanOut runs fn for indexes 0..n-1 as concurrent simulated processes
 // and returns the lowest-index error. With n <= 1 it runs in-line on the
 // caller's process, so single-shard paths cost exactly what they did
-// unstriped. Both the striped clients' namespace fan-outs and their
-// per-shard data spans use it.
+// unstriped. Every striped fan-out (Striper's namespace, span, extend and
+// commit fan-outs, and the cached client's block fetches) uses it.
 func FanOut(p *sim.Proc, n int, name string, fn func(wp *sim.Proc, i int) error) error {
 	if n <= 0 {
 		return nil
@@ -23,20 +23,24 @@ func FanOut(p *sim.Proc, n int, name string, fn func(wp *sim.Proc, i int) error)
 	s := p.Sched()
 	done := sim.NewSignal(s)
 	errs := make([]error, n)
-	remaining := n
+	var count struct{ started, finished int }
 	// Workers carry the caller's span: each concurrent leg attributes its
 	// own waiting (phases are additive, so fan-out may sum past wall time).
 	sp := obs.Active(p)
-	for i := 0; i < n; i++ {
-		i := i
-		s.Go(name, func(wp *sim.Proc) {
-			obs.Activate(wp, sp)
-			errs[i] = fn(wp, i)
-			remaining--
-			if remaining == 0 {
-				done.Fire()
-			}
-		})
+	// Workers spawned at one instant start in spawn order, so each takes
+	// the next index on entry and one body serves all n of them.
+	body := func(wp *sim.Proc) {
+		i := count.started
+		count.started++
+		obs.Activate(wp, sp)
+		errs[i] = fn(wp, i)
+		count.finished++
+		if count.finished == n {
+			done.Fire()
+		}
+	}
+	for range n {
+		s.Go(name, body)
 	}
 	done.Wait(p)
 	for _, err := range errs {
@@ -47,109 +51,119 @@ func FanOut(p *sim.Proc, n int, name string, fn func(wp *sim.Proc, i int) error)
 	return nil
 }
 
-// Client stripes a nas.Client over per-shard sub-clients: namespace
-// operations (open, create, remove, close) fan out to every shard
-// concurrently, data operations split into per-shard spans that also run
-// concurrently. It carries no client cache of its own, which makes it the
-// striping layer for the RPC-based systems (the three NFS variants and
-// the raw DAFS session client); the cached (O)DAFS client routes shards
-// itself so a single block cache can front all of them (internal/core).
-type Client struct {
+// SpanOp is one shard's step of a striped operation: the byte range
+// [off, off+n) of the file, all owned by shard, through the shard's own
+// handle sh. It returns the bytes it moved.
+type SpanOp func(wp *sim.Proc, shard int, sh *nas.Handle, off, n int64) (int64, error)
+
+// Striper is the striping layer both striped clients embed: the layout,
+// the table of each open name's per-shard handles, and the fan-outs that
+// run a per-shard step on every shard (namespace operations), on each
+// span's owning shard (data and commits), or on the shards a write left
+// short of the new end of file (extend). It issues no call itself: each
+// fan-out takes the per-shard step as a function (the extend step, the
+// same for every write, once at construction). Client steps through
+// per-shard sub-clients, the cached (O)DAFS client (internal/core)
+// through per-shard replica sets behind its one block cache.
+type Striper struct {
 	layout Layout
-	subs   []nas.Client
 	// handles maps an open name to its per-shard handles; index 0 is the
 	// canonical handle returned to the application.
 	handles map[string][]*nas.Handle
+	// extend is Extend's per-shard step.
+	extend SpanOp
 }
 
-var _ nas.Client = (*Client)(nil)
-
-// NewClient stripes the given per-shard sub-clients (one per layout
-// shard, in shard order) under one nas.Client.
-func NewClient(layout Layout, subs []nas.Client) *Client {
+// NewStriper builds the striping layer for layout. extend is the step
+// Extend runs on each lagging shard: a zero-length write at off (n is
+// 0), which the servers' write path extends the file on.
+func NewStriper(layout Layout, extend SpanOp) Striper {
 	if err := layout.Validate(); err != nil {
 		panic(err.Error())
 	}
-	if len(subs) != layout.Shards {
-		panic(fmt.Sprintf("stripe: %d sub-clients for %d shards", len(subs), layout.Shards))
-	}
-	return &Client{layout: layout, subs: subs, handles: make(map[string][]*nas.Handle)}
+	return Striper{layout: layout, handles: make(map[string][]*nas.Handle), extend: extend}
 }
 
 // Layout returns the striping scheme.
-func (c *Client) Layout() Layout { return c.layout }
+func (s *Striper) Layout() Layout { return s.layout }
 
-// Sub returns the shard i sub-client.
-func (c *Client) Sub(i int) nas.Client { return c.subs[i] }
+// Handles returns name's per-shard handles, if an open or create of it
+// recorded them.
+func (s *Striper) Handles(name string) ([]*nas.Handle, bool) {
+	hs, ok := s.handles[name]
+	return hs, ok
+}
 
-// Name implements nas.Client: the protocol name is the sub-clients'.
-func (c *Client) Name() string { return c.subs[0].Name() }
+// ShardHandle resolves the per-shard handle for h, falling back to h
+// itself (correct when every shard assigned identical handles, which a
+// replicated namespace with identical creation order guarantees, and
+// always on shard 0, whose handle is canonical).
+func (s *Striper) ShardHandle(h *nas.Handle, shard int) *nas.Handle {
+	if hs, ok := s.handles[h.Name]; ok && shard < len(hs) {
+		return hs[shard]
+	}
+	return h
+}
 
-// Open implements nas.Client: the file is opened on every shard
-// concurrently (each shard resolves the replicated name); shard 0's
-// handle is canonical.
-func (c *Client) Open(p *sim.Proc, name string) (*nas.Handle, error) {
-	hs := make([]*nas.Handle, len(c.subs))
-	err := FanOut(p, len(c.subs), "stripe-open", func(wp *sim.Proc, i int) error {
-		h, err := c.subs[i].Open(wp, name)
+// Resolve runs a handle-returning namespace operation (open, create) on
+// every shard concurrently and records the per-shard handles under
+// name; shard 0's is returned.
+func (s *Striper) Resolve(p *sim.Proc, name string, fn func(wp *sim.Proc, shard int) (*nas.Handle, error)) (*nas.Handle, error) {
+	hs := make([]*nas.Handle, s.layout.Shards)
+	err := FanOut(p, len(hs), "stripe-resolve", func(wp *sim.Proc, i int) error {
+		h, err := fn(wp, i)
 		hs[i] = h
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	c.handles[name] = hs
+	s.handles[name] = hs
 	return hs[0], nil
 }
 
-// shardHandle resolves the per-shard handle for h, falling back to h
-// itself (correct when every shard assigned identical handles, which a
-// replicated namespace with identical creation order guarantees).
-func (c *Client) shardHandle(h *nas.Handle, shard int) *nas.Handle {
-	if hs, ok := c.handles[h.Name]; ok && shard < len(hs) {
-		return hs[shard]
-	}
-	return h
+// Unlink forgets name's handles and runs fn (a remove) on every shard
+// concurrently.
+func (s *Striper) Unlink(p *sim.Proc, name string, fn func(wp *sim.Proc, shard int) error) error {
+	delete(s.handles, name)
+	return FanOut(p, s.layout.Shards, "stripe-unlink", fn)
 }
 
-// Read implements nas.Client: the range splits into per-shard spans
-// issued concurrently so all owning shards stream in parallel.
-func (c *Client) Read(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64) (int64, error) {
-	return c.io(p, h, off, n, func(sp *sim.Proc, shard int, sh *nas.Handle, so, sn int64) (int64, error) {
-		return c.subs[shard].Read(sp, sh, so, sn, bufID)
+// EachSpan splits [off, off+n) into per-shard spans, runs op on each
+// concurrently and returns the bytes moved summed over the spans, with
+// the lowest span's error. The sum counts the spans that succeeded too,
+// so a caller chooses what a failed operation reports.
+func (s *Striper) EachSpan(p *sim.Proc, h *nas.Handle, off, n int64, op SpanOp) (int64, error) {
+	spans := s.layout.Spans(off, n)
+	got := make([]int64, len(spans))
+	err := FanOut(p, len(spans), "stripe-span", func(wp *sim.Proc, i int) error {
+		sp := spans[i]
+		g, err := op(wp, sp.Shard, s.ShardHandle(h, sp.Shard), sp.Off, sp.Len)
+		got[i] = g
+		return err
 	})
+	var total int64
+	for _, g := range got {
+		total += g
+	}
+	return total, err
 }
 
-// Write implements nas.Client, splitting like Read.
-func (c *Client) Write(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64) (int64, error) {
-	got, err := c.io(p, h, off, n, func(sp *sim.Proc, shard int, sh *nas.Handle, so, sn int64) (int64, error) {
-		return c.subs[shard].Write(sp, sh, so, sn, bufID)
-	})
-	if err != nil {
-		return got, err
-	}
-	if err := c.extendReplicas(p, h, off, n); err != nil {
-		return got, err
-	}
-	return got, nil
-}
-
-// extendReplicas keeps the replicated size metadata coherent after a
-// write ending at off+n: a shard only grows its replica to the end of
+// Extend keeps the replicated size metadata coherent after a write of
+// [off, off+n): a shard only grows its copy of the file to the end of
 // the spans it received, so when the write extends the file every
-// lagging shard gets a zero-length write at the new end (the servers'
-// write path extends on Offset beyond EOF). Without this, per-shard
-// sizes diverge and shard-0-sourced Open/Getattr would understate the
-// file.
-func (c *Client) extendReplicas(p *sim.Proc, h *nas.Handle, off, n int64) error {
+// lagging shard (Layout.ExtendTargets) gets the extend step at the new
+// end, and h.Size follows. Without this, per-shard sizes diverge and
+// shard-0-sourced opens and attributes would understate the file.
+func (s *Striper) Extend(p *sim.Proc, h *nas.Handle, off, n int64) error {
 	end := off + n
 	if end <= h.Size {
 		return nil
 	}
-	targets := c.layout.ExtendTargets(off, n)
+	targets := s.layout.ExtendTargets(off, n)
 	err := FanOut(p, len(targets), "stripe-extend", func(wp *sim.Proc, i int) error {
 		shard := targets[i]
-		_, err := c.subs[shard].WriteData(wp, c.shardHandle(h, shard), end, nil)
+		_, err := s.extend(wp, shard, s.ShardHandle(h, shard), end, 0)
 		return err
 	})
 	if err != nil {
@@ -159,51 +173,42 @@ func (c *Client) extendReplicas(p *sim.Proc, h *nas.Handle, off, n int64) error 
 	return nil
 }
 
-// io runs one span operation per owning shard concurrently and sums the
-// bytes moved.
-func (c *Client) io(p *sim.Proc, h *nas.Handle, off, n int64,
-	op func(sp *sim.Proc, shard int, sh *nas.Handle, so, sn int64) (int64, error)) (int64, error) {
-	spans := c.layout.Spans(off, n)
-	got := make([]int64, len(spans))
-	err := FanOut(p, len(spans), "stripe-span", func(wp *sim.Proc, i int) error {
+// CommitSpans fans a commit out along the layout: a whole-file commit
+// (n <= 0) runs op with an empty range on every shard, a range commit
+// on each span's owning shard. Each shard runs its own verifier
+// comparison and re-issues its own lost writes, which is why every
+// target is always attempted: stopping at the first failure would leave
+// later shards' lost ranges neither committed nor re-issued. Failures
+// aggregate into a *CommitError.
+func (s *Striper) CommitSpans(p *sim.Proc, h *nas.Handle, off, n int64, op SpanOp) error {
+	var spans []Span
+	if n > 0 {
+		spans = s.layout.Spans(off, n)
+	} else {
+		spans = make([]Span, s.layout.Shards)
+		for i := range spans {
+			spans[i].Shard = i
+		}
+	}
+	// FanOut runs every branch to completion, so the branches collect
+	// their own failures and the aggregate is built after the barrier.
+	errs := make([]error, len(spans))
+	FanOut(p, len(spans), "stripe-commit", func(wp *sim.Proc, i int) error {
 		sp := spans[i]
-		g, err := op(wp, sp.Shard, c.shardHandle(h, sp.Shard), sp.Off, sp.Len)
-		got[i] = g
-		return err
+		_, errs[i] = op(wp, sp.Shard, s.ShardHandle(h, sp.Shard), sp.Off, sp.Len)
+		return nil
 	})
-	if err != nil {
-		return 0, err
+	agg := &CommitError{}
+	for i, err := range errs {
+		if err != nil {
+			agg.Shards = append(agg.Shards, spans[i].Shard)
+			agg.Errs = append(agg.Errs, err)
+		}
 	}
-	var total int64
-	for _, g := range got {
-		total += g
+	if len(agg.Errs) == 0 {
+		return nil
 	}
-	return total, nil
-}
-
-// WriteData implements nas.Client: each shard receives its spans' bytes,
-// concurrently like every other data operation.
-func (c *Client) WriteData(p *sim.Proc, h *nas.Handle, off int64, data []byte) (int64, error) {
-	spans := c.layout.Spans(off, int64(len(data)))
-	got := make([]int64, len(spans))
-	err := FanOut(p, len(spans), "stripe-wspan", func(wp *sim.Proc, i int) error {
-		sp := spans[i]
-		g, err := c.subs[sp.Shard].WriteData(wp, c.shardHandle(h, sp.Shard), sp.Off,
-			data[sp.Off-off:sp.Off-off+sp.Len])
-		got[i] = g
-		return err
-	})
-	var total int64
-	for _, g := range got {
-		total += g
-	}
-	if err != nil {
-		return total, err
-	}
-	if err := c.extendReplicas(p, h, off, int64(len(data))); err != nil {
-		return total, err
-	}
-	return total, nil
+	return agg
 }
 
 // CommitError aggregates per-shard commit failures: the fan-out always
@@ -228,82 +233,119 @@ func (e *CommitError) Error() string {
 // Unwrap exposes the per-shard errors to errors.Is / errors.As.
 func (e *CommitError) Unwrap() []error { return e.Errs }
 
-// Commit implements nas.Client, fanning the commit out per shard along
-// the stripe layout: a whole-file commit (n <= 0) reaches every shard, a
-// range commit only the shards owning its spans. Each sub-client runs
-// its own verifier comparison and re-issues its own lost writes — which
-// is why every shard is always attempted: an early return on the first
-// failure would leave later shards' lost ranges neither committed nor
-// re-issued. Failures aggregate into a *CommitError.
-func (c *Client) Commit(p *sim.Proc, h *nas.Handle, off, n int64) error {
-	if n <= 0 {
-		return c.commitAll(p, len(c.subs), func(i int) int { return i }, func(wp *sim.Proc, i int) error {
-			return c.subs[i].Commit(wp, c.shardHandle(h, i), 0, 0)
-		})
+// Client stripes a nas.Client over per-shard sub-clients through the
+// Striper: namespace operations (open, create, remove, close) fan out to
+// every shard concurrently, data operations split into per-shard spans
+// that also run concurrently. It carries no client cache of its own,
+// which makes it the striped mount of the RPC-based systems (the three
+// NFS variants and the raw DAFS session client); the cached (O)DAFS
+// client embeds the same Striper behind its block cache (internal/core).
+type Client struct {
+	Striper
+	subs []nas.Client
+}
+
+var _ nas.Client = (*Client)(nil)
+
+// NewClient stripes the given per-shard sub-clients (one per layout
+// shard, in shard order) under one nas.Client.
+func NewClient(layout Layout, subs []nas.Client) *Client {
+	if len(subs) != layout.Shards {
+		panic(fmt.Sprintf("stripe: %d sub-clients for %d shards", len(subs), layout.Shards))
 	}
-	spans := c.layout.Spans(off, n)
-	return c.commitAll(p, len(spans), func(i int) int { return spans[i].Shard }, func(wp *sim.Proc, i int) error {
-		sp := spans[i]
-		return c.subs[sp.Shard].Commit(wp, c.shardHandle(h, sp.Shard), sp.Off, sp.Len)
+	c := &Client{subs: subs}
+	c.Striper = NewStriper(layout, c.extendShard)
+	return c
+}
+
+// Name implements nas.Client: the protocol name is the sub-clients'.
+func (c *Client) Name() string { return c.subs[0].Name() }
+
+// Open implements nas.Client: the file is opened on every shard
+// concurrently (each shard resolves the replicated name); shard 0's
+// handle is canonical.
+func (c *Client) Open(p *sim.Proc, name string) (*nas.Handle, error) {
+	return c.Resolve(p, name, func(wp *sim.Proc, i int) (*nas.Handle, error) {
+		return c.subs[i].Open(wp, name)
 	})
 }
 
-// commitAll runs one commit per target concurrently, collecting every
-// failure instead of surfacing only the first: FanOut already runs all
-// branches to completion, so the collection happens in the branches and
-// the aggregate is built after the barrier.
-func (c *Client) commitAll(p *sim.Proc, n int, shardOf func(i int) int, fn func(wp *sim.Proc, i int) error) error {
-	errs := make([]error, n)
-	FanOut(p, n, "stripe-commit", func(wp *sim.Proc, i int) error {
-		errs[i] = fn(wp, i)
-		return nil
+// Read implements nas.Client: the range splits into per-shard spans
+// issued concurrently so all owning shards stream in parallel. A failed
+// read reports 0 bytes.
+func (c *Client) Read(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64) (int64, error) {
+	got, err := c.EachSpan(p, h, off, n, func(sp *sim.Proc, shard int, sh *nas.Handle, so, sn int64) (int64, error) {
+		return c.subs[shard].Read(sp, sh, so, sn, bufID)
 	})
-	agg := &CommitError{}
-	for i, err := range errs {
-		if err != nil {
-			agg.Shards = append(agg.Shards, shardOf(i))
-			agg.Errs = append(agg.Errs, err)
-		}
+	if err != nil {
+		return 0, err
 	}
-	if len(agg.Errs) == 0 {
-		return nil
+	return got, nil
+}
+
+// Write implements nas.Client, splitting like Read (a failed span
+// reports 0 bytes), then extending the lagging shards.
+func (c *Client) Write(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64) (int64, error) {
+	got, err := c.EachSpan(p, h, off, n, func(sp *sim.Proc, shard int, sh *nas.Handle, so, sn int64) (int64, error) {
+		return c.subs[shard].Write(sp, sh, so, sn, bufID)
+	})
+	if err != nil {
+		return 0, err
 	}
-	return agg
+	return got, c.Extend(p, h, off, n)
+}
+
+// WriteData implements nas.Client: each shard receives its spans' bytes,
+// concurrently like every other data operation; a failed span reports
+// the bytes the other spans wrote.
+func (c *Client) WriteData(p *sim.Proc, h *nas.Handle, off int64, data []byte) (int64, error) {
+	got, err := c.EachSpan(p, h, off, int64(len(data)), func(sp *sim.Proc, shard int, sh *nas.Handle, so, sn int64) (int64, error) {
+		return c.subs[shard].WriteData(sp, sh, so, data[so-off:so-off+sn])
+	})
+	if err != nil {
+		return got, err
+	}
+	return got, c.Extend(p, h, off, int64(len(data)))
+}
+
+// extendShard is the Extend step: a zero-length write at end.
+func (c *Client) extendShard(wp *sim.Proc, shard int, sh *nas.Handle, end, _ int64) (int64, error) {
+	return c.subs[shard].WriteData(wp, sh, end, nil)
+}
+
+// Commit implements nas.Client through CommitSpans: each sub-client runs
+// its own verifier comparison, and failures aggregate into a
+// *CommitError.
+func (c *Client) Commit(p *sim.Proc, h *nas.Handle, off, n int64) error {
+	return c.CommitSpans(p, h, off, n, func(wp *sim.Proc, shard int, sh *nas.Handle, so, sn int64) (int64, error) {
+		return 0, c.subs[shard].Commit(wp, sh, so, sn)
+	})
 }
 
 // Getattr implements nas.Client: attributes come from shard 0 (the
-// namespace is replicated; extendReplicas keeps sizes agreeing).
+// namespace is replicated; Extend keeps sizes agreeing).
 func (c *Client) Getattr(p *sim.Proc, h *nas.Handle) (int64, error) {
-	return c.subs[0].Getattr(p, c.shardHandle(h, 0))
+	return c.subs[0].Getattr(p, c.ShardHandle(h, 0))
 }
 
 // Create implements nas.Client: the name is created on every shard
 // concurrently.
 func (c *Client) Create(p *sim.Proc, name string) (*nas.Handle, error) {
-	hs := make([]*nas.Handle, len(c.subs))
-	err := FanOut(p, len(c.subs), "stripe-create", func(wp *sim.Proc, i int) error {
-		h, err := c.subs[i].Create(wp, name)
-		hs[i] = h
-		return err
+	return c.Resolve(p, name, func(wp *sim.Proc, i int) (*nas.Handle, error) {
+		return c.subs[i].Create(wp, name)
 	})
-	if err != nil {
-		return nil, err
-	}
-	c.handles[name] = hs
-	return hs[0], nil
 }
 
 // Remove implements nas.Client: the name is removed from every shard.
 func (c *Client) Remove(p *sim.Proc, name string) error {
-	delete(c.handles, name)
-	return FanOut(p, len(c.subs), "stripe-remove", func(wp *sim.Proc, i int) error {
+	return c.Unlink(p, name, func(wp *sim.Proc, i int) error {
 		return c.subs[i].Remove(wp, name)
 	})
 }
 
 // Close implements nas.Client: every shard's handle is released.
 func (c *Client) Close(p *sim.Proc, h *nas.Handle) error {
-	hs, ok := c.handles[h.Name]
+	hs, ok := c.Handles(h.Name)
 	if !ok {
 		return c.subs[0].Close(p, h)
 	}

@@ -54,41 +54,24 @@ func (g *Group) copyHandle(h *nas.Handle, copy int) *nas.Handle {
 // Open implements nas.Client: the name resolves on every live copy so
 // each session holds its own handle (failover targets included).
 func (g *Group) Open(p *sim.Proc, name string) (*nas.Handle, error) {
-	return g.nameOp(p, name, "grp-open", func(wp *sim.Proc, in Session) (*nas.Handle, error) {
-		return in.Open(wp, name)
-	})
+	return g.nameOp(p, name, Session.Open)
 }
 
 // Create implements nas.Client: the name is created on every live copy
 // (the namespace, like the data, is replicated).
 func (g *Group) Create(p *sim.Proc, name string) (*nas.Handle, error) {
-	return g.nameOp(p, name, "grp-create", func(wp *sim.Proc, in Session) (*nas.Handle, error) {
-		return in.Create(wp, name)
-	})
+	return g.nameOp(p, name, Session.Create)
 }
 
-// nameOp runs a handle-returning namespace operation on every live
-// copy, failing over if the serving copy times out; the serving copy's
-// handle is canonical.
-func (g *Group) nameOp(p *sim.Proc, name, label string,
-	fn func(wp *sim.Proc, in Session) (*nas.Handle, error)) (*nas.Handle, error) {
-	for {
-		serving := g.serving
-		hs := make([]*nas.Handle, len(g.copies))
-		err := g.Fan(p, label, func(wp *sim.Proc, copy int, in Session) error {
-			h, err := fn(wp, in)
-			hs[copy] = h
-			return err
-		})
-		if err != nil {
-			if g.failover(p, err, serving) {
-				continue
-			}
-			return nil, err
-		}
-		g.handles[name] = hs
-		return hs[g.serving], nil
+// nameOp runs Set.NameOp and records the per-copy handles under name.
+func (g *Group) nameOp(p *sim.Proc, name string,
+	op func(in Session, wp *sim.Proc, name string) (*nas.Handle, error)) (*nas.Handle, error) {
+	hs, err := g.NameOp(p, name, op)
+	if err != nil {
+		return nil, err
 	}
+	g.handles[name] = hs
+	return hs[g.serving], nil
 }
 
 // Getattr implements nas.Client (serving copy, with failover).
@@ -141,13 +124,10 @@ func (g *Group) Commit(p *sim.Proc, h *nas.Handle, off, n int64) error {
 }
 
 // Remove implements nas.Client: the name is removed from every live
-// copy; replica-copy failures are absorbed like write failures.
+// copy under the ack policy (Set.Remove).
 func (g *Group) Remove(p *sim.Proc, name string) error {
 	delete(g.handles, name)
-	_, err := g.Set.Write(p, "grp-remove", func(wp *sim.Proc, _ int, in Session) (int64, error) {
-		return 0, in.Remove(wp, name)
-	})
-	return err
+	return g.Set.Remove(p, name)
 }
 
 // Close implements nas.Client: every live copy's handle is released.

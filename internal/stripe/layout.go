@@ -5,11 +5,13 @@
 // the namespace is replicated (every shard knows every file's name and
 // size) while the data traffic partitions by offset.
 //
-// The package has two layers: Layout, the pure striping arithmetic, and
-// Client, a nas.Client that routes per-block requests to per-shard
-// sub-clients. The cached ODAFS/DAFS client does its own routing (one
-// client cache, per-shard ORDMA reference directories — see
-// internal/core), but shares the same Layout.
+// The package has three layers: Layout, the pure striping arithmetic;
+// Striper, the one striping layer (per-shard handles and the namespace,
+// span, extend and commit fan-outs) that both striped clients embed;
+// and Client, a nas.Client that steps the Striper through per-shard
+// sub-clients. The cached ODAFS/DAFS client embeds the same Striper
+// behind its one client cache and per-shard ORDMA reference
+// directories (internal/core). Set and Group add per-shard replication.
 package stripe
 
 import (

@@ -225,6 +225,53 @@ func (s *Set[S]) Write(p *sim.Proc, name string, op func(wp *sim.Proc, copy int,
 	}
 }
 
+// NameOp runs a handle-returning namespace operation on name (S.Open,
+// S.Create) on every live copy through Fan, failing over and running it
+// again on the survivors when the serving copy times out. It returns the per-copy
+// handles (nil where a copy failed); the serving copy's is canonical.
+// A copy that succeeded in an earlier round is not asked again: a
+// create that already landed there would fail the rerun with
+// nas.ErrExist.
+func (s *Set[S]) NameOp(p *sim.Proc, name string, op func(in S, wp *sim.Proc, name string) (*nas.Handle, error)) ([]*nas.Handle, error) {
+	hs := make([]*nas.Handle, len(s.copies))
+	for {
+		serving := s.serving
+		err := s.Fan(p, "name-op", func(wp *sim.Proc, copy int, in S) error {
+			if hs[copy] != nil {
+				return nil
+			}
+			h, err := op(in, wp, name)
+			if err == nil {
+				hs[copy] = h
+			}
+			return err
+		})
+		if err == nil {
+			return hs, nil
+		}
+		if !s.failover(p, err, serving) {
+			return nil, err
+		}
+	}
+}
+
+// Remove removes name from every live copy through Write, so the ack
+// policy decides when it completes and a serving-copy timeout fails
+// over. A copy that removed the name in an earlier round is not asked
+// again: the rerun would fail there with nas.ErrNoEnt.
+func (s *Set[S]) Remove(p *sim.Proc, name string) error {
+	removed := make([]bool, len(s.copies))
+	_, err := s.Write(p, "remove", func(wp *sim.Proc, copy int, in S) (int64, error) {
+		if removed[copy] {
+			return 0, nil
+		}
+		err := in.Remove(wp, name)
+		removed[copy] = err == nil
+		return 0, err
+	})
+	return err
+}
+
 // Fan runs fn on every live copy concurrently, serving copy first (no
 // ack policy: namespace operations and closes). A replica copy's
 // failure is absorbed like a write's; the serving copy's error is the
