@@ -18,6 +18,17 @@ import (
 type asyncCached struct {
 	*Client
 	nas.AsyncBase
+	ops []*asyncOp // finished operations' records, for reuse
+}
+
+// asyncOp is one admitted operation, run by the process Submit spawns;
+// its body returns it to the free list when the operation completes.
+type asyncOp struct {
+	a    *asyncCached
+	op   nas.Op
+	tag  uint64
+	at   sim.Time
+	body func(wp *sim.Proc) // o.run, bound once
 }
 
 // Async returns a native asynchronous facade over the cached (O)DAFS
@@ -33,13 +44,27 @@ func (c *Client) Async(depth int) nas.AsyncClient {
 // the current instant.
 func (a *asyncCached) Submit(p *sim.Proc, op nas.Op) uint64 {
 	tag, at := a.Begin(p)
-	p.Sched().Go("odafs-async", func(wp *sim.Proc) {
-		// The fresh process starts at the admission instant, so there is
-		// no pickup delay to bucket as queue time — the span just rides
-		// along for the operation's execution.
-		obs.Activate(wp, op.Span)
-		n, err := op.Run(wp, a.Client)
-		a.Finish(nas.Completion{Tag: tag, Op: op, N: n, Err: err, Submitted: at})
-	})
+	var o *asyncOp
+	if k := len(a.ops); k > 0 {
+		o = a.ops[k-1]
+		a.ops = a.ops[:k-1]
+	} else {
+		o = &asyncOp{a: a}
+		o.body = o.run
+	}
+	o.op, o.tag, o.at = op, tag, at
+	p.Sched().Go("odafs-async", o.body)
 	return tag
+}
+
+// run executes the operation. The fresh process starts at the admission
+// instant, so there is no pickup delay to bucket as queue time — the
+// span just rides along for the operation's execution.
+func (o *asyncOp) run(wp *sim.Proc) {
+	a := o.a
+	obs.Activate(wp, o.op.Span)
+	n, err := o.op.Run(wp, a.Client)
+	a.Finish(nas.Completion{Tag: o.tag, Op: o.op, N: n, Err: err, Submitted: o.at})
+	o.op = nas.Op{}
+	a.ops = append(a.ops, o)
 }

@@ -124,3 +124,39 @@ func TestNativeAsyncWritePath(t *testing.T) {
 	})
 	r.s.Run()
 }
+
+// TestNativeAsyncCompletionsMatchTheirOps submits a window of reads of
+// different lengths and checks each completion reports the tag and the
+// operation it was submitted with, exactly once: every op runs from a
+// recycled record, and a record reused while its op still ran would
+// report another op's tag.
+func TestNativeAsyncCompletionsMatchTheirOps(t *testing.T) {
+	const ops = 12
+	r := newRig(t, 1<<16)
+	f, _ := r.fs.Create("data", 256*4096)
+	r.sc.Warm(f)
+	ac := r.newClient(t, odafsCfg()).Async(4)
+	r.s.Go("async", func(p *sim.Proc) {
+		h, err := ac.Open(p, "data")
+		if err != nil {
+			t.Errorf("open: %v", err)
+			return
+		}
+		want := make(map[uint64]int64)
+		for i := range ops {
+			n := int64(1+i%3) * 4096
+			want[ac.Submit(p, nas.Op{Kind: nas.OpRead, H: h, Off: int64(i) * 4 * 4096, N: n, BufID: 1})] = n
+		}
+		for len(want) > 0 {
+			for _, comp := range ac.Wait(p) {
+				n, ok := want[comp.Tag]
+				if !ok || comp.Op.N != n || comp.N != n || comp.Err != nil {
+					t.Errorf("completion tag %d: op %+v moved %d (%v); submitted %d bytes under it (%v)",
+						comp.Tag, comp.Op, comp.N, comp.Err, n, ok)
+				}
+				delete(want, comp.Tag)
+			}
+		}
+	})
+	r.s.Run()
+}

@@ -37,6 +37,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"danas/internal/cache"
 	"danas/internal/dafs"
@@ -111,6 +112,7 @@ type Client struct {
 	// a crashed shard is reported by every coalesced reader instead of
 	// being silently swallowed.
 	inflight map[cache.Key]*inflightFetch
+	fetches  []*inflightFetch // finished fetches' records, for reuse
 
 	stats Stats
 
@@ -129,9 +131,12 @@ type Client struct {
 }
 
 // inflightFetch is one in-progress block fetch on the coalescing table.
+// The fetch that made it returns it to the client's free list once the
+// fetch and every fetch coalesced onto it have read its result.
 type inflightFetch struct {
-	sig *sim.Signal
-	err error
+	sig     *sim.Signal
+	err     error
+	waiters int // coalesced fetches yet to read err
 }
 
 var _ nas.Client = (*Client)(nil)
@@ -375,7 +380,8 @@ func (c *Client) Read(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64) (i
 	if off >= end {
 		return 0, nil
 	}
-	var misses []int64
+	var buf [4]int64
+	misses := buf[:0]
 	for bo := c.c.Align(off); bo < end; bo += c.cfg.BlockSize {
 		c.h.Compute(p, c.h.P.CacheLookup)
 		if _, hit := c.c.Lookup(h.FH, bo); hit {
@@ -392,8 +398,9 @@ func (c *Client) Read(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64) (i
 	default:
 		// Internal read-ahead: fetch all missing blocks concurrently, each
 		// fetch process carrying the requesting operation's span.
-		err = stripe.FanOut(p, len(misses), "fetch", func(fp *sim.Proc, i int) error {
-			return c.fetchBlock(fp, h, misses[i])
+		blocks := slices.Clone(misses)
+		err = c.FanOut(p, len(blocks), "fetch", func(fp *sim.Proc, i int) error {
+			return c.fetchBlock(fp, h, blocks[i])
 		})
 	}
 	if err != nil {
@@ -409,15 +416,35 @@ func (c *Client) Read(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64) (i
 func (c *Client) fetchBlock(p *sim.Proc, h *nas.Handle, blockOff int64) error {
 	key := cache.Key{File: h.FH, Off: c.c.Align(blockOff)}
 	if f, busy := c.inflight[key]; busy {
+		f.waiters++
 		f.sig.Wait(p)
-		return f.err
+		f.waiters--
+		return c.doneFetch(f)
 	}
-	f := &inflightFetch{sig: sim.NewSignal(p.Sched())}
+	var f *inflightFetch
+	if k := len(c.fetches); k > 0 {
+		f = c.fetches[k-1]
+		c.fetches = c.fetches[:k-1]
+		f.sig.Reset()
+	} else {
+		f = &inflightFetch{sig: sim.NewSignal(p.Sched())}
+	}
 	c.inflight[key] = f
 	f.err = c.fetchBlockUncoalesced(p, h, blockOff)
 	delete(c.inflight, key)
 	f.sig.Fire()
-	return f.err
+	return c.doneFetch(f)
+}
+
+// doneFetch returns a finished fetch's result, recycling its record
+// once no coalesced fetch is left to read it.
+func (c *Client) doneFetch(f *inflightFetch) error {
+	err := f.err
+	if f.waiters == 0 {
+		f.err = nil
+		c.fetches = append(c.fetches, f)
+	}
+	return err
 }
 
 func (c *Client) fetchBlockUncoalesced(p *sim.Proc, h *nas.Handle, blockOff int64) error {

@@ -2,6 +2,7 @@ package dafs
 
 import (
 	"danas/internal/cache"
+	"danas/internal/fsim"
 	"danas/internal/host"
 	"danas/internal/nas"
 	"danas/internal/nic"
@@ -41,20 +42,40 @@ type Client struct {
 	// the classic at-least-once artifact NFS shows whenever its DRC is
 	// cold, accepted here since the replayed workloads only retry data
 	// ops.
-	nas.CallTable[completion, *vi.Msg]
+	nas.CallTable[completion, sent]
 
 	// commits tracks uncommitted unstable writes against the server's
 	// write verifier; Commit re-issues ranges a server crash lost.
 	commits nas.CommitTracker
+
+	msgs msgPool // the request records this client sends
 }
 
 var _ nas.Client = (*Client)(nil)
 
-// completion is a finished request as resolved by the event loop.
+// completion is a finished request as resolved by the event loop: the
+// reply, copied out of its message record.
 type completion struct {
-	hdr          *wire.Header
+	hdr          wire.Header
 	payloadBytes int64
-	payload      any
+	ref          fsim.BlockRef
+}
+
+// sent is a transmitted request, kept by value in the call record for
+// retransmission.
+type sent struct {
+	body         msg
+	payloadBytes int64
+}
+
+// message returns a transmission of s in a fresh record.
+func (c *Client) message(s *sent) vi.Msg {
+	return vi.Msg{
+		HeaderBytes:  s.body.Hdr.WireSize() + 16*len(s.body.Batch),
+		PayloadBytes: s.payloadBytes,
+		Header:       c.msgs.send(&s.body),
+		Span:         s.body.Hdr.Span,
+	}
 }
 
 // NewClient connects a client on clientNIC to srv. mode picks the client's
@@ -95,19 +116,25 @@ func (c *Client) Regs() *nic.RegCache { return c.regs }
 // from the session QP's receive callbacks (extended with ORDMA
 // completions in §4.2.1, which ride the same VI completion path via
 // QP.RDMA).
+//
+// The reply is copied into the call's record and its message record
+// released.
 func (c *Client) complete(m nic.Message) bool {
-	req := m.Header.(*msg)
-	if fut := c.Answer(req.Hdr.XID); fut != nil {
-		fut.Resolve(&completion{hdr: req.Hdr, payloadBytes: m.PayloadBytes, payload: m.Payload})
+	rep := m.Header.(*msg)
+	if call := c.Answer(rep.Hdr.XID); call != nil {
+		call.Reply = completion{hdr: rep.Hdr, payloadBytes: m.PayloadBytes, ref: rep.Ref}
+		call.Resolve()
 	}
+	rep.release()
 	return true
 }
 
 // resend retransmits a session request from the library's retry timer,
 // charging the send cost asynchronously.
-func (c *Client) resend(vm *vi.Msg) {
+func (c *Client) resend(s *sent) {
 	c.h.ComputeAsync(c.h.P.DAFSClientOp, nil)
-	c.qp.SendAsync(vm)
+	vm := c.message(s)
+	c.qp.SendAsync(&vm)
 }
 
 // SetRetry configures session retransmission: nonzero timeout makes a
@@ -125,30 +152,34 @@ func (c *Client) SetRetry(timeout sim.Duration, maxRetries int) {
 // single-switch star cannot black-hole frames, so it never needs this.
 func (c *Client) SetRDMATimeout(d sim.Duration) { c.qp.SetRDMATimeout(d) }
 
-// call issues one session request and waits for its completion,
-// folding local failure (retry exhaustion) and remote status into one
-// typed error.
-func (c *Client) call(p *sim.Proc, hdr *wire.Header, m *msg, payloadBytes int64) (*completion, error) {
+// call issues one session request, hdr with a batch request's extra
+// ranges or a write's bytes, and waits for its completion, folding
+// local failure (retry exhaustion) and remote status into one typed
+// error. The completion lives in the call's record: the caller reads
+// it before it next blocks or calls.
+func (c *Client) call(p *sim.Proc, hdr *wire.Header, batch []int64, data []byte, payloadBytes int64) (*completion, error) {
 	c.h.Compute(p, c.h.P.DAFSClientOp)
-	fut := c.Begin(p, hdr)
-	m.Hdr = hdr
-	vm := &vi.Msg{
-		HeaderBytes:  hdr.WireSize() + 16*len(m.Batch),
-		PayloadBytes: payloadBytes,
-		Header:       m,
-		Span:         hdr.Span,
-	}
-	c.qp.Send(p, vm)
-	res, err := c.Wait(p, hdr, fut, vm)
+	call := c.Begin(p, hdr)
+	r := &call.Req
+	r.body.Hdr, r.body.Batch, r.body.Data, r.payloadBytes = *hdr, batch, data, payloadBytes
+	c.send(p, r)
+	res, err := c.Wait(p, hdr, call)
+	c.End(call)
 	if err != nil {
 		return nil, err
 	}
 	return res, nas.StatusErr(res.hdr.Status)
 }
 
+// send transmits s from the calling process.
+func (c *Client) send(p *sim.Proc, s *sent) {
+	vm := c.message(s)
+	c.qp.Send(p, &vm)
+}
+
 // Open implements nas.Client.
 func (c *Client) Open(p *sim.Proc, name string) (*nas.Handle, error) {
-	res, err := c.call(p, &wire.Header{Op: wire.OpOpen, Name: name}, &msg{}, 0)
+	res, err := c.call(p, &wire.Header{Op: wire.OpOpen, Name: name}, nil, nil, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -157,7 +188,7 @@ func (c *Client) Open(p *sim.Proc, name string) (*nas.Handle, error) {
 
 // Getattr implements nas.Client.
 func (c *Client) Getattr(p *sim.Proc, h *nas.Handle) (int64, error) {
-	res, err := c.call(p, &wire.Header{Op: wire.OpGetattr, FH: h.FH}, &msg{}, 0)
+	res, err := c.call(p, &wire.Header{Op: wire.OpGetattr, FH: h.FH}, nil, nil, 0)
 	if err != nil {
 		return 0, err
 	}
@@ -166,7 +197,7 @@ func (c *Client) Getattr(p *sim.Proc, h *nas.Handle) (int64, error) {
 
 // Create implements nas.Client.
 func (c *Client) Create(p *sim.Proc, name string) (*nas.Handle, error) {
-	res, err := c.call(p, &wire.Header{Op: wire.OpCreate, Name: name}, &msg{}, 0)
+	res, err := c.call(p, &wire.Header{Op: wire.OpCreate, Name: name}, nil, nil, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -175,13 +206,13 @@ func (c *Client) Create(p *sim.Proc, name string) (*nas.Handle, error) {
 
 // Remove implements nas.Client.
 func (c *Client) Remove(p *sim.Proc, name string) error {
-	_, err := c.call(p, &wire.Header{Op: wire.OpRemove, Name: name}, &msg{}, 0)
+	_, err := c.call(p, &wire.Header{Op: wire.OpRemove, Name: name}, nil, nil, 0)
 	return err
 }
 
 // Close implements nas.Client.
 func (c *Client) Close(p *sim.Proc, h *nas.Handle) error {
-	_, err := c.call(p, &wire.Header{Op: wire.OpClose, FH: h.FH}, &msg{}, 0)
+	_, err := c.call(p, &wire.Header{Op: wire.OpClose, FH: h.FH}, nil, nil, 0)
 	return err
 }
 
@@ -193,22 +224,22 @@ func (c *Client) ReadDirect(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint
 	if err != nil {
 		return 0, nil, err
 	}
-	res, err := c.call(p, &wire.Header{Op: wire.OpRead, FH: h.FH, Offset: off, Length: n, BufVA: e.Seg.VA}, &msg{}, 0)
+	res, err := c.call(p, &wire.Header{Op: wire.OpRead, FH: h.FH, Offset: off, Length: n, BufVA: e.Seg.VA}, nil, nil, 0)
 	if err != nil {
 		return 0, nil, err
 	}
-	return res.hdr.Length, RemoteRefOf(res.hdr), nil
+	return res.hdr.Length, RemoteRefOf(&res.hdr), nil
 }
 
 // ReadInline reads n bytes at off with the payload in-line in the reply.
 // The caller charges the copy to the data's final destination (user buffer
 // or client cache block), which is what distinguishes the Table 3 columns.
 func (c *Client) ReadInline(p *sim.Proc, h *nas.Handle, off, n int64) (int64, *cache.RemoteRef, error) {
-	res, err := c.call(p, &wire.Header{Op: wire.OpRead, FH: h.FH, Offset: off, Length: n}, &msg{}, 0)
+	res, err := c.call(p, &wire.Header{Op: wire.OpRead, FH: h.FH, Offset: off, Length: n}, nil, nil, 0)
 	if err != nil {
 		return 0, nil, err
 	}
-	return res.hdr.Length, RemoteRefOf(res.hdr), nil
+	return res.hdr.Length, RemoteRefOf(&res.hdr), nil
 }
 
 // BatchReadDirect issues one request covering len(offs) ranges of n bytes
@@ -225,7 +256,7 @@ func (c *Client) BatchReadDirect(p *sim.Proc, h *nas.Handle, offs []int64, n int
 	}
 	res, err := c.call(p, &wire.Header{
 		Op: wire.OpRead, FH: h.FH, Offset: offs[0], Length: n, BufVA: e.Seg.VA,
-	}, &msg{Batch: offs[1:]}, 0)
+	}, offs[1:], nil, 0)
 	if err != nil {
 		return 0, err
 	}
@@ -265,15 +296,17 @@ func (c *Client) WriteStable(p *sim.Proc, h *nas.Handle, off, n int64, bufID uin
 func (c *Client) write(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64, flags uint8) (int64, error) {
 	var res *completion
 	var err error
+	hdr := wire.Header{Op: wire.OpWrite, FH: h.FH, Offset: off, Length: n, Flags: flags}
 	if c.transfer == Inline {
 		c.h.Compute(p, c.h.CopyCost(n)) // user buffer -> comm buffer
-		res, err = c.call(p, &wire.Header{Op: wire.OpWrite, FH: h.FH, Offset: off, Length: n, Flags: flags}, &msg{}, n)
+		res, err = c.call(p, &hdr, nil, nil, n)
 	} else {
 		var e *nic.RegEntry
 		if e, err = c.regs.Get(p, bufID, n); err != nil {
 			return 0, err
 		}
-		res, err = c.call(p, &wire.Header{Op: wire.OpWrite, FH: h.FH, Offset: off, Length: n, BufVA: e.Seg.VA, Flags: flags}, &msg{}, 0)
+		hdr.BufVA = e.Seg.VA
+		res, err = c.call(p, &hdr, nil, nil, 0)
 	}
 	if err != nil {
 		return 0, err
@@ -289,7 +322,7 @@ func (c *Client) WriteData(p *sim.Proc, h *nas.Handle, off int64, data []byte) (
 	n := int64(len(data))
 	c.h.Compute(p, c.h.CopyCost(n))
 	res, err := c.call(p, &wire.Header{Op: wire.OpWrite, FH: h.FH, Offset: off, Length: n},
-		&msg{Data: data}, n)
+		nil, data, n)
 	if err != nil {
 		return 0, err
 	}
@@ -304,7 +337,7 @@ func (c *Client) WriteData(p *sim.Proc, h *nas.Handle, off int64, data []byte) (
 // Commit returns.
 func (c *Client) Commit(p *sim.Proc, h *nas.Handle, off, n int64) error {
 	upTo := c.commits.Snapshot() // writes replied after this are not covered
-	res, err := c.call(p, &wire.Header{Op: wire.OpCommit, FH: h.FH, Offset: off, Length: n}, &msg{}, 0)
+	res, err := c.call(p, &wire.Header{Op: wire.OpCommit, FH: h.FH, Offset: off, Length: n}, nil, nil, 0)
 	if err != nil {
 		return err
 	}

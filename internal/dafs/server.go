@@ -58,6 +58,8 @@ type Server struct {
 	// and replies suppressed (failure injection; see SetDown).
 	down bool
 
+	msgs msgPool // the reply records the server's sessions send
+
 	Reads, Writes uint64
 	BytesRead     int64
 	// Discarded counts session requests dropped while down.
@@ -130,13 +132,48 @@ func (srv *Server) Connect(clientNIC *nic.NIC, clientMode nic.NotifyMode) *vi.QP
 	return cqp
 }
 
-// msg is the session message body carried over VI.
+// msg is the session message body carried over VI, a request or a
+// reply, with its header held by value. The sender owns the record: it
+// takes one from its free list for every send, retransmissions
+// included, and the receiver copies what it keeps and releases the
+// record back to that list before its receive callback returns. A
+// message lost on the way leaves its record to the collector; none is
+// shared by two transmissions, so a late or duplicate message always
+// carries its own contents.
 type msg struct {
-	Hdr *wire.Header
+	Hdr wire.Header
 	// Batch carries the extra ranges of a batch I/O request.
 	Batch []int64
 	// Data carries real bytes for content-bearing writes.
 	Data []byte
+	// Ref is the file range an in-line read reply's payload carries.
+	Ref fsim.BlockRef
+
+	pool *msgPool
+}
+
+// msgPool is a client's or a server's free list of message records.
+type msgPool struct{ free []*msg }
+
+// send returns a pooled or fresh record holding a copy of m.
+func (mp *msgPool) send(m *msg) *msg {
+	var r *msg
+	if k := len(mp.free); k > 0 {
+		r = mp.free[k-1]
+		mp.free = mp.free[:k-1]
+	} else {
+		r = new(msg)
+	}
+	*r = *m
+	r.pool = mp
+	return r
+}
+
+// release returns a received record to its sender's free list.
+func (m *msg) release() {
+	mp := m.pool
+	*m = msg{}
+	mp.free = append(mp.free, m)
 }
 
 // session is the server side of one DAFS session, a kernel worker run
@@ -149,7 +186,9 @@ type session struct {
 	qp    *vi.QP
 	l     *nic.Listener
 	job   host.Job
-	req   *msg
+	hdr   wire.Header // the request's header, copied at accept
+	batch []int64     // its extra ranges
+	data  []byte      // its bytes
 	stage sstage
 
 	f          *fsim.File
@@ -184,17 +223,23 @@ const (
 
 // accept takes a received message, as the session process's code after
 // Recv does, and reports whether the session is done with it.
+//
+// The request is copied out and its record released: the message is
+// valid only during this call.
 func (ss *session) accept(m nic.Message) bool {
+	req := m.Header.(*msg)
 	if ss.srv.down {
+		req.release()
 		ss.srv.Discarded++
 		return true // crashed host: the request dies unexecuted
 	}
-	ss.req = m.Header.(*msg)
+	ss.hdr, ss.batch, ss.data = req.Hdr, req.Batch, req.Data
+	req.release()
 	// The request's span (if traced) is active for exactly its scope, so
 	// server CPU, cache, disk and write-behind work attribute to the
 	// originating operation while the idle wait for the next request
 	// attributes to nothing.
-	ss.job.Span = ss.req.Hdr.Span
+	ss.job.Span = ss.hdr.Span
 	ss.stage = sDemux
 	return ss.serve()
 }
@@ -211,7 +256,7 @@ func (ss *session) resume() {
 func (ss *session) serve() bool {
 	srv, j := ss.srv, &ss.job
 	p := srv.H.P
-	h := ss.req.Hdr
+	h := &ss.hdr
 	j.Resume()
 	for {
 		switch ss.stage {
@@ -252,22 +297,22 @@ func (ss *session) serve() bool {
 				// XID, so out-of-order completion is fine). Write-path
 				// backpressure stays in-line by design: throttling the
 				// session is how the server sheds offered write load.
-				req, qp := ss.req, ss.qp
+				req, qp := ss.hdr, ss.qp
 				srv.S.Go("dafs-commit", func(cp *sim.Proc) {
-					obs.Activate(cp, req.Hdr.Span)
-					srv.commit(cp, qp, req)
+					obs.Activate(cp, req.Span)
+					srv.commit(cp, qp, &req)
 				})
 				return ss.finish()
 			default:
 				return ss.meta()
 			}
 		case sRange:
-			if ss.i == len(ss.req.Batch) {
+			if ss.i == len(ss.batch) {
 				return ss.readReply()
 			}
 			off := h.Offset
 			if ss.i >= 0 {
-				off = ss.req.Batch[ss.i]
+				off = ss.batch[ss.i]
 			}
 			got := h.Length
 			if off >= ss.f.Size() {
@@ -327,8 +372,8 @@ func (ss *session) serve() bool {
 			}
 			ss.stage = sWriteData
 		case sWriteData:
-			if len(ss.req.Data) > 0 {
-				ss.f.WriteAt(ss.req.Data, h.Offset)
+			if len(ss.data) > 0 {
+				ss.f.WriteAt(ss.data, h.Offset)
 			} else if h.Offset+h.Length > ss.f.Size() {
 				ss.f.Truncate(h.Offset + h.Length)
 			}
@@ -372,26 +417,26 @@ func (ss *session) serve() bool {
 // meta serves the namespace and session operations, their handler work
 // charged.
 func (ss *session) meta() bool {
-	fs, h := ss.srv.FS, ss.req.Hdr
+	fs, h := ss.srv.FS, &ss.hdr
 	switch h.Op {
 	case wire.OpOpen, wire.OpLookup:
 		f, err := fs.Lookup(h.Name)
 		if err != nil {
 			return ss.status(wire.StatusNoEnt)
 		}
-		return ss.reply(&wire.Header{Op: h.Op, XID: h.XID, Status: wire.StatusOK, FH: uint64(f.ID), Length: f.Size()})
+		return ss.reply(wire.Header{Op: h.Op, XID: h.XID, Status: wire.StatusOK, FH: uint64(f.ID), Length: f.Size()})
 	case wire.OpGetattr:
 		f, err := fs.ByID(fsim.FileID(h.FH))
 		if err != nil {
 			return ss.status(wire.StatusStale)
 		}
-		return ss.reply(&wire.Header{Op: h.Op, XID: h.XID, Status: wire.StatusOK, FH: h.FH, Length: f.Size()})
+		return ss.reply(wire.Header{Op: h.Op, XID: h.XID, Status: wire.StatusOK, FH: h.FH, Length: f.Size()})
 	case wire.OpCreate:
 		f, err := fs.Create(h.Name, 0)
 		if err != nil {
 			return ss.status(wire.StatusExist)
 		}
-		return ss.reply(&wire.Header{Op: h.Op, XID: h.XID, Status: wire.StatusOK, FH: uint64(f.ID)})
+		return ss.reply(wire.Header{Op: h.Op, XID: h.XID, Status: wire.StatusOK, FH: uint64(f.ID)})
 	case wire.OpRemove:
 		if err := fs.Remove(h.Name); err != nil {
 			return ss.status(wire.StatusNoEnt)
@@ -408,9 +453,9 @@ func (ss *session) meta() bool {
 // in flight ahead of a direct reply, or riding an in-line one (gather
 // DMA, no copy).
 func (ss *session) readReply() bool {
-	srv, h := ss.srv, ss.req.Hdr
+	srv, h := ss.srv, &ss.hdr
 	va, length, capBytes := srv.refFor(ss.f, h.Offset)
-	resp := &wire.Header{
+	resp := wire.Header{
 		Op: h.Op, XID: h.XID, Status: wire.StatusOK, Length: ss.total,
 		RefVA: va, RefLen: length, RefCap: capBytes,
 	}
@@ -423,8 +468,7 @@ func (ss *session) readReply() bool {
 	return ss.send(vi.Msg{
 		HeaderBytes:  resp.WireSize(),
 		PayloadBytes: ss.total,
-		Header:       &msg{Hdr: resp},
-		Payload:      fsim.BlockRef{File: ss.f.ID, Off: h.Offset, Len: ss.total},
+		Header:       srv.msgs.send(&msg{Hdr: resp, Ref: fsim.BlockRef{File: ss.f.ID, Off: h.Offset, Len: ss.total}}),
 		Span:         ss.job.Span,
 	})
 }
@@ -439,24 +483,24 @@ func (ss *session) pullDone(st nic.Status) {
 
 // written replies to a write that is in the cache, carrying verifier.
 func (ss *session) written(verifier uint64) bool {
-	h := ss.req.Hdr
+	h := &ss.hdr
 	ss.srv.Writes++
-	return ss.reply(&wire.Header{Op: h.Op, XID: h.XID, Status: wire.StatusOK, Length: h.Length, Verifier: verifier})
+	return ss.reply(wire.Header{Op: h.Op, XID: h.XID, Status: wire.StatusOK, Length: h.Length, Verifier: verifier})
 }
 
 // status replies with a bare status.
 func (ss *session) status(st uint32) bool {
-	h := ss.req.Hdr
-	return ss.reply(&wire.Header{Op: h.Op, XID: h.XID, Status: st})
+	h := &ss.hdr
+	return ss.reply(wire.Header{Op: h.Op, XID: h.XID, Status: st})
 }
 
 // reply sends the response header h, unless the host has crashed: a
 // crash between receive and reply drops the in-flight request.
-func (ss *session) reply(h *wire.Header) bool {
+func (ss *session) reply(h wire.Header) bool {
 	if ss.srv.down {
 		return ss.finish()
 	}
-	return ss.send(vi.Msg{HeaderBytes: h.WireSize(), Header: &msg{Hdr: h}, Span: ss.job.Span})
+	return ss.send(vi.Msg{HeaderBytes: h.WireSize(), Header: ss.srv.msgs.send(&msg{Hdr: h}), Span: ss.job.Span})
 }
 
 // send transmits m to the client, charging the host send cost (library
@@ -473,7 +517,7 @@ func (ss *session) send(m vi.Msg) bool {
 // finish ends the request: its span goes inactive and its state is
 // dropped.
 func (ss *session) finish() bool {
-	ss.job.Span, ss.req, ss.f, ss.out = nil, nil, nil, vi.Msg{}
+	ss.job.Span, ss.hdr, ss.batch, ss.data, ss.f, ss.out = nil, wire.Header{}, nil, nil, nil, vi.Msg{}
 	return true
 }
 
@@ -505,11 +549,10 @@ func (srv *Server) refFor(f *fsim.File, off int64) (va uint64, length int64, cap
 // of the range (the whole file when Length <= 0) and report the write
 // verifier. Without write-behind, data was never volatile, so commit is
 // a no-op carrying verifier zero.
-func (srv *Server) commit(p *sim.Proc, qp *vi.QP, req *msg) {
-	h := req.Hdr
+func (srv *Server) commit(p *sim.Proc, qp *vi.QP, h *wire.Header) {
 	f, err := srv.FS.ByID(fsim.FileID(h.FH))
 	if err != nil {
-		srv.reply(p, qp, &wire.Header{Op: h.Op, XID: h.XID, Status: wire.StatusStale})
+		srv.reply(p, qp, wire.Header{Op: h.Op, XID: h.XID, Status: wire.StatusStale})
 		return
 	}
 	if srv.down {
@@ -519,18 +562,18 @@ func (srv *Server) commit(p *sim.Proc, qp *vi.QP, req *msg) {
 	if srv.WB != nil {
 		verifier = srv.WB.Commit(p, f, h.Offset, h.Length)
 	}
-	srv.reply(p, qp, &wire.Header{
+	srv.reply(p, qp, wire.Header{
 		Op: h.Op, XID: h.XID, Status: wire.StatusOK, Verifier: verifier,
 	})
 }
 
 // reply sends the commit's response header h from its process, unless
 // the host has crashed.
-func (srv *Server) reply(p *sim.Proc, qp *vi.QP, h *wire.Header) {
+func (srv *Server) reply(p *sim.Proc, qp *vi.QP, h wire.Header) {
 	if srv.down {
 		return
 	}
-	qp.Send(p, &vi.Msg{HeaderBytes: h.WireSize(), Header: &msg{Hdr: h}, Span: obs.Active(p)})
+	qp.Send(p, &vi.Msg{HeaderBytes: h.WireSize(), Header: srv.msgs.send(&msg{Hdr: h}), Span: obs.Active(p)})
 }
 
 // RemoteRefOf converts piggybacked reply fields into a directory entry.

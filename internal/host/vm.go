@@ -12,7 +12,9 @@ import (
 // about for kernel clients registering user buffers on the fly.
 var ErrPinLimit = errors.New("host: pinned page limit exceeded")
 
-// Registration is a pinned, NIC-visible buffer.
+// Registration is a pinned, NIC-visible buffer. The VM owns the record:
+// Register takes it from the VM's free list and Unregister puts it back,
+// so a Registration is valid only until it is unregistered.
 type Registration struct {
 	ID    int64
 	Bytes int64
@@ -27,7 +29,8 @@ type VM struct {
 	nextID  int64
 	pinned  int64 // pages currently pinned
 	regs    map[int64]*Registration
-	maxPins int64 // high-water mark, for reporting
+	free    []*Registration // unregistered records, for reuse
+	maxPins int64           // high-water mark, for reporting
 }
 
 func newVM(h *Host) *VM {
@@ -56,7 +59,14 @@ func (vm *VM) Register(p *sim.Proc, n int64) (*Registration, error) {
 	}
 	vm.h.Compute(p, sim.Duration(pages)*vm.h.P.PageRegister)
 	vm.nextID++
-	r := &Registration{ID: vm.nextID, Bytes: n, pages: pages, vm: vm}
+	var r *Registration
+	if k := len(vm.free); k > 0 {
+		r = vm.free[k-1]
+		vm.free = vm.free[:k-1]
+	} else {
+		r = new(Registration)
+	}
+	*r = Registration{ID: vm.nextID, Bytes: n, pages: pages, vm: vm}
 	vm.regs[r.ID] = r
 	vm.pinned += pages
 	if vm.pinned > vm.maxPins {
@@ -65,8 +75,10 @@ func (vm *VM) Register(p *sim.Proc, n int64) (*Registration, error) {
 	return r, nil
 }
 
-// Unregister releases the registration, charging the per-page cost.
-// Unregistering twice panics: it indicates a protocol bug.
+// Unregister releases the registration, charging the per-page cost,
+// and recycles its record once the charge is paid. Unregistering twice
+// while the record is not yet reused panics: it indicates a protocol
+// bug.
 func (vm *VM) Unregister(p *sim.Proc, r *Registration) {
 	if r.freed {
 		panic("host: double unregister")
@@ -75,6 +87,7 @@ func (vm *VM) Unregister(p *sim.Proc, r *Registration) {
 	vm.h.Compute(p, sim.Duration(r.pages)*vm.h.P.PageUnregister)
 	vm.pinned -= r.pages
 	delete(vm.regs, r.ID)
+	vm.free = append(vm.free, r)
 }
 
 // Registrations returns the number of live registrations.

@@ -93,6 +93,7 @@ type AsyncClient interface {
 	// returns and drains every buffered completion in completion order.
 	// Callers must only Wait when an operation is outstanding or another
 	// process will submit one; otherwise the process blocks forever.
+	// The returned slice is valid until the next Wait.
 	Wait(p *sim.Proc) []Completion
 }
 
@@ -109,6 +110,7 @@ type AsyncBase struct {
 	nextTag     uint64
 	outstanding int
 	done        []Completion
+	spare       []Completion // the slice the last Wait returned
 	avail       *sim.Signal
 }
 
@@ -157,17 +159,23 @@ func (b *AsyncBase) Finish(c Completion) {
 	}
 }
 
-// Wait implements AsyncClient.Wait.
+// Wait implements AsyncClient.Wait. The returned slice is the base's
+// own: it stays valid until the next Wait, whose completions reuse its
+// storage. One signal serves every Wait, re-armed once fired.
 func (b *AsyncBase) Wait(p *sim.Proc) []Completion {
 	b.ensure(p)
 	for len(b.done) == 0 {
-		if b.avail == nil || b.avail.Fired() {
+		switch {
+		case b.avail == nil:
 			b.avail = sim.NewSignal(b.s)
+		case b.avail.Fired():
+			b.avail.Reset()
 		}
 		b.avail.Wait(p)
 	}
 	out := b.done
-	b.done = nil
+	clear(b.spare)
+	b.done, b.spare = b.spare[:0], out
 	return out
 }
 

@@ -14,8 +14,9 @@ import (
 // on the wire. Each stack keeps only its own send and resend.
 type CallTable[T, M any] struct {
 	nextXID uint64
-	pending map[uint64]*sim.Future[*T]
-	resend  func(M)
+	pending map[uint64]*Call[T, M]
+	free    []*Call[T, M] // ended calls' records, for reuse
+	resend  func(*M)
 
 	// RetransmitTimeout, when nonzero, re-sends an unanswered request
 	// after each timeout with exponential backoff (sim.Retry's shared
@@ -31,74 +32,121 @@ type CallTable[T, M any] struct {
 	TimedOut    uint64
 }
 
-// Init readies the table. resend re-sends a request from event context
-// (the protocol's retransmission timer), charging its send cost
-// asynchronously.
-func (t *CallTable[T, M]) Init(resend func(M)) {
-	t.pending = make(map[uint64]*sim.Future[*T])
+// Call is one call's record: its request, its reply, and the
+// completion its caller waits on. The table owns it: Begin takes it from
+// the table's free list, and End puts it back once the caller has read
+// the reply. A record is matched to replies only through its call's XID,
+// which is never reused, so a late reply, or a retransmission timer, of
+// a call that has ended finds no call and cannot touch a later call that
+// reuses the record. Request and reply live here, not on the caller's
+// stack, so a process blocked in a call keeps a small stack.
+type Call[T, M any] struct {
+	// Req is the request as sent: the protocol sets it before Wait, and
+	// its resend re-sends it while the call is pending.
+	Req M
+	// Reply is the reply: the protocol's receive path fills it in before
+	// Resolve.
+	Reply  T
+	sig    *sim.Signal
+	failed bool // the retransmission budget ran out
+}
+
+// Resolve completes the call with its Reply, waking its caller.
+func (c *Call[T, M]) Resolve() { c.sig.Fire() }
+
+// Init readies the table. resend re-sends a pending call's request
+// from event context (the protocol's retransmission timer), charging
+// its send cost asynchronously.
+func (t *CallTable[T, M]) Init(resend func(*M)) {
+	t.pending = make(map[uint64]*Call[T, M])
 	t.resend = resend
 }
 
 // Begin registers a call: it stamps hdr with the next XID and the
-// caller's active span, and returns the future the call's reply
-// resolves.
-func (t *CallTable[T, M]) Begin(p *sim.Proc, hdr *wire.Header) *sim.Future[*T] {
+// caller's active span, and returns the call's record, with a zero
+// request and reply, from the table's free list.
+func (t *CallTable[T, M]) Begin(p *sim.Proc, hdr *wire.Header) *Call[T, M] {
 	t.nextXID++
 	hdr.XID = t.nextXID
 	hdr.Span = obs.Active(p)
 	t.Calls++
-	fut := sim.NewFuture[*T](p.Sched())
-	t.pending[hdr.XID] = fut
-	return fut
+	var c *Call[T, M]
+	if k := len(t.free); k > 0 {
+		c = t.free[k-1]
+		t.free = t.free[:k-1]
+		var zero T
+		c.Reply, c.failed = zero, false
+		c.sig.Reset()
+	} else {
+		c = &Call[T, M]{sig: sim.NewSignal(p.Sched())}
+	}
+	t.pending[hdr.XID] = c
+	return c
 }
 
 // Answer removes and returns the pending call a reply carrying xid
-// answers: nil for a stale or duplicate reply.
-func (t *CallTable[T, M]) Answer(xid uint64) *sim.Future[*T] {
-	fut := t.pending[xid]
-	if fut != nil {
+// answers: nil for a stale or duplicate reply. The caller fills in its
+// Reply and resolves it.
+func (t *CallTable[T, M]) Answer(xid uint64) *Call[T, M] {
+	c := t.pending[xid]
+	if c != nil {
 		delete(t.pending, xid)
 	}
-	return fut
+	return c
+}
+
+// End returns an answered or failed call's record to the table. Its
+// Reply stays as it is until the next Begin takes the record, so a
+// caller may read it on until it next lets another process run or
+// begins another call.
+func (t *CallTable[T, M]) End(c *Call[T, M]) {
+	var zero M
+	c.Req = zero
+	t.free = append(t.free, c)
 }
 
 // Outstanding returns the number of in-flight calls.
 func (t *CallTable[T, M]) Outstanding() int { return len(t.pending) }
 
 // Wait blocks until the call begun with hdr has its reply, and returns
-// it. With a retransmit timeout set it first arms retransmission of the
-// just-sent request m; a call whose budget runs out fails with
-// ErrTimeout.
-func (t *CallTable[T, M]) Wait(p *sim.Proc, hdr *wire.Header, fut *sim.Future[*T], m M) (*T, error) {
+// it: c's Reply. With a retransmit timeout set it first arms
+// retransmission of the just-sent request c.Req; a call whose budget
+// runs out fails with ErrTimeout.
+func (t *CallTable[T, M]) Wait(p *sim.Proc, hdr *wire.Header, c *Call[T, M]) (*T, error) {
 	if t.RetransmitTimeout > 0 {
-		t.arm(p.Sched(), hdr, fut, m)
+		t.arm(p.Sched(), hdr, c)
 	}
-	if v := fut.Value(p); v != nil {
-		return v, nil
+	c.sig.Wait(p)
+	if c.failed {
+		return nil, ErrTimeout
 	}
-	return nil, ErrTimeout
+	return &c.Reply, nil
 }
 
 // arm runs the call's retransmission in event context. Each fired timer
 // means the interval since the last transmission was spent waiting on a
-// lost exchange: that dead time is the span's retry phase.
-func (t *CallTable[T, M]) arm(s *sim.Scheduler, hdr *wire.Header, fut *sim.Future[*T], m M) {
+// lost exchange: that dead time is the span's retry phase. The timers
+// know the call by its XID: once it is answered, they stop, so they
+// re-send its record's request only while the call holds the record.
+func (t *CallTable[T, M]) arm(s *sim.Scheduler, hdr *wire.Header, c *Call[T, M]) {
 	xid, sp := hdr.XID, hdr.Span
 	lastSend := s.Now()
-	sim.Retry(s, t.RetransmitTimeout, t.MaxRetries, fut.Fired,
+	answered := func() bool { return t.pending[xid] != c }
+	sim.Retry(s, t.RetransmitTimeout, t.MaxRetries, answered,
 		func() {
 			t.Retransmits++
 			now := s.Now()
 			sp.CountRetry()
 			sp.Add(obs.PhaseRetry, now.Sub(lastSend))
 			lastSend = now
-			t.resend(m)
+			t.resend(&c.Req)
 		},
 		func() {
 			delete(t.pending, xid)
 			t.TimedOut++
 			sp.Add(obs.PhaseRetry, s.Now().Sub(lastSend))
-			fut.Resolve(nil)
+			c.failed = true
+			c.Resolve()
 		})
 }
 

@@ -55,6 +55,10 @@ type Client struct {
 	commits nas.CommitTracker
 
 	nextLocalPort int
+
+	// prePost is c.prePostReply, bound once: the pre-posting read's
+	// rpc.CallOpts.Prepare.
+	prePost func(req *wire.Header) uint64
 }
 
 var _ nas.Client = (*Client)(nil)
@@ -71,6 +75,7 @@ func NewClient(s *sim.Scheduler, stack *udpip.Stack, localPort int, server *udpi
 	if kind == Hybrid {
 		c.regs = nic.NewRegCache(c.n)
 	}
+	c.prePost = c.prePostReply
 	return c
 }
 
@@ -105,7 +110,8 @@ func (c *Client) TimedOut() uint64 { return c.rpc.TimedOut }
 
 // call issues one RPC and folds local transport failure (retry
 // exhaustion against a crashed server) and remote status into a typed
-// nas error.
+// nas error. The response lives in the RPC client's call record: the
+// caller reads it before it next blocks or calls (see rpc.Response).
 func (c *Client) call(p *sim.Proc, hdr *wire.Header, opts rpc.CallOpts) (*rpc.Response, error) {
 	resp := c.rpc.Call(p, hdr, opts)
 	if resp.Err != nil {
@@ -199,28 +205,32 @@ func (c *Client) readPrePosting(p *sim.Proc, h *nas.Handle, off, n int64) (int64
 		return 0, err
 	}
 	defer c.h.VM.Unregister(p, reg)
-	hdr := &wire.Header{Op: wire.OpRead, FH: h.FH, Offset: off, Length: n}
-	resp, err := c.call(p, hdr, rpc.CallOpts{
-		Prepare: func(xid uint64) uint64 {
-			c.h.ComputeAsync(c.h.P.PIOWrite, nil) // hand descriptor to NIC
-			c.n.PrePost(xid, n)
-			return xid
-		},
-	})
+	hdr := wire.Header{Op: wire.OpRead, FH: h.FH, Offset: off, Length: n}
+	resp, err := c.call(p, &hdr, rpc.CallOpts{Prepare: c.prePost})
 	if err != nil {
 		// Failed or timed-out call: reclaim the pre-posted buffer so a
 		// dead shard does not leak NIC state.
 		c.n.CancelPrePost(hdr.XID)
 		return 0, err
 	}
+	got := resp.Hdr.Length
 	if !resp.Direct {
 		// The NIC could not match the tag (e.g. buffer too small):
 		// fall back to the copy path so data is never lost.
 		c.n.CancelPrePost(resp.Hdr.XID)
-		c.h.Compute(p, c.h.CacheCopyCost(resp.Hdr.Length))
-		c.h.Compute(p, c.h.CopyCost(resp.Hdr.Length))
+		c.h.Compute(p, c.h.CacheCopyCost(got))
+		c.h.Compute(p, c.h.CopyCost(got))
 	}
-	return resp.Hdr.Length, nil
+	return got, nil
+}
+
+// prePostReply hands the NIC a descriptor for the reply buffer the
+// caller registered, tagged with the request's XID, and asks for that
+// tag on the reply.
+func (c *Client) prePostReply(req *wire.Header) uint64 {
+	c.h.ComputeAsync(c.h.P.PIOWrite, nil) // hand descriptor to NIC
+	c.n.PrePost(req.XID, req.Length)
+	return req.XID
 }
 
 func (c *Client) readHybrid(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64) (int64, error) {
@@ -256,11 +266,11 @@ func (c *Client) write(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64, f
 	c.h.Compute(p, c.h.P.NFSClientOp)
 	var resp *rpc.Response
 	var err error
+	hdr := wire.Header{Op: wire.OpWrite, FH: h.FH, Offset: off, Length: n, Flags: flags}
 	switch c.kind {
 	case Standard:
 		// Copy user -> mbufs at the client; payload rides the RPC.
-		resp, err = c.call(p, &wire.Header{Op: wire.OpWrite, FH: h.FH, Offset: off, Length: n, Flags: flags},
-			rpc.CallOpts{PayloadBytes: n, CopyBytes: n})
+		resp, err = c.call(p, &hdr, rpc.CallOpts{PayloadBytes: n, CopyBytes: n})
 	case PrePosting:
 		// Outgoing path: gather DMA straight from the pinned user buffer.
 		var reg *host.Registration
@@ -269,17 +279,15 @@ func (c *Client) write(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64, f
 			return 0, err
 		}
 		defer c.h.VM.Unregister(p, reg)
-		resp, err = c.call(p, &wire.Header{Op: wire.OpWrite, FH: h.FH, Offset: off, Length: n, Flags: flags},
-			rpc.CallOpts{PayloadBytes: n})
+		resp, err = c.call(p, &hdr, rpc.CallOpts{PayloadBytes: n})
 	case Hybrid:
 		var e *nic.RegEntry
 		e, err = c.regs.Get(p, bufID, n)
 		if err != nil {
 			return 0, err
 		}
-		resp, err = c.call(p, &wire.Header{
-			Op: wire.OpWrite, FH: h.FH, Offset: off, Length: n, BufVA: e.Seg.VA, Flags: flags,
-		}, rpc.CallOpts{})
+		hdr.BufVA = e.Seg.VA
+		resp, err = c.call(p, &hdr, rpc.CallOpts{})
 	default:
 		panic("nfs: unknown kind")
 	}

@@ -82,6 +82,7 @@ type handler struct {
 	walk     fsim.Walk
 	st       nic.Status       // the write pull's completion status
 	verifier uint64           // a commit's verifier
+	out      wire.Header      // the reply header, which the worker copies
 	pulled   func(nic.Status) // h.pullDone, bound once
 }
 
@@ -152,9 +153,9 @@ func (h *handler) Serve(w *rpc.Worker) bool {
 			if hdr.BufVA == 0 || h.n == 0 || srv.down {
 				// Standard / pre-posting: payload rides the RPC reply in-line.
 				w.Reply = rpc.Reply{
-					Hdr:          &wire.Header{Op: hdr.Op, XID: hdr.XID, Status: wire.StatusOK, Length: h.n},
+					Hdr:          h.header(wire.Header{Op: hdr.Op, XID: hdr.XID, Status: wire.StatusOK, Length: h.n}),
 					PayloadBytes: h.n,
-					Payload:      fsim.BlockRef{File: h.f.ID, Off: hdr.Offset, Len: h.n},
+					Ref:          fsim.BlockRef{File: h.f.ID, Off: hdr.Offset, Len: h.n},
 				}
 				return h.done()
 			}
@@ -174,7 +175,7 @@ func (h *handler) Serve(w *rpc.Worker) bool {
 				Len:    h.n,
 				Notify: nic.Poll,
 			})
-			w.Reply = rpc.Reply{Hdr: &wire.Header{Op: hdr.Op, XID: hdr.XID, Status: wire.StatusOK, Length: h.n}}
+			w.Reply = rpc.Reply{Hdr: h.header(wire.Header{Op: hdr.Op, XID: hdr.XID, Status: wire.StatusOK, Length: h.n})}
 			return h.done()
 		case opWrite:
 			f, err := srv.FS.ByID(fsim.FileID(hdr.FH))
@@ -276,7 +277,7 @@ func (h *handler) Serve(w *rpc.Worker) bool {
 			if srv.down {
 				return h.reply(wire.StatusIO)
 			}
-			w.Reply = rpc.Reply{Hdr: &wire.Header{Op: hdr.Op, XID: hdr.XID, Status: wire.StatusOK, Verifier: h.verifier}}
+			w.Reply = rpc.Reply{Hdr: h.header(wire.Header{Op: hdr.Op, XID: hdr.XID, Status: wire.StatusOK, Verifier: h.verifier})}
 			return h.done()
 		}
 	}
@@ -292,13 +293,13 @@ func (h *handler) meta(hdr *wire.Header) bool {
 		if err != nil {
 			return h.reply(wire.StatusStale)
 		}
-		h.w.Reply = rpc.Reply{Hdr: &wire.Header{Op: hdr.Op, XID: hdr.XID, Status: wire.StatusOK, FH: hdr.FH, Length: f.Size()}}
+		h.w.Reply = rpc.Reply{Hdr: h.header(wire.Header{Op: hdr.Op, XID: hdr.XID, Status: wire.StatusOK, FH: hdr.FH, Length: f.Size()})}
 	case wire.OpCreate:
 		f, err := fs.Create(hdr.Name, 0)
 		if err != nil {
 			return h.reply(wire.StatusExist)
 		}
-		h.w.Reply = rpc.Reply{Hdr: &wire.Header{Op: hdr.Op, XID: hdr.XID, Status: wire.StatusOK, FH: uint64(f.ID)}}
+		h.w.Reply = rpc.Reply{Hdr: h.header(wire.Header{Op: hdr.Op, XID: hdr.XID, Status: wire.StatusOK, FH: uint64(f.ID)})}
 	case wire.OpRemove:
 		if err := fs.Remove(hdr.Name); err != nil {
 			return h.reply(wire.StatusNoEnt)
@@ -309,7 +310,7 @@ func (h *handler) meta(hdr *wire.Header) bool {
 		if err != nil {
 			return h.reply(wire.StatusNoEnt)
 		}
-		h.w.Reply = rpc.Reply{Hdr: &wire.Header{Op: hdr.Op, XID: hdr.XID, Status: wire.StatusOK, FH: uint64(f.ID), Length: f.Size()}}
+		h.w.Reply = rpc.Reply{Hdr: h.header(wire.Header{Op: hdr.Op, XID: hdr.XID, Status: wire.StatusOK, FH: uint64(f.ID), Length: f.Size()})}
 	}
 	return h.done()
 }
@@ -322,17 +323,24 @@ func (h *handler) pullDone(st nic.Status) {
 	h.srv.H.S.After(0, h.w.Job.Step)
 }
 
+// header sets the reply header, in the handler's own storage: the
+// worker copies it when the request is done.
+func (h *handler) header(hdr wire.Header) *wire.Header {
+	h.out = hdr
+	return &h.out
+}
+
 // written replies to a write that is in the cache, carrying verifier.
 func (h *handler) written(verifier uint64) bool {
 	hdr := h.w.Req.Hdr
-	h.w.Reply = rpc.Reply{Hdr: &wire.Header{Op: hdr.Op, XID: hdr.XID, Status: wire.StatusOK, Length: h.n, Verifier: verifier}}
+	h.w.Reply = rpc.Reply{Hdr: h.header(wire.Header{Op: hdr.Op, XID: hdr.XID, Status: wire.StatusOK, Length: h.n, Verifier: verifier})}
 	return h.done()
 }
 
 // reply answers the request with a bare status.
 func (h *handler) reply(st uint32) bool {
 	hdr := h.w.Req.Hdr
-	h.w.Reply = rpc.Reply{Hdr: &wire.Header{Op: hdr.Op, XID: hdr.XID, Status: st}}
+	h.w.Reply = rpc.Reply{Hdr: h.header(wire.Header{Op: hdr.Op, XID: hdr.XID, Status: st})}
 	return h.done()
 }
 

@@ -162,13 +162,6 @@ func (e *Endpoint) Pending() int { return e.queue.Len() }
 // PortNum returns the endpoint's bound port number.
 func (e *Endpoint) PortNum() int { return e.port }
 
-// prePost is one pre-posted receive buffer awaiting a tagged RPC response
-// (RDDP-RPC, §2.2(a) of the paper). bytes counts remaining capacity: a
-// response arriving as several IP fragments consumes it incrementally.
-type prePost struct {
-	bytes int64
-}
-
 // NIC is one network interface controller.
 type NIC struct {
 	name string
@@ -182,7 +175,11 @@ type NIC struct {
 
 	endpoints map[int]*Endpoint
 	handlers  map[int]func(*Message)
-	preposted map[uint64]*prePost
+	// preposted holds, by tag, the remaining capacity of each pre-posted
+	// receive buffer awaiting a tagged RPC response (RDDP-RPC, §2.2(a) of
+	// the paper): a response arriving as several IP fragments consumes
+	// it incrementally.
+	preposted map[uint64]int64
 	nextPort  int
 
 	// TPT is the translation and protection table for memory this host
@@ -230,7 +227,7 @@ func New(h *host.Host, port *netsim.Port) *NIC {
 		dma:       sim.NewStation(h.S, h.Name+"/nic/dma"),
 		endpoints: make(map[int]*Endpoint),
 		handlers:  make(map[int]func(*Message)),
-		preposted: make(map[uint64]*prePost),
+		preposted: make(map[uint64]int64),
 	}
 	n.TPT = newTPT(n)
 	n.tlb = newTLB(h.P.NICTLBSize)
@@ -305,7 +302,7 @@ func (n *NIC) BindHandler(port int, fn func(*Message)) {
 // carrying the tag has its payload placed directly (RDDP-RPC). The caller
 // charges the host-side cost (one PIO per pre-post).
 func (n *NIC) PrePost(tag uint64, bytes int64) {
-	n.preposted[tag] = &prePost{bytes: bytes}
+	n.preposted[tag] = bytes
 }
 
 // CancelPrePost removes a pre-posted buffer (e.g. on RPC failure).
@@ -467,13 +464,14 @@ func (n *NIC) msgArrived(m *Message) {
 	// trunk queueing from the send instant to full arrival.
 	m.Span.Add(obs.PhaseWire, n.s.Now().Sub(m.sentAt))
 	if m.Tag != 0 {
-		if pp, ok := n.preposted[m.Tag]; ok {
+		if left, ok := n.preposted[m.Tag]; ok {
 			// Header split: payload goes straight to the pre-posted user
 			// buffer; only headers reach the protocol code. Multi-fragment
 			// responses consume the buffer incrementally.
-			pp.bytes -= m.PayloadBytes
-			if pp.bytes <= 0 {
+			if left -= m.PayloadBytes; left <= 0 {
 				delete(n.preposted, m.Tag)
+			} else {
+				n.preposted[m.Tag] = left
 			}
 			m.Direct = true
 			n.stats.DirectPlacements++

@@ -8,6 +8,7 @@
 package rpc
 
 import (
+	"danas/internal/fsim"
 	"danas/internal/host"
 	"danas/internal/nas"
 	"danas/internal/nic"
@@ -16,17 +17,52 @@ import (
 	"danas/internal/wire"
 )
 
-// callMsg is the datagram body for both requests and replies.
+// callMsg is the datagram body of one transmission, a request or a
+// reply, with its header held by value. The sender owns the record: it
+// takes one from its free list for every send, retransmissions and
+// cached replies included, and the receiver copies what it keeps and
+// releases the record back to that list before its receive callback
+// returns. A transmission lost on the way leaves its record to the
+// collector; none is ever shared by two transmissions, so a late or
+// duplicate datagram always carries its own contents.
 type callMsg struct {
-	Hdr          *wire.Header
+	Hdr          wire.Header
 	PayloadBytes int64
 	Payload      any
+	Ref          fsim.BlockRef
 	// replyTag, on requests, asks the server to stamp this tag on its
 	// reply so the client NIC can match a pre-posted buffer.
 	replyTag uint64
+	pool     *msgPool
 }
 
-// Request is a received call, handed to the server handler.
+// msgPool is a client's or a server's free list of message records.
+type msgPool struct{ free []*callMsg }
+
+// send returns a pooled or fresh record holding a copy of m.
+func (mp *msgPool) send(m *callMsg) *callMsg {
+	var r *callMsg
+	if k := len(mp.free); k > 0 {
+		r = mp.free[k-1]
+		mp.free = mp.free[:k-1]
+	} else {
+		r = new(callMsg)
+	}
+	*r = *m
+	r.pool = mp
+	return r
+}
+
+// release returns a received record to its sender's free list.
+func (m *callMsg) release() {
+	mp := m.pool
+	*m = callMsg{}
+	mp.free = append(mp.free, m)
+}
+
+// Request is a received call, handed to the server handler. Hdr points
+// at the worker's own copy of the request header, valid until the
+// request is done.
 type Request struct {
 	Hdr          *wire.Header
 	PayloadBytes int64
@@ -41,11 +77,17 @@ type Request struct {
 // RDDP-RDMA replies.
 func (r *Request) ClientNIC() *nic.NIC { return r.from.NIC() }
 
-// Reply is the handler's response.
+// Reply is the handler's response. The worker copies it, header
+// included, when the service reports it done, so the service may keep
+// the header in storage of its own that it reuses for the next request.
 type Reply struct {
 	Hdr          *wire.Header
 	PayloadBytes int64
 	Payload      any
+	// Ref, when its Len is nonzero, is the file range the payload bytes
+	// carry, held by value so that a read reply records it without
+	// allocating.
+	Ref fsim.BlockRef
 	// CopyBytes is server-side copy work (e.g. staging cache data into
 	// mbufs) charged before transmission.
 	CopyBytes int64
@@ -97,11 +139,15 @@ type drcKey struct {
 	xid      uint64
 }
 
-// drcEntry caches a completed reply so retransmitted requests are answered
-// without re-executing the handler (at-most-once execution).
+// drcEntry caches a completed reply, by value, so retransmitted requests
+// are answered without re-executing the handler (at-most-once
+// execution). Entries fill a ring of drcLimit slots; gen tells a slot's
+// successive requests apart.
 type drcEntry struct {
+	key   drcKey
+	gen   uint64
 	done  bool
-	reply *callMsg
+	reply callMsg
 	bytes int64
 	tag   uint64
 }
@@ -115,8 +161,13 @@ type Server struct {
 	sock  *udpip.Socket
 	stack *udpip.Stack
 
-	drc      map[drcKey]*drcEntry
-	drcOrder sim.Ring[drcKey]
+	// drc maps a remembered request to its slot in drcRing, which grows
+	// to drcLimit slots and then overwrites the oldest (drcNext).
+	drc     map[drcKey]int
+	drcRing []drcEntry
+	drcNext int
+	drcGen  uint64
+	msgs    msgPool
 
 	// down marks the server host crashed: queued and arriving requests
 	// are discarded unexecuted (failure injection; see SetDown).
@@ -138,8 +189,9 @@ func (srv *Server) SetDown(down bool) { srv.down = down }
 // lost it, so post-restart retransmissions of pre-crash calls re-execute
 // (exactly the classic NFS-over-UDP recovery behaviour).
 func (srv *Server) ResetDRC() {
-	srv.drc = make(map[drcKey]*drcEntry)
-	srv.drcOrder = sim.Ring[drcKey]{}
+	clear(srv.drc)
+	clear(srv.drcRing)
+	srv.drcRing, srv.drcNext = srv.drcRing[:0], 0
 }
 
 // NewServer binds an RPC server to (stack, port) with nWorkers workers
@@ -156,7 +208,7 @@ func NewServer(_ *sim.Scheduler, stack *udpip.Stack, port, nWorkers int, h Handl
 // workers, each serving requests through its own service, from
 // newService.
 func NewServiceServer(stack *udpip.Stack, port, nWorkers int, newService func(w *Worker) Service) *Server {
-	srv := &Server{sock: stack.Socket(port), stack: stack, drc: make(map[drcKey]*drcEntry)}
+	srv := &Server{sock: stack.Socket(port), stack: stack, drc: make(map[drcKey]int)}
 	for range max(nWorkers, 1) {
 		w := &Worker{srv: srv, Job: host.Job{H: stack.Host()}}
 		w.svc = newService(w)
@@ -181,7 +233,9 @@ type Worker struct {
 	srv   *Server
 	svc   Service
 	l     *udpip.Listener
-	entry *drcEntry
+	hdr   wire.Header // the request header Req.Hdr points at
+	slot  int         // the request's DRC entry: its slot in the ring
+	gen   uint64      // and the generation that marks it there
 	send  udpip.Sender
 	stage workerStage
 }
@@ -196,27 +250,32 @@ const (
 )
 
 // accept takes a received datagram, as the worker process's code after
-// Recv does, and reports whether the worker is done with it.
+// Recv does, and reports whether the worker is done with it. The request
+// is copied out and its record released: the datagram and its body are
+// valid only during this call.
 func (w *Worker) accept(d *udpip.Datagram) bool {
 	srv := w.srv
+	msg := d.Body.(*callMsg)
 	if srv.down {
+		msg.release()
 		srv.Discarded++
 		return true // crashed host: the request dies unexecuted
 	}
-	msg := d.Body.(*callMsg)
+	w.hdr = msg.Hdr
 	w.Req = Request{
-		Hdr:          msg.Hdr,
+		Hdr:          &w.hdr,
 		PayloadBytes: msg.PayloadBytes,
 		Payload:      msg.Payload,
 		from:         d.From,
 		fromPort:     d.FromPort,
 		replyTag:     msg.replyTag,
 	}
+	msg.release()
 	// The request's span (if traced) is active for exactly the request's
 	// scope, so server CPU, cache, disk and write-behind work attribute
 	// to the originating operation — and the idle wait for the next
 	// request attributes to nothing.
-	w.Job.Span = msg.Hdr.Span
+	w.Job.Span = w.hdr.Span
 	w.stage = workerDemux
 	return w.step()
 }
@@ -241,22 +300,22 @@ func (w *Worker) step() bool {
 				return false
 			}
 		case workerDRC:
-			key := drcKey{from: w.Req.from, fromPort: w.Req.fromPort, xid: w.Req.Hdr.XID}
-			if e, dup := srv.drc[key]; dup {
+			key := drcKey{from: w.Req.from, fromPort: w.Req.fromPort, xid: w.hdr.XID}
+			if i, dup := srv.drc[key]; dup {
 				srv.Duplicates++
+				e := &srv.drcRing[i]
 				if !e.done {
 					// In progress: drop; the original execution will reply.
 					return w.finish()
 				}
 				// Answer from the cache without re-executing.
 				w.stage = workerSend
-				if !srv.sock.SendThen(&w.Job, &w.send, w.Req.from, w.Req.fromPort, e.bytes, e.reply, 0, e.tag) {
+				if !srv.sock.SendThen(&w.Job, &w.send, w.Req.from, w.Req.fromPort, e.bytes, srv.msgs.send(&e.reply), 0, e.tag) {
 					return false
 				}
 				return w.finish()
 			}
-			w.entry = &drcEntry{}
-			srv.installDRC(key, w.entry)
+			w.slot, w.gen = srv.installDRC(key)
 			srv.Requests++
 			w.stage = workerHandle
 		case workerHandle:
@@ -267,11 +326,16 @@ func (w *Worker) step() bool {
 			if r.Hdr == nil {
 				return w.finish()
 			}
-			out := &callMsg{Hdr: r.Hdr, PayloadBytes: r.PayloadBytes, Payload: r.Payload}
-			e := w.entry
-			e.done, e.reply, e.bytes, e.tag = true, out, int64(r.Hdr.WireSize())+r.PayloadBytes, w.Req.replyTag
+			out := callMsg{Hdr: *r.Hdr, PayloadBytes: r.PayloadBytes, Payload: r.Payload, Ref: r.Ref}
+			bytes, tag := int64(r.Hdr.WireSize())+r.PayloadBytes, w.Req.replyTag
+			// A slot that more than drcLimit later requests overwrote
+			// meanwhile, or that a crash cleared, is not this request's.
+			if w.slot < len(srv.drcRing) && srv.drcRing[w.slot].gen == w.gen {
+				e := &srv.drcRing[w.slot]
+				e.done, e.reply, e.bytes, e.tag = true, out, bytes, tag
+			}
 			w.stage = workerSend
-			if !srv.sock.SendThen(&w.Job, &w.send, w.Req.from, w.Req.fromPort, e.bytes, out, r.CopyBytes, e.tag) {
+			if !srv.sock.SendThen(&w.Job, &w.send, w.Req.from, w.Req.fromPort, bytes, srv.msgs.send(&out), r.CopyBytes, tag) {
 				return false
 			}
 			return w.finish()
@@ -287,25 +351,44 @@ func (w *Worker) step() bool {
 // finish ends the request: its span goes inactive and its state is
 // dropped.
 func (w *Worker) finish() bool {
-	w.Job.Span, w.Req, w.Reply, w.entry = nil, Request{}, Reply{}, nil
+	w.Job.Span, w.Req, w.Reply = nil, Request{}, Reply{}
 	return true
 }
 
-// installDRC records a request in the duplicate-request cache, evicting
-// the oldest entries beyond the limit.
-func (srv *Server) installDRC(key drcKey, e *drcEntry) {
-	srv.drc[key] = e
-	srv.drcOrder.Push(key)
-	for srv.drcOrder.Len() > drcLimit {
-		delete(srv.drc, srv.drcOrder.Pop())
+// installDRC records a request in the duplicate-request cache, in the
+// oldest slot once the ring is full, and returns its slot and
+// generation.
+func (srv *Server) installDRC(key drcKey) (int, uint64) {
+	srv.drcGen++
+	i := len(srv.drcRing)
+	if i < drcLimit {
+		if i == cap(srv.drcRing) {
+			// Grow by doubling, but never past the limit.
+			ring := make([]drcEntry, i, min(max(2*i, 64), drcLimit))
+			copy(ring, srv.drcRing)
+			srv.drcRing = ring
+		}
+		srv.drcRing = srv.drcRing[:i+1]
+	} else {
+		i = srv.drcNext
+		srv.drcNext = (i + 1) % drcLimit
+		delete(srv.drc, srv.drcRing[i].key)
 	}
+	srv.drcRing[i] = drcEntry{key: key, gen: srv.drcGen}
+	srv.drc[key] = i
+	return i, srv.drcGen
 }
 
-// Response is a completed call as seen by the client.
+// Response is a completed call as seen by the client. A reply lives in
+// the client's call record, which the client recycles once Call
+// returns: it stays valid until the calling process next blocks or
+// calls the client again, so a caller copies what it keeps. A failed
+// call's Response is the caller's own.
 type Response struct {
 	Hdr          *wire.Header
 	PayloadBytes int64
 	Payload      any
+	Ref          fsim.BlockRef
 	// Direct reports the payload was placed by the NIC into the
 	// pre-posted buffer: the client must not copy it anywhere.
 	Direct bool
@@ -314,6 +397,8 @@ type Response struct {
 	// partitioned or hopelessly overloaded); Hdr and the payload fields
 	// are unset and must not be touched.
 	Err error
+
+	hdr wire.Header // the reply header Hdr points at
 }
 
 // CallOpts tunes one call.
@@ -324,9 +409,10 @@ type CallOpts struct {
 	// CopyBytes is client-side copy work staging the request payload.
 	CopyBytes int64
 	// Prepare, if set, runs after the XID is assigned and before the
-	// request is transmitted; it returns the reply tag to request (the
-	// pre-posting client registers and pre-posts its buffer here).
-	Prepare func(xid uint64) uint64
+	// request is transmitted, with the client's copy of the request
+	// header, valid during the call; it returns the reply tag to request
+	// (the pre-posting client registers and pre-posts its buffer here).
+	Prepare func(req *wire.Header) uint64
 }
 
 // Client issues RPCs to a fixed server endpoint. Any number of calls may
@@ -340,13 +426,15 @@ type Client struct {
 	sock       *udpip.Socket
 	server     *udpip.Stack
 	serverPort int
+	msgs       msgPool
 
 	nas.CallTable[Response, sent]
 }
 
-// sent is a transmitted request, kept for retransmission.
+// sent is a transmitted request, kept by value in the call record for
+// retransmission.
 type sent struct {
-	msg   *callMsg
+	msg   callMsg
 	bytes int64
 }
 
@@ -364,50 +452,48 @@ func NewClient(_ *sim.Scheduler, stack *udpip.Stack, localPort int, server *udpi
 	return c
 }
 
-// demux resolves the pending call a received reply answers.
+// demux resolves the pending call a received reply answers, copying the
+// reply into the call's record and releasing the reply's.
 func (c *Client) demux(d *udpip.Datagram) bool {
 	msg := d.Body.(*callMsg)
-	if fut := c.Answer(msg.Hdr.XID); fut != nil {
-		fut.Resolve(&Response{
-			Hdr:          msg.Hdr,
-			PayloadBytes: msg.PayloadBytes,
-			Payload:      msg.Payload,
-			Direct:       d.Direct,
-		})
+	if call := c.Answer(msg.Hdr.XID); call != nil {
+		r := &call.Reply
+		r.hdr = msg.Hdr
+		r.Hdr, r.PayloadBytes, r.Payload, r.Ref, r.Direct = &r.hdr, msg.PayloadBytes, msg.Payload, msg.Ref, d.Direct
+		call.Resolve()
 	}
+	msg.release()
 	return true
 }
 
 // resend retransmits a request from the kernel RPC timer, charging the
 // send-side cost asynchronously.
-func (c *Client) resend(r sent) {
+func (c *Client) resend(r *sent) {
 	h := c.stack.Host()
 	h.ComputeAsync(h.P.RPCClientSend, nil)
-	c.sock.SendToAsync(c.server, c.serverPort, r.bytes, r.msg, 0)
+	c.sock.SendToAsync(c.server, c.serverPort, r.bytes, c.msgs.send(&r.msg), 0)
 }
 
 // Call sends req and blocks until the matching reply arrives. The header's
-// XID is assigned by the client.
+// XID is assigned by the client. The Response is valid until the calling
+// process next blocks or calls the client again (see Response).
 func (c *Client) Call(p *sim.Proc, req *wire.Header, opts CallOpts) *Response {
 	h := c.stack.Host()
-	fut := c.Begin(p, req)
-	var tag uint64
+	call := c.Begin(p, req)
+	s := &call.Req
+	s.msg.Hdr = *req
+	s.msg.PayloadBytes, s.msg.Payload = opts.PayloadBytes, opts.Payload
+	s.bytes = int64(req.WireSize()) + opts.PayloadBytes
 	if opts.Prepare != nil {
-		tag = opts.Prepare(req.XID)
+		s.msg.replyTag = opts.Prepare(&s.msg.Hdr)
 	}
 	h.Compute(p, h.P.RPCClientSend)
-	msg := &callMsg{
-		Hdr:          req,
-		PayloadBytes: opts.PayloadBytes,
-		Payload:      opts.Payload,
-		replyTag:     tag,
-	}
-	bytes := int64(req.WireSize()) + opts.PayloadBytes
-	c.sock.SendTo(p, c.server, c.serverPort, bytes, msg, opts.CopyBytes, 0)
-	resp, err := c.Wait(p, req, fut, sent{msg: msg, bytes: bytes})
+	c.sock.SendTo(p, c.server, c.serverPort, s.bytes, c.msgs.send(&s.msg), opts.CopyBytes, 0)
+	resp, err := c.Wait(p, req, call)
 	h.Compute(p, h.P.RPCClientRecv)
+	c.End(call)
 	if err != nil {
-		return &Response{Err: err}
+		return &Response{Err: err} // the caller's own: failures are rare
 	}
 	return resp
 }

@@ -101,9 +101,9 @@ func TestPrePostedReplyIsDirect(t *testing.T) {
 	var resp *Response
 	r.s.Go("app", func(p *sim.Proc) {
 		resp = r.client.Call(p, &wire.Header{Op: wire.OpRead, Length: 32768}, CallOpts{
-			Prepare: func(xid uint64) uint64 {
-				r.clientNIC.PrePost(xid, 32768)
-				return xid
+			Prepare: func(req *wire.Header) uint64 {
+				r.clientNIC.PrePost(req.XID, req.Length)
+				return req.XID
 			},
 		})
 	})

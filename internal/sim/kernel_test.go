@@ -687,3 +687,69 @@ func TestStartTracesLikeRunningProc(t *testing.T) {
 		})
 	}
 }
+
+// TestResetSignalTracesLikeFresh runs twin schedulers through rounds of
+// a completion that three processes wait on, two before it fires and
+// one after, and that a fourth fires: one scheduler makes a fresh
+// signal per round, the other keeps one signal and resets it. Both must
+// execute the same (at, seq) trace and log.
+func TestResetSignalTracesLikeFresh(t *testing.T) {
+	const rounds = 4
+	run := func(reuse bool) ([]key, string) {
+		s := New()
+		defer s.Close()
+		var log []string
+		note := func(what string) { log = append(log, fmt.Sprintf("%s@%d", what, s.Now())) }
+		var g *Signal
+		for r := range rounds {
+			base := Duration(100 * r)
+			s.At(Time(base), func() {
+				switch {
+				case g == nil || !reuse:
+					g = NewSignal(s)
+				default:
+					g.Reset()
+				}
+				sig := g
+				for i := range 2 {
+					s.Go("w", func(p *Proc) {
+						p.Sleep(Duration(i))
+						sig.Wait(p)
+						note(fmt.Sprintf("r%d-w%d", r, i))
+					})
+				}
+				s.Go("f", func(p *Proc) {
+					p.Sleep(10)
+					sig.Fire()
+					sig.Fire() // a second fire is a no-op
+					note(fmt.Sprintf("r%d-fired", r))
+					sig.Wait(p) // fired: returns at once
+					note(fmt.Sprintf("r%d-late", r))
+				})
+			})
+		}
+		return runTraced(s), strings.Join(log, " ")
+	}
+	wantTr, wantLog := run(false)
+	gotTr, gotLog := run(true)
+	if !reflect.DeepEqual(gotTr, wantTr) {
+		t.Fatalf("reset signal trace\n got %v\nwant %v (fresh)", gotTr, wantTr)
+	}
+	if gotLog != wantLog {
+		t.Fatalf("reset signal log\n got %s\nwant %s (fresh)", gotLog, wantLog)
+	}
+	if n := strings.Count(gotLog, "@"); n != rounds*4 {
+		t.Fatalf("log %q has %d notes, want 4 a round", gotLog, n)
+	}
+}
+
+// TestResetUnfiredSignalPanics checks that re-arming a signal whose
+// waiters have not been woken is refused.
+func TestResetUnfiredSignalPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Reset of an unfired signal did not panic")
+		}
+	}()
+	NewSignal(New()).Reset()
+}

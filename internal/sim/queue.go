@@ -71,7 +71,8 @@ func (q *Queue[T]) take() T {
 // Signal is a one-shot completion: one or more processes wait, one event
 // fires, all waiters resume. Used for I/O completions and futures. The
 // first waiter is held inline, so a signal with one waiter allocates
-// nothing to wait on.
+// nothing to wait on, and Reset re-arms a fired signal, so its owner can
+// keep one for the next completion instead of making a new one.
 type Signal struct {
 	s     *Scheduler
 	fired bool
@@ -94,10 +95,24 @@ func (g *Signal) Fire() {
 	if g.first != nil {
 		g.s.postWake(g.s.now, g.first)
 	}
-	for _, p := range g.more {
+	for i, p := range g.more {
 		g.s.postWake(g.s.now, p)
+		g.more[i] = nil
 	}
-	g.first, g.more = nil, nil
+	g.first, g.more = nil, g.more[:0]
+}
+
+// Reset re-arms a fired signal: it is unfired again, with no waiters,
+// and its next Wait blocks until its next Fire. Every waiter of the
+// earlier firing already has its wake posted, so reuse changes no event:
+// a reset signal posts the same wakes at the same (at, seq) places as a
+// fresh one would. Resetting an unfired signal panics, since its waiters
+// would never wake.
+func (g *Signal) Reset() {
+	if !g.fired {
+		panic("sim: Reset of an unfired Signal")
+	}
+	g.fired = false
 }
 
 // Wait blocks p until the signal fires (returns immediately if it already

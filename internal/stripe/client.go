@@ -8,47 +8,86 @@ import (
 	"danas/internal/sim"
 )
 
+// Fans runs fan-outs for its owner (a Striper or a replica Set) from a
+// free list of fan-out records, so a fan-out allocates nothing once its
+// owner has run one as wide. The zero value is ready to use.
+type Fans struct{ free []*fan }
+
+// fan is one fan-out's state: the legs' step and errors, how many have
+// started and finished, and the signal the caller waits on. The caller
+// returns it to its Fans once every leg has finished.
+type fan struct {
+	fn                func(wp *sim.Proc, i int) error
+	errs              []error
+	started, finished int
+	sp                *obs.Span
+	done              *sim.Signal
+	leg               func(wp *sim.Proc) // f.run, bound once
+}
+
 // FanOut runs fn for indexes 0..n-1 as concurrent simulated processes
 // and returns the lowest-index error. With n <= 1 it runs in-line on the
 // caller's process, so single-shard paths cost exactly what they did
 // unstriped. Every striped fan-out (Striper's namespace, span, extend and
-// commit fan-outs, and the cached client's block fetches) uses it.
-func FanOut(p *sim.Proc, n int, name string, fn func(wp *sim.Proc, i int) error) error {
+// commit fan-outs, a replica Set's fan-outs, and the cached client's
+// block fetches) uses it.
+func (fs *Fans) FanOut(p *sim.Proc, n int, name string, fn func(wp *sim.Proc, i int) error) error {
 	if n <= 0 {
 		return nil
 	}
 	if n == 1 {
 		return fn(p, 0)
 	}
+	return fs.fanOut(p, n, name, fn)
+}
+
+// fanOut runs n > 1 legs. It is a function of its own so that the
+// one-leg path, on which a process may block deep in its step, keeps a
+// small frame.
+func (fs *Fans) fanOut(p *sim.Proc, n int, name string, fn func(wp *sim.Proc, i int) error) error {
 	s := p.Sched()
-	done := sim.NewSignal(s)
-	errs := make([]error, n)
-	var count struct{ started, finished int }
-	// Workers carry the caller's span: each concurrent leg attributes its
+	var f *fan
+	if k := len(fs.free); k > 0 {
+		f = fs.free[k-1]
+		fs.free = fs.free[:k-1]
+		f.done.Reset()
+	} else {
+		f = &fan{done: sim.NewSignal(s)}
+		f.leg = f.run
+	}
+	f.fn, f.started, f.finished = fn, 0, 0
+	f.errs = append(f.errs[:0], make([]error, n)...)
+	// Legs carry the caller's span: each concurrent leg attributes its
 	// own waiting (phases are additive, so fan-out may sum past wall time).
-	sp := obs.Active(p)
-	// Workers spawned at one instant start in spawn order, so each takes
-	// the next index on entry and one body serves all n of them.
-	body := func(wp *sim.Proc) {
-		i := count.started
-		count.started++
-		obs.Activate(wp, sp)
-		errs[i] = fn(wp, i)
-		count.finished++
-		if count.finished == n {
-			done.Fire()
-		}
-	}
+	f.sp = obs.Active(p)
 	for range n {
-		s.Go(name, body)
+		s.Go(name, f.leg)
 	}
-	done.Wait(p)
-	for _, err := range errs {
-		if err != nil {
-			return err
+	f.done.Wait(p)
+	var err error
+	for _, e := range f.errs {
+		if e != nil {
+			err = e
+			break
 		}
 	}
-	return nil
+	clear(f.errs)
+	f.fn, f.sp = nil, nil
+	fs.free = append(fs.free, f)
+	return err
+}
+
+// run is one leg. Legs spawned at one instant start in spawn order, so
+// each takes the next index on entry and one body serves all of them.
+func (f *fan) run(wp *sim.Proc) {
+	i := f.started
+	f.started++
+	obs.Activate(wp, f.sp)
+	f.errs[i] = f.fn(wp, i)
+	f.finished++
+	if f.finished == len(f.errs) {
+		f.done.Fire()
+	}
 }
 
 // SpanOp is one shard's step of a striped operation: the byte range
@@ -66,12 +105,34 @@ type SpanOp func(wp *sim.Proc, shard int, sh *nas.Handle, off, n int64) (int64, 
 // per-shard sub-clients, the cached (O)DAFS client (internal/core)
 // through per-shard replica sets behind its one block cache.
 type Striper struct {
+	Fans
 	layout Layout
 	// handles maps an open name to its per-shard handles; index 0 is the
 	// canonical handle returned to the application.
 	handles map[string][]*nas.Handle
 	// extend is Extend's per-shard step.
 	extend SpanOp
+	// runs holds finished EachSpan calls' records, for reuse.
+	runs []*spanRun
+}
+
+// spanRun is one EachSpan call's state: the spans, the bytes each moved,
+// and the step they run. The call returns it to its Striper's free list.
+type spanRun struct {
+	s     *Striper
+	h     *nas.Handle
+	op    SpanOp
+	spans []Span
+	got   []int64
+	leg   func(wp *sim.Proc, i int) error // r.run, bound once
+}
+
+// run is span i's leg.
+func (r *spanRun) run(wp *sim.Proc, i int) error {
+	sp := r.spans[i]
+	g, err := r.op(wp, sp.Shard, r.s.ShardHandle(r.h, sp.Shard), sp.Off, sp.Len)
+	r.got[i] = g
+	return err
 }
 
 // NewStriper builds the striping layer for layout. extend is the step
@@ -110,7 +171,7 @@ func (s *Striper) ShardHandle(h *nas.Handle, shard int) *nas.Handle {
 // name; shard 0's is returned.
 func (s *Striper) Resolve(p *sim.Proc, name string, fn func(wp *sim.Proc, shard int) (*nas.Handle, error)) (*nas.Handle, error) {
 	hs := make([]*nas.Handle, s.layout.Shards)
-	err := FanOut(p, len(hs), "stripe-resolve", func(wp *sim.Proc, i int) error {
+	err := s.FanOut(p, len(hs), "stripe-resolve", func(wp *sim.Proc, i int) error {
 		h, err := fn(wp, i)
 		hs[i] = h
 		return err
@@ -126,7 +187,7 @@ func (s *Striper) Resolve(p *sim.Proc, name string, fn func(wp *sim.Proc, shard 
 // concurrently.
 func (s *Striper) Unlink(p *sim.Proc, name string, fn func(wp *sim.Proc, shard int) error) error {
 	delete(s.handles, name)
-	return FanOut(p, s.layout.Shards, "stripe-unlink", fn)
+	return s.FanOut(p, s.layout.Shards, "stripe-unlink", fn)
 }
 
 // EachSpan splits [off, off+n) into per-shard spans, runs op on each
@@ -134,18 +195,29 @@ func (s *Striper) Unlink(p *sim.Proc, name string, fn func(wp *sim.Proc, shard i
 // the lowest span's error. The sum counts the spans that succeeded too,
 // so a caller chooses what a failed operation reports.
 func (s *Striper) EachSpan(p *sim.Proc, h *nas.Handle, off, n int64, op SpanOp) (int64, error) {
-	spans := s.layout.Spans(off, n)
-	got := make([]int64, len(spans))
-	err := FanOut(p, len(spans), "stripe-span", func(wp *sim.Proc, i int) error {
-		sp := spans[i]
-		g, err := op(wp, sp.Shard, s.ShardHandle(h, sp.Shard), sp.Off, sp.Len)
-		got[i] = g
-		return err
-	})
+	var r *spanRun
+	if k := len(s.runs); k > 0 {
+		r = s.runs[k-1]
+		s.runs = s.runs[:k-1]
+	} else {
+		r = &spanRun{s: s}
+		r.leg = r.run
+	}
+	r.h, r.op = h, op
+	r.spans = s.layout.AppendSpans(r.spans[:0], off, n)
+	r.got = append(r.got[:0], make([]int64, len(r.spans))...)
+	var err error
+	if len(r.spans) == 1 {
+		err = r.run(p, 0) // in line, with no fan-out frame on the stack
+	} else {
+		err = s.FanOut(p, len(r.spans), "stripe-span", r.leg)
+	}
 	var total int64
-	for _, g := range got {
+	for _, g := range r.got {
 		total += g
 	}
+	r.h, r.op = nil, nil
+	s.runs = append(s.runs, r)
 	return total, err
 }
 
@@ -161,7 +233,7 @@ func (s *Striper) Extend(p *sim.Proc, h *nas.Handle, off, n int64) error {
 		return nil
 	}
 	targets := s.layout.ExtendTargets(off, n)
-	err := FanOut(p, len(targets), "stripe-extend", func(wp *sim.Proc, i int) error {
+	err := s.FanOut(p, len(targets), "stripe-extend", func(wp *sim.Proc, i int) error {
 		shard := targets[i]
 		_, err := s.extend(wp, shard, s.ShardHandle(h, shard), end, 0)
 		return err
@@ -193,7 +265,7 @@ func (s *Striper) CommitSpans(p *sim.Proc, h *nas.Handle, off, n int64, op SpanO
 	// FanOut runs every branch to completion, so the branches collect
 	// their own failures and the aggregate is built after the barrier.
 	errs := make([]error, len(spans))
-	FanOut(p, len(spans), "stripe-commit", func(wp *sim.Proc, i int) error {
+	s.FanOut(p, len(spans), "stripe-commit", func(wp *sim.Proc, i int) error {
 		sp := spans[i]
 		_, errs[i] = op(wp, sp.Shard, s.ShardHandle(h, sp.Shard), sp.Off, sp.Len)
 		return nil
@@ -349,7 +421,7 @@ func (c *Client) Close(p *sim.Proc, h *nas.Handle) error {
 	if !ok {
 		return c.subs[0].Close(p, h)
 	}
-	return FanOut(p, len(c.subs), "stripe-close", func(wp *sim.Proc, i int) error {
+	return c.FanOut(p, len(c.subs), "stripe-close", func(wp *sim.Proc, i int) error {
 		return c.subs[i].Close(wp, hs[i])
 	})
 }

@@ -125,21 +125,25 @@ func (l Layout) ExtendTargets(off, n int64) []int {
 // Spans decomposes the byte range [off, off+n) into per-shard contiguous
 // spans in offset order, merging adjacent units that land on the same
 // shard (always the case when Shards == 1). n <= 0 yields nil.
-func (l Layout) Spans(off, n int64) []Span {
+func (l Layout) Spans(off, n int64) []Span { return l.AppendSpans(nil, off, n) }
+
+// AppendSpans appends the spans of [off, off+n) (see Spans) to out and
+// returns the extended slice, so a caller can reuse its storage.
+func (l Layout) AppendSpans(out []Span, off, n int64) []Span {
 	if n <= 0 {
-		return nil
+		return out
 	}
 	if l.Shards == 1 {
-		return []Span{{Shard: 0, Off: off, Len: n}}
+		return append(out, Span{Shard: 0, Off: off, Len: n})
 	}
-	var out []Span
+	first := len(out)
 	for n > 0 {
 		step := l.Unit - off%l.Unit
 		if step > n {
 			step = n
 		}
 		sh := l.ShardOf(off)
-		if k := len(out) - 1; k >= 0 && out[k].Shard == sh && out[k].Off+out[k].Len == off {
+		if k := len(out) - 1; k >= first && out[k].Shard == sh && out[k].Off+out[k].Len == off {
 			out[k].Len += step
 		} else {
 			out = append(out, Span{Shard: sh, Off: off, Len: step})

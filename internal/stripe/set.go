@@ -50,6 +50,7 @@ type Set[S copySession] struct {
 	mount   func(copy int) S
 	dead    []bool
 	serving int
+	fans    Fans
 
 	// Failovers counts serving-copy switches, which also makes it the
 	// set's epoch: it changes exactly when Current does. Reissued counts
@@ -281,7 +282,7 @@ func (s *Set[S]) Fan(p *sim.Proc, name string, fn func(wp *sim.Proc, copy int, i
 		return fn(p, 0, s.copies[0])
 	}
 	copies := s.live()
-	return FanOut(p, len(copies), name, func(wp *sim.Proc, i int) error {
+	return s.fans.FanOut(p, len(copies), name, func(wp *sim.Proc, i int) error {
 		copy := copies[i]
 		err := fn(wp, copy, s.session(copy))
 		if err != nil && i > 0 {

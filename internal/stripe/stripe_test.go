@@ -248,3 +248,85 @@ func TestClientWriteDataSplitsPayload(t *testing.T) {
 		t.Errorf("total written = %d, want 40", total)
 	}
 }
+
+// raceEnabled is set when the race detector instruments the build; it
+// allocates on its own, so allocation budgets are not checked then.
+var raceEnabled bool
+
+// countSub is a sub-client whose reads move the bytes asked for and
+// record nothing.
+type countSub struct{ fakeSub }
+
+func (c *countSub) Read(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64) (int64, error) {
+	p.Yield()
+	return n, nil
+}
+
+// TestTwoSpanReadAllocations pins the allocations of a read split over
+// two shards: a process reads once per token it takes from a queue.
+// The span and fan-out records are reused, so a read allocates only the
+// two processes its legs run on and the per-read step it hands the
+// striping layer.
+func TestTwoSpanReadAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's own allocations vary from run to run")
+	}
+	subs := make([]nas.Client, 2)
+	for i := range subs {
+		subs[i] = &countSub{fakeSub{shard: i, size: 1 << 20}}
+	}
+	c := NewClient(Layout{Shards: 2, Unit: 4096}, subs)
+	s := sim.New()
+	t.Cleanup(s.Close)
+	tokens := sim.NewQueue[int](s, "tokens")
+	s.Go("reader", func(p *sim.Proc) {
+		h, err := c.Open(p, "f")
+		if err != nil {
+			t.Errorf("open: %v", err)
+			return
+		}
+		for {
+			tokens.Get(p)
+			if n, err := c.Read(p, h, 2048, 4096, 1); err != nil || n != 4096 {
+				t.Errorf("read = %d, %v", n, err)
+			}
+		}
+	})
+	round := func() { tokens.Put(0); s.Run() }
+	for range 8 {
+		round()
+	}
+	got := testing.AllocsPerRun(50, round)
+	t.Logf("%.1f allocations per two-span read", got)
+	if got > 3 {
+		t.Errorf("a two-span read allocates %.1f times, budget 3 (two leg processes and the read step)", got)
+	}
+}
+
+// TestConcurrentSpanRunsKeepTheirSpans runs two-span reads of different
+// lengths from several processes at once on one client, their legs
+// interleaving: each read runs from a recycled span record, and one
+// reused while its legs still ran would report another read's length.
+func TestConcurrentSpanRunsKeepTheirSpans(t *testing.T) {
+	subs := make([]nas.Client, 2)
+	for i := range subs {
+		subs[i] = &countSub{fakeSub{shard: i, size: 1 << 20}}
+	}
+	c := NewClient(Layout{Shards: 2, Unit: 4096}, subs)
+	s := sim.New()
+	t.Cleanup(s.Close)
+	var h *nas.Handle
+	s.Go("open", func(p *sim.Proc) { h, _ = c.Open(p, "f") })
+	s.Run()
+	for k := range 4 {
+		s.Go("reader", func(p *sim.Proc) {
+			for round := range 3 {
+				n := int64(4096 + 512*(k+1))
+				if got, err := c.Read(p, h, int64(round)*8192+2048, n, 1); err != nil || got != n {
+					t.Errorf("reader %d: read = %d, %v; want %d", k, got, err, n)
+				}
+			}
+		})
+	}
+	s.Run()
+}

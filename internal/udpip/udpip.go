@@ -21,6 +21,15 @@ const etherPort = 0
 const ipHeaderBytes = 46
 
 // Datagram is one UDP datagram as seen by sockets.
+//
+// The sending stack owns the record a datagram travels in: a send takes
+// it from the stack's free list, and it goes back there once the
+// receiving stack has processed every fragment and, if they reassembled
+// into a delivered datagram, once the socket's reader is done with it.
+// A Listen callback gets the record valid only for the duration of that
+// call, so it copies what it keeps; Recv hands out a copy the reader
+// keeps. A datagram whose fragment a down switch dropped never returns
+// to its free list and is left to the collector.
 type Datagram struct {
 	From     *Stack
 	FromPort int
@@ -40,6 +49,9 @@ type Datagram struct {
 	span     *obs.Span
 	sentAt   sim.Time
 	queuedAt sim.Time
+	// frags counts the fragments the receiving stack has yet to process
+	// (reassemble, or drop at a down or lossy host).
+	frags int
 }
 
 // fragment is the wire context of one IP fragment of a datagram. It
@@ -112,7 +124,8 @@ type Stack struct {
 	lossRate float64
 	lossRNG  *sim.Rand
 
-	frags []*fragment // finished fragments sent from here, for reuse
+	frags  []*fragment // finished fragments sent from here, for reuse
+	dgrams []*Datagram // finished datagrams sent from here, for reuse
 
 	PacketsIn, PacketsOut, PacketsDropped uint64
 	// ReasmExpired counts partial datagrams reclaimed by the timeout.
@@ -208,12 +221,12 @@ func (st *Stack) packetArrived(m *nic.Message) {
 	frag := m.Header.(*fragment)
 	if st.down {
 		st.PacketsDropped++
-		frag.release()
+		frag.drop()
 		return // dead host: the wire sees a black hole
 	}
 	if st.lossRate > 0 && st.lossRNG.Float64() < st.lossRate {
 		st.PacketsDropped++
-		frag.release()
+		frag.drop()
 		return
 	}
 	st.PacketsIn++
@@ -229,6 +242,7 @@ func (st *Stack) packetArrived(m *nic.Message) {
 func (f *fragment) arrived() {
 	st, d, id, total, dstPort := f.at, f.d, f.id, f.total, f.dstPort
 	f.release()
+	d.frags--
 	now := st.h.S.Now()
 	st.gcReasm(now)
 	if total > 1 {
@@ -241,13 +255,15 @@ func (f *fragment) arrived() {
 		e.got++
 		if e.got < total {
 			st.reasmMap[key] = e
+			d.releaseIfDone()
 			return
 		}
 		delete(st.reasmMap, key)
 	}
 	sk, ok := st.socks[dstPort]
 	if !ok {
-		return // no listener: datagram dropped, as UDP does
+		d.release() // no listener: datagram dropped, as UDP does
+		return
 	}
 	d.span.Add(obs.PhaseWire, now.Sub(d.sentAt))
 	d.queuedAt = now
@@ -273,6 +289,31 @@ func (f *fragment) release() {
 	o := f.d.From
 	*f = fragment{input: f.input}
 	o.frags = append(o.frags, f)
+}
+
+// drop discards f unprocessed at its receiving host, and its datagram
+// with it once no other fragment is left to process.
+func (f *fragment) drop() {
+	d := f.d
+	f.release()
+	d.frags--
+	d.releaseIfDone()
+}
+
+// releaseIfDone returns a datagram that will not be delivered to its
+// sending stack's free list once the receiver has processed every
+// fragment of it. A fragment lost on the way leaves it to the collector.
+func (d *Datagram) releaseIfDone() {
+	if d.frags == 0 {
+		d.release()
+	}
+}
+
+// release returns d to its sending stack's free list.
+func (d *Datagram) release() {
+	o := d.From
+	*d = Datagram{}
+	o.dgrams = append(o.dgrams, d)
 }
 
 // Socket is a bound UDP endpoint.
@@ -389,14 +430,23 @@ func (s *Sender) Step(j *host.Job) bool {
 	}
 }
 
-// open builds the datagram a send transmits, carrying span, and numbers
-// it with the stack's next IP id: it returns the datagram, the id and
-// its fragment count.
+// open builds the datagram a send transmits, carrying span, in a pooled
+// or fresh record, and numbers it with the stack's next IP id: it
+// returns the datagram, the id and its fragment count.
 func (sk *Socket) open(bytes int64, body any, span *obs.Span) (*Datagram, uint64, int) {
-	d := &Datagram{From: sk.stack, FromPort: sk.port, Bytes: bytes, Body: body, span: span}
-	maxFrag := int64(sk.stack.h.P.EtherMTU - ipHeaderBytes)
-	sk.stack.nextID++
-	return d, sk.stack.nextID, int(max(1, (bytes+maxFrag-1)/maxFrag))
+	st := sk.stack
+	var d *Datagram
+	if k := len(st.dgrams); k > 0 {
+		d = st.dgrams[k-1]
+		st.dgrams = st.dgrams[:k-1]
+	} else {
+		d = new(Datagram)
+	}
+	maxFrag := int64(st.h.P.EtherMTU - ipHeaderBytes)
+	total := int(max(1, (bytes+maxFrag-1)/maxFrag))
+	*d = Datagram{From: st, FromPort: sk.port, Bytes: bytes, Body: body, span: span, frags: total}
+	st.nextID++
+	return d, st.nextID, total
 }
 
 // sendFragment hands IP fragment i of total of d to the NIC.
@@ -432,8 +482,9 @@ func (sk *Socket) SendToAsync(dst *Stack, dstPort int, bytes int64, body any, ta
 }
 
 // Recv blocks until a datagram arrives, charging the syscall and the
-// scheduler wakeup. The mbuf-to-destination copy is charged by the caller,
-// which knows whether the destination is a user buffer or the buffer cache.
+// scheduler wakeup, and returns a copy of it the caller keeps. The
+// mbuf-to-destination copy is charged by the caller, which knows whether
+// the destination is a user buffer or the buffer cache.
 func (sk *Socket) Recv(p *sim.Proc) *Datagram {
 	h := sk.stack.h
 	h.Syscall(p)
@@ -442,8 +493,10 @@ func (sk *Socket) Recv(p *sim.Proc) *Datagram {
 	// it — is the carried op's queue phase (zero when the reader was
 	// already parked here).
 	d.span.Add(obs.PhaseQueue, p.Now().Sub(d.queuedAt))
+	kept := *d
+	d.release()
 	h.Compute(p, h.P.SchedWakeup)
-	return d
+	return &kept
 }
 
 // Listen calls fn, from event callbacks, on every datagram the socket
@@ -452,9 +505,10 @@ func (sk *Socket) Recv(p *sim.Proc) *Datagram {
 // calling Recv and then serving the datagram would run, charges
 // included, starting where that process would first wake, so fn runs at
 // the instant, and after the same events, as the code after Recv would.
-// fn must not block; it reports whether it is done with the datagram.
-// If not, the loop waits, as that process would while serving it, until
-// the returned Listener's Resume. Several loops on one socket take
+// fn must not block, and gets the datagram valid only until it returns
+// (see Datagram); it reports whether it is done serving it. If not, the
+// loop waits, as that process would while serving it, until the
+// returned Listener's Resume. Several loops on one socket take
 // datagrams in the order they started waiting, as processes would.
 func (sk *Socket) Listen(fn func(*Datagram) bool) *Listener {
 	l := &Listener{sk: sk, fn: fn}
@@ -508,7 +562,9 @@ func (l *Listener) run() {
 		case listenDeliver:
 			d := l.d
 			l.d, l.state = nil, listenSyscall
-			if !l.fn(d) {
+			done := l.fn(d)
+			d.release()
+			if !done {
 				return
 			}
 		}
