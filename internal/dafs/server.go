@@ -12,23 +12,27 @@ package dafs
 
 import (
 	"danas/internal/cache"
+	"danas/internal/fsd"
 	"danas/internal/fsim"
 	"danas/internal/host"
 	"danas/internal/nic"
 	"danas/internal/obs"
 	"danas/internal/sim"
 	"danas/internal/vi"
-	"danas/internal/wb"
 	"danas/internal/wire"
 )
 
-// Server is a DAFS kernel server.
+// Server is a DAFS kernel server over the file service. While the host
+// is down (fsd.Core.SetDown) the session layer discards arriving
+// requests and suppresses replies of requests already in flight, so
+// clients see silence and recover through their own retransmission.
+// The NIC itself stays powered: ORDMA gets against exports the crash
+// invalidated still fault back to the initiator through the NIC-to-NIC
+// exception path (§4.1) rather than hanging it.
 type Server struct {
-	S     *sim.Scheduler
-	H     *host.Host
-	N     *nic.NIC
-	FS    *fsim.FS
-	Cache *fsim.ServerCache
+	fsd.Core
+	S *sim.Scheduler
+	N *nic.NIC
 
 	// Mode is the completion discipline for session QPs created by
 	// Connect (Intr models the kernel server's default; §5.2 switches to
@@ -40,12 +44,6 @@ type Server struct {
 	// piggyback remote memory references (§4.2.1).
 	Optimistic bool
 
-	// WB, when set, is the shard's write-behind subsystem: writes pass
-	// through it (dirty tracking, stability, backpressure) and replies
-	// carry its write verifier. Nil keeps the legacy semantics — a write
-	// is done once its data is in the buffer cache.
-	WB *wb.Flusher
-
 	// RDMATimeout, when positive, bounds the server's write-path data
 	// pulls on session QPs created by later Connects: a pull whose
 	// frames a down switch black-holed completes with nic.StatusTimeout
@@ -54,33 +52,20 @@ type Server struct {
 	// multi-leaf fabrics — the single-switch star cannot black-hole.
 	RDMATimeout sim.Duration
 
-	// down marks the server host crashed: session requests are discarded
-	// and replies suppressed (failure injection; see SetDown).
-	down bool
-
 	msgs msgPool // the reply records the server's sessions send
 
-	Reads, Writes uint64
-	BytesRead     int64
 	// Discarded counts session requests dropped while down.
 	Discarded uint64
 }
-
-// SetDown marks the server host crashed (true) or restarted (false).
-// While down the session layer discards arriving requests and
-// suppresses replies of requests already in flight, so clients see
-// silence and recover through their own retransmission. The NIC itself
-// stays powered: ORDMA gets against exports the crash invalidated still
-// fault back to the initiator through the NIC-to-NIC exception path
-// (§4.1) rather than hanging it.
-func (srv *Server) SetDown(down bool) { srv.down = down }
 
 // NewServer creates a DAFS server over the given file cache. When
 // optimistic, the server cache's insert/evict hooks maintain TPT exports
 // (the private 64-bit export space of §4.2.1).
 func NewServer(s *sim.Scheduler, n *nic.NIC, fs *fsim.FS, sc *fsim.ServerCache, optimistic bool) *Server {
 	srv := &Server{
-		S: s, H: n.Host(), N: n, FS: fs, Cache: sc,
+		Core:       fsd.Core{H: n.Host(), FS: fs, Cache: sc},
+		S:          s,
+		N:          n,
 		Mode:       nic.Intr,
 		Optimistic: optimistic,
 	}
@@ -128,6 +113,7 @@ func (srv *Server) Connect(clientNIC *nic.NIC, clientMode nic.NotifyMode) *vi.QP
 	ss := &session{srv: srv, qp: sqp, job: host.Job{H: srv.H}}
 	ss.job.Step = ss.resume
 	ss.pulled = ss.pullDone
+	ss.write.Init(&srv.Core, "dafsd-wb")
 	ss.l = sqp.Listen(ss.accept)
 	return cqp
 }
@@ -195,6 +181,7 @@ type session struct {
 	i          int // the read range at hand: -1 is Hdr.Offset, then Batch[i]
 	got, total int64
 	walk       fsim.Walk
+	write      fsd.Write
 	st         nic.Status // the write pull's completion status
 	out        vi.Msg     // the reply, its send cost being charged
 
@@ -215,9 +202,8 @@ const (
 	sPullPost                   // write: post the RDMA get
 	sPulled                     // write: the get has completed
 	sPullConsumed               // write: its completion is consumed
-	sWriteData                  // write: data in hand, update the file
-	sWriteCache                 // write: into cache and write-behind
-	sWriteStalled               // write: a write-behind stall has ended
+	sWriteData                  // write: data in hand, start its admission
+	sWriteAdmit                 // write: admitting it (fsd.Write)
 	sSend                       // the reply's send cost is charged
 )
 
@@ -228,7 +214,7 @@ const (
 // valid only during this call.
 func (ss *session) accept(m nic.Message) bool {
 	req := m.Header.(*msg)
-	if ss.srv.down {
+	if ss.srv.Down() {
 		req.release()
 		ss.srv.Discarded++
 		return true // crashed host: the request dies unexecuted
@@ -268,17 +254,17 @@ func (ss *session) serve() bool {
 		case sDispatch:
 			switch h.Op {
 			case wire.OpRead:
-				f, err := srv.FS.ByID(fsim.FileID(h.FH))
-				if err != nil {
+				f := srv.File(h.FH)
+				if f == nil {
 					return ss.status(wire.StatusStale)
 				}
 				ss.f, ss.i, ss.total, ss.stage = f, -1, 0, sRange
 			case wire.OpWrite:
-				f, err := srv.FS.ByID(fsim.FileID(h.FH))
-				if err != nil {
+				f := srv.File(h.FH)
+				if f == nil {
 					return ss.status(wire.StatusStale)
 				}
-				if srv.down {
+				if srv.Down() {
 					return ss.finish() // crash between receive and execution: the write dies with the host
 				}
 				ss.f, ss.stage = f, sWriteData
@@ -304,7 +290,7 @@ func (ss *session) serve() bool {
 				})
 				return ss.finish()
 			default:
-				return ss.meta()
+				return ss.reply(srv.Meta(h))
 			}
 		case sRange:
 			if ss.i == len(ss.batch) {
@@ -314,21 +300,15 @@ func (ss *session) serve() bool {
 			if ss.i >= 0 {
 				off = ss.batch[ss.i]
 			}
-			got := h.Length
-			if off >= ss.f.Size() {
-				got = 0
-			} else if off+got > ss.f.Size() {
-				got = ss.f.Size() - off
-			}
-			ss.got = got
-			ss.walk.Start(srv.Cache, ss.f, off, got)
+			ss.got = fsd.ReadLen(ss.f, off, h.Length)
+			ss.walk.Start(srv.Cache, ss.f, off, ss.got)
 			ss.stage = sWalk
 		case sWalk:
-			if !ss.walk.Step(j, srv.down) {
+			if !ss.walk.Step(j, srv.Down()) {
 				return false
 			}
 			ss.stage = sRangeDone
-			if ss.got > 0 && h.BufVA != 0 && !srv.down {
+			if ss.got > 0 && h.BufVA != 0 && !srv.Down() {
 				// Direct transfer: one RDMA write per range.
 				ss.stage = sPush
 				if !j.Compute(p.GMSendCost + p.PIOWrite) {
@@ -372,80 +352,18 @@ func (ss *session) serve() bool {
 			}
 			ss.stage = sWriteData
 		case sWriteData:
-			if len(ss.data) > 0 {
-				ss.f.WriteAt(ss.data, h.Offset)
-			} else if h.Offset+h.Length > ss.f.Size() {
-				ss.f.Truncate(h.Offset + h.Length)
-			}
-			ss.f.SetMtime(int64(srv.S.Now()))
-			ss.stage = sWriteCache
-			if !j.Compute(p.CacheInsert) {
+			ss.write.Start(ss.f, h, ss.data)
+			ss.stage = sWriteAdmit
+		case sWriteAdmit:
+			verifier, done := ss.write.Step(j)
+			if !done {
 				return false
 			}
-		case sWriteCache:
-			if srv.down {
-				// The host died while the data was in flight: it never
-				// enters the buffer cache.
-				return ss.written(0)
-			}
-			// Written data enters the server buffer cache (write-behind
-			// to disk).
-			srv.Cache.Install(ss.f, h.Offset, h.Length)
-			if srv.WB == nil {
-				return ss.written(0)
-			}
-			// Dirty tracking, stability and backpressure: a stable write
-			// blocks until destaged; an unstable one blocks only at the
-			// dirty high-water mark.
-			stable := h.Flags&wire.FlagStable != 0
-			if srv.WB.Write(ss.f, h.Offset, h.Length, stable) {
-				ss.stage = sWriteStalled
-				f := ss.f
-				j.Block("dafsd-wb", func(p *sim.Proc) { srv.WB.Stall(p, f, h.Offset, h.Length, stable) })
-				return false
-			}
-			return ss.written(srv.WB.Verifier())
-		case sWriteStalled:
-			return ss.written(srv.WB.Verifier())
+			return ss.written(verifier)
 		case sSend:
 			ss.qp.SendAsync(&ss.out)
 			return ss.finish()
 		}
-	}
-}
-
-// meta serves the namespace and session operations, their handler work
-// charged.
-func (ss *session) meta() bool {
-	fs, h := ss.srv.FS, &ss.hdr
-	switch h.Op {
-	case wire.OpOpen, wire.OpLookup:
-		f, err := fs.Lookup(h.Name)
-		if err != nil {
-			return ss.status(wire.StatusNoEnt)
-		}
-		return ss.reply(wire.Header{Op: h.Op, XID: h.XID, Status: wire.StatusOK, FH: uint64(f.ID), Length: f.Size()})
-	case wire.OpGetattr:
-		f, err := fs.ByID(fsim.FileID(h.FH))
-		if err != nil {
-			return ss.status(wire.StatusStale)
-		}
-		return ss.reply(wire.Header{Op: h.Op, XID: h.XID, Status: wire.StatusOK, FH: h.FH, Length: f.Size()})
-	case wire.OpCreate:
-		f, err := fs.Create(h.Name, 0)
-		if err != nil {
-			return ss.status(wire.StatusExist)
-		}
-		return ss.reply(wire.Header{Op: h.Op, XID: h.XID, Status: wire.StatusOK, FH: uint64(f.ID)})
-	case wire.OpRemove:
-		if err := fs.Remove(h.Name); err != nil {
-			return ss.status(wire.StatusNoEnt)
-		}
-		return ss.status(wire.StatusOK)
-	case wire.OpClose, wire.OpMount:
-		return ss.status(wire.StatusOK)
-	default:
-		return ss.status(wire.StatusIO)
 	}
 }
 
@@ -462,7 +380,7 @@ func (ss *session) readReply() bool {
 	if h.BufVA != 0 {
 		return ss.reply(resp)
 	}
-	if srv.down {
+	if srv.Down() {
 		return ss.finish() // crash mid-read: the in-line reply is never transmitted
 	}
 	return ss.send(vi.Msg{
@@ -484,7 +402,6 @@ func (ss *session) pullDone(st nic.Status) {
 // written replies to a write that is in the cache, carrying verifier.
 func (ss *session) written(verifier uint64) bool {
 	h := &ss.hdr
-	ss.srv.Writes++
 	return ss.reply(wire.Header{Op: h.Op, XID: h.XID, Status: wire.StatusOK, Length: h.Length, Verifier: verifier})
 }
 
@@ -497,7 +414,7 @@ func (ss *session) status(st uint32) bool {
 // reply sends the response header h, unless the host has crashed: a
 // crash between receive and reply drops the in-flight request.
 func (ss *session) reply(h wire.Header) bool {
-	if ss.srv.down {
+	if ss.srv.Down() {
 		return ss.finish()
 	}
 	return ss.send(vi.Msg{HeaderBytes: h.WireSize(), Header: ss.srv.msgs.send(&msg{Hdr: h}), Span: ss.job.Span})
@@ -545,23 +462,18 @@ func (srv *Server) refFor(f *fsim.File, off int64) (va uint64, length int64, cap
 	return seg.VA, seg.Len, seg.Cap
 }
 
-// commit serves OpCommit on its own process: destage every dirty block
-// of the range (the whole file when Length <= 0) and report the write
-// verifier. Without write-behind, data was never volatile, so commit is
-// a no-op carrying verifier zero.
+// commit serves OpCommit on its own process: destage the range through
+// the file service (fsd.Core.Commit) and report the write verifier.
 func (srv *Server) commit(p *sim.Proc, qp *vi.QP, h *wire.Header) {
-	f, err := srv.FS.ByID(fsim.FileID(h.FH))
-	if err != nil {
+	f := srv.File(h.FH)
+	if f == nil {
 		srv.reply(p, qp, wire.Header{Op: h.Op, XID: h.XID, Status: wire.StatusStale})
 		return
 	}
-	if srv.down {
+	if srv.Down() {
 		return // crash between receive and execution: the commit dies with the host
 	}
-	var verifier uint64
-	if srv.WB != nil {
-		verifier = srv.WB.Commit(p, f, h.Offset, h.Length)
-	}
+	verifier := srv.Commit(p, f, h.Offset, h.Length)
 	srv.reply(p, qp, wire.Header{
 		Op: h.Op, XID: h.XID, Status: wire.StatusOK, Verifier: verifier,
 	})
@@ -570,7 +482,7 @@ func (srv *Server) commit(p *sim.Proc, qp *vi.QP, h *wire.Header) {
 // reply sends the commit's response header h from its process, unless
 // the host has crashed.
 func (srv *Server) reply(p *sim.Proc, qp *vi.QP, h wire.Header) {
-	if srv.down {
+	if srv.Down() {
 		return
 	}
 	qp.Send(p, &vi.Msg{HeaderBytes: h.WireSize(), Header: srv.msgs.send(&msg{Hdr: h}), Span: obs.Active(p)})

@@ -31,7 +31,7 @@ func TestCachedNamespaceFailsOver(t *testing.T) {
 	replica := cl.Copy(0, 1).FS
 	var createErr, removeErr, afterCreate, afterRemove error
 	cl.Go("app", func(p *sim.Proc) {
-		cl.Crash(0)
+		cl.Crash(0, 0)
 		_, createErr = creator.Create(p, "fresh")
 		_, afterCreate = replica.Lookup("fresh")
 		removeErr = remover.Remove(p, "fresh")
@@ -68,7 +68,7 @@ func TestGroupNamespaceFailoverRunsOncePerCopy(t *testing.T) {
 	removerSet, remover := mount()
 	var createErr, removeErr error
 	cl.Go("app", func(p *sim.Proc) {
-		cl.Crash(0)
+		cl.Crash(0, 0)
 		_, createErr = creator.Create(p, "fresh")
 		removeErr = remover.Remove(p, "old")
 	})
@@ -115,7 +115,7 @@ func TestCachedCommitAggregatesShardFailures(t *testing.T) {
 			t.Errorf("write: %v", werr)
 			return
 		}
-		cl.Crash(1)
+		cl.Crash(1, 0)
 		err = cc.Commit(p, h, 0, 0)
 	})
 	cl.Run()

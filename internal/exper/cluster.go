@@ -580,7 +580,8 @@ func (c *Cluster) CreateWarmFile(name string, size int64) *fsim.File {
 	return first
 }
 
-// Crash kills server shard i (failure injection): arriving and queued
+// Crash kills one copy of a shard's replica set, copy 0 the primary
+// (failure injection, fail.Target): arriving and queued
 // requests are discarded unexecuted, replies of requests already in the
 // handlers are suppressed, kernel state (IP reassembly, the RPC
 // duplicate-request cache) is lost, the file cache's contents are
@@ -590,13 +591,8 @@ func (c *Cluster) CreateWarmFile(name string, size int64) *fsim.File {
 // shard's NIC stays powered, so ORDMA gets fault back to their
 // initiators through the NIC-to-NIC exception path instead of hanging
 // them; RPC clients recover through their own retransmission.
-func (c *Cluster) Crash(shard int) { c.crashServer(c.Shards[shard]) }
-
-// CrashCopy kills one copy of a shard's replica set (fail.CopyTarget);
-// copy 0 is the primary, making CrashCopy(s, 0) identical to Crash(s).
-func (c *Cluster) CrashCopy(shard, copy int) { c.crashServer(c.ReplicaSets[shard][copy]) }
-
-func (c *Cluster) crashServer(sh *ServerShard) {
+func (c *Cluster) Crash(shard, copy int) {
+	sh := c.ReplicaSets[shard][copy]
 	sh.Stack.SetDown(true)
 	sh.DAFS.SetDown(true)
 	if sh.NFS != nil {
@@ -614,16 +610,11 @@ func (c *Cluster) crashServer(sh *ServerShard) {
 	sh.Cache.FlushAll()
 }
 
-// Restart brings a crashed shard back up with the cold caches the crash
-// left behind; the file system itself (the disk) survives, so post-
-// restart misses repopulate the cache through disk reads.
-func (c *Cluster) Restart(shard int) { c.restartServer(c.Shards[shard]) }
-
-// RestartCopy brings one copy of a shard's replica set back up
-// (fail.CopyTarget).
-func (c *Cluster) RestartCopy(shard, copy int) { c.restartServer(c.ReplicaSets[shard][copy]) }
-
-func (c *Cluster) restartServer(sh *ServerShard) {
+// Restart brings a crashed copy of a shard back up with the cold caches
+// the crash left behind; the file system itself (the disk) survives, so
+// post-restart misses repopulate the cache through disk reads.
+func (c *Cluster) Restart(shard, copy int) {
+	sh := c.ReplicaSets[shard][copy]
 	// Guarantee the cold-restart contract: a handler whose disk read
 	// was already in flight at the crash instant slips past the
 	// servers' down guards and inserts its block after the crash-time
@@ -637,29 +628,19 @@ func (c *Cluster) restartServer(sh *ServerShard) {
 	}
 }
 
-// DegradeLink clamps shard i's link to the given rate (both directions:
-// the port's rate applies to its uplink serialization and to downlink
-// serialization toward it).
-func (c *Cluster) DegradeLink(shard int, bytesPerSec float64) {
-	c.Shards[shard].NIC.Port().SetBandwidth(bytesPerSec)
-}
-
-// DegradeCopyLink clamps one replica copy's link (fail.CopyTarget).
-func (c *Cluster) DegradeCopyLink(shard, copy int, bytesPerSec float64) {
+// DegradeLink clamps one copy's link to the given rate (both
+// directions: the port's rate applies to its uplink serialization and
+// to downlink serialization toward it).
+func (c *Cluster) DegradeLink(shard, copy int, bytesPerSec float64) {
 	c.ReplicaSets[shard][copy].NIC.Port().SetBandwidth(bytesPerSec)
 }
 
-// RestoreLink returns shard i's link to the configured full bandwidth.
-func (c *Cluster) RestoreLink(shard int) {
-	c.Shards[shard].NIC.Port().SetBandwidth(c.P.LinkBandwidth)
-}
-
-// RestoreCopyLink restores one replica copy's link (fail.CopyTarget).
-func (c *Cluster) RestoreCopyLink(shard, copy int) {
+// RestoreLink returns one copy's link to the configured full bandwidth.
+func (c *Cluster) RestoreLink(shard, copy int) {
 	c.ReplicaSets[shard][copy].NIC.Port().SetBandwidth(c.P.LinkBandwidth)
 }
 
-// LeafDown black-holes a leaf switch (fail.SwitchTarget): every flow
+// LeafDown black-holes a leaf switch (fail.Target): every flow
 // through it — its hosts' traffic in both directions — drops until
 // LeafUp.
 func (c *Cluster) LeafDown(i int) { c.Fab.SetLeafDown(i, true) }
@@ -667,7 +648,7 @@ func (c *Cluster) LeafDown(i int) { c.Fab.SetLeafDown(i, true) }
 // LeafUp restores a downed leaf switch.
 func (c *Cluster) LeafUp(i int) { c.Fab.SetLeafDown(i, false) }
 
-// SpineDown black-holes a spine switch (fail.SwitchTarget): flows
+// SpineDown black-holes a spine switch (fail.Target): flows
 // ECMP-hashed onto it drop until SpineUp; pairs hashed onto other
 // spines are untouched.
 func (c *Cluster) SpineDown(i int) { c.Fab.SetSpineDown(i, true) }
@@ -676,11 +657,11 @@ func (c *Cluster) SpineDown(i int) { c.Fab.SetSpineDown(i, true) }
 func (c *Cluster) SpineUp(i int) { c.Fab.SetSpineDown(i, false) }
 
 // DegradeTrunk clamps a leaf's trunk bundle to the given total rate per
-// direction (fail.SwitchTarget).
+// direction (fail.Target).
 func (c *Cluster) DegradeTrunk(leaf int, bytesPerSec float64) { c.Fab.ClampTrunk(leaf, bytesPerSec) }
 
 // RestoreTrunk returns a leaf's trunk bundle to its
-// oversubscription-derived rate (fail.SwitchTarget).
+// oversubscription-derived rate (fail.Target).
 func (c *Cluster) RestoreTrunk(leaf int) { c.Fab.RestoreTrunk(leaf) }
 
 // FailTopo is the fleet shape fault schedules validate against.

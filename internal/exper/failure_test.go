@@ -51,8 +51,8 @@ func TestORDMAFaultAfterCrashFallsBackToRPC(t *testing.T) {
 		if pre.ORDMAFaults != 0 {
 			t.Errorf("faults before crash: %d", pre.ORDMAFaults)
 		}
-		cl.Crash(0)
-		cl.Restart(0)
+		cl.Crash(0, 0)
+		cl.Restart(0, 0)
 		n, err = c.Read(p, h, 4*bs, bs, 1) // populated, evicted, stale ref
 	})
 	cl.Run()
@@ -94,8 +94,8 @@ func TestStripedClientRetriesOnlyDeadShardSpans(t *testing.T) {
 			t.Errorf("open: %v", oerr)
 			return
 		}
-		cl.Crash(1)
-		cl.S.After(5*sim.Millisecond, func() { cl.Restart(1) })
+		cl.Crash(1, 0)
+		cl.S.After(5*sim.Millisecond, func() { cl.Restart(1, 0) })
 		n, err = sc.Read(p, h, 0, 2*unit, 1) // one span per shard
 	})
 	cl.Run()
@@ -131,7 +131,7 @@ func TestCrashWithoutRestartFailsTyped(t *testing.T) {
 			t.Errorf("open: %v", oerr)
 			return
 		}
-		cl.Crash(0)
+		cl.Crash(0, 0)
 		_, err = nc.Read(p, h, 0, 16*1024, 1)
 		done = true
 	})

@@ -56,7 +56,7 @@ func TestSyncFailoverReissuesNothing(t *testing.T) {
 				return
 			}
 		}
-		cl.Crash(0) // the primary; the replica keeps serving
+		cl.Crash(0, 0) // the primary; the replica keeps serving
 		size, err := base.Getattr(p, h)
 		if err != nil {
 			t.Errorf("getattr after primary crash: %v (failover should absorb it)", err)
@@ -99,7 +99,7 @@ func TestAsyncFailoverReissuesLostWrites(t *testing.T) {
 		}
 		// The replica is dark while the writes land: async returns on the
 		// primary's ack alone, so all four ranges exist only there.
-		cl.CrashCopy(0, 1)
+		cl.Crash(0, 1)
 		for i := 0; i < 4; i++ {
 			if _, err := base.WriteData(p, h, int64(i)*scalingBlock, data); err != nil {
 				t.Errorf("write %d: %v", i, err)
@@ -110,8 +110,8 @@ func TestAsyncFailoverReissuesLostWrites(t *testing.T) {
 		// copy gets marked dead), then swap the outage: replica back up
 		// cold, primary — and the only acknowledged copies — gone.
 		p.Sleep(50 * sim.Millisecond)
-		cl.RestartCopy(0, 1)
-		cl.Crash(0)
+		cl.Restart(0, 1)
+		cl.Crash(0, 0)
 		// Every copy is now marked dead, so this op fails typed (amnesty
 		// clears the marks rather than hanging) — but the drain has
 		// already re-issued the primary's uncommitted ranges on the
@@ -151,7 +151,7 @@ func TestQuorumProgressWithSlowReplica(t *testing.T) {
 	// Copy 2 serializes a block in ~16 s at this rate; a policy that
 	// waited for it would blow the elapsed bound by three orders of
 	// magnitude.
-	cl.DegradeCopyLink(0, 2, 1000)
+	cl.DegradeLink(0, 2, 1000)
 	data := make([]byte, scalingBlock)
 	var elapsed sim.Duration
 	cl.Go("app", func(p *sim.Proc) {
@@ -214,8 +214,8 @@ func TestLazyFailoverSessionRetryArmed(t *testing.T) {
 			t.Errorf("warm read: %v", err)
 			return
 		}
-		cl.Crash(0)
-		cl.CrashCopy(0, 1)
+		cl.Crash(0, 0)
+		cl.Crash(0, 1)
 		// Primary times out, failover lazily mounts the replica session,
 		// the replica times out too (it is armed), amnesty surfaces the
 		// typed error. An unarmed lazy session would hang here and the
@@ -223,8 +223,8 @@ func TestLazyFailoverSessionRetryArmed(t *testing.T) {
 		if _, err := cc.Read(p, h, scalingBlock, scalingBlock, 1); !errors.Is(err, nas.ErrTimeout) {
 			t.Errorf("read with the whole replica set down: %v, want nas.ErrTimeout", err)
 		}
-		cl.Restart(0)
-		cl.RestartCopy(0, 1)
+		cl.Restart(0, 0)
+		cl.Restart(0, 1)
 		if _, err := cc.Read(p, h, 2*scalingBlock, scalingBlock, 1); err != nil {
 			t.Errorf("read after fleet restart: %v (amnesty must un-brick the client)", err)
 		}
@@ -272,8 +272,8 @@ func TestCommitStormSharedTracker(t *testing.T) {
 				ac.Wait(p)
 			}
 			if wave == 0 {
-				cl.Crash(0)
-				cl.Restart(0)
+				cl.Crash(0, 0)
+				cl.Restart(0, 0)
 			}
 		}
 		if err := ac.Commit(p, h, 0, 0); err != nil {

@@ -56,8 +56,8 @@ func TestCrashLosesUncommittedWritesAndClientRewrites(t *testing.T) {
 		verBefore := sh.WB.Verifier()
 		// Instantaneous reboot between the writes and the commit: the
 		// dirty ledger is discarded and the verifier rolls.
-		cl.Crash(0)
-		cl.Restart(0)
+		cl.Crash(0, 0)
+		cl.Restart(0, 0)
 		// The flusher destages concurrently with the writes' RPC round
 		// trips, so some blocks may already be on disk (or in flight to
 		// it) at crash time; at least one must still have been dirty.

@@ -98,8 +98,7 @@ type Event struct {
 	Kind  Kind
 	Shard int
 	// Copy selects which copy of the shard's replica set the event hits:
-	// 0 (the primary) preserves the pre-replication meaning, nonzero
-	// requires the target to implement CopyTarget.
+	// 0 is the primary.
 	Copy int
 	// Rate is the degraded bandwidth in bytes/second (DegradeLink and
 	// DegradeTrunk only).
@@ -124,30 +123,14 @@ func (e Event) String() string {
 	return fmt.Sprintf("%v %s %s", e.At, who, e.Kind)
 }
 
-// Target is what a schedule acts on. exper.Cluster implements it; tests
-// substitute recorders.
+// Target is what a schedule acts on: one copy of a shard's replica set
+// (copy 0 is the primary), or a switch of the fabric. exper.Cluster
+// implements it; tests substitute recorders.
 type Target interface {
-	Crash(shard int)
-	Restart(shard int)
-	DegradeLink(shard int, bytesPerSec float64)
-	RestoreLink(shard int)
-}
-
-// CopyTarget extends Target to replicated fleets: events with Copy > 0
-// act on one copy of a shard's replica set. exper.Cluster implements it
-// when built with replicas.
-type CopyTarget interface {
-	Target
-	CrashCopy(shard, copy int)
-	RestartCopy(shard, copy int)
-	DegradeCopyLink(shard, copy int, bytesPerSec float64)
-	RestoreCopyLink(shard, copy int)
-}
-
-// SwitchTarget extends Target to clusters with a switch fabric:
-// switch-scoped events act on shared interconnect rather than a shard.
-type SwitchTarget interface {
-	Target
+	Crash(shard, copy int)
+	Restart(shard, copy int)
+	DegradeLink(shard, copy int, bytesPerSec float64)
+	RestoreLink(shard, copy int)
 	LeafDown(i int)
 	LeafUp(i int)
 	SpineDown(i int)
@@ -191,7 +174,6 @@ var (
 	ErrShardDark    = errors.New("link event on a crashed shard")
 	ErrBadKind      = errors.New("unknown event kind")
 	ErrCopyRange    = errors.New("copy out of range")
-	ErrNoCopyTarget = errors.New("copy event against a target without replica copies")
 
 	ErrSwitchRange       = errors.New("switch out of range")
 	ErrSwitchAlreadyDown = errors.New("switch-down of an already-down switch")
@@ -200,7 +182,6 @@ var (
 	ErrNoTrunk           = errors.New("trunk event needs a multi-leaf fabric")
 	ErrSwitchDark        = errors.New("trunk event on a down switch")
 	ErrTrunkNotDegraded  = errors.New("restore of an undegraded trunk")
-	ErrNoSwitchTarget    = errors.New("switch event against a target without a switch fabric")
 )
 
 // EventError is a validation failure pinned to one event of a schedule.
@@ -372,64 +353,39 @@ func (s Schedule) Arm(sch *sim.Scheduler, shards int, tgt Target) error {
 // ArmTopo validates the schedule against the fleet topology and posts
 // every event on sch relative to the current instant. Events with equal
 // At fire in schedule order (the scheduler is FIFO at equal
-// timestamps). Copy events need a CopyTarget; switch events need a
-// SwitchTarget.
+// timestamps).
 func (s Schedule) ArmTopo(sch *sim.Scheduler, topo Topo, tgt Target) error {
 	if err := s.ValidateTopo(topo); err != nil {
 		return err
 	}
-	ct, _ := tgt.(CopyTarget)
-	st, _ := tgt.(SwitchTarget)
-	for i, e := range s {
-		if !e.Kind.switchKind() && e.Copy > 0 && ct == nil {
-			return &EventError{Index: i, Event: e, Reason: ErrNoCopyTarget}
-		}
-		if e.Kind.switchKind() && st == nil {
-			return &EventError{Index: i, Event: e, Reason: ErrNoSwitchTarget}
-		}
-	}
 	for _, e := range s {
 		e := e
 		sch.After(e.At, func() {
-			if e.Kind.switchKind() {
-				switch {
-				case e.Kind == SwitchDown && e.Tier == TierLeaf:
-					st.LeafDown(e.Switch)
-				case e.Kind == SwitchUp && e.Tier == TierLeaf:
-					st.LeafUp(e.Switch)
-				case e.Kind == SwitchDown && e.Tier == TierSpine:
-					st.SpineDown(e.Switch)
-				case e.Kind == SwitchUp && e.Tier == TierSpine:
-					st.SpineUp(e.Switch)
-				case e.Kind == DegradeTrunk:
-					st.DegradeTrunk(e.Switch, e.Rate)
-				case e.Kind == RestoreTrunk:
-					st.RestoreTrunk(e.Switch)
-				}
-				return
-			}
-			if e.Copy > 0 {
-				switch e.Kind {
-				case Crash:
-					ct.CrashCopy(e.Shard, e.Copy)
-				case Restart:
-					ct.RestartCopy(e.Shard, e.Copy)
-				case DegradeLink:
-					ct.DegradeCopyLink(e.Shard, e.Copy, e.Rate)
-				case RestoreLink:
-					ct.RestoreCopyLink(e.Shard, e.Copy)
-				}
-				return
-			}
 			switch e.Kind {
 			case Crash:
-				tgt.Crash(e.Shard)
+				tgt.Crash(e.Shard, e.Copy)
 			case Restart:
-				tgt.Restart(e.Shard)
+				tgt.Restart(e.Shard, e.Copy)
 			case DegradeLink:
-				tgt.DegradeLink(e.Shard, e.Rate)
+				tgt.DegradeLink(e.Shard, e.Copy, e.Rate)
 			case RestoreLink:
-				tgt.RestoreLink(e.Shard)
+				tgt.RestoreLink(e.Shard, e.Copy)
+			case SwitchDown:
+				if e.Tier == TierSpine {
+					tgt.SpineDown(e.Switch)
+				} else {
+					tgt.LeafDown(e.Switch)
+				}
+			case SwitchUp:
+				if e.Tier == TierSpine {
+					tgt.SpineUp(e.Switch)
+				} else {
+					tgt.LeafUp(e.Switch)
+				}
+			case DegradeTrunk:
+				tgt.DegradeTrunk(e.Switch, e.Rate)
+			case RestoreTrunk:
+				tgt.RestoreTrunk(e.Switch)
 			}
 		})
 	}

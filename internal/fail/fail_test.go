@@ -9,19 +9,35 @@ import (
 	"danas/internal/sim"
 )
 
-// recorder is a Target that logs (time, action, shard) tuples.
+// recorder is a Target that logs (time, action, victim) tuples: a
+// shard, shard.copy for a replica copy, or a switch index.
 type recorder struct {
 	s   *sim.Scheduler
 	log []string
 }
 
-func (r *recorder) note(action string, shard int) {
-	r.log = append(r.log, fmt.Sprintf("%v %s %d", sim.Duration(r.s.Now()), action, shard))
+func (r *recorder) note(action string, i int) {
+	r.log = append(r.log, fmt.Sprintf("%v %s %d", sim.Duration(r.s.Now()), action, i))
 }
-func (r *recorder) Crash(shard int)                     { r.note("crash", shard) }
-func (r *recorder) Restart(shard int)                   { r.note("restart", shard) }
-func (r *recorder) DegradeLink(shard int, rate float64) { r.note("degrade", shard) }
-func (r *recorder) RestoreLink(shard int)               { r.note("restore", shard) }
+
+func (r *recorder) noteCopy(action string, shard, copy int) {
+	if copy == 0 {
+		r.note(action, shard)
+		return
+	}
+	r.log = append(r.log, fmt.Sprintf("%v %s %d.%d", sim.Duration(r.s.Now()), action, shard, copy))
+}
+
+func (r *recorder) Crash(shard, copy int)                     { r.noteCopy("crash", shard, copy) }
+func (r *recorder) Restart(shard, copy int)                   { r.noteCopy("restart", shard, copy) }
+func (r *recorder) DegradeLink(shard, copy int, rate float64) { r.noteCopy("degrade", shard, copy) }
+func (r *recorder) RestoreLink(shard, copy int)               { r.noteCopy("restore", shard, copy) }
+func (r *recorder) LeafDown(i int)                            { r.note("leaf-down", i) }
+func (r *recorder) LeafUp(i int)                              { r.note("leaf-up", i) }
+func (r *recorder) SpineDown(i int)                           { r.note("spine-down", i) }
+func (r *recorder) SpineUp(i int)                             { r.note("spine-up", i) }
+func (r *recorder) DegradeTrunk(leaf int, rate float64)       { r.note("degrade-trunk", leaf) }
+func (r *recorder) RestoreTrunk(leaf int)                     { r.note("restore-trunk", leaf) }
 
 func TestValidateRejectsBadSchedules(t *testing.T) {
 	cases := []struct {
@@ -270,16 +286,6 @@ func TestGenerateCorrelatedPatterns(t *testing.T) {
 	}
 }
 
-// switchRecorder extends recorder with the SwitchTarget surface.
-type switchRecorder struct{ recorder }
-
-func (r *switchRecorder) LeafDown(i int)                      { r.note("leaf-down", i) }
-func (r *switchRecorder) LeafUp(i int)                        { r.note("leaf-up", i) }
-func (r *switchRecorder) SpineDown(i int)                     { r.note("spine-down", i) }
-func (r *switchRecorder) SpineUp(i int)                       { r.note("spine-up", i) }
-func (r *switchRecorder) DegradeTrunk(leaf int, rate float64) { r.note("degrade-trunk", leaf) }
-func (r *switchRecorder) RestoreTrunk(leaf int)               { r.note("restore-trunk", leaf) }
-
 // Switch-scoped schedules validate against the fleet topology with the
 // same typed-error discipline as shard events.
 func TestValidateTopoSwitchEvents(t *testing.T) {
@@ -341,16 +347,18 @@ func TestValidateTopoSwitchEvents(t *testing.T) {
 	}
 }
 
-// ArmTopo dispatches switch events through the SwitchTarget surface in
-// schedule order, and refuses a schedule whose target lacks it.
+// ArmTopo dispatches switch, shard and replica-copy events through
+// the one Target in schedule order.
 func TestArmTopoSwitchEvents(t *testing.T) {
 	s := sim.New()
 	defer s.Close()
-	rec := &switchRecorder{recorder{s: s}}
+	rec := &recorder{s: s}
 	sched := Merge(
 		SwitchOutage(TierSpine, 1, 10*sim.Millisecond, 20*sim.Millisecond),
 		TrunkDegrade(2, 5*sim.Millisecond, 40*sim.Millisecond, 1e6),
 		CrashRestart(0, 15*sim.Millisecond, 10*sim.Millisecond),
+		CrashRestartCopy(0, 1, 20*sim.Millisecond, 15*sim.Millisecond),
+		SwitchOutage(TierLeaf, 3, 50*sim.Millisecond, 5*sim.Millisecond),
 	)
 	topo := Topo{Shards: 1, Leaves: 4, Spines: 2}
 	if err := sched.ArmTopo(s, topo, rec); err != nil {
@@ -361,20 +369,15 @@ func TestArmTopoSwitchEvents(t *testing.T) {
 		"5.000ms degrade-trunk 2",
 		"10.000ms spine-down 1",
 		"15.000ms crash 0",
+		"20.000ms crash 0.1",
 		"25.000ms restart 0",
 		"30.000ms spine-up 1",
+		"35.000ms restart 0.1",
 		"45.000ms restore-trunk 2",
+		"50.000ms leaf-down 3",
+		"55.000ms leaf-up 3",
 	}
 	if !reflect.DeepEqual(rec.log, want) {
 		t.Fatalf("event log = %v, want %v", rec.log, want)
-	}
-
-	// A bare Target cannot take switch events.
-	s2 := sim.New()
-	defer s2.Close()
-	plain := &recorder{s: s2}
-	err := SwitchOutage(TierLeaf, 0, 0, 10).ArmTopo(s2, topo, plain)
-	if !errors.Is(err, ErrNoSwitchTarget) {
-		t.Fatalf("ArmTopo on a bare Target: got %v, want ErrNoSwitchTarget", err)
 	}
 }

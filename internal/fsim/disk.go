@@ -34,13 +34,6 @@ func (d *Disk) Read(p *sim.Proc, n int64) {
 	d.serve(p, n)
 }
 
-// ReadAsync schedules a read and calls done at completion.
-func (d *Disk) ReadAsync(n int64, done func()) {
-	d.Reads++
-	d.BytesRead += n
-	d.st.Serve(d.seek+sim.TransferTime(n, d.bw), done)
-}
-
 // ReadThen is the callback twin of Read (see host.Job).
 func (d *Disk) ReadThen(j *host.Job, n int64) bool {
 	d.Reads++

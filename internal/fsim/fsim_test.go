@@ -273,3 +273,41 @@ func TestEvictFraction(t *testing.T) {
 		t.Fatalf("after evicting ~50%%, %d blocks remain of 200", got)
 	}
 }
+
+// Two reads that miss the same block while its disk read is in flight
+// both fill it. The second fill must reuse the resident block: one map
+// entry, one LRU element and one export, so a crash's FlushAll leaves
+// no export valid.
+func TestServerCacheConcurrentFillKeepsOneBlock(t *testing.T) {
+	s, fs, c := newCacheRig(t, 4096, 100)
+	f, _ := fs.Create("a", 64*1024)
+	type export struct{ valid bool }
+	var exports []*export
+	c.OnInsert = func(b *CacheBlock) {
+		e := &export{valid: true}
+		exports = append(exports, e)
+		b.Export = e
+	}
+	c.OnEvict = func(b *CacheBlock) { b.Export.(*export).valid = false }
+	for _, name := range []string{"r1", "r2"} {
+		s.Go(name, func(p *sim.Proc) {
+			if _, hit := c.Get(p, f, 0); hit {
+				t.Errorf("%s: cold read hit", name)
+			}
+		})
+	}
+	s.Run()
+	if c.Len() != 1 || c.lru.Len() != 1 || len(exports) != 1 {
+		t.Fatalf("map %d, LRU %d, exports %d after two fills of one block; want 1 each",
+			c.Len(), c.lru.Len(), len(exports))
+	}
+	if c.Misses != 2 || sim.Duration(s.Now()) < sim.Millis(10) {
+		t.Fatalf("misses %d at %v: both fills must pay their lookup and disk read", c.Misses, sim.Duration(s.Now()))
+	}
+	c.FlushAll()
+	for i, e := range exports {
+		if e.valid {
+			t.Fatalf("export %d still valid after FlushAll", i)
+		}
+	}
+}

@@ -242,7 +242,16 @@ func (c *ServerCache) Install(f *File, off, n int64) {
 // Dirty blocks are pinned: they are skipped when hunting victims, so the
 // cache may transiently exceed capacity while dirty data accumulates
 // (the write-behind high-water mark bounds that growth).
+//
+// Two requests that miss the same block while its disk read is in
+// flight both fill it: the second fill finds the block resident and
+// reuses it, moved to the LRU front, so the key never maps to two
+// blocks and no second export is made.
 func (c *ServerCache) insert(key BlockKey, l int64) *CacheBlock {
+	if b, ok := c.blocks[key]; ok {
+		c.lru.MoveToFront(b.elem)
+		return b
+	}
 	b := &CacheBlock{Key: key, Len: l}
 	b.elem = c.lru.PushFront(b)
 	c.blocks[key] = b

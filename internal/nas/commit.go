@@ -24,14 +24,14 @@ type WriteRange struct {
 //
 // Servers without write-behind report verifier zero; the tracker stays
 // empty against them, so the pre-commit protocol is unaffected.
+//
+// The NFS and DAFS clients embed one, so its failover methods
+// (nas.FailoverSession) and counters are theirs.
 type CommitTracker struct {
-	pending map[uint64][]verRange
-	seq     uint64
-
-	// Mismatches counts commits that detected a changed verifier;
-	// Rewrites counts the ranges handed back for re-issue.
-	Mismatches uint64
-	Rewrites   uint64
+	pending    map[uint64][]verRange
+	seq        uint64
+	mismatches uint64
+	rewrites   uint64
 }
 
 type verRange struct {
@@ -102,11 +102,17 @@ func (t *CommitTracker) NoteCommit(fh uint64, off, n int64, verifier, upTo uint6
 		t.pending[fh] = kept
 	}
 	if len(lost) > 0 {
-		t.Mismatches++
-		t.Rewrites += uint64(len(lost))
+		t.mismatches++
+		t.rewrites += uint64(len(lost))
 	}
 	return lost
 }
+
+// VerifierMismatches reports commits that detected a changed verifier
+// (a server restart); RewrittenRanges reports the ranges handed back
+// for re-issue because of them.
+func (t *CommitTracker) VerifierMismatches() uint64 { return t.mismatches }
+func (t *CommitTracker) RewrittenRanges() uint64    { return t.rewrites }
 
 // Pending returns the number of uncommitted unstable ranges recorded for
 // the handle.
@@ -172,8 +178,8 @@ func (t *CommitTracker) Requeue(fh uint64, r WriteRange) { t.requeue(fh, r) }
 // uncommitted obligations (TakeUncommitted), check whether a surviving
 // copy already acknowledged the same range (HasUncommitted), re-issue a
 // range stably (WriteStable), and re-track a range whose re-issue
-// failed (Requeue). The NFS and DAFS client stacks both satisfy it by
-// delegating to their embedded CommitTracker.
+// failed (Requeue). The NFS and DAFS client stacks both satisfy it
+// through their embedded CommitTracker.
 type FailoverSession interface {
 	TakeUncommitted() []PendingRange
 	HasUncommitted(fh uint64, r WriteRange) bool

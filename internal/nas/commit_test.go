@@ -27,8 +27,8 @@ func TestCommitTrackerRangeScope(t *testing.T) {
 	if !reflect.DeepEqual(lost, want) {
 		t.Fatalf("post-crash commit lost %v, want %v", lost, want)
 	}
-	if tr.Mismatches != 1 || tr.Rewrites != 2 {
-		t.Fatalf("Mismatches/Rewrites = %d/%d, want 1/2", tr.Mismatches, tr.Rewrites)
+	if tr.VerifierMismatches() != 1 || tr.RewrittenRanges() != 2 {
+		t.Fatalf("Mismatches/Rewrites = %d/%d, want 1/2", tr.VerifierMismatches(), tr.RewrittenRanges())
 	}
 	if tr.Pending(1) != 0 {
 		t.Fatalf("whole-file commit left %d pending", tr.Pending(1))
@@ -90,8 +90,8 @@ func TestCommitTrackerVerifierZeroUntracked(t *testing.T) {
 	if tr.Pending(1) != 0 {
 		t.Fatal("verifier-zero write was tracked")
 	}
-	if lost := tr.NoteCommit(1, 0, 0, 0, tr.Snapshot()); lost != nil || tr.Mismatches != 0 {
-		t.Fatalf("commit against untracked handle: lost=%v mismatches=%d", lost, tr.Mismatches)
+	if lost := tr.NoteCommit(1, 0, 0, 0, tr.Snapshot()); lost != nil || tr.VerifierMismatches() != 0 {
+		t.Fatalf("commit against untracked handle: lost=%v mismatches=%d", lost, tr.VerifierMismatches())
 	}
 }
 

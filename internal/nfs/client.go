@@ -50,9 +50,10 @@ type Client struct {
 	rpc  *rpc.Client
 	regs *nic.RegCache // hybrid: cached registrations
 
-	// commits tracks uncommitted unstable writes against the server's
-	// write verifier; Commit re-issues ranges a server crash lost.
-	commits nas.CommitTracker
+	// The embedded commit tracker holds uncommitted unstable writes
+	// against the server's write verifier; Commit re-issues ranges a
+	// server crash lost.
+	nas.CommitTracker
 
 	nextLocalPort int
 
@@ -295,7 +296,7 @@ func (c *Client) write(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64, f
 		return 0, err
 	}
 	if flags&wire.FlagStable == 0 {
-		c.commits.NoteUnstable(h.FH, off, resp.Hdr.Length, resp.Hdr.Verifier)
+		c.NoteUnstable(h.FH, off, resp.Hdr.Length, resp.Hdr.Verifier)
 	}
 	return resp.Hdr.Length, nil
 }
@@ -308,29 +309,16 @@ func (c *Client) write(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64, f
 func (c *Client) Commit(p *sim.Proc, h *nas.Handle, off, n int64) error {
 	c.h.Syscall(p)
 	c.h.Compute(p, c.h.P.NFSClientOp)
-	upTo := c.commits.Snapshot() // writes replied after this are not covered
+	upTo := c.Snapshot() // writes replied after this are not covered
 	resp, err := c.call(p, &wire.Header{Op: wire.OpCommit, FH: h.FH, Offset: off, Length: n}, rpc.CallOpts{})
 	if err != nil {
 		return err
 	}
-	return c.commits.ResolveCommit(h.FH, off, n, resp.Hdr.Verifier, upTo, func(r nas.WriteRange) error {
+	return c.ResolveCommit(h.FH, off, n, resp.Hdr.Verifier, upTo, func(r nas.WriteRange) error {
 		_, werr := c.WriteStable(p, h, r.Off, r.N, nas.CommitBufID)
 		return werr
 	})
 }
-
-// VerifierMismatches reports commits that detected a server restart;
-// RewrittenRanges reports the unstable ranges re-issued because of them.
-func (c *Client) VerifierMismatches() uint64 { return c.commits.Mismatches }
-func (c *Client) RewrittenRanges() uint64    { return c.commits.Rewrites }
-
-// TakeUncommitted, HasUncommitted and Requeue expose the session's
-// commit tracker to replica failover (nas.FailoverSession).
-func (c *Client) TakeUncommitted() []nas.PendingRange { return c.commits.TakeUncommitted() }
-func (c *Client) HasUncommitted(fh uint64, r nas.WriteRange) bool {
-	return c.commits.HasUncommitted(fh, r)
-}
-func (c *Client) Requeue(fh uint64, r nas.WriteRange) { c.commits.Requeue(fh, r) }
 
 // WriteData sends a write carrying real bytes (used by workloads that
 // verify content round-trips through the server file system).
@@ -343,6 +331,6 @@ func (c *Client) WriteData(p *sim.Proc, h *nas.Handle, off int64, data []byte) (
 	if err != nil {
 		return 0, err
 	}
-	c.commits.NoteUnstable(h.FH, off, resp.Hdr.Length, resp.Hdr.Verifier)
+	c.NoteUnstable(h.FH, off, resp.Hdr.Length, resp.Hdr.Verifier)
 	return resp.Hdr.Length, nil
 }

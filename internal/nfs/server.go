@@ -9,50 +9,36 @@
 package nfs
 
 import (
+	"danas/internal/fsd"
 	"danas/internal/fsim"
-	"danas/internal/host"
 	"danas/internal/nic"
 	"danas/internal/rpc"
 	"danas/internal/sim"
 	"danas/internal/udpip"
-	"danas/internal/wb"
 	"danas/internal/wire"
 )
 
 // Port is the conventional NFS service port.
 const Port = 2049
 
-// Server is the NFS server: an RPC service over the server file cache.
+// Server is the NFS server: an RPC service over the file service.
 type Server struct {
-	H     *host.Host
-	FS    *fsim.FS
-	Cache *fsim.ServerCache
-	n     *nic.NIC
+	fsd.Core
+	n *nic.NIC
 	// RPC is the underlying RPC service (exposed for failure injection
 	// and DRC inspection).
 	RPC *rpc.Server
-
-	// WB, when set, is the shard's write-behind subsystem: writes pass
-	// through it (dirty tracking, stability, backpressure) and replies
-	// carry its write verifier. Nil keeps the legacy semantics — a write
-	// is done once its data is in the buffer cache.
-	WB *wb.Flusher
-
-	// down marks the server host crashed: handlers already in flight
-	// stop touching the cache and stop moving data (see SetDown).
-	down bool
-
-	Reads, Writes uint64
-	BytesRead     int64
 }
 
 // NewServer starts an NFS server on the given stack with nWorkers nfsd
 // workers (see rpc.Worker).
 func NewServer(_ *sim.Scheduler, stack *udpip.Stack, fs *fsim.FS, cache *fsim.ServerCache, nWorkers int) *Server {
-	srv := &Server{H: stack.Host(), FS: fs, Cache: cache, n: stack.NIC()}
+	srv := &Server{Core: fsd.Core{H: stack.Host(), FS: fs, Cache: cache}, n: stack.NIC()}
 	srv.RPC = rpc.NewServiceServer(stack, Port, nWorkers, func(w *rpc.Worker) rpc.Service {
 		h := &handler{srv: srv, w: w}
 		h.pulled = h.pullDone
+		h.commit = h.runCommit
+		h.write.Init(&srv.Core, "nfsd-wb")
 		return h
 	})
 	return srv
@@ -64,7 +50,7 @@ func NewServer(_ *sim.Scheduler, stack *udpip.Stack, fs *fsim.FS, cache *fsim.Se
 // Handlers in flight at crash time stop re-populating the (flushed)
 // cache and stop transferring data, mirroring dafs.Server's guards.
 func (srv *Server) SetDown(down bool) {
-	srv.down = down
+	srv.Core.SetDown(down)
 	srv.RPC.SetDown(down)
 	if down {
 		srv.RPC.ResetDRC()
@@ -80,10 +66,12 @@ type handler struct {
 	f        *fsim.File
 	n        int64
 	walk     fsim.Walk
-	st       nic.Status       // the write pull's completion status
-	verifier uint64           // a commit's verifier
-	out      wire.Header      // the reply header, which the worker copies
-	pulled   func(nic.Status) // h.pullDone, bound once
+	write    fsd.Write
+	st       nic.Status        // the write pull's completion status
+	verifier uint64            // a commit's verifier
+	out      wire.Header       // the reply header, which the worker copies
+	pulled   func(nic.Status)  // h.pullDone, bound once
+	commit   func(p *sim.Proc) // h.runCommit, bound once
 }
 
 // stage is where a handler is in its request: the step to run when
@@ -91,19 +79,18 @@ type handler struct {
 type stage uint8
 
 const (
-	opStart        stage = iota // dispatch: charge the NFS operation
-	opMeta                      // lookup, getattr, create, remove
-	opRead                      // find the file, walk its cache blocks
-	opReadWalk                  // walking the cache blocks
-	opReadPush                  // hybrid: push the data by RDMA
-	opWrite                     // find the file, pull or copy the data
-	opWritePull                 // hybrid: post the RDMA get
-	opWritePulled               // the get has completed
-	opWriteData                 // data in hand: update the file
-	opWriteCache                // insert charged: into cache and write-behind
-	opWriteStalled              // a write-behind stall has ended
-	opCommit                    // destage the committed range
-	opCommitted                 // the destage has ended
+	opStart       stage = iota // dispatch: charge the NFS operation
+	opMeta                     // lookup, getattr, create, remove
+	opRead                     // find the file, walk its cache blocks
+	opReadWalk                 // walking the cache blocks
+	opReadPush                 // hybrid: push the data by RDMA
+	opWrite                    // find the file, pull or copy the data
+	opWritePull                // hybrid: post the RDMA get
+	opWritePulled              // the get has completed
+	opWriteData                // data in hand: start its admission
+	opWriteAdmit               // admitting the write (fsd.Write)
+	opCommit                   // destage the committed range
+	opCommitted                // the destage has ended
 )
 
 // Serve implements rpc.Service.
@@ -128,29 +115,24 @@ func (h *handler) Serve(w *rpc.Worker) bool {
 				return false
 			}
 		case opMeta:
-			return h.meta(hdr)
+			w.Reply = rpc.Reply{Hdr: h.header(srv.Meta(hdr))}
+			return h.done()
 		case opRead:
-			f, err := srv.FS.ByID(fsim.FileID(hdr.FH))
-			if err != nil {
+			f := srv.File(hdr.FH)
+			if f == nil {
 				return h.reply(wire.StatusStale)
 			}
-			n := hdr.Length
-			if hdr.Offset >= f.Size() {
-				n = 0
-			} else if hdr.Offset+n > f.Size() {
-				n = f.Size() - hdr.Offset
-			}
-			h.f, h.n = f, n
+			h.f, h.n = f, fsd.ReadLen(f, hdr.Offset, hdr.Length)
 			// Touch every cache block in the range (disk reads on misses).
-			h.walk.Start(srv.Cache, f, hdr.Offset, n)
+			h.walk.Start(srv.Cache, f, hdr.Offset, h.n)
 			h.stage = opReadWalk
 		case opReadWalk:
-			if !h.walk.Step(j, srv.down) {
+			if !h.walk.Step(j, srv.Down()) {
 				return false
 			}
 			srv.Reads++
 			srv.BytesRead += h.n
-			if hdr.BufVA == 0 || h.n == 0 || srv.down {
+			if hdr.BufVA == 0 || h.n == 0 || srv.Down() {
 				// Standard / pre-posting: payload rides the RPC reply in-line.
 				w.Reply = rpc.Reply{
 					Hdr:          h.header(wire.Header{Op: hdr.Op, XID: hdr.XID, Status: wire.StatusOK, Length: h.n}),
@@ -178,13 +160,12 @@ func (h *handler) Serve(w *rpc.Worker) bool {
 			w.Reply = rpc.Reply{Hdr: h.header(wire.Header{Op: hdr.Op, XID: hdr.XID, Status: wire.StatusOK, Length: h.n})}
 			return h.done()
 		case opWrite:
-			f, err := srv.FS.ByID(fsim.FileID(hdr.FH))
-			if err != nil {
+			f := srv.File(hdr.FH)
+			if f == nil {
 				return h.reply(wire.StatusStale)
 			}
 			h.f, h.n = f, hdr.Length
-			srv.Writes++
-			if srv.down {
+			if srv.Down() {
 				// Crash between receive and execution: the write dies with
 				// the host (the client's retransmission re-executes it
 				// after the restart; the DRC was lost with the crash).
@@ -224,57 +205,32 @@ func (h *handler) Serve(w *rpc.Worker) bool {
 			}
 			h.stage = opWriteData
 		case opWriteData:
-			if ref, ok := w.Req.Payload.(writePayload); ok && len(ref.data) > 0 {
-				h.f.WriteAt(ref.data, hdr.Offset)
-			} else if hdr.Offset+h.n > h.f.Size() {
-				// Size-only write: extend the file without materializing bytes.
-				h.f.Truncate(hdr.Offset + h.n)
+			var data []byte
+			if ref, ok := w.Req.Payload.(writePayload); ok {
+				data = ref.data
 			}
-			h.f.SetMtime(int64(srv.H.S.Now()))
-			h.stage = opWriteCache
-			if !j.Compute(srv.H.P.CacheInsert) {
+			h.write.Start(h.f, hdr, data)
+			h.stage = opWriteAdmit
+		case opWriteAdmit:
+			verifier, done := h.write.Step(j)
+			if !done {
 				return false
 			}
-		case opWriteCache:
-			if srv.down {
-				// The host died while the data was in flight: it never
-				// enters the buffer cache.
-				return h.written(0)
-			}
-			srv.Cache.Install(h.f, hdr.Offset, h.n)
-			if srv.WB == nil {
-				return h.written(0)
-			}
-			// Dirty tracking, stability and backpressure: a stable write
-			// blocks until destaged; an unstable one blocks only at the
-			// dirty high-water mark.
-			stable := hdr.Flags&wire.FlagStable != 0
-			if srv.WB.Write(h.f, hdr.Offset, h.n, stable) {
-				h.stage = opWriteStalled
-				f, off, n := h.f, hdr.Offset, h.n
-				j.Block("nfsd-wb", func(p *sim.Proc) { srv.WB.Stall(p, f, off, n, stable) })
-				return false
-			}
-			return h.written(srv.WB.Verifier())
-		case opWriteStalled:
-			return h.written(srv.WB.Verifier())
+			return h.written(verifier)
 		case opCommit:
 			// Destage every dirty block of the range (the whole file when
-			// Length <= 0). Without write-behind, data was never volatile,
-			// so commit is a no-op carrying verifier zero.
-			f, err := srv.FS.ByID(fsim.FileID(hdr.FH))
-			if err != nil {
+			// Length <= 0).
+			f := srv.File(hdr.FH)
+			if f == nil {
 				return h.reply(wire.StatusStale)
 			}
-			h.verifier = 0
-			h.stage = opCommitted
-			if srv.WB != nil && !srv.down {
-				off, n := hdr.Offset, hdr.Length
-				j.Block("nfsd-commit", func(p *sim.Proc) { h.verifier = srv.WB.Commit(p, f, off, n) })
+			h.f, h.verifier, h.stage = f, 0, opCommitted
+			if srv.CommitBlocks() {
+				j.Block("nfsd-commit", h.commit)
 				return false
 			}
 		case opCommitted:
-			if srv.down {
+			if srv.Down() {
 				return h.reply(wire.StatusIO)
 			}
 			w.Reply = rpc.Reply{Hdr: h.header(wire.Header{Op: hdr.Op, XID: hdr.XID, Status: wire.StatusOK, Verifier: h.verifier})}
@@ -283,44 +239,18 @@ func (h *handler) Serve(w *rpc.Worker) bool {
 	}
 }
 
-// meta serves the namespace and attribute operations, their NFS
-// operation charged.
-func (h *handler) meta(hdr *wire.Header) bool {
-	fs := h.srv.FS
-	switch hdr.Op {
-	case wire.OpGetattr:
-		f, err := fs.ByID(fsim.FileID(hdr.FH))
-		if err != nil {
-			return h.reply(wire.StatusStale)
-		}
-		h.w.Reply = rpc.Reply{Hdr: h.header(wire.Header{Op: hdr.Op, XID: hdr.XID, Status: wire.StatusOK, FH: hdr.FH, Length: f.Size()})}
-	case wire.OpCreate:
-		f, err := fs.Create(hdr.Name, 0)
-		if err != nil {
-			return h.reply(wire.StatusExist)
-		}
-		h.w.Reply = rpc.Reply{Hdr: h.header(wire.Header{Op: hdr.Op, XID: hdr.XID, Status: wire.StatusOK, FH: uint64(f.ID)})}
-	case wire.OpRemove:
-		if err := fs.Remove(hdr.Name); err != nil {
-			return h.reply(wire.StatusNoEnt)
-		}
-		return h.reply(wire.StatusOK)
-	default: // OpLookup, OpOpen
-		f, err := fs.Lookup(hdr.Name)
-		if err != nil {
-			return h.reply(wire.StatusNoEnt)
-		}
-		h.w.Reply = rpc.Reply{Hdr: h.header(wire.Header{Op: hdr.Op, XID: hdr.XID, Status: wire.StatusOK, FH: uint64(f.ID), Length: f.Size()})}
-	}
-	return h.done()
-}
-
 // pullDone is the write pull's completion: the request resumes through
 // the one same-instant event a signal fired here would post for a
 // waiting process.
 func (h *handler) pullDone(st nic.Status) {
 	h.st = st
 	h.srv.H.S.After(0, h.w.Job.Step)
+}
+
+// runCommit is the body of the process a commit blocks on.
+func (h *handler) runCommit(p *sim.Proc) {
+	hdr := h.w.Req.Hdr
+	h.verifier = h.srv.Commit(p, h.f, hdr.Offset, hdr.Length)
 }
 
 // header sets the reply header, in the handler's own storage: the
