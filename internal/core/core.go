@@ -37,7 +37,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"danas/internal/cache"
 	"danas/internal/dafs"
@@ -113,6 +112,7 @@ type Client struct {
 	// being silently swallowed.
 	inflight map[cache.Key]*inflightFetch
 	fetches  []*inflightFetch // finished fetches' records, for reuse
+	ops      []*op            // idle operation records, for reuse
 
 	stats Stats
 
@@ -195,7 +195,7 @@ func NewReplicatedClient(s *sim.Scheduler, clientNIC *nic.NIC, servers [][]*dafs
 		mode:      mode,
 		transfer:  transfer,
 	}
-	c.Striper = stripe.NewStriper(layout, c.extendShard)
+	c.Striper = stripe.NewStriper(layout, c)
 	for i, copies := range servers {
 		if len(copies) != layout.Width() {
 			panic(fmt.Sprintf("core: shard %d has %d copies for width %d", i, len(copies), layout.Width()))
@@ -310,20 +310,12 @@ func (c *Client) Inner() *dafs.Client { return c.shards[0].Current() }
 // delegation, so subsequent opens and closes are satisfied locally
 // (§5.2, "Effect of client caching").
 func (c *Client) Open(p *sim.Proc, name string) (*nas.Handle, error) {
-	if hs, ok := c.Handles(name); ok {
-		c.stats.LocalOpens++
-		c.h.Compute(p, c.h.P.CacheLookup)
-		return hs[0], nil
-	}
-	return c.Resolve(p, name, func(wp *sim.Proc, shard int) (*nas.Handle, error) {
-		var h *nas.Handle
-		err := c.shards[shard].Do(wp, func(ip *sim.Proc, _ int, in *dafs.Client) error {
-			var err error
-			h, err = in.Open(ip, name)
-			return err
-		})
-		return h, err
-	})
+	o := c.carried(p)
+	o.name = name
+	o.begin(&o.j, opOpen, nil, 0, 0, 0)
+	h, err := o.hd, o.err
+	c.putOp(o)
+	return h, err
 }
 
 // Close implements nas.Client: local under a delegation.
@@ -370,171 +362,33 @@ func (c *Client) Remove(p *sim.Proc, name string) error {
 // read-ahead matches the application request size, §5.2 "Server
 // throughput"), each from the shard owning its offset.
 func (c *Client) Read(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64) (int64, error) {
-	if n <= 0 {
-		return 0, nil
-	}
-	end := off + n
-	if end > h.Size {
-		end = h.Size
-	}
-	if off >= end {
-		return 0, nil
-	}
-	var buf [4]int64
-	misses := buf[:0]
-	for bo := c.c.Align(off); bo < end; bo += c.cfg.BlockSize {
-		c.h.Compute(p, c.h.P.CacheLookup)
-		if _, hit := c.c.Lookup(h.FH, bo); hit {
-			c.stats.LocalHits++
-			continue
-		}
-		misses = append(misses, bo)
-	}
-	var err error
-	switch len(misses) {
-	case 0:
-	case 1: // fetched in line, with no fan-out closure to allocate
-		err = c.fetchBlock(p, h, misses[0])
-	default:
-		// Internal read-ahead: fetch all missing blocks concurrently, each
-		// fetch process carrying the requesting operation's span.
-		blocks := slices.Clone(misses)
-		err = c.FanOut(p, len(blocks), "fetch", func(fp *sim.Proc, i int) error {
-			return c.fetchBlock(fp, h, blocks[i])
-		})
-	}
-	if err != nil {
-		return 0, err
-	}
-	return end - off, nil
+	return c.data(p, opRead, h, off, n, bufID)
 }
 
-// fetchBlock brings one block into the cache: ORDMA when the directory
-// knows where the block lives on the owning shard, RPC otherwise — with
-// the client always prepared to catch an exception and recover via RPC
-// (§4.2 principle (c)). Concurrent fetches of the same block coalesce.
+// data runs a blocking read or write from p.
+func (c *Client) data(p *sim.Proc, kind opKind, h *nas.Handle, off, n int64, bufID uint64) (int64, error) {
+	o := c.carried(p)
+	o.begin(&o.j, kind, h, off, n, bufID)
+	got, err := o.got, o.err
+	c.putOp(o)
+	return got, err
+}
+
+// fetchBlock brings the block at blockOff into the cache (see fetch),
+// from p.
 func (c *Client) fetchBlock(p *sim.Proc, h *nas.Handle, blockOff int64) error {
-	key := cache.Key{File: h.FH, Off: c.c.Align(blockOff)}
-	if f, busy := c.inflight[key]; busy {
-		f.waiters++
-		f.sig.Wait(p)
-		f.waiters--
-		return c.doneFetch(f)
-	}
-	var f *inflightFetch
-	if k := len(c.fetches); k > 0 {
-		f = c.fetches[k-1]
-		c.fetches = c.fetches[:k-1]
-		f.sig.Reset()
-	} else {
-		f = &inflightFetch{sig: sim.NewSignal(p.Sched())}
-	}
-	c.inflight[key] = f
-	f.err = c.fetchBlockUncoalesced(p, h, blockOff)
-	delete(c.inflight, key)
-	f.sig.Fire()
-	return c.doneFetch(f)
-}
-
-// doneFetch returns a finished fetch's result, recycling its record
-// once no coalesced fetch is left to read it.
-func (c *Client) doneFetch(f *inflightFetch) error {
-	err := f.err
-	if f.waiters == 0 {
-		f.err = nil
-		c.fetches = append(c.fetches, f)
-	}
+	_, err := c.data(p, opFetch, h, blockOff, 0, 0)
 	return err
-}
-
-func (c *Client) fetchBlockUncoalesced(p *sim.Proc, h *nas.Handle, blockOff int64) error {
-	blockLen := c.cfg.BlockSize
-	if blockOff+blockLen > h.Size {
-		blockLen = h.Size - blockOff
-	}
-	if c.cfg.UseORDMA {
-		if ref := c.c.RefOf(h.FH, blockOff); ref != nil {
-			shard := c.Layout().ShardOf(blockOff)
-			if ref.Epoch != c.shards[shard].Failovers {
-				// The reference was exported by a copy this shard has
-				// since failed away from: its VA may alias a different
-				// block in the survivor's export space, so it must never
-				// touch the wire. Drop it and repopulate over RPC.
-				c.c.DropRef(h.FH, blockOff)
-				return c.rpcFetch(p, h, blockOff, blockLen)
-			}
-			c.stats.ORDMAReads++
-			res := c.shards[shard].Current().QP().RDMA(p, nic.Get, ref.VA, min(blockLen, ref.Len), ref.Cap)
-			if res.OK() {
-				c.stats.ORDMASuccesses++
-				c.chargeInsert(p, h.FH, blockOff)
-				c.c.Insert(h.FH, blockOff, blockLen, ref, nil)
-				return nil
-			}
-			// Recoverable NIC-to-NIC exception: drop the stale reference
-			// and retry over RPC, which returns a fresh one.
-			c.stats.ORDMAFaults++
-			c.c.DropRef(h.FH, blockOff)
-		}
-	}
-	return c.rpcFetch(p, h, blockOff, blockLen)
-}
-
-// rpcFetch populates a block over the owning shard's DAFS RPC path,
-// installing any piggybacked reference — stamped with the shard's
-// failover count — in the directory. A retry-exhausted serving copy
-// triggers failover and the fetch retries on the survivor.
-func (c *Client) rpcFetch(p *sim.Proc, h *nas.Handle, blockOff, blockLen int64) error {
-	c.stats.RPCReads++
-	shard := c.Layout().ShardOf(blockOff)
-	sh := c.ShardHandle(h, shard)
-	var ref *cache.RemoteRef
-	err := c.shards[shard].Do(p, func(wp *sim.Proc, _ int, inner *dafs.Client) error {
-		var err error
-		if c.cfg.InlineRPC {
-			_, ref, err = inner.ReadInline(wp, sh, blockOff, blockLen)
-			if err == nil {
-				// Copy from the communication buffer into the cache block.
-				c.h.Compute(wp, c.h.CopyCost(blockLen))
-			}
-		} else {
-			_, ref, err = inner.ReadDirect(wp, sh, blockOff, blockLen, arenaBufID)
-		}
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	if ref != nil {
-		ref.Epoch = c.shards[shard].Failovers
-	}
-	c.chargeInsert(p, h.FH, blockOff)
-	c.c.Insert(h.FH, blockOff, blockLen, ref, nil)
-	return nil
-}
-
-// chargeInsert prices a cache insert: filling a block whose header already
-// exists (the common second-pass case) is a flag flip; populating a fresh
-// header pays the full allocation and hash/LRU maintenance cost.
-func (c *Client) chargeInsert(p *sim.Proc, fh uint64, off int64) {
-	if c.c.Has(fh, off) {
-		c.h.Compute(p, c.h.P.CacheLookup)
-	} else {
-		c.h.Compute(p, c.h.P.CacheInsert)
-	}
 }
 
 // Write implements nas.Client: write-through per owning shard (spans run
 // concurrently, like the fetch path), updating the cached copy. With
 // replication each span reaches every live copy of its shard under the
 // ack policy. A failed write reports the bytes its other spans wrote.
+// Once every span succeeded, the written blocks enter the cache, then
+// the shards the write left short of a new end of file extend.
 func (c *Client) Write(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64) (int64, error) {
-	got, err := c.EachSpan(p, h, off, n, func(wp *sim.Proc, shard int, sh *nas.Handle, so, sn int64) (int64, error) {
-		return c.shards[shard].Write(wp, "odafs-repl", func(ip *sim.Proc, _ int, in *dafs.Client) (int64, error) {
-			return in.Write(ip, sh, so, sn, bufID)
-		})
-	})
-	return c.written(p, h, off, n, got, err)
+	return c.data(p, opWrite, h, off, n, bufID)
 }
 
 // WriteData implements nas.Client for content-bearing writes: each shard
@@ -545,29 +399,22 @@ func (c *Client) WriteData(p *sim.Proc, h *nas.Handle, off int64, data []byte) (
 			return in.WriteData(ip, sh, so, data[so-off:so-off+sn])
 		})
 	})
-	return c.written(p, h, off, int64(len(data)), got, err)
+	o := c.carried(p)
+	o.kind, o.stage, o.h, o.off, o.n = opWritten, opStart, h, off, int64(len(data))
+	o.got, o.err = got, err
+	o.step(&o.j)
+	got, err = o.got, o.err
+	c.putOp(o)
+	return got, err
 }
 
-// written finishes a write-through of [off, off+n) whose spans moved got
-// bytes: once every span succeeded, the written blocks enter the cache,
-// then the shards the write left short of a new end of file extend.
-func (c *Client) written(p *sim.Proc, h *nas.Handle, off, n, got int64, err error) (int64, error) {
-	if err != nil {
-		return got, err
-	}
-	for bo := c.c.Align(off); bo < off+n; bo += c.cfg.BlockSize {
-		c.h.Compute(p, c.h.P.CacheInsert)
-		c.c.Insert(h.FH, bo, c.cfg.BlockSize, nil, nil)
-	}
-	return got, c.Extend(p, h, off, n)
-}
-
-// extendShard is the Extend step: a zero-length write at end on every
-// live copy of the shard.
-func (c *Client) extendShard(wp *sim.Proc, shard int, sh *nas.Handle, end, _ int64) (int64, error) {
-	return c.shards[shard].Write(wp, "odafs-rextend", func(ip *sim.Proc, _ int, in *dafs.Client) (int64, error) {
+// ExtendShard implements stripe.Shards: a zero-length write at end on
+// every live copy of the shard.
+func (c *Client) ExtendShard(wp *sim.Proc, shard int, sh *nas.Handle, end int64) error {
+	_, err := c.shards[shard].Write(wp, "odafs-rextend", func(ip *sim.Proc, _ int, in *dafs.Client) (int64, error) {
 		return in.WriteData(ip, sh, end, nil)
 	})
+	return err
 }
 
 // Commit implements nas.Client through the Striper's commit fan-out: a
@@ -606,8 +453,7 @@ func (c *Client) RewrittenRanges() uint64 {
 // once").
 func (c *Client) PopulateDirectory(p *sim.Proc, h *nas.Handle) error {
 	for off := int64(0); off < h.Size; off += c.cfg.BlockSize {
-		bl := min(c.cfg.BlockSize, h.Size-off)
-		if err := c.rpcFetch(p, h, off, bl); err != nil {
+		if _, err := c.data(p, opPopulate, h, off, 0, 0); err != nil {
 			return err
 		}
 	}

@@ -49,7 +49,8 @@ type Client struct {
 	// server crash lost.
 	nas.CommitTracker
 
-	msgs msgPool // the request records this client sends
+	msgs  msgPool // the request records this client sends
+	tasks []*Task // task records for blocking methods, for reuse
 }
 
 var _ nas.Client = (*Client)(nil)
@@ -159,32 +160,263 @@ func (c *Client) SetRDMATimeout(d sim.Duration) { c.qp.SetRDMATimeout(d) }
 // error. The completion lives in the call's record: the caller reads
 // it before it next blocks or calls.
 func (c *Client) call(p *sim.Proc, hdr *wire.Header, batch []int64, data []byte, payloadBytes int64) (*completion, error) {
-	c.h.Compute(p, c.h.P.DAFSClientOp)
-	call := c.Begin(p, hdr)
-	r := &call.Req
-	r.body.Hdr, r.body.Batch, r.body.Data, r.payloadBytes = *hdr, batch, data, payloadBytes
-	c.send(p, r)
-	res, err := c.Wait(p, hdr, call)
-	c.End(call)
-	if err != nil {
-		return nil, err
-	}
-	return res, nas.StatusErr(res.hdr.Status)
+	t := c.carry()
+	j := host.Carried(c.h, p)
+	t.request(*hdr, batch, data, payloadBytes)
+	t.start(&j, taskCall, taskClientOp)
+	res, err := t.res, t.Err
+	c.release(t)
+	return res, err
 }
 
-// send transmits s from the calling process.
-func (c *Client) send(p *sim.Proc, s *sent) {
-	vm := c.message(s)
-	c.qp.Send(p, &vm)
+// carry returns a task record from the client's free list, for a
+// blocking method to drive from its caller's process.
+func (c *Client) carry() *Task {
+	if k := len(c.tasks); k > 0 {
+		t := c.tasks[k-1]
+		c.tasks = c.tasks[:k-1]
+		return t
+	}
+	return &Task{c: c}
+}
+
+// release returns a finished task record to the free list.
+func (c *Client) release(t *Task) {
+	t.h, t.batch, t.data, t.res = nil, nil, nil, nil
+	t.Handle, t.Ref, t.Err = nil, nil, nil
+	c.tasks = append(c.tasks, t)
+}
+
+// Task runs one session operation of a Client at a time as a step
+// machine over a host.Job: the request, the registration and call it
+// is at, and the outcome. A blocking method drives one from its
+// caller's process; an asynchronous caller keeps one and drives it from
+// callbacks. It implements nas.Task for the client that made it.
+type Task struct {
+	c       *Client
+	op      taskOp
+	stage   taskStage
+	h       *nas.Handle
+	bufID   uint64
+	hdr     wire.Header
+	batch   []int64
+	data    []byte
+	payload int64
+	reg     nic.RegGet
+	call    *nas.Call[completion, sent]
+	res     *completion
+	body    func(p *sim.Proc) // t.commit, bound once
+
+	// N, Handle, Ref and Err are the finished operation's outcome: the
+	// bytes it moved, the handle an open resolved, a read's piggybacked
+	// remote memory reference, and the error.
+	N      int64
+	Handle *nas.Handle
+	Ref    *cache.RemoteRef
+	Err    error
+}
+
+var _ nas.Stepper = (*Client)(nil)
+
+// NewTask implements nas.Stepper.
+func (c *Client) NewTask() nas.Task { return &Task{c: c} }
+
+type taskOp uint8
+
+const (
+	taskCall taskOp = iota // a bare call, for a blocking method
+	taskOpen
+	taskClose
+	taskRead
+	taskWrite
+)
+
+type taskStage uint8
+
+const (
+	taskRegister    taskStage = iota // get the buffer's registration
+	taskRegistering                  // the registration is charged
+	taskRegistered                   // the registration is in hand
+	taskCopy                         // charge an inline write's copy
+	taskClientOp                     // charge the client library's per-op cost
+	taskSendCost                     // charge the send's post cost
+	taskPost                         // post the request
+	taskAwait                        // wait for the reply
+	taskDone
+)
+
+// request sets the request a task sends: hdr, with a batch request's
+// extra ranges or a write's bytes, and the payload it carries.
+func (t *Task) request(hdr wire.Header, batch []int64, data []byte, payload int64) {
+	t.hdr, t.batch, t.data, t.payload = hdr, batch, data, payload
+}
+
+// start runs a task set up for op on j from stage.
+func (t *Task) start(j *host.Job, op taskOp, stage taskStage) bool {
+	j.H = t.c.h
+	t.op, t.stage, t.N, t.Handle, t.Ref, t.Err = op, stage, 0, nil, nil, nil
+	return t.Step(j)
+}
+
+// OpenThen is Open as a step machine over j: it reports true once t
+// holds the outcome; otherwise j waits, and j.Step must call t.Step
+// until it reports true.
+func (c *Client) OpenThen(j *host.Job, t *Task, name string) bool {
+	t.c = c
+	t.request(wire.Header{Op: wire.OpOpen, Name: name}, nil, nil, 0)
+	return t.start(j, taskOpen, taskClientOp)
+}
+
+// ReadThen is ReadDirect into bufID's registration (mode Direct) or
+// ReadInline (mode Inline) as a step machine over j, as OpenThen.
+func (c *Client) ReadThen(j *host.Job, t *Task, h *nas.Handle, off, n int64, bufID uint64, mode TransferMode) bool {
+	t.c, t.bufID = c, bufID
+	t.request(wire.Header{Op: wire.OpRead, FH: h.FH, Offset: off, Length: n}, nil, nil, 0)
+	if mode == Inline {
+		return t.start(j, taskRead, taskClientOp)
+	}
+	return t.start(j, taskRead, taskRegister)
+}
+
+// WriteThen is Write (flags 0) or WriteStable (wire.FlagStable) as a
+// step machine over j, as OpenThen.
+func (c *Client) WriteThen(j *host.Job, t *Task, h *nas.Handle, off, n int64, bufID uint64, flags uint8) bool {
+	t.c, t.h, t.bufID = c, h, bufID
+	hdr := wire.Header{Op: wire.OpWrite, FH: h.FH, Offset: off, Length: n, Flags: flags}
+	if c.transfer == Inline {
+		t.request(hdr, nil, nil, n)
+		return t.start(j, taskWrite, taskCopy)
+	}
+	t.request(hdr, nil, nil, 0)
+	return t.start(j, taskWrite, taskRegister)
+}
+
+// Open implements nas.Task.
+func (t *Task) Open(j *host.Job, name string) bool { return t.c.OpenThen(j, t, name) }
+
+// Close implements nas.Task.
+func (t *Task) Close(j *host.Job, h *nas.Handle) bool {
+	t.request(wire.Header{Op: wire.OpClose, FH: h.FH}, nil, nil, 0)
+	return t.start(j, taskClose, taskClientOp)
+}
+
+// Run implements nas.Task: reads in the client's transfer mode and
+// unstable writes run as step machines, a commit on a process of its
+// own (host.Job.Run).
+func (t *Task) Run(j *host.Job, op *nas.Op) bool {
+	switch op.Kind {
+	case nas.OpRead:
+		return t.c.ReadThen(j, t, op.H, op.Off, op.N, op.BufID, t.c.transfer)
+	case nas.OpWrite:
+		return t.c.WriteThen(j, t, op.H, op.Off, op.N, op.BufID, 0)
+	}
+	t.h, t.hdr.Offset, t.hdr.Length = op.H, op.Off, op.N
+	t.op, t.stage, t.N, t.Handle, t.Ref, t.Err = taskCall, taskDone, 0, nil, nil, nil
+	if t.body == nil {
+		t.body = t.commit
+	}
+	return j.Run("dafs-commit", t.body)
+}
+
+// commit is Run's commit body.
+func (t *Task) commit(p *sim.Proc) { t.Err = t.c.Commit(p, t.h, t.hdr.Offset, t.hdr.Length) }
+
+// Result implements nas.Task.
+func (t *Task) Result() (int64, *nas.Handle, error) { return t.N, t.Handle, t.Err }
+
+// Step advances the task on j (see OpenThen).
+func (t *Task) Step(j *host.Job) bool {
+	c := t.c
+	for {
+		switch t.stage {
+		case taskRegister:
+			t.stage = taskRegistered
+			if !c.regs.GetThen(j, &t.reg, t.bufID, t.hdr.Length) {
+				t.stage = taskRegistering
+				return false
+			}
+		case taskRegistering:
+			if !t.reg.Step(j) {
+				return false
+			}
+			t.stage = taskRegistered
+		case taskRegistered:
+			if t.reg.Err != nil {
+				t.Err = t.reg.Err
+				return true
+			}
+			t.hdr.BufVA = t.reg.Entry.Seg.VA
+			t.stage = taskClientOp
+		case taskCopy:
+			t.stage = taskClientOp
+			if !j.Compute(c.h.CopyCost(t.payload)) { // user buffer -> comm buffer
+				return false
+			}
+		case taskClientOp:
+			t.stage = taskSendCost
+			if !j.Compute(c.h.P.DAFSClientOp) {
+				return false
+			}
+		case taskSendCost:
+			t.call = c.Begin(j, &t.hdr)
+			r := &t.call.Req
+			r.body.Hdr, r.body.Batch, r.body.Data, r.payloadBytes = t.hdr, t.batch, t.data, t.payload
+			t.stage = taskPost
+			if !j.Compute(c.n.PostCost()) {
+				return false
+			}
+		case taskPost:
+			vm := c.message(&t.call.Req)
+			c.qp.SendAsync(&vm)
+			t.stage = taskAwait
+		case taskAwait:
+			t.stage = taskDone
+			if !c.Await(j, t.call) {
+				return false
+			}
+		case taskDone:
+			if t.call != nil {
+				t.finish()
+			}
+			return true
+		}
+	}
+}
+
+// finish ends the call and takes the operation's outcome from its reply.
+func (t *Task) finish() {
+	c := t.c
+	res, err := t.call.Result()
+	c.End(t.call)
+	t.call = nil
+	if err == nil {
+		err = nas.StatusErr(res.hdr.Status)
+	}
+	t.res, t.Err = res, err
+	if err != nil {
+		return
+	}
+	switch t.op {
+	case taskOpen:
+		t.Handle = &nas.Handle{FH: res.hdr.FH, Size: res.hdr.Length, Name: t.hdr.Name}
+	case taskRead:
+		t.N, t.Ref = res.hdr.Length, RemoteRefOf(&res.hdr)
+	case taskWrite:
+		if t.hdr.Flags&wire.FlagStable == 0 {
+			c.NoteUnstable(t.h.FH, t.hdr.Offset, res.hdr.Length, res.hdr.Verifier)
+		}
+		t.N = res.hdr.Length
+	}
 }
 
 // Open implements nas.Client.
 func (c *Client) Open(p *sim.Proc, name string) (*nas.Handle, error) {
-	res, err := c.call(p, &wire.Header{Op: wire.OpOpen, Name: name}, nil, nil, 0)
-	if err != nil {
-		return nil, err
-	}
-	return &nas.Handle{FH: res.hdr.FH, Size: res.hdr.Length, Name: name}, nil
+	t := c.carry()
+	j := host.Carried(c.h, p)
+	c.OpenThen(&j, t, name)
+	h, err := t.Handle, t.Err
+	c.release(t)
+	return h, err
 }
 
 // Getattr implements nas.Client.
@@ -213,7 +445,11 @@ func (c *Client) Remove(p *sim.Proc, name string) error {
 
 // Close implements nas.Client.
 func (c *Client) Close(p *sim.Proc, h *nas.Handle) error {
-	_, err := c.call(p, &wire.Header{Op: wire.OpClose, FH: h.FH}, nil, nil, 0)
+	t := c.carry()
+	j := host.Carried(c.h, p)
+	t.Close(&j, h)
+	err := t.Err
+	c.release(t)
 	return err
 }
 
@@ -221,26 +457,23 @@ func (c *Client) Close(p *sim.Proc, h *nas.Handle) error {
 // server-initiated RDMA. It returns the byte count and any piggybacked
 // remote memory reference (non-nil only against an optimistic server).
 func (c *Client) ReadDirect(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64) (int64, *cache.RemoteRef, error) {
-	e, err := c.regs.Get(p, bufID, n)
-	if err != nil {
-		return 0, nil, err
-	}
-	res, err := c.call(p, &wire.Header{Op: wire.OpRead, FH: h.FH, Offset: off, Length: n, BufVA: e.Seg.VA}, nil, nil, 0)
-	if err != nil {
-		return 0, nil, err
-	}
-	return res.hdr.Length, RemoteRefOf(&res.hdr), nil
+	return c.read(p, h, off, n, bufID, Direct)
 }
 
 // ReadInline reads n bytes at off with the payload in-line in the reply.
 // The caller charges the copy to the data's final destination (user buffer
 // or client cache block), which is what distinguishes the Table 3 columns.
 func (c *Client) ReadInline(p *sim.Proc, h *nas.Handle, off, n int64) (int64, *cache.RemoteRef, error) {
-	res, err := c.call(p, &wire.Header{Op: wire.OpRead, FH: h.FH, Offset: off, Length: n}, nil, nil, 0)
-	if err != nil {
-		return 0, nil, err
-	}
-	return res.hdr.Length, RemoteRefOf(&res.hdr), nil
+	return c.read(p, h, off, n, 0, Inline)
+}
+
+func (c *Client) read(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64, mode TransferMode) (int64, *cache.RemoteRef, error) {
+	t := c.carry()
+	j := host.Carried(c.h, p)
+	c.ReadThen(&j, t, h, off, n, bufID, mode)
+	got, ref, err := t.N, t.Ref, t.Err
+	c.release(t)
+	return got, ref, err
 }
 
 // BatchReadDirect issues one request covering len(offs) ranges of n bytes
@@ -264,21 +497,14 @@ func (c *Client) BatchReadDirect(p *sim.Proc, h *nas.Handle, offs []int64, n int
 	return res.hdr.Length, nil
 }
 
-// Read implements nas.Client using the configured transfer mode.
+// Read implements nas.Client using the configured transfer mode. The
+// DAFS user API delivers an inline payload zero-copy: the application
+// consumes it from the communication buffer. (Copying into a separate
+// destination — e.g. a cache block — is the caller's cost; see Table 3's
+// in-mem/in-cache split.)
 func (c *Client) Read(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64) (int64, error) {
-	switch c.transfer {
-	case Direct:
-		got, _, err := c.ReadDirect(p, h, off, n, bufID)
-		return got, err
-	case Inline:
-		// The DAFS user API delivers the payload zero-copy: the
-		// application consumes it from the communication buffer. (Copying
-		// into a separate destination — e.g. a cache block — is the
-		// caller's cost; see Table 3's in-mem/in-cache split.)
-		got, _, err := c.ReadInline(p, h, off, n)
-		return got, err
-	}
-	panic("dafs: unknown transfer mode")
+	got, _, err := c.read(p, h, off, n, bufID, c.transfer)
+	return got, err
 }
 
 // Write implements nas.Client: the server pulls data from the registered
@@ -295,27 +521,12 @@ func (c *Client) WriteStable(p *sim.Proc, h *nas.Handle, off, n int64, bufID uin
 }
 
 func (c *Client) write(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64, flags uint8) (int64, error) {
-	var res *completion
-	var err error
-	hdr := wire.Header{Op: wire.OpWrite, FH: h.FH, Offset: off, Length: n, Flags: flags}
-	if c.transfer == Inline {
-		c.h.Compute(p, c.h.CopyCost(n)) // user buffer -> comm buffer
-		res, err = c.call(p, &hdr, nil, nil, n)
-	} else {
-		var e *nic.RegEntry
-		if e, err = c.regs.Get(p, bufID, n); err != nil {
-			return 0, err
-		}
-		hdr.BufVA = e.Seg.VA
-		res, err = c.call(p, &hdr, nil, nil, 0)
-	}
-	if err != nil {
-		return 0, err
-	}
-	if flags&wire.FlagStable == 0 {
-		c.NoteUnstable(h.FH, off, res.hdr.Length, res.hdr.Verifier)
-	}
-	return res.hdr.Length, nil
+	t := c.carry()
+	j := host.Carried(c.h, p)
+	c.WriteThen(&j, t, h, off, n, bufID, flags)
+	got, err := t.N, t.Err
+	c.release(t)
+	return got, err
 }
 
 // WriteData writes real bytes (content-verifying workloads).

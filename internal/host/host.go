@@ -50,8 +50,10 @@ func New(s *sim.Scheduler, name string, p *Params) *Host {
 // active span, the full wall time (queueing behind other jobs included)
 // attributes to the host's CPU phase — honest attribution: a saturated
 // server CPU shows up as server time, not as unexplained residue.
-func (h *Host) Compute(p *sim.Proc, d sim.Duration) {
-	sp := obs.Active(p)
+func (h *Host) Compute(p *sim.Proc, d sim.Duration) { h.compute(p, obs.Active(p), d) }
+
+// compute is Compute with p's active span sp.
+func (h *Host) compute(p *sim.Proc, sp *obs.Span, d sim.Duration) {
 	if sp == nil {
 		h.CPU.Wait(p, d)
 		return
@@ -125,17 +127,31 @@ func (h *Host) Wakeup(done func()) {
 // String implements fmt.Stringer.
 func (h *Host) String() string { return fmt.Sprintf("host(%s)", h.Name) }
 
-// Job is a request served by callbacks instead of a process: the span
-// its charges attribute to, and Step, the callback a charge that cannot
-// run ahead calls at its finish, where a process would have resumed.
-// Its methods are the callback twins of Compute and of the other
-// charges a process makes: each reports true if the charge ran ahead,
-// the clock now at its finish, and the caller carries on itself, as a
-// process returning from Compute would. Otherwise the caller returns,
-// and Step runs at the finish; its first act must be Resume, which
-// attributes the charge's wall time to the span as Compute does.
+// Job is one thread of control served by callbacks instead of a
+// process: the span its charges attribute to, and Step, the callback a
+// charge or wait that cannot finish in place calls at its end, where a
+// process would have resumed. Its methods are the callback twins of
+// Compute and of the other charges and waits a process makes: each
+// reports true if it finished in place, the clock now at its end, and
+// the caller carries on itself, as a process returning from Compute
+// would. Otherwise the caller returns, and Step runs at the end; its
+// first act must be Resume, which attributes the wait's wall time to the
+// span as Compute does.
+//
+// A job may instead be carried by a process, P: then each charge or wait
+// blocks P, exactly as the process-style call would, and reports true.
+// A step machine written over a Job thus runs either way: a blocking
+// method drives it from its caller's process, making the kernel calls
+// it always made, and an asynchronous caller drives it from callbacks,
+// posting the same events at the same (at, seq) places.
 type Job struct {
-	H    *Host
+	H *Host
+	// S is the scheduler, for a job whose host is not yet known: a
+	// layer above the protocol clients (striping, async submission)
+	// makes the job, and the client whose step machine charges it sets
+	// H.
+	S    *sim.Scheduler
+	P    *sim.Proc
 	Span *obs.Span
 	Step func()
 
@@ -147,14 +163,48 @@ type Job struct {
 	body    func(p *sim.Proc) // j.runBlocked, bound at the first Block
 }
 
+// Carried returns a job carried by p, charging on h, with p's active
+// span (which p keeps while it carries the job).
+func Carried(h *Host, p *sim.Proc) Job {
+	return Job{H: h, S: p.Sched(), P: p, Span: obs.Active(p)}
+}
+
+// Sched returns the job's scheduler.
+func (j *Job) Sched() *sim.Scheduler {
+	if j.S != nil {
+		return j.S
+	}
+	return j.H.S
+}
+
 // Compute charges d of CPU work, the twin of Host.Compute.
-func (j *Job) Compute(d sim.Duration) bool { return j.Then(j.H.CPU, d, j.H.CPUPhase) }
+func (j *Job) Compute(d sim.Duration) bool {
+	if j.P != nil {
+		j.H.compute(j.P, j.Span, d)
+		return true
+	}
+	return j.Then(j.H.CPU, d, j.H.CPUPhase)
+}
 
 // Then executes a job of duration d on st, the twin of a process's
 // st.Wait bracketed into phase ph (a disk read, say).
 func (j *Job) Then(st *sim.Station, d sim.Duration, ph obs.Phase) bool {
 	j.Open(ph)
-	if !st.Then(d, j.Step) {
+	if j.P != nil {
+		st.Wait(j.P, d)
+	} else if !st.Then(d, j.Step) {
+		return false
+	}
+	j.Resume()
+	return true
+}
+
+// Wait waits for g to fire, the twin of g.Wait. A wait the caller opened
+// beforehand (Open) ends with it.
+func (j *Job) Wait(g *sim.Signal) bool {
+	if j.P != nil {
+		g.Wait(j.P)
+	} else if !g.Then(j.Step) {
 		return false
 	}
 	j.Resume()
@@ -163,15 +213,28 @@ func (j *Job) Then(st *sim.Station, d sim.Duration, ph obs.Phase) bool {
 
 // Open starts a wait that attributes to phase ph: one Then opens
 // itself, or one the caller arranges to end with a call of Step (an
-// RDMA completion, say).
-func (j *Job) Open(ph obs.Phase) { j.t0, j.ph, j.open = j.H.S.Now(), ph, true }
+// RDMA completion, say) or with Wait.
+func (j *Job) Open(ph obs.Phase) { j.t0, j.ph, j.open = j.Sched().Now(), ph, true }
 
 // Resume ends the open wait, if any, adding its wall time to the span.
 func (j *Job) Resume() {
 	if j.open {
 		j.open = false
-		j.Span.Add(j.ph, j.H.S.Now().Sub(j.t0))
+		j.Span.Add(j.ph, j.Sched().Now().Sub(j.t0))
 	}
+}
+
+// Run runs fn, a step that really blocks (a failover, a write-behind
+// drain, an operation with no step machine), on the job's process: P
+// if the job has one, and it reports true; otherwise a process Block
+// starts in place, and it reports false.
+func (j *Job) Run(name string, fn func(p *sim.Proc)) bool {
+	if j.P != nil {
+		fn(j.P)
+		return true
+	}
+	j.Block(name, fn)
+	return false
 }
 
 // Block continues the job on a process started in place (see
@@ -184,7 +247,7 @@ func (j *Job) Block(name string, fn func(p *sim.Proc)) {
 		j.body = j.runBlocked
 	}
 	j.blocked = fn
-	j.H.S.Start(name, j.body)
+	j.Sched().Start(name, j.body)
 }
 
 // runBlocked is the body of a process Block starts. It takes what it

@@ -3,6 +3,7 @@ package nas
 import (
 	"fmt"
 
+	"danas/internal/host"
 	"danas/internal/obs"
 	"danas/internal/sim"
 )
@@ -78,6 +79,8 @@ type Completion struct {
 // paper's NICs expose exactly this shape (queues of descriptors plus a
 // completion queue, §2–3); the synchronous Client methods remain
 // available for metadata and for callers that want one blocking call.
+// Admit, Issue and WaitOr are the same queues for a caller with no
+// process of its own, which waits by callbacks instead of blocking.
 type AsyncClient interface {
 	Client
 	// Depth returns the bound on outstanding operations.
@@ -95,14 +98,26 @@ type AsyncClient interface {
 	// process will submit one; otherwise the process blocks forever.
 	// The returned slice is valid until the next Wait.
 	Wait(p *sim.Proc) []Completion
+	// Admit is Submit's admission for a caller with no process: it
+	// reports true if a queue slot was free, now the caller's.
+	// Otherwise k runs, holding a slot, where a submitting process
+	// would have been granted one. Issue then submits into the slot.
+	Admit(s *sim.Scheduler, k func()) bool
+	// Issue submits op into a slot Admit granted and returns its tag.
+	Issue(op Op) uint64
+	// WaitOr is Wait for a caller with no process: it drains the
+	// buffered completions and reports true, or, with none, queues k to
+	// run where a waiting process would have been woken and reports
+	// false.
+	WaitOr(s *sim.Scheduler, k func()) ([]Completion, bool)
 }
 
 // AsyncBase supplies the bookkeeping every AsyncClient implementation
 // shares: tag assignment, the bounded-depth admission gate (a FIFO
 // credit resource, so submitters are granted slots in arrival order),
-// the completion buffer, and waiter wakeup. Implementations call Begin
-// from Submit and Finish when an operation completes; Depth,
-// Outstanding and Wait are promoted as-is.
+// the completion buffer, and waiter wakeup. Implementations call
+// Admitted from Issue and Finish when an operation completes; Depth,
+// Outstanding, Admit, Wait and WaitOr are promoted as-is.
 type AsyncBase struct {
 	s           *sim.Scheduler
 	depth       int
@@ -116,7 +131,7 @@ type AsyncBase struct {
 
 // InitAsync sets the queue depth. Implementations call it once at
 // construction; the scheduler is picked up lazily from the first
-// submitting or waiting process.
+// submitting or waiting caller.
 func (b *AsyncBase) InitAsync(depth int) {
 	if depth < 1 {
 		panic(fmt.Sprintf("nas: async queue depth must be >= 1, got %d", depth))
@@ -124,9 +139,9 @@ func (b *AsyncBase) InitAsync(depth int) {
 	b.depth = depth
 }
 
-func (b *AsyncBase) ensure(p *sim.Proc) {
+func (b *AsyncBase) ensure(s *sim.Scheduler) {
 	if b.s == nil {
-		b.s = p.Sched()
+		b.s = s
 		b.credits = sim.NewResource(b.s, "async-depth", int64(b.depth))
 	}
 }
@@ -137,18 +152,29 @@ func (b *AsyncBase) Depth() int { return b.depth }
 // Outstanding returns submitted-but-uncompleted operations.
 func (b *AsyncBase) Outstanding() int { return b.outstanding }
 
-// Begin admits one operation: it blocks p while the queue is full, then
-// assigns the next tag and records the admission instant.
-func (b *AsyncBase) Begin(p *sim.Proc) (tag uint64, submitted sim.Time) {
-	b.ensure(p)
+// Begin admits one operation from p, blocking p while the queue is
+// full; Issue then submits it.
+func (b *AsyncBase) Begin(p *sim.Proc) {
+	b.ensure(p.Sched())
 	b.credits.Acquire(p, 1)
+}
+
+// Admit implements AsyncClient.Admit.
+func (b *AsyncBase) Admit(s *sim.Scheduler, k func()) bool {
+	b.ensure(s)
+	return b.credits.AcquireOr(1, k)
+}
+
+// Admitted counts one admitted operation outstanding and returns its
+// tag and the admission instant.
+func (b *AsyncBase) Admitted() (tag uint64, submitted sim.Time) {
 	b.outstanding++
 	b.nextTag++
 	return b.nextTag, b.s.Now()
 }
 
 // Finish buffers one completion, stamps its Done time, releases the
-// operation's queue slot, and wakes any Wait-blocked process.
+// operation's queue slot, and wakes any waiter.
 func (b *AsyncBase) Finish(c Completion) {
 	c.Done = b.s.Now()
 	b.outstanding--
@@ -163,16 +189,36 @@ func (b *AsyncBase) Finish(c Completion) {
 // own: it stays valid until the next Wait, whose completions reuse its
 // storage. One signal serves every Wait, re-armed once fired.
 func (b *AsyncBase) Wait(p *sim.Proc) []Completion {
-	b.ensure(p)
+	b.ensure(p.Sched())
 	for len(b.done) == 0 {
-		switch {
-		case b.avail == nil:
-			b.avail = sim.NewSignal(b.s)
-		case b.avail.Fired():
-			b.avail.Reset()
-		}
-		b.avail.Wait(p)
+		b.arm().Wait(p)
 	}
+	return b.drain()
+}
+
+// WaitOr implements AsyncClient.WaitOr, as Wait.
+func (b *AsyncBase) WaitOr(s *sim.Scheduler, k func()) ([]Completion, bool) {
+	b.ensure(s)
+	if len(b.done) == 0 {
+		b.arm().Then(k)
+		return nil, false
+	}
+	return b.drain(), true
+}
+
+// arm returns the completion signal, unfired.
+func (b *AsyncBase) arm() *sim.Signal {
+	switch {
+	case b.avail == nil:
+		b.avail = sim.NewSignal(b.s)
+	case b.avail.Fired():
+		b.avail.Reset()
+	}
+	return b.avail
+}
+
+// drain returns the buffered completions.
+func (b *AsyncBase) drain() []Completion {
 	out := b.done
 	clear(b.spare)
 	b.done, b.spare = b.spare[:0], out
@@ -188,10 +234,13 @@ type queuedOp struct {
 
 // asyncAdapter gives any synchronous Client asynchronous
 // submission-with-depth-N for free by multiplexing operations onto a
-// pool of Depth worker processes, each issuing blocking calls on the
-// wrapped client. This is how the three RPC-based stacks (NFS, RDDP-RPC,
+// pool of Depth workers, each issuing one call at a time on the wrapped
+// client. This is how the three RPC-based stacks (NFS, RDDP-RPC,
 // RDDP-RDMA) gain queue depth without protocol changes: N workers keep N
-// RPCs in flight, exactly like N application threads would.
+// RPCs in flight, exactly like N application threads would. The workers
+// are callbacks, each running its calls as the client's Task (see
+// NewTask: a client without step machines runs each call on a process
+// of its own).
 type asyncAdapter struct {
 	Client
 	AsyncBase
@@ -206,33 +255,79 @@ func NewAsync(c Client, depth int) AsyncClient {
 	return a
 }
 
-// Submit implements AsyncClient. The first submission spawns the worker
-// pool on the submitting process's scheduler.
+// Submit implements AsyncClient.
 func (a *asyncAdapter) Submit(p *sim.Proc, op Op) uint64 {
-	tag, at := a.Begin(p)
+	a.Begin(p)
+	return a.Issue(op)
+}
+
+// Issue implements AsyncClient. The first submission starts the worker
+// pool, each worker at a same-instant event of its own.
+func (a *asyncAdapter) Issue(op Op) uint64 {
+	tag, at := a.Admitted()
 	if a.sq == nil {
-		s := p.Sched()
+		s := a.s
 		a.sq = sim.NewQueue[queuedOp](s, "async-sq")
-		for w := 0; w < a.Depth(); w++ {
-			s.Go(fmt.Sprintf("async-%s-w%d", a.Client.Name(), w), a.worker)
+		for range a.Depth() {
+			wk := &worker{a: a, task: NewTask(a.Client)}
+			wk.j = host.Job{S: s, Step: wk.resume}
+			wk.get = wk.next
+			s.After(0, wk.get)
 		}
 	}
 	a.sq.Put(queuedOp{tag: tag, op: op, submitted: at})
 	return tag
 }
 
-// worker executes queued operations one at a time. Because admission is
-// capped at Depth — the pool's size — a queued operation never waits
-// behind more than the in-flight window. Time between admission and
-// worker pickup is the operation's queue phase; the span then stays
-// active for exactly the Run call.
-func (a *asyncAdapter) worker(wp *sim.Proc) {
+// worker is one worker of the adapter: a receive loop on the
+// submission queue (sim.Queue.GetOr) and the task running the operation
+// it took, event for event what a worker process calling Get and the
+// blocking method would run. Because admission is capped at Depth — the
+// pool's size — a queued operation never waits behind more than the
+// in-flight window. Time between admission and worker pickup is the
+// operation's queue phase; the span then rides along for exactly the
+// operation.
+type worker struct {
+	a    *asyncAdapter
+	task Task
+	j    host.Job
+	q    queuedOp
+	get  func() // w.next, bound once
+}
+
+// next takes queued operations and runs each until one waits.
+func (w *worker) next() {
+	a := w.a
 	for {
-		q := a.sq.Get(wp)
-		q.op.Span.Add(obs.PhaseQueue, wp.Now().Sub(q.submitted))
-		obs.Activate(wp, q.op.Span)
-		n, err := q.op.Run(wp, a.Client)
-		obs.Activate(wp, nil)
-		a.Finish(Completion{Tag: q.tag, Op: q.op, N: n, Err: err, Submitted: q.submitted})
+		q, ok := a.sq.GetOr(w.get)
+		if !ok {
+			return
+		}
+		w.q = q
+		q.op.Span.Add(obs.PhaseQueue, a.s.Now().Sub(q.submitted))
+		w.j.Span = q.op.Span
+		if !w.task.Run(&w.j, &w.q.op) {
+			return
+		}
+		w.finish()
 	}
+}
+
+// resume continues the operation where a wait ended, and the receive
+// loop once it is done.
+func (w *worker) resume() {
+	w.j.Resume()
+	if !w.task.Step(&w.j) {
+		return
+	}
+	w.finish()
+	w.next()
+}
+
+// finish completes the operation at hand.
+func (w *worker) finish() {
+	n, _, err := w.task.Result()
+	q := w.q
+	w.q, w.j.Span = queuedOp{}, nil
+	w.a.Finish(Completion{Tag: q.tag, Op: q.op, N: n, Err: err, Submitted: q.submitted})
 }

@@ -1,6 +1,7 @@
 package nas
 
 import (
+	"danas/internal/host"
 	"danas/internal/obs"
 	"danas/internal/sim"
 	"danas/internal/wire"
@@ -48,6 +49,8 @@ type Call[T, M any] struct {
 	// Resolve.
 	Reply  T
 	sig    *sim.Signal
+	xid    uint64
+	span   *obs.Span
 	failed bool // the retransmission budget ran out
 }
 
@@ -62,13 +65,13 @@ func (t *CallTable[T, M]) Init(resend func(*M)) {
 	t.resend = resend
 }
 
-// Begin registers a call: it stamps hdr with the next XID and the
-// caller's active span, and returns the call's record, with a zero
-// request and reply, from the table's free list.
-func (t *CallTable[T, M]) Begin(p *sim.Proc, hdr *wire.Header) *Call[T, M] {
+// Begin registers a call made on j: it stamps hdr with the next XID and
+// j's span, and returns the call's record, with a zero request and
+// reply, from the table's free list.
+func (t *CallTable[T, M]) Begin(j *host.Job, hdr *wire.Header) *Call[T, M] {
 	t.nextXID++
 	hdr.XID = t.nextXID
-	hdr.Span = obs.Active(p)
+	hdr.Span = j.Span
 	t.Calls++
 	var c *Call[T, M]
 	if k := len(t.free); k > 0 {
@@ -78,8 +81,9 @@ func (t *CallTable[T, M]) Begin(p *sim.Proc, hdr *wire.Header) *Call[T, M] {
 		c.Reply, c.failed = zero, false
 		c.sig.Reset()
 	} else {
-		c = &Call[T, M]{sig: sim.NewSignal(p.Sched())}
+		c = &Call[T, M]{sig: sim.NewSignal(j.Sched())}
 	}
+	c.xid, c.span = hdr.XID, hdr.Span
 	t.pending[hdr.XID] = c
 	return c
 }
@@ -108,15 +112,20 @@ func (t *CallTable[T, M]) End(c *Call[T, M]) {
 // Outstanding returns the number of in-flight calls.
 func (t *CallTable[T, M]) Outstanding() int { return len(t.pending) }
 
-// Wait blocks until the call begun with hdr has its reply, and returns
-// it: c's Reply. With a retransmit timeout set it first arms
-// retransmission of the just-sent request c.Req; a call whose budget
-// runs out fails with ErrTimeout.
-func (t *CallTable[T, M]) Wait(p *sim.Proc, hdr *wire.Header, c *Call[T, M]) (*T, error) {
+// Await waits on j, a step of the caller's machine, until call c has
+// its reply; Result then returns it. With a retransmit timeout set it
+// first arms retransmission of the just-sent request c.Req; a call
+// whose budget runs out fails with ErrTimeout. A machine that Await
+// left waiting goes on to Result when j.Step is called.
+func (t *CallTable[T, M]) Await(j *host.Job, c *Call[T, M]) bool {
 	if t.RetransmitTimeout > 0 {
-		t.arm(p.Sched(), hdr, c)
+		t.arm(j.Sched(), c)
 	}
-	c.sig.Wait(p)
+	return j.Wait(c.sig)
+}
+
+// Result returns the ended wait's reply, c's Reply, or ErrTimeout.
+func (c *Call[T, M]) Result() (*T, error) {
 	if c.failed {
 		return nil, ErrTimeout
 	}
@@ -128,8 +137,8 @@ func (t *CallTable[T, M]) Wait(p *sim.Proc, hdr *wire.Header, c *Call[T, M]) (*T
 // lost exchange: that dead time is the span's retry phase. The timers
 // know the call by its XID: once it is answered, they stop, so they
 // re-send its record's request only while the call holds the record.
-func (t *CallTable[T, M]) arm(s *sim.Scheduler, hdr *wire.Header, c *Call[T, M]) {
-	xid, sp := hdr.XID, hdr.Span
+func (t *CallTable[T, M]) arm(s *sim.Scheduler, c *Call[T, M]) {
+	xid, sp := c.xid, c.span
 	lastSend := s.Now()
 	answered := func() bool { return t.pending[xid] != c }
 	sim.Retry(s, t.RetransmitTimeout, t.MaxRetries, answered,

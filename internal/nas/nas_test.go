@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"danas/internal/host"
 	"danas/internal/sim"
 )
 
@@ -50,6 +51,10 @@ func (m *memClient) Open(p *sim.Proc, name string) (*Handle, error) {
 
 func (m *memClient) Read(p *sim.Proc, h *Handle, off, n int64, bufID uint64) (int64, error) {
 	p.Sleep(m.perOp)
+	return m.read(h, off, n)
+}
+
+func (m *memClient) read(h *Handle, off, n int64) (int64, error) {
 	if m.failRead != nil {
 		return 0, m.failRead
 	}
@@ -68,6 +73,10 @@ func (m *memClient) Read(p *sim.Proc, h *Handle, off, n int64, bufID uint64) (in
 
 func (m *memClient) Write(p *sim.Proc, h *Handle, off, n int64, bufID uint64) (int64, error) {
 	p.Sleep(m.perOp)
+	return m.write(h, off, n)
+}
+
+func (m *memClient) write(h *Handle, off, n int64) (int64, error) {
 	f, ok := m.open[h.FH]
 	if !ok {
 		return 0, ErrStale
@@ -129,13 +138,75 @@ func (m *memClient) WriteData(p *sim.Proc, h *Handle, off int64, data []byte) (i
 
 func (m *memClient) Commit(p *sim.Proc, h *Handle, off, n int64) error {
 	p.Sleep(m.perOp)
+	return m.commit(h)
+}
+
+func (m *memClient) commit(h *Handle) error {
 	if _, ok := m.open[h.FH]; !ok {
 		return ErrStale
 	}
 	return nil
 }
 
-var _ Client = (*memClient)(nil)
+var _ Stepper = (*memClient)(nil)
+
+// NewTask makes memClient a Stepper: a data operation waits perOp on a
+// timer event, where the blocking method's Sleep wakes, then runs the
+// same body; opens and closes run the blocking methods on a process of
+// their own.
+func (m *memClient) NewTask() Task {
+	pt := &procTask{c: m}
+	pt.body = pt.run
+	return &memTask{procTask: pt, m: m}
+}
+
+type memTask struct {
+	*procTask
+	m       *memClient
+	op      Op
+	n       int64
+	err     error
+	running bool
+}
+
+func (t *memTask) Open(j *host.Job, name string) bool {
+	t.running = false
+	return t.procTask.Open(j, name)
+}
+
+func (t *memTask) Close(j *host.Job, h *Handle) bool {
+	t.running = false
+	return t.procTask.Close(j, h)
+}
+
+func (t *memTask) Run(j *host.Job, op *Op) bool {
+	t.op, t.running = *op, true
+	j.Sched().After(t.m.perOp, j.Step)
+	return false
+}
+
+func (t *memTask) Step(j *host.Job) bool {
+	if !t.running {
+		return t.procTask.Step(j)
+	}
+	switch op := t.op; op.Kind {
+	case OpWrite:
+		t.n, t.err = t.m.write(op.H, op.Off, op.N)
+	case OpCommit:
+		t.n, t.err = 0, t.m.commit(op.H)
+	default:
+		t.n, t.err = t.m.read(op.H, op.Off, op.N)
+	}
+	t.op = Op{}
+	return true
+}
+
+func (t *memTask) Result() (int64, *Handle, error) {
+	if t.running {
+		return t.n, nil, t.err
+	}
+	return t.procTask.Result()
+}
 
 // memSource materializes bytes by handle, the ContentSource side. When
 // err is set it fails after materializing shortAfter bytes, modelling a

@@ -56,6 +56,7 @@ type Client struct {
 	nas.CommitTracker
 
 	nextLocalPort int
+	tasks         []*Task // task records for blocking methods, for reuse
 
 	// prePost is c.prePostReply, bound once: the pre-posting read's
 	// rpc.CallOpts.Prepare.
@@ -121,15 +122,308 @@ func (c *Client) call(p *sim.Proc, hdr *wire.Header, opts rpc.CallOpts) (*rpc.Re
 	return resp, nas.StatusErr(resp.Hdr.Status)
 }
 
+// carry returns a task record from the client's free list, for a
+// blocking method to drive from its caller's process.
+func (c *Client) carry() *Task {
+	if k := len(c.tasks); k > 0 {
+		t := c.tasks[k-1]
+		c.tasks = c.tasks[:k-1]
+		return t
+	}
+	return &Task{c: c}
+}
+
+// release returns a finished task record to the free list.
+func (c *Client) release(t *Task) {
+	t.h, t.hd, t.err = nil, nil, nil
+	c.tasks = append(c.tasks, t)
+}
+
+// Task runs one operation of a Client at a time — an open, a close, a
+// read or a write, in the client's kind — as a step machine over a
+// host.Job: the request, the registration and call it is at, and the
+// outcome. A blocking method drives one from its caller's process; an
+// asynchronous caller keeps one and drives it from callbacks. It
+// implements nas.Task for the client that made it.
+type Task struct {
+	c     *Client
+	op    taskOp
+	stage taskStage
+	h     *nas.Handle
+	bufID uint64
+	hdr   wire.Header
+	opts  rpc.CallOpts
+	pin   host.Pin // pre-posting: the per-I/O registration
+	reg   *host.Registration
+	rg    nic.RegGet // hybrid: the cached registration
+	call  rpc.Caller
+	// charges are the client CPU charges after the reply, in order.
+	charges [3]sim.Duration
+	nCharge int
+
+	n    int64
+	hd   *nas.Handle
+	err  error
+	body func(p *sim.Proc) // t.commit, bound once
+}
+
+var _ nas.Stepper = (*Client)(nil)
+
+// NewTask implements nas.Stepper.
+func (c *Client) NewTask() nas.Task { return &Task{c: c} }
+
+type taskOp uint8
+
+const (
+	taskOpen taskOp = iota
+	taskClose
+	taskRead
+	taskWrite
+)
+
+type taskStage uint8
+
+const (
+	taskSyscall     taskStage = iota // charge the system call
+	taskClientOp                     // charge the vnode-layer op
+	taskRegister                     // register the buffer, per kind
+	taskPinning                      // pre-posting: registration charged
+	taskPinned                       // pre-posting: registration in hand
+	taskRegistering                  // hybrid: registration charged
+	taskRegistered                   // hybrid: registration in hand
+	taskCall                         // issue the RPC
+	taskCalling                      // the RPC under way
+	taskReplied                      // the reply (or failure) in hand
+	taskCharge                       // the post-reply charges
+	taskUnpin                        // pre-posting: release the registration
+	taskUnpinning                    // pre-posting: release charged
+	taskDone
+)
+
+func (t *Task) start(j *host.Job, op taskOp, h *nas.Handle, bufID uint64, hdr wire.Header) bool {
+	j.H = t.c.h
+	t.op, t.stage, t.h, t.bufID, t.hdr, t.opts = op, taskSyscall, h, bufID, hdr, rpc.CallOpts{}
+	t.reg, t.nCharge, t.n, t.hd, t.err = nil, 0, 0, nil, nil
+	return t.Step(j)
+}
+
+// Open implements nas.Task.
+func (t *Task) Open(j *host.Job, name string) bool {
+	return t.start(j, taskOpen, nil, 0, wire.Header{Op: wire.OpOpen, Name: name})
+}
+
+// Close implements nas.Task. NFS is stateless: close is local.
+func (t *Task) Close(j *host.Job, h *nas.Handle) bool {
+	return t.start(j, taskClose, h, 0, wire.Header{})
+}
+
+// Run implements nas.Task: reads and unstable writes run as step
+// machines, a commit on a process of its own (host.Job.Run).
+func (t *Task) Run(j *host.Job, op *nas.Op) bool {
+	switch op.Kind {
+	case nas.OpRead:
+		return t.read(j, op.H, op.Off, op.N, op.BufID)
+	case nas.OpWrite:
+		return t.write(j, op.H, op.Off, op.N, op.BufID, 0)
+	}
+	if t.body == nil {
+		t.body = t.commit
+	}
+	t.stage, t.h, t.hdr = taskDone, op.H, wire.Header{Offset: op.Off, Length: op.N}
+	t.n, t.hd, t.err = 0, nil, nil
+	return j.Run("nfs-commit", t.body)
+}
+
+// commit is Run's commit body.
+func (t *Task) commit(p *sim.Proc) { t.err = t.c.Commit(p, t.h, t.hdr.Offset, t.hdr.Length) }
+
+// read starts a read in the client's kind; this is the vnode-layer
+// read path of Figure 2 in the paper.
+func (t *Task) read(j *host.Job, h *nas.Handle, off, n int64, bufID uint64) bool {
+	return t.start(j, taskRead, h, bufID, wire.Header{Op: wire.OpRead, FH: h.FH, Offset: off, Length: n})
+}
+
+// write starts an unstable (flags 0) or FILE_SYNC write.
+func (t *Task) write(j *host.Job, h *nas.Handle, off, n int64, bufID uint64, flags uint8) bool {
+	return t.start(j, taskWrite, h, bufID, wire.Header{Op: wire.OpWrite, FH: h.FH, Offset: off, Length: n, Flags: flags})
+}
+
+// Result implements nas.Task.
+func (t *Task) Result() (int64, *nas.Handle, error) { return t.n, t.hd, t.err }
+
+// Step implements nas.Task.
+func (t *Task) Step(j *host.Job) bool {
+	c := t.c
+	for {
+		switch t.stage {
+		case taskSyscall:
+			t.stage = taskClientOp
+			if t.op == taskClose {
+				t.stage = taskDone
+			}
+			if !j.Compute(c.h.P.SyscallCost) {
+				return false
+			}
+		case taskClientOp:
+			t.stage = taskRegister
+			if !j.Compute(c.h.P.NFSClientOp) {
+				return false
+			}
+		case taskRegister:
+			t.stage = taskCall
+			if t.op == taskOpen {
+				break
+			}
+			n := t.hdr.Length
+			switch c.kind {
+			case Standard:
+				if t.op == taskWrite {
+					// Copy user -> mbufs at the client; payload rides the RPC.
+					t.opts = rpc.CallOpts{PayloadBytes: n, CopyBytes: n}
+				}
+			case PrePosting:
+				// Pin the user buffer: a read pre-posts it with the NIC per
+				// I/O (Figure 2, left column), a write gathers DMA straight
+				// from it.
+				t.stage = taskPinned
+				if !c.h.VM.RegisterThen(j, &t.pin, n) {
+					t.stage = taskPinning
+					return false
+				}
+			case Hybrid:
+				t.stage = taskRegistered
+				if !c.regs.GetThen(j, &t.rg, t.bufID, n) {
+					t.stage = taskRegistering
+					return false
+				}
+			default:
+				panic("nfs: unknown kind")
+			}
+		case taskPinning:
+			t.pin.Step(j)
+			t.stage = taskPinned
+		case taskPinned:
+			if t.pin.Err != nil {
+				t.err = t.pin.Err
+				return true
+			}
+			t.reg = t.pin.Reg
+			if t.op == taskRead {
+				t.opts = rpc.CallOpts{Prepare: c.prePost}
+			} else {
+				t.opts = rpc.CallOpts{PayloadBytes: t.hdr.Length}
+			}
+			t.stage = taskCall
+		case taskRegistering:
+			if !t.rg.Step(j) {
+				return false
+			}
+			t.stage = taskRegistered
+		case taskRegistered:
+			if t.rg.Err != nil {
+				t.err = t.rg.Err
+				return true
+			}
+			t.hdr.BufVA = t.rg.Entry.Seg.VA
+			t.stage = taskCall
+		case taskCall:
+			t.stage = taskReplied
+			if !c.rpc.CallThen(j, &t.call, &t.hdr, t.opts) {
+				t.stage = taskCalling
+				return false
+			}
+		case taskCalling:
+			if !t.call.Step(j) {
+				return false
+			}
+			t.stage = taskReplied
+		case taskReplied:
+			t.replied()
+		case taskCharge:
+			if t.nCharge == 0 {
+				t.stage = taskUnpin
+				break
+			}
+			d := t.charges[0]
+			t.charges[0], t.charges[1], t.nCharge = t.charges[1], t.charges[2], t.nCharge-1
+			if !j.Compute(d) {
+				return false
+			}
+		case taskUnpin:
+			t.stage = taskDone
+			if t.reg != nil && !c.h.VM.UnregisterThen(j, &t.pin, t.reg) {
+				t.stage = taskUnpinning
+				return false
+			}
+		case taskUnpinning:
+			t.pin.Step(j)
+			t.stage = taskDone
+		case taskDone:
+			return true
+		}
+	}
+}
+
+// replied takes the operation's outcome from the RPC's response, which
+// is valid only until the next call, and queues the charges that follow.
+func (t *Task) replied() {
+	c := t.c
+	resp := t.call.Resp
+	t.call.Resp = nil
+	t.stage = taskCharge
+	err := resp.Err
+	if err == nil {
+		err = nas.StatusErr(resp.Hdr.Status)
+	}
+	if err != nil {
+		if t.op == taskRead && c.kind == PrePosting {
+			// Failed or timed-out call: reclaim the pre-posted buffer so a
+			// dead shard does not leak NIC state.
+			c.n.CancelPrePost(t.hdr.XID)
+		}
+		t.err = err
+		return
+	}
+	got := resp.Hdr.Length
+	switch t.op {
+	case taskOpen:
+		t.hd = &nas.Handle{FH: resp.Hdr.FH, Size: got, Name: t.hdr.Name}
+	case taskRead:
+		t.n = got
+		switch c.kind {
+		case Standard:
+			// mbufs -> buffer cache, then buffer cache -> user buffer: the
+			// two copies that saturate the client CPU at 65 MB/s in
+			// Figure 3.
+			t.charges = [3]sim.Duration{c.h.CacheCopyCost(got), c.h.P.CacheInsert, c.h.CopyCost(got)}
+			t.nCharge = 3
+		case PrePosting:
+			if !resp.Direct {
+				// The NIC could not match the tag (e.g. buffer too small):
+				// fall back to the copy path so data is never lost.
+				c.n.CancelPrePost(resp.Hdr.XID)
+				t.charges = [3]sim.Duration{c.h.CacheCopyCost(got), c.h.CopyCost(got)}
+				t.nCharge = 2
+			}
+		}
+		// Hybrid: data was RDMA-written directly into the registered
+		// buffer before the reply arrived; nothing to copy.
+	case taskWrite:
+		if t.hdr.Flags&wire.FlagStable == 0 {
+			c.NoteUnstable(t.h.FH, t.hdr.Offset, got, resp.Hdr.Verifier)
+		}
+		t.n = got
+	}
+}
+
 // Open implements nas.Client.
 func (c *Client) Open(p *sim.Proc, name string) (*nas.Handle, error) {
-	c.h.Syscall(p)
-	c.h.Compute(p, c.h.P.NFSClientOp)
-	resp, err := c.call(p, &wire.Header{Op: wire.OpOpen, Name: name}, rpc.CallOpts{})
-	if err != nil {
-		return nil, err
-	}
-	return &nas.Handle{FH: resp.Hdr.FH, Size: resp.Hdr.Length, Name: name}, nil
+	t := c.carry()
+	j := host.Carried(c.h, p)
+	t.Open(&j, name)
+	h, err := t.hd, t.err
+	c.release(t)
+	return h, err
 }
 
 // Getattr implements nas.Client.
@@ -168,61 +462,15 @@ func (c *Client) Close(p *sim.Proc, h *nas.Handle) error {
 	return nil
 }
 
-// Read implements nas.Client, dispatching on the client kind. This is the
-// vnode-layer read path of Figure 2 in the paper.
+// Read implements nas.Client, dispatching on the client kind (see
+// Task).
 func (c *Client) Read(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64) (int64, error) {
-	c.h.Syscall(p)
-	c.h.Compute(p, c.h.P.NFSClientOp)
-	switch c.kind {
-	case Standard:
-		return c.readStandard(p, h, off, n)
-	case PrePosting:
-		return c.readPrePosting(p, h, off, n)
-	case Hybrid:
-		return c.readHybrid(p, h, off, n, bufID)
-	}
-	panic("nfs: unknown kind")
-}
-
-func (c *Client) readStandard(p *sim.Proc, h *nas.Handle, off, n int64) (int64, error) {
-	resp, err := c.call(p, &wire.Header{Op: wire.OpRead, FH: h.FH, Offset: off, Length: n}, rpc.CallOpts{})
-	if err != nil {
-		return 0, err
-	}
-	got := resp.Hdr.Length
-	// mbufs -> buffer cache, then buffer cache -> user buffer: the two
-	// copies that saturate the client CPU at 65 MB/s in Figure 3.
-	c.h.Compute(p, c.h.CacheCopyCost(got))
-	c.h.Compute(p, c.h.P.CacheInsert)
-	c.h.Compute(p, c.h.CopyCost(got))
-	return got, nil
-}
-
-func (c *Client) readPrePosting(p *sim.Proc, h *nas.Handle, off, n int64) (int64, error) {
-	// Pin the user buffer and pre-post it with the NIC, per I/O
-	// (Figure 2, left column).
-	reg, err := c.h.VM.Register(p, n)
-	if err != nil {
-		return 0, err
-	}
-	defer c.h.VM.Unregister(p, reg)
-	hdr := wire.Header{Op: wire.OpRead, FH: h.FH, Offset: off, Length: n}
-	resp, err := c.call(p, &hdr, rpc.CallOpts{Prepare: c.prePost})
-	if err != nil {
-		// Failed or timed-out call: reclaim the pre-posted buffer so a
-		// dead shard does not leak NIC state.
-		c.n.CancelPrePost(hdr.XID)
-		return 0, err
-	}
-	got := resp.Hdr.Length
-	if !resp.Direct {
-		// The NIC could not match the tag (e.g. buffer too small):
-		// fall back to the copy path so data is never lost.
-		c.n.CancelPrePost(resp.Hdr.XID)
-		c.h.Compute(p, c.h.CacheCopyCost(got))
-		c.h.Compute(p, c.h.CopyCost(got))
-	}
-	return got, nil
+	t := c.carry()
+	j := host.Carried(c.h, p)
+	t.read(&j, h, off, n, bufID)
+	got, err := t.n, t.err
+	c.release(t)
+	return got, err
 }
 
 // prePostReply hands the NIC a descriptor for the reply buffer the
@@ -232,22 +480,6 @@ func (c *Client) prePostReply(req *wire.Header) uint64 {
 	c.h.ComputeAsync(c.h.P.PIOWrite, nil) // hand descriptor to NIC
 	c.n.PrePost(req.XID, req.Length)
 	return req.XID
-}
-
-func (c *Client) readHybrid(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64) (int64, error) {
-	e, err := c.regs.Get(p, bufID, n)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := c.call(p, &wire.Header{
-		Op: wire.OpRead, FH: h.FH, Offset: off, Length: n, BufVA: e.Seg.VA,
-	}, rpc.CallOpts{})
-	if err != nil {
-		return 0, err
-	}
-	// Data was RDMA-written directly into the registered buffer before
-	// the reply arrived; nothing to copy.
-	return resp.Hdr.Length, nil
 }
 
 // Write implements nas.Client: an unstable write the server may hold
@@ -263,42 +495,12 @@ func (c *Client) WriteStable(p *sim.Proc, h *nas.Handle, off, n int64, bufID uin
 }
 
 func (c *Client) write(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64, flags uint8) (int64, error) {
-	c.h.Syscall(p)
-	c.h.Compute(p, c.h.P.NFSClientOp)
-	var resp *rpc.Response
-	var err error
-	hdr := wire.Header{Op: wire.OpWrite, FH: h.FH, Offset: off, Length: n, Flags: flags}
-	switch c.kind {
-	case Standard:
-		// Copy user -> mbufs at the client; payload rides the RPC.
-		resp, err = c.call(p, &hdr, rpc.CallOpts{PayloadBytes: n, CopyBytes: n})
-	case PrePosting:
-		// Outgoing path: gather DMA straight from the pinned user buffer.
-		var reg *host.Registration
-		reg, err = c.h.VM.Register(p, n)
-		if err != nil {
-			return 0, err
-		}
-		defer c.h.VM.Unregister(p, reg)
-		resp, err = c.call(p, &hdr, rpc.CallOpts{PayloadBytes: n})
-	case Hybrid:
-		var e *nic.RegEntry
-		e, err = c.regs.Get(p, bufID, n)
-		if err != nil {
-			return 0, err
-		}
-		hdr.BufVA = e.Seg.VA
-		resp, err = c.call(p, &hdr, rpc.CallOpts{})
-	default:
-		panic("nfs: unknown kind")
-	}
-	if err != nil {
-		return 0, err
-	}
-	if flags&wire.FlagStable == 0 {
-		c.NoteUnstable(h.FH, off, resp.Hdr.Length, resp.Hdr.Verifier)
-	}
-	return resp.Hdr.Length, nil
+	t := c.carry()
+	j := host.Carried(c.h, p)
+	t.write(&j, h, off, n, bufID, flags)
+	got, err := t.n, t.err
+	c.release(t)
+	return got, err
 }
 
 // Commit implements nas.Client: destage the range server-side, then

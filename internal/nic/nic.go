@@ -316,9 +316,13 @@ func (n *NIC) PrePosted() int { return len(n.preposted) }
 // Send transmits m from process context, charging the host send cost
 // (library + doorbell) before the NIC pipeline takes over.
 func (n *NIC) Send(p *sim.Proc, m *Message) {
-	n.h.Compute(p, n.p.GMSendCost+n.p.PIOWrite)
+	n.h.Compute(p, n.PostCost())
 	n.SendAsync(m)
 }
+
+// PostCost is the host CPU of posting one send or RDMA descriptor: the
+// library call and the doorbell.
+func (n *NIC) PostCost() sim.Duration { return n.p.GMSendCost + n.p.PIOWrite }
 
 // SendAsync transmits a copy of m from event context; the caller is
 // responsible for any host-side CPU accounting.

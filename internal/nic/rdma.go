@@ -99,7 +99,7 @@ type rdmaFlight struct {
 // RDMA issues op from process context, charging the host post cost
 // (descriptor build + doorbell).
 func (n *NIC) RDMA(p *sim.Proc, op *Op) {
-	n.h.Compute(p, n.p.GMSendCost+n.p.PIOWrite)
+	n.h.Compute(p, n.PostCost())
 	n.RDMAAsync(op)
 }
 

@@ -478,8 +478,41 @@ func (c *Client) resend(r *sent) {
 // XID is assigned by the client. The Response is valid until the calling
 // process next blocks or calls the client again (see Response).
 func (c *Client) Call(p *sim.Proc, req *wire.Header, opts CallOpts) *Response {
-	h := c.stack.Host()
-	call := c.Begin(p, req)
+	j := host.Carried(c.stack.Host(), p)
+	var m Caller
+	c.CallThen(&j, &m, req, opts)
+	return m.Resp
+}
+
+// Caller is one call run as a step machine (see host.Job): the call
+// record, the send, and the charge or wait it is at. A caller keeps one
+// and reuses it.
+type Caller struct {
+	c     *Client
+	call  *nas.Call[Response, sent]
+	copy  int64
+	send  udpip.Sender
+	stage callStage
+	// Resp is the finished call's response, as Call returns it.
+	Resp *Response
+}
+
+type callStage uint8
+
+const (
+	callSendCost callStage = iota // charge the send-side RPC cost
+	callSend                      // transmit the request
+	callSending                   // a send under way
+	callAwait                     // wait for the reply
+	callRecvCost                  // charge the receive-side RPC cost
+	callDone
+)
+
+// CallThen is Call as a step machine over j: it reports true once m.Resp
+// holds the response; otherwise j waits, and j.Step must call m.Step
+// until it reports true.
+func (c *Client) CallThen(j *host.Job, m *Caller, req *wire.Header, opts CallOpts) bool {
+	call := c.Begin(j, req)
 	s := &call.Req
 	s.msg.Hdr = *req
 	s.msg.PayloadBytes, s.msg.Payload = opts.PayloadBytes, opts.Payload
@@ -487,13 +520,52 @@ func (c *Client) Call(p *sim.Proc, req *wire.Header, opts CallOpts) *Response {
 	if opts.Prepare != nil {
 		s.msg.replyTag = opts.Prepare(&s.msg.Hdr)
 	}
-	h.Compute(p, h.P.RPCClientSend)
-	c.sock.SendTo(p, c.server, c.serverPort, s.bytes, c.msgs.send(&s.msg), opts.CopyBytes, 0)
-	resp, err := c.Wait(p, req, call)
-	h.Compute(p, h.P.RPCClientRecv)
-	c.End(call)
-	if err != nil {
-		return &Response{Err: err} // the caller's own: failures are rare
+	*m = Caller{c: c, call: call, copy: opts.CopyBytes}
+	return m.Step(j)
+}
+
+// Step advances the call on j, as CallThen.
+func (m *Caller) Step(j *host.Job) bool {
+	c := m.c
+	h := c.stack.Host()
+	for {
+		switch m.stage {
+		case callSendCost:
+			m.stage = callSend
+			if !j.Compute(h.P.RPCClientSend) {
+				return false
+			}
+		case callSend:
+			s := &m.call.Req
+			m.stage = callAwait
+			if !c.sock.SendThen(j, &m.send, c.server, c.serverPort, s.bytes, c.msgs.send(&s.msg), m.copy, 0) {
+				m.stage = callSending
+				return false
+			}
+		case callSending:
+			if !m.send.Step(j) {
+				return false
+			}
+			m.stage = callAwait
+		case callAwait:
+			m.stage = callRecvCost
+			if !c.Await(j, m.call) {
+				return false
+			}
+		case callRecvCost:
+			m.stage = callDone
+			if !j.Compute(h.P.RPCClientRecv) {
+				return false
+			}
+		case callDone:
+			resp, err := m.call.Result()
+			c.End(m.call)
+			m.call = nil
+			if err != nil {
+				resp = &Response{Err: err} // the caller's own: failures are rare
+			}
+			m.Resp = resp
+			return true
+		}
 	}
-	return resp
 }

@@ -68,16 +68,18 @@ func (q *Queue[T]) take() T {
 	return v
 }
 
-// Signal is a one-shot completion: one or more processes wait, one event
+// Signal is a one-shot completion: one or more parties wait, one event
 // fires, all waiters resume. Used for I/O completions and futures. The
-// first waiter is held inline, so a signal with one waiter allocates
-// nothing to wait on, and Reset re-arms a fired signal, so its owner can
-// keep one for the next completion instead of making a new one.
+// waiters are processes in Wait and callbacks in Then alike, resumed in
+// the order they started waiting. The first waiter is held inline, so a
+// signal with one waiter allocates nothing to wait on, and Reset re-arms
+// a fired signal, so its owner can keep one for the next completion
+// instead of making a new one.
 type Signal struct {
 	s     *Scheduler
 	fired bool
-	first *Proc
-	more  []*Proc // waiters after the first, in arrival order
+	first waiter
+	more  []waiter // waiters after the first, in arrival order
 }
 
 // NewSignal creates an unfired signal.
@@ -86,20 +88,21 @@ func NewSignal(s *Scheduler) *Signal { return &Signal{s: s} }
 // Fired reports whether the signal has fired.
 func (g *Signal) Fired() bool { return g.fired }
 
-// Fire releases all current and future waiters. Firing twice is a no-op.
+// Fire releases all current and future waiters, each through its own
+// same-instant event. Firing twice is a no-op.
 func (g *Signal) Fire() {
 	if g.fired {
 		return
 	}
 	g.fired = true
-	if g.first != nil {
-		g.s.postWake(g.s.now, g.first)
+	if !g.first.none() {
+		g.s.resume(g.first)
 	}
-	for i, p := range g.more {
-		g.s.postWake(g.s.now, p)
-		g.more[i] = nil
+	for i, w := range g.more {
+		g.s.resume(w)
+		g.more[i] = waiter{}
 	}
-	g.first, g.more = nil, g.more[:0]
+	g.first, g.more = waiter{}, g.more[:0]
 }
 
 // Reset re-arms a fired signal: it is unfired again, with no waiters,
@@ -121,12 +124,29 @@ func (g *Signal) Wait(p *Proc) {
 	if g.fired {
 		return
 	}
-	if g.first == nil {
-		g.first = p
-	} else {
-		g.more = append(g.more, p)
-	}
+	g.add(waiter{p: p})
 	p.block()
+}
+
+// Then is the callback twin of Wait, for a caller with no process: it
+// reports true if the signal has fired, and the caller carries on
+// itself. Otherwise it queues k in line with blocked processes and
+// reports false; Fire then calls k through a same-instant event, where a
+// waiting process would have been woken.
+func (g *Signal) Then(k func()) bool {
+	if g.fired {
+		return true
+	}
+	g.add(waiter{fn: k})
+	return false
+}
+
+func (g *Signal) add(w waiter) {
+	if g.first.none() {
+		g.first = w
+	} else {
+		g.more = append(g.more, w)
+	}
 }
 
 // Future is a Signal carrying a value.

@@ -24,8 +24,10 @@ type Resource struct {
 	grants     uint64
 }
 
+// resWaiter is a queued request: n units for w, a blocked process or
+// the callback of a caller with none.
 type resWaiter struct {
-	p *Proc
+	w waiter
 	n int64
 }
 
@@ -57,8 +59,26 @@ func (r *Resource) account() {
 
 // Acquire obtains n units, blocking p until they are granted.
 func (r *Resource) Acquire(p *Proc, n int64) {
+	if !r.acquire(n, waiter{p: p}) {
+		p.block()
+	}
+}
+
+// AcquireOr is the callback twin of Acquire, for a caller with no
+// process: it reports true if the n units were granted at once, and the
+// caller carries on itself. Otherwise it queues k in line with blocked
+// processes and reports false; k runs, holding the units, through a
+// same-instant event at the grant, where a blocked process would have
+// been woken.
+func (r *Resource) AcquireOr(n int64, k func()) bool {
+	return r.acquire(n, waiter{fn: k})
+}
+
+// acquire grants n units at once and reports true, or queues w for
+// them and reports false.
+func (r *Resource) acquire(n int64, w waiter) bool {
 	if n <= 0 {
-		return
+		return true
 	}
 	if n > r.capacity {
 		panic(fmt.Sprintf("sim: acquire %d exceeds capacity %d of %s", n, r.capacity, r.name))
@@ -67,10 +87,10 @@ func (r *Resource) Acquire(p *Proc, n int64) {
 		r.account()
 		r.inUse += n
 		r.grants++
-		return
+		return true
 	}
-	r.waiters.Push(resWaiter{p: p, n: n})
-	p.block()
+	r.waiters.Push(resWaiter{w: w, n: n})
+	return false
 }
 
 // Release returns n units and admits as many queued requests as now fit,
@@ -92,7 +112,7 @@ func (r *Resource) Release(n int64) {
 		r.waiters.Pop()
 		r.inUse += w.n
 		r.grants++
-		r.s.postWake(r.s.now, w.p)
+		r.s.resume(w.w)
 	}
 }
 

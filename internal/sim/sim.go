@@ -203,6 +203,8 @@ type waiter struct {
 	fn func()
 }
 
+func (w waiter) none() bool { return w.p == nil && w.fn == nil }
+
 // resume schedules w at the current instant: p's wake, or fn's call.
 func (s *Scheduler) resume(w waiter) { s.push(event{at: s.now, fn: w.fn, p: w.p}) }
 

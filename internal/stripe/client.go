@@ -3,92 +3,11 @@ package stripe
 import (
 	"fmt"
 
+	"danas/internal/host"
 	"danas/internal/nas"
 	"danas/internal/obs"
 	"danas/internal/sim"
 )
-
-// Fans runs fan-outs for its owner (a Striper or a replica Set) from a
-// free list of fan-out records, so a fan-out allocates nothing once its
-// owner has run one as wide. The zero value is ready to use.
-type Fans struct{ free []*fan }
-
-// fan is one fan-out's state: the legs' step and errors, how many have
-// started and finished, and the signal the caller waits on. The caller
-// returns it to its Fans once every leg has finished.
-type fan struct {
-	fn                func(wp *sim.Proc, i int) error
-	errs              []error
-	started, finished int
-	sp                *obs.Span
-	done              *sim.Signal
-	leg               func(wp *sim.Proc) // f.run, bound once
-}
-
-// FanOut runs fn for indexes 0..n-1 as concurrent simulated processes
-// and returns the lowest-index error. With n <= 1 it runs in-line on the
-// caller's process, so single-shard paths cost exactly what they did
-// unstriped. Every striped fan-out (Striper's namespace, span, extend and
-// commit fan-outs, a replica Set's fan-outs, and the cached client's
-// block fetches) uses it.
-func (fs *Fans) FanOut(p *sim.Proc, n int, name string, fn func(wp *sim.Proc, i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	if n == 1 {
-		return fn(p, 0)
-	}
-	return fs.fanOut(p, n, name, fn)
-}
-
-// fanOut runs n > 1 legs. It is a function of its own so that the
-// one-leg path, on which a process may block deep in its step, keeps a
-// small frame.
-func (fs *Fans) fanOut(p *sim.Proc, n int, name string, fn func(wp *sim.Proc, i int) error) error {
-	s := p.Sched()
-	var f *fan
-	if k := len(fs.free); k > 0 {
-		f = fs.free[k-1]
-		fs.free = fs.free[:k-1]
-		f.done.Reset()
-	} else {
-		f = &fan{done: sim.NewSignal(s)}
-		f.leg = f.run
-	}
-	f.fn, f.started, f.finished = fn, 0, 0
-	f.errs = append(f.errs[:0], make([]error, n)...)
-	// Legs carry the caller's span: each concurrent leg attributes its
-	// own waiting (phases are additive, so fan-out may sum past wall time).
-	f.sp = obs.Active(p)
-	for range n {
-		s.Go(name, f.leg)
-	}
-	f.done.Wait(p)
-	var err error
-	for _, e := range f.errs {
-		if e != nil {
-			err = e
-			break
-		}
-	}
-	clear(f.errs)
-	f.fn, f.sp = nil, nil
-	fs.free = append(fs.free, f)
-	return err
-}
-
-// run is one leg. Legs spawned at one instant start in spawn order, so
-// each takes the next index on entry and one body serves all of them.
-func (f *fan) run(wp *sim.Proc) {
-	i := f.started
-	f.started++
-	obs.Activate(wp, f.sp)
-	f.errs[i] = f.fn(wp, i)
-	f.finished++
-	if f.finished == len(f.errs) {
-		f.done.Fire()
-	}
-}
 
 // SpanOp is one shard's step of a striped operation: the byte range
 // [off, off+n) of the file, all owned by shard, through the shard's own
@@ -99,51 +18,59 @@ type SpanOp func(wp *sim.Proc, shard int, sh *nas.Handle, off, n int64) (int64, 
 // the table of each open name's per-shard handles, and the fan-outs that
 // run a per-shard step on every shard (namespace operations), on each
 // span's owning shard (data and commits), or on the shards a write left
-// short of the new end of file (extend). It issues no call itself: each
-// fan-out takes the per-shard step as a function (the extend step, the
-// same for every write, once at construction). Client steps through
-// per-shard sub-clients, the cached (O)DAFS client (internal/core)
-// through per-shard replica sets behind its one block cache.
+// short of the new end of file (extend). It issues no call itself: the
+// open, close and data fan-outs run the client's per-shard tasks, the
+// extend fan-out its extend step (Shards), and the others take the
+// per-shard step as a function. Client steps through per-shard
+// sub-clients, the cached (O)DAFS client (internal/core) through
+// per-shard replica sets behind its one block cache.
 type Striper struct {
 	Fans
 	layout Layout
 	// handles maps an open name to its per-shard handles; index 0 is the
 	// canonical handle returned to the application.
 	handles map[string][]*nas.Handle
-	// extend is Extend's per-shard step.
-	extend SpanOp
-	// runs holds finished EachSpan calls' records, for reuse.
-	runs []*spanRun
+	shards  Shards
+	// tasks holds each shard's idle tasks, for reuse.
+	tasks [][]nas.Task
 }
 
-// spanRun is one EachSpan call's state: the spans, the bytes each moved,
-// and the step they run. The call returns it to its Striper's free list.
-type spanRun struct {
-	s     *Striper
-	h     *nas.Handle
-	op    SpanOp
-	spans []Span
-	got   []int64
-	leg   func(wp *sim.Proc, i int) error // r.run, bound once
+// Shards is a striped client's per-shard side, which its Striper's
+// fan-outs run on.
+type Shards interface {
+	// ShardTask makes a task running operations on shard (see
+	// nas.Task): the open, close and data fan-outs' legs.
+	ShardTask(shard int) nas.Task
+	// ExtendShard is the extend fan-out's step: a zero-length write at
+	// end on shard, through its handle sh, which the servers' write path
+	// extends the file on.
+	ExtendShard(wp *sim.Proc, shard int, sh *nas.Handle, end int64) error
 }
 
-// run is span i's leg.
-func (r *spanRun) run(wp *sim.Proc, i int) error {
-	sp := r.spans[i]
-	g, err := r.op(wp, sp.Shard, r.s.ShardHandle(r.h, sp.Shard), sp.Off, sp.Len)
-	r.got[i] = g
-	return err
-}
-
-// NewStriper builds the striping layer for layout. extend is the step
-// Extend runs on each lagging shard: a zero-length write at off (n is
-// 0), which the servers' write path extends the file on.
-func NewStriper(layout Layout, extend SpanOp) Striper {
+// NewStriper builds the striping layer for layout over the client's
+// per-shard side.
+func NewStriper(layout Layout, shards Shards) Striper {
 	if err := layout.Validate(); err != nil {
 		panic(err.Error())
 	}
-	return Striper{layout: layout, handles: make(map[string][]*nas.Handle), extend: extend}
+	return Striper{layout: layout, handles: make(map[string][]*nas.Handle), shards: shards}
 }
+
+// task returns an idle task for shard.
+func (s *Striper) task(shard int) nas.Task {
+	if s.tasks == nil {
+		s.tasks = make([][]nas.Task, s.layout.Shards)
+	}
+	if k := len(s.tasks[shard]); k > 0 {
+		t := s.tasks[shard][k-1]
+		s.tasks[shard] = s.tasks[shard][:k-1]
+		return t
+	}
+	return s.shards.ShardTask(shard)
+}
+
+// putTask returns a finished task to shard's idle list.
+func (s *Striper) putTask(shard int, t nas.Task) { s.tasks[shard] = append(s.tasks[shard], t) }
 
 // Layout returns the striping scheme.
 func (s *Striper) Layout() Layout { return s.layout }
@@ -166,9 +93,70 @@ func (s *Striper) ShardHandle(h *nas.Handle, shard int) *nas.Handle {
 	return h
 }
 
-// Resolve runs a handle-returning namespace operation (open, create) on
-// every shard concurrently and records the per-shard handles under
-// name; shard 0's is returned.
+// Opening returns the fan-out that opens name on every shard
+// concurrently and records the per-shard handles under name; its Handle
+// is shard 0's.
+func (s *Striper) Opening(name string) *Run {
+	r := s.take(s, runOpen, s.layout.Shards)
+	r.file = name
+	r.hs = make([]*nas.Handle, s.layout.Shards)
+	return r
+}
+
+// Closing returns the fan-out that closes every shard's handle of hs,
+// or, with hs nil, h on shard 0 alone.
+func (s *Striper) Closing(hs []*nas.Handle, h *nas.Handle) *Run {
+	n := len(hs)
+	if hs == nil {
+		n = 1
+	}
+	r := s.take(s, runClose, n)
+	r.hs, r.h = hs, h
+	return r
+}
+
+// Spanning returns the fan-out that splits [off, off+n) of h into
+// per-shard spans and runs a data operation of kind on each, from the
+// buffer bufID; its Total is the bytes they moved.
+func (s *Striper) Spanning(h *nas.Handle, kind nas.OpKind, off, n int64, bufID uint64) *Run {
+	r := s.spanning(runSpans, h, off, n)
+	r.op = nas.Op{Kind: kind, BufID: bufID}
+	return r
+}
+
+func (s *Striper) spanning(kind runKind, h *nas.Handle, off, n int64) *Run {
+	r := s.record(s, kind)
+	r.spans = s.layout.AppendSpans(r.spans[:0], off, n)
+	r.size(len(r.spans))
+	r.h, r.name = h, "stripe-span"
+	return r
+}
+
+// Extending returns the fan-out that keeps the replicated size metadata
+// coherent after a write of [off, off+n): a shard only grows its copy of
+// the file to the end of the spans it received, so when the write
+// extends the file every lagging shard (Layout.ExtendTargets) gets the
+// extend step at the new end, and h.Size follows. Without this,
+// per-shard sizes diverge and shard-0-sourced opens and attributes would
+// understate the file.
+func (s *Striper) Extending(h *nas.Handle, off, n int64) *Run {
+	r := s.record(s, runExtend)
+	r.h, r.end, r.name = h, off+n, "stripe-extend"
+	r.spans = r.spans[:0]
+	if r.end <= h.Size {
+		r.end = h.Size // nothing to extend
+	} else {
+		for _, t := range s.layout.ExtendTargets(off, n) {
+			r.spans = append(r.spans, Span{Shard: t})
+		}
+	}
+	r.size(len(r.spans))
+	return r
+}
+
+// Resolve runs a handle-returning namespace operation (a create) on
+// every shard concurrently, each on a process of its own, and records
+// the per-shard handles under name; shard 0's is returned.
 func (s *Striper) Resolve(p *sim.Proc, name string, fn func(wp *sim.Proc, shard int) (*nas.Handle, error)) (*nas.Handle, error) {
 	hs := make([]*nas.Handle, s.layout.Shards)
 	err := s.FanOut(p, len(hs), "stripe-resolve", func(wp *sim.Proc, i int) error {
@@ -191,58 +179,25 @@ func (s *Striper) Unlink(p *sim.Proc, name string, fn func(wp *sim.Proc, shard i
 }
 
 // EachSpan splits [off, off+n) into per-shard spans, runs op on each
-// concurrently and returns the bytes moved summed over the spans, with
-// the lowest span's error. The sum counts the spans that succeeded too,
-// so a caller chooses what a failed operation reports.
+// concurrently, each on a process of its own, and returns the bytes
+// moved summed over the spans, with the lowest span's error (see
+// Run.Total).
 func (s *Striper) EachSpan(p *sim.Proc, h *nas.Handle, off, n int64, op SpanOp) (int64, error) {
-	var r *spanRun
-	if k := len(s.runs); k > 0 {
-		r = s.runs[k-1]
-		s.runs = s.runs[:k-1]
-	} else {
-		r = &spanRun{s: s}
-		r.leg = r.run
-	}
-	r.h, r.op = h, op
-	r.spans = s.layout.AppendSpans(r.spans[:0], off, n)
-	r.got = append(r.got[:0], make([]int64, len(r.spans))...)
-	var err error
-	if len(r.spans) == 1 {
-		err = r.run(p, 0) // in line, with no fan-out frame on the stack
-	} else {
-		err = s.FanOut(p, len(r.spans), "stripe-span", r.leg)
-	}
-	var total int64
-	for _, g := range r.got {
-		total += g
-	}
-	r.h, r.op = nil, nil
-	s.runs = append(s.runs, r)
-	return total, err
+	r := s.spanning(runProcSpans, h, off, n)
+	r.spanOp = op
+	r.drive(p)
+	got, err := r.Total()
+	r.Release()
+	return got, err
 }
 
-// Extend keeps the replicated size metadata coherent after a write of
-// [off, off+n): a shard only grows its copy of the file to the end of
-// the spans it received, so when the write extends the file every
-// lagging shard (Layout.ExtendTargets) gets the extend step at the new
-// end, and h.Size follows. Without this, per-shard sizes diverge and
-// shard-0-sourced opens and attributes would understate the file.
+// Extend runs Extending's fan-out from p.
 func (s *Striper) Extend(p *sim.Proc, h *nas.Handle, off, n int64) error {
-	end := off + n
-	if end <= h.Size {
-		return nil
-	}
-	targets := s.layout.ExtendTargets(off, n)
-	err := s.FanOut(p, len(targets), "stripe-extend", func(wp *sim.Proc, i int) error {
-		shard := targets[i]
-		_, err := s.extend(wp, shard, s.ShardHandle(h, shard), end, 0)
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	h.Size = end
-	return nil
+	r := s.Extending(h, off, n)
+	r.drive(p)
+	err := r.Err()
+	r.Release()
+	return err
 }
 
 // CommitSpans fans a commit out along the layout: a whole-file commit
@@ -312,12 +267,19 @@ func (e *CommitError) Unwrap() []error { return e.Errs }
 // which makes it the striped mount of the RPC-based systems (the three
 // NFS variants and the raw DAFS session client); the cached (O)DAFS
 // client embeds the same Striper behind its block cache (internal/core).
+// Its opens, closes, reads and writes run as step machines (Task) over
+// the sub-clients' tasks; a sub-client with none runs each step on a
+// process of its own (nas.NewTask).
 type Client struct {
 	Striper
-	subs []nas.Client
+	subs  []nas.Client
+	carry []*Task // task records for blocking methods, for reuse
 }
 
-var _ nas.Client = (*Client)(nil)
+var (
+	_ nas.Client  = (*Client)(nil)
+	_ nas.Stepper = (*Client)(nil)
+)
 
 // NewClient stripes the given per-shard sub-clients (one per layout
 // shard, in shard order) under one nas.Client.
@@ -326,45 +288,174 @@ func NewClient(layout Layout, subs []nas.Client) *Client {
 		panic(fmt.Sprintf("stripe: %d sub-clients for %d shards", len(subs), layout.Shards))
 	}
 	c := &Client{subs: subs}
-	c.Striper = NewStriper(layout, c.extendShard)
+	c.Striper = NewStriper(layout, c)
 	return c
 }
 
 // Name implements nas.Client: the protocol name is the sub-clients'.
 func (c *Client) Name() string { return c.subs[0].Name() }
 
-// Open implements nas.Client: the file is opened on every shard
+// NewTask implements nas.Stepper.
+func (c *Client) NewTask() nas.Task { return &Task{c: c} }
+
+// Task runs one operation of a striped Client at a time as a step
+// machine over a host.Job: the fan-out it is at, and the outcome.
+type Task struct {
+	c     *Client
+	j     host.Job // the job of a blocking method's caller
+	op    nas.Op
+	stage taskStage
+	r     *Run
+	n     int64
+	hd    *nas.Handle
+	err   error
+	body  func(p *sim.Proc) // t.commit, bound once
+}
+
+type taskStage uint8
+
+const (
+	taskOpen    taskStage = iota // the open fan-out
+	taskClose                    // the close fan-out
+	taskSpans                    // the data spans
+	taskExtend                   // a write's extend
+	taskBlocked                  // a commit, on a process of its own
+)
+
+func (t *Task) start(j *host.Job, stage taskStage, r *Run) bool {
+	t.stage, t.r, t.n, t.hd, t.err = stage, r, 0, nil, nil
+	return t.Step(j)
+}
+
+// Open implements nas.Task: the file is opened on every shard
 // concurrently (each shard resolves the replicated name); shard 0's
 // handle is canonical.
+func (t *Task) Open(j *host.Job, name string) bool {
+	return t.start(j, taskOpen, t.c.Opening(name))
+}
+
+// Close implements nas.Task: every shard's handle is released.
+func (t *Task) Close(j *host.Job, h *nas.Handle) bool {
+	hs, _ := t.c.Handles(h.Name)
+	return t.start(j, taskClose, t.c.Closing(hs, h))
+}
+
+// Run implements nas.Task: a read or write splits into per-shard spans
+// issued concurrently so all owning shards stream in parallel (a failed
+// one reports 0 bytes), and a write then extends the lagging shards; a
+// commit runs on a process of its own.
+func (t *Task) Run(j *host.Job, op *nas.Op) bool {
+	t.op = *op
+	if op.Kind == nas.OpCommit {
+		if t.body == nil {
+			t.body = t.commit
+		}
+		t.stage, t.n, t.hd, t.err = taskBlocked, 0, nil, nil
+		return j.Run("stripe-commit", t.body)
+	}
+	return t.start(j, taskSpans, t.c.Spanning(op.H, op.Kind, op.Off, op.N, op.BufID))
+}
+
+func (t *Task) commit(p *sim.Proc) { t.err = t.c.Commit(p, t.op.H, t.op.Off, t.op.N) }
+
+// Step implements nas.Task.
+func (t *Task) Step(j *host.Job) bool {
+	for {
+		if t.stage == taskBlocked {
+			t.op = nas.Op{}
+			return true
+		}
+		if !t.r.Step(j) {
+			return false
+		}
+		r := t.r
+		t.r = nil
+		switch t.stage {
+		case taskOpen:
+			t.hd, t.err = r.Handle()
+			r.Release()
+			return true
+		case taskClose:
+			t.err = r.Err()
+			r.Release()
+			return true
+		case taskSpans:
+			got, err := r.Total()
+			r.Release()
+			if err != nil {
+				t.err = err
+				return true
+			}
+			t.n = got
+			if t.op.Kind != nas.OpWrite {
+				return true
+			}
+			t.stage, t.r = taskExtend, t.c.Extending(t.op.H, t.op.Off, t.op.N)
+		case taskExtend:
+			t.err = r.Err()
+			r.Release()
+			t.op = nas.Op{}
+			return true
+		}
+	}
+}
+
+// Result implements nas.Task.
+func (t *Task) Result() (int64, *nas.Handle, error) { return t.n, t.hd, t.err }
+
+// carried returns a task record carried by p, for a blocking method.
+func (c *Client) carried(p *sim.Proc) *Task {
+	var t *Task
+	if k := len(c.carry); k > 0 {
+		t = c.carry[k-1]
+		c.carry = c.carry[:k-1]
+	} else {
+		t = &Task{c: c}
+	}
+	t.j = host.Job{S: p.Sched(), P: p, Span: obs.Active(p)}
+	return t
+}
+
+// release returns a blocking method's task record.
+func (c *Client) release(t *Task) {
+	t.j = host.Job{}
+	c.carry = append(c.carry, t)
+}
+
+// Open implements nas.Client (see Task.Open).
 func (c *Client) Open(p *sim.Proc, name string) (*nas.Handle, error) {
-	return c.Resolve(p, name, func(wp *sim.Proc, i int) (*nas.Handle, error) {
-		return c.subs[i].Open(wp, name)
-	})
+	t := c.carried(p)
+	t.Open(&t.j, name)
+	h, err := t.hd, t.err
+	c.release(t)
+	return h, err
 }
 
-// Read implements nas.Client: the range splits into per-shard spans
-// issued concurrently so all owning shards stream in parallel. A failed
-// read reports 0 bytes.
+// Read implements nas.Client (see Task.Run).
 func (c *Client) Read(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64) (int64, error) {
-	got, err := c.EachSpan(p, h, off, n, func(sp *sim.Proc, shard int, sh *nas.Handle, so, sn int64) (int64, error) {
-		return c.subs[shard].Read(sp, sh, so, sn, bufID)
-	})
-	if err != nil {
-		return 0, err
-	}
-	return got, nil
+	return c.data(p, nas.OpRead, h, off, n, bufID)
 }
 
-// Write implements nas.Client, splitting like Read (a failed span
-// reports 0 bytes), then extending the lagging shards.
+// Write implements nas.Client (see Task.Run).
 func (c *Client) Write(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64) (int64, error) {
-	got, err := c.EachSpan(p, h, off, n, func(sp *sim.Proc, shard int, sh *nas.Handle, so, sn int64) (int64, error) {
-		return c.subs[shard].Write(sp, sh, so, sn, bufID)
-	})
-	if err != nil {
-		return 0, err
-	}
-	return got, c.Extend(p, h, off, n)
+	return c.data(p, nas.OpWrite, h, off, n, bufID)
+}
+
+func (c *Client) data(p *sim.Proc, kind nas.OpKind, h *nas.Handle, off, n int64, bufID uint64) (int64, error) {
+	t := c.carried(p)
+	t.Run(&t.j, &nas.Op{Kind: kind, H: h, Off: off, N: n, BufID: bufID})
+	got, err := t.n, t.err
+	c.release(t)
+	return got, err
+}
+
+// Close implements nas.Client (see Task.Close).
+func (c *Client) Close(p *sim.Proc, h *nas.Handle) error {
+	t := c.carried(p)
+	t.Close(&t.j, h)
+	err := t.err
+	c.release(t)
+	return err
 }
 
 // WriteData implements nas.Client: each shard receives its spans' bytes,
@@ -380,9 +471,13 @@ func (c *Client) WriteData(p *sim.Proc, h *nas.Handle, off int64, data []byte) (
 	return got, c.Extend(p, h, off, int64(len(data)))
 }
 
-// extendShard is the Extend step: a zero-length write at end.
-func (c *Client) extendShard(wp *sim.Proc, shard int, sh *nas.Handle, end, _ int64) (int64, error) {
-	return c.subs[shard].WriteData(wp, sh, end, nil)
+// ShardTask implements Shards: the sub-client's own task.
+func (c *Client) ShardTask(shard int) nas.Task { return nas.NewTask(c.subs[shard]) }
+
+// ExtendShard implements Shards: a zero-length write at end.
+func (c *Client) ExtendShard(wp *sim.Proc, shard int, sh *nas.Handle, end int64) error {
+	_, err := c.subs[shard].WriteData(wp, sh, end, nil)
+	return err
 }
 
 // Commit implements nas.Client through CommitSpans: each sub-client runs
@@ -412,16 +507,5 @@ func (c *Client) Create(p *sim.Proc, name string) (*nas.Handle, error) {
 func (c *Client) Remove(p *sim.Proc, name string) error {
 	return c.Unlink(p, name, func(wp *sim.Proc, i int) error {
 		return c.subs[i].Remove(wp, name)
-	})
-}
-
-// Close implements nas.Client: every shard's handle is released.
-func (c *Client) Close(p *sim.Proc, h *nas.Handle) error {
-	hs, ok := c.Handles(h.Name)
-	if !ok {
-		return c.subs[0].Close(p, h)
-	}
-	return c.FanOut(p, len(c.subs), "stripe-close", func(wp *sim.Proc, i int) error {
-		return c.subs[i].Close(wp, hs[i])
 	})
 }

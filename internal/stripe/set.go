@@ -148,7 +148,7 @@ func (s *Set[S]) noteReplicaErr(copy int, err error) {
 // still fails (typed timeout, never a hang); later operations probe the
 // refreshed view and find the restarted copy.
 func (s *Set[S]) failover(p *sim.Proc, err error, failed int) bool {
-	if !errors.Is(err, nas.ErrTimeout) || len(s.copies) == 1 {
+	if !s.Fails(err) {
 		return false
 	}
 	if s.serving != failed {
@@ -189,14 +189,33 @@ func (s *Set[S]) failover(p *sim.Proc, err error, failed int) bool {
 // on the survivor when the serving copy times out; any other error — or
 // no copy left — surfaces.
 func (s *Set[S]) Do(p *sim.Proc, fn func(wp *sim.Proc, copy int, in S) error) error {
-	for {
-		copy := s.serving
-		err := fn(p, copy, s.copies[copy])
-		if err == nil || !s.failover(p, err, copy) {
-			return err
-		}
+	copy := s.serving
+	err := fn(p, copy, s.copies[copy])
+	if err == nil {
+		return nil
 	}
+	return s.Retry(p, err, copy, fn)
 }
+
+// Fails reports whether err, from an operation on the serving copy,
+// makes the set fail over: a timeout of a set wider than one. An
+// operation that ran its first attempt as a step machine goes on to
+// Retry, on a process, only then; otherwise err is its outcome.
+func (s *Set[S]) Fails(err error) bool {
+	return errors.Is(err, nas.ErrTimeout) && len(s.copies) > 1
+}
+
+// Retry continues Do after fn's attempt on copy failed ended with
+// err: it fails over, and runs fn again on the survivor, as Do.
+func (s *Set[S]) Retry(p *sim.Proc, err error, failed int, fn func(wp *sim.Proc, copy int, in S) error) error {
+	if !s.failover(p, err, failed) {
+		return err
+	}
+	return s.Do(p, fn)
+}
+
+// Width returns the number of copies.
+func (s *Set[S]) Width() int { return len(s.copies) }
 
 // Write fans a write-class operation to every live copy through the ack
 // policy (Replicate), running it again after a failover (the write is

@@ -332,30 +332,14 @@ func (sk *Socket) Port() int { return sk.port }
 // chains pass 0 to skip the user copy. A nonzero tag asks the receiving
 // NIC to match a pre-posted buffer (RDDP-RPC).
 func (sk *Socket) SendTo(p *sim.Proc, dst *Stack, dstPort int, bytes int64, body any, copyBytes int64, tag uint64) {
-	if sk.stack.down {
-		return // crashed host: nothing leaves, nothing is charged
-	}
-	h := sk.stack.h
-	h.Syscall(p)
-	if copyBytes > 0 {
-		h.Copy(p, copyBytes)
-	}
-	d, id, total := sk.open(bytes, body, obs.Active(p))
-	for i := 0; i < total; i++ {
-		// Per-packet output processing + doorbell.
-		h.Compute(p, h.P.UDPSendPacket+h.P.PIOWrite)
-		if i == 0 {
-			// Flight time starts when the first fragment is posted, after
-			// its output processing (already attributed as CPU time).
-			d.sentAt = p.Now()
-		}
-		sk.sendFragment(dst, dstPort, d, id, i, total, tag)
-	}
+	j := host.Carried(sk.stack.h, p)
+	var s Sender
+	sk.SendThen(&j, &s, dst, dstPort, bytes, body, copyBytes, tag)
 }
 
-// Sender is the state of one SendTo run by callbacks, for a caller
-// with no process: the datagram being sent and the charge it is at. A
-// caller keeps one and reuses it (see SendThen).
+// Sender is the state of one send run as a step machine: the datagram
+// being sent and the charge it is at. A caller keeps one and reuses it
+// (see SendThen).
 type Sender struct {
 	sk        *Socket
 	dst       *Stack
@@ -380,10 +364,10 @@ const (
 	sendPost                     // output charged: post the fragment
 )
 
-// SendThen is the callback twin of SendTo (see host.Job): it starts
+// SendThen is SendTo as a step machine over j (see host.Job): it starts
 // sending through s and reports true once every fragment is posted;
 // otherwise j waits on a charge, and j.Step must call s.Step until it
-// reports true.
+// reports true. The datagram carries j's span.
 func (sk *Socket) SendThen(j *host.Job, s *Sender, dst *Stack, dstPort int, bytes int64, body any, copyBytes int64, tag uint64) bool {
 	*s = Sender{sk: sk, dst: dst, dstPort: dstPort, bytes: bytes, body: body, copyBytes: copyBytes, tag: tag}
 	if sk.stack.down {

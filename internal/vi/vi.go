@@ -13,6 +13,7 @@ package vi
 import (
 	"fmt"
 
+	"danas/internal/host"
 	"danas/internal/nic"
 	"danas/internal/obs"
 	"danas/internal/sim"
@@ -25,6 +26,7 @@ type QP struct {
 	ep      *nic.Endpoint
 	peer    *QP
 	timeout sim.Duration // bound on RDMA descriptor completion; 0 = wait forever
+	free    []*rdmaDone  // completed descriptors' records, for reuse
 }
 
 // SetRDMATimeout bounds every subsequent RDMA descriptor on this QP: if
@@ -135,19 +137,101 @@ func (r RDMAResult) OK() bool { return r.Status == nic.StatusOK }
 // RDMA issues a get/put against the peer's memory and blocks until the
 // descriptor completes, charging the completion cost per the QP's mode.
 func (q *QP) RDMA(p *sim.Proc, kind nic.OpKind, va uint64, length int64, cap []byte) RDMAResult {
-	sig := sim.NewSignal(p.Sched())
-	var st nic.Status
-	q.n.RDMA(p, q.op(kind, va, length, cap, func(s nic.Status) { st = s; sig.Fire() }))
-	// The descriptor's whole flight — request, remote DMA, data stream,
-	// ack — is wire time of the operation driving it. The bracket opens
-	// after RDMA returns, which has already charged (and attributed)
-	// the host-side post cost.
-	t0 := p.Now()
-	sig.Wait(p)
-	obs.Active(p).Add(obs.PhaseWire, p.Now().Sub(t0))
-	// Charge the completion consumption cost in the waiter's context.
-	q.n.Host().Compute(p, q.CompletionCost())
-	return RDMAResult{Status: st}
+	j := host.Carried(q.n.Host(), p)
+	var m RDMAOp
+	q.RDMAThen(&j, &m, kind, va, length, cap)
+	return m.Result
+}
+
+// RDMAOp is one RDMA run as a step machine over a host.Job: the
+// descriptor's completion record and the charge or wait it is at. A
+// caller keeps one and reuses it.
+type RDMAOp struct {
+	q     *QP
+	d     *rdmaDone
+	kind  nic.OpKind
+	va    uint64
+	len   int64
+	cap   []byte
+	stage rdmaStage
+	// Result is the completed descriptor's status.
+	Result RDMAResult
+}
+
+type rdmaStage uint8
+
+const (
+	rdmaPost     rdmaStage = iota // post cost charged: issue the descriptor
+	rdmaComplete                  // charge the completion's consumption
+	rdmaFinished                  // the completion consumed
+)
+
+// rdmaDone is a descriptor's completion record: the status the NIC
+// delivers and the signal its waiter waits on. A QP keeps the records
+// of completed descriptors for its next ones; the NIC delivers a
+// descriptor's completion exactly once, so a record is free again once
+// its waiter has seen it.
+type rdmaDone struct {
+	sig  *sim.Signal
+	st   nic.Status
+	done func(nic.Status) // d.complete, bound once
+}
+
+func (d *rdmaDone) complete(st nic.Status) {
+	d.st = st
+	d.sig.Fire()
+}
+
+// RDMAThen is RDMA as a step machine over j: it reports true once
+// m.Result holds the completion; otherwise j waits, and j.Step must call
+// m.Step until it reports true. The descriptor's whole flight —
+// request, remote DMA, data stream, ack — is wire time of the operation
+// driving it; the host-side post and completion costs are CPU time.
+func (q *QP) RDMAThen(j *host.Job, m *RDMAOp, kind nic.OpKind, va uint64, length int64, cap []byte) bool {
+	j.H = q.n.Host()
+	var d *rdmaDone
+	if k := len(q.free); k > 0 {
+		d = q.free[k-1]
+		q.free = q.free[:k-1]
+		d.sig.Reset()
+	} else {
+		d = &rdmaDone{sig: sim.NewSignal(j.Sched())}
+		d.done = d.complete
+	}
+	*m = RDMAOp{q: q, d: d, kind: kind, va: va, len: length, cap: cap}
+	if !j.Compute(q.n.PostCost()) {
+		return false
+	}
+	return m.Step(j)
+}
+
+// Step advances the RDMA on j, as RDMAThen.
+func (m *RDMAOp) Step(j *host.Job) bool {
+	q := m.q
+	for {
+		switch m.stage {
+		case rdmaPost:
+			q.n.RDMAAsync(q.op(m.kind, m.va, m.len, m.cap, m.d.done))
+			m.cap = nil
+			m.stage = rdmaComplete
+			j.Open(obs.PhaseWire)
+			if !j.Wait(m.d.sig) {
+				return false
+			}
+		case rdmaComplete:
+			// Charge the completion consumption cost in the waiter's
+			// context.
+			m.stage = rdmaFinished
+			if !j.Compute(q.CompletionCost()) {
+				return false
+			}
+		case rdmaFinished:
+			m.Result = RDMAResult{Status: m.d.st}
+			q.free = append(q.free, m.d)
+			m.d = nil
+			return true
+		}
+	}
 }
 
 // CompletionCost is the host CPU a waiter pays to consume an RDMA

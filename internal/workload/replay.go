@@ -143,85 +143,140 @@ func ReplayObserved(p *sim.Proc, ac nas.AsyncClient, tr trace.Trace, onStart fun
 	if onStart != nil {
 		onStart(start)
 	}
-	// recIdx maps a submission tag back to its trace record, from which
-	// the scheduled arrival (start + record.At) derives. The scheduler
-	// runs one process at a time and the submitter stores the tag
-	// before yielding, so the collector always finds it.
-	recIdx := make(map[uint64]int, len(tr))
-	var spans []*obs.Span
-	if rc != nil {
-		spans = make([]*obs.Span, len(tr))
+	r := &replay{
+		ac: ac, s: p.Sched(), tr: tr, res: res, start: start, rc: rc,
+		done: sim.NewSignal(p.Sched()), handles: handles, depth: uint64(ac.Depth()),
+		// recIdx maps a submission tag back to its trace record, from
+		// which the scheduled arrival (start + record.At) derives. The
+		// submitter stores the tag as it issues the record, before any
+		// completion can be collected.
+		recIdx: make(map[uint64]int, len(tr)),
 	}
-	var firstErr error
-	var lastDone sim.Time
-	collected := 0
-	done := sim.NewSignal(p.Sched())
-	p.Sched().Go("replay-collect", func(wp *sim.Proc) {
-		for collected < len(tr) {
-			for _, comp := range ac.Wait(wp) {
-				collected++
-				res.Ops++
-				res.Bytes += comp.N
-				if comp.Err != nil {
-					res.Errors++
-					if firstErr == nil {
-						firstErr = comp.Err
-					}
-				}
-				if i, ok := recIdx[comp.Tag]; ok {
-					res.Lat.Observe(comp.Done.Sub(start.Add(tr[i].At)))
-					res.OpDone[i] = comp.Done
-					res.OpErr[i] = comp.Err
-					res.OpBytes[i] = comp.N
-					if spans != nil {
-						if sp := spans[i]; sp != nil {
-							sp.End = comp.Done
-							sp.Err = comp.Err != nil
-						}
-					}
-					delete(recIdx, comp.Tag)
-				}
-				if comp.Done > lastDone {
-					lastDone = comp.Done
-				}
+	if rc != nil {
+		r.spans = make([]*obs.Span, len(tr))
+	}
+	r.collectFn, r.submitFn = r.collect, r.submit
+	// The collector and the submitter run by callbacks, the collector
+	// from a same-instant event of its own, the submitter from here on;
+	// the caller waits once, for the last completion.
+	r.s.After(0, r.collectFn)
+	r.submit()
+	r.done.Wait(p)
+	res.Elapsed = r.lastDone.Sub(start)
+	return res, r.firstErr
+}
+
+// replay is one open-loop replay's submitter and collector, run by
+// callbacks: event for event what a submitting process (sleeping until
+// each record's arrival, blocking for a queue slot) and a collecting
+// process (blocking in Wait) would run.
+type replay struct {
+	ac      nas.AsyncClient
+	s       *sim.Scheduler
+	tr      trace.Trace
+	res     *ReplayResult
+	start   sim.Time
+	done    *sim.Signal
+	handles map[string]*nas.Handle
+	depth   uint64
+	rc      *obs.Recorder
+	spans   []*obs.Span
+	recIdx  map[uint64]int
+
+	next      int       // the next record to submit
+	sp        *obs.Span // its span, once it is due
+	admitting bool      // it waits for a queue slot
+	collected int
+	firstErr  error
+	lastDone  sim.Time
+
+	collectFn, submitFn func() // r.collect and r.submit, bound once
+}
+
+// submit issues every record that is due, in order, and arranges to run
+// again at the next record's arrival or when a queue slot frees.
+func (r *replay) submit() {
+	for r.next < len(r.tr) {
+		i, rec := r.next, r.tr[r.next]
+		target := r.start.Add(rec.At)
+		if !r.admitting {
+			if now := r.s.Now(); now < target {
+				r.s.After(target.Sub(now), r.submitFn)
+				return
+			}
+			r.sp = nil
+			if r.rc != nil {
+				r.sp = r.rc.NewSpan(i, rec.Kind.String(), target)
+				r.spans[i] = r.sp
+			}
+			if !r.ac.Admit(r.s, r.submitFn) {
+				r.admitting = true
+				return
 			}
 		}
-		done.Fire()
-	})
-	depth := uint64(ac.Depth())
-	for i, rec := range tr {
-		target := start.Add(rec.At)
-		if now := p.Now(); now < target {
-			p.Sleep(target.Sub(now))
-		}
-		var sp *obs.Span
-		if rc != nil {
-			sp = rc.NewSpan(i, rec.Kind.String(), target)
-			spans[i] = sp
-		}
-		tag := ac.Submit(p, nas.Op{
+		r.admitting = false
+		tag := r.ac.Issue(nas.Op{
 			Kind: rec.Kind,
-			H:    handles[rec.File],
+			H:    r.handles[rec.File],
 			Off:  rec.Off,
 			N:    rec.Size,
 			// Cycle through Depth buffer identities, modelling a
 			// depth-sized pool of application buffers.
-			BufID: 1 + uint64(i)%depth,
-			Span:  sp,
+			BufID: 1 + uint64(i)%r.depth,
+			Span:  r.sp,
 		})
-		recIdx[tag] = i
-		res.Issues[i] = p.Now()
-		if p.Now() > target {
-			res.Stalls++
+		r.recIdx[tag] = i
+		now := r.s.Now()
+		r.res.Issues[i] = now
+		if now > target {
+			r.res.Stalls++
 			// The span opens at the scheduled arrival: time lost waiting
 			// for a queue slot is the operation's queue phase.
-			sp.Add(obs.PhaseQueue, p.Now().Sub(target))
+			r.sp.Add(obs.PhaseQueue, now.Sub(target))
 		}
-		if o := ac.Outstanding(); o > res.MaxOutstanding {
-			res.MaxOutstanding = o
+		if o := r.ac.Outstanding(); o > r.res.MaxOutstanding {
+			r.res.MaxOutstanding = o
+		}
+		r.next++
+	}
+}
+
+// collect reaps completions, accumulating latency from each record's
+// scheduled arrival, until every record has completed.
+func (r *replay) collect() {
+	res := r.res
+	for r.collected < len(r.tr) {
+		comps, ok := r.ac.WaitOr(r.s, r.collectFn)
+		if !ok {
+			return
+		}
+		for _, comp := range comps {
+			r.collected++
+			res.Ops++
+			res.Bytes += comp.N
+			if comp.Err != nil {
+				res.Errors++
+				if r.firstErr == nil {
+					r.firstErr = comp.Err
+				}
+			}
+			if i, ok := r.recIdx[comp.Tag]; ok {
+				res.Lat.Observe(comp.Done.Sub(r.start.Add(r.tr[i].At)))
+				res.OpDone[i] = comp.Done
+				res.OpErr[i] = comp.Err
+				res.OpBytes[i] = comp.N
+				if r.spans != nil {
+					if sp := r.spans[i]; sp != nil {
+						sp.End = comp.Done
+						sp.Err = comp.Err != nil
+					}
+				}
+				delete(r.recIdx, comp.Tag)
+			}
+			if comp.Done > r.lastDone {
+				r.lastDone = comp.Done
+			}
 		}
 	}
-	done.Wait(p)
-	res.Elapsed = lastDone.Sub(start)
-	return res, firstErr
+	r.done.Fire()
 }
