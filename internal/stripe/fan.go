@@ -62,8 +62,8 @@ const (
 	runSpans                    // op on each span, as tasks
 )
 
-// leg is one leg of a fan-out wider than one: its job, and the body of
-// its process if it runs process-style.
+// leg is one leg of a fan-out: its job (used when the fan-out is wider
+// than one), and the body of its process if it runs process-style.
 type leg struct {
 	j       host.Job
 	r       *Run
