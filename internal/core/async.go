@@ -70,7 +70,7 @@ func (a *asyncCached) Issue(op nas.Op) uint64 {
 // instant, so there is no pickup delay to bucket as queue time — the
 // span just rides along for the operation's execution.
 func (o *asyncOp) begin() {
-	if o.run(&o.j, &o.sub) {
+	if nas.RunOp(o.op, &o.j, &o.sub) {
 		o.finish()
 	}
 }

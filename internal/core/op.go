@@ -53,7 +53,6 @@ const (
 	opFetch           // one block, coalesced
 	opPopulate        // one block over RPC, uncoalesced
 	opBlocked         // a commit, on a process of its own
-	opClose           // a shard task's close
 )
 
 type opStage uint8
@@ -108,15 +107,19 @@ func (o *op) begin(j *host.Job, kind opKind, h *nas.Handle, off, n int64, bufID 
 	return o.step(j)
 }
 
-// run starts the data operation op on j, the step machine of Op.Run.
-func (o *op) run(j *host.Job, op *nas.Op) bool {
-	switch op.Kind {
-	case nas.OpRead:
-		return o.begin(j, opRead, op.H, op.Off, op.N, op.BufID)
-	case nas.OpWrite:
-		return o.begin(j, opWrite, op.H, op.Off, op.N, op.BufID)
-	}
-	o.kind, o.stage, o.h, o.off, o.n = opBlocked, opDone, op.H, op.Off, op.N
+// Read implements nas.DataTask.
+func (o *op) Read(j *host.Job, h *nas.Handle, off, n int64, bufID uint64) bool {
+	return o.begin(j, opRead, h, off, n, bufID)
+}
+
+// Write implements nas.DataTask.
+func (o *op) Write(j *host.Job, h *nas.Handle, off, n int64, bufID uint64) bool {
+	return o.begin(j, opWrite, h, off, n, bufID)
+}
+
+// Commit implements nas.DataTask: a commit, on a process of its own.
+func (o *op) Commit(j *host.Job, h *nas.Handle, off, n int64) bool {
+	o.kind, o.stage, o.h, o.off, o.n = opBlocked, opDone, h, off, n
 	o.got, o.hd, o.err = 0, nil, nil
 	return j.Run("odafs-commit", o.body)
 }
@@ -547,23 +550,35 @@ func (t *shardTask) Open(j *host.Job, name string) bool {
 	return t.Step(j)
 }
 
-// Close implements nas.Task on the serving copy (the cached client
-// closes under its delegation, so it never fans a close out).
-func (t *shardTask) Close(j *host.Job, h *nas.Handle) bool {
-	t.kind, t.op, t.n, t.hd, t.err, t.ended = opClose, nas.Op{H: h}, 0, nil, nil, true
-	return j.Run("odafs-close", t.body)
+// Close implements nas.Task. The cached client closes under its
+// delegation, so it never fans a close out to its shards.
+func (t *shardTask) Close(*host.Job, *nas.Handle) bool {
+	panic("core: shard tasks never close")
 }
 
-// Run implements nas.Task for a write span: write-through to the
+// Read implements nas.Task. The cached client fetches blocks itself,
+// so it never fans a read out to its shards.
+func (t *shardTask) Read(*host.Job, *nas.Handle, int64, int64, uint64) bool {
+	panic("core: shard tasks never read")
+}
+
+// Commit implements nas.Task. The cached client commits through the
+// process-style commit fan-out.
+func (t *shardTask) Commit(*host.Job, *nas.Handle, int64, int64) bool {
+	panic("core: shard tasks never commit")
+}
+
+// Write implements nas.Task for a write span: write-through to the
 // shard, reaching every live copy of a replicated shard under the ack
 // policy.
-func (t *shardTask) Run(j *host.Job, op *nas.Op) bool {
-	t.kind, t.op, t.n, t.hd, t.err, t.ended = opWrite, *op, 0, nil, nil, false
+func (t *shardTask) Write(j *host.Job, h *nas.Handle, off, n int64, bufID uint64) bool {
+	t.kind, t.n, t.hd, t.err, t.ended = opWrite, 0, nil, nil, false
+	t.op = nas.Op{Kind: nas.OpWrite, H: h, Off: off, N: n, BufID: bufID}
 	if t.set.Width() > 1 {
 		t.ended = true
 		return j.Run("odafs-repl", t.body)
 	}
-	if !t.set.Current().WriteThen(j, &t.dt, op.H, op.Off, op.N, op.BufID, 0) {
+	if !t.set.Current().WriteThen(j, &t.dt, h, off, n, bufID, 0) {
 		return false
 	}
 	return t.Step(j)
@@ -589,8 +604,8 @@ func (t *shardTask) Step(j *host.Job) bool {
 // Result implements nas.Task.
 func (t *shardTask) Result() (int64, *nas.Handle, error) { return t.n, t.hd, t.err }
 
-// blocked is the body of a shard task's process: an open's failover, a
-// close, or a replicated write.
+// blocked is the body of a shard task's process: an open's failover or
+// a replicated write.
 func (t *shardTask) blocked(p *sim.Proc) {
 	switch t.kind {
 	case opOpen:
@@ -602,9 +617,6 @@ func (t *shardTask) blocked(p *sim.Proc) {
 			return err
 		})
 		t.hd = h
-	case opClose:
-		h := t.op.H
-		t.err = t.set.Do(p, func(ip *sim.Proc, _ int, in *dafs.Client) error { return in.Close(ip, h) })
 	default:
 		sh, off, n, bufID := t.op.H, t.op.Off, t.op.N, t.op.BufID
 		t.n, t.err = t.set.Write(p, "odafs-repl", func(ip *sim.Proc, _ int, in *dafs.Client) (int64, error) {

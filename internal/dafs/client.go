@@ -300,17 +300,20 @@ func (t *Task) Close(j *host.Job, h *nas.Handle) bool {
 	return t.start(j, taskClose, taskClientOp)
 }
 
-// Run implements nas.Task: reads in the client's transfer mode and
-// unstable writes run as step machines, a commit on a process of its
-// own (host.Job.Run).
-func (t *Task) Run(j *host.Job, op *nas.Op) bool {
-	switch op.Kind {
-	case nas.OpRead:
-		return t.c.ReadThen(j, t, op.H, op.Off, op.N, op.BufID, t.c.transfer)
-	case nas.OpWrite:
-		return t.c.WriteThen(j, t, op.H, op.Off, op.N, op.BufID, 0)
-	}
-	t.h, t.hdr.Offset, t.hdr.Length = op.H, op.Off, op.N
+// Read implements nas.Task: a read in the client's transfer mode.
+func (t *Task) Read(j *host.Job, h *nas.Handle, off, n int64, bufID uint64) bool {
+	return t.c.ReadThen(j, t, h, off, n, bufID, t.c.transfer)
+}
+
+// Write implements nas.Task: an unstable write.
+func (t *Task) Write(j *host.Job, h *nas.Handle, off, n int64, bufID uint64) bool {
+	return t.c.WriteThen(j, t, h, off, n, bufID, 0)
+}
+
+// Commit implements nas.Task: a commit, on a process of its own
+// (host.Job.Run).
+func (t *Task) Commit(j *host.Job, h *nas.Handle, off, n int64) bool {
+	t.h, t.hdr.Offset, t.hdr.Length = h, off, n
 	t.op, t.stage, t.N, t.Handle, t.Ref, t.Err = taskCall, taskDone, 0, nil, nil, nil
 	if t.body == nil {
 		t.body = t.commit
@@ -318,7 +321,7 @@ func (t *Task) Run(j *host.Job, op *nas.Op) bool {
 	return j.Run("dafs-commit", t.body)
 }
 
-// commit is Run's commit body.
+// commit is Commit's body.
 func (t *Task) commit(p *sim.Proc) { t.Err = t.c.Commit(p, t.h, t.hdr.Offset, t.hdr.Length) }
 
 // Result implements nas.Task.

@@ -47,20 +47,6 @@ type Op struct {
 	Span *obs.Span
 }
 
-// Run executes the operation synchronously on c, dispatching on Kind.
-// Every AsyncClient implementation routes through this so a new OpKind
-// cannot be dispatched inconsistently between them.
-func (op Op) Run(p *sim.Proc, c Client) (int64, error) {
-	switch op.Kind {
-	case OpWrite:
-		return c.Write(p, op.H, op.Off, op.N, op.BufID)
-	case OpCommit:
-		return 0, c.Commit(p, op.H, op.Off, op.N)
-	default:
-		return c.Read(p, op.H, op.Off, op.N, op.BufID)
-	}
-}
-
 // Completion reports one finished Op, in the style of a VI completion
 // queue entry: the tag Submit returned, the bytes moved, the error if
 // any, and the submission/completion instants for latency accounting.
@@ -237,10 +223,10 @@ type queuedOp struct {
 // pool of Depth workers, each issuing one call at a time on the wrapped
 // client. This is how the three RPC-based stacks (NFS, RDDP-RPC,
 // RDDP-RDMA) gain queue depth without protocol changes: N workers keep N
-// RPCs in flight, exactly like N application threads would. The workers
-// are callbacks, each running its calls as the client's Task (see
-// NewTask: a client without step machines runs each call on a process
-// of its own).
+// RPCs in flight, exactly like N application threads would. For a
+// client with step machines (a Stepper with tasks) the workers are
+// callbacks, each running its calls as the client's Task; for any other
+// client they are processes, each calling the blocking methods.
 type asyncAdapter struct {
 	Client
 	AsyncBase
@@ -268,8 +254,17 @@ func (a *asyncAdapter) Issue(op Op) uint64 {
 	if a.sq == nil {
 		s := a.s
 		a.sq = sim.NewQueue[queuedOp](s, "async-sq")
-		for range a.Depth() {
-			wk := &worker{a: a, task: NewTask(a.Client)}
+		st, _ := a.Client.(Stepper)
+		for w := range a.Depth() {
+			var t Task
+			if st != nil {
+				t = st.NewTask()
+			}
+			if t == nil {
+				s.Go(fmt.Sprintf("async-%s-w%d", a.Client.Name(), w), a.work)
+				continue
+			}
+			wk := &worker{a: a, task: t}
 			wk.j = host.Job{S: s, Step: wk.resume}
 			wk.get = wk.next
 			s.After(0, wk.get)
@@ -279,7 +274,26 @@ func (a *asyncAdapter) Issue(op Op) uint64 {
 	return tag
 }
 
-// worker is one worker of the adapter: a receive loop on the
+// work is the body of a worker process, for a client with no step
+// machines: it executes queued operations one at a time, each through
+// the blocking methods (the job it carries finishes every operation in
+// place). Time between admission and pickup is the operation's queue
+// phase; the span then stays active for exactly the call.
+func (a *asyncAdapter) work(wp *sim.Proc) {
+	t := newProcTask(a.Client)
+	j := host.Job{S: wp.Sched(), P: wp}
+	for {
+		q := a.sq.Get(wp)
+		q.op.Span.Add(obs.PhaseQueue, wp.Now().Sub(q.submitted))
+		obs.Activate(wp, q.op.Span)
+		RunOp(t, &j, &q.op)
+		n, _, err := t.Result()
+		obs.Activate(wp, nil)
+		a.Finish(Completion{Tag: q.tag, Op: q.op, N: n, Err: err, Submitted: q.submitted})
+	}
+}
+
+// worker is one callback worker of the adapter: a receive loop on the
 // submission queue (sim.Queue.GetOr) and the task running the operation
 // it took, event for event what a worker process calling Get and the
 // blocking method would run. Because admission is capped at Depth — the
@@ -306,7 +320,7 @@ func (w *worker) next() {
 		w.q = q
 		q.op.Span.Add(obs.PhaseQueue, a.s.Now().Sub(q.submitted))
 		w.j.Span = q.op.Span
-		if !w.task.Run(&w.j, &w.q.op) {
+		if !RunOp(w.task, &w.j, &w.q.op) {
 			return
 		}
 		w.finish()

@@ -148,64 +148,78 @@ func (m *memClient) commit(h *Handle) error {
 	return nil
 }
 
-var _ Stepper = (*memClient)(nil)
+var _ Client = (*memClient)(nil)
 
-// NewTask makes memClient a Stepper: a data operation waits perOp on a
-// timer event, where the blocking method's Sleep wakes, then runs the
-// same body; opens and closes run the blocking methods on a process of
-// their own.
-func (m *memClient) NewTask() Task {
-	pt := &procTask{c: m}
-	pt.body = pt.run
-	return &memTask{procTask: pt, m: m}
+// memStepper is memClient with step machines: a data operation waits
+// perOp on a timer event, where the blocking method's Sleep wakes, then
+// runs the same body; opens and closes run the blocking methods on the
+// job's process.
+type memStepper struct{ *memClient }
+
+var _ Stepper = memStepper{}
+
+func (m memStepper) NewTask() Task {
+	t := &memTask{Task: newProcTask(m.memClient), m: m.memClient}
+	t.read, t.write = m.read, m.write
+	t.commit = func(h *Handle, _, _ int64) (int64, error) { return 0, m.commit(h) }
+	return t
 }
 
 type memTask struct {
-	*procTask
-	m       *memClient
-	op      Op
-	n       int64
-	err     error
-	running bool
+	Task // opens and closes
+	m    *memClient
+
+	read, write, commit func(h *Handle, off, n int64) (int64, error)
+
+	do     func(h *Handle, off, n int64) (int64, error) // the data operation under way
+	h      *Handle
+	off, n int64
+	got    int64
+	err    error
 }
 
 func (t *memTask) Open(j *host.Job, name string) bool {
-	t.running = false
-	return t.procTask.Open(j, name)
+	t.do = nil
+	return t.Task.Open(j, name)
 }
 
 func (t *memTask) Close(j *host.Job, h *Handle) bool {
-	t.running = false
-	return t.procTask.Close(j, h)
+	t.do = nil
+	return t.Task.Close(j, h)
 }
 
-func (t *memTask) Run(j *host.Job, op *Op) bool {
-	t.op, t.running = *op, true
+func (t *memTask) Read(j *host.Job, h *Handle, off, n int64, _ uint64) bool {
+	return t.start(j, t.read, h, off, n)
+}
+
+func (t *memTask) Write(j *host.Job, h *Handle, off, n int64, _ uint64) bool {
+	return t.start(j, t.write, h, off, n)
+}
+
+func (t *memTask) Commit(j *host.Job, h *Handle, off, n int64) bool {
+	return t.start(j, t.commit, h, off, n)
+}
+
+func (t *memTask) start(j *host.Job, do func(h *Handle, off, n int64) (int64, error), h *Handle, off, n int64) bool {
+	t.do, t.h, t.off, t.n = do, h, off, n
 	j.Sched().After(t.m.perOp, j.Step)
 	return false
 }
 
 func (t *memTask) Step(j *host.Job) bool {
-	if !t.running {
-		return t.procTask.Step(j)
+	if t.do == nil {
+		return t.Task.Step(j)
 	}
-	switch op := t.op; op.Kind {
-	case OpWrite:
-		t.n, t.err = t.m.write(op.H, op.Off, op.N)
-	case OpCommit:
-		t.n, t.err = 0, t.m.commit(op.H)
-	default:
-		t.n, t.err = t.m.read(op.H, op.Off, op.N)
-	}
-	t.op = Op{}
+	t.got, t.err = t.do(t.h, t.off, t.n)
+	t.h = nil
 	return true
 }
 
 func (t *memTask) Result() (int64, *Handle, error) {
-	if t.running {
-		return t.n, nil, t.err
+	if t.do != nil {
+		return t.got, nil, t.err
 	}
-	return t.procTask.Result()
+	return t.Task.Result()
 }
 
 // memSource materializes bytes by handle, the ContentSource side. When

@@ -217,31 +217,30 @@ func (t *Task) Close(j *host.Job, h *nas.Handle) bool {
 	return t.start(j, taskClose, h, 0, wire.Header{})
 }
 
-// Run implements nas.Task: reads and unstable writes run as step
-// machines, a commit on a process of its own (host.Job.Run).
-func (t *Task) Run(j *host.Job, op *nas.Op) bool {
-	switch op.Kind {
-	case nas.OpRead:
-		return t.read(j, op.H, op.Off, op.N, op.BufID)
-	case nas.OpWrite:
-		return t.write(j, op.H, op.Off, op.N, op.BufID, 0)
-	}
+// Read implements nas.Task: a read in the client's kind; this is the
+// vnode-layer read path of Figure 2 in the paper.
+func (t *Task) Read(j *host.Job, h *nas.Handle, off, n int64, bufID uint64) bool {
+	return t.start(j, taskRead, h, bufID, wire.Header{Op: wire.OpRead, FH: h.FH, Offset: off, Length: n})
+}
+
+// Write implements nas.Task: an unstable write.
+func (t *Task) Write(j *host.Job, h *nas.Handle, off, n int64, bufID uint64) bool {
+	return t.write(j, h, off, n, bufID, 0)
+}
+
+// Commit implements nas.Task: a commit, on a process of its own
+// (host.Job.Run).
+func (t *Task) Commit(j *host.Job, h *nas.Handle, off, n int64) bool {
 	if t.body == nil {
 		t.body = t.commit
 	}
-	t.stage, t.h, t.hdr = taskDone, op.H, wire.Header{Offset: op.Off, Length: op.N}
+	t.stage, t.h, t.hdr = taskDone, h, wire.Header{Offset: off, Length: n}
 	t.n, t.hd, t.err = 0, nil, nil
 	return j.Run("nfs-commit", t.body)
 }
 
-// commit is Run's commit body.
+// commit is Commit's body.
 func (t *Task) commit(p *sim.Proc) { t.err = t.c.Commit(p, t.h, t.hdr.Offset, t.hdr.Length) }
-
-// read starts a read in the client's kind; this is the vnode-layer
-// read path of Figure 2 in the paper.
-func (t *Task) read(j *host.Job, h *nas.Handle, off, n int64, bufID uint64) bool {
-	return t.start(j, taskRead, h, bufID, wire.Header{Op: wire.OpRead, FH: h.FH, Offset: off, Length: n})
-}
 
 // write starts an unstable (flags 0) or FILE_SYNC write.
 func (t *Task) write(j *host.Job, h *nas.Handle, off, n int64, bufID uint64, flags uint8) bool {
@@ -467,7 +466,7 @@ func (c *Client) Close(p *sim.Proc, h *nas.Handle) error {
 func (c *Client) Read(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64) (int64, error) {
 	t := c.carry()
 	j := host.Carried(c.h, p)
-	t.read(&j, h, off, n, bufID)
+	t.Read(&j, h, off, n, bufID)
 	got, err := t.n, t.err
 	c.release(t)
 	return got, err

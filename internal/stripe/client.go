@@ -268,11 +268,13 @@ func (e *CommitError) Unwrap() []error { return e.Errs }
 // NFS variants and the raw DAFS session client); the cached (O)DAFS
 // client embeds the same Striper behind its block cache (internal/core).
 // Its opens, closes, reads and writes run as step machines (Task) over
-// the sub-clients' tasks; a sub-client with none runs each step on a
-// process of its own (nas.NewTask).
+// the sub-clients' tasks; a sub-client with none (a replica Group) runs
+// each step on a process of its own (nas.NewTask), so over such
+// sub-clients the striped client offers no tasks of its own (NewTask).
 type Client struct {
 	Striper
 	subs  []nas.Client
+	steps bool    // every sub-client is a nas.Stepper
 	carry []*Task // task records for blocking methods, for reuse
 }
 
@@ -287,7 +289,12 @@ func NewClient(layout Layout, subs []nas.Client) *Client {
 	if len(subs) != layout.Shards {
 		panic(fmt.Sprintf("stripe: %d sub-clients for %d shards", len(subs), layout.Shards))
 	}
-	c := &Client{subs: subs}
+	c := &Client{subs: subs, steps: true}
+	for _, sub := range subs {
+		if _, ok := sub.(nas.Stepper); !ok {
+			c.steps = false
+		}
+	}
 	c.Striper = NewStriper(layout, c)
 	return c
 }
@@ -295,8 +302,14 @@ func NewClient(layout Layout, subs []nas.Client) *Client {
 // Name implements nas.Client: the protocol name is the sub-clients'.
 func (c *Client) Name() string { return c.subs[0].Name() }
 
-// NewTask implements nas.Stepper.
-func (c *Client) NewTask() nas.Task { return &Task{c: c} }
+// NewTask implements nas.Stepper: nil over sub-clients without step
+// machines, whose every step would take a process of its own.
+func (c *Client) NewTask() nas.Task {
+	if !c.steps {
+		return nil
+	}
+	return &Task{c: c}
+}
 
 // Task runs one operation of a striped Client at a time as a step
 // machine over a host.Job: the fan-out it is at, and the outcome.
@@ -340,20 +353,32 @@ func (t *Task) Close(j *host.Job, h *nas.Handle) bool {
 	return t.start(j, taskClose, t.c.Closing(hs, h))
 }
 
-// Run implements nas.Task: a read or write splits into per-shard spans
+// Read implements nas.Task: the read splits into per-shard spans
 // issued concurrently so all owning shards stream in parallel (a failed
-// one reports 0 bytes), and a write then extends the lagging shards; a
-// commit runs on a process of its own.
-func (t *Task) Run(j *host.Job, op *nas.Op) bool {
-	t.op = *op
-	if op.Kind == nas.OpCommit {
-		if t.body == nil {
-			t.body = t.commit
-		}
-		t.stage, t.n, t.hd, t.err = taskBlocked, 0, nil, nil
-		return j.Run("stripe-commit", t.body)
+// one reports 0 bytes).
+func (t *Task) Read(j *host.Job, h *nas.Handle, off, n int64, bufID uint64) bool {
+	return t.spans(j, nas.OpRead, h, off, n, bufID)
+}
+
+// Write implements nas.Task: the write's spans run as Read's, and the
+// lagging shards then extend.
+func (t *Task) Write(j *host.Job, h *nas.Handle, off, n int64, bufID uint64) bool {
+	return t.spans(j, nas.OpWrite, h, off, n, bufID)
+}
+
+func (t *Task) spans(j *host.Job, kind nas.OpKind, h *nas.Handle, off, n int64, bufID uint64) bool {
+	t.op = nas.Op{Kind: kind, H: h, Off: off, N: n, BufID: bufID}
+	return t.start(j, taskSpans, t.c.Spanning(h, kind, off, n, bufID))
+}
+
+// Commit implements nas.Task: a commit runs on a process of its own.
+func (t *Task) Commit(j *host.Job, h *nas.Handle, off, n int64) bool {
+	t.op = nas.Op{Kind: nas.OpCommit, H: h, Off: off, N: n}
+	if t.body == nil {
+		t.body = t.commit
 	}
-	return t.start(j, taskSpans, t.c.Spanning(op.H, op.Kind, op.Off, op.N, op.BufID))
+	t.stage, t.n, t.hd, t.err = taskBlocked, 0, nil, nil
+	return j.Run("stripe-commit", t.body)
 }
 
 func (t *Task) commit(p *sim.Proc) { t.err = t.c.Commit(p, t.op.H, t.op.Off, t.op.N) }
@@ -431,19 +456,22 @@ func (c *Client) Open(p *sim.Proc, name string) (*nas.Handle, error) {
 	return h, err
 }
 
-// Read implements nas.Client (see Task.Run).
+// Read implements nas.Client (see Task.Read).
 func (c *Client) Read(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64) (int64, error) {
-	return c.data(p, nas.OpRead, h, off, n, bufID)
-}
-
-// Write implements nas.Client (see Task.Run).
-func (c *Client) Write(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64) (int64, error) {
-	return c.data(p, nas.OpWrite, h, off, n, bufID)
-}
-
-func (c *Client) data(p *sim.Proc, kind nas.OpKind, h *nas.Handle, off, n int64, bufID uint64) (int64, error) {
 	t := c.carried(p)
-	t.Run(&t.j, &nas.Op{Kind: kind, H: h, Off: off, N: n, BufID: bufID})
+	t.Read(&t.j, h, off, n, bufID)
+	return c.data(t)
+}
+
+// Write implements nas.Client (see Task.Write).
+func (c *Client) Write(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64) (int64, error) {
+	t := c.carried(p)
+	t.Write(&t.j, h, off, n, bufID)
+	return c.data(t)
+}
+
+// data returns a blocking data operation's outcome and its task record.
+func (c *Client) data(t *Task) (int64, error) {
 	got, err := t.n, t.err
 	c.release(t)
 	return got, err

@@ -191,7 +191,7 @@ func (r *Run) leg(j *host.Job, i int) bool {
 			sp := r.spans[i]
 			r.cur = r.op
 			r.cur.H, r.cur.Off, r.cur.N = r.st.ShardHandle(r.h, sp.Shard), sp.Off, sp.Len
-			ok = t.Run(j, &r.cur)
+			ok = nas.RunOp(t, j, &r.cur)
 		}
 		if !ok {
 			return false

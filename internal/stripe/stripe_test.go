@@ -279,8 +279,8 @@ func (t *countTask) Open(j *host.Job, name string) bool {
 	return t.Task.Open(j, name)
 }
 
-func (t *countTask) Run(j *host.Job, op *nas.Op) bool {
-	t.n, t.reading = op.N, true
+func (t *countTask) Read(j *host.Job, _ *nas.Handle, _, n int64, _ uint64) bool {
+	t.n, t.reading = n, true
 	j.Sched().After(0, j.Step)
 	return false
 }
