@@ -310,12 +310,30 @@ func (c *Client) Inner() *dafs.Client { return c.shards[0].Current() }
 // delegation, so subsequent opens and closes are satisfied locally
 // (§5.2, "Effect of client caching").
 func (c *Client) Open(p *sim.Proc, name string) (*nas.Handle, error) {
+	if h, ok := c.delegated(name); ok {
+		c.h.Compute(p, c.h.P.CacheLookup)
+		return h, nil
+	}
 	o := c.carried(p)
 	o.name = name
 	o.begin(&o.j, opOpen, nil, 0, 0, 0)
 	h, err := o.hd, o.err
 	c.putOp(o)
 	return h, err
+}
+
+// delegated returns the canonical handle of name if the client holds
+// its open delegation, counting a local open: after the first open of a
+// file — which resolves it on every shard's serving copy — the servers
+// grant one, so subsequent opens and closes are satisfied locally
+// (§5.2, "Effect of client caching").
+func (c *Client) delegated(name string) (*nas.Handle, bool) {
+	hs, ok := c.Handles(name)
+	if !ok {
+		return nil, false
+	}
+	c.stats.LocalOpens++
+	return hs[0], true
 }
 
 // Close implements nas.Client: local under a delegation.
@@ -361,8 +379,26 @@ func (c *Client) Remove(p *sim.Proc, name string) error {
 // all missing blocks are fetched concurrently (the cache's internal
 // read-ahead matches the application request size, §5.2 "Server
 // throughput"), each from the shard owning its offset.
+// The blocks are looked up on the caller's job first, so a read the
+// cache satisfies takes no op record.
 func (c *Client) Read(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64) (int64, error) {
-	return c.data(p, opRead, h, off, n, bufID)
+	l, ok := c.readLookups(h, off, n)
+	if !ok {
+		return 0, nil
+	}
+	var buf [4]int64
+	j := host.Carried(c.h, p)
+	misses, _ := l.run(c, &j, buf[:0])
+	if len(misses) == 0 {
+		return l.end - off, nil
+	}
+	o := c.carried(p)
+	o.set(opRead, opMissed, h, off, n, bufID)
+	o.look, o.misses = l, append(o.misses[:0], misses...)
+	o.step(&o.j)
+	got, err := o.got, o.err
+	c.putOp(o)
+	return got, err
 }
 
 // data runs a blocking read or write from p.
@@ -400,7 +436,7 @@ func (c *Client) WriteData(p *sim.Proc, h *nas.Handle, off int64, data []byte) (
 		})
 	})
 	o := c.carried(p)
-	o.kind, o.stage, o.h, o.off, o.n = opWritten, opStart, h, off, int64(len(data))
+	o.set(opWritten, opStart, h, off, int64(len(data)), 0)
 	o.got, o.err = got, err
 	o.step(&o.j)
 	got, err = o.got, o.err

@@ -32,10 +32,11 @@ type op struct {
 	n     int64
 	bufID uint64
 
-	end, bo int64   // a read's clamped end, and the block being looked up
-	misses  []int64 // the blocks a read must fetch
-	f       fetch
-	r       *stripe.Run
+	look   lookups // a read's lookups
+	misses []int64 // the blocks a read must fetch
+	bo     int64   // the written block being inserted
+	f      fetch
+	r      *stripe.Run
 
 	got  int64
 	hd   *nas.Handle
@@ -102,9 +103,14 @@ func (c *Client) putOp(o *op) {
 
 // begin sets o up as an operation of kind on h and runs it on j.
 func (o *op) begin(j *host.Job, kind opKind, h *nas.Handle, off, n int64, bufID uint64) bool {
-	o.kind, o.stage, o.h, o.off, o.n, o.bufID = kind, opStart, h, off, n, bufID
-	o.got, o.hd, o.err = 0, nil, nil
+	o.set(kind, opStart, h, off, n, bufID)
 	return o.step(j)
+}
+
+// set sets o up as an operation of kind on h, at stage.
+func (o *op) set(kind opKind, stage opStage, h *nas.Handle, off, n int64, bufID uint64) {
+	o.kind, o.stage, o.h, o.off, o.n, o.bufID = kind, stage, h, off, n, bufID
+	o.got, o.hd, o.err = 0, nil, nil
 }
 
 // Read implements nas.DataTask.
@@ -119,8 +125,7 @@ func (o *op) Write(j *host.Job, h *nas.Handle, off, n int64, bufID uint64) bool 
 
 // Commit implements nas.DataTask: a commit, on a process of its own.
 func (o *op) Commit(j *host.Job, h *nas.Handle, off, n int64) bool {
-	o.kind, o.stage, o.h, o.off, o.n = opBlocked, opDone, h, off, n
-	o.got, o.hd, o.err = 0, nil, nil
+	o.set(opBlocked, opDone, h, off, n, 0)
 	return j.Run("odafs-commit", o.body)
 }
 
@@ -137,37 +142,29 @@ func (o *op) step(j *host.Job) bool {
 				return false
 			}
 		case opLookup:
-			if o.bo >= o.end {
-				o.stage = opMissed
-				break
-			}
 			o.stage = opLooked
-			if !j.Compute(c.h.P.CacheLookup) {
+			misses, done := o.look.run(c, j, o.misses)
+			if o.misses = misses; !done {
 				return false
 			}
+			o.stage = opMissed
 		case opLooked:
-			if _, hit := c.c.Lookup(o.h.FH, o.bo); hit {
-				c.stats.LocalHits++
-			} else {
-				o.misses = append(o.misses, o.bo)
-			}
-			o.bo += c.cfg.BlockSize
-			o.stage = opLookup
+			o.misses, o.stage = o.look.next(c, o.misses), opLookup
 		case opMissed:
-			switch len(o.misses) {
+			switch misses := o.misses; len(misses) {
 			case 0:
-				o.got = o.end - o.off
+				o.got = o.look.end - o.off
 				return true
 			case 1: // fetched in line, with no fan-out closure to allocate
 				o.stage = opFetching
-				if !o.f.start(j, o.h, o.misses[0], false) {
+				if !o.f.start(j, o.h, misses[0], false) {
 					return false
 				}
 			default:
 				// Internal read-ahead: fetch all missing blocks
 				// concurrently, each fetch process carrying the
 				// requesting operation's span.
-				blocks, h := slices.Clone(o.misses), o.h
+				blocks, h := slices.Clone(misses), o.h
 				o.r = c.Fanning("fetch", len(blocks), func(fp *sim.Proc, i int) error {
 					return c.fetchBlock(fp, h, blocks[i])
 				})
@@ -228,28 +225,69 @@ func (o *op) step(j *host.Job) bool {
 	}
 }
 
+// lookups is a read's lookup stage over the blocks of [bo, end): each
+// block's lookup is charged, then made, counting a hit or noting a
+// miss. A blocking read runs it on its caller's job before it takes an
+// op record, so a read the cache satisfies needs none.
+type lookups struct {
+	fh      uint64
+	bo, end int64
+}
+
+// readLookups returns the lookups of a read of [off, off+n) of h, and
+// false if the read is empty.
+func (c *Client) readLookups(h *nas.Handle, off, n int64) (lookups, bool) {
+	end := min(off+n, h.Size)
+	if n <= 0 || off >= end {
+		return lookups{}, false
+	}
+	return lookups{fh: h.FH, bo: c.c.Align(off), end: end}, true
+}
+
+// run makes the remaining lookups on j, appending the blocks they miss
+// to misses, which it returns. It reports false if a charge waits; once
+// j.Step is called, next makes that block's lookup, and run goes on.
+// (The misses pass by value so that a blocking read's stay on its
+// stack.)
+func (l *lookups) run(c *Client, j *host.Job, misses []int64) ([]int64, bool) {
+	for l.bo < l.end {
+		if !j.Compute(c.h.P.CacheLookup) {
+			return misses, false
+		}
+		misses = l.next(c, misses)
+	}
+	return misses, true
+}
+
+// next looks the block at bo up, appending it to misses if it misses,
+// and moves on to the next block.
+func (l *lookups) next(c *Client, misses []int64) []int64 {
+	if _, hit := c.c.Lookup(l.fh, l.bo); hit {
+		c.stats.LocalHits++
+	} else {
+		misses = append(misses, l.bo)
+	}
+	l.bo += c.cfg.BlockSize
+	return misses
+}
+
 // start runs an operation's first stage.
 func (o *op) start(j *host.Job) bool {
 	c := o.c
 	switch o.kind {
 	case opOpen:
-		// After the first open of a file — which resolves it on every
-		// shard's serving copy — the servers grant an open delegation,
-		// so subsequent opens and closes are satisfied locally (§5.2,
-		// "Effect of client caching").
-		if hs, ok := c.Handles(o.name); ok {
-			c.stats.LocalOpens++
-			o.hd, o.stage = hs[0], opDone
+		if h, ok := c.delegated(o.name); ok {
+			o.hd, o.stage = h, opDone
 			return j.Compute(c.h.P.CacheLookup)
 		}
 		o.r, o.stage = c.Opening(o.name), opFanning
 	case opRead:
-		o.end = min(o.off+o.n, o.h.Size)
-		if o.n <= 0 || o.off >= o.end {
+		l, ok := c.readLookups(o.h, o.off, o.n)
+		if !ok {
 			o.stage = opDone
 			return true
 		}
-		o.bo, o.misses, o.stage = c.c.Align(o.off), o.misses[:0], opLookup
+		o.look, o.misses, o.stage = l, o.misses[:0], opLookup
 	case opWrite:
 		o.r, o.stage = c.Spanning(o.h, nas.OpWrite, o.off, o.n, o.bufID), opFanning
 	case opWritten:
@@ -276,7 +314,7 @@ func (o *op) fetched(err error) bool {
 		o.err = err
 		return true
 	}
-	o.got = o.end - o.off
+	o.got = o.look.end - o.off
 	return true
 }
 
