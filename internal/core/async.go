@@ -22,7 +22,8 @@ type asyncCached struct {
 	ops []*asyncOp // finished operations' records, for reuse
 }
 
-// asyncOp is one admitted operation; it returns to the free list when
+// asyncOp is one admitted operation, run as the client's task (an op
+// record, as Client.NewTask makes); it returns to the free list when
 // the operation completes.
 type asyncOp struct {
 	*op
@@ -78,7 +79,7 @@ func (o *asyncOp) begin() {
 // resume continues the operation where a wait ended.
 func (o *asyncOp) resume() {
 	o.j.Resume()
-	if o.step(&o.j) {
+	if o.Step(&o.j) {
 		o.finish()
 	}
 }

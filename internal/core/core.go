@@ -315,8 +315,7 @@ func (c *Client) Open(p *sim.Proc, name string) (*nas.Handle, error) {
 		return h, nil
 	}
 	o := c.carried(p)
-	o.name = name
-	o.begin(&o.j, opOpen, nil, 0, 0, 0)
+	o.Open(&o.j, name)
 	h, err := o.hd, o.err
 	c.putOp(o)
 	return h, err
@@ -395,7 +394,7 @@ func (c *Client) Read(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64) (i
 	o := c.carried(p)
 	o.set(opRead, opMissed, h, off, n, bufID)
 	o.look, o.misses = l, append(o.misses[:0], misses...)
-	o.step(&o.j)
+	o.Step(&o.j)
 	got, err := o.got, o.err
 	c.putOp(o)
 	return got, err
@@ -438,7 +437,7 @@ func (c *Client) WriteData(p *sim.Proc, h *nas.Handle, off int64, data []byte) (
 	o := c.carried(p)
 	o.set(opWritten, opStart, h, off, int64(len(data)), 0)
 	o.got, o.err = got, err
-	o.step(&o.j)
+	o.Step(&o.j)
 	got, err = o.got, o.err
 	c.putOp(o)
 	return got, err

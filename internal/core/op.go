@@ -101,10 +101,14 @@ func (c *Client) putOp(o *op) {
 	c.ops = append(c.ops, o)
 }
 
+// NewTask implements nas.Client: an op record of its own.
+func (c *Client) NewTask() nas.Task { return c.newOp() }
+
 // begin sets o up as an operation of kind on h and runs it on j.
 func (o *op) begin(j *host.Job, kind opKind, h *nas.Handle, off, n int64, bufID uint64) bool {
+	j.H = o.c.h
 	o.set(kind, opStart, h, off, n, bufID)
-	return o.step(j)
+	return o.Step(j)
 }
 
 // set sets o up as an operation of kind on h, at stage.
@@ -113,17 +117,31 @@ func (o *op) set(kind opKind, stage opStage, h *nas.Handle, off, n int64, bufID 
 	o.got, o.hd, o.err = 0, nil, nil
 }
 
-// Read implements nas.DataTask.
+// Open implements nas.Task (see Client.Open).
+func (o *op) Open(j *host.Job, name string) bool {
+	o.name = name
+	return o.begin(j, opOpen, nil, 0, 0, 0)
+}
+
+// Close implements nas.Task: local under the delegation, as
+// Client.Close, so the lookup charge is all it runs.
+func (o *op) Close(j *host.Job, h *nas.Handle) bool {
+	j.H = o.c.h
+	o.set(opOpen, opDone, h, 0, 0, 0)
+	return j.Compute(o.c.h.P.CacheLookup)
+}
+
+// Read implements nas.Task.
 func (o *op) Read(j *host.Job, h *nas.Handle, off, n int64, bufID uint64) bool {
 	return o.begin(j, opRead, h, off, n, bufID)
 }
 
-// Write implements nas.DataTask.
+// Write implements nas.Task.
 func (o *op) Write(j *host.Job, h *nas.Handle, off, n int64, bufID uint64) bool {
 	return o.begin(j, opWrite, h, off, n, bufID)
 }
 
-// Commit implements nas.DataTask: a commit, on a process of its own.
+// Commit implements nas.Task: a commit, on a process of its own.
 func (o *op) Commit(j *host.Job, h *nas.Handle, off, n int64) bool {
 	o.set(opBlocked, opDone, h, off, n, 0)
 	return j.Run("odafs-commit", o.body)
@@ -132,8 +150,11 @@ func (o *op) Commit(j *host.Job, h *nas.Handle, off, n int64) bool {
 // blocked is the body of an operation's process.
 func (o *op) blocked(p *sim.Proc) { o.err = o.c.Commit(p, o.h, o.off, o.n) }
 
-// step advances the operation on j.
-func (o *op) step(j *host.Job) bool {
+// Result implements nas.Task.
+func (o *op) Result() (int64, *nas.Handle, error) { return o.got, o.hd, o.err }
+
+// Step implements nas.Task: it advances the operation on j.
+func (o *op) Step(j *host.Job) bool {
 	c := o.c
 	for {
 		switch o.stage {
@@ -550,115 +571,8 @@ func (c *Client) doneFetch(f *inflightFetch) error {
 	return err
 }
 
-// shardTask is the per-shard task the cached client's Striper runs its
-// open and write-span fan-outs on: the shard's replica set, with the
-// first attempt on the serving copy's DAFS session as a step machine
-// (stripe.Set.Do, Set.Write), and a failover or a replicated write on a
-// process of its own.
-type shardTask struct {
-	c     *Client
-	set   *stripe.Set[*dafs.Client]
-	copy  int
-	name  string
-	op    nas.Op
-	kind  opKind
-	dt    dafs.Task
-	n     int64
-	hd    *nas.Handle
-	err   error
-	body  func(p *sim.Proc) // t.blocked, bound once
-	ended bool
-}
-
-// ShardTask implements stripe.Shards.
-func (c *Client) ShardTask(shard int) nas.Task {
-	t := &shardTask{c: c, set: c.shards[shard]}
-	t.body = t.blocked
-	return t
-}
-
-// Open implements nas.Task: the name resolves on the serving copy,
-// failing over like a read.
-func (t *shardTask) Open(j *host.Job, name string) bool {
-	t.kind, t.name, t.n, t.hd, t.err, t.ended = opOpen, name, 0, nil, nil, false
-	t.copy = t.set.Serving()
-	if !t.set.Current().OpenThen(j, &t.dt, name) {
-		return false
-	}
-	return t.Step(j)
-}
-
-// Close implements nas.Task. The cached client closes under its
-// delegation, so it never fans a close out to its shards.
-func (t *shardTask) Close(*host.Job, *nas.Handle) bool {
-	panic("core: shard tasks never close")
-}
-
-// Read implements nas.Task. The cached client fetches blocks itself,
-// so it never fans a read out to its shards.
-func (t *shardTask) Read(*host.Job, *nas.Handle, int64, int64, uint64) bool {
-	panic("core: shard tasks never read")
-}
-
-// Commit implements nas.Task. The cached client commits through the
-// process-style commit fan-out.
-func (t *shardTask) Commit(*host.Job, *nas.Handle, int64, int64) bool {
-	panic("core: shard tasks never commit")
-}
-
-// Write implements nas.Task for a write span: write-through to the
-// shard, reaching every live copy of a replicated shard under the ack
-// policy.
-func (t *shardTask) Write(j *host.Job, h *nas.Handle, off, n int64, bufID uint64) bool {
-	t.kind, t.n, t.hd, t.err, t.ended = opWrite, 0, nil, nil, false
-	t.op = nas.Op{Kind: nas.OpWrite, H: h, Off: off, N: n, BufID: bufID}
-	if t.set.Width() > 1 {
-		t.ended = true
-		return j.Run("odafs-repl", t.body)
-	}
-	if !t.set.Current().WriteThen(j, &t.dt, h, off, n, bufID, 0) {
-		return false
-	}
-	return t.Step(j)
-}
-
-// Step implements nas.Task.
-func (t *shardTask) Step(j *host.Job) bool {
-	if t.ended {
-		t.op = nas.Op{}
-		return true
-	}
-	if !t.dt.Step(j) {
-		return false
-	}
-	t.ended = true
-	t.n, t.hd, t.err = t.dt.N, t.dt.Handle, t.dt.Err
-	if t.kind == opOpen && t.err != nil && t.set.Fails(t.err) {
-		return j.Run("odafs-failover", t.body)
-	}
-	return true
-}
-
-// Result implements nas.Task.
-func (t *shardTask) Result() (int64, *nas.Handle, error) { return t.n, t.hd, t.err }
-
-// blocked is the body of a shard task's process: an open's failover or
-// a replicated write.
-func (t *shardTask) blocked(p *sim.Proc) {
-	switch t.kind {
-	case opOpen:
-		name := t.name
-		var h *nas.Handle
-		t.err = t.set.Retry(p, t.err, t.copy, func(ip *sim.Proc, _ int, in *dafs.Client) error {
-			var err error
-			h, err = in.Open(ip, name)
-			return err
-		})
-		t.hd = h
-	default:
-		sh, off, n, bufID := t.op.H, t.op.Off, t.op.N, t.op.BufID
-		t.n, t.err = t.set.Write(p, "odafs-repl", func(ip *sim.Proc, _ int, in *dafs.Client) (int64, error) {
-			return in.Write(ip, sh, off, n, bufID)
-		})
-	}
-}
+// ShardTask implements stripe.Shards: the shard's replica set's task,
+// an open on the serving copy's DAFS session as a step machine, failing
+// over on a process, and a write span write-through to the shard,
+// reaching every live copy of a replicated shard on a process.
+func (c *Client) ShardTask(shard int) nas.Task { return c.shards[shard].NewTask() }

@@ -216,9 +216,7 @@ type Task struct {
 	Err    error
 }
 
-var _ nas.Stepper = (*Client)(nil)
-
-// NewTask implements nas.Stepper.
+// NewTask implements nas.Client.
 func (c *Client) NewTask() nas.Task { return &Task{c: c} }
 
 type taskOp uint8

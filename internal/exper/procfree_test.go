@@ -2,6 +2,8 @@ package exper
 
 import (
 	"testing"
+
+	"danas/internal/trace"
 )
 
 // TestFabricCellRunsProcFree replays one small 4:1 fabric cell per
@@ -13,43 +15,85 @@ import (
 // about one coroutine per client. The event count is pinned at the
 // value of the process-style clients: the step machines post the same
 // events at the same (at, seq) places.
+//
+// The replicated NFS rows replay 64 ops of one client, at the default
+// queue depth, over 4 shards of one replica each (replica Groups under
+// the striped client). Their
+// namespace operations and replicated writes still run on processes,
+// so their process count is pinned, below the count of the adapter
+// whose workers were processes; a read runs as the serving copy's task
+// and starts none, which the read-only row checks by replaying twice
+// as many reads through a queue of depth 1 at the same count (neither
+// the reads nor the queue's slots may start a process).
 func TestFabricCellRunsProcFree(t *testing.T) {
 	const clients = 8
+	fabric := ReplayConfig{
+		Shards: fabricShards, Clients: clients, Depth: fabricDepth,
+		Fabric: FabricConfig{Leaves: fabricLeaves, Spines: fabricSpines, Oversub: 4},
+	}
+	replicated := ReplayConfig{System: "NFS", Shards: 4, Replicas: 1}
+	readOnly := FabricGen(0.01)
+	readOnly.ReadFrac = 1
 	for _, tc := range []struct {
-		system string
+		name   string
+		cfg    ReplayConfig
+		gen    trace.GenConfig
 		events uint64
+		// procs, when set, pins the processes started, which must stay
+		// below parentProcs, the count with worker processes.
+		procs, parentProcs int
 	}{
-		{"NFS", 70310},
-		{"DAFS", 70940},
-		{"ODAFS", 64042},
+		{name: "NFS", events: 70310},
+		{name: "DAFS", events: 70940},
+		{name: "ODAFS", events: 64042},
+		{name: "NFS-replicated", cfg: replicated, gen: FabricGen(0.01), events: 9966, procs: 223, parentProcs: 272},
+		{name: "NFS-replicated-read", cfg: replicated, gen: readOnly, events: 9066, procs: 193, parentProcs: 257},
 	} {
-		t.Run(tc.system, func(t *testing.T) {
-			cfg := ReplayConfig{
-				System: tc.system, Shards: fabricShards, Clients: clients, Depth: fabricDepth,
-				Fabric: FabricConfig{Leaves: fabricLeaves, Spines: fabricSpines, Oversub: 4},
+		t.Run(tc.name, func(t *testing.T) {
+			cfg, gen := tc.cfg, tc.gen
+			if cfg.System == "" {
+				cfg, gen = fabric, FabricGen(0.01)
+				cfg.System = tc.name
 			}
-			sess := NewReplaySession(FabricGen(0.01), cfg)
-			defer sess.Close()
-			res, err := sess.Replay("fabric", nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s := sess.Cluster.S
-			procs, coros, events := s.Procs(), s.Coroutines(), s.Events()
+			ops, procs, coros, events := replayCell(t, cfg, gen)
 			t.Logf("%d ops: %d procs (%.3f per op), %d coroutines, %d events",
-				res.Ops, procs, float64(procs)/float64(res.Ops), coros, events)
-			if res.Ops != int64(clients*len(sess.Trace())) {
-				t.Fatalf("%d ops completed, want %d", res.Ops, clients*len(sess.Trace()))
-			}
-			if per := float64(procs) / float64(res.Ops); per >= 0.1 {
-				t.Errorf("%.3f processes started per op, want < 0.1", per)
-			}
-			if coros > 2*clients+16 {
-				t.Errorf("%d coroutines, want <= %d", coros, 2*clients+16)
+				ops, procs, float64(procs)/float64(ops), coros, events)
+			if tc.procs == 0 {
+				if per := float64(procs) / float64(ops); per >= 0.1 {
+					t.Errorf("%.3f processes started per op, want < 0.1", per)
+				}
+				if coros > 2*clients+16 {
+					t.Errorf("%d coroutines, want <= %d", coros, 2*clients+16)
+				}
+			} else if procs != tc.procs || procs >= tc.parentProcs {
+				t.Errorf("%d processes started, want %d (below %d)", procs, tc.procs, tc.parentProcs)
 			}
 			if events != tc.events {
 				t.Errorf("%d events, want %d (the process-style clients' count)", events, tc.events)
 			}
+			if gen.ReadFrac == 1 {
+				gen.Ops, cfg.Depth = 2*gen.Ops, 1
+				if _, more, _, _ := replayCell(t, cfg, gen); more != procs {
+					t.Errorf("%d processes for twice the reads at depth 1, want %d: a read or a queue slot started one", more, procs)
+				}
+			}
 		})
 	}
+}
+
+// replayCell replays gen on a fresh session of cfg and returns the ops
+// completed, and the processes, coroutines and events of its scheduler.
+func replayCell(t *testing.T, cfg ReplayConfig, gen trace.GenConfig) (ops int64, procs, coros int, events uint64) {
+	t.Helper()
+	sess := NewReplaySession(gen, cfg)
+	defer sess.Close()
+	res, err := sess.Replay("fabric", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(max(cfg.Clients, 1) * len(sess.Trace())); res.Ops != want {
+		t.Fatalf("%d ops completed, want %d", res.Ops, want)
+	}
+	s := sess.Cluster.S
+	return res.Ops, s.Procs(), s.Coroutines(), s.Events()
 }

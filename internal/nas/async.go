@@ -220,13 +220,11 @@ type queuedOp struct {
 
 // asyncAdapter gives any synchronous Client asynchronous
 // submission-with-depth-N for free by multiplexing operations onto a
-// pool of Depth workers, each issuing one call at a time on the wrapped
-// client. This is how the three RPC-based stacks (NFS, RDDP-RPC,
-// RDDP-RDMA) gain queue depth without protocol changes: N workers keep N
-// RPCs in flight, exactly like N application threads would. For a
-// client with step machines (a Stepper with tasks) the workers are
-// callbacks, each running its calls as the client's Task; for any other
-// client they are processes, each calling the blocking methods.
+// pool of Depth workers, each running one operation at a time as the
+// wrapped client's Task. This is how the three RPC-based stacks (NFS,
+// RDDP-RPC, RDDP-RDMA) gain queue depth without protocol changes: N
+// workers keep N RPCs in flight, exactly like N application threads
+// would, but the workers are callbacks, not processes.
 type asyncAdapter struct {
 	Client
 	AsyncBase
@@ -254,17 +252,8 @@ func (a *asyncAdapter) Issue(op Op) uint64 {
 	if a.sq == nil {
 		s := a.s
 		a.sq = sim.NewQueue[queuedOp](s, "async-sq")
-		st, _ := a.Client.(Stepper)
-		for w := range a.Depth() {
-			var t Task
-			if st != nil {
-				t = st.NewTask()
-			}
-			if t == nil {
-				s.Go(fmt.Sprintf("async-%s-w%d", a.Client.Name(), w), a.work)
-				continue
-			}
-			wk := &worker{a: a, task: t}
+		for range a.Depth() {
+			wk := &worker{a: a, task: a.Client.NewTask()}
 			wk.j = host.Job{S: s, Step: wk.resume}
 			wk.get = wk.next
 			s.After(0, wk.get)
@@ -274,26 +263,7 @@ func (a *asyncAdapter) Issue(op Op) uint64 {
 	return tag
 }
 
-// work is the body of a worker process, for a client with no step
-// machines: it executes queued operations one at a time, each through
-// the blocking methods (the job it carries finishes every operation in
-// place). Time between admission and pickup is the operation's queue
-// phase; the span then stays active for exactly the call.
-func (a *asyncAdapter) work(wp *sim.Proc) {
-	t := newProcTask(a.Client)
-	j := host.Job{S: wp.Sched(), P: wp}
-	for {
-		q := a.sq.Get(wp)
-		q.op.Span.Add(obs.PhaseQueue, wp.Now().Sub(q.submitted))
-		obs.Activate(wp, q.op.Span)
-		RunOp(t, &j, &q.op)
-		n, _, err := t.Result()
-		obs.Activate(wp, nil)
-		a.Finish(Completion{Tag: q.tag, Op: q.op, N: n, Err: err, Submitted: q.submitted})
-	}
-}
-
-// worker is one callback worker of the adapter: a receive loop on the
+// worker is one worker of the adapter: a receive loop on the
 // submission queue (sim.Queue.GetOr) and the task running the operation
 // it took, event for event what a worker process calling Get and the
 // blocking method would run. Because admission is capped at Depth — the

@@ -193,50 +193,41 @@ func TestReadDataPartialWithSourceError(t *testing.T) {
 }
 
 // TestAsyncAdapterCycleAllocations pins the allocations of one Submit
-// and Wait through the generic adapter, over a plain client (worker
-// processes calling the blocking methods) and over one with step
-// machines (callback workers running its tasks): a process submits one
-// read per token it takes from a queue and waits for its completion.
-// The completion buffers, the wakeup signal and the workers' tasks are
-// reused, so once they have grown a cycle allocates nothing.
+// and Wait through the generic adapter, whose callback workers run the
+// client's tasks: a process submits one read per token it takes from a
+// queue and waits for its completion. The completion buffers, the
+// wakeup signal and the workers' tasks are reused, so once they have
+// grown a cycle allocates nothing.
 func TestAsyncAdapterCycleAllocations(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		wrap func(*memClient) Client
-	}{
-		{"plain", func(m *memClient) Client { return m }},
-		{"stepper", func(m *memClient) Client { return memStepper{m} }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			m := newMemClient()
-			s := sim.New()
-			t.Cleanup(s.Close)
-			tokens := sim.NewQueue[int](s, "tokens")
-			s.Go("app", func(p *sim.Proc) {
-				h, err := m.Create(p, "f")
-				if err == nil {
-					_, err = m.WriteData(p, h, 0, make([]byte, 4096))
-				}
-				if err != nil {
-					t.Errorf("setup: %v", err)
-					return
-				}
-				ac := NewAsync(tc.wrap(m), 2)
-				for {
-					tokens.Get(p)
-					tag := ac.Submit(p, Op{Kind: OpRead, H: h, N: 4096, BufID: 1})
-					if got := ac.Wait(p); len(got) != 1 || got[0].Tag != tag || got[0].N != 4096 {
-						t.Errorf("completions %+v, want tag %d's", got, tag)
-					}
-				}
-			})
-			round := func() { tokens.Put(0); s.Run() }
-			for range 8 {
-				round()
+	t.Run("stepper", func(t *testing.T) {
+		m := newMemClient()
+		s := sim.New()
+		t.Cleanup(s.Close)
+		tokens := sim.NewQueue[int](s, "tokens")
+		s.Go("app", func(p *sim.Proc) {
+			h, err := m.Create(p, "f")
+			if err == nil {
+				_, err = m.WriteData(p, h, 0, make([]byte, 4096))
 			}
-			if got := testing.AllocsPerRun(50, round); got != 0 {
-				t.Errorf("a Submit/Wait cycle allocates %.1f times, want 0", got)
+			if err != nil {
+				t.Errorf("setup: %v", err)
+				return
+			}
+			ac := NewAsync(m, 2)
+			for {
+				tokens.Get(p)
+				tag := ac.Submit(p, Op{Kind: OpRead, H: h, N: 4096, BufID: 1})
+				if got := ac.Wait(p); len(got) != 1 || got[0].Tag != tag || got[0].N != 4096 {
+					t.Errorf("completions %+v, want tag %d's", got, tag)
+				}
 			}
 		})
-	}
+		round := func() { tokens.Put(0); s.Run() }
+		for range 8 {
+			round()
+		}
+		if got := testing.AllocsPerRun(50, round); got != 0 {
+			t.Errorf("a Submit/Wait cycle allocates %.1f times, want 0", got)
+		}
+	})
 }

@@ -48,6 +48,9 @@ type Client interface {
 	// writes stably before returning. Against a server without
 	// write-behind it is a no-op.
 	Commit(p *sim.Proc, h *Handle, off, n int64) error
+	// NewTask returns a task running the client's operations as step
+	// machines (see Task), for one caller to keep and reuse.
+	NewTask() Task
 }
 
 // ContentSource resolves file bytes by handle — the simulation's content

@@ -40,6 +40,10 @@ func (m *memClient) Name() string { return "mem" }
 
 func (m *memClient) Open(p *sim.Proc, name string) (*Handle, error) {
 	p.Sleep(m.perOp)
+	return m.openName(name)
+}
+
+func (m *memClient) openName(name string) (*Handle, error) {
 	f, ok := m.files[name]
 	if !ok {
 		return nil, ErrNoEnt
@@ -119,6 +123,10 @@ func (m *memClient) Remove(p *sim.Proc, name string) error {
 
 func (m *memClient) Close(p *sim.Proc, h *Handle) error {
 	p.Sleep(m.perOp)
+	return m.close(h)
+}
+
+func (m *memClient) close(h *Handle) error {
 	if _, ok := m.open[h.FH]; !ok {
 		return ErrStale
 	}
@@ -150,77 +158,82 @@ func (m *memClient) commit(h *Handle) error {
 
 var _ Client = (*memClient)(nil)
 
-// memStepper is memClient with step machines: a data operation waits
-// perOp on a timer event, where the blocking method's Sleep wakes, then
-// runs the same body; opens and closes run the blocking methods on the
-// job's process.
-type memStepper struct{ *memClient }
+// NewTask implements Client: an operation waits perOp on a timer event,
+// where the blocking method's Sleep wakes (or sleeps, on a job carried
+// by a process), then runs the same body.
+func (m *memClient) NewTask() Task { return &memTask{m: m} }
 
-var _ Stepper = memStepper{}
-
-func (m memStepper) NewTask() Task {
-	t := &memTask{Task: newProcTask(m.memClient), m: m.memClient}
-	t.read, t.write = m.read, m.write
-	t.commit = func(h *Handle, _, _ int64) (int64, error) { return 0, m.commit(h) }
-	return t
-}
-
+// memTask is memClient's task.
 type memTask struct {
-	Task // opens and closes
-	m    *memClient
-
-	read, write, commit func(h *Handle, off, n int64) (int64, error)
-
-	do     func(h *Handle, off, n int64) (int64, error) // the data operation under way
+	m      *memClient
+	op     memOp
+	name   string
 	h      *Handle
 	off, n int64
 	got    int64
+	hd     *Handle
 	err    error
 }
 
+type memOp uint8
+
+const (
+	memOpen memOp = iota
+	memClose
+	memRead
+	memWrite
+	memCommit
+)
+
 func (t *memTask) Open(j *host.Job, name string) bool {
-	t.do = nil
-	return t.Task.Open(j, name)
+	t.name = name
+	return t.start(j, memOpen, nil, 0, 0)
 }
 
-func (t *memTask) Close(j *host.Job, h *Handle) bool {
-	t.do = nil
-	return t.Task.Close(j, h)
-}
+func (t *memTask) Close(j *host.Job, h *Handle) bool { return t.start(j, memClose, h, 0, 0) }
 
 func (t *memTask) Read(j *host.Job, h *Handle, off, n int64, _ uint64) bool {
-	return t.start(j, t.read, h, off, n)
+	return t.start(j, memRead, h, off, n)
 }
 
 func (t *memTask) Write(j *host.Job, h *Handle, off, n int64, _ uint64) bool {
-	return t.start(j, t.write, h, off, n)
+	return t.start(j, memWrite, h, off, n)
 }
 
 func (t *memTask) Commit(j *host.Job, h *Handle, off, n int64) bool {
-	return t.start(j, t.commit, h, off, n)
+	return t.start(j, memCommit, h, off, n)
 }
 
-func (t *memTask) start(j *host.Job, do func(h *Handle, off, n int64) (int64, error), h *Handle, off, n int64) bool {
-	t.do, t.h, t.off, t.n = do, h, off, n
+func (t *memTask) start(j *host.Job, op memOp, h *Handle, off, n int64) bool {
+	t.op, t.h, t.off, t.n = op, h, off, n
+	if j.P != nil {
+		j.P.Sleep(t.m.perOp)
+		return t.Step(j)
+	}
 	j.Sched().After(t.m.perOp, j.Step)
 	return false
 }
 
-func (t *memTask) Step(j *host.Job) bool {
-	if t.do == nil {
-		return t.Task.Step(j)
+func (t *memTask) Step(*host.Job) bool {
+	m := t.m
+	t.got, t.hd, t.err = 0, nil, nil
+	switch t.op {
+	case memOpen:
+		t.hd, t.err = m.openName(t.name)
+	case memClose:
+		t.err = m.close(t.h)
+	case memRead:
+		t.got, t.err = m.read(t.h, t.off, t.n)
+	case memWrite:
+		t.got, t.err = m.write(t.h, t.off, t.n)
+	default:
+		t.err = m.commit(t.h)
 	}
-	t.got, t.err = t.do(t.h, t.off, t.n)
 	t.h = nil
 	return true
 }
 
-func (t *memTask) Result() (int64, *Handle, error) {
-	if t.do != nil {
-		return t.got, nil, t.err
-	}
-	return t.Task.Result()
-}
+func (t *memTask) Result() (int64, *Handle, error) { return t.got, t.hd, t.err }
 
 // memSource materializes bytes by handle, the ContentSource side. When
 // err is set it fails after materializing shortAfter bytes, modelling a

@@ -167,9 +167,7 @@ type Task struct {
 	body func(p *sim.Proc) // t.commit, bound once
 }
 
-var _ nas.Stepper = (*Client)(nil)
-
-// NewTask implements nas.Stepper.
+// NewTask implements nas.Client.
 func (c *Client) NewTask() nas.Task { return &Task{c: c} }
 
 type taskOp uint8

@@ -268,20 +268,14 @@ func (e *CommitError) Unwrap() []error { return e.Errs }
 // NFS variants and the raw DAFS session client); the cached (O)DAFS
 // client embeds the same Striper behind its block cache (internal/core).
 // Its opens, closes, reads and writes run as step machines (Task) over
-// the sub-clients' tasks; a sub-client with none (a replica Group) runs
-// each step on a process of its own (nas.NewTask), so over such
-// sub-clients the striped client offers no tasks of its own (NewTask).
+// the sub-clients' tasks.
 type Client struct {
 	Striper
 	subs  []nas.Client
-	steps bool    // every sub-client is a nas.Stepper
 	carry []*Task // task records for blocking methods, for reuse
 }
 
-var (
-	_ nas.Client  = (*Client)(nil)
-	_ nas.Stepper = (*Client)(nil)
-)
+var _ nas.Client = (*Client)(nil)
 
 // NewClient stripes the given per-shard sub-clients (one per layout
 // shard, in shard order) under one nas.Client.
@@ -289,12 +283,7 @@ func NewClient(layout Layout, subs []nas.Client) *Client {
 	if len(subs) != layout.Shards {
 		panic(fmt.Sprintf("stripe: %d sub-clients for %d shards", len(subs), layout.Shards))
 	}
-	c := &Client{subs: subs, steps: true}
-	for _, sub := range subs {
-		if _, ok := sub.(nas.Stepper); !ok {
-			c.steps = false
-		}
-	}
+	c := &Client{subs: subs}
 	c.Striper = NewStriper(layout, c)
 	return c
 }
@@ -302,14 +291,8 @@ func NewClient(layout Layout, subs []nas.Client) *Client {
 // Name implements nas.Client: the protocol name is the sub-clients'.
 func (c *Client) Name() string { return c.subs[0].Name() }
 
-// NewTask implements nas.Stepper: nil over sub-clients without step
-// machines, whose every step would take a process of its own.
-func (c *Client) NewTask() nas.Task {
-	if !c.steps {
-		return nil
-	}
-	return &Task{c: c}
-}
+// NewTask implements nas.Client.
+func (c *Client) NewTask() nas.Task { return &Task{c: c} }
 
 // Task runs one operation of a striped Client at a time as a step
 // machine over a host.Job: the fan-out it is at, and the outcome.
@@ -500,7 +483,7 @@ func (c *Client) WriteData(p *sim.Proc, h *nas.Handle, off int64, data []byte) (
 }
 
 // ShardTask implements Shards: the sub-client's own task.
-func (c *Client) ShardTask(shard int) nas.Task { return nas.NewTask(c.subs[shard]) }
+func (c *Client) ShardTask(shard int) nas.Task { return c.subs[shard].NewTask() }
 
 // ExtendShard implements Shards: a zero-length write at end.
 func (c *Client) ExtendShard(wp *sim.Proc, shard int, sh *nas.Handle, end int64) error {

@@ -15,6 +15,8 @@ type failingCommitSub struct {
 	err error
 }
 
+func (f *failingCommitSub) NewTask() nas.Task { return &nowTask{c: f} }
+
 func (f *failingCommitSub) Commit(p *sim.Proc, h *nas.Handle, off, n int64) error {
 	f.commits = append(f.commits, Span{Shard: f.shard, Off: off, Len: n})
 	return f.err

@@ -1,6 +1,7 @@
 package stripe
 
 import (
+	"danas/internal/host"
 	"danas/internal/nas"
 	"danas/internal/sim"
 )
@@ -16,39 +17,39 @@ import (
 // layer already understands: replication is invisible above it.
 type Group struct {
 	*Set[Session]
-
-	// handles maps an open name to its per-copy handles (same idiom as
-	// the striped Client: identical creation order means the copies
-	// usually agree on handles, but the bookkeeping never assumes it).
-	handles map[string][]*nas.Handle
+	idle *setTask[Session] // the task blocking calls drive, while none runs
 }
 
 var _ nas.Client = (*Group)(nil)
 
 // NewGroup builds the replica set from its copy sessions (copy 0 =
 // primary, all retry-armed by the caller — a session that cannot time
-// out can never trigger failover).
+// out can never trigger failover). The set records every open name's
+// per-copy handles.
 func NewGroup(policy AckPolicy, copies []Session) *Group {
-	return &Group{
-		Set:     NewSet(policy, len(copies), copies, nil),
-		handles: make(map[string][]*nas.Handle),
-	}
+	set := NewSet(policy, len(copies), copies, nil)
+	set.handles = make(map[string][]*nas.Handle)
+	return &Group{Set: set}
 }
 
 // Name implements nas.Client.
 func (g *Group) Name() string { return g.copies[0].Name() }
 
-// copyHandle resolves the per-copy handle for h, falling back to h
-// itself (correct when the copies assigned identical handles, which a
-// replicated namespace with identical creation order guarantees).
-func (g *Group) copyHandle(h *nas.Handle, copy int) *nas.Handle {
-	if h == nil {
-		return nil
+// NewTask implements nas.Client: the set's task (see setTask), whose
+// opens and closes run the group's Open and Close, on every live copy.
+func (g *Group) NewTask() nas.Task { return g.newTask(g) }
+
+// run drives a task of the group's through op from p.
+func (g *Group) run(p *sim.Proc, op nas.Op) (int64, error) {
+	t := g.idle
+	if t == nil {
+		t = g.newTask(g)
 	}
-	if hs, ok := g.handles[h.Name]; ok && copy < len(hs) && hs[copy] != nil {
-		return hs[copy]
-	}
-	return h
+	g.idle = nil
+	j := host.Carried(nil, p) // the copies' tasks charge on their own hosts
+	nas.RunOp(t, &j, &op)
+	g.idle = t
+	return t.n, t.err
 }
 
 // Open implements nas.Client: the name resolves on every live copy so
@@ -89,21 +90,13 @@ func (g *Group) Getattr(p *sim.Proc, h *nas.Handle) (int64, error) {
 // only one copy, and keeping them on one session preserves that
 // session's cache and transport state.
 func (g *Group) Read(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64) (int64, error) {
-	var got int64
-	err := g.Do(p, func(wp *sim.Proc, copy int, in Session) error {
-		var err error
-		got, err = in.Read(wp, g.copyHandle(h, copy), off, n, bufID)
-		return err
-	})
-	return got, err
+	return g.run(p, nas.Op{Kind: nas.OpRead, H: h, Off: off, N: n, BufID: bufID})
 }
 
 // Write implements nas.Client: the write reaches every live copy, the
 // ack policy decides how many acknowledgements complete it.
 func (g *Group) Write(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64) (int64, error) {
-	return g.Set.Write(p, "grp-write", func(wp *sim.Proc, copy int, in Session) (int64, error) {
-		return in.Write(wp, g.copyHandle(h, copy), off, n, bufID)
-	})
+	return g.run(p, nas.Op{Kind: nas.OpWrite, H: h, Off: off, N: n, BufID: bufID})
 }
 
 // WriteData implements nas.Client, replicating like Write.
@@ -117,9 +110,7 @@ func (g *Group) WriteData(p *sim.Proc, h *nas.Handle, off int64, data []byte) (i
 // resolves its own verifier and re-issues its own lost ranges — with
 // the same ack requirement as writes, the serving copy authoritative.
 func (g *Group) Commit(p *sim.Proc, h *nas.Handle, off, n int64) error {
-	_, err := g.Set.Write(p, "grp-commit", func(wp *sim.Proc, copy int, in Session) (int64, error) {
-		return 0, in.Commit(wp, g.copyHandle(h, copy), off, n)
-	})
+	_, err := g.run(p, nas.Op{Kind: nas.OpCommit, H: h, Off: off, N: n})
 	return err
 }
 

@@ -3,6 +3,7 @@ package stripe
 import (
 	"errors"
 
+	"danas/internal/host"
 	"danas/internal/nas"
 	"danas/internal/obs"
 	"danas/internal/sim"
@@ -51,6 +52,11 @@ type Set[S copySession] struct {
 	dead    []bool
 	serving int
 	fans    Fans
+	// handles maps an open name to its per-copy handles, in a set that
+	// records them (a Group's: identical creation order means the
+	// copies usually agree on handles, but the bookkeeping never
+	// assumes it).
+	handles map[string][]*nas.Handle
 
 	// Failovers counts serving-copy switches, which also makes it the
 	// set's epoch: it changes exactly when Current does. Reissued counts
@@ -89,6 +95,19 @@ func (s *Set[S]) session(copy int) S {
 		s.copies[copy] = s.mount(copy)
 	}
 	return s.copies[copy]
+}
+
+// copyHandle resolves the per-copy handle for h, falling back to h
+// itself (correct when the copies assigned identical handles, which a
+// replicated namespace with identical creation order guarantees).
+func (s *Set[S]) copyHandle(h *nas.Handle, copy int) *nas.Handle {
+	if h == nil {
+		return nil
+	}
+	if hs, ok := s.handles[h.Name]; ok && copy < len(hs) && hs[copy] != nil {
+		return hs[copy]
+	}
+	return h
 }
 
 // Mounted visits every mounted session in copy order, dead copies
@@ -310,4 +329,176 @@ func (s *Set[S]) Fan(p *sim.Proc, name string, fn func(wp *sim.Proc, copy int, i
 		}
 		return err
 	})
+}
+
+// NewTask returns a task running operations on the set (see setTask).
+func (s *Set[S]) NewTask() nas.Task { return s.newTask(nil) }
+
+func (s *Set[S]) newTask(names nas.Client) *setTask[S] {
+	return &setTask[S]{set: s, names: names}
+}
+
+// setTask runs operations on a replica set as step machines (see
+// nas.Task): the task of a Group and of each shard of the cached
+// client. An open, a close or a read runs as the serving copy's own
+// task, and a serving-copy timeout that fails the set over (Fails)
+// continues on a process (Retry). A write or a commit runs as the
+// serving copy's task on a set of one copy, and on a process reaching
+// every live copy under the ack policy (Write) otherwise. A Group's
+// opens and closes reach every live copy: they run its own methods
+// (names) on a process.
+type setTask[S copySession] struct {
+	set   *Set[S]
+	names nas.Client // if non-nil, its Open and Close run instead
+	own   nas.Task   // the task of copy owner, kept for reuse
+	owner int
+	in    nas.Task // own, while the operation runs on it
+	copy  int      // the copy the operation ran on first
+	ns    setName
+	name  string      // an open's name
+	h     *nas.Handle // the operation's handle
+	op    nas.Op      // a data operation, through the serving copy's handle
+	n     int64
+	hd    *nas.Handle
+	err   error
+	body  func(p *sim.Proc) // t.blocked, bound at the first process
+}
+
+// setName is the namespace operation a setTask runs, if any.
+type setName uint8
+
+const (
+	setData  setName = iota // a read, write or commit (op.Kind)
+	setOpen                 // an open of name
+	setClose                // a close of op.H
+)
+
+// Open implements nas.Task.
+func (t *setTask[S]) Open(j *host.Job, name string) bool {
+	t.name = name
+	return t.start(j, setOpen, nas.Op{})
+}
+
+// Close implements nas.Task.
+func (t *setTask[S]) Close(j *host.Job, h *nas.Handle) bool {
+	return t.start(j, setClose, nas.Op{H: h})
+}
+
+// Read implements nas.Task.
+func (t *setTask[S]) Read(j *host.Job, h *nas.Handle, off, n int64, bufID uint64) bool {
+	return t.start(j, setData, nas.Op{Kind: nas.OpRead, H: h, Off: off, N: n, BufID: bufID})
+}
+
+// Write implements nas.Task.
+func (t *setTask[S]) Write(j *host.Job, h *nas.Handle, off, n int64, bufID uint64) bool {
+	return t.start(j, setData, nas.Op{Kind: nas.OpWrite, H: h, Off: off, N: n, BufID: bufID})
+}
+
+// Commit implements nas.Task.
+func (t *setTask[S]) Commit(j *host.Job, h *nas.Handle, off, n int64) bool {
+	return t.start(j, setData, nas.Op{Kind: nas.OpCommit, H: h, Off: off, N: n})
+}
+
+// start runs an operation on a process if it blocks from the outset (a
+// Group's open or close, a write or commit to more than one copy), and
+// otherwise on the serving copy's task, through its handle.
+func (t *setTask[S]) start(j *host.Job, ns setName, op nas.Op) bool {
+	s := t.set
+	t.ns, t.h, t.op, t.copy, t.n, t.hd, t.err = ns, op.H, op, s.serving, 0, nil, nil
+	if t.blocks() {
+		return t.run(j, "set-task")
+	}
+	if t.own == nil || t.owner != t.copy {
+		t.own, t.owner = s.copies[t.copy].NewTask(), t.copy
+	}
+	t.in, t.op.H = t.own, s.copyHandle(op.H, t.copy)
+	var done bool
+	switch ns {
+	case setOpen:
+		done = t.in.Open(j, t.name)
+	case setClose:
+		done = t.in.Close(j, t.op.H)
+	default:
+		done = nas.RunOp(t.in, j, &t.op)
+	}
+	return done && t.served(j)
+}
+
+// blocks reports whether the operation runs on a process from the
+// outset.
+func (t *setTask[S]) blocks() bool {
+	if t.ns != setData {
+		return t.names != nil
+	}
+	return t.op.Kind != nas.OpRead && len(t.set.copies) > 1
+}
+
+// Step implements nas.Task.
+func (t *setTask[S]) Step(j *host.Job) bool {
+	if t.in == nil { // the operation's process is done
+		return true
+	}
+	return t.in.Step(j) && t.served(j)
+}
+
+// served ends the operation the serving copy's task ran, failing over
+// on a process if the set fails over on its error.
+func (t *setTask[S]) served(j *host.Job) bool {
+	t.n, t.hd, t.err = t.in.Result()
+	t.in = nil
+	if t.err == nil || !t.set.Fails(t.err) {
+		return true
+	}
+	return t.run(j, "set-failover")
+}
+
+// run runs the rest of the operation on the job's process (blocked).
+func (t *setTask[S]) run(j *host.Job, name string) bool {
+	if t.body == nil {
+		t.body = t.blocked
+	}
+	return j.Run(name, t.body)
+}
+
+// Result implements nas.Task.
+func (t *setTask[S]) Result() (int64, *nas.Handle, error) { return t.n, t.hd, t.err }
+
+// blocked is the body of the task's process: a Group's open or close,
+// a write or commit reaching every live copy, or the failover of an
+// operation the serving copy's task ran, and its rerun on the survivor.
+func (t *setTask[S]) blocked(p *sim.Proc) {
+	switch {
+	case !t.blocks():
+		t.err = t.set.Retry(p, t.err, t.copy, t.rerun)
+	case t.ns == setOpen:
+		t.hd, t.err = t.names.Open(p, t.name)
+	case t.ns == setClose:
+		t.err = t.names.Close(p, t.h)
+	default:
+		t.n, t.err = t.set.Write(p, "set-write", t.call)
+	}
+}
+
+// call runs the operation on copy, whose session is in, from wp,
+// through the session's blocking method, which carries a task of the
+// session's own: a replica's write may run on after the operation is
+// done. It sets an open's handle.
+func (t *setTask[S]) call(wp *sim.Proc, copy int, in S) (int64, error) {
+	op := t.op
+	op.H = t.set.copyHandle(t.h, copy)
+	switch t.ns {
+	case setOpen:
+		var err error
+		t.hd, err = in.Open(wp, t.name)
+		return 0, err
+	case setClose:
+		return 0, in.Close(wp, op.H)
+	}
+	return nas.CallOp(wp, in, &op)
+}
+
+// rerun is the failover's rerun on the survivor.
+func (t *setTask[S]) rerun(wp *sim.Proc, copy int, in S) (err error) {
+	t.n, err = t.call(wp, copy, in)
+	return err
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"danas/internal/host"
 	"danas/internal/nas"
 	"danas/internal/sim"
 )
@@ -72,6 +73,53 @@ func (f *fakeCopy) WriteStable(p *sim.Proc, h *nas.Handle, off, n int64, bufID u
 	f.stable = append(f.stable, nas.WriteRange{Off: off, N: n})
 	return n, nil
 }
+
+// NewTask returns the copy's task, which runs reads only: a Group
+// runs its other operations on its copies' blocking methods. A read
+// answers as Read does, waiting on a timer event where Read sleeps (or
+// sleeping, on a job carried by a process).
+func (f *fakeCopy) NewTask() nas.Task { return &copyTask{f: f} }
+
+type copyTask struct {
+	f   *fakeCopy
+	n   int64
+	err error
+}
+
+func (t *copyTask) Open(*host.Job, string) bool { panic("fakeCopy: only reads run as tasks") }
+
+func (t *copyTask) Close(*host.Job, *nas.Handle) bool { panic("fakeCopy: only reads run as tasks") }
+
+func (t *copyTask) Write(*host.Job, *nas.Handle, int64, int64, uint64) bool {
+	panic("fakeCopy: only reads run as tasks")
+}
+
+func (t *copyTask) Commit(*host.Job, *nas.Handle, int64, int64) bool {
+	panic("fakeCopy: only reads run as tasks")
+}
+
+func (t *copyTask) Read(j *host.Job, _ *nas.Handle, _, n int64, _ uint64) bool {
+	t.n, t.err = n, nil
+	d := t.f.delay
+	if t.f.down {
+		t.n, t.err, d = 0, nas.ErrTimeout, copyTimeout
+	}
+	if j.P != nil {
+		j.P.Sleep(d)
+		return t.Step(j)
+	}
+	j.Sched().After(d, j.Step)
+	return false
+}
+
+func (t *copyTask) Step(*host.Job) bool {
+	if t.err == nil {
+		t.f.reads++
+	}
+	return true
+}
+
+func (t *copyTask) Result() (int64, *nas.Handle, error) { return t.n, nil, t.err }
 
 // newTestSet builds a replica set over width fake copies, all mounted.
 func newTestSet(policy AckPolicy, width int) (*Set[*fakeCopy], []*fakeCopy) {
@@ -290,5 +338,90 @@ func TestGroupFansNamespaceAndFailsOver(t *testing.T) {
 	if g.ReplicaErrs != 1 || g.Failovers != 1 || g.Serving() != 1 || fakes[1].reads != 1 {
 		t.Errorf("ReplicaErrs = %d, Failovers = %d, serving %d, replica reads %d; want 1, 1, 1, 1",
 			g.ReplicaErrs, g.Failovers, g.Serving(), fakes[1].reads)
+	}
+}
+
+// taskRead reads one byte through a task of g driven from callbacks,
+// as the async adapter's workers drive it, on a fresh simulation: it
+// returns the outcome, the instant the read finished and the processes
+// the simulation started.
+func taskRead(g *Group) (got int64, err error, at sim.Time, procs int) {
+	s := sim.New()
+	defer s.Close()
+	t := g.NewTask()
+	done := func() { got, _, err = t.Result(); at = s.Now() }
+	var j host.Job
+	j = host.Job{S: s, Step: func() {
+		j.Resume()
+		if t.Step(&j) {
+			done()
+		}
+	}}
+	s.After(0, func() {
+		if t.Read(&j, &nas.Handle{FH: 1, Name: "f"}, 0, 1, 0) {
+			done()
+		}
+	})
+	s.Run()
+	return got, err, at, s.Procs()
+}
+
+// TestGroupTaskReadRunsOnServingCopy checks a Group's task: a read on
+// a healthy serving copy runs as that copy's task and starts no
+// process; a serving-copy timeout fails over on exactly one process;
+// and either way the outcome — bytes, error, failovers, finish instant
+// and the copy that answered — is the blocking Group.Read's on a twin
+// set.
+func TestGroupTaskReadRunsOnServingCopy(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		down       []bool
+		procs      int
+		wantGot    int64
+		wantErr    error
+		wantFailed uint64
+	}{
+		{"healthy", []bool{false, false}, 0, 1, nil, 0},
+		{"primary down", []bool{true, false}, 1, 1, nil, 1},
+		{"every copy down", []bool{true, true}, 1, 0, nas.ErrTimeout, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			twin := func() (*Group, []*fakeCopy) {
+				fakes := make([]*fakeCopy, len(tc.down))
+				sessions := make([]Session, len(tc.down))
+				for i, down := range tc.down {
+					fakes[i] = &fakeCopy{down: down, delay: sim.Microsecond}
+					sessions[i] = fakes[i]
+				}
+				return NewGroup(AckSync, sessions), fakes
+			}
+			g, fakes := twin()
+			got, err, at, procs := taskRead(g)
+			if procs != tc.procs {
+				t.Errorf("the task's read started %d processes, want %d", procs, tc.procs)
+			}
+			if got != tc.wantGot || err != tc.wantErr || g.Failovers != tc.wantFailed {
+				t.Errorf("task read = %d, %v with %d failovers; want %d, %v with %d",
+					got, err, g.Failovers, tc.wantGot, tc.wantErr, tc.wantFailed)
+			}
+
+			bg, bfakes := twin()
+			var bgot int64
+			var berr error
+			var bat sim.Time
+			run(func(p *sim.Proc) {
+				bgot, berr = bg.Read(p, &nas.Handle{FH: 1, Name: "f"}, 0, 1, 0)
+				bat = p.Now()
+			})
+			if bgot != got || berr != err || bat != at || bg.Failovers != g.Failovers || bg.Serving() != g.Serving() {
+				t.Errorf("blocking read = %d, %v at %v, %d failovers, serving %d; the task's %d, %v at %v, %d, %d",
+					bgot, berr, bat, bg.Failovers, bg.Serving(), got, err, at, g.Failovers, g.Serving())
+			}
+			for i := range fakes {
+				if bfakes[i].reads != fakes[i].reads {
+					t.Errorf("copy %d served %d blocking reads, %d task reads", i, bfakes[i].reads, fakes[i].reads)
+				}
+			}
+		})
 	}
 }

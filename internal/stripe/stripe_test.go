@@ -149,6 +149,49 @@ func (f *fakeSub) Commit(p *sim.Proc, h *nas.Handle, off, n int64) error {
 	f.commits = append(f.commits, Span{Shard: f.shard, Off: off, Len: n})
 	return nil
 }
+func (f *fakeSub) NewTask() nas.Task { return &nowTask{c: f} }
+
+// nowTask is the task of a fake that answers at once: each operation
+// calls the fake's blocking method in place, with the job's process
+// (nil when callbacks drive the task, and unused by the fakes).
+type nowTask struct {
+	c   nas.Client
+	n   int64
+	h   *nas.Handle
+	err error
+}
+
+func (t *nowTask) Open(j *host.Job, name string) bool {
+	t.n = 0
+	t.h, t.err = t.c.Open(j.P, name)
+	return true
+}
+
+func (t *nowTask) Close(j *host.Job, h *nas.Handle) bool {
+	t.n, t.h, t.err = 0, nil, t.c.Close(j.P, h)
+	return true
+}
+
+func (t *nowTask) Read(j *host.Job, h *nas.Handle, off, n int64, bufID uint64) bool {
+	t.h = nil
+	t.n, t.err = t.c.Read(j.P, h, off, n, bufID)
+	return true
+}
+
+func (t *nowTask) Write(j *host.Job, h *nas.Handle, off, n int64, bufID uint64) bool {
+	t.h = nil
+	t.n, t.err = t.c.Write(j.P, h, off, n, bufID)
+	return true
+}
+
+func (t *nowTask) Commit(j *host.Job, h *nas.Handle, off, n int64) bool {
+	t.n, t.h, t.err = 0, nil, t.c.Commit(j.P, h, off, n)
+	return true
+}
+
+func (t *nowTask) Step(*host.Job) bool { return true }
+
+func (t *nowTask) Result() (int64, *nas.Handle, error) { return t.n, t.h, t.err }
 
 // TestClientRoutesToOwningShards checks reads split across the owning
 // shards with per-shard handles, and namespace ops fan out to every shard.
@@ -263,7 +306,7 @@ func (c *countSub) Read(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64) 
 	return n, nil
 }
 
-func (c *countSub) NewTask() nas.Task { return &countTask{Task: nas.NewTask(&c.fakeSub)} }
+func (c *countSub) NewTask() nas.Task { return &countTask{Task: c.fakeSub.NewTask()} }
 
 // countTask is countSub's task: a read yields through a same-instant
 // event, as Read's process does; opens and closes run the fake's

@@ -3,6 +3,7 @@ package workload
 import (
 	"testing"
 
+	"danas/internal/host"
 	"danas/internal/metrics"
 	"danas/internal/nas"
 	"danas/internal/sim"
@@ -44,6 +45,48 @@ func (c *slowClient) Commit(p *sim.Proc, h *nas.Handle, off, n int64) error {
 	p.Sleep(c.opTime)
 	return nil
 }
+
+// NewTask implements nas.Client: a read, write or commit waits opTime
+// on a timer event, where the blocking method's Sleep wakes (or
+// sleeps, on a job carried by a process); opens and closes are
+// immediate.
+func (c *slowClient) NewTask() nas.Task { return &slowTask{c: c} }
+
+type slowTask struct {
+	c *slowClient
+	n int64
+	h *nas.Handle
+}
+
+func (t *slowTask) Open(j *host.Job, name string) bool {
+	t.n, t.h = 0, &nas.Handle{FH: 1, Size: t.c.size, Name: name}
+	return true
+}
+
+func (t *slowTask) Close(*host.Job, *nas.Handle) bool {
+	t.n, t.h = 0, nil
+	return true
+}
+
+func (t *slowTask) Read(j *host.Job, _ *nas.Handle, _, n int64, _ uint64) bool { return t.wait(j, n) }
+
+func (t *slowTask) Write(j *host.Job, _ *nas.Handle, _, n int64, _ uint64) bool { return t.wait(j, n) }
+
+func (t *slowTask) Commit(j *host.Job, _ *nas.Handle, _, _ int64) bool { return t.wait(j, 0) }
+
+func (t *slowTask) wait(j *host.Job, n int64) bool {
+	t.n, t.h = n, nil
+	if j.P != nil {
+		j.P.Sleep(t.c.opTime)
+		return true
+	}
+	j.Sched().After(t.c.opTime, j.Step)
+	return false
+}
+
+func (t *slowTask) Step(*host.Job) bool { return true }
+
+func (t *slowTask) Result() (int64, *nas.Handle, error) { return t.n, t.h, nil }
 
 // uniformTrace builds n records arriving every gap, alternating a write
 // in every fourth slot.
