@@ -64,7 +64,7 @@ func (r *shardRig) mount(cfg Config) *Client {
 // from a queue, so a round allocates only what the operation does. A
 // striping layer that allocates per span or per shard shows here before
 // it shows in a fleet's setup time; so does one that stops recycling
-// the span, fan-out, fetch, call or message records.
+// the span, fan-out, fetch, call, message or RDMA records.
 func TestStripedCachedAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's own allocations vary from run to run")
@@ -87,7 +87,7 @@ func TestStripedCachedAllocations(t *testing.T) {
 		{"commit", 27, func(p *sim.Proc, _ int) error { return c.Commit(p, h, 0, size) }},
 		// Alternating between two ranges, each read evicts the other's
 		// four data blocks, so every read fetches through the directory.
-		{"warm read", 10, func(p *sim.Proc, round int) error {
+		{"warm read", 6, func(p *sim.Proc, round int) error {
 			_, err := c.Read(p, h, int64(round%2)*size, size, 1)
 			return err
 		}},

@@ -316,7 +316,7 @@ func (ss *session) serve() bool {
 				}
 			}
 		case sPush:
-			srv.N.RDMAAsync(&nic.Op{
+			srv.N.RDMAAsync(nic.Op{
 				Kind:   nic.Put,
 				Target: ss.qp.Peer().NIC(),
 				VA:     h.BufVA + uint64(ss.total),

@@ -150,7 +150,7 @@ func (h *handler) Serve(w *rpc.Worker) bool {
 				return false
 			}
 		case opReadPush:
-			srv.n.RDMAAsync(&nic.Op{
+			srv.n.RDMAAsync(nic.Op{
 				Kind:   nic.Put,
 				Target: w.Req.ClientNIC(),
 				VA:     hdr.BufVA,
@@ -190,7 +190,7 @@ func (h *handler) Serve(w *rpc.Worker) bool {
 			}
 		case opWritePull:
 			h.stage = opWritePulled
-			srv.n.RDMAAsync(&nic.Op{
+			srv.n.RDMAAsync(nic.Op{
 				Kind:   nic.Get,
 				Target: w.Req.ClientNIC(),
 				VA:     hdr.BufVA,

@@ -192,11 +192,13 @@ type NIC struct {
 	// put's data stream (see rdma.go).
 	sendGate sim.Time
 
-	// flights, tasks and msgs hold this NIC's finished fragments, steps
-	// and message records for reuse (see flight, task and Message).
+	// flights, tasks, msgs and ops hold this NIC's finished fragments,
+	// steps, message records and RDMA records for reuse (see flight,
+	// task, Message and opRec).
 	flights []*flight
 	tasks   []*task
 	msgs    []*Message
+	ops     []*opRec
 
 	stats Stats
 }

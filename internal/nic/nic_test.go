@@ -164,7 +164,7 @@ func TestGetSuccess(t *testing.T) {
 	var st Status = -1
 	var doneAt sim.Time
 	r.s.Go("client", func(p *sim.Proc) {
-		r.na.RDMA(p, &Op{Kind: Get, Target: r.nb, VA: seg.VA, Len: 4096, Notify: Poll,
+		r.na.RDMA(p, Op{Kind: Get, Target: r.nb, VA: seg.VA, Len: 4096, Notify: Poll,
 			Done: func(s Status) { st = s; doneAt = r.s.Now() }})
 	})
 	r.s.Run()
@@ -188,7 +188,7 @@ func TestGetNotExportedException(t *testing.T) {
 	r := newRig(t)
 	var st Status = -1
 	r.s.Go("client", func(p *sim.Proc) {
-		r.na.RDMA(p, &Op{Kind: Get, Target: r.nb, VA: 0xdead000, Len: 4096, Notify: Poll,
+		r.na.RDMA(p, Op{Kind: Get, Target: r.nb, VA: 0xdead000, Len: 4096, Notify: Poll,
 			Done: func(s Status) { st = s }})
 	})
 	r.s.Run()
@@ -206,7 +206,7 @@ func TestGetAfterInvalidateFaults(t *testing.T) {
 	r.nb.TPT.Invalidate(seg)
 	var st Status = -1
 	r.s.Go("client", func(p *sim.Proc) {
-		r.na.RDMA(p, &Op{Kind: Get, Target: r.nb, VA: seg.VA, Len: 8192, Notify: Poll,
+		r.na.RDMA(p, Op{Kind: Get, Target: r.nb, VA: seg.VA, Len: 8192, Notify: Poll,
 			Done: func(s Status) { st = s }})
 	})
 	r.s.Run()
@@ -221,7 +221,7 @@ func TestGetLockedSegmentFaults(t *testing.T) {
 	r.nb.TPT.Lock(seg)
 	var st Status = -1
 	r.s.Go("client", func(p *sim.Proc) {
-		r.na.RDMA(p, &Op{Kind: Get, Target: r.nb, VA: seg.VA, Len: 4096, Notify: Poll,
+		r.na.RDMA(p, Op{Kind: Get, Target: r.nb, VA: seg.VA, Len: 4096, Notify: Poll,
 			Done: func(s Status) { st = s }})
 	})
 	r.s.Run()
@@ -244,10 +244,10 @@ func TestCapabilityEnforcement(t *testing.T) {
 	var good, bad Status = -1, -1
 	r.s.Go("client", func(p *sim.Proc) {
 		sig := sim.NewSignal(r.s)
-		r.na.RDMA(p, &Op{Kind: Get, Target: r.nb, VA: seg.VA, Len: 4096, Cap: seg.Cap, Notify: Poll,
+		r.na.RDMA(p, Op{Kind: Get, Target: r.nb, VA: seg.VA, Len: 4096, Cap: seg.Cap, Notify: Poll,
 			Done: func(s Status) { good = s; sig.Fire() }})
 		sig.Wait(p)
-		r.na.RDMA(p, &Op{Kind: Get, Target: r.nb, VA: seg.VA, Len: 4096, Cap: []byte("forged"), Notify: Poll,
+		r.na.RDMA(p, Op{Kind: Get, Target: r.nb, VA: seg.VA, Len: 4096, Cap: []byte("forged"), Notify: Poll,
 			Done: func(s Status) { bad = s }})
 	})
 	r.s.Run()
@@ -267,7 +267,7 @@ func TestPutSuccess(t *testing.T) {
 	seg := r.nb.TPT.Export(16384)
 	var st Status = -1
 	r.s.Go("client", func(p *sim.Proc) {
-		r.na.RDMA(p, &Op{Kind: Put, Target: r.nb, VA: seg.VA, Len: 16384, Notify: Poll,
+		r.na.RDMA(p, Op{Kind: Put, Target: r.nb, VA: seg.VA, Len: 16384, Notify: Poll,
 			Done: func(s Status) { st = s }})
 	})
 	r.s.Run()
@@ -283,7 +283,7 @@ func TestPutToUnexportedFaults(t *testing.T) {
 	r := newRig(t)
 	var st Status = -1
 	r.s.Go("client", func(p *sim.Proc) {
-		r.na.RDMA(p, &Op{Kind: Put, Target: r.nb, VA: 0xbad000, Len: 4096, Notify: Poll,
+		r.na.RDMA(p, Op{Kind: Put, Target: r.nb, VA: 0xbad000, Len: 4096, Notify: Poll,
 			Done: func(s Status) { st = s }})
 	})
 	r.s.Run()
@@ -340,7 +340,7 @@ func TestTLBMissChargesHostAndRefills(t *testing.T) {
 		var st Status = -1
 		sig := sim.NewSignal(r.s)
 		r.s.Go("client", func(p *sim.Proc) {
-			r.na.RDMA(p, &Op{Kind: Get, Target: r.nb, VA: seg.VA, Len: 4 * host.PageSize, Notify: Poll,
+			r.na.RDMA(p, Op{Kind: Get, Target: r.nb, VA: seg.VA, Len: 4 * host.PageSize, Notify: Poll,
 				Done: func(s Status) { st = s; sig.Fire() }})
 		})
 		r.s.Run()
@@ -371,7 +371,7 @@ func TestTLBHitsWhenSized(t *testing.T) {
 	run := func() {
 		sig := sim.NewSignal(r.s)
 		r.s.Go("client", func(p *sim.Proc) {
-			r.na.RDMA(p, &Op{Kind: Get, Target: r.nb, VA: seg.VA, Len: host.PageSize, Notify: Poll,
+			r.na.RDMA(p, Op{Kind: Get, Target: r.nb, VA: seg.VA, Len: host.PageSize, Notify: Poll,
 				Done: func(Status) { sig.Fire() }})
 		})
 		r.s.Run()
@@ -391,7 +391,7 @@ func TestGetQuirkSlowsLargeGets(t *testing.T) {
 		seg := r.nb.TPT.Export(64 * 1024)
 		var done sim.Time
 		r.s.Go("client", func(p *sim.Proc) {
-			r.na.RDMA(p, &Op{Kind: Get, Target: r.nb, VA: seg.VA, Len: 64 * 1024, Notify: Poll,
+			r.na.RDMA(p, Op{Kind: Get, Target: r.nb, VA: seg.VA, Len: 64 * 1024, Notify: Poll,
 				Done: func(Status) { done = r.s.Now() }})
 		})
 		r.s.Run()
@@ -471,9 +471,10 @@ func TestWarmTLBDeterministicWhenOverfull(t *testing.T) {
 // TestSteadyStreamAllocatesNothing sends message fragments and serves
 // RDMA gets over a star until the NIC pools and every station's and
 // queue's ring have grown, then checks a further round allocates nothing:
-// each fragment reuses a flight of its origin NIC, and every station
-// completion and wake lands in storage the kernel already holds. The
-// messages and the get are the caller's and are reused.
+// each fragment reuses a flight of its origin NIC, the get reuses an RDMA
+// record of the initiator's, and every station completion and wake lands
+// in storage the kernel already holds. The messages and the get's
+// descriptor are the caller's and are reused.
 func TestSteadyStreamAllocatesNothing(t *testing.T) {
 	r := newRig(t)
 	delivered := 0
@@ -485,7 +486,7 @@ func TestSteadyStreamAllocatesNothing(t *testing.T) {
 	seg := r.nb.TPT.Export(32 << 10)
 	r.nb.TPT.WarmTLB()
 	got := 0
-	op := &Op{Kind: Get, Target: r.nb, VA: seg.VA, Len: 32 << 10, Notify: Poll,
+	op := Op{Kind: Get, Target: r.nb, VA: seg.VA, Len: 32 << 10, Notify: Poll,
 		Done: func(st Status) {
 			if st == StatusOK {
 				got++
@@ -495,7 +496,6 @@ func TestSteadyStreamAllocatesNothing(t *testing.T) {
 		for _, m := range msgs {
 			r.na.SendAsync(m)
 		}
-		op.completed = false
 		r.na.RDMAAsync(op)
 		r.s.Run()
 	}
@@ -507,6 +507,62 @@ func TestSteadyStreamAllocatesNothing(t *testing.T) {
 	}
 	if want := 25 * len(msgs); delivered != want || got != 25 {
 		t.Fatalf("delivered %d messages and %d gets, want %d and 25", delivered, got, want)
+	}
+}
+
+// TestLateFramesLeaveReusedOpAlone times a get out a nanosecond before
+// its last frame arrives: once with data frames still on their way, and
+// once with the target's exception on its way. The timeout's completion
+// issues a new get at once from the same NIC, which would take the
+// timed-out get's record were it free again; it asks for the other
+// outcome (exported memory after an exception, unexported after data),
+// so a late frame completing it shows as the wrong status. The late
+// frame must be dropped: both gets complete exactly once, with their
+// own status, and once the last frame is in, both records are back on
+// the free list.
+func TestLateFramesLeaveReusedOpAlone(t *testing.T) {
+	const bogus = 0xdead000
+	// run issues the first get at time 0 with the given timeout (none if
+	// 0) and returns each get's completions and when the first came.
+	run := func(exported bool, timeout sim.Duration) (got map[string][]Status, at sim.Time, free int) {
+		r := newRig(t)
+		seg := r.nb.TPT.Export(64 << 10)
+		first, next := Op{Kind: Get, Target: r.nb, VA: seg.VA, Len: 64 << 10, Notify: Poll, Timeout: timeout},
+			Op{Kind: Get, Target: r.nb, VA: bogus, Len: 4096, Notify: Poll}
+		if !exported {
+			first.VA, first.Len, next.VA = bogus, 4096, seg.VA
+		}
+		got = map[string][]Status{}
+		next.Done = func(st Status) { got["next"] = append(got["next"], st) }
+		first.Done = func(st Status) {
+			got["first"] = append(got["first"], st)
+			at = r.s.Now()
+			if timeout > 0 {
+				r.na.RDMAAsync(next)
+			}
+		}
+		r.na.RDMAAsync(first)
+		r.s.Run()
+		return got, at, len(r.na.ops)
+	}
+	for _, c := range []struct {
+		name     string
+		exported bool
+		first    Status
+		next     Status
+	}{
+		{"late data", true, StatusOK, StatusNotExported},
+		{"late exception", false, StatusNotExported, StatusOK},
+	} {
+		_, arrives, _ := run(c.exported, 0)
+		got, _, free := run(c.exported, sim.Duration(arrives)-1)
+		want := map[string][]Status{"first": {StatusTimeout}, "next": {c.next}}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: completions %v, want %v (the first get's %v dropped)", c.name, got, want, c.first)
+		}
+		if free != 2 {
+			t.Errorf("%s: %d RDMA records free after the last frame, want both", c.name, free)
+		}
 	}
 }
 

@@ -59,7 +59,10 @@ const (
 	Put               // remote write: data flows initiator -> target
 )
 
-// Op is one RDMA operation issued by this NIC against a remote NIC.
+// Op describes one RDMA operation issued by this NIC against a remote
+// NIC. RDMA and RDMAAsync take it by value: the initiator NIC copies it
+// into a record of its own (opRec), so the caller may reuse or discard
+// its Op at once.
 type Op struct {
 	Kind   OpKind
 	Target *NIC
@@ -75,10 +78,49 @@ type Op struct {
 	// expires, the op completes with StatusTimeout. Completions racing
 	// in later are discarded by the exactly-once guard.
 	Timeout sim.Duration
+}
 
-	initiator *NIC // stamped by RDMAAsync
+// opRec is the initiator NIC's record of an issued op. Every frame on
+// the wire (rdmaFlight.op) and every task that refers to the record
+// holds a count on it; the last to let go returns it to the initiator's
+// free list. So a frame or timer arriving after the op completed still
+// finds the op's own record, with its exactly-once guard set, and never
+// the record's next user. A frame dropped on the way keeps its count,
+// and its record is left to the collector.
+type opRec struct {
+	Op
+	initiator *NIC
+	refs      int32
 	rejected  bool // target validation failed; drop its data frames
 	completed bool // initiator completion already delivered
+}
+
+// newOp returns a pooled or fresh record of op issued by n, held by no
+// one yet.
+func (n *NIC) newOp(op *Op) *opRec {
+	var r *opRec
+	if k := len(n.ops); k > 0 {
+		r = n.ops[k-1]
+		n.ops = n.ops[:k-1]
+	} else {
+		r = new(opRec)
+	}
+	r.Op, r.initiator = *op, n
+	return r
+}
+
+// hold adds a holder of r.
+func (r *opRec) hold() { r.refs++ }
+
+// drop lets go of one hold on r, and returns r to its initiator's free
+// list if that was the last.
+func (r *opRec) drop() {
+	if r.refs--; r.refs > 0 {
+		return
+	}
+	n := r.initiator
+	*r = opRec{}
+	n.ops = append(n.ops, r)
 }
 
 // ctrlBytes is the wire size of a get/put control header (descriptor,
@@ -90,7 +132,7 @@ const exceptionBytes = 32
 
 // rdmaFlight tags frames belonging to RDMA traffic.
 type rdmaFlight struct {
-	op        *Op    // the operation this frame belongs to
+	op        *opRec // the operation this frame belongs to, held
 	ctrl      bool   // request/control frame (carries the Op by reference)
 	exception Status // nonzero on exception frames
 	ack       bool   // put acknowledgement back to the initiator
@@ -98,17 +140,17 @@ type rdmaFlight struct {
 
 // RDMA issues op from process context, charging the host post cost
 // (descriptor build + doorbell).
-func (n *NIC) RDMA(p *sim.Proc, op *Op) {
+func (n *NIC) RDMA(p *sim.Proc, op Op) {
 	n.h.Compute(p, n.PostCost())
 	n.RDMAAsync(op)
 }
 
 // RDMAAsync issues op from event context (no host cost charged here).
-func (n *NIC) RDMAAsync(op *Op) {
-	if op.Target == nil || op.Target == n {
+func (n *NIC) RDMAAsync(desc Op) {
+	if desc.Target == nil || desc.Target == n {
 		panic("nic: RDMA needs a remote target")
 	}
-	op.initiator = n
+	op := n.newOp(&desc)
 	if op.Timeout > 0 {
 		n.s.After(op.Timeout, n.newTask(taskTimeout, op).run)
 	}
@@ -135,6 +177,7 @@ func (n *NIC) RDMAAsync(op *Op) {
 // sendRDMAFrames pushes one small control/exception frame through the
 // firmware+DMA+wire pipeline.
 func (n *NIC) sendRDMAFrames(to *NIC, bytes int, extraFw sim.Duration, r rdmaFlight) {
+	r.op.hold()
 	fl := n.newFlight(to, bytes, false)
 	fl.rdma = r
 	n.transmit(fl, extraFw)
@@ -143,7 +186,7 @@ func (n *NIC) sendRDMAFrames(to *NIC, bytes int, extraFw sim.Duration, r rdmaFli
 // streamData fragments and transmits an RDMA data stream. quirkStall adds
 // per-fragment firmware time (the GM get bug, §5.2). op is attached so the
 // far end can recognise completion.
-func (n *NIC) streamData(to *NIC, length int64, op *Op, quirkStall sim.Duration) {
+func (n *NIC) streamData(to *NIC, length int64, op *opRec, quirkStall sim.Duration) {
 	frag := int64(n.p.GMFragSize)
 	sent := int64(0)
 	for sent < length {
@@ -152,6 +195,7 @@ func (n *NIC) streamData(to *NIC, length int64, op *Op, quirkStall sim.Duration)
 			bytes = length - sent
 		}
 		sent += bytes
+		op.hold()
 		fl := n.newFlight(to, int(bytes), sent >= length)
 		fl.rdma.op = op
 		n.transmit(fl, quirkStall)
@@ -160,6 +204,7 @@ func (n *NIC) streamData(to *NIC, length int64, op *Op, quirkStall sim.Duration)
 
 // rdmaFragArrived handles RDMA frames after the standard receive pipeline
 // (DMA + firmware) has run; last marks the last fragment of a data stream.
+// The frame's hold on its op ends here.
 func (n *NIC) rdmaFragArrived(r rdmaFlight, last bool) {
 	switch {
 	case r.ctrl && r.op.Kind == Get:
@@ -183,6 +228,7 @@ func (n *NIC) rdmaFragArrived(r rdmaFlight, last bool) {
 			n.sendRDMAFrames(init, exceptionBytes, 0, rdmaFlight{op: r.op, ack: true})
 		}
 	}
+	r.op.drop()
 }
 
 // serveGet validates and serves a remote read against local memory
@@ -190,7 +236,7 @@ func (n *NIC) rdmaFragArrived(r rdmaFlight, last bool) {
 // Validation happens when the request reaches the firmware; once its pages
 // are TLB-resident they are pinned and locked (§4.1), so the transfer
 // cannot be invalidated underneath us.
-func (n *NIC) serveGet(op *Op) {
+func (n *NIC) serveGet(op *opRec) {
 	extra := sim.Duration(0)
 	if n.TPT.UseCapabilities {
 		extra += n.p.NICCapVerify
@@ -205,8 +251,10 @@ func (n *NIC) serveGet(op *Op) {
 }
 
 // getValidated runs when the firmware has validated a get: it raises the
-// exception, or starts the data stream after the descriptor fetch.
-func (n *NIC) getValidated(t *task) {
+// exception, or starts the data stream after the descriptor fetch. It
+// reports whether t lives on, as the stream's start, with its hold on
+// the op.
+func (n *NIC) getValidated(t *task) bool {
 	op, st := t.op, t.st
 	if st != StatusOK {
 		t.release()
@@ -215,7 +263,7 @@ func (n *NIC) getValidated(t *task) {
 			n.stats.CapRejects++
 		}
 		n.sendRDMAFrames(op.initiator, exceptionBytes, 0, rdmaFlight{op: op, exception: st})
-		return
+		return false
 	}
 	n.stats.GetsServed++
 	t.quirk = 0
@@ -226,12 +274,13 @@ func (n *NIC) getValidated(t *task) {
 	// response but does not occupy the firmware station.
 	t.kind = taskGetStream
 	n.s.After(n.p.NICGetLatency, t.run)
+	return true
 }
 
 // servePutCtrl validates an incoming put. Data frames follow on the wire;
 // on validation failure an exception races ahead of them (the data is
 // discarded at arrival in real hardware; we simply let the frames drain).
-func (n *NIC) servePutCtrl(op *Op) {
+func (n *NIC) servePutCtrl(op *opRec) {
 	extra := sim.Duration(0)
 	if n.TPT.UseCapabilities {
 		extra += n.p.NICCapVerify
@@ -247,7 +296,7 @@ func (n *NIC) servePutCtrl(op *Op) {
 
 // tlbCharge walks the op's pages through the NIC TLB, charging miss costs:
 // the NIC interrupts the host, which reloads the entry by PIO (§4.1).
-func (n *NIC) tlbCharge(op *Op) sim.Duration {
+func (n *NIC) tlbCharge(op *opRec) sim.Duration {
 	var extra sim.Duration
 	first := pageOf(op.VA)
 	last := pageOf(op.VA + uint64(maxInt64(op.Len, 1)) - 1)
@@ -266,7 +315,7 @@ func (n *NIC) tlbCharge(op *Op) sim.Duration {
 
 // completeOp delivers an initiator-side completion with the configured
 // notification discipline. An operation completes exactly once.
-func (n *NIC) completeOp(op *Op, st Status) {
+func (n *NIC) completeOp(op *opRec, st Status) {
 	if op.completed {
 		return
 	}
@@ -274,7 +323,7 @@ func (n *NIC) completeOp(op *Op, st Status) {
 	if op.Done == nil {
 		return
 	}
-	t := n.newTask(taskNotify, op)
+	t := n.newTask(taskNotify, nil)
 	t.st, t.done = st, op.Done
 	switch op.Notify {
 	case Poll:
@@ -290,11 +339,12 @@ func (n *NIC) completeOp(op *Op, st Status) {
 // stream starting, an initiator's timeout, a completion reaching the
 // host, or a message reaching its endpoint or leaving the send gate.
 // Tasks are pooled per NIC with their callback bound once, so the
-// steps of an operation allocate nothing.
+// steps of an operation allocate nothing. A task with an op holds it
+// (see opRec) until it has run.
 type task struct {
 	n     *NIC
 	kind  taskKind
-	op    *Op
+	op    *opRec
 	msg   *Message
 	ep    *Endpoint
 	st    Status
@@ -317,7 +367,7 @@ const (
 	taskSend                         // a message held behind the send gate is released
 )
 
-func (n *NIC) newTask(kind taskKind, op *Op) *task {
+func (n *NIC) newTask(kind taskKind, op *opRec) *task {
 	var t *task
 	if k := len(n.tasks); k > 0 {
 		t = n.tasks[k-1]
@@ -327,6 +377,9 @@ func (n *NIC) newTask(kind taskKind, op *Op) *task {
 		t.run = t.fire
 	}
 	t.kind, t.op = kind, op
+	if op != nil {
+		op.hold()
+	}
 	return t
 }
 
@@ -341,7 +394,9 @@ func (t *task) fire() {
 	n, op := t.n, t.op
 	switch t.kind {
 	case taskGetValidated:
-		n.getValidated(t)
+		if n.getValidated(t) {
+			return
+		}
 	case taskGetStream:
 		quirk := t.quirk
 		t.release()
@@ -379,6 +434,9 @@ func (t *task) fire() {
 		m := t.msg
 		t.release()
 		n.sendNow(m)
+	}
+	if op != nil {
+		op.drop()
 	}
 }
 

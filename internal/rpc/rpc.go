@@ -132,24 +132,77 @@ func (hs *handlerService) handle(p *sim.Proc) {
 	}
 }
 
-// drcKey identifies a request for the duplicate-request cache.
+// drcKey identifies a request for the duplicate-request cache: the
+// client, by the number the server gave its stack on its first request
+// (see peerOf), the client's port and the call's XID. It holds no
+// pointer, so the index map over it is never scanned by the collector.
 type drcKey struct {
-	from     *udpip.Stack
-	fromPort int
-	xid      uint64
+	peer int32
+	port int32
+	xid  uint64
+}
+
+// drcReply is a cached reply without its pointer-valued parts: the
+// header's scalar fields, PayloadBytes and Ref. A reply that sets Name,
+// RefCap, Span or Payload is kept whole in the server's side table
+// instead (see Server.drcRich).
+type drcReply struct {
+	op           wire.Op
+	flags        uint8
+	status       uint32
+	xid, fh      uint64
+	offset       int64
+	length       int64
+	bufVA, refVA uint64
+	refLen       int64
+	verifier     uint64
+	payloadBytes int64
+	ref          fsim.BlockRef
+}
+
+// plain reports whether m carries nothing a drcReply drops.
+func plain(m *callMsg) bool {
+	h := &m.Hdr
+	return h.Name == "" && h.RefCap == nil && h.Span == nil && m.Payload == nil
+}
+
+// keep copies a plain message's reply fields.
+func keep(m *callMsg) drcReply {
+	h := &m.Hdr
+	return drcReply{
+		op: h.Op, flags: h.Flags, status: h.Status, xid: h.XID, fh: h.FH,
+		offset: h.Offset, length: h.Length, bufVA: h.BufVA, refVA: h.RefVA,
+		refLen: h.RefLen, verifier: h.Verifier, payloadBytes: m.PayloadBytes, ref: m.Ref,
+	}
+}
+
+// msg rebuilds the message the reply was kept from.
+func (r *drcReply) msg() callMsg {
+	return callMsg{
+		Hdr: wire.Header{
+			Op: r.op, XID: r.xid, FH: r.fh, Offset: r.offset, Length: r.length,
+			Status: r.status, BufVA: r.bufVA, RefVA: r.refVA, RefLen: r.refLen,
+			Flags: r.flags, Verifier: r.verifier,
+		},
+		PayloadBytes: r.payloadBytes,
+		Ref:          r.ref,
+	}
 }
 
 // drcEntry caches a completed reply, by value, so retransmitted requests
 // are answered without re-executing the handler (at-most-once
 // execution). Entries fill a ring of drcLimit slots; gen tells a slot's
-// successive requests apart.
+// successive requests apart (0 marks a slot never filled). Like its key,
+// an entry holds no pointer: the ring is one allocation the collector
+// never scans.
 type drcEntry struct {
 	key   drcKey
 	gen   uint64
-	done  bool
-	reply callMsg
+	reply drcReply // unless rich
 	bytes int64
 	tag   uint64
+	done  bool
+	rich  bool // the reply is in the server's side table
 }
 
 // drcLimit bounds the duplicate-request cache, like the classic 2049-entry
@@ -161,12 +214,17 @@ type Server struct {
 	sock  *udpip.Socket
 	stack *udpip.Stack
 
-	// drc maps a remembered request to its slot in drcRing, which grows
-	// to drcLimit slots and then overwrites the oldest (drcNext).
-	drc     map[drcKey]int
+	// drc maps a remembered request to its slot in drcRing, whose
+	// drcLimit slots are filled in turn, the oldest overwritten first
+	// (drcNext). Both are made whole on the first request (see
+	// installDRC). drcRich holds, by slot, the replies too rich for an
+	// entry; peers numbers the client stacks for drcKey.
+	drc     map[drcKey]int32
 	drcRing []drcEntry
 	drcNext int
 	drcGen  uint64
+	drcRich map[int32]callMsg
+	peers   map[*udpip.Stack]int32
 	msgs    msgPool
 
 	// down marks the server host crashed: queued and arriving requests
@@ -191,7 +249,8 @@ func (srv *Server) SetDown(down bool) { srv.down = down }
 func (srv *Server) ResetDRC() {
 	clear(srv.drc)
 	clear(srv.drcRing)
-	srv.drcRing, srv.drcNext = srv.drcRing[:0], 0
+	clear(srv.drcRich)
+	srv.drcNext = 0
 }
 
 // NewServer binds an RPC server to (stack, port) with nWorkers workers
@@ -208,7 +267,7 @@ func NewServer(_ *sim.Scheduler, stack *udpip.Stack, port, nWorkers int, h Handl
 // workers, each serving requests through its own service, from
 // newService.
 func NewServiceServer(stack *udpip.Stack, port, nWorkers int, newService func(w *Worker) Service) *Server {
-	srv := &Server{sock: stack.Socket(port), stack: stack, drc: make(map[drcKey]int)}
+	srv := &Server{sock: stack.Socket(port), stack: stack}
 	for range max(nWorkers, 1) {
 		w := &Worker{srv: srv, Job: host.Job{H: stack.Host()}}
 		w.svc = newService(w)
@@ -300,7 +359,7 @@ func (w *Worker) step() bool {
 				return false
 			}
 		case workerDRC:
-			key := drcKey{from: w.Req.from, fromPort: w.Req.fromPort, xid: w.hdr.XID}
+			key := drcKey{peer: srv.peerOf(w.Req.from), port: int32(w.Req.fromPort), xid: w.hdr.XID}
 			if i, dup := srv.drc[key]; dup {
 				srv.Duplicates++
 				e := &srv.drcRing[i]
@@ -309,8 +368,14 @@ func (w *Worker) step() bool {
 					return w.finish()
 				}
 				// Answer from the cache without re-executing.
+				var m callMsg
+				if e.rich {
+					m = srv.drcRich[i]
+				} else {
+					m = e.reply.msg()
+				}
 				w.stage = workerSend
-				if !srv.sock.SendThen(&w.Job, &w.send, w.Req.from, w.Req.fromPort, e.bytes, srv.msgs.send(&e.reply), 0, e.tag) {
+				if !srv.sock.SendThen(&w.Job, &w.send, w.Req.from, w.Req.fromPort, e.bytes, srv.msgs.send(&m), 0, e.tag) {
 					return false
 				}
 				return w.finish()
@@ -330,9 +395,17 @@ func (w *Worker) step() bool {
 			bytes, tag := int64(r.Hdr.WireSize())+r.PayloadBytes, w.Req.replyTag
 			// A slot that more than drcLimit later requests overwrote
 			// meanwhile, or that a crash cleared, is not this request's.
-			if w.slot < len(srv.drcRing) && srv.drcRing[w.slot].gen == w.gen {
-				e := &srv.drcRing[w.slot]
-				e.done, e.reply, e.bytes, e.tag = true, out, bytes, tag
+			if e := &srv.drcRing[w.slot]; e.gen == w.gen {
+				e.done, e.bytes, e.tag = true, bytes, tag
+				if plain(&out) {
+					e.reply = keep(&out)
+				} else {
+					if srv.drcRich == nil {
+						srv.drcRich = make(map[int32]callMsg)
+					}
+					e.rich = true
+					srv.drcRich[int32(w.slot)] = out
+				}
 			}
 			w.stage = workerSend
 			if !srv.sock.SendThen(&w.Job, &w.send, w.Req.from, w.Req.fromPort, bytes, srv.msgs.send(&out), r.CopyBytes, tag) {
@@ -357,26 +430,41 @@ func (w *Worker) finish() bool {
 
 // installDRC records a request in the duplicate-request cache, in the
 // oldest slot once the ring is full, and returns its slot and
-// generation.
+// generation. The ring and its index are made whole on the server's
+// first request rather than at construction: every cluster builds NFS
+// servers, but only NFS cells call them.
 func (srv *Server) installDRC(key drcKey) (int, uint64) {
-	srv.drcGen++
-	i := len(srv.drcRing)
-	if i < drcLimit {
-		if i == cap(srv.drcRing) {
-			// Grow by doubling, but never past the limit.
-			ring := make([]drcEntry, i, min(max(2*i, 64), drcLimit))
-			copy(ring, srv.drcRing)
-			srv.drcRing = ring
-		}
-		srv.drcRing = srv.drcRing[:i+1]
-	} else {
-		i = srv.drcNext
-		srv.drcNext = (i + 1) % drcLimit
-		delete(srv.drc, srv.drcRing[i].key)
+	if srv.drcRing == nil {
+		srv.drcRing = make([]drcEntry, drcLimit)
+		srv.drc = make(map[drcKey]int32, drcLimit)
 	}
-	srv.drcRing[i] = drcEntry{key: key, gen: srv.drcGen}
-	srv.drc[key] = i
+	srv.drcGen++
+	i := srv.drcNext
+	srv.drcNext = (i + 1) % drcLimit
+	e := &srv.drcRing[i]
+	if e.gen != 0 {
+		delete(srv.drc, e.key)
+		if e.rich {
+			delete(srv.drcRich, int32(i))
+		}
+	}
+	*e = drcEntry{key: key, gen: srv.drcGen}
+	srv.drc[key] = int32(i)
 	return i, srv.drcGen
+}
+
+// peerOf returns the number the server gave the client stack st,
+// numbering stacks in the order of their first requests.
+func (srv *Server) peerOf(st *udpip.Stack) int32 {
+	n, ok := srv.peers[st]
+	if !ok {
+		if srv.peers == nil {
+			srv.peers = make(map[*udpip.Stack]int32)
+		}
+		n = int32(len(srv.peers))
+		srv.peers[st] = n
+	}
+	return n
 }
 
 // Response is a completed call as seen by the client. A reply lives in

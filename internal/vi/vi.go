@@ -252,8 +252,8 @@ func (q *QP) RDMAAsync(kind nic.OpKind, va uint64, length int64, cap []byte, don
 
 // op builds a descriptor against the peer's memory under the QP's mode
 // and RDMA timeout.
-func (q *QP) op(kind nic.OpKind, va uint64, length int64, cap []byte, done func(nic.Status)) *nic.Op {
-	return &nic.Op{
+func (q *QP) op(kind nic.OpKind, va uint64, length int64, cap []byte, done func(nic.Status)) nic.Op {
+	return nic.Op{
 		Kind:    kind,
 		Target:  q.peer.n,
 		VA:      va,
