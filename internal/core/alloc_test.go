@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"danas/internal/dafs"
@@ -59,7 +60,8 @@ func (r *shardRig) mount(cfg Config) *Client {
 // client's striped paths on a 4-shard fleet — a 16 KB write (one span
 // per shard), a range commit over the same bytes, a warm 16 KB read
 // (four ORDMA gets, the data blocks evicted but their references
-// kept) — and of mounting one client over 8 shards. Client and servers
+// kept), a 4 KB cache hit submitted and reaped through the async facade
+// — and of mounting one client over 8 shards. Client and servers
 // count together: a process serves one operation per token it takes
 // from a queue, so a round allocates only what the operation does. A
 // striping layer that allocates per span or per shard shows here before
@@ -75,6 +77,7 @@ func TestStripedCachedAllocations(t *testing.T) {
 	var h *nas.Handle
 	r.s.Go("open", func(p *sim.Proc) { h, _ = c.Open(p, "data") })
 	r.s.Run()
+	ac := c.Async(2)
 	ops := []struct {
 		name   string
 		budget float64
@@ -90,6 +93,20 @@ func TestStripedCachedAllocations(t *testing.T) {
 		{"warm read", 6, func(p *sim.Proc, round int) error {
 			_, err := c.Read(p, h, int64(round%2)*size, size, 1)
 			return err
+		}},
+		// A cache hit through the async facade: its operation records,
+		// with their jobs and bound callbacks, are reused.
+		{"async hit read", 0, func(p *sim.Proc, round int) error {
+			hits := c.Stats().LocalHits
+			tag := ac.Submit(p, nas.Op{Kind: nas.OpRead, H: h, N: 4096, BufID: 1})
+			comps := ac.Wait(p)
+			switch {
+			case len(comps) != 1 || comps[0].Tag != tag || comps[0].N != 4096:
+				return fmt.Errorf("completions %+v, want tag %d's", comps, tag)
+			case round > 0 && c.Stats().LocalHits == hits:
+				return fmt.Errorf("round %d missed the cache", round)
+			}
+			return comps[0].Err
 		}},
 	}
 	for _, op := range ops {

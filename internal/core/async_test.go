@@ -7,9 +7,9 @@ import (
 	"danas/internal/sim"
 )
 
-// TestNativeAsyncPipelinesIndependentOps checks the point of the native
-// implementation: independent operations submitted through the async
-// facade overlap their block fetches, so a window of N ops finishes in
+// TestNativeAsyncPipelinesIndependentOps checks the point of the async
+// facade over the cached client: independent operations submitted
+// through it overlap their block fetches, so a window of N ops finishes in
 // far less than N sequential op times.
 func TestNativeAsyncPipelinesIndependentOps(t *testing.T) {
 	const ops = 8
@@ -36,8 +36,8 @@ func TestNativeAsyncPipelinesIndependentOps(t *testing.T) {
 	})
 	r.s.Run()
 
-	// The same ops submitted back-to-back through the native async
-	// facade on a fresh client.
+	// The same ops submitted back-to-back through the async facade on
+	// a fresh client.
 	c := r.newClient(t, odafsCfg())
 	ac := c.Async(ops)
 	var asyncElapsed sim.Duration

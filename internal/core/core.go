@@ -296,6 +296,11 @@ func (c *Client) Name() string {
 	return "DAFS"
 }
 
+// Async returns an asynchronous facade over the client with the given
+// queue depth: every admitted operation runs as a task of its own, so
+// independent operations pipeline through the one block cache.
+func (c *Client) Async(depth int) nas.AsyncClient { return nas.NewAsync(c, depth) }
+
 // Stats returns a copy of the counters.
 func (c *Client) Stats() Stats { return c.stats }
 
@@ -464,22 +469,6 @@ func (c *Client) Commit(p *sim.Proc, h *nas.Handle, off, n int64) error {
 			return 0, in.Commit(ip, sh, so, sn)
 		})
 	})
-}
-
-// VerifierMismatches sums commits that detected a shard restart across
-// every shard session; RewrittenRanges sums the lost unstable ranges
-// those commits re-issued.
-func (c *Client) VerifierMismatches() uint64 {
-	var n uint64
-	c.eachSession(func(in *dafs.Client) { n += in.VerifierMismatches() })
-	return n
-}
-
-// RewrittenRanges sums re-issued lost ranges across every shard session.
-func (c *Client) RewrittenRanges() uint64 {
-	var n uint64
-	c.eachSession(func(in *dafs.Client) { n += in.RewrittenRanges() })
-	return n
 }
 
 // PopulateDirectory walks the whole file over RPC so the reference

@@ -17,8 +17,8 @@ import (
 // op is one operation of the cached client — an open, a read, a write
 // with its cache update and extend, or a block fetch — run as a step
 // machine over its job (see nas.Task). A blocking method drives one
-// from its caller's process; the native async facade drives one per
-// admitted operation from callbacks, so an operation gets a process
+// from its caller's process; the async facade (nas.NewAsync) drives one
+// per admitted operation from callbacks, so an operation gets a process
 // only where it really blocks (a failover, a replicated write, a
 // read-ahead of several blocks, a commit).
 type op struct {

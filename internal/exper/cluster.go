@@ -506,16 +506,6 @@ func (c *Cluster) Mount(system string, i int, cfg core.Config) *Mount {
 	return m
 }
 
-// Async wraps the mount in an asynchronous client of the given queue
-// depth: the cached clients natively, the RPC stacks through the
-// generic adapter.
-func (m *Mount) Async(depth int) nas.AsyncClient {
-	if m.Cached != nil {
-		return m.Cached.Async(depth)
-	}
-	return nas.NewAsync(m.Client, depth)
-}
-
 // SetRetry arms client-side recovery: RPC stacks and DAFS sessions
 // retransmit with exponential backoff from rto and give up after
 // budget attempts. On a multi-leaf fabric rto also bounds the cached

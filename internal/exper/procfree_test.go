@@ -12,17 +12,21 @@ import (
 // the namespace and span fan-outs and the protocol calls are callback
 // step machines, so a cell starts about one process per client (the
 // replaying caller) rather than about two per operation, and holds
-// about one coroutine per client. The event count is pinned at the
-// value of the process-style clients: the step machines post the same
-// events at the same (at, seq) places.
+// about one coroutine per client. The event count is pinned: the step
+// machines post the events of the process-style clients at the same
+// (at, seq) places, and every queued operation starts at an event of
+// its own. The NFS rows pin theirs from the count of the worker-pool
+// facade they once ran on, whose first submission started Depth
+// workers per client, Depth-1 of which found nothing to run; the
+// cached clients' rows never ran on that pool.
 //
 // The replicated NFS rows replay 64 ops of one client, at the default
 // queue depth, over 4 shards of one replica each (replica Groups under
 // the striped client). Their
 // namespace operations and replicated writes still run on processes,
-// so their process count is pinned, below the count of the adapter
-// whose workers were processes; a read runs as the serving copy's task
-// and starts none, which the read-only row checks by replaying twice
+// so their process count is pinned, below the count when the async
+// facade's workers were processes; a read runs as the serving copy's
+// task and starts none, which the read-only row checks by replaying twice
 // as many reads through a queue of depth 1 at the same count (neither
 // the reads nor the queue's slots may start a process).
 func TestFabricCellRunsProcFree(t *testing.T) {
@@ -39,15 +43,18 @@ func TestFabricCellRunsProcFree(t *testing.T) {
 		cfg    ReplayConfig
 		gen    trace.GenConfig
 		events uint64
+		// pooled marks a row whose events count is the worker pool's,
+		// idle worker starts included.
+		pooled bool
 		// procs, when set, pins the processes started, which must stay
 		// below parentProcs, the count with worker processes.
 		procs, parentProcs int
 	}{
-		{name: "NFS", events: 70310},
+		{name: "NFS", events: 70310, pooled: true},
 		{name: "DAFS", events: 70940},
 		{name: "ODAFS", events: 64042},
-		{name: "NFS-replicated", cfg: replicated, gen: FabricGen(0.01), events: 9966, procs: 223, parentProcs: 272},
-		{name: "NFS-replicated-read", cfg: replicated, gen: readOnly, events: 9066, procs: 193, parentProcs: 257},
+		{name: "NFS-replicated", cfg: replicated, gen: FabricGen(0.01), events: 9966, pooled: true, procs: 223, parentProcs: 272},
+		{name: "NFS-replicated-read", cfg: replicated, gen: readOnly, events: 9066, pooled: true, procs: 193, parentProcs: 257},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg, gen := tc.cfg, tc.gen
@@ -68,8 +75,16 @@ func TestFabricCellRunsProcFree(t *testing.T) {
 			} else if procs != tc.procs || procs >= tc.parentProcs {
 				t.Errorf("%d processes started, want %d (below %d)", procs, tc.procs, tc.parentProcs)
 			}
-			if events != tc.events {
-				t.Errorf("%d events, want %d (the process-style clients' count)", events, tc.events)
+			want := tc.events
+			if tc.pooled {
+				depth := cfg.Depth
+				if depth <= 0 {
+					depth = traceDepth
+				}
+				want -= uint64(max(cfg.Clients, 1) * (depth - 1))
+			}
+			if events != want {
+				t.Errorf("%d events, want %d", events, want)
 			}
 			if gen.ReadFrac == 1 {
 				gen.Ops, cfg.Depth = 2*gen.Ops, 1

@@ -145,7 +145,7 @@ func NewReplaySession(gen trace.GenConfig, cfg ReplayConfig) *ReplaySession {
 			m.SetRetry(cfg.RetryRTO, cfg.RetryBudget)
 		}
 		s.mounts = append(s.mounts, m)
-		s.acs = append(s.acs, m.Async(cfg.Depth))
+		s.acs = append(s.acs, nas.NewAsync(m.Client, cfg.Depth))
 	}
 	return s
 }

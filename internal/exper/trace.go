@@ -76,9 +76,9 @@ type TraceRow struct {
 
 // TraceReplay replays the synthetic trace over every protocol and fleet
 // size: the open-loop driver issues each operation at its recorded
-// arrival instant over an asynchronous client of depth traceDepth — the
-// cached (O)DAFS clients natively, the RPC stacks through the generic
-// adapter — and reports throughput, latency percentiles and per-shard
+// arrival instant over an asynchronous client of depth traceDepth
+// (nas.NewAsync, each admitted operation a task of the client's own)
+// and reports throughput, latency percentiles and per-shard
 // utilization per cell.
 func TraceReplay(scale Scale) []TraceRow {
 	return TraceReplayOver(scale, TraceShardCounts)

@@ -42,8 +42,8 @@ type Op struct {
 	N     int64
 	BufID uint64
 	// Span, when non-nil, is the operation's trace span: the async
-	// implementations activate it on whichever process runs the op, and
-	// attribute time spent queued before execution to its queue phase.
+	// facade carries it on the job that runs the op. The op starts at
+	// its admission instant, so no queue time accrues between.
 	Span *obs.Span
 }
 
@@ -98,13 +98,21 @@ type AsyncClient interface {
 	WaitOr(s *sim.Scheduler, k func()) ([]Completion, bool)
 }
 
-// AsyncBase supplies the bookkeeping every AsyncClient implementation
-// shares: tag assignment, the bounded-depth admission gate (a FIFO
-// credit resource, so submitters are granted slots in arrival order),
-// the completion buffer, and waiter wakeup. Implementations call
-// Admitted from Issue and Finish when an operation completes; Depth,
-// Outstanding, Admit, Wait and WaitOr are promoted as-is.
-type AsyncBase struct {
+// asyncClient is the one AsyncClient: it gives any Client asynchronous
+// submission with depth N, with no protocol change. Every admitted
+// operation starts at the admission instant as a task of the client's
+// own (see asyncOp), so N admitted operations keep N calls in flight,
+// as N application threads would, but with no process or worker
+// behind them: the paper's descriptor queues and completion queue
+// (§2–3). Admission is a FIFO credit resource of Depth units, so
+// submitters are granted slots in arrival order. Completions are
+// buffered in completion order, and one signal wakes their waiter.
+// For the cached (O)DAFS client this is what makes independent
+// operations pipeline through one block cache: their span fetches
+// overlap, and fetches of the same block coalesce on the cache's
+// inflight table.
+type asyncClient struct {
+	Client
 	s           *sim.Scheduler
 	depth       int
 	credits     *sim.Resource
@@ -113,205 +121,147 @@ type AsyncBase struct {
 	done        []Completion
 	spare       []Completion // the slice the last Wait returned
 	avail       *sim.Signal
+	free        []*asyncOp // finished operations' records, for reuse
 }
 
-// InitAsync sets the queue depth. Implementations call it once at
-// construction; the scheduler is picked up lazily from the first
-// submitting or waiting caller.
-func (b *AsyncBase) InitAsync(depth int) {
+// asyncOp is one admitted operation, run as the client's task over a
+// job of its own; it returns to the free list when the operation
+// completes, keeping its task and job for the next.
+type asyncOp struct {
+	a     *asyncClient
+	task  Task
+	j     host.Job
+	op    Op
+	tag   uint64
+	at    sim.Time
+	start func() // o.begin, bound once
+}
+
+// NewAsync returns an asynchronous facade over c with the given queue
+// depth. The scheduler is picked up from the first submitting or
+// waiting caller.
+func NewAsync(c Client, depth int) AsyncClient {
 	if depth < 1 {
 		panic(fmt.Sprintf("nas: async queue depth must be >= 1, got %d", depth))
 	}
-	b.depth = depth
+	return &asyncClient{Client: c, depth: depth}
 }
 
-func (b *AsyncBase) ensure(s *sim.Scheduler) {
-	if b.s == nil {
-		b.s = s
-		b.credits = sim.NewResource(b.s, "async-depth", int64(b.depth))
+func (a *asyncClient) ensure(s *sim.Scheduler) {
+	if a.s == nil {
+		a.s = s
+		a.credits = sim.NewResource(s, "async-depth", int64(a.depth))
 	}
 }
 
-// Depth returns the bound on outstanding operations.
-func (b *AsyncBase) Depth() int { return b.depth }
+// Depth implements AsyncClient.
+func (a *asyncClient) Depth() int { return a.depth }
 
-// Outstanding returns submitted-but-uncompleted operations.
-func (b *AsyncBase) Outstanding() int { return b.outstanding }
+// Outstanding implements AsyncClient.
+func (a *asyncClient) Outstanding() int { return a.outstanding }
 
-// Begin admits one operation from p, blocking p while the queue is
-// full; Issue then submits it.
-func (b *AsyncBase) Begin(p *sim.Proc) {
-	b.ensure(p.Sched())
-	b.credits.Acquire(p, 1)
-}
-
-// Admit implements AsyncClient.Admit.
-func (b *AsyncBase) Admit(s *sim.Scheduler, k func()) bool {
-	b.ensure(s)
-	return b.credits.AcquireOr(1, k)
-}
-
-// Admitted counts one admitted operation outstanding and returns its
-// tag and the admission instant.
-func (b *AsyncBase) Admitted() (tag uint64, submitted sim.Time) {
-	b.outstanding++
-	b.nextTag++
-	return b.nextTag, b.s.Now()
-}
-
-// Finish buffers one completion, stamps its Done time, releases the
-// operation's queue slot, and wakes any waiter.
-func (b *AsyncBase) Finish(c Completion) {
-	c.Done = b.s.Now()
-	b.outstanding--
-	b.done = append(b.done, c)
-	b.credits.Release(1)
-	if b.avail != nil {
-		b.avail.Fire()
-	}
-}
-
-// Wait implements AsyncClient.Wait. The returned slice is the base's
-// own: it stays valid until the next Wait, whose completions reuse its
-// storage. One signal serves every Wait, re-armed once fired.
-func (b *AsyncBase) Wait(p *sim.Proc) []Completion {
-	b.ensure(p.Sched())
-	for len(b.done) == 0 {
-		b.arm().Wait(p)
-	}
-	return b.drain()
-}
-
-// WaitOr implements AsyncClient.WaitOr, as Wait.
-func (b *AsyncBase) WaitOr(s *sim.Scheduler, k func()) ([]Completion, bool) {
-	b.ensure(s)
-	if len(b.done) == 0 {
-		b.arm().Then(k)
-		return nil, false
-	}
-	return b.drain(), true
-}
-
-// arm returns the completion signal, unfired.
-func (b *AsyncBase) arm() *sim.Signal {
-	switch {
-	case b.avail == nil:
-		b.avail = sim.NewSignal(b.s)
-	case b.avail.Fired():
-		b.avail.Reset()
-	}
-	return b.avail
-}
-
-// drain returns the buffered completions.
-func (b *AsyncBase) drain() []Completion {
-	out := b.done
-	clear(b.spare)
-	b.done, b.spare = b.spare[:0], out
-	return out
-}
-
-// queuedOp is one submission in flight through the generic adapter.
-type queuedOp struct {
-	tag       uint64
-	op        Op
-	submitted sim.Time
-}
-
-// asyncAdapter gives any synchronous Client asynchronous
-// submission-with-depth-N for free by multiplexing operations onto a
-// pool of Depth workers, each running one operation at a time as the
-// wrapped client's Task. This is how the three RPC-based stacks (NFS,
-// RDDP-RPC, RDDP-RDMA) gain queue depth without protocol changes: N
-// workers keep N RPCs in flight, exactly like N application threads
-// would, but the workers are callbacks, not processes.
-type asyncAdapter struct {
-	Client
-	AsyncBase
-	sq *sim.Queue[queuedOp]
-}
-
-// NewAsync wraps a synchronous client in the generic async adapter with
-// the given queue depth.
-func NewAsync(c Client, depth int) AsyncClient {
-	a := &asyncAdapter{Client: c}
-	a.InitAsync(depth)
-	return a
-}
-
-// Submit implements AsyncClient.
-func (a *asyncAdapter) Submit(p *sim.Proc, op Op) uint64 {
-	a.Begin(p)
+// Submit implements AsyncClient: once admitted (blocking p while Depth
+// operations are outstanding), the operation starts at the current
+// instant.
+func (a *asyncClient) Submit(p *sim.Proc, op Op) uint64 {
+	a.ensure(p.Sched())
+	a.credits.Acquire(p, 1)
 	return a.Issue(op)
 }
 
-// Issue implements AsyncClient. The first submission starts the worker
-// pool, each worker at a same-instant event of its own.
-func (a *asyncAdapter) Issue(op Op) uint64 {
-	tag, at := a.Admitted()
-	if a.sq == nil {
-		s := a.s
-		a.sq = sim.NewQueue[queuedOp](s, "async-sq")
-		for range a.Depth() {
-			wk := &worker{a: a, task: a.Client.NewTask()}
-			wk.j = host.Job{S: s, Step: wk.resume}
-			wk.get = wk.next
-			s.After(0, wk.get)
-		}
+// Admit implements AsyncClient.
+func (a *asyncClient) Admit(s *sim.Scheduler, k func()) bool {
+	a.ensure(s)
+	return a.credits.AcquireOr(1, k)
+}
+
+// Issue implements AsyncClient: the operation starts at a same-instant
+// event, so there is no pickup delay to bucket as queue time, and its
+// span rides along for exactly the operation.
+func (a *asyncClient) Issue(op Op) uint64 {
+	var o *asyncOp
+	if k := len(a.free); k > 0 {
+		o = a.free[k-1]
+		a.free = a.free[:k-1]
+	} else {
+		o = &asyncOp{a: a, task: a.Client.NewTask()}
+		o.j = host.Job{S: a.s, Step: o.resume}
+		o.start = o.begin
 	}
-	a.sq.Put(queuedOp{tag: tag, op: op, submitted: at})
-	return tag
+	a.outstanding++
+	a.nextTag++
+	o.op, o.tag, o.at = op, a.nextTag, a.s.Now()
+	o.j.Span = op.Span
+	a.s.After(0, o.start)
+	return o.tag
 }
 
-// worker is one worker of the adapter: a receive loop on the
-// submission queue (sim.Queue.GetOr) and the task running the operation
-// it took, event for event what a worker process calling Get and the
-// blocking method would run. Because admission is capped at Depth — the
-// pool's size — a queued operation never waits behind more than the
-// in-flight window. Time between admission and worker pickup is the
-// operation's queue phase; the span then rides along for exactly the
-// operation.
-type worker struct {
-	a    *asyncAdapter
-	task Task
-	j    host.Job
-	q    queuedOp
-	get  func() // w.next, bound once
-}
-
-// next takes queued operations and runs each until one waits.
-func (w *worker) next() {
-	a := w.a
-	for {
-		q, ok := a.sq.GetOr(w.get)
-		if !ok {
-			return
-		}
-		w.q = q
-		q.op.Span.Add(obs.PhaseQueue, a.s.Now().Sub(q.submitted))
-		w.j.Span = q.op.Span
-		if !RunOp(w.task, &w.j, &w.q.op) {
-			return
-		}
-		w.finish()
+// begin runs the operation from its start.
+func (o *asyncOp) begin() {
+	if RunOp(o.task, &o.j, &o.op) {
+		o.finish()
 	}
 }
 
-// resume continues the operation where a wait ended, and the receive
-// loop once it is done.
-func (w *worker) resume() {
-	w.j.Resume()
-	if !w.task.Step(&w.j) {
-		return
+// resume continues the operation where a wait ended.
+func (o *asyncOp) resume() {
+	o.j.Resume()
+	if o.task.Step(&o.j) {
+		o.finish()
 	}
-	w.finish()
-	w.next()
 }
 
-// finish completes the operation at hand.
-func (w *worker) finish() {
-	n, _, err := w.task.Result()
-	q := w.q
-	w.q, w.j.Span = queuedOp{}, nil
-	w.a.Finish(Completion{Tag: q.tag, Op: q.op, N: n, Err: err, Submitted: q.submitted})
+// finish buffers the operation's completion, releases its queue slot,
+// wakes any waiter, and returns the record to the free list.
+func (o *asyncOp) finish() {
+	a := o.a
+	n, _, err := o.task.Result()
+	a.done = append(a.done, Completion{Tag: o.tag, Op: o.op, N: n, Err: err, Submitted: o.at, Done: a.s.Now()})
+	o.op, o.j.Span = Op{}, nil
+	a.free = append(a.free, o)
+	a.outstanding--
+	a.credits.Release(1)
+	if a.avail != nil {
+		a.avail.Fire()
+	}
+}
+
+// Wait implements AsyncClient. The returned slice is the facade's own:
+// it stays valid until the next Wait, whose completions reuse its
+// storage. One signal serves every Wait, re-armed once fired.
+func (a *asyncClient) Wait(p *sim.Proc) []Completion {
+	a.ensure(p.Sched())
+	for len(a.done) == 0 {
+		a.arm().Wait(p)
+	}
+	return a.drain()
+}
+
+// WaitOr implements AsyncClient, as Wait.
+func (a *asyncClient) WaitOr(s *sim.Scheduler, k func()) ([]Completion, bool) {
+	a.ensure(s)
+	if len(a.done) == 0 {
+		a.arm().Then(k)
+		return nil, false
+	}
+	return a.drain(), true
+}
+
+// arm returns the completion signal, unfired.
+func (a *asyncClient) arm() *sim.Signal {
+	switch {
+	case a.avail == nil:
+		a.avail = sim.NewSignal(a.s)
+	case a.avail.Fired():
+		a.avail.Reset()
+	}
+	return a.avail
+}
+
+// drain returns the buffered completions.
+func (a *asyncClient) drain() []Completion {
+	out := a.done
+	clear(a.spare)
+	a.done, a.spare = a.spare[:0], out
+	return out
 }

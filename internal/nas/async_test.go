@@ -8,7 +8,7 @@ import (
 )
 
 // TestAsyncAdapterCompletesAll submits a burst of reads through the
-// generic adapter and checks every op completes exactly once with a
+// async facade and checks every op completes exactly once with a
 // unique tag, correct byte counts, and sane timestamps.
 func TestAsyncAdapterCompletesAll(t *testing.T) {
 	m := newMemClient()
@@ -192,13 +192,13 @@ func TestReadDataPartialWithSourceError(t *testing.T) {
 	})
 }
 
-// TestAsyncAdapterCycleAllocations pins the allocations of one Submit
-// and Wait through the generic adapter, whose callback workers run the
-// client's tasks: a process submits one read per token it takes from a
-// queue and waits for its completion. The completion buffers, the
-// wakeup signal and the workers' tasks are reused, so once they have
-// grown a cycle allocates nothing.
-func TestAsyncAdapterCycleAllocations(t *testing.T) {
+// TestAsyncCycleAllocations pins the allocations of one Submit and Wait
+// through the async facade, which runs each operation as the client's
+// task: a process submits one read per token it takes from a queue and
+// waits for its completion. The completion buffers, the wakeup signal
+// and the operation records (their tasks, jobs and bound callbacks) are
+// reused, so once they have grown a cycle allocates nothing.
+func TestAsyncCycleAllocations(t *testing.T) {
 	t.Run("stepper", func(t *testing.T) {
 		m := newMemClient()
 		s := sim.New()

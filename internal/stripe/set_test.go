@@ -342,7 +342,7 @@ func TestGroupFansNamespaceAndFailsOver(t *testing.T) {
 }
 
 // taskRead reads one byte through a task of g driven from callbacks,
-// as the async adapter's workers drive it, on a fresh simulation: it
+// as the async facade drives one, on a fresh simulation: it
 // returns the outcome, the instant the read finished and the processes
 // the simulation started.
 func taskRead(g *Group) (got int64, err error, at sim.Time, procs int) {

@@ -197,7 +197,7 @@ func TestReplayBoundedDepthBackPressure(t *testing.T) {
 }
 
 // TestReplayOverDAFS replays a generated trace end-to-end over the real
-// simulated stack (the generic adapter over a raw DAFS session client)
+// simulated stack (the async facade over a raw DAFS session client)
 // and checks bytes, cleanliness, and that per-op latencies are sane.
 func TestReplayOverDAFS(t *testing.T) {
 	s, fs, sc, c, _ := rig(t)
