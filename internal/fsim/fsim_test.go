@@ -297,9 +297,9 @@ func TestServerCacheConcurrentFillKeepsOneBlock(t *testing.T) {
 		})
 	}
 	s.Run()
-	if c.Len() != 1 || c.lru.Len() != 1 || len(exports) != 1 {
+	if lru := c.lruKeys(t); c.Len() != 1 || len(lru) != 1 || len(exports) != 1 {
 		t.Fatalf("map %d, LRU %d, exports %d after two fills of one block; want 1 each",
-			c.Len(), c.lru.Len(), len(exports))
+			c.Len(), len(lru), len(exports))
 	}
 	if c.Misses != 2 || sim.Duration(s.Now()) < sim.Millis(10) {
 		t.Fatalf("misses %d at %v: both fills must pay their lookup and disk read", c.Misses, sim.Duration(s.Now()))

@@ -1,7 +1,6 @@
 package fsim
 
 import (
-	"container/list"
 	"fmt"
 
 	"danas/internal/host"
@@ -22,8 +21,9 @@ type CacheBlock struct {
 	Key    BlockKey
 	Len    int64
 	Export any
-	elem   *list.Element
 	dirty  bool
+	// prev and next thread the cache's LRU list through its blocks.
+	prev, next *CacheBlock
 }
 
 // Dirty reports whether the block holds written data not yet destaged
@@ -43,8 +43,10 @@ type ServerCache struct {
 	disk      *Disk
 	blockSize int64
 	capacity  int // max resident blocks
-	lru       *list.List
-	blocks    map[BlockKey]*CacheBlock
+	// lru is the sentinel of the LRU list: lru.next is the most
+	// recently used block, lru.prev the least.
+	lru    CacheBlock
+	blocks map[BlockKey]*CacheBlock
 
 	// OnEvict runs when a block is reclaimed (ODAFS invalidates its
 	// export segment here). OnInsert runs when a block becomes resident.
@@ -66,14 +68,34 @@ func NewServerCache(fs *FS, disk *Disk, blockSize int64, capacity int) *ServerCa
 	if blockSize <= 0 || capacity <= 0 {
 		panic("fsim: cache needs positive block size and capacity")
 	}
-	return &ServerCache{
+	c := &ServerCache{
 		fs:        fs,
 		disk:      disk,
 		blockSize: blockSize,
 		capacity:  capacity,
-		lru:       list.New(),
 		blocks:    make(map[BlockKey]*CacheBlock),
 	}
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	return c
+}
+
+// pushFront links b in as the most recently used block.
+func (c *ServerCache) pushFront(b *CacheBlock) {
+	b.prev, b.next = &c.lru, c.lru.next
+	b.next.prev = b
+	c.lru.next = b
+}
+
+// unlink takes b out of the LRU list.
+func (c *ServerCache) unlink(b *CacheBlock) {
+	b.prev.next, b.next.prev = b.next, b.prev
+	b.prev, b.next = nil, nil
+}
+
+// moveToFront makes resident block b the most recently used.
+func (c *ServerCache) moveToFront(b *CacheBlock) {
+	c.unlink(b)
+	c.pushFront(b)
 }
 
 // BlockSize returns the cache block size.
@@ -123,7 +145,7 @@ func (c *ServerCache) lookup(f *File, off int64) (*CacheBlock, BlockKey, int64) 
 	}
 	if b, ok := c.blocks[key]; ok {
 		c.Hits++
-		c.lru.MoveToFront(b.elem)
+		c.moveToFront(b)
 		return b, key, l
 	}
 	c.Misses++
@@ -220,7 +242,7 @@ func (c *ServerCache) Install(f *File, off, n int64) {
 	for bo := off - off%c.blockSize; bo < end; bo += c.blockSize {
 		key, l := c.align(f, bo)
 		if b, ok := c.blocks[key]; ok {
-			c.lru.MoveToFront(b.elem)
+			c.moveToFront(b)
 			// The write landed in the resident block's memory: refresh
 			// its extent (an extending write grows the EOF block) and
 			// let the export manager update or invalidate any live
@@ -249,15 +271,16 @@ func (c *ServerCache) Install(f *File, off, n int64) {
 // blocks and no second export is made.
 func (c *ServerCache) insert(key BlockKey, l int64) *CacheBlock {
 	if b, ok := c.blocks[key]; ok {
-		c.lru.MoveToFront(b.elem)
+		c.moveToFront(b)
 		return b
 	}
 	b := &CacheBlock{Key: key, Len: l}
-	b.elem = c.lru.PushFront(b)
+	c.pushFront(b)
 	c.blocks[key] = b
-	for e := c.lru.Back(); len(c.blocks) > c.capacity && e != nil; {
-		victim := e.Value.(*CacheBlock)
-		e = e.Prev()
+	// Hunt from the LRU end towards the front, skipping dirty blocks.
+	for v := c.lru.prev; len(c.blocks) > c.capacity && v != &c.lru; {
+		victim := v
+		v = v.prev
 		if victim.dirty {
 			continue
 		}
@@ -270,7 +293,7 @@ func (c *ServerCache) insert(key BlockKey, l int64) *CacheBlock {
 }
 
 func (c *ServerCache) evict(b *CacheBlock) {
-	c.lru.Remove(b.elem)
+	c.unlink(b)
 	delete(c.blocks, b.Key)
 	if b.dirty {
 		b.dirty = false

@@ -232,7 +232,7 @@ func New(h *host.Host, port *netsim.Port) *NIC {
 		preposted: make(map[uint64]int64),
 	}
 	n.TPT = newTPT(n)
-	n.tlb = newTLB(h.P.NICTLBSize)
+	n.tlb = newTLB(&n.TPT.pt, h.P.NICTLBSize)
 	port.Attach(n)
 	return n
 }

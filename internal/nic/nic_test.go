@@ -292,13 +292,21 @@ func TestPutToUnexportedFaults(t *testing.T) {
 	}
 }
 
-// TestTLBEvictsLeastRecentlyUsed pins the TLB's replacement order: a hit
-// refreshes a page, a miss beyond capacity evicts the least recently
-// touched page, and a shot-down page frees its slot.
+// TestTLBEvictsLeastRecentlyUsed pins the TLB's replacement order over
+// exported pages: a hit refreshes a page, a miss beyond capacity evicts
+// the least recently touched page, and a shot-down page frees its slot.
+// Touching or shooting down an unmapped page does nothing.
 func TestTLBEvictsLeastRecentlyUsed(t *testing.T) {
-	tl := newTLB(3)
+	r := newRig(t)
+	// pg[k] is the page of the k-th one-page export, k = 1..9.
+	pg := make([]uint64, 10)
+	for k := 1; k < len(pg); k++ {
+		pg[k] = pageOf(r.nb.TPT.Export(host.PageSize).VA)
+	}
+	r.nb.tlb = newTLB(&r.nb.TPT.pt, 3)
+	tl := r.nb.tlb
 	steps := []struct {
-		pg  uint64
+		k   int
 		hit bool
 	}{
 		{1, false}, {2, false}, {3, false}, // MRU..LRU: 3 2 1
@@ -309,21 +317,31 @@ func TestTLBEvictsLeastRecentlyUsed(t *testing.T) {
 		{4, true}, {2, true}, // 2 4 3
 	}
 	for i, st := range steps {
-		if got := tl.touch(st.pg); got != st.hit {
-			t.Fatalf("step %d: touch(%d) hit=%v, want %v", i, st.pg, got, st.hit)
+		if got := tl.touch(pg[st.k]); got != st.hit {
+			t.Fatalf("step %d: touch(%d) hit=%v, want %v", i, st.k, got, st.hit)
 		}
 	}
-	tl.evict(4) // 2 3
-	tl.evict(9) // not loaded: no-op
+	tl.evict(pg[4]) // 2 3
+	tl.evict(pg[9]) // not loaded: no-op
 	if tl.len() != 2 {
 		t.Fatalf("TLB holds %d entries after shoot-down, want 2", tl.len())
 	}
+	// Unmapped pages: below the export space and past its end.
+	for _, un := range []uint64{3, pg[9] + 1} {
+		if tl.touch(un) || tl.len() != 2 {
+			t.Fatalf("touch of unmapped page %d hit or loaded it: %d entries", un, tl.len())
+		}
+		tl.evict(un)
+		if tl.len() != 2 {
+			t.Fatalf("evict of unmapped page %d left %d entries, want 2", un, tl.len())
+		}
+	}
 	for i, st := range []struct {
-		pg  uint64
+		k   int
 		hit bool
 	}{{5, false}, {3, true}, {6, false}, {2, false}} { // 5 2 3; 3 5 2; 6 3 5, evicts 2; 2 6 3
-		if got := tl.touch(st.pg); got != st.hit {
-			t.Fatalf("refill %d: touch(%d) hit=%v, want %v", i, st.pg, got, st.hit)
+		if got := tl.touch(pg[st.k]); got != st.hit {
+			t.Fatalf("refill %d: touch(%d) hit=%v, want %v", i, st.k, got, st.hit)
 		}
 	}
 	if tl.len() != 3 {
@@ -334,7 +352,7 @@ func TestTLBEvictsLeastRecentlyUsed(t *testing.T) {
 func TestTLBMissChargesHostAndRefills(t *testing.T) {
 	r := newRig(t)
 	r.p.NICTLBSize = 2
-	r.nb.tlb = newTLB(2)
+	r.nb.tlb = newTLB(&r.nb.TPT.pt, 2)
 	seg := r.nb.TPT.Export(4 * host.PageSize) // 4 pages > TLB size 2
 	run := func() Status {
 		var st Status = -1
@@ -446,7 +464,7 @@ func (t *tlb) resident() []uint64 {
 func TestWarmTLBDeterministicWhenOverfull(t *testing.T) {
 	warm := func() []uint64 {
 		r := newRig(t)
-		r.nb.tlb = newTLB(6)
+		r.nb.tlb = newTLB(&r.nb.TPT.pt, 6)
 		for i := 0; i < 5; i++ {
 			r.nb.TPT.Export(4 * host.PageSize)
 			r.nb.TPT.WarmTLB()

@@ -183,3 +183,49 @@ func pointerField(t reflect.Type, path string) string {
 	}
 	return ""
 }
+
+// TestDRCPagesItsRing checks that the ring is paged in as it fills: a
+// server that has seen a few requests holds one chunk, the next chunk
+// comes with the first request past it, and a reset keeps the chunks
+// for the refill.
+func TestDRCPagesItsRing(t *testing.T) {
+	r := newRig(t, echoHandler)
+	svc := &drcService{runs: make([]int, 2*drcChunkLen+2)}
+	srv := NewServiceServer(r.server.stack, 2050, 1, func(*Worker) Service { return svc })
+	raw := r.clientStack.Socket(3000)
+	raw.Listen(func(d *udpip.Datagram) bool { d.Body.(*callMsg).release(); return true })
+	var pool msgPool
+	send := func(from, to uint64) {
+		for x := from; x <= to; x++ {
+			hdr := wire.Header{Op: wire.OpRead, XID: x}
+			raw.SendToAsync(r.server.stack, 2050, int64(hdr.WireSize()), pool.send(&callMsg{Hdr: hdr}), 0)
+			r.s.Run()
+		}
+	}
+	chunks := func() (n int) {
+		for _, c := range srv.drcRing {
+			if c != nil {
+				n++
+			}
+		}
+		return n
+	}
+	if send(1, 3); chunks() != 1 {
+		t.Fatalf("3 requests hold %d chunks, want 1", chunks())
+	}
+	if send(4, drcChunkLen); chunks() != 1 {
+		t.Fatalf("%d requests hold %d chunks, want 1", drcChunkLen, chunks())
+	}
+	if send(drcChunkLen+1, drcChunkLen+1); chunks() != 2 {
+		t.Fatalf("%d requests hold %d chunks, want 2", drcChunkLen+1, chunks())
+	}
+	first := srv.drcRing[0]
+	srv.ResetDRC()
+	if send(drcChunkLen+2, drcChunkLen+2); chunks() != 2 || srv.drcRing[0] != first || len(srv.drc) != 1 {
+		t.Fatalf("after a reset: %d chunks, first chunk kept %v, %d indexed; want 2, true, 1",
+			chunks(), srv.drcRing[0] == first, len(srv.drc))
+	}
+	if svc.runs[1] != 1 || svc.runs[drcChunkLen+2] != 1 {
+		t.Fatalf("runs %v, want each request once", svc.runs)
+	}
+}

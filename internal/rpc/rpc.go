@@ -193,8 +193,8 @@ func (r *drcReply) msg() callMsg {
 // are answered without re-executing the handler (at-most-once
 // execution). Entries fill a ring of drcLimit slots; gen tells a slot's
 // successive requests apart (0 marks a slot never filled). Like its key,
-// an entry holds no pointer: the ring is one allocation the collector
-// never scans.
+// an entry holds no pointer: the ring's chunks are allocations the
+// collector never scans.
 type drcEntry struct {
 	key   drcKey
 	gen   uint64
@@ -209,6 +209,14 @@ type drcEntry struct {
 // nfsd DRC.
 const drcLimit = 2048
 
+// drcChunk is drcChunkLen consecutive slots of the ring, allocated when
+// the first of them is filled, so a server that sees a few hundred
+// requests pays for a quarter of the ring. A full ring costs three
+// allocations more than one made whole.
+type drcChunk [drcChunkLen]drcEntry
+
+const drcChunkLen = 512
+
 // Server serves RPCs with a fixed pool of workers, like nfsd.
 type Server struct {
 	sock  *udpip.Socket
@@ -216,11 +224,12 @@ type Server struct {
 
 	// drc maps a remembered request to its slot in drcRing, whose
 	// drcLimit slots are filled in turn, the oldest overwritten first
-	// (drcNext). Both are made whole on the first request (see
-	// installDRC). drcRich holds, by slot, the replies too rich for an
-	// entry; peers numbers the client stacks for drcKey.
+	// (drcNext). The index is made whole on the first request, the ring
+	// a chunk at a time (see installDRC). drcRich holds, by slot, the
+	// replies too rich for an entry; peers numbers the client stacks for
+	// drcKey.
 	drc     map[drcKey]int32
-	drcRing []drcEntry
+	drcRing [drcLimit / drcChunkLen]*drcChunk
 	drcNext int
 	drcGen  uint64
 	drcRich map[int32]callMsg
@@ -248,7 +257,11 @@ func (srv *Server) SetDown(down bool) { srv.down = down }
 // (exactly the classic NFS-over-UDP recovery behaviour).
 func (srv *Server) ResetDRC() {
 	clear(srv.drc)
-	clear(srv.drcRing)
+	for _, c := range srv.drcRing {
+		if c != nil {
+			*c = drcChunk{}
+		}
+	}
 	clear(srv.drcRich)
 	srv.drcNext = 0
 }
@@ -362,7 +375,7 @@ func (w *Worker) step() bool {
 			key := drcKey{peer: srv.peerOf(w.Req.from), port: int32(w.Req.fromPort), xid: w.hdr.XID}
 			if i, dup := srv.drc[key]; dup {
 				srv.Duplicates++
-				e := &srv.drcRing[i]
+				e := srv.drcSlot(int(i))
 				if !e.done {
 					// In progress: drop; the original execution will reply.
 					return w.finish()
@@ -395,7 +408,7 @@ func (w *Worker) step() bool {
 			bytes, tag := int64(r.Hdr.WireSize())+r.PayloadBytes, w.Req.replyTag
 			// A slot that more than drcLimit later requests overwrote
 			// meanwhile, or that a crash cleared, is not this request's.
-			if e := &srv.drcRing[w.slot]; e.gen == w.gen {
+			if e := srv.drcSlot(w.slot); e.gen == w.gen {
 				e.done, e.bytes, e.tag = true, bytes, tag
 				if plain(&out) {
 					e.reply = keep(&out)
@@ -428,20 +441,28 @@ func (w *Worker) finish() bool {
 	return true
 }
 
+// drcSlot returns slot i of the ring, in a chunk already allocated.
+func (srv *Server) drcSlot(i int) *drcEntry {
+	return &srv.drcRing[i/drcChunkLen][i%drcChunkLen]
+}
+
 // installDRC records a request in the duplicate-request cache, in the
 // oldest slot once the ring is full, and returns its slot and
-// generation. The ring and its index are made whole on the server's
-// first request rather than at construction: every cluster builds NFS
-// servers, but only NFS cells call them.
+// generation. The index is made whole on the server's first request
+// rather than at construction (every cluster builds NFS servers, but
+// only NFS cells call them), and each chunk of the ring when its first
+// slot is filled.
 func (srv *Server) installDRC(key drcKey) (int, uint64) {
-	if srv.drcRing == nil {
-		srv.drcRing = make([]drcEntry, drcLimit)
+	if srv.drc == nil {
 		srv.drc = make(map[drcKey]int32, drcLimit)
 	}
 	srv.drcGen++
 	i := srv.drcNext
 	srv.drcNext = (i + 1) % drcLimit
-	e := &srv.drcRing[i]
+	if c := &srv.drcRing[i/drcChunkLen]; *c == nil {
+		*c = new(drcChunk)
+	}
+	e := srv.drcSlot(i)
 	if e.gen != 0 {
 		delete(srv.drc, e.key)
 		if e.rich {

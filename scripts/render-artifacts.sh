@@ -4,8 +4,8 @@
 # exit statuses appended: every table and figure (at -parallel 8 and at
 # -parallel 1), the canned scenarios and a seeded stress fleet (stdout
 # and exit status), the trace and telemetry exports of crash-recovery,
-# replica-failover, commit-loss and spine-outage, the replication and
-# failure experiments at -scale 0.2, the examples, and danas-sim and
+# replica-failover, commit-loss and spine-outage, the replication,
+# failure, trace and writemix experiments at -scale 0.2, the examples, and danas-sim and
 # danas-postmark with each protocol. Render two checkouts and compare
 # the two directories file by file:
 #
@@ -49,8 +49,11 @@ for s in crash-recovery replica-failover commit-loss spine-outage; do
 done
 # The replicated mounts' failover reads (stripe.Group's task):
 # replication and failure at a scale where NFS replicated rows fail
-# over, each at -parallel 8 and -parallel 1.
-for e in replication failure; do
+# over; and the NIC page table past one chunk of pages: trace, whose
+# footprints span several, and writemix, whose extending writes
+# re-export blocks (export/invalidate churn). Each at -parallel 8 and
+# -parallel 1.
+for e in replication failure trace writemix; do
   for par in 8 1; do
     "$bin/danas-bench" -scale 0.2 -parallel "$par" "$e" > "$out/$e-p$par-s02.txt"
   done
