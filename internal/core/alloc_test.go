@@ -61,6 +61,7 @@ func (r *shardRig) mount(cfg Config) *Client {
 // per shard), a range commit over the same bytes, a warm 16 KB read
 // (four ORDMA gets, the data blocks evicted but their references
 // kept), a 4 KB cache hit submitted and reaped through the async facade
+// and the same hit through the blocking Read, an open under a delegation
 // — and of mounting one client over 8 shards. Client and servers
 // count together: a process serves one operation per token it takes
 // from a queue, so a round allocates only what the operation does. A
@@ -83,7 +84,7 @@ func TestStripedCachedAllocations(t *testing.T) {
 		budget float64
 		run    func(p *sim.Proc, round int) error
 	}{
-		{"write", 4, func(p *sim.Proc, _ int) error {
+		{"write", 0, func(p *sim.Proc, _ int) error {
 			_, err := c.Write(p, h, 0, size, 1)
 			return err
 		}},
@@ -107,6 +108,32 @@ func TestStripedCachedAllocations(t *testing.T) {
 				return fmt.Errorf("round %d missed the cache", round)
 			}
 			return comps[0].Err
+		}},
+		// The same hit through the blocking Read, which looks the block
+		// up on its caller's job and takes no op record.
+		{"blocking hit read", 0, func(p *sim.Proc, round int) error {
+			hits := c.Stats().LocalHits
+			got, err := c.Read(p, h, 0, 4096, 1)
+			switch {
+			case err != nil:
+				return err
+			case got != 4096:
+				return fmt.Errorf("read %d bytes, want 4096", got)
+			case round > 0 && c.Stats().LocalHits == hits:
+				return fmt.Errorf("round %d missed the cache", round)
+			}
+			return nil
+		}},
+		// An open under the delegation the first open was granted.
+		{"delegated open", 0, func(p *sim.Proc, _ int) error {
+			opens := c.Stats().LocalOpens
+			if _, err := c.Open(p, "data"); err != nil {
+				return err
+			}
+			if c.Stats().LocalOpens == opens {
+				return fmt.Errorf("open went to the servers")
+			}
+			return nil
 		}},
 	}
 	for _, op := range ops {
