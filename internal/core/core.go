@@ -92,6 +92,10 @@ type Client struct {
 	// recorded per-shard handles opens, closes and stats locally.
 	stripe.Striper
 
+	// The embedded driver runs the blocking Close, Write and Commit, and
+	// the opens and reads the fast paths leave, over the client's op.
+	nas.Driver[*Client, *op]
+
 	// shards holds each shard's replica set (width 1 when unreplicated):
 	// the copy sessions, live view, ack policy and failover. Every
 	// read/stat path uses the set's serving session, so it follows
@@ -112,7 +116,6 @@ type Client struct {
 	// being silently swallowed.
 	inflight map[cache.Key]*inflightFetch
 	fetches  []*inflightFetch // finished fetches' records, for reuse
-	ops      []*op            // idle operation records, for reuse
 
 	stats Stats
 
@@ -196,6 +199,7 @@ func NewReplicatedClient(s *sim.Scheduler, clientNIC *nic.NIC, servers [][]*dafs
 		transfer:  transfer,
 	}
 	c.Striper = stripe.NewStriper(layout, c)
+	c.Driver = nas.NewDriver(c, (*Client).newOp)
 	for i, copies := range servers {
 		if len(copies) != layout.Width() {
 			panic(fmt.Sprintf("core: shard %d has %d copies for width %d", i, len(copies), layout.Width()))
@@ -319,11 +323,7 @@ func (c *Client) Open(p *sim.Proc, name string) (*nas.Handle, error) {
 		c.h.Compute(p, c.h.P.CacheLookup)
 		return h, nil
 	}
-	o := c.carried(p)
-	o.Open(&o.j, name)
-	h, err := o.hd, o.err
-	c.putOp(o)
-	return h, err
+	return c.Driver.Open(p, name)
 }
 
 // delegated returns the canonical handle of name if the client holds
@@ -338,12 +338,6 @@ func (c *Client) delegated(name string) (*nas.Handle, bool) {
 	}
 	c.stats.LocalOpens++
 	return hs[0], true
-}
-
-// Close implements nas.Client: local under a delegation.
-func (c *Client) Close(p *sim.Proc, h *nas.Handle) error {
-	c.h.Compute(p, c.h.P.CacheLookup)
-	return nil
 }
 
 // Getattr implements nas.Client: attributes are served under the
@@ -396,39 +390,25 @@ func (c *Client) Read(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64) (i
 	if len(misses) == 0 {
 		return l.end - off, nil
 	}
-	o := c.carried(p)
-	o.set(opRead, opMissed, h, off, n, bufID)
+	r := c.Take(p)
+	o := r.Task
+	o.set(&r.Job, opRead, opMissed, h, off, n, bufID)
 	o.look, o.misses = l, append(o.misses[:0], misses...)
-	o.Step(&o.j)
+	o.Step(&r.Job)
 	got, err := o.got, o.err
-	c.putOp(o)
+	c.Put(r)
 	return got, err
 }
 
-// data runs a blocking read or write from p.
-func (c *Client) data(p *sim.Proc, kind opKind, h *nas.Handle, off, n int64, bufID uint64) (int64, error) {
-	o := c.carried(p)
-	o.begin(&o.j, kind, h, off, n, bufID)
-	got, err := o.got, o.err
-	c.putOp(o)
-	return got, err
-}
-
-// fetchBlock brings the block at blockOff into the cache (see fetch),
-// from p.
-func (c *Client) fetchBlock(p *sim.Proc, h *nas.Handle, blockOff int64) error {
-	_, err := c.data(p, opFetch, h, blockOff, 0, 0)
+// fetchBlock brings the block at blockOff into the cache (see fetch)
+// from p: kind opFetch coalesces with other fetches of the block,
+// opPopulate reads it over RPC alone.
+func (c *Client) fetchBlock(p *sim.Proc, kind opKind, h *nas.Handle, blockOff int64) error {
+	r := c.Take(p)
+	r.Task.begin(&r.Job, kind, h, blockOff, 0, 0)
+	err := r.Task.err
+	c.Put(r)
 	return err
-}
-
-// Write implements nas.Client: write-through per owning shard (spans run
-// concurrently, like the fetch path), updating the cached copy. With
-// replication each span reaches every live copy of its shard under the
-// ack policy. A failed write reports the bytes its other spans wrote.
-// Once every span succeeded, the written blocks enter the cache, then
-// the shards the write left short of a new end of file extend.
-func (c *Client) Write(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64) (int64, error) {
-	return c.data(p, opWrite, h, off, n, bufID)
 }
 
 // WriteData implements nas.Client for content-bearing writes: each shard
@@ -439,12 +419,13 @@ func (c *Client) WriteData(p *sim.Proc, h *nas.Handle, off int64, data []byte) (
 			return in.WriteData(ip, sh, so, data[so-off:so-off+sn])
 		})
 	})
-	o := c.carried(p)
-	o.set(opWritten, opStart, h, off, int64(len(data)), 0)
+	r := c.Take(p)
+	o := r.Task
+	o.set(&r.Job, opWritten, opStart, h, off, int64(len(data)), 0)
 	o.got, o.err = got, err
-	o.Step(&o.j)
+	o.Step(&r.Job)
 	got, err = o.got, o.err
-	c.putOp(o)
+	c.Put(r)
 	return got, err
 }
 
@@ -457,13 +438,14 @@ func (c *Client) ExtendShard(wp *sim.Proc, shard int, sh *nas.Handle, end int64)
 	return err
 }
 
-// Commit implements nas.Client through the Striper's commit fan-out: a
-// whole-file commit (n <= 0) reaches every shard, a range commit only
-// the shards owning its spans, and on each every live copy commits.
-// Each shard's DAFS session runs the verifier comparison and re-issues
-// its own lost writes, so a crash of one shard never forces rewrites on
-// the others; failures aggregate into a *stripe.CommitError.
-func (c *Client) Commit(p *sim.Proc, h *nas.Handle, off, n int64) error {
+// commit is the commit's body (op.Commit), through the Striper's commit
+// fan-out: a whole-file commit (n <= 0) reaches every shard, a range
+// commit only the shards owning its spans, and on each every live copy
+// commits. Each shard's DAFS session runs the verifier comparison and
+// re-issues its own lost writes, so a crash of one shard never forces
+// rewrites on the others; failures aggregate into a
+// *stripe.CommitError.
+func (c *Client) commit(p *sim.Proc, h *nas.Handle, off, n int64) error {
 	return c.CommitSpans(p, h, off, n, func(wp *sim.Proc, shard int, sh *nas.Handle, so, sn int64) (int64, error) {
 		return c.shards[shard].Write(wp, "odafs-rcommit", func(ip *sim.Proc, _ int, in *dafs.Client) (int64, error) {
 			return 0, in.Commit(ip, sh, so, sn)
@@ -477,7 +459,7 @@ func (c *Client) Commit(p *sim.Proc, h *nas.Handle, off, n int64) error {
 // once").
 func (c *Client) PopulateDirectory(p *sim.Proc, h *nas.Handle) error {
 	for off := int64(0); off < h.Size; off += c.cfg.BlockSize {
-		if _, err := c.data(p, opPopulate, h, off, 0, 0); err != nil {
+		if err := c.fetchBlock(p, opPopulate, h, off); err != nil {
 			return err
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"danas/internal/host"
 	"danas/internal/nas"
 	"danas/internal/nic"
-	"danas/internal/obs"
 	"danas/internal/sim"
 	"danas/internal/stripe"
 	"danas/internal/vi"
@@ -17,13 +16,13 @@ import (
 // op is one operation of the cached client — an open, a read, a write
 // with its cache update and extend, or a block fetch — run as a step
 // machine over its job (see nas.Task). A blocking method drives one
-// from its caller's process; the async facade (nas.NewAsync) drives one
-// per admitted operation from callbacks, so an operation gets a process
-// only where it really blocks (a failover, a replicated write, a
-// read-ahead of several blocks, a commit).
+// from its caller's process (nas.Driver); the async facade
+// (nas.NewAsync) drives one per admitted operation from callbacks, so
+// an operation gets a process only where it really blocks (a failover,
+// a replicated write, a read-ahead of several blocks, a commit). It
+// drops the request's handle and name when the operation finishes.
 type op struct {
 	c     *Client
-	j     host.Job
 	kind  opKind
 	stage opStage
 	h     *nas.Handle
@@ -76,43 +75,18 @@ func (c *Client) newOp() *op {
 	o := &op{c: c}
 	o.f.c = c
 	o.body = o.blocked
-	o.j.H, o.j.S = c.h, c.s
 	return o
 }
-
-// carried returns an op record carried by p, for a blocking method,
-// from the client's free list.
-func (c *Client) carried(p *sim.Proc) *op {
-	var o *op
-	if k := len(c.ops); k > 0 {
-		o = c.ops[k-1]
-		c.ops = c.ops[:k-1]
-	} else {
-		o = c.newOp()
-	}
-	o.j.P, o.j.Span = p, obs.Active(p)
-	return o
-}
-
-// putOp returns a blocking method's finished op record.
-func (c *Client) putOp(o *op) {
-	o.h, o.hd, o.err, o.name = nil, nil, nil, ""
-	o.j.P, o.j.Span = nil, nil
-	c.ops = append(c.ops, o)
-}
-
-// NewTask implements nas.Client: an op record of its own.
-func (c *Client) NewTask() nas.Task { return c.newOp() }
 
 // begin sets o up as an operation of kind on h and runs it on j.
 func (o *op) begin(j *host.Job, kind opKind, h *nas.Handle, off, n int64, bufID uint64) bool {
-	j.H = o.c.h
-	o.set(kind, opStart, h, off, n, bufID)
+	o.set(j, kind, opStart, h, off, n, bufID)
 	return o.Step(j)
 }
 
-// set sets o up as an operation of kind on h, at stage.
-func (o *op) set(kind opKind, stage opStage, h *nas.Handle, off, n int64, bufID uint64) {
+// set sets o up as an operation of kind on h, at stage, charging on j.
+func (o *op) set(j *host.Job, kind opKind, stage opStage, h *nas.Handle, off, n int64, bufID uint64) {
+	j.H = o.c.h
 	o.kind, o.stage, o.h, o.off, o.n, o.bufID = kind, stage, h, off, n, bufID
 	o.got, o.hd, o.err = 0, nil, nil
 }
@@ -123,11 +97,10 @@ func (o *op) Open(j *host.Job, name string) bool {
 	return o.begin(j, opOpen, nil, 0, 0, 0)
 }
 
-// Close implements nas.Task: local under the delegation, as
-// Client.Close, so the lookup charge is all it runs.
-func (o *op) Close(j *host.Job, h *nas.Handle) bool {
-	j.H = o.c.h
-	o.set(opOpen, opDone, h, 0, 0, 0)
+// Close implements nas.Task: local under the delegation, so the lookup
+// charge is all it runs.
+func (o *op) Close(j *host.Job, _ *nas.Handle) bool {
+	o.set(j, opOpen, opDone, nil, 0, 0, 0)
 	return j.Compute(o.c.h.P.CacheLookup)
 }
 
@@ -136,19 +109,24 @@ func (o *op) Read(j *host.Job, h *nas.Handle, off, n int64, bufID uint64) bool {
 	return o.begin(j, opRead, h, off, n, bufID)
 }
 
-// Write implements nas.Task.
+// Write implements nas.Task: write-through per owning shard (spans run
+// concurrently, like the fetch path), updating the cached copy. With
+// replication each span reaches every live copy of its shard under the
+// ack policy. A failed write reports the bytes its other spans wrote.
+// Once every span succeeded, the written blocks enter the cache, then
+// the shards the write left short of a new end of file extend.
 func (o *op) Write(j *host.Job, h *nas.Handle, off, n int64, bufID uint64) bool {
 	return o.begin(j, opWrite, h, off, n, bufID)
 }
 
 // Commit implements nas.Task: a commit, on a process of its own.
 func (o *op) Commit(j *host.Job, h *nas.Handle, off, n int64) bool {
-	o.set(opBlocked, opDone, h, off, n, 0)
-	return j.Run("odafs-commit", o.body)
+	o.set(j, opBlocked, opDone, h, off, n, 0)
+	return j.Run("odafs-commit", o.body) && o.Step(j)
 }
 
 // blocked is the body of an operation's process.
-func (o *op) blocked(p *sim.Proc) { o.err = o.c.Commit(p, o.h, o.off, o.n) }
+func (o *op) blocked(p *sim.Proc) { o.err = o.c.commit(p, o.h, o.off, o.n) }
 
 // Result implements nas.Task.
 func (o *op) Result() (int64, *nas.Handle, error) { return o.got, o.hd, o.err }
@@ -174,8 +152,7 @@ func (o *op) Step(j *host.Job) bool {
 		case opMissed:
 			switch misses := o.misses; len(misses) {
 			case 0:
-				o.got = o.look.end - o.off
-				return true
+				o.got, o.stage = o.look.end-o.off, opDone
 			case 1: // fetched in line, with no fan-out closure to allocate
 				o.stage = opFetching
 				if !o.f.start(j, o.h, misses[0], false) {
@@ -187,7 +164,7 @@ func (o *op) Step(j *host.Job) bool {
 				// requesting operation's span.
 				blocks, h := slices.Clone(misses), o.h
 				o.r = c.Fanning("fetch", len(blocks), func(fp *sim.Proc, i int) error {
-					return c.fetchBlock(fp, h, blocks[i])
+					return c.fetchBlock(fp, opFetch, h, blocks[i])
 				})
 				o.stage = opFanning
 			}
@@ -195,7 +172,7 @@ func (o *op) Step(j *host.Job) bool {
 			if !o.f.step(j) {
 				return false
 			}
-			return o.fetched(o.f.err)
+			o.fetched(o.f.err)
 		case opFanning:
 			if !o.r.Step(j) {
 				return false
@@ -205,20 +182,17 @@ func (o *op) Step(j *host.Job) bool {
 			switch o.kind {
 			case opOpen:
 				o.hd, o.err = r.Handle()
-				r.Release()
-				return true
+				o.stage = opDone
 			case opWrite:
 				o.got, o.err = r.Total()
-				r.Release()
-				if o.err != nil {
-					return true
-				}
 				o.bo, o.stage = c.c.Align(o.off), opInsert
+				if o.err != nil {
+					o.stage = opDone
+				}
 			default:
-				err := r.Err()
-				r.Release()
-				return o.fetched(err)
+				o.fetched(r.Err())
 			}
+			r.Release()
 		case opInsert:
 			if o.bo >= o.off+o.n {
 				o.r, o.stage = c.Extending(o.h, o.off, o.n), opExtending
@@ -238,9 +212,9 @@ func (o *op) Step(j *host.Job) bool {
 			}
 			o.err = o.r.Err()
 			o.r.Release()
-			o.r = nil
-			return true
+			o.r, o.stage = nil, opDone
 		case opDone:
+			o.h, o.name = nil, ""
 			return true
 		}
 	}
@@ -324,19 +298,13 @@ func (o *op) start(j *host.Job) bool {
 	return true
 }
 
-// fetched ends a read whose missing blocks were fetched with err.
-func (o *op) fetched(err error) bool {
-	o.stage = opDone
-	if o.kind != opRead {
-		o.err = err
-		return true
+// fetched ends a read, or a fetch, whose missing blocks were fetched
+// with err.
+func (o *op) fetched(err error) {
+	o.err, o.stage = err, opDone
+	if o.kind == opRead && err == nil {
+		o.got = o.look.end - o.off
 	}
-	if err != nil {
-		o.err = err
-		return true
-	}
-	o.got = o.look.end - o.off
-	return true
 }
 
 // fetch brings one block into the cache, a step machine over a job:
@@ -442,7 +410,7 @@ func (f *fetch) step(j *host.Job) bool {
 		case fetchJoined:
 			f.f.waiters--
 			f.err = c.doneFetch(f.f)
-			f.f, f.stage = nil, fetchEnded
+			f.f, f.h, f.stage = nil, nil, fetchEnded
 			return true
 		case fetchGetting:
 			if !f.rdma.Step(j) {
@@ -524,7 +492,7 @@ func (f *fetch) step(j *host.Job) bool {
 			c.c.Insert(f.h.FH, f.off, f.len, f.ref, nil)
 			f.stage = fetchDone
 		case fetchDone:
-			f.set, f.sh, f.ref, f.stage = nil, nil, nil, fetchEnded
+			f.h, f.set, f.sh, f.ref, f.stage = nil, nil, nil, nil, fetchEnded
 			if f.alone {
 				return true
 			}

@@ -49,8 +49,11 @@ type Client struct {
 	// server crash lost.
 	nas.CommitTracker
 
-	msgs  msgPool // the request records this client sends
-	tasks []*Task // task records for blocking methods, for reuse
+	// The embedded driver runs the blocking Open, Close, Read, Write and
+	// Commit, and the other session calls, over the client's Task.
+	nas.Driver[*Client, *Task]
+
+	msgs msgPool // the request records this client sends
 }
 
 var _ nas.Client = (*Client)(nil)
@@ -91,6 +94,7 @@ func NewClient(_ *sim.Scheduler, clientNIC *nic.NIC, srv *Server, mode nic.Notif
 		transfer: transfer,
 		regs:     nic.NewRegCache(clientNIC),
 	}
+	c.Driver = nas.NewDriver(c, func(c *Client) *Task { return &Task{c: c} })
 	c.Init(c.resend)
 	c.qp.Listen(c.complete)
 	return c
@@ -157,41 +161,30 @@ func (c *Client) SetRDMATimeout(d sim.Duration) { c.qp.SetRDMATimeout(d) }
 // call issues one session request, hdr with a batch request's extra
 // ranges or a write's bytes, and waits for its completion, folding
 // local failure (retry exhaustion) and remote status into one typed
-// error. The completion lives in the call's record: the caller reads
-// it before it next blocks or calls.
-func (c *Client) call(p *sim.Proc, hdr *wire.Header, batch []int64, data []byte, payloadBytes int64) (*completion, error) {
-	t := c.carry()
-	j := host.Carried(c.h, p)
+// error.
+func (c *Client) call(p *sim.Proc, hdr *wire.Header, batch []int64, data []byte, payloadBytes int64) (reply, error) {
+	r := c.Take(p)
+	t := r.Task
 	t.request(*hdr, batch, data, payloadBytes)
-	t.start(&j, taskCall, taskClientOp)
-	res, err := t.res, t.Err
-	c.release(t)
-	return res, err
+	t.start(&r.Job, taskCall, taskClientOp)
+	rep, err := t.rep, t.Err
+	c.Put(r)
+	return rep, err
 }
 
-// carry returns a task record from the client's free list, for a
-// blocking method to drive from its caller's process.
-func (c *Client) carry() *Task {
-	if k := len(c.tasks); k > 0 {
-		t := c.tasks[k-1]
-		c.tasks = c.tasks[:k-1]
-		return t
-	}
-	return &Task{c: c}
-}
-
-// release returns a finished task record to the free list.
-func (c *Client) release(t *Task) {
-	t.h, t.batch, t.data, t.res = nil, nil, nil, nil
-	t.Handle, t.Ref, t.Err = nil, nil, nil
-	c.tasks = append(c.tasks, t)
+// reply is what a bare call's callers read of its reply.
+type reply struct {
+	n        int64 // the reply's length
+	fh, verf uint64
 }
 
 // Task runs one session operation of a Client at a time as a step
 // machine over a host.Job: the request, the registration and call it
 // is at, and the outcome. A blocking method drives one from its
-// caller's process; an asynchronous caller keeps one and drives it from
-// callbacks. It implements nas.Task for the client that made it.
+// caller's process (nas.Driver); an asynchronous caller keeps one and
+// drives it from callbacks. It implements nas.Task for the client that
+// made it, and drops the request's handle, batch and bytes when the
+// operation finishes.
 type Task struct {
 	c       *Client
 	op      taskOp
@@ -204,7 +197,7 @@ type Task struct {
 	payload int64
 	reg     nic.RegGet
 	call    *nas.Call[completion, sent]
-	res     *completion
+	rep     reply             // a bare call's
 	body    func(p *sim.Proc) // t.commit, bound once
 
 	// N, Handle, Ref and Err are the finished operation's outcome: the
@@ -215,9 +208,6 @@ type Task struct {
 	Ref    *cache.RemoteRef
 	Err    error
 }
-
-// NewTask implements nas.Client.
-func (c *Client) NewTask() nas.Task { return &Task{c: c} }
 
 type taskOp uint8
 
@@ -298,12 +288,18 @@ func (t *Task) Close(j *host.Job, h *nas.Handle) bool {
 	return t.start(j, taskClose, taskClientOp)
 }
 
-// Read implements nas.Task: a read in the client's transfer mode.
+// Read implements nas.Task: a read in the client's transfer mode. The
+// DAFS user API delivers an inline payload zero-copy: the application
+// consumes it from the communication buffer. (Copying into a separate
+// destination — e.g. a cache block — is the caller's cost; see Table 3's
+// in-mem/in-cache split.)
 func (t *Task) Read(j *host.Job, h *nas.Handle, off, n int64, bufID uint64) bool {
 	return t.c.ReadThen(j, t, h, off, n, bufID, t.c.transfer)
 }
 
-// Write implements nas.Task: an unstable write.
+// Write implements nas.Task: the server pulls data from the registered
+// buffer with an RDMA read (direct mode) or takes it in-line. The write
+// is unstable: a write-behind server may hold it dirty until Commit.
 func (t *Task) Write(j *host.Job, h *nas.Handle, off, n int64, bufID uint64) bool {
 	return t.c.WriteThen(j, t, h, off, n, bufID, 0)
 }
@@ -316,11 +312,11 @@ func (t *Task) Commit(j *host.Job, h *nas.Handle, off, n int64) bool {
 	if t.body == nil {
 		t.body = t.commit
 	}
-	return j.Run("dafs-commit", t.body)
+	return j.Run("dafs-commit", t.body) && t.Step(j)
 }
 
 // commit is Commit's body.
-func (t *Task) commit(p *sim.Proc) { t.Err = t.c.Commit(p, t.h, t.hdr.Offset, t.hdr.Length) }
+func (t *Task) commit(p *sim.Proc) { t.Err = t.c.commit(p, t.h, t.hdr.Offset, t.hdr.Length) }
 
 // Result implements nas.Task.
 func (t *Task) Result() (int64, *nas.Handle, error) { return t.N, t.Handle, t.Err }
@@ -343,8 +339,8 @@ func (t *Task) Step(j *host.Job) bool {
 			t.stage = taskRegistered
 		case taskRegistered:
 			if t.reg.Err != nil {
-				t.Err = t.reg.Err
-				return true
+				t.Err, t.stage = t.reg.Err, taskDone
+				break
 			}
 			t.hdr.BufVA = t.reg.Entry.Seg.VA
 			t.stage = taskClientOp
@@ -379,6 +375,7 @@ func (t *Task) Step(j *host.Job) bool {
 			if t.call != nil {
 				t.finish()
 			}
+			t.h, t.batch, t.data = nil, nil, nil
 			return true
 		}
 	}
@@ -393,11 +390,13 @@ func (t *Task) finish() {
 	if err == nil {
 		err = nas.StatusErr(res.hdr.Status)
 	}
-	t.res, t.Err = res, err
+	t.Err = err
 	if err != nil {
 		return
 	}
 	switch t.op {
+	case taskCall:
+		t.rep = reply{n: res.hdr.Length, fh: res.hdr.FH, verf: res.hdr.Verifier}
 	case taskOpen:
 		t.Handle = &nas.Handle{FH: res.hdr.FH, Size: res.hdr.Length, Name: t.hdr.Name}
 	case taskRead:
@@ -410,47 +409,27 @@ func (t *Task) finish() {
 	}
 }
 
-// Open implements nas.Client.
-func (c *Client) Open(p *sim.Proc, name string) (*nas.Handle, error) {
-	t := c.carry()
-	j := host.Carried(c.h, p)
-	c.OpenThen(&j, t, name)
-	h, err := t.Handle, t.Err
-	c.release(t)
-	return h, err
-}
-
 // Getattr implements nas.Client.
 func (c *Client) Getattr(p *sim.Proc, h *nas.Handle) (int64, error) {
-	res, err := c.call(p, &wire.Header{Op: wire.OpGetattr, FH: h.FH}, nil, nil, 0)
+	rep, err := c.call(p, &wire.Header{Op: wire.OpGetattr, FH: h.FH}, nil, nil, 0)
 	if err != nil {
 		return 0, err
 	}
-	return res.hdr.Length, nil
+	return rep.n, nil
 }
 
 // Create implements nas.Client.
 func (c *Client) Create(p *sim.Proc, name string) (*nas.Handle, error) {
-	res, err := c.call(p, &wire.Header{Op: wire.OpCreate, Name: name}, nil, nil, 0)
+	rep, err := c.call(p, &wire.Header{Op: wire.OpCreate, Name: name}, nil, nil, 0)
 	if err != nil {
 		return nil, err
 	}
-	return &nas.Handle{FH: res.hdr.FH, Name: name}, nil
+	return &nas.Handle{FH: rep.fh, Name: name}, nil
 }
 
 // Remove implements nas.Client.
 func (c *Client) Remove(p *sim.Proc, name string) error {
 	_, err := c.call(p, &wire.Header{Op: wire.OpRemove, Name: name}, nil, nil, 0)
-	return err
-}
-
-// Close implements nas.Client.
-func (c *Client) Close(p *sim.Proc, h *nas.Handle) error {
-	t := c.carry()
-	j := host.Carried(c.h, p)
-	t.Close(&j, h)
-	err := t.Err
-	c.release(t)
 	return err
 }
 
@@ -469,11 +448,10 @@ func (c *Client) ReadInline(p *sim.Proc, h *nas.Handle, off, n int64) (int64, *c
 }
 
 func (c *Client) read(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64, mode TransferMode) (int64, *cache.RemoteRef, error) {
-	t := c.carry()
-	j := host.Carried(c.h, p)
-	c.ReadThen(&j, t, h, off, n, bufID, mode)
-	got, ref, err := t.N, t.Ref, t.Err
-	c.release(t)
+	r := c.Take(p)
+	c.ReadThen(&r.Job, r.Task, h, off, n, bufID, mode)
+	got, ref, err := r.Task.N, r.Task.Ref, r.Task.Err
+	c.Put(r)
 	return got, ref, err
 }
 
@@ -489,44 +467,22 @@ func (c *Client) BatchReadDirect(p *sim.Proc, h *nas.Handle, offs []int64, n int
 	if err != nil {
 		return 0, err
 	}
-	res, err := c.call(p, &wire.Header{
+	rep, err := c.call(p, &wire.Header{
 		Op: wire.OpRead, FH: h.FH, Offset: offs[0], Length: n, BufVA: e.Seg.VA,
 	}, offs[1:], nil, 0)
 	if err != nil {
 		return 0, err
 	}
-	return res.hdr.Length, nil
-}
-
-// Read implements nas.Client using the configured transfer mode. The
-// DAFS user API delivers an inline payload zero-copy: the application
-// consumes it from the communication buffer. (Copying into a separate
-// destination — e.g. a cache block — is the caller's cost; see Table 3's
-// in-mem/in-cache split.)
-func (c *Client) Read(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64) (int64, error) {
-	got, _, err := c.read(p, h, off, n, bufID, c.transfer)
-	return got, err
-}
-
-// Write implements nas.Client: the server pulls data from the registered
-// buffer with an RDMA read (direct mode) or takes it in-line. The write
-// is unstable: a write-behind server may hold it dirty until Commit.
-func (c *Client) Write(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64) (int64, error) {
-	return c.write(p, h, off, n, bufID, 0)
+	return rep.n, nil
 }
 
 // WriteStable is the FILE_SYNC write: the server destages the data to
 // disk before replying, so the range needs no commit.
 func (c *Client) WriteStable(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64) (int64, error) {
-	return c.write(p, h, off, n, bufID, wire.FlagStable)
-}
-
-func (c *Client) write(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64, flags uint8) (int64, error) {
-	t := c.carry()
-	j := host.Carried(c.h, p)
-	c.WriteThen(&j, t, h, off, n, bufID, flags)
-	got, err := t.N, t.Err
-	c.release(t)
+	r := c.Take(p)
+	c.WriteThen(&r.Job, r.Task, h, off, n, bufID, wire.FlagStable)
+	got, err := r.Task.N, r.Task.Err
+	c.Put(r)
 	return got, err
 }
 
@@ -534,27 +490,27 @@ func (c *Client) write(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64, f
 func (c *Client) WriteData(p *sim.Proc, h *nas.Handle, off int64, data []byte) (int64, error) {
 	n := int64(len(data))
 	c.h.Compute(p, c.h.CopyCost(n))
-	res, err := c.call(p, &wire.Header{Op: wire.OpWrite, FH: h.FH, Offset: off, Length: n},
+	rep, err := c.call(p, &wire.Header{Op: wire.OpWrite, FH: h.FH, Offset: off, Length: n},
 		nil, data, n)
 	if err != nil {
 		return 0, err
 	}
-	c.NoteUnstable(h.FH, off, res.hdr.Length, res.hdr.Verifier)
-	return res.hdr.Length, nil
+	c.NoteUnstable(h.FH, off, rep.n, rep.verf)
+	return rep.n, nil
 }
 
-// Commit implements nas.Client: destage the range server-side, then
-// compare the reply's write verifier against the one each uncommitted
-// write was accepted under — ranges accepted by a server incarnation
-// that has since crashed were lost, and are re-issued stably here before
-// Commit returns.
-func (c *Client) Commit(p *sim.Proc, h *nas.Handle, off, n int64) error {
+// commit is the commit's body (Task.Commit): destage the range
+// server-side, then compare the reply's write verifier against the one
+// each uncommitted write was accepted under — ranges accepted by a
+// server incarnation that has since crashed were lost, and are
+// re-issued stably here before the commit returns.
+func (c *Client) commit(p *sim.Proc, h *nas.Handle, off, n int64) error {
 	upTo := c.Snapshot() // writes replied after this are not covered
-	res, err := c.call(p, &wire.Header{Op: wire.OpCommit, FH: h.FH, Offset: off, Length: n}, nil, nil, 0)
+	rep, err := c.call(p, &wire.Header{Op: wire.OpCommit, FH: h.FH, Offset: off, Length: n}, nil, nil, 0)
 	if err != nil {
 		return err
 	}
-	return c.ResolveCommit(h.FH, off, n, res.hdr.Verifier, upTo, func(r nas.WriteRange) error {
+	return c.ResolveCommit(h.FH, off, n, rep.verf, upTo, func(r nas.WriteRange) error {
 		_, werr := c.WriteStable(p, h, r.Off, r.N, nas.CommitBufID)
 		return werr
 	})

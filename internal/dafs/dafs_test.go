@@ -211,6 +211,31 @@ func TestWriteDataContent(t *testing.T) {
 	}
 }
 
+// TestIdleRecordHoldsNoPayload checks that a WriteData's task drops
+// the request it ran when it finishes: the record the client's driver
+// holds idle afterwards (the one it hands out next) pins no payload
+// bytes, handle or completion record.
+func TestIdleRecordHoldsNoPayload(t *testing.T) {
+	r := newRig(t, false, 1<<16)
+	r.fs.Create("db", 0)
+	c := r.newClient(t, nic.Poll, Direct)
+	r.s.Go("app", func(p *sim.Proc) {
+		h, err := c.Open(p, "db")
+		if err == nil {
+			_, err = c.WriteData(p, h, 0, []byte("hello dafs"))
+		}
+		if err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		idle := c.Take(p)
+		defer c.Put(idle)
+		if tk := idle.Task; tk.data != nil || tk.h != nil || tk.call != nil {
+			t.Errorf("idle record holds payload %q, handle %v, call %p", tk.data, tk.h, tk.call)
+		}
+	})
+	r.s.Run()
+}
+
 func TestConcurrentOutstandingReads(t *testing.T) {
 	r := newRig(t, false, 1<<16)
 	f, _ := r.fs.Create("data", 1<<22)

@@ -55,8 +55,11 @@ type Client struct {
 	// server crash lost.
 	nas.CommitTracker
 
+	// The embedded driver runs the blocking Open, Close, Read, Write and
+	// Commit over the client's Task.
+	nas.Driver[*Client, *Task]
+
 	nextLocalPort int
-	tasks         []*Task // task records for blocking methods, for reuse
 
 	// prePost is c.prePostReply, bound once: the pre-posting read's
 	// rpc.CallOpts.Prepare.
@@ -77,6 +80,7 @@ func NewClient(s *sim.Scheduler, stack *udpip.Stack, localPort int, server *udpi
 	if kind == Hybrid {
 		c.regs = nic.NewRegCache(c.n)
 	}
+	c.Driver = nas.NewDriver(c, func(c *Client) *Task { return &Task{c: c} })
 	c.prePost = c.prePostReply
 	return c
 }
@@ -122,29 +126,13 @@ func (c *Client) call(p *sim.Proc, hdr *wire.Header, opts rpc.CallOpts) (*rpc.Re
 	return resp, nas.StatusErr(resp.Hdr.Status)
 }
 
-// carry returns a task record from the client's free list, for a
-// blocking method to drive from its caller's process.
-func (c *Client) carry() *Task {
-	if k := len(c.tasks); k > 0 {
-		t := c.tasks[k-1]
-		c.tasks = c.tasks[:k-1]
-		return t
-	}
-	return &Task{c: c}
-}
-
-// release returns a finished task record to the free list.
-func (c *Client) release(t *Task) {
-	t.h, t.hd, t.err = nil, nil, nil
-	c.tasks = append(c.tasks, t)
-}
-
 // Task runs one operation of a Client at a time — an open, a close, a
 // read or a write, in the client's kind — as a step machine over a
 // host.Job: the request, the registration and call it is at, and the
-// outcome. A blocking method drives one from its caller's process; an
-// asynchronous caller keeps one and drives it from callbacks. It
-// implements nas.Task for the client that made it.
+// outcome. A blocking method drives one from its caller's process
+// (nas.Driver); an asynchronous caller keeps one and drives it from
+// callbacks. It implements nas.Task for the client that made it, and
+// drops the request's handle when the operation finishes.
 type Task struct {
 	c     *Client
 	op    taskOp
@@ -166,9 +154,6 @@ type Task struct {
 	err  error
 	body func(p *sim.Proc) // t.commit, bound once
 }
-
-// NewTask implements nas.Client.
-func (c *Client) NewTask() nas.Task { return &Task{c: c} }
 
 type taskOp uint8
 
@@ -234,11 +219,11 @@ func (t *Task) Commit(j *host.Job, h *nas.Handle, off, n int64) bool {
 	}
 	t.stage, t.h, t.hdr = taskDone, h, wire.Header{Offset: off, Length: n}
 	t.n, t.hd, t.err = 0, nil, nil
-	return j.Run("nfs-commit", t.body)
+	return j.Run("nfs-commit", t.body) && t.Step(j)
 }
 
 // commit is Commit's body.
-func (t *Task) commit(p *sim.Proc) { t.err = t.c.Commit(p, t.h, t.hdr.Offset, t.hdr.Length) }
+func (t *Task) commit(p *sim.Proc) { t.err = t.c.commit(p, t.h, t.hdr.Offset, t.hdr.Length) }
 
 // write starts an unstable (flags 0) or FILE_SYNC write.
 func (t *Task) write(j *host.Job, h *nas.Handle, off, n int64, bufID uint64, flags uint8) bool {
@@ -301,8 +286,8 @@ func (t *Task) Step(j *host.Job) bool {
 			t.stage = taskPinned
 		case taskPinned:
 			if t.pin.Err != nil {
-				t.err = t.pin.Err
-				return true
+				t.err, t.stage = t.pin.Err, taskDone
+				break
 			}
 			t.reg = t.pin.Reg
 			if t.op == taskRead {
@@ -318,8 +303,8 @@ func (t *Task) Step(j *host.Job) bool {
 			t.stage = taskRegistered
 		case taskRegistered:
 			if t.rg.Err != nil {
-				t.err = t.rg.Err
-				return true
+				t.err, t.stage = t.rg.Err, taskDone
+				break
 			}
 			t.hdr.BufVA = t.rg.Entry.Seg.VA
 			t.stage = taskCall
@@ -356,6 +341,7 @@ func (t *Task) Step(j *host.Job) bool {
 			t.pin.Step(j)
 			t.stage = taskDone
 		case taskDone:
+			t.h, t.reg = nil, nil
 			return true
 		}
 	}
@@ -413,16 +399,6 @@ func (t *Task) replied() {
 	}
 }
 
-// Open implements nas.Client.
-func (c *Client) Open(p *sim.Proc, name string) (*nas.Handle, error) {
-	t := c.carry()
-	j := host.Carried(c.h, p)
-	t.Open(&j, name)
-	h, err := t.hd, t.err
-	c.release(t)
-	return h, err
-}
-
 // Getattr implements nas.Client.
 func (c *Client) Getattr(p *sim.Proc, h *nas.Handle) (int64, error) {
 	c.h.Syscall(p)
@@ -453,23 +429,6 @@ func (c *Client) Remove(p *sim.Proc, name string) error {
 	return err
 }
 
-// Close implements nas.Client. NFS is stateless: close is local.
-func (c *Client) Close(p *sim.Proc, h *nas.Handle) error {
-	c.h.Syscall(p)
-	return nil
-}
-
-// Read implements nas.Client, dispatching on the client kind (see
-// Task).
-func (c *Client) Read(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64) (int64, error) {
-	t := c.carry()
-	j := host.Carried(c.h, p)
-	t.Read(&j, h, off, n, bufID)
-	got, err := t.n, t.err
-	c.release(t)
-	return got, err
-}
-
 // prePostReply hands the NIC a descriptor for the reply buffer the
 // caller registered, tagged with the request's XID, and asks for that
 // tag on the reply.
@@ -479,33 +438,22 @@ func (c *Client) prePostReply(req *wire.Header) uint64 {
 	return req.XID
 }
 
-// Write implements nas.Client: an unstable write the server may hold
-// dirty until Commit.
-func (c *Client) Write(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64) (int64, error) {
-	return c.write(p, h, off, n, bufID, 0)
-}
-
 // WriteStable is the FILE_SYNC write: the server destages the data to
 // disk before replying, so the range needs no commit.
 func (c *Client) WriteStable(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64) (int64, error) {
-	return c.write(p, h, off, n, bufID, wire.FlagStable)
-}
-
-func (c *Client) write(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64, flags uint8) (int64, error) {
-	t := c.carry()
-	j := host.Carried(c.h, p)
-	t.write(&j, h, off, n, bufID, flags)
-	got, err := t.n, t.err
-	c.release(t)
+	r := c.Take(p)
+	r.Task.write(&r.Job, h, off, n, bufID, wire.FlagStable)
+	got, err := r.Task.n, r.Task.err
+	c.Put(r)
 	return got, err
 }
 
-// Commit implements nas.Client: destage the range server-side, then
-// compare the reply's write verifier against the one each uncommitted
-// write was accepted under — ranges accepted by a server incarnation
-// that has since crashed were lost, and are re-issued stably here before
-// Commit returns.
-func (c *Client) Commit(p *sim.Proc, h *nas.Handle, off, n int64) error {
+// commit is the commit's body (Task.Commit): destage the range
+// server-side, then compare the reply's write verifier against the one
+// each uncommitted write was accepted under — ranges accepted by a
+// server incarnation that has since crashed were lost, and are
+// re-issued stably here before the commit returns.
+func (c *Client) commit(p *sim.Proc, h *nas.Handle, off, n int64) error {
 	c.h.Syscall(p)
 	c.h.Compute(p, c.h.P.NFSClientOp)
 	upTo := c.Snapshot() // writes replied after this are not covered

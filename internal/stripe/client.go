@@ -5,7 +5,6 @@ import (
 
 	"danas/internal/host"
 	"danas/internal/nas"
-	"danas/internal/obs"
 	"danas/internal/sim"
 )
 
@@ -268,11 +267,12 @@ func (e *CommitError) Unwrap() []error { return e.Errs }
 // NFS variants and the raw DAFS session client); the cached (O)DAFS
 // client embeds the same Striper behind its block cache (internal/core).
 // Its opens, closes, reads and writes run as step machines (Task) over
-// the sub-clients' tasks.
+// the sub-clients' tasks; the embedded driver runs them, and commits,
+// from a blocking caller.
 type Client struct {
 	Striper
-	subs  []nas.Client
-	carry []*Task // task records for blocking methods, for reuse
+	nas.Driver[*Client, *Task]
+	subs []nas.Client
 }
 
 var _ nas.Client = (*Client)(nil)
@@ -285,20 +285,17 @@ func NewClient(layout Layout, subs []nas.Client) *Client {
 	}
 	c := &Client{subs: subs}
 	c.Striper = NewStriper(layout, c)
+	c.Driver = nas.NewDriver(c, func(c *Client) *Task { return &Task{c: c} })
 	return c
 }
 
 // Name implements nas.Client: the protocol name is the sub-clients'.
 func (c *Client) Name() string { return c.subs[0].Name() }
 
-// NewTask implements nas.Client.
-func (c *Client) NewTask() nas.Task { return &Task{c: c} }
-
 // Task runs one operation of a striped Client at a time as a step
 // machine over a host.Job: the fan-out it is at, and the outcome.
 type Task struct {
 	c     *Client
-	j     host.Job // the job of a blocking method's caller
 	op    nas.Op
 	stage taskStage
 	r     *Run
@@ -361,18 +358,14 @@ func (t *Task) Commit(j *host.Job, h *nas.Handle, off, n int64) bool {
 		t.body = t.commit
 	}
 	t.stage, t.n, t.hd, t.err = taskBlocked, 0, nil, nil
-	return j.Run("stripe-commit", t.body)
+	return j.Run("stripe-commit", t.body) && t.Step(j)
 }
 
-func (t *Task) commit(p *sim.Proc) { t.err = t.c.Commit(p, t.op.H, t.op.Off, t.op.N) }
+func (t *Task) commit(p *sim.Proc) { t.err = t.c.commit(p, t.op.H, t.op.Off, t.op.N) }
 
 // Step implements nas.Task.
 func (t *Task) Step(j *host.Job) bool {
-	for {
-		if t.stage == taskBlocked {
-			t.op = nas.Op{}
-			return true
-		}
+	for t.stage != taskBlocked {
 		if !t.r.Step(j) {
 			return false
 		}
@@ -381,93 +374,26 @@ func (t *Task) Step(j *host.Job) bool {
 		switch t.stage {
 		case taskOpen:
 			t.hd, t.err = r.Handle()
-			r.Release()
-			return true
-		case taskClose:
-			t.err = r.Err()
-			r.Release()
-			return true
 		case taskSpans:
-			got, err := r.Total()
-			r.Release()
-			if err != nil {
-				t.err = err
-				return true
+			var got int64
+			if got, t.err = r.Total(); t.err == nil {
+				t.n = got
 			}
-			t.n = got
-			if t.op.Kind != nas.OpWrite {
-				return true
-			}
-			t.stage, t.r = taskExtend, t.c.Extending(t.op.H, t.op.Off, t.op.N)
-		case taskExtend:
+		default: // a close, a write's extend
 			t.err = r.Err()
-			r.Release()
-			t.op = nas.Op{}
-			return true
 		}
+		r.Release()
+		if t.stage != taskSpans || t.err != nil || t.op.Kind != nas.OpWrite {
+			break
+		}
+		t.stage, t.r = taskExtend, t.c.Extending(t.op.H, t.op.Off, t.op.N)
 	}
+	t.op = nas.Op{}
+	return true
 }
 
 // Result implements nas.Task.
 func (t *Task) Result() (int64, *nas.Handle, error) { return t.n, t.hd, t.err }
-
-// carried returns a task record carried by p, for a blocking method.
-func (c *Client) carried(p *sim.Proc) *Task {
-	var t *Task
-	if k := len(c.carry); k > 0 {
-		t = c.carry[k-1]
-		c.carry = c.carry[:k-1]
-	} else {
-		t = &Task{c: c}
-	}
-	t.j = host.Job{S: p.Sched(), P: p, Span: obs.Active(p)}
-	return t
-}
-
-// release returns a blocking method's task record.
-func (c *Client) release(t *Task) {
-	t.j = host.Job{}
-	c.carry = append(c.carry, t)
-}
-
-// Open implements nas.Client (see Task.Open).
-func (c *Client) Open(p *sim.Proc, name string) (*nas.Handle, error) {
-	t := c.carried(p)
-	t.Open(&t.j, name)
-	h, err := t.hd, t.err
-	c.release(t)
-	return h, err
-}
-
-// Read implements nas.Client (see Task.Read).
-func (c *Client) Read(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64) (int64, error) {
-	t := c.carried(p)
-	t.Read(&t.j, h, off, n, bufID)
-	return c.data(t)
-}
-
-// Write implements nas.Client (see Task.Write).
-func (c *Client) Write(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64) (int64, error) {
-	t := c.carried(p)
-	t.Write(&t.j, h, off, n, bufID)
-	return c.data(t)
-}
-
-// data returns a blocking data operation's outcome and its task record.
-func (c *Client) data(t *Task) (int64, error) {
-	got, err := t.n, t.err
-	c.release(t)
-	return got, err
-}
-
-// Close implements nas.Client (see Task.Close).
-func (c *Client) Close(p *sim.Proc, h *nas.Handle) error {
-	t := c.carried(p)
-	t.Close(&t.j, h)
-	err := t.err
-	c.release(t)
-	return err
-}
 
 // WriteData implements nas.Client: each shard receives its spans' bytes,
 // concurrently like every other data operation; a failed span reports
@@ -491,10 +417,10 @@ func (c *Client) ExtendShard(wp *sim.Proc, shard int, sh *nas.Handle, end int64)
 	return err
 }
 
-// Commit implements nas.Client through CommitSpans: each sub-client runs
-// its own verifier comparison, and failures aggregate into a
-// *CommitError.
-func (c *Client) Commit(p *sim.Proc, h *nas.Handle, off, n int64) error {
+// commit is the commit's body (Task.Commit), through CommitSpans: each
+// sub-client runs its own verifier comparison, and failures aggregate
+// into a *CommitError.
+func (c *Client) commit(p *sim.Proc, h *nas.Handle, off, n int64) error {
 	return c.CommitSpans(p, h, off, n, func(wp *sim.Proc, shard int, sh *nas.Handle, so, sn int64) (int64, error) {
 		return 0, c.subs[shard].Commit(wp, sh, so, sn)
 	})

@@ -1,7 +1,6 @@
 package stripe
 
 import (
-	"danas/internal/host"
 	"danas/internal/nas"
 	"danas/internal/sim"
 )
@@ -15,9 +14,12 @@ import (
 // Used as the per-shard sub-clients of the striped Client, a Group
 // turns S shards × (R+1) copies into the flat S-wide fleet the striping
 // layer already understands: replication is invisible above it.
+//
+// Its reads, writes and commits are the set's task, which the embedded
+// driver runs from a blocking caller.
 type Group struct {
 	*Set[Session]
-	idle *setTask[Session] // the task blocking calls drive, while none runs
+	nas.Driver[*Group, *setTask[Session]]
 }
 
 var _ nas.Client = (*Group)(nil)
@@ -29,7 +31,9 @@ var _ nas.Client = (*Group)(nil)
 func NewGroup(policy AckPolicy, copies []Session) *Group {
 	set := NewSet(policy, len(copies), copies, nil)
 	set.handles = make(map[string][]*nas.Handle)
-	return &Group{Set: set}
+	g := &Group{Set: set}
+	g.Driver = nas.NewDriver(g, func(g *Group) *setTask[Session] { return g.newTask(g) })
+	return g
 }
 
 // Name implements nas.Client.
@@ -37,20 +41,9 @@ func (g *Group) Name() string { return g.copies[0].Name() }
 
 // NewTask implements nas.Client: the set's task (see setTask), whose
 // opens and closes run the group's Open and Close, on every live copy.
-func (g *Group) NewTask() nas.Task { return g.newTask(g) }
-
-// run drives a task of the group's through op from p.
-func (g *Group) run(p *sim.Proc, op nas.Op) (int64, error) {
-	t := g.idle
-	if t == nil {
-		t = g.newTask(g)
-	}
-	g.idle = nil
-	j := host.Carried(nil, p) // the copies' tasks charge on their own hosts
-	nas.RunOp(t, &j, &op)
-	g.idle = t
-	return t.n, t.err
-}
+// It is the driver's, named here because Set.NewTask's name collides
+// with it.
+func (g *Group) NewTask() nas.Task { return g.Driver.NewTask() }
 
 // Open implements nas.Client: the name resolves on every live copy so
 // each session holds its own handle (failover targets included).
@@ -86,17 +79,11 @@ func (g *Group) Getattr(p *sim.Proc, h *nas.Handle) (int64, error) {
 	return size, err
 }
 
-// Read implements nas.Client (serving copy, with failover): reads need
-// only one copy, and keeping them on one session preserves that
-// session's cache and transport state.
-func (g *Group) Read(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64) (int64, error) {
-	return g.run(p, nas.Op{Kind: nas.OpRead, H: h, Off: off, N: n, BufID: bufID})
-}
-
 // Write implements nas.Client: the write reaches every live copy, the
-// ack policy decides how many acknowledgements complete it.
+// ack policy decides how many acknowledgements complete it. It is the
+// driver's, named here because Set.Write's name collides with it.
 func (g *Group) Write(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64) (int64, error) {
-	return g.run(p, nas.Op{Kind: nas.OpWrite, H: h, Off: off, N: n, BufID: bufID})
+	return g.Driver.Write(p, h, off, n, bufID)
 }
 
 // WriteData implements nas.Client, replicating like Write.
@@ -104,14 +91,6 @@ func (g *Group) WriteData(p *sim.Proc, h *nas.Handle, off int64, data []byte) (i
 	return g.Set.Write(p, "grp-wdata", func(wp *sim.Proc, copy int, in Session) (int64, error) {
 		return in.WriteData(wp, g.copyHandle(h, copy), off, data)
 	})
-}
-
-// Commit implements nas.Client: every live copy commits — each session
-// resolves its own verifier and re-issues its own lost ranges — with
-// the same ack requirement as writes, the serving copy authoritative.
-func (g *Group) Commit(p *sim.Proc, h *nas.Handle, off, n int64) error {
-	_, err := g.run(p, nas.Op{Kind: nas.OpCommit, H: h, Off: off, N: n})
-	return err
 }
 
 // Remove implements nas.Client: the name is removed from every live
