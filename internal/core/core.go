@@ -92,8 +92,8 @@ type Client struct {
 	// recorded per-shard handles opens, closes and stats locally.
 	stripe.Striper
 
-	// The embedded driver runs the blocking Close, Write and Commit, and
-	// the opens and reads the fast paths leave, over the client's op.
+	// The embedded driver runs the blocking Write and Commit, and the
+	// opens and reads the fast paths leave, over the client's op.
 	nas.Driver[*Client, *op]
 
 	// shards holds each shard's replica set (width 1 when unreplicated):
@@ -338,6 +338,13 @@ func (c *Client) delegated(name string) (*nas.Handle, bool) {
 	}
 	c.stats.LocalOpens++
 	return hs[0], true
+}
+
+// Close implements nas.Client: local under the delegation, like an
+// open under one, so it takes no op record.
+func (c *Client) Close(p *sim.Proc, _ *nas.Handle) error {
+	c.h.Compute(p, c.h.P.CacheLookup)
+	return nil
 }
 
 // Getattr implements nas.Client: attributes are served under the
