@@ -340,9 +340,8 @@ func (c *Client) delegated(name string) (*nas.Handle, bool) {
 	return hs[0], true
 }
 
-// Close implements nas.Client: local under the delegation, like an
-// open under one, so it takes no op record.
-func (c *Client) Close(p *sim.Proc, _ *nas.Handle) error {
+// Close implements nas.Client: local under a delegation.
+func (c *Client) Close(p *sim.Proc, h *nas.Handle) error {
 	c.h.Compute(p, c.h.P.CacheLookup)
 	return nil
 }

@@ -29,38 +29,38 @@ func TestDriverMatchesBlockingMethods(t *testing.T) {
 	}
 	cases := []struct {
 		name string
-		run  func(p *sim.Proc, c Client, h *Handle) (int64, *Handle, error)
+		run  func(p *sim.Proc, c blocking, h *Handle) (int64, *Handle, error)
 	}{
-		{"open", func(p *sim.Proc, c Client, _ *Handle) (int64, *Handle, error) {
+		{"open", func(p *sim.Proc, c blocking, _ *Handle) (int64, *Handle, error) {
 			h, err := c.Open(p, "f")
 			return 0, h, err
 		}},
-		{"open missing", func(p *sim.Proc, c Client, _ *Handle) (int64, *Handle, error) {
+		{"open missing", func(p *sim.Proc, c blocking, _ *Handle) (int64, *Handle, error) {
 			h, err := c.Open(p, "ghost")
 			return 0, h, err
 		}},
-		{"close", func(p *sim.Proc, c Client, h *Handle) (int64, *Handle, error) {
+		{"close", func(p *sim.Proc, c blocking, h *Handle) (int64, *Handle, error) {
 			return 0, nil, c.Close(p, h)
 		}},
-		{"close stale", func(p *sim.Proc, c Client, _ *Handle) (int64, *Handle, error) {
+		{"close stale", func(p *sim.Proc, c blocking, _ *Handle) (int64, *Handle, error) {
 			return 0, nil, c.Close(p, &Handle{FH: 99})
 		}},
-		{"read", func(p *sim.Proc, c Client, h *Handle) (int64, *Handle, error) {
+		{"read", func(p *sim.Proc, c blocking, h *Handle) (int64, *Handle, error) {
 			n, err := c.Read(p, h, 40, 64, 1)
 			return n, nil, err
 		}},
-		{"read stale", func(p *sim.Proc, c Client, _ *Handle) (int64, *Handle, error) {
+		{"read stale", func(p *sim.Proc, c blocking, _ *Handle) (int64, *Handle, error) {
 			n, err := c.Read(p, &Handle{FH: 99}, 0, 8, 1)
 			return n, nil, err
 		}},
-		{"write", func(p *sim.Proc, c Client, h *Handle) (int64, *Handle, error) {
+		{"write", func(p *sim.Proc, c blocking, h *Handle) (int64, *Handle, error) {
 			n, err := c.Write(p, h, 60, 16, 1)
 			return n, nil, err
 		}},
-		{"commit", func(p *sim.Proc, c Client, h *Handle) (int64, *Handle, error) {
+		{"commit", func(p *sim.Proc, c blocking, h *Handle) (int64, *Handle, error) {
 			return 0, nil, c.Commit(p, h, 0, 0)
 		}},
-		{"commit stale", func(p *sim.Proc, c Client, _ *Handle) (int64, *Handle, error) {
+		{"commit stale", func(p *sim.Proc, c blocking, _ *Handle) (int64, *Handle, error) {
 			return 0, nil, c.Commit(p, &Handle{FH: 99}, 0, 0)
 		}},
 	}
@@ -69,9 +69,9 @@ func TestDriverMatchesBlockingMethods(t *testing.T) {
 			var out [2]outcome
 			for i := range out {
 				m := newMemClient()
-				var c Client = m
+				var c blocking = m
 				if i == 1 {
-					c = &drivenClient{memClient: m, Driver: memDriver(m)}
+					c = memDriver(m)
 				}
 				drive(t, func(p *sim.Proc) {
 					h, err := m.Create(p, "f")
@@ -95,32 +95,14 @@ func TestDriverMatchesBlockingMethods(t *testing.T) {
 	}
 }
 
-// drivenClient is memClient with its blocking data and handle methods
-// the driver's.
-type drivenClient struct {
-	*memClient
-	*Driver[*memClient, *memTask]
+// blocking is the part of Client a Driver implements.
+type blocking interface {
+	Open(p *sim.Proc, name string) (*Handle, error)
+	Close(p *sim.Proc, h *Handle) error
+	Read(p *sim.Proc, h *Handle, off, n int64, bufID uint64) (int64, error)
+	Write(p *sim.Proc, h *Handle, off, n int64, bufID uint64) (int64, error)
+	Commit(p *sim.Proc, h *Handle, off, n int64) error
 }
-
-func (c *drivenClient) Open(p *sim.Proc, name string) (*Handle, error) {
-	return c.Driver.Open(p, name)
-}
-
-func (c *drivenClient) Close(p *sim.Proc, h *Handle) error { return c.Driver.Close(p, h) }
-
-func (c *drivenClient) Read(p *sim.Proc, h *Handle, off, n int64, bufID uint64) (int64, error) {
-	return c.Driver.Read(p, h, off, n, bufID)
-}
-
-func (c *drivenClient) Write(p *sim.Proc, h *Handle, off, n int64, bufID uint64) (int64, error) {
-	return c.Driver.Write(p, h, off, n, bufID)
-}
-
-func (c *drivenClient) Commit(p *sim.Proc, h *Handle, off, n int64) error {
-	return c.Driver.Commit(p, h, off, n)
-}
-
-func (c *drivenClient) NewTask() Task { return c.Driver.NewTask() }
 
 // TestDriverCallAllocations pins a warm round of blocking calls through
 // the driver at zero allocations: its records, with their jobs, are
