@@ -3,8 +3,10 @@
 // plus a larger pool of block *headers*. When a data block is reclaimed its
 // header can live on "empty", still holding the remote memory reference the
 // server piggybacked — that header population is the ORDMA reference
-// directory. Replacement for both populations is pluggable (LRU default,
-// multi-queue as the §4.2 discussion suggests).
+// directory. A header holds its reference by value, as the paper's
+// client keeps it in the block header it already has, so recording one
+// allocates nothing. Replacement for both populations is pluggable (LRU
+// default, multi-queue as the §4.2 discussion suggests).
 //
 // The package is a pure data structure: callers charge simulated CPU time.
 package cache
@@ -17,6 +19,7 @@ type Key struct {
 
 // RemoteRef is a piggybacked reference to a block resident in the server
 // cache: export-space address, length, and the protecting capability.
+// It is held by value; VA 0, which no export is given, means none.
 type RemoteRef struct {
 	VA  uint64
 	Len int64
@@ -30,13 +33,13 @@ type RemoteRef struct {
 }
 
 // Block is one client cache entry. A block always has a header; it may or
-// may not hold data, and may or may not carry a remote reference.
+// may not hold data, and may or may not carry a remote reference (Ref.VA
+// nonzero).
 type Block struct {
 	Key     Key
 	Len     int64
 	HasData bool
-	Ref     *RemoteRef
-	Payload any // opaque content provenance while data is held
+	Ref     RemoteRef
 
 	dataElem   elem // position in the data replacement policy
 	headerElem elem // position in the header replacement policy
@@ -129,16 +132,17 @@ func (c *Cache) Lookup(file uint64, off int64) (b *Block, hit bool) {
 		return b, true
 	}
 	c.stats.DataMisses++
-	if b.Ref != nil {
+	if b.Ref.VA != 0 {
 		c.stats.RefHits++
 	}
 	return b, false
 }
 
 // Insert installs data for the block covering off, with an optional
-// piggybacked remote reference and content payload. Existing header state
-// (a retained reference) is updated in place.
-func (c *Cache) Insert(file uint64, off int64, length int64, ref *RemoteRef, payload any) *Block {
+// piggybacked remote reference (VA 0 for none). Existing header state
+// (a retained reference) is updated in place; a ref with VA 0 leaves it
+// as it is.
+func (c *Cache) Insert(file uint64, off int64, length int64, ref RemoteRef) *Block {
 	key := Key{File: file, Off: c.Align(off)}
 	c.stats.Inserts++
 	b, ok := c.blocks[key]
@@ -152,8 +156,7 @@ func (c *Cache) Insert(file uint64, off int64, length int64, ref *RemoteRef, pay
 		c.headers.Touch(&b.headerElem)
 	}
 	b.Len = length
-	b.Payload = payload
-	if ref != nil {
+	if ref.VA != 0 {
 		b.Ref = ref
 	}
 	if !b.HasData {
@@ -174,13 +177,14 @@ func (c *Cache) Has(file uint64, off int64) bool {
 	return ok
 }
 
-// RefOf returns the remote reference of the block covering off without
-// touching counters or replacement state (the internal directory probe on
-// the fetch path — the user-visible lookup already counted the miss).
-func (c *Cache) RefOf(file uint64, off int64) *RemoteRef {
+// RefOf returns the remote reference of the block covering off, VA 0 if
+// it has none, without touching counters or replacement state (the
+// internal directory probe on the fetch path — the user-visible lookup
+// already counted the miss).
+func (c *Cache) RefOf(file uint64, off int64) RemoteRef {
 	b, ok := c.blocks[Key{File: file, Off: c.Align(off)}]
 	if !ok {
-		return nil
+		return RemoteRef{}
 	}
 	return b.Ref
 }
@@ -188,7 +192,7 @@ func (c *Cache) RefOf(file uint64, off int64) *RemoteRef {
 // SetRef records a remote reference on the block covering off without
 // installing data — building the directory eagerly (§4.2(a)) or refreshing
 // it after an RPC fallback.
-func (c *Cache) SetRef(file uint64, off int64, ref *RemoteRef) *Block {
+func (c *Cache) SetRef(file uint64, off int64, ref RemoteRef) *Block {
 	key := Key{File: file, Off: c.Align(off)}
 	b, ok := c.blocks[key]
 	if !ok {
@@ -210,7 +214,7 @@ func (c *Cache) SetRef(file uint64, off int64, ref *RemoteRef) *Block {
 func (c *Cache) DropRef(file uint64, off int64) {
 	key := Key{File: file, Off: c.Align(off)}
 	if b, ok := c.blocks[key]; ok {
-		b.Ref = nil
+		b.Ref = RemoteRef{}
 	}
 }
 
@@ -238,7 +242,6 @@ func (c *Cache) enforce() {
 		v := c.data.Victim().owner
 		c.data.Remove(&v.dataElem)
 		v.HasData = false
-		v.Payload = nil
 		c.stats.DataEvicts++
 	}
 	for len(c.blocks) > c.headerCap {

@@ -10,9 +10,9 @@ func TestLookupMissThenInsertHit(t *testing.T) {
 	if _, hit := c.Lookup(1, 0); hit {
 		t.Fatal("cold lookup hit")
 	}
-	c.Insert(1, 0, 4096, nil, "blk")
+	c.Insert(1, 0, 2048, RemoteRef{})
 	b, hit := c.Lookup(1, 100) // same block, unaligned offset
-	if !hit || b.Payload != "blk" {
+	if !hit || b.Len != 2048 {
 		t.Fatal("lookup after insert missed")
 	}
 	st := c.Stats()
@@ -30,10 +30,10 @@ func TestAlign(t *testing.T) {
 
 func TestDataEvictionKeepsHeaderAndRef(t *testing.T) {
 	c := New(4096, 2, 10)
-	ref := &RemoteRef{VA: 0x1000, Len: 4096}
-	c.Insert(1, 0, 4096, ref, nil)
-	c.Insert(1, 4096, 4096, nil, nil)
-	c.Insert(1, 8192, 4096, nil, nil) // evicts data of block 0
+	ref := RemoteRef{VA: 0x1000, Len: 4096}
+	c.Insert(1, 0, 4096, ref)
+	c.Insert(1, 4096, 4096, RemoteRef{})
+	c.Insert(1, 8192, 4096, RemoteRef{}) // evicts data of block 0
 	data, headers := c.Len()
 	if data != 2 || headers != 3 {
 		t.Fatalf("data=%d headers=%d, want 2/3", data, headers)
@@ -42,7 +42,7 @@ func TestDataEvictionKeepsHeaderAndRef(t *testing.T) {
 	if hit {
 		t.Fatal("evicted block still reports data")
 	}
-	if b == nil || b.Ref != ref {
+	if b == nil || b.Ref.VA != ref.VA || b.Ref.Len != ref.Len {
 		t.Fatal("empty header lost its remote reference — the ORDMA directory broke")
 	}
 	if st := c.Stats(); st.RefHits != 1 || st.DataEvicts != 1 {
@@ -53,7 +53,7 @@ func TestDataEvictionKeepsHeaderAndRef(t *testing.T) {
 func TestHeaderCapEvictsEntirely(t *testing.T) {
 	c := New(4096, 2, 3)
 	for i := int64(0); i < 5; i++ {
-		c.Insert(1, i*4096, 4096, &RemoteRef{VA: uint64(i)}, nil)
+		c.Insert(1, i*4096, 4096, RemoteRef{VA: uint64(i)})
 	}
 	_, headers := c.Len()
 	if headers != 3 {
@@ -69,10 +69,10 @@ func TestHeaderCapEvictsEntirely(t *testing.T) {
 
 func TestLRUOrderRespectsAccess(t *testing.T) {
 	c := New(4096, 2, 2)
-	c.Insert(1, 0, 4096, nil, nil)
-	c.Insert(1, 4096, 4096, nil, nil)
-	c.Lookup(1, 0)                    // touch block 0: block 4096 is now LRU
-	c.Insert(1, 8192, 4096, nil, nil) // evicts 4096 (header too, cap 2)
+	c.Insert(1, 0, 4096, RemoteRef{})
+	c.Insert(1, 4096, 4096, RemoteRef{})
+	c.Lookup(1, 0)                       // touch block 0: block 4096 is now LRU
+	c.Insert(1, 8192, 4096, RemoteRef{}) // evicts 4096 (header too, cap 2)
 	if _, hit := c.Lookup(1, 0); !hit {
 		t.Fatal("recently-touched block evicted")
 	}
@@ -83,39 +83,83 @@ func TestLRUOrderRespectsAccess(t *testing.T) {
 
 func TestSetRefAndDropRef(t *testing.T) {
 	c := New(4096, 2, 8)
-	ref := &RemoteRef{VA: 7, Len: 4096}
+	ref := RemoteRef{VA: 7, Len: 4096}
 	c.SetRef(3, 4096, ref)
 	b, hit := c.Lookup(3, 4096)
-	if hit || b == nil || b.Ref != ref {
+	if hit || b == nil || b.Ref.VA != ref.VA || b.Ref.Len != ref.Len {
 		t.Fatal("SetRef did not create an empty header with the ref")
 	}
 	c.DropRef(3, 4096)
-	if b.Ref != nil {
+	if b.Ref.VA != 0 {
 		t.Fatal("DropRef failed")
 	}
 	c.DropRef(3, 999999) // unknown block: no-op
 }
 
+// TestRefsHeldByValue checks that a header keeps its own copy of a
+// reference. The fetch path stamps its shard's failover Epoch on the
+// reference it fetched after the fetch, then inserts it: that Epoch,
+// with the capability, is what RefOf sees, and changing the caller's
+// copy, or RefOf's, afterwards changes nothing cached. A refresh
+// replaces the reference whole, a demoted header still counts a ref
+// hit, and after DropRef it counts none.
+func TestRefsHeldByValue(t *testing.T) {
+	c := New(4096, 1, 4)
+	fetched := RemoteRef{VA: 0x2000, Len: 4096, Cap: []byte{1, 2}}
+	fetched.Epoch = 3
+	c.Insert(1, 0, 4096, fetched)
+	fetched.VA, fetched.Epoch = 0x9000, 9
+	got := c.RefOf(1, 0)
+	if got.VA != 0x2000 || got.Len != 4096 || got.Epoch != 3 || len(got.Cap) != 2 {
+		t.Fatalf("RefOf = %+v, want VA 0x2000, Len 4096, Epoch 3 and the capability", got)
+	}
+	got.Epoch = 7
+	if e := c.RefOf(1, 0).Epoch; e != 3 {
+		t.Fatalf("cached Epoch %d after changing RefOf's copy, want 3", e)
+	}
+
+	c.SetRef(1, 0, RemoteRef{VA: 0x3000, Len: 2048})
+	if r := c.RefOf(1, 0); r.VA != 0x3000 || r.Len != 2048 || r.Epoch != 0 || r.Cap != nil {
+		t.Fatalf("after SetRef RefOf = %+v, want the new reference whole", r)
+	}
+
+	c.Insert(1, 4096, 4096, RemoteRef{}) // demotes block 0's data
+	if b, hit := c.Lookup(1, 0); hit || b == nil || b.Ref.VA != 0x3000 {
+		t.Fatalf("demoted header: hit %v, block %+v; want a miss keeping VA 0x3000", hit, b)
+	}
+	c.DropRef(1, 0)
+	if r := c.RefOf(1, 0); r.VA != 0 || r.Cap != nil {
+		t.Fatalf("after DropRef RefOf = %+v, want none", r)
+	}
+	c.Lookup(1, 0)
+	if st := c.Stats(); st.RefHits != 1 || st.DataMisses != 2 {
+		t.Fatalf("stats %+v, want 1 ref hit in 2 misses", st)
+	}
+	if r := c.RefOf(2, 0); r.VA != 0 {
+		t.Fatalf("unknown block's RefOf = %+v, want none", r)
+	}
+}
+
 func TestInsertRefreshesRef(t *testing.T) {
 	c := New(4096, 4, 8)
-	c.Insert(1, 0, 4096, &RemoteRef{VA: 1}, nil)
-	c.Insert(1, 0, 4096, &RemoteRef{VA: 2}, nil)
+	c.Insert(1, 0, 4096, RemoteRef{VA: 1})
+	c.Insert(1, 0, 4096, RemoteRef{VA: 2})
 	b, _ := c.Lookup(1, 0)
 	if b.Ref.VA != 2 {
 		t.Fatalf("ref VA = %d, want refreshed 2", b.Ref.VA)
 	}
 	// Insert without a ref keeps the old one.
-	c.Insert(1, 0, 4096, nil, nil)
-	if b.Ref == nil || b.Ref.VA != 2 {
-		t.Fatal("nil-ref insert clobbered the stored reference")
+	c.Insert(1, 0, 4096, RemoteRef{})
+	if b.Ref.VA != 2 {
+		t.Fatal("a ref-less insert clobbered the stored reference")
 	}
 }
 
 func TestInvalidateFile(t *testing.T) {
 	c := New(4096, 8, 16)
-	c.Insert(1, 0, 4096, nil, nil)
-	c.Insert(1, 4096, 4096, nil, nil)
-	c.Insert(2, 0, 4096, nil, nil)
+	c.Insert(1, 0, 4096, RemoteRef{})
+	c.Insert(1, 4096, 4096, RemoteRef{})
+	c.Insert(2, 0, 4096, RemoteRef{})
 	c.InvalidateFile(1)
 	data, headers := c.Len()
 	if data != 1 || headers != 1 {
@@ -142,11 +186,11 @@ func TestCapacityInvariantProperty(t *testing.T) {
 			off := int64(op%64) * 4096
 			switch op % 3 {
 			case 0:
-				c.Insert(1, off, 4096, nil, nil)
+				c.Insert(1, off, 4096, RemoteRef{})
 			case 1:
 				c.Lookup(1, off)
 			case 2:
-				c.SetRef(1, off, &RemoteRef{VA: uint64(op)})
+				c.SetRef(1, off, RemoteRef{VA: uint64(op)})
 			}
 			data, headers := c.Len()
 			if data > 4 || headers > 12 || data > headers {
@@ -167,7 +211,7 @@ func TestCapacityInvariantPropertyMQ(t *testing.T) {
 		for _, op := range ops {
 			off := int64(op%64) * 4096
 			if op%2 == 0 {
-				c.Insert(1, off, 4096, nil, nil)
+				c.Insert(1, off, 4096, RemoteRef{})
 			} else {
 				c.Lookup(1, off)
 			}
@@ -186,12 +230,12 @@ func TestCapacityInvariantPropertyMQ(t *testing.T) {
 func TestMQPromotesFrequentBlocks(t *testing.T) {
 	mq := NewMQ(4, 1000)
 	c := New(4096, 2, 8, WithPolicies(mq, NewLRU()))
-	c.Insert(1, 0, 4096, nil, nil)
+	c.Insert(1, 0, 4096, RemoteRef{})
 	for i := 0; i < 8; i++ {
 		c.Lookup(1, 0) // hot: freq 9 -> queue 3
 	}
-	c.Insert(1, 4096, 4096, nil, nil)
-	c.Insert(1, 8192, 4096, nil, nil) // one of the cold blocks must go
+	c.Insert(1, 4096, 4096, RemoteRef{})
+	c.Insert(1, 8192, 4096, RemoteRef{}) // one of the cold blocks must go
 	if _, hit := c.Lookup(1, 0); !hit {
 		t.Fatal("MQ evicted the hot block over a cold one")
 	}

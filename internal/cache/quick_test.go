@@ -27,9 +27,9 @@ func applyOp(c *Cache, code uint16) {
 	case 0:
 		c.Lookup(file, off)
 	case 1:
-		c.Insert(file, off, qBlockSize, &RemoteRef{VA: uint64(off) + 1, Len: qBlockSize}, nil)
+		c.Insert(file, off, qBlockSize, RemoteRef{VA: uint64(off) + 1, Len: qBlockSize})
 	case 2:
-		c.SetRef(file, off, &RemoteRef{VA: uint64(off) + 1, Len: qBlockSize})
+		c.SetRef(file, off, RemoteRef{VA: uint64(off) + 1, Len: qBlockSize})
 	case 3:
 		c.InvalidateFile(file)
 	}
@@ -81,7 +81,7 @@ func TestQuickEvictionAccounting(t *testing.T) {
 			if hadHeader {
 				_, hadData = c.Lookup(file, off)
 			}
-			c.Insert(file, off, qBlockSize, nil, nil)
+			c.Insert(file, off, qBlockSize, RemoteRef{})
 			if !hadHeader {
 				newHeaders++
 			}
@@ -126,10 +126,10 @@ func TestQuickDemotionPreservesRef(t *testing.T) {
 			case 0:
 				c.Lookup(file, off)
 			case 1:
-				c.Insert(file, off, qBlockSize, &RemoteRef{VA: uint64(off) + 1, Len: qBlockSize}, nil)
+				c.Insert(file, off, qBlockSize, RemoteRef{VA: uint64(off) + 1, Len: qBlockSize})
 				refs[key] = uint64(off) + 1
 			case 2:
-				c.SetRef(file, off, &RemoteRef{VA: uint64(off) + 7, Len: qBlockSize})
+				c.SetRef(file, off, RemoteRef{VA: uint64(off) + 7, Len: qBlockSize})
 				refs[key] = uint64(off) + 7
 			case 3:
 				c.DropRef(file, off)
@@ -144,7 +144,7 @@ func TestQuickDemotionPreservesRef(t *testing.T) {
 					continue
 				}
 				ref := c.RefOf(k.File, k.Off)
-				if ref == nil || ref.VA != va {
+				if ref.VA != va {
 					t.Logf("block %+v lost or changed its ref (want VA %d, got %+v)", k, va, ref)
 					return false
 				}

@@ -61,8 +61,9 @@ func (r *shardRig) mount(cfg Config) *Client {
 // per shard), a range commit over the same bytes, a warm 16 KB read
 // (four ORDMA gets, the data blocks evicted but their references
 // kept), a 4 KB cache hit submitted and reaped through the async facade
-// and the same hit through the blocking Read, an open under a delegation
-// — and of mounting one client over 8 shards. Client and servers
+// and the same hit through the blocking Read, an open under a delegation,
+// a 4 KB miss over RPC whose reply's reference is installed in its
+// header — and of mounting one client over 8 shards. Client and servers
 // count together: a process serves one operation per token it takes
 // from a queue, so a round allocates only what the operation does. A
 // striping layer that allocates per span or per shard shows here before
@@ -132,6 +133,26 @@ func TestStripedCachedAllocations(t *testing.T) {
 			}
 			if c.Stats().LocalOpens == opens {
 				return fmt.Errorf("open went to the servers")
+			}
+			return nil
+		}},
+		// A miss over the DAFS RPC path: cycling over five blocks no
+		// other row reads, one more than the data blocks, each read
+		// finds its block's data evicted, and its reference dropped
+		// here, so the reply's piggybacked reference is installed, by
+		// value, in the header the block has had since its first round.
+		{"rpc miss installing a ref", 0, func(p *sim.Proc, round int) error {
+			off := 4*size + int64(round%5)*4096
+			c.c.DropRef(h.FH, off)
+			rpcReads := c.Stats().RPCReads
+			if _, err := c.Read(p, h, off, 4096, 1); err != nil {
+				return err
+			}
+			if c.Stats().RPCReads == rpcReads {
+				return fmt.Errorf("round %d did not read over RPC", round)
+			}
+			if ref := c.c.RefOf(h.FH, off); ref.VA == 0 {
+				return fmt.Errorf("round %d installed no reference", round)
 			}
 			return nil
 		}},

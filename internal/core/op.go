@@ -203,7 +203,7 @@ func (o *op) Step(j *host.Job) bool {
 				return false
 			}
 		case opInserted:
-			c.c.Insert(o.h.FH, o.bo, c.cfg.BlockSize, nil, nil)
+			c.c.Insert(o.h.FH, o.bo, c.cfg.BlockSize, cache.RemoteRef{})
 			o.bo += c.cfg.BlockSize
 			o.stage = opInsert
 		case opExtending:
@@ -323,8 +323,8 @@ type fetch struct {
 	len   int64
 	key   cache.Key
 	f     *inflightFetch
-	alone bool // an RPC population, outside the coalescing table
-	ref   *cache.RemoteRef
+	alone bool            // an RPC population, outside the coalescing table
+	ref   cache.RemoteRef // by value: VA 0 for none
 	rdma  vi.RDMAOp
 	set   *stripe.Set[*dafs.Client]
 	copy  int
@@ -355,7 +355,7 @@ const (
 // directory and the coalescing table (PopulateDirectory's walk).
 func (f *fetch) start(j *host.Job, h *nas.Handle, off int64, alone bool) bool {
 	c := f.c
-	f.h, f.off, f.alone, f.ref, f.err = h, off, alone, nil, nil
+	f.h, f.off, f.alone, f.ref, f.err = h, off, alone, cache.RemoteRef{}, nil
 	f.len = min(c.cfg.BlockSize, h.Size-off)
 	if alone {
 		f.stage = fetchRPC
@@ -381,7 +381,7 @@ func (f *fetch) start(j *host.Job, h *nas.Handle, off int64, alone bool) bool {
 	c.inflight[f.key] = f.f
 	f.stage = fetchRPC
 	if c.cfg.UseORDMA {
-		if ref := c.c.RefOf(h.FH, off); ref != nil {
+		if ref := c.c.RefOf(h.FH, off); ref.VA != 0 {
 			shard := c.Layout().ShardOf(off)
 			if ref.Epoch != c.shards[shard].Failovers {
 				// The reference was exported by a copy this shard has
@@ -427,7 +427,7 @@ func (f *fetch) step(j *host.Job) bool {
 			// and retry over RPC, which returns a fresh one.
 			c.stats.ORDMAFaults++
 			c.c.DropRef(f.h.FH, f.off)
-			f.ref, f.stage = nil, fetchRPC
+			f.ref, f.stage = cache.RemoteRef{}, fetchRPC
 		case fetchRPC:
 			// Populate over the owning shard's DAFS RPC path; a
 			// retry-exhausted serving copy triggers failover and the
@@ -472,7 +472,7 @@ func (f *fetch) step(j *host.Job) bool {
 				f.stage = fetchDone
 				break
 			}
-			if f.ref != nil {
+			if f.ref.VA != 0 {
 				f.ref.Epoch = f.set.Failovers
 			}
 			f.stage = fetchInsert
@@ -489,10 +489,10 @@ func (f *fetch) step(j *host.Job) bool {
 				return false
 			}
 		case fetchInserted:
-			c.c.Insert(f.h.FH, f.off, f.len, f.ref, nil)
+			c.c.Insert(f.h.FH, f.off, f.len, f.ref)
 			f.stage = fetchDone
 		case fetchDone:
-			f.h, f.set, f.sh, f.ref, f.stage = nil, nil, nil, nil, fetchEnded
+			f.h, f.set, f.sh, f.ref, f.stage = nil, nil, nil, cache.RemoteRef{}, fetchEnded
 			if f.alone {
 				return true
 			}
@@ -512,7 +512,7 @@ func (f *fetch) step(j *host.Job) bool {
 // survivors (stripe.Set.Retry), on a process of its own.
 func (f *fetch) failover(p *sim.Proc) {
 	c, sh, off, n := f.c, f.sh, f.off, f.len
-	var ref *cache.RemoteRef
+	var ref cache.RemoteRef
 	f.err = f.set.Retry(p, f.err, f.copy, func(wp *sim.Proc, _ int, inner *dafs.Client) error {
 		var err error
 		if c.cfg.InlineRPC {

@@ -53,7 +53,7 @@ type Client struct {
 	// Commit, and the other session calls, over the client's Task.
 	nas.Driver[*Client, *Task]
 
-	msgs msgPool // the request records this client sends
+	msgs *sim.Pool[msg] // the simulation's message records (msgPools)
 }
 
 var _ nas.Client = (*Client)(nil)
@@ -73,29 +73,31 @@ type sent struct {
 	payloadBytes int64
 }
 
-// message returns a transmission of s in a fresh record.
+// message returns a transmission of s in a record from the pool.
 func (c *Client) message(s *sent) vi.Msg {
 	return vi.Msg{
 		HeaderBytes:  s.body.Hdr.WireSize() + 16*len(s.body.Batch),
 		PayloadBytes: s.payloadBytes,
-		Header:       c.msgs.send(&s.body),
+		Header:       c.msgs.Copy(&s.body),
 		Span:         s.body.Hdr.Span,
 	}
 }
 
 // NewClient connects a client on clientNIC to srv. mode picks the client's
 // completion discipline (the paper's user-level client polls). The
-// scheduler is the client host's.
-func NewClient(_ *sim.Scheduler, clientNIC *nic.NIC, srv *Server, mode nic.NotifyMode, transfer TransferMode) *Client {
+// scheduler is the client host's; the client's call and message records
+// come from its pools.
+func NewClient(s *sim.Scheduler, clientNIC *nic.NIC, srv *Server, mode nic.NotifyMode, transfer TransferMode) *Client {
 	c := &Client{
 		h:        clientNIC.Host(),
 		n:        clientNIC,
 		qp:       srv.Connect(clientNIC, mode),
 		transfer: transfer,
 		regs:     nic.NewRegCache(clientNIC),
+		msgs:     msgPools.Of(s),
 	}
 	c.Driver = nas.NewDriver(c, func(c *Client) *Task { return &Task{c: c} })
-	c.Init(c.resend)
+	c.Init(callPools.Of(s), c.resend)
 	c.qp.Listen(c.complete)
 	return c
 }
@@ -131,7 +133,7 @@ func (c *Client) complete(m nic.Message) bool {
 		call.Reply = completion{hdr: rep.Hdr, payloadBytes: m.PayloadBytes, ref: rep.Ref}
 		call.Resolve()
 	}
-	rep.release()
+	c.msgs.Release(rep)
 	return true
 }
 
@@ -202,10 +204,11 @@ type Task struct {
 
 	// N, Handle, Ref and Err are the finished operation's outcome: the
 	// bytes it moved, the handle an open resolved, a read's piggybacked
-	// remote memory reference, and the error.
+	// remote memory reference, held by value (VA 0 when the reply
+	// carried none), and the error.
 	N      int64
 	Handle *nas.Handle
-	Ref    *cache.RemoteRef
+	Ref    cache.RemoteRef
 	Err    error
 }
 
@@ -242,7 +245,7 @@ func (t *Task) request(hdr wire.Header, batch []int64, data []byte, payload int6
 // start runs a task set up for op on j from stage.
 func (t *Task) start(j *host.Job, op taskOp, stage taskStage) bool {
 	j.H = t.c.h
-	t.op, t.stage, t.N, t.Handle, t.Ref, t.Err = op, stage, 0, nil, nil, nil
+	t.op, t.stage, t.N, t.Handle, t.Ref, t.Err = op, stage, 0, nil, cache.RemoteRef{}, nil
 	return t.Step(j)
 }
 
@@ -308,7 +311,7 @@ func (t *Task) Write(j *host.Job, h *nas.Handle, off, n int64, bufID uint64) boo
 // (host.Job.Run).
 func (t *Task) Commit(j *host.Job, h *nas.Handle, off, n int64) bool {
 	t.h, t.hdr.Offset, t.hdr.Length = h, off, n
-	t.op, t.stage, t.N, t.Handle, t.Ref, t.Err = taskCall, taskDone, 0, nil, nil, nil
+	t.op, t.stage, t.N, t.Handle, t.Ref, t.Err = taskCall, taskDone, 0, nil, cache.RemoteRef{}, nil
 	if t.body == nil {
 		t.body = t.commit
 	}
@@ -435,19 +438,20 @@ func (c *Client) Remove(p *sim.Proc, name string) error {
 
 // ReadDirect reads n bytes at off into the registered buffer bufID via
 // server-initiated RDMA. It returns the byte count and any piggybacked
-// remote memory reference (non-nil only against an optimistic server).
-func (c *Client) ReadDirect(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64) (int64, *cache.RemoteRef, error) {
+// remote memory reference, by value (VA 0 unless the server is
+// optimistic).
+func (c *Client) ReadDirect(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64) (int64, cache.RemoteRef, error) {
 	return c.read(p, h, off, n, bufID, Direct)
 }
 
 // ReadInline reads n bytes at off with the payload in-line in the reply.
 // The caller charges the copy to the data's final destination (user buffer
 // or client cache block), which is what distinguishes the Table 3 columns.
-func (c *Client) ReadInline(p *sim.Proc, h *nas.Handle, off, n int64) (int64, *cache.RemoteRef, error) {
+func (c *Client) ReadInline(p *sim.Proc, h *nas.Handle, off, n int64) (int64, cache.RemoteRef, error) {
 	return c.read(p, h, off, n, 0, Inline)
 }
 
-func (c *Client) read(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64, mode TransferMode) (int64, *cache.RemoteRef, error) {
+func (c *Client) read(p *sim.Proc, h *nas.Handle, off, n int64, bufID uint64, mode TransferMode) (int64, cache.RemoteRef, error) {
 	r := c.Take(p)
 	c.ReadThen(&r.Job, r.Task, h, off, n, bufID, mode)
 	got, ref, err := r.Task.N, r.Task.Ref, r.Task.Err

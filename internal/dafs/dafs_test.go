@@ -64,7 +64,7 @@ func TestOpenReadDirect(t *testing.T) {
 		if err != nil || n != 65536 {
 			t.Errorf("read: n=%d err=%v", n, err)
 		}
-		if ref != nil {
+		if ref.VA != 0 {
 			t.Error("non-optimistic server piggybacked a reference")
 		}
 	})
@@ -110,7 +110,7 @@ func TestOptimisticServerPiggybacksRefs(t *testing.T) {
 			t.Errorf("read: %v", err)
 			return
 		}
-		if rr == nil || rr.VA == 0 || rr.Len != 16384 {
+		if rr.VA == 0 || rr.Len != 16384 {
 			t.Errorf("piggybacked ref %+v", rr)
 		}
 	})
@@ -133,7 +133,7 @@ func TestExportsInvalidatedOnEviction(t *testing.T) {
 				t.Errorf("read %d: %v", i, err)
 				return
 			}
-			if rr != nil {
+			if rr.VA != 0 {
 				refs = append(refs, rr.VA)
 			}
 		}

@@ -4,9 +4,11 @@ import (
 	"errors"
 	"testing"
 
+	"danas/internal/host"
 	"danas/internal/nas"
 	"danas/internal/nic"
 	"danas/internal/sim"
+	"danas/internal/wire"
 )
 
 // TestForeignExportSlotPiggybacksNothing is the checked-assertion
@@ -34,7 +36,7 @@ func TestForeignExportSlotPiggybacksNothing(t *testing.T) {
 		if err != nil || n != 16*1024 {
 			t.Errorf("read: n=%d err=%v", n, err)
 		}
-		if ref != nil {
+		if ref.VA != 0 {
 			t.Error("foreign export slot still piggybacked a reference")
 		}
 	})
@@ -112,5 +114,83 @@ func TestSessionRetryRecoversAcrossRestart(t *testing.T) {
 	}
 	if c.TimedOut != 0 {
 		t.Fatalf("TimedOut = %d, want 0", c.TimedOut)
+	}
+}
+
+// TestSharedRecordsUnderRetransmission runs two sessions on one
+// scheduler, whose call records come from one pool and whose XIDs each
+// count from 1. A's third call is answered while its retransmission
+// timer is still armed; B's third call, XID 3 as well, then takes the
+// record A's call ended with, for a read, into a buffer already
+// registered, that takes several milliseconds. When A's timer fires it must find A's call answered, by
+// A's own table, and neither resend B's request nor fail B's call; and
+// a late duplicate of A's reply, reaching A's session while B's call is
+// out, must not resolve B's call.
+func TestSharedRecordsUnderRetransmission(t *testing.T) {
+	const size = 2 << 20
+	r := newRig(t, false, 1<<16)
+	f, _ := r.fs.Create("data", 4<<20)
+	r.sc.Warm(f)
+	a := r.newClient(t, nic.Poll, Direct)
+	b := r.newClient(t, nic.Poll, Direct)
+	pool := callPools.Of(r.s)
+
+	var reused bool
+	var bt Task
+	var bTook sim.Duration
+	r.s.Go("app", func(p *sim.Proc) {
+		hb, err := b.Open(p, "data") // B's XID 1
+		if err != nil {
+			t.Errorf("B's open: %v", err)
+			return
+		}
+		if _, _, err := b.ReadDirect(p, hb, 0, size, 1); err != nil { // B's XID 2
+			t.Errorf("B's first read: %v", err)
+			return
+		}
+		ha, err := a.Open(p, "data") // A's XID 1
+		if err == nil {
+			_, err = a.Getattr(p, ha) // A's XID 2
+		}
+		if err != nil {
+			t.Errorf("A's open or getattr: %v", err)
+			return
+		}
+		a.SetRetry(sim.Millisecond, 1)
+		if _, err := a.Getattr(p, ha); err != nil { // A's XID 3
+			t.Errorf("A's getattr: %v", err)
+			return
+		}
+		// The record the pool hands out next is the one A's call ended
+		// with: B's read must take it.
+		rec := pool.Get()
+		pool.Put(rec)
+		r.s.After(sim.Millisecond/2, func() { reused = bt.call == rec })
+		// A late duplicate of A's getattr reply, while B's read is out.
+		r.s.After(3*sim.Millisecond, func() {
+			dup := msg{Hdr: wire.Header{Op: wire.OpGetattr, XID: 3, Status: wire.StatusOK, Length: 1}}
+			a.complete(nic.Message{Header: msgPools.Of(r.s).Copy(&dup)})
+		})
+		j := host.Carried(b.h, p)
+		start := p.Now()
+		b.ReadThen(&j, &bt, hb, 0, size, 1, Direct) // B's XID 3
+		bTook = p.Now().Sub(start)
+	})
+	r.s.Run()
+
+	if !reused {
+		t.Fatal("B's read did not take the record A's call ended with")
+	}
+	if bt.Err != nil || bt.N != size || bt.hdr.XID != 3 || bTook < 5*sim.Millisecond {
+		t.Fatalf("B's read (XID %d) took %v for %d bytes (err %v), want its own %d bytes in over 5 ms", bt.hdr.XID, bTook, bt.N, bt.Err, size)
+	}
+	if a.Retransmits != 0 || a.TimedOut != 0 || b.Retransmits != 0 || b.TimedOut != 0 {
+		t.Fatalf("A retransmitted %d and timed out %d, B %d and %d; want none", a.Retransmits, a.TimedOut, b.Retransmits, b.TimedOut)
+	}
+	if r.srv.Reads != 2 {
+		t.Fatalf("server served %d reads, want B's two", r.srv.Reads)
+	}
+	if a.Outstanding() != 0 || b.Outstanding() != 0 {
+		t.Fatalf("outstanding: A %d, B %d", a.Outstanding(), b.Outstanding())
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"danas/internal/fsd"
 	"danas/internal/fsim"
 	"danas/internal/host"
+	"danas/internal/nas"
 	"danas/internal/nic"
 	"danas/internal/obs"
 	"danas/internal/sim"
@@ -52,7 +53,7 @@ type Server struct {
 	// multi-leaf fabrics — the single-switch star cannot black-hole.
 	RDMATimeout sim.Duration
 
-	msgs msgPool // the reply records the server's sessions send
+	msgs *sim.Pool[msg] // the simulation's message records (msgPools)
 
 	// Discarded counts session requests dropped while down.
 	Discarded uint64
@@ -68,6 +69,7 @@ func NewServer(s *sim.Scheduler, n *nic.NIC, fs *fsim.FS, sc *fsim.ServerCache, 
 		N:          n,
 		Mode:       nic.Intr,
 		Optimistic: optimistic,
+		msgs:       msgPools.Of(s),
 	}
 	if optimistic {
 		sc.OnInsert = func(b *fsim.CacheBlock) {
@@ -119,10 +121,10 @@ func (srv *Server) Connect(clientNIC *nic.NIC, clientMode nic.NotifyMode) *vi.QP
 }
 
 // msg is the session message body carried over VI, a request or a
-// reply, with its header held by value. The sender owns the record: it
-// takes one from its free list for every send, retransmissions
+// reply, with its header held by value. The sender takes a record from
+// the simulation's pool (msgPools) for every send, retransmissions
 // included, and the receiver copies what it keeps and releases the
-// record back to that list before its receive callback returns. A
+// record to the same pool before its receive callback returns. A
 // message lost on the way leaves its record to the collector; none is
 // shared by two transmissions, so a late or duplicate message always
 // carries its own contents.
@@ -134,33 +136,16 @@ type msg struct {
 	Data []byte
 	// Ref is the file range an in-line read reply's payload carries.
 	Ref fsim.BlockRef
-
-	pool *msgPool
 }
 
-// msgPool is a client's or a server's free list of message records.
-type msgPool struct{ free []*msg }
-
-// send returns a pooled or fresh record holding a copy of m.
-func (mp *msgPool) send(m *msg) *msg {
-	var r *msg
-	if k := len(mp.free); k > 0 {
-		r = mp.free[k-1]
-		mp.free = mp.free[:k-1]
-	} else {
-		r = new(msg)
-	}
-	*r = *m
-	r.pool = mp
-	return r
-}
-
-// release returns a received record to its sender's free list.
-func (m *msg) release() {
-	mp := m.pool
-	*m = msg{}
-	mp.free = append(mp.free, m)
-}
+// msgPools and callPools name the simulation's pools of message and
+// call records, which every client and server session on a scheduler
+// share: a pool per session would warm to that session's own high
+// water, and a fleet has thousands of sessions.
+var (
+	msgPools  = sim.NewPoolKey[msg]()
+	callPools = sim.NewPoolKey[nas.Call[completion, sent]]()
+)
 
 // session is the server side of one DAFS session, a kernel worker run
 // by callbacks: a receive loop on the session QP (vi.QP.Listen) and the
@@ -215,12 +200,12 @@ const (
 func (ss *session) accept(m nic.Message) bool {
 	req := m.Header.(*msg)
 	if ss.srv.Down() {
-		req.release()
+		ss.srv.msgs.Release(req)
 		ss.srv.Discarded++
 		return true // crashed host: the request dies unexecuted
 	}
 	ss.hdr, ss.batch, ss.data = req.Hdr, req.Batch, req.Data
-	req.release()
+	ss.srv.msgs.Release(req)
 	// The request's span (if traced) is active for exactly its scope, so
 	// server CPU, cache, disk and write-behind work attribute to the
 	// originating operation while the idle wait for the next request
@@ -386,7 +371,7 @@ func (ss *session) readReply() bool {
 	return ss.send(vi.Msg{
 		HeaderBytes:  resp.WireSize(),
 		PayloadBytes: ss.total,
-		Header:       srv.msgs.send(&msg{Hdr: resp, Ref: fsim.BlockRef{File: ss.f.ID, Off: h.Offset, Len: ss.total}}),
+		Header:       srv.msgs.Copy(&msg{Hdr: resp, Ref: fsim.BlockRef{File: ss.f.ID, Off: h.Offset, Len: ss.total}}),
 		Span:         ss.job.Span,
 	})
 }
@@ -417,7 +402,7 @@ func (ss *session) reply(h wire.Header) bool {
 	if ss.srv.Down() {
 		return ss.finish()
 	}
-	return ss.send(vi.Msg{HeaderBytes: h.WireSize(), Header: ss.srv.msgs.send(&msg{Hdr: h}), Span: ss.job.Span})
+	return ss.send(vi.Msg{HeaderBytes: h.WireSize(), Header: ss.srv.msgs.Copy(&msg{Hdr: h}), Span: ss.job.Span})
 }
 
 // send transmits m to the client, charging the host send cost (library
@@ -485,13 +470,14 @@ func (srv *Server) reply(p *sim.Proc, qp *vi.QP, h wire.Header) {
 	if srv.Down() {
 		return
 	}
-	qp.Send(p, &vi.Msg{HeaderBytes: h.WireSize(), Header: srv.msgs.send(&msg{Hdr: h}), Span: obs.Active(p)})
+	qp.Send(p, &vi.Msg{HeaderBytes: h.WireSize(), Header: srv.msgs.Copy(&msg{Hdr: h}), Span: obs.Active(p)})
 }
 
-// RemoteRefOf converts piggybacked reply fields into a directory entry.
-func RemoteRefOf(h *wire.Header) *cache.RemoteRef {
+// RemoteRefOf converts piggybacked reply fields into a directory entry,
+// by value: VA 0 when the reply carries none.
+func RemoteRefOf(h *wire.Header) cache.RemoteRef {
 	if h.RefVA == 0 {
-		return nil
+		return cache.RemoteRef{}
 	}
-	return &cache.RemoteRef{VA: h.RefVA, Len: h.RefLen, Cap: h.RefCap}
+	return cache.RemoteRef{VA: h.RefVA, Len: h.RefLen, Cap: h.RefCap}
 }

@@ -91,7 +91,7 @@ func TestWriteToExportedBlockRefreshesExport(t *testing.T) {
 			t.Errorf("fallback read: n=%d err=%v", n, err)
 			return
 		}
-		if ref == nil || ref.Len != bs || ref.VA != fresh.VA {
+		if ref.VA == 0 || ref.Len != bs || ref.VA != fresh.VA {
 			t.Errorf("fallback read piggybacked ref %+v, want the fresh %d-byte export at %#x", ref, bs, fresh.VA)
 		}
 	})

@@ -153,11 +153,11 @@ func cachedLatency(n int, mechanism string) float64 {
 
 // collectRefs reads the file's first n 4 KB blocks in-line over RPC and
 // returns the server memory reference piggybacked on each reply.
-func collectRefs(p *sim.Proc, client *dafs.Client, h *nas.Handle, n int) []*cache.RemoteRef {
-	refs := make([]*cache.RemoteRef, 0, n)
+func collectRefs(p *sim.Proc, client *dafs.Client, h *nas.Handle, n int) []cache.RemoteRef {
+	refs := make([]cache.RemoteRef, 0, n)
 	for off := int64(0); off < int64(n)*4096; off += 4096 {
 		_, ref, err := client.ReadInline(p, h, off, 4096)
-		if err != nil || ref == nil {
+		if err != nil || ref.VA == 0 {
 			panic("exper: ORDMA reference collection failed")
 		}
 		refs = append(refs, ref)
@@ -167,7 +167,7 @@ func collectRefs(p *sim.Proc, client *dafs.Client, h *nas.Handle, n int) []*cach
 
 // ordmaGets issues one client-initiated 4 KB get per reference, observing
 // each get's latency into hist.
-func ordmaGets(p *sim.Proc, client *dafs.Client, refs []*cache.RemoteRef, hist *metrics.Hist) {
+func ordmaGets(p *sim.Proc, client *dafs.Client, refs []cache.RemoteRef, hist *metrics.Hist) {
 	for _, ref := range refs {
 		start := p.Now()
 		if res := client.QP().RDMA(p, nic.Get, ref.VA, 4096, ref.Cap); !res.OK() {

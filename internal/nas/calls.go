@@ -16,7 +16,7 @@ import (
 type CallTable[T, M any] struct {
 	nextXID uint64
 	pending map[uint64]*Call[T, M]
-	free    []*Call[T, M] // ended calls' records, for reuse
+	pool    *sim.Pool[Call[T, M]] // the simulation's call records, for reuse
 	resend  func(*M)
 
 	// RetransmitTimeout, when nonzero, re-sends an unanswered request
@@ -34,13 +34,16 @@ type CallTable[T, M any] struct {
 }
 
 // Call is one call's record: its request, its reply, and the
-// completion its caller waits on. The table owns it: Begin takes it from
-// the table's free list, and End puts it back once the caller has read
-// the reply. A record is matched to replies only through its call's XID,
-// which is never reused, so a late reply, or a retransmission timer, of
-// a call that has ended finds no call and cannot touch a later call that
-// reuses the record. Request and reply live here, not on the caller's
-// stack, so a process blocked in a call keeps a small stack.
+// completion its caller waits on. Records belong to the simulation, not
+// to one table: Begin takes one from the pool the table was given, which
+// every table of the same record type on the scheduler shares, and End
+// puts it back once the caller has read the reply. A record is matched
+// to replies only through its table and its call's XID, which the table
+// never reuses, so a late reply, or a retransmission timer, of a call
+// that has ended finds no call and cannot touch a later call that reuses
+// the record, on this table or on another whose XIDs count the same
+// numbers. Request and reply live here, not on the caller's stack, so a
+// process blocked in a call keeps a small stack.
 type Call[T, M any] struct {
 	// Req is the request as sent: the protocol sets it before Wait, and
 	// its resend re-sends it while the call is pending.
@@ -57,31 +60,31 @@ type Call[T, M any] struct {
 // Resolve completes the call with its Reply, waking its caller.
 func (c *Call[T, M]) Resolve() { c.sig.Fire() }
 
-// Init readies the table. resend re-sends a pending call's request
-// from event context (the protocol's retransmission timer), charging
-// its send cost asynchronously.
-func (t *CallTable[T, M]) Init(resend func(*M)) {
+// Init readies the table. pool is the simulation's pool of call
+// records (a sim.PoolKey's, on the table's scheduler). resend re-sends
+// a pending call's request from event context (the protocol's
+// retransmission timer), charging its send cost asynchronously.
+func (t *CallTable[T, M]) Init(pool *sim.Pool[Call[T, M]], resend func(*M)) {
 	t.pending = make(map[uint64]*Call[T, M])
+	t.pool = pool
 	t.resend = resend
 }
 
 // Begin registers a call made on j: it stamps hdr with the next XID and
 // j's span, and returns the call's record, with a zero request and
-// reply, from the table's free list.
+// reply, from the pool.
 func (t *CallTable[T, M]) Begin(j *host.Job, hdr *wire.Header) *Call[T, M] {
 	t.nextXID++
 	hdr.XID = t.nextXID
 	hdr.Span = j.Span
 	t.Calls++
-	var c *Call[T, M]
-	if k := len(t.free); k > 0 {
-		c = t.free[k-1]
-		t.free = t.free[:k-1]
+	c := t.pool.Get()
+	if c.sig == nil {
+		c.sig = sim.NewSignal(j.Sched())
+	} else {
 		var zero T
 		c.Reply, c.failed = zero, false
 		c.sig.Reset()
-	} else {
-		c = &Call[T, M]{sig: sim.NewSignal(j.Sched())}
 	}
 	c.xid, c.span = hdr.XID, hdr.Span
 	t.pending[hdr.XID] = c
@@ -99,14 +102,14 @@ func (t *CallTable[T, M]) Answer(xid uint64) *Call[T, M] {
 	return c
 }
 
-// End returns an answered or failed call's record to the table. Its
-// Reply stays as it is until the next Begin takes the record, so a
-// caller may read it on until it next lets another process run or
-// begins another call.
+// End returns an answered or failed call's record to the pool. Its
+// Reply stays as it is until a Begin takes the record, so a caller may
+// read it on until it next lets another process run or begins another
+// call, on any table of the simulation.
 func (t *CallTable[T, M]) End(c *Call[T, M]) {
 	var zero M
 	c.Req = zero
-	t.free = append(t.free, c)
+	t.pool.Put(c)
 }
 
 // Outstanding returns the number of in-flight calls.

@@ -64,16 +64,16 @@ func TestDRCAcrossItsLimit(t *testing.T) {
 		m := d.Body.(*callMsg)
 		last = drcReplySeen{hdr: m.Hdr, payload: m.Payload, bytes: d.Bytes, direct: d.Direct}
 		replies++
-		m.release()
+		msgPools.Of(r.s).Release(m)
 		return true
 	})
-	var pool msgPool
+	pool := msgPools.Of(r.s)
 	// call sends one request and runs the simulation until it is
 	// answered, returning the reply.
 	call := func(xid, replyTag uint64) drcReplySeen {
 		hdr := wire.Header{Op: wire.OpRead, XID: xid}
 		before := replies
-		raw.SendToAsync(r.server.stack, 2050, int64(hdr.WireSize()), pool.send(&callMsg{Hdr: hdr, replyTag: replyTag}), 0)
+		raw.SendToAsync(r.server.stack, 2050, int64(hdr.WireSize()), pool.Copy(&callMsg{Hdr: hdr, replyTag: replyTag}), 0)
 		r.s.Run()
 		if replies != before+1 {
 			t.Fatalf("xid %d: %d replies, want 1", xid, replies-before)
@@ -193,12 +193,12 @@ func TestDRCPagesItsRing(t *testing.T) {
 	svc := &drcService{runs: make([]int, 2*drcChunkLen+2)}
 	srv := NewServiceServer(r.server.stack, 2050, 1, func(*Worker) Service { return svc })
 	raw := r.clientStack.Socket(3000)
-	raw.Listen(func(d *udpip.Datagram) bool { d.Body.(*callMsg).release(); return true })
-	var pool msgPool
+	raw.Listen(func(d *udpip.Datagram) bool { msgPools.Of(r.s).Release(d.Body.(*callMsg)); return true })
+	pool := msgPools.Of(r.s)
 	send := func(from, to uint64) {
 		for x := from; x <= to; x++ {
 			hdr := wire.Header{Op: wire.OpRead, XID: x}
-			raw.SendToAsync(r.server.stack, 2050, int64(hdr.WireSize()), pool.send(&callMsg{Hdr: hdr}), 0)
+			raw.SendToAsync(r.server.stack, 2050, int64(hdr.WireSize()), pool.Copy(&callMsg{Hdr: hdr}), 0)
 			r.s.Run()
 		}
 	}

@@ -77,13 +77,13 @@ func TestDRCReplyOutlivesLaterCalls(t *testing.T) {
 	raw.Listen(func(d *udpip.Datagram) bool {
 		m := d.Body.(*callMsg)
 		seen = append(seen, seenReply{hdr: m.Hdr, bytes: d.Bytes, direct: d.Direct})
-		m.release()
+		msgPools.Of(r.s).Release(m)
 		return true
 	})
-	var pool msgPool
+	pool := msgPools.Of(r.s)
 	send := func(xid uint64, length int64, tag uint64) {
 		hdr := wire.Header{Op: wire.OpRead, XID: xid, Length: length}
-		raw.SendToAsync(r.server.stack, 2049, int64(hdr.WireSize()), pool.send(&callMsg{Hdr: hdr, replyTag: tag}), 0)
+		raw.SendToAsync(r.server.stack, 2049, int64(hdr.WireSize()), pool.Copy(&callMsg{Hdr: hdr, replyTag: tag}), 0)
 	}
 	const later = 300
 	const tag = 77

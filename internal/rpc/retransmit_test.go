@@ -3,6 +3,7 @@ package rpc
 import (
 	"testing"
 
+	"danas/internal/host"
 	"danas/internal/nas"
 	"danas/internal/sim"
 	"danas/internal/wire"
@@ -143,5 +144,73 @@ func TestCrashedServerTimesOutThenRecovers(t *testing.T) {
 	}
 	if after == nil || after.Err != nil || after.Hdr.Status != wire.StatusOK {
 		t.Fatalf("call after restart failed: %+v", after)
+	}
+}
+
+// TestSharedRecordsUnderRetransmission runs two clients on one
+// scheduler, whose call records come from one pool and whose XIDs both
+// count from 1. A's first call is answered while its retransmission
+// timer is still armed; B's first call, XID 1 as well, then takes the
+// record A's call ended with. When A's timer fires it must find A's call
+// answered, by A's own table, and neither resend B's request nor fail
+// B's call; and a late duplicate of A's reply, reaching A's socket while
+// B's call is out, must not resolve B's call.
+func TestSharedRecordsUnderRetransmission(t *testing.T) {
+	// The handler serves a request in Offset milliseconds.
+	r := newRig(t, func(p *sim.Proc, req *Request) *Reply {
+		p.Sleep(sim.Duration(req.Hdr.Offset) * sim.Millisecond)
+		return &Reply{Hdr: &wire.Header{Op: req.Hdr.Op, XID: req.Hdr.XID, Status: wire.StatusOK, Length: 100 + req.Hdr.Offset}}
+	})
+	a := r.client
+	a.RetransmitTimeout, a.MaxRetries = 2*sim.Millisecond, 1
+	b := NewClient(r.s, r.clientStack, 1003, r.server.stack, 2049)
+	pool := callPools.Of(r.s)
+
+	var aResp, bResp Response
+	var bHdr wire.Header
+	var reused bool
+	var bDone sim.Time
+	r.s.Go("app", func(p *sim.Proc) {
+		resp := a.Call(p, &wire.Header{Op: wire.OpRead}, CallOpts{})
+		aResp = *resp
+		// The record the pool hands out next is the one A's call ended
+		// with: B's call must take it.
+		rec := pool.Get()
+		pool.Put(rec)
+		j := host.Carried(r.clientHost, p)
+		var m Caller
+		r.s.After(sim.Millisecond, func() { reused = m.call == rec })
+		b.CallThen(&j, &m, &wire.Header{Op: wire.OpRead, Offset: 10}, CallOpts{})
+		bResp, bDone = *m.Resp, p.Now()
+		if m.Resp.Hdr != nil {
+			bHdr = *m.Resp.Hdr
+		}
+	})
+	// A late duplicate of A's reply (XID 1), sent to A's port while B's
+	// call, XID 1 too, is out.
+	raw := r.server.stack.Socket(4000)
+	r.s.After(3*sim.Millisecond, func() {
+		dup := wire.Header{Op: wire.OpRead, XID: 1, Status: wire.StatusOK, Length: 100}
+		raw.SendToAsync(r.clientStack, 1001, int64(dup.WireSize()), msgPools.Of(r.s).Copy(&callMsg{Hdr: dup}), 0)
+	})
+	r.s.Run()
+
+	if aResp.Err != nil || aResp.Hdr == nil {
+		t.Fatalf("A's call: %+v", aResp)
+	}
+	if !reused {
+		t.Fatal("B's call did not take the record A's call ended with")
+	}
+	if bResp.Err != nil || bHdr.XID != 1 || bHdr.Length != 110 || bDone < sim.Time(10*sim.Millisecond) {
+		t.Fatalf("B's call ended at %v with %+v (err %v), want its own reply (XID 1, length 110) after 10 ms", bDone, bHdr, bResp.Err)
+	}
+	if a.Retransmits != 0 || a.TimedOut != 0 || b.Retransmits != 0 || b.TimedOut != 0 {
+		t.Fatalf("A retransmitted %d and timed out %d, B %d and %d; want none", a.Retransmits, a.TimedOut, b.Retransmits, b.TimedOut)
+	}
+	if r.server.Requests != 2 || r.server.Duplicates != 0 {
+		t.Fatalf("server executed %d requests and saw %d duplicates, want 2 and 0", r.server.Requests, r.server.Duplicates)
+	}
+	if a.Outstanding() != 0 || b.Outstanding() != 0 {
+		t.Fatalf("outstanding: A %d, B %d", a.Outstanding(), b.Outstanding())
 	}
 }

@@ -18,10 +18,10 @@ import (
 )
 
 // callMsg is the datagram body of one transmission, a request or a
-// reply, with its header held by value. The sender owns the record: it
-// takes one from its free list for every send, retransmissions and
+// reply, with its header held by value. The sender takes a record from
+// the simulation's pool (msgPools) for every send, retransmissions and
 // cached replies included, and the receiver copies what it keeps and
-// releases the record back to that list before its receive callback
+// releases the record to the same pool before its receive callback
 // returns. A transmission lost on the way leaves its record to the
 // collector; none is ever shared by two transmissions, so a late or
 // duplicate datagram always carries its own contents.
@@ -33,32 +33,16 @@ type callMsg struct {
 	// replyTag, on requests, asks the server to stamp this tag on its
 	// reply so the client NIC can match a pre-posted buffer.
 	replyTag uint64
-	pool     *msgPool
 }
 
-// msgPool is a client's or a server's free list of message records.
-type msgPool struct{ free []*callMsg }
-
-// send returns a pooled or fresh record holding a copy of m.
-func (mp *msgPool) send(m *callMsg) *callMsg {
-	var r *callMsg
-	if k := len(mp.free); k > 0 {
-		r = mp.free[k-1]
-		mp.free = mp.free[:k-1]
-	} else {
-		r = new(callMsg)
-	}
-	*r = *m
-	r.pool = mp
-	return r
-}
-
-// release returns a received record to its sender's free list.
-func (m *callMsg) release() {
-	mp := m.pool
-	*m = callMsg{}
-	mp.free = append(mp.free, m)
-}
+// msgPools and callPools name the simulation's pools of message and
+// call records, which every client and server on a scheduler share: a
+// pool per connection would warm to that connection's own high water,
+// and a fleet has thousands of connections.
+var (
+	msgPools  = sim.NewPoolKey[callMsg]()
+	callPools = sim.NewPoolKey[nas.Call[Response, sent]]()
+)
 
 // Request is a received call, handed to the server handler. Hdr points
 // at the worker's own copy of the request header, valid until the
@@ -234,7 +218,7 @@ type Server struct {
 	drcGen  uint64
 	drcRich map[int32]callMsg
 	peers   map[*udpip.Stack]int32
-	msgs    msgPool
+	msgs    *sim.Pool[callMsg]
 
 	// down marks the server host crashed: queued and arriving requests
 	// are discarded unexecuted (failure injection; see SetDown).
@@ -280,7 +264,7 @@ func NewServer(_ *sim.Scheduler, stack *udpip.Stack, port, nWorkers int, h Handl
 // workers, each serving requests through its own service, from
 // newService.
 func NewServiceServer(stack *udpip.Stack, port, nWorkers int, newService func(w *Worker) Service) *Server {
-	srv := &Server{sock: stack.Socket(port), stack: stack}
+	srv := &Server{sock: stack.Socket(port), stack: stack, msgs: msgPools.Of(stack.Host().S)}
 	for range max(nWorkers, 1) {
 		w := &Worker{srv: srv, Job: host.Job{H: stack.Host()}}
 		w.svc = newService(w)
@@ -329,7 +313,7 @@ func (w *Worker) accept(d *udpip.Datagram) bool {
 	srv := w.srv
 	msg := d.Body.(*callMsg)
 	if srv.down {
-		msg.release()
+		srv.msgs.Release(msg)
 		srv.Discarded++
 		return true // crashed host: the request dies unexecuted
 	}
@@ -342,7 +326,7 @@ func (w *Worker) accept(d *udpip.Datagram) bool {
 		fromPort:     d.FromPort,
 		replyTag:     msg.replyTag,
 	}
-	msg.release()
+	srv.msgs.Release(msg)
 	// The request's span (if traced) is active for exactly the request's
 	// scope, so server CPU, cache, disk and write-behind work attribute
 	// to the originating operation — and the idle wait for the next
@@ -388,7 +372,7 @@ func (w *Worker) step() bool {
 					m = e.reply.msg()
 				}
 				w.stage = workerSend
-				if !srv.sock.SendThen(&w.Job, &w.send, w.Req.from, w.Req.fromPort, e.bytes, srv.msgs.send(&m), 0, e.tag) {
+				if !srv.sock.SendThen(&w.Job, &w.send, w.Req.from, w.Req.fromPort, e.bytes, srv.msgs.Copy(&m), 0, e.tag) {
 					return false
 				}
 				return w.finish()
@@ -421,7 +405,7 @@ func (w *Worker) step() bool {
 				}
 			}
 			w.stage = workerSend
-			if !srv.sock.SendThen(&w.Job, &w.send, w.Req.from, w.Req.fromPort, bytes, srv.msgs.send(&out), r.CopyBytes, tag) {
+			if !srv.sock.SendThen(&w.Job, &w.send, w.Req.from, w.Req.fromPort, bytes, srv.msgs.Copy(&out), r.CopyBytes, tag) {
 				return false
 			}
 			return w.finish()
@@ -489,10 +473,11 @@ func (srv *Server) peerOf(st *udpip.Stack) int32 {
 }
 
 // Response is a completed call as seen by the client. A reply lives in
-// the client's call record, which the client recycles once Call
-// returns: it stays valid until the calling process next blocks or
-// calls the client again, so a caller copies what it keeps. A failed
-// call's Response is the caller's own.
+// the client's call record, which goes back to the simulation's pool
+// once Call returns: it stays valid until the calling process next
+// blocks or makes another call on any client of the simulation, so a
+// caller copies what it keeps. A failed call's Response is the caller's
+// own.
 type Response struct {
 	Hdr          *wire.Header
 	PayloadBytes int64
@@ -535,7 +520,7 @@ type Client struct {
 	sock       *udpip.Socket
 	server     *udpip.Stack
 	serverPort int
-	msgs       msgPool
+	msgs       *sim.Pool[callMsg]
 
 	nas.CallTable[Response, sent]
 }
@@ -548,15 +533,17 @@ type sent struct {
 }
 
 // NewClient creates a client on stack calling (server, serverPort), bound
-// to the given local port. The scheduler is the stack's.
-func NewClient(_ *sim.Scheduler, stack *udpip.Stack, localPort int, server *udpip.Stack, serverPort int) *Client {
+// to the given local port. The scheduler is the stack's; the client's
+// call and message records come from its pools.
+func NewClient(s *sim.Scheduler, stack *udpip.Stack, localPort int, server *udpip.Stack, serverPort int) *Client {
 	c := &Client{
 		stack:      stack,
 		sock:       stack.Socket(localPort),
 		server:     server,
 		serverPort: serverPort,
+		msgs:       msgPools.Of(s),
 	}
-	c.Init(c.resend)
+	c.Init(callPools.Of(s), c.resend)
 	c.sock.Listen(c.demux)
 	return c
 }
@@ -571,7 +558,7 @@ func (c *Client) demux(d *udpip.Datagram) bool {
 		r.Hdr, r.PayloadBytes, r.Payload, r.Ref, r.Direct = &r.hdr, msg.PayloadBytes, msg.Payload, msg.Ref, d.Direct
 		call.Resolve()
 	}
-	msg.release()
+	c.msgs.Release(msg)
 	return true
 }
 
@@ -580,7 +567,7 @@ func (c *Client) demux(d *udpip.Datagram) bool {
 func (c *Client) resend(r *sent) {
 	h := c.stack.Host()
 	h.ComputeAsync(h.P.RPCClientSend, nil)
-	c.sock.SendToAsync(c.server, c.serverPort, r.bytes, c.msgs.send(&r.msg), 0)
+	c.sock.SendToAsync(c.server, c.serverPort, r.bytes, c.msgs.Copy(&r.msg), 0)
 }
 
 // Call sends req and blocks until the matching reply arrives. The header's
@@ -647,7 +634,7 @@ func (m *Caller) Step(j *host.Job) bool {
 		case callSend:
 			s := &m.call.Req
 			m.stage = callAwait
-			if !c.sock.SendThen(j, &m.send, c.server, c.serverPort, s.bytes, c.msgs.send(&s.msg), m.copy, 0) {
+			if !c.sock.SendThen(j, &m.send, c.server, c.serverPort, s.bytes, c.msgs.Copy(&s.msg), m.copy, 0) {
 				m.stage = callSending
 				return false
 			}

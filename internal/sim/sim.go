@@ -168,6 +168,7 @@ type Scheduler struct {
 	coros   []*coro                   // every coroutine started, for Close
 	free    []*coro                   // coroutines whose Proc finished, for the next Go
 	trace   func(at Time, seq uint64) // sees every event executed; tests only
+	pools   []any                     // the simulation's record pools, by PoolKey
 }
 
 // New returns an empty scheduler with the clock at zero.
